@@ -182,6 +182,39 @@ impl LevelStore {
         })
     }
 
+    /// Indices whose levels differ between `self` and `other`,
+    /// ascending. Word-parallel: packed words are XORed and only words
+    /// that differ are decoded, so two stores that agree almost
+    /// everywhere cost one XOR per word.
+    ///
+    /// # Panics
+    ///
+    /// If the two stores differ in length or level ceiling.
+    pub fn diff_indices<'a>(&'a self, other: &'a LevelStore) -> impl Iterator<Item = u64> + 'a {
+        assert!(
+            self.len == other.len && self.max_level == other.max_level,
+            "diff_indices needs stores of one shape"
+        );
+        (0..self.len.div_ceil(BITS_PER_WORD) as usize).flat_map(move |pw| {
+            let mut diff = 0u64;
+            for q in 0..4 {
+                let ni = pw * 4 + q;
+                if ni >= self.nibbles.len() {
+                    break;
+                }
+                let x = self.nibbles[ni] ^ other.nibbles[ni];
+                if x != 0 {
+                    diff |= compact16(nonzero_nibbles(x), 3) << (16 * q);
+                }
+            }
+            if self.max_level > 15 {
+                diff |= self.high[pw] ^ other.high[pw];
+            }
+            let base = pw as u64 * BITS_PER_WORD;
+            SetBits(diff).map(move |b| base + b as u64)
+        })
+    }
+
     /// Touches every packed word, pulling the store into cache ahead
     /// of a read-heavy pass (the per-chunk warm-up `route_many` does
     /// before draining a batch). Returns a fold of the words so the
@@ -251,14 +284,19 @@ impl Iterator for SetBits {
 #[inline]
 fn nibble_eq_mask(w: u64, nib: u8) -> u64 {
     let x = w ^ (0x1111_1111_1111_1111u64 * nib as u64);
-    // Exact per-field zero test (no cross-field borrows, unlike the
-    // classic `(x - 1…1) & !x & 8…8` which false-positives on a 1
-    // field after a 0 field): bit 3 of `(x&m)+m` is set iff the low
-    // three bits are nonzero, so the complement AND `!x` isolates
-    // all-zero fields.
+    compact16(!nonzero_nibbles(x), 3)
+}
+
+/// Bit 3 of each 4-bit field of the result is set iff that field of
+/// `x` is nonzero. Exact per field (no cross-field borrows, unlike the
+/// classic `(x - 1…1) & !x & 8…8`, which false-positives on a 1 field
+/// after a 0 field): bit 3 of `(x&m)+m` is set iff the low three bits
+/// are nonzero, and OR-ing `x` adds bit 3 itself. The other bits of
+/// each field are unspecified.
+#[inline]
+fn nonzero_nibbles(x: u64) -> u64 {
     const M: u64 = 0x7777_7777_7777_7777;
-    let z = !(((x & M) + M) | x | M);
-    compact16(z, 3)
+    ((x & M) + M) | x
 }
 
 /// Mask of the low `k` bits (`k ≤ 64`), shift-overflow safe.
@@ -621,6 +659,38 @@ mod tests {
                 assert_eq!(s.count_eq(l), want.len() as u64, "l={l} max={max}");
                 assert_eq!(s.iter_eq(l).collect::<Vec<_>>(), want, "l={l} max={max}");
             }
+        }
+    }
+
+    #[test]
+    fn diff_indices_match_scalar_scan() {
+        // Lengths off the nibble and plane word boundaries, with and
+        // without the fifth-bit plane; edits at word edges and a pair
+        // that differs only in bit 4.
+        for (max, len) in [(4u8, 5u64), (15, 150), (20, 200)] {
+            let a: Vec<Level> = (0..len)
+                .map(|i| ((i * 7 + 1) % (max as u64 + 1)) as Level)
+                .collect();
+            let mut b = a.clone();
+            for i in [0, 15, 16, 63, 64, len - 1] {
+                if i < len {
+                    b[i as usize] = (b[i as usize] + 1) % (max + 1);
+                }
+            }
+            if max > 15 {
+                assert_eq!(a[99], 1);
+                b[99] = 17;
+            }
+            let (sa, sb) = (
+                LevelStore::from_levels(max, &a),
+                LevelStore::from_levels(max, &b),
+            );
+            let want: Vec<u64> = (0..len)
+                .filter(|&i| a[i as usize] != b[i as usize])
+                .collect();
+            assert_eq!(sa.diff_indices(&sb).collect::<Vec<_>>(), want, "max={max}");
+            assert_eq!(sb.diff_indices(&sa).collect::<Vec<_>>(), want, "max={max}");
+            assert_eq!(sa.diff_indices(&sa).count(), 0);
         }
     }
 

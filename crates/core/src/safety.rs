@@ -35,7 +35,7 @@
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId, MAX_DIM};
+use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, MAX_DIM};
 
 /// Safety level of one node: `0..=n`. `n` means *safe*; anything less
 /// is *unsafe*; `0` is the level of a faulty node.
@@ -124,6 +124,11 @@ pub struct SafetyMap {
 /// bit-sliced arithmetic, and write the next round's planes. Returns
 /// whether any level changed (the scalar loop's `changed` flag,
 /// word-XOR instead of per-node compare).
+///
+/// Inlined into both callers ([`SafetyMap::compute`] and
+/// [`SafetyMap::check_fixed_point`]): called out of line, Q20
+/// `compute` ran 4–14% slower (best and median of ten runs).
+#[inline(always)]
 fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneView) -> bool {
     let bits = cur.bits() as usize;
     let mut changed = false;
@@ -507,20 +512,106 @@ impl SafetyMap {
 
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
     /// that it is *the* fixed point promised by Theorem 1. Returns the
-    /// first violating node, if any.
+    /// first (lowest-addressed) violating node, if any.
+    ///
+    /// Word-parallel: the store is transposed to planes and one plane
+    /// Jacobi round is run from it. The map is a fixed point iff that
+    /// round changes nothing (the round pins faulty nodes to 0, so a
+    /// nonzero level on a faulty node shows as a change too), and the
+    /// lowest changed bit is the node an ascending per-node scan would
+    /// report first.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg`'s cube is not of this map's dimension.
     pub fn check_fixed_point(&self, cfg: &FaultConfig) -> Option<NodeId> {
+        assert_eq!(
+            cfg.cube().dim(),
+            self.n,
+            "map and config of different cubes"
+        );
+        let cur = PlaneView::from_store(&self.levels);
+        let mut next = PlaneView::zeroed(self.n, self.levels.len());
+        if !jacobi_round_planes(self.n, &cur, cfg.node_faults().words(), &mut next) {
+            return None;
+        }
+        (0..cur.words()).find_map(|w| {
+            let diff = (0..cur.bits() as usize)
+                .fold(0u64, |acc, b| acc | (cur.plane(b)[w] ^ next.plane(b)[w]));
+            (diff != 0).then(|| NodeId::new(w as u64 * 64 + diff.trailing_zeros() as u64))
+        })
+    }
+
+    /// [`SafetyMap::check_fixed_point`] in time proportional to what
+    /// changed since `verified_map`, which must already have passed
+    /// the check against `verified_cfg`. Returns the same answer.
+    ///
+    /// Definition 1 is local: a node's level depends only on its own
+    /// fault bit and its `n` neighbors' levels. The candidates are the
+    /// nodes whose level or fault bit differs from the verified epoch,
+    /// plus their neighbors. Any other node has exactly the inputs and
+    /// level it had in a verified fixed point, so it passes; every
+    /// violator is therefore a candidate, and the lowest failing
+    /// candidate is the first violator. The diff is found by XOR over
+    /// the packed level and fault words and is not taken from any
+    /// record of what the producer touched.
+    ///
+    /// Falls back to the full word-parallel scan when the verified
+    /// epoch is of another cube, or differs in so many nodes that
+    /// scanning every word is cheaper.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg`'s cube is not of this map's dimension.
+    pub fn check_fixed_point_since(
+        &self,
+        cfg: &FaultConfig,
+        verified_map: &SafetyMap,
+        verified_cfg: &FaultConfig,
+    ) -> Option<NodeId> {
+        assert_eq!(
+            cfg.cube().dim(),
+            self.n,
+            "map and config of different cubes"
+        );
+        if verified_map.n != self.n || verified_cfg.cube().dim() != self.n {
+            return self.check_fixed_point(cfg);
+        }
+        let fault_diff = cfg
+            .node_faults()
+            .words()
+            .iter()
+            .zip(verified_cfg.node_faults().words())
+            .enumerate()
+            .flat_map(|(w, (&a, &b))| BitDims(a ^ b).map(move |j| w as u64 * 64 + j as u64));
+        // A changed node costs about n² level reads (itself and its n
+        // neighbors), the full scan a few word ops per 64 nodes: past
+        // one changed node per 64 nodes the full scan is the cheaper.
+        // Small cubes keep a floor of 64, where either is cheap.
+        let budget = (self.levels.len() / 64).max(64) as usize;
+        let mut candidates: Vec<u64> = Vec::new();
+        let changed = self
+            .levels
+            .diff_indices(&verified_map.levels)
+            .chain(fault_diff);
+        for (k, i) in changed.enumerate() {
+            if k == budget {
+                return self.check_fixed_point(cfg);
+            }
+            candidates.push(i);
+            candidates.extend((0..self.n).map(|d| i ^ (1u64 << d)));
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
         let cube = cfg.cube();
-        for a in cube.nodes() {
+        candidates.into_iter().map(NodeId::new).find(|&a| {
             let want = if cfg.node_faulty(a) {
                 0
             } else {
                 level_from_unsorted(self.n, cube.neighbors(a).map(|b| self.level(b)))
             };
-            if self.level(a) != want {
-                return Some(a);
-            }
-        }
-        None
+            self.level(a) != want
+        })
     }
 }
 

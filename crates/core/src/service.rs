@@ -22,10 +22,19 @@
 //!   `Failure` falls through to the detour rung:
 //!   [`crate::reroute::route_dynamic`] against the live fault set.
 //!
-//! The epoch invariant checked at every quiescent point: the published
-//! map is the exact Definition-1 fixed point of the published config
-//! ([`SafetyMap::check_fixed_point`]), and the published fault set
-//! converges to the live one once the pending queue drains.
+//! The epoch invariant checked after every publication: the published
+//! map is the exact Definition-1 fixed point of the published config,
+//! and the published fault set equals the live one once the pending
+//! queue drains. The first check is the full word-parallel scan
+//! ([`SafetyMap::check_fixed_point`]); each later one
+//! ([`SafetyMap::check_fixed_point_since`]) evaluates only the nodes
+//! whose level or fault bit differs from the last epoch that passed,
+//! plus their neighbors. Definition 1 is local, so every other node
+//! has the inputs and level it had in a verified fixed point and
+//! passes; the lowest failing candidate is therefore the node the full
+//! scan reports first. The verified epoch advances only on a pass, so
+//! a corrupt epoch keeps failing, even under later correct deltas,
+//! until a clean one is published.
 
 use crate::multipath::route_disjoint;
 use crate::navigation::NavVector;
@@ -69,6 +78,9 @@ pub struct SafetyService {
     cells_changed: u64,
     /// Test hook: archive of every published snapshot (epoch order).
     archive: Option<Vec<Arc<Epoch<SafetyState>>>>,
+    /// The last snapshot whose map passed the fixed-point check; later
+    /// checks examine only what differs from it.
+    verified: Option<Arc<Epoch<SafetyState>>>,
 }
 
 impl SafetyService {
@@ -94,6 +106,7 @@ impl SafetyService {
             detours: 0,
             cells_changed: 0,
             archive: None,
+            verified: None,
         }
     }
 
@@ -354,23 +367,30 @@ impl RouteProvider for SafetyService {
 
     fn check_invariants(&mut self) -> Result<(), String> {
         let snap = self.epochs.load();
-        if let Some(node) = snap.data.map.check_fixed_point(&snap.data.cfg) {
+        let violation = match &self.verified {
+            Some(v) => {
+                snap.data
+                    .map
+                    .check_fixed_point_since(&snap.data.cfg, &v.data.map, &v.data.cfg)
+            }
+            None => snap.data.map.check_fixed_point(&snap.data.cfg),
+        };
+        if let Some(node) = violation {
             return Err(format!(
                 "epoch {}: published map is not the fixed point of its config at node {node}",
                 snap.epoch
             ));
         }
-        if self.pending.is_empty() {
+        self.verified = Some(Arc::clone(&snap));
+        if self.pending.is_empty() && self.live.node_faults() != snap.data.cfg.node_faults() {
             // Quiescent writer: the published epoch must have caught
             // up with the live fault set exactly.
             let live: Vec<NodeId> = self.live.node_faults().iter().collect();
             let snap_faults: Vec<NodeId> = snap.data.cfg.node_faults().iter().collect();
-            if live != snap_faults {
-                return Err(format!(
-                    "epoch {}: published faults {:?} diverge from live {:?} with no pending delta",
-                    snap.epoch, snap_faults, live
-                ));
-            }
+            return Err(format!(
+                "epoch {}: published faults {:?} diverge from live {:?} with no pending delta",
+                snap.epoch, snap_faults, live
+            ));
         }
         Ok(())
     }
