@@ -8,8 +8,9 @@
 //!
 //! Alongside the count: every returned fan must pass the structural
 //! [`check_disjoint_delivery`] contract, and multi-path delivery must
-//! dominate the single-path router (whenever `route` delivers, the fan
-//! delivers on at least one path).
+//! dominate the single-path router on healthy destinations (whenever
+//! `route` delivers to a healthy `d`, the fan delivers on at least one
+//! path; a faulty `d` gets no disjoint path at all).
 
 use hypersafe_core::{check_disjoint_delivery, route, route_disjoint, SafetyMap};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
