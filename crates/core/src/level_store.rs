@@ -11,10 +11,10 @@
 //! - a **fifth-bit plane** (`Vec<u64>`, 64 one-bit fields per word)
 //!   holding level bit 4, allocated only when `n > 15`.
 //!
-//! That is 4 bits/node for n ≤ 15 and 4.5625 bits/node above — at
-//! most **0.5703 bytes/node**, comfortably under the 1 byte/node
+//! That is 4 bits/node for n ≤ 15 and 4 + 1 = 5 bits/node above — at
+//! most **0.625 bytes/node**, comfortably under the 1 byte/node
 //! ceiling the scale experiment (E27) gates on, and small enough that
-//! an n=20 cube's entire map (1M nodes) is ~585 KiB: resident in L2
+//! an n=20 cube's entire map (1M nodes) is 640 KiB: resident in L2
 //! on most parts.
 //!
 //! The split layout is deliberate: 4-bit fields tile a 64-bit word
@@ -46,8 +46,8 @@ const NIB_PER_WORD: u64 = 16;
 /// Nodes per plane word (1-bit fields in a `u64`).
 const BITS_PER_WORD: u64 = 64;
 
-/// Packed array of safety levels, ~0.57 bytes/node. See the module
-/// docs for the layout. Equality is structural: two stores compare
+/// Packed array of safety levels, at most 0.625 bytes/node. See the
+/// module docs for the layout. Equality is structural: two stores compare
 /// equal iff they have the same length, the same level ceiling, and
 /// byte-identical packed words — which (because trailing bits are
 /// kept zero) is exactly "same levels at every index".

@@ -107,9 +107,10 @@ pub fn level_from_unsorted<I: IntoIterator<Item = Level>>(n: u8, levels: I) -> L
 }
 
 /// The safety level of every node of one faulty hypercube instance,
-/// indexed by raw address. Levels are held packed (~0.5 bytes/node,
-/// [`LevelStore`]) — an n=20 cube's map is ~585 KiB instead of 1 MiB,
-/// and the compute kernels below never materialize a byte per node.
+/// indexed by raw address. Levels are held packed (0.5–0.625
+/// bytes/node, [`LevelStore`]) — an n=20 cube's map is 640 KiB instead
+/// of 1 MiB, and the compute kernels below never materialize a byte
+/// per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyMap {
     n: u8,
@@ -124,6 +125,10 @@ pub struct SafetyMap {
 /// bit-sliced arithmetic, and write the next round's planes. Returns
 /// whether any level changed (the scalar loop's `changed` flag,
 /// word-XOR instead of per-node compare).
+///
+/// A word leaves the `k` loop as soon as its outcome is fixed: no
+/// unassigned lane has more than `k` neighbors below `n` (DESIGN.md
+/// §13). At sparse fault densities most words stop at `k = 1`.
 ///
 /// Inlined into both callers ([`SafetyMap::compute`] and
 /// [`SafetyMap::check_fixed_point`]): called out of line, Q20
@@ -142,6 +147,14 @@ fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneV
                 *lane = gather_neighbor_word(cur.plane(b), w, d as u8);
             }
         }
+        // "#neighbors with level ≠ n" bounds every "#neighbors below k"
+        // from above, so a lane with at most k of them can be assigned
+        // neither at k nor later: once no unassigned lane beats k, the
+        // word's outcome is fixed and the rest get n below.
+        let mut below_n = [0u64; 5];
+        for gd in g.iter().take(n as usize) {
+            sliced_add(&mut below_n, !lanes_at_level(gd, bits, n as u32));
+        }
         // Walk k = 1..n accumulating "#neighbors with level < k" in a
         // bit-sliced counter; the first k that exceeds k wins (faulty
         // nodes are pre-assigned 0 and never re-enter).
@@ -149,13 +162,11 @@ fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneV
         let mut assigned = faulty_w;
         let mut res = [0u64; 5];
         for k in 1..n as u32 {
-            let j = k - 1;
+            if sliced_gt_const(&below_n, k) & !assigned & valid == 0 {
+                break;
+            }
             for gd in g.iter().take(n as usize) {
-                let mut eq = !0u64;
-                for (b, lane) in gd.iter().enumerate().take(bits) {
-                    eq &= if (j >> b) & 1 == 1 { *lane } else { !*lane };
-                }
-                sliced_add(&mut cnt, eq);
+                sliced_add(&mut cnt, lanes_at_level(gd, bits, k - 1));
             }
             let new = sliced_gt_const(&cnt, k) & !assigned & valid;
             if new != 0 {
@@ -180,6 +191,17 @@ fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneV
         }
     }
     changed
+}
+
+/// Lanes of one gathered neighbor word (`bits` level planes) whose
+/// level is `l`.
+#[inline(always)]
+fn lanes_at_level(planes: &[u64; 5], bits: usize, l: u32) -> u64 {
+    let mut eq = !0u64;
+    for (b, lane) in planes.iter().enumerate().take(bits) {
+        eq &= if (l >> b) & 1 == 1 { *lane } else { !*lane };
+    }
+    eq
 }
 
 /// The paper's Jacobi initial state as planes: faulty nodes 0,

@@ -21,6 +21,13 @@
 //! neighbors ("say 1111 along dimension 0"); we deterministically take
 //! the lowest dimension among the maxima, which reproduces the paper's
 //! narrated routes exactly.
+//!
+//! No level exceeds `n`, so under that default the scan of candidate
+//! neighbors stops at the first one at level `n`: no later candidate
+//! can beat it, and a tie keeps the first one seen. At sparse fault
+//! densities that is usually the first candidate. The other tie-break
+//! policies read every candidate, because their winner among tied
+//! neighbors is not the first one seen.
 
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
@@ -100,6 +107,11 @@ pub enum TieBreak {
 /// Picks the neighbor of `at` along the dimension set `dims` with the
 /// highest safety level, breaking ties per `tb`. Returns
 /// `(dim, level)`.
+///
+/// Under [`TieBreak::LowestDim`] the scan stops at the first neighbor
+/// at the ceiling `map.dim()`: a later one could only win with a
+/// strictly higher level, and none exists. `HighestDim` and `Hashed`
+/// pick among all tied neighbors, so they scan every dimension.
 pub(crate) fn argmax_level_tb(
     map: &SafetyMap,
     at: NodeId,
@@ -111,6 +123,7 @@ pub(crate) fn argmax_level_tb(
     let mut ties = [0u8; hypersafe_topology::MAX_DIM as usize];
     let mut num_ties = 0usize;
     let mut best_level: Option<Level> = None;
+    let ceiling = map.dim();
     for i in dims {
         let lv = map.level(at.neighbor(i));
         match best_level {
@@ -124,6 +137,9 @@ pub(crate) fn argmax_level_tb(
                 ties[0] = i;
                 num_ties = 1;
             }
+        }
+        if lv == ceiling && matches!(tb, TieBreak::LowestDim) {
+            break;
         }
     }
     let lv = best_level?;

@@ -6,6 +6,8 @@
 use hypersafe_core::{Level, LevelStore, PlaneView, SafetyMap};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Random `(max_level, levels)` including the boundary levels 0 and
 /// `max_level`, with lengths that straddle nibble-word (16) and
@@ -38,18 +40,85 @@ fn levels_input() -> impl Strategy<Value = (u8, Vec<Level>)> {
     })
 }
 
+/// Uniform faults, up to a quarter of the cube.
+fn uniform_faults(n: u8, rng: &mut ChaCha8Rng) -> FaultConfig {
+    let cube = Hypercube::new(n);
+    let total = cube.num_nodes();
+    let count = rng.gen_range(0..=(total / 4).max(1));
+    let faults: Vec<u64> = (0..count).map(|_| rng.gen_range(0..total)).collect();
+    FaultConfig::with_node_faults(
+        cube,
+        FaultSet::from_nodes(cube, faults.into_iter().map(NodeId::new)),
+    )
+}
+
+/// A faulty subcube of random dimension and position, each of its
+/// nodes faulty with probability 1, 1/2 or 1/4, plus up to `n` sparse
+/// faults anywhere. In and around the subcube levels climb well above
+/// 1 and words run deep into the kernel's `k` loop; away from it a
+/// word holds few unsafe lanes and leaves the loop early, which is
+/// where an exit bound off by one drops an assignment.
+fn clustered_faults(n: u8, rng: &mut ChaCha8Rng) -> FaultConfig {
+    let cube = Hypercube::new(n);
+    let total = cube.num_nodes();
+    let m = rng.gen_range(0..=n) as u32;
+    let mut free = 0u64;
+    while free.count_ones() < m {
+        free |= 1 << rng.gen_range(0..n);
+    }
+    let base = rng.gen_range(0..total) & !free;
+    let sparsity = rng.gen_range(0..3u32);
+    let mut faults = Vec::new();
+    // Every subset of `free`, via the carry-rippling subset walk.
+    let mut sub = 0u64;
+    loop {
+        if rng.gen_range(0..1u32 << sparsity) == 0 {
+            faults.push(base | sub);
+        }
+        sub = sub.wrapping_sub(free) & free;
+        if sub == 0 {
+            break;
+        }
+    }
+    for _ in 0..rng.gen_range(0..=n) {
+        faults.push(rng.gen_range(0..total));
+    }
+    FaultConfig::with_node_faults(
+        cube,
+        FaultSet::from_nodes(cube, faults.into_iter().map(NodeId::new)),
+    )
+}
+
+/// Q1–Q9, half the cases uniform and half clustered.
 fn faulty_cube() -> impl Strategy<Value = FaultConfig> {
-    (3u8..=9).prop_flat_map(|n| {
-        let cube = Hypercube::new(n);
-        let total = cube.num_nodes();
-        let max_faults = (total as usize / 4).max(1);
-        proptest::collection::btree_set(0..total, 0..=max_faults).prop_map(move |set| {
-            FaultConfig::with_node_faults(
-                cube,
-                FaultSet::from_nodes(cube, set.into_iter().map(NodeId::new)),
-            )
-        })
+    (any::<bool>(), 1u8..=9, any::<u64>()).prop_map(|(clustered, n, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        if clustered {
+            clustered_faults(n, &mut rng)
+        } else {
+            uniform_faults(n, &mut rng)
+        }
     })
+}
+
+/// Clustered Q16–Q17: five level planes and up to 16 `k` iterations.
+fn large_faulty_cube() -> impl Strategy<Value = FaultConfig> {
+    (16u8..=17, any::<u64>())
+        .prop_map(|(n, seed)| clustered_faults(n, &mut ChaCha8Rng::seed_from_u64(seed)))
+}
+
+/// The plane Jacobi kernel against the scalar reference after every
+/// round (shared by the two round-by-round tests).
+fn assert_same_rounds(cfg: &FaultConfig) -> Result<(), TestCaseError> {
+    let (map, trace) = SafetyMap::compute_trace(cfg);
+    let (refmap, reftrace) = SafetyMap::compute_reference_trace(cfg);
+    prop_assert_eq!(map.rounds(), refmap.rounds());
+    prop_assert_eq!(map.to_vec(), refmap.to_vec());
+    prop_assert_eq!(trace.len(), reftrace.len());
+    for (r, (a, b)) in trace.iter().zip(&reftrace).enumerate() {
+        prop_assert_eq!(a, b, "round {}", r);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -117,17 +186,15 @@ proptest! {
 
     /// The plane Jacobi kernel equals the scalar reference not just at
     /// the fixed point but after *every* round — the packed compute is
-    /// the same iteration, not merely the same limit.
+    /// the same iteration, not merely the same limit. This also pins
+    /// the kernel's early exit (a word leaves the `k` loop once no
+    /// unassigned lane has more than `k` neighbours below `n`): a bound
+    /// of `k + 1` drops level-`k` assignments and fails here. Dropping
+    /// `!assigned` from the exit test is an equivalent mutant: already
+    /// assigned lanes only keep the loop running longer.
     #[test]
     fn plane_kernel_matches_reference_round_by_round(cfg in faulty_cube()) {
-        let (map, trace) = SafetyMap::compute_trace(&cfg);
-        let (refmap, reftrace) = SafetyMap::compute_reference_trace(&cfg);
-        prop_assert_eq!(map.rounds(), refmap.rounds());
-        prop_assert_eq!(map.to_vec(), refmap.to_vec());
-        prop_assert_eq!(trace.len(), reftrace.len());
-        for (r, (a, b)) in trace.iter().zip(&reftrace).enumerate() {
-            prop_assert_eq!(a, b, "round {}", r);
-        }
+        assert_same_rounds(&cfg)?;
     }
 
     /// The constructive kernel lands on the identical packed store.
@@ -136,5 +203,16 @@ proptest! {
         let jacobi = SafetyMap::compute(&cfg);
         let cons = SafetyMap::compute_constructive(&cfg);
         prop_assert_eq!(jacobi.store(), cons.store());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The round-by-round check on cubes wide enough for the fifth
+    /// level plane.
+    #[test]
+    fn plane_kernel_matches_reference_on_five_planes(cfg in large_faulty_cube()) {
+        assert_same_rounds(&cfg)?;
     }
 }
