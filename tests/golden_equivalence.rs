@@ -7,7 +7,11 @@
 //! and loss rates `{0%, 5%, 20%}`. The recorded file
 //! (`tests/goldens/engine_goldens.txt`) was generated against the
 //! pre-refactor twin engines; the unified engine must reproduce it
-//! byte-for-byte.
+//! byte-for-byte. Later sections are appended, never interleaved: the
+//! delta-GS actor protocol, then the centralized §3 hop walk (the full,
+//! light and batched routers and the routing service's attempt, under
+//! every tie-break policy), recorded before the three walks were
+//! merged into one.
 //!
 //! Regenerate (only when intentionally changing observable behavior):
 //!
@@ -19,8 +23,9 @@ use hypersafe::experiments::congestion_exp::simulate_burst;
 use hypersafe::safety::gh_unicast_distributed::run_gh_unicast;
 use hypersafe::safety::unicast_distributed::{run_unicast, run_unicast_lossy, LossyOutcome};
 use hypersafe::safety::{
-    detect, run_broadcast, run_delta_gs, run_gh_gs, run_gs, run_gs_async, run_gs_reliable,
-    ChurnEvent, DetectorParams, GhSafetyMap, SafetyMap, TieBreak,
+    detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gh_gs, run_gs,
+    run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, GhSafetyMap,
+    SafetyMap, SafetyService, TieBreak,
 };
 use hypersafe::simkit::{ChannelModel, EventStats, ReliableConfig, SyncStats};
 use hypersafe::topology::{FaultConfig, GeneralizedHypercube, GhNode, Hypercube, NodeId};
@@ -114,12 +119,16 @@ fn fmt_levels(levels: &[u8]) -> String {
 fn fmt_trail(trail: &Option<Vec<NodeId>>) -> String {
     match trail {
         None => "-".to_string(),
-        Some(t) => t
-            .iter()
-            .map(|a| a.raw().to_string())
-            .collect::<Vec<_>>()
-            .join(">"),
+        Some(t) => fmt_nodes(t),
     }
+}
+
+fn fmt_nodes(nodes: &[NodeId]) -> String {
+    nodes
+        .iter()
+        .map(|a| a.raw().to_string())
+        .collect::<Vec<_>>()
+        .join(">")
 }
 
 fn fmt_lossy_outcome(o: &LossyOutcome) -> String {
@@ -349,6 +358,82 @@ fn record_delta_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
     }
 }
 
+/// One batched outcome as `<decision class><hops><d|u>`, e.g. `O4d`.
+fn fmt_batch(o: &BatchOutcome) -> String {
+    let class = match o.decision {
+        Decision::Optimal { .. } => 'O',
+        Decision::Suboptimal { .. } => 'S',
+        Decision::Failure => 'F',
+        Decision::AlreadyThere => 'A',
+    };
+    let fate = if o.delivered { 'd' } else { 'u' };
+    format!("{class}{}{fate}", o.hops)
+}
+
+const WALK_POLICIES: [TieBreak; 3] = [
+    TieBreak::LowestDim,
+    TieBreak::HighestDim,
+    TieBreak::Hashed { salt: 0x5A17 },
+];
+
+/// Records the centralized §3 hop walk on one instance, under every
+/// tie-break policy: the full router's decision, path and delivery,
+/// the light router's outcome, the batched router over all the pairs,
+/// and (node faults only) a quiet routing service's verdict and trail.
+///
+/// Besides sampled healthy pairs, the pair list holds `s == d`, a
+/// faulty destination and a faulty source (when the instance has
+/// faults), and both directions of every faulty link between healthy
+/// nodes, which is the only way to reach the walk's link-cut exit.
+fn record_walk_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
+    let n = cfg.cube().dim();
+    let map = run_gs(cfg).map;
+    let mut pairs = sample_pairs(cfg, 12, 0x3A1C ^ n as u64);
+    let h = cfg.healthy_nodes().next().expect("a healthy node");
+    pairs.push((h, h));
+    if let Some(f) = cfg.node_faults().iter().next() {
+        pairs.push((h, f));
+        pairs.push((f, h));
+    }
+    for (a, b) in cfg.link_faults().iter() {
+        if !cfg.node_faulty(a) && !cfg.node_faulty(b) {
+            pairs.push((a, b));
+            pairs.push((b, a));
+        }
+    }
+    let node_faults_only = cfg.link_faults().is_empty();
+    for (k, tb) in WALK_POLICIES.into_iter().enumerate() {
+        let mut svc = node_faults_only.then(|| SafetyService::with_tiebreak(cfg.clone(), tb));
+        for &(s, d) in &pairs {
+            let head = format!("{tag} tb{k} {}->{}", s.raw(), d.raw());
+            let full = route_tb(cfg, &map, s, d, tb);
+            let path = full
+                .path
+                .as_ref()
+                .map_or("-".to_string(), |p| fmt_nodes(p.nodes()));
+            out.push(format!(
+                "{head} route decision={:?} path={path} delivered={}",
+                full.decision, full.delivered
+            ));
+            let light = route_light(cfg, &map, s, d, tb);
+            out.push(format!("{head} light={}", fmt_batch(&light)));
+            if let Some(svc) = svc.as_mut() {
+                let mut trail = Vec::new();
+                let got = svc.attempt_traced(s, d, &mut trail);
+                out.push(format!(
+                    "{head} service epoch={} verdict={:?} trail={}",
+                    got.epoch,
+                    got.verdict,
+                    fmt_nodes(&trail)
+                ));
+            }
+        }
+        let many = route_many_tb(cfg, &map, &pairs, tb);
+        let many: Vec<String> = many.iter().map(fmt_batch).collect();
+        out.push(format!("{tag} tb{k} many={}", many.join(",")));
+    }
+}
+
 fn collect_goldens() -> Vec<String> {
     let mut out = Vec::new();
     for n in [4u8, 6, 8] {
@@ -378,6 +463,17 @@ fn collect_goldens() -> Vec<String> {
             let cfg = node_fault_cfg(n, m);
             record_delta_scenario(&mut out, &format!("delta/n{n}/m{m}"), &cfg);
         }
+    }
+
+    // The centralized hop walk, appended after the delta-GS section
+    // for the same reason.
+    for n in [4u8, 6, 8] {
+        for m in [0usize, n as usize, 2 * n as usize] {
+            let cfg = node_fault_cfg(n, m);
+            record_walk_scenario(&mut out, &format!("walk/n{n}/m{m}"), &cfg);
+        }
+        let cfg = add_link_faults(node_fault_cfg(n, n as usize / 2), n as usize);
+        record_walk_scenario(&mut out, &format!("walk/n{n}/links{n}"), &cfg);
     }
     out
 }
