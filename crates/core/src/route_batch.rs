@@ -3,36 +3,23 @@
 //! [`crate::route`] materializes a [`hypersafe_topology::Path`] per
 //! call, which is the right interface for inspecting one route but
 //! wasteful when a workload asks for millions of routing *decisions*
-//! against one safety map. [`route_light`] runs the identical §3
-//! algorithm hop-by-hop without building the path, and [`route_many`]
+//! against one safety map. [`route_light`] runs the same §3 walk with
+//! a no-op hop sink, so no path is built, and [`route_many`]
 //! fans a batch of source/destination pairs over the vendored rayon's
 //! `for_each_chunk_pair` — workers write straight into one
 //! preallocated output vector, order-preserving and deterministic, so
 //! the result is bitwise-identical at any `RAYON_NUM_THREADS` (CI
 //! diffs 1 vs 4 threads on every push).
 
-use crate::navigation::NavVector;
 use crate::safety::SafetyMap;
-use crate::unicast::{intermediate_dim_tb, source_decision_tb, Decision, TieBreak};
+pub use crate::unicast::BatchOutcome;
+use crate::unicast::{walk, Decision, TieBreak};
 use hypersafe_topology::{FaultConfig, NodeId};
 
-/// Compact outcome of one batched unicast: the source decision, the
-/// hop count actually walked, and delivery — everything the
-/// experiments aggregate, with no allocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// The source decision taken.
-    pub decision: Decision,
-    /// Hops walked before the route ended (0 for `AlreadyThere` and
-    /// source-side `Failure`).
-    pub hops: u32,
-    /// Same delivery semantics as [`crate::RouteResult::delivered`].
-    pub delivered: bool,
-}
-
 /// Routes one unicast exactly like [`crate::route_tb`] but returns the
-/// compact [`BatchOutcome`] instead of materializing the path. The two
-/// agree decision-for-decision, hop-for-hop (enforced by tests).
+/// compact [`BatchOutcome`] instead of materializing the path. Both
+/// run the one §3 walk, this one with the no-op hop sink, so they
+/// agree decision-for-decision, hop-for-hop by construction.
 pub fn route_light(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -40,68 +27,7 @@ pub fn route_light(
     d: NodeId,
     tb: TieBreak,
 ) -> BatchOutcome {
-    let decision = source_decision_tb(map, s, d, tb);
-    let first_dim = match decision {
-        Decision::AlreadyThere => {
-            return BatchOutcome {
-                decision,
-                hops: 0,
-                delivered: !cfg.node_faulty(s),
-            }
-        }
-        Decision::Failure => {
-            return BatchOutcome {
-                decision,
-                hops: 0,
-                delivered: false,
-            }
-        }
-        Decision::Optimal { first_dim, .. } | Decision::Suboptimal { first_dim } => first_dim,
-    };
-
-    let mut nv = NavVector::new(s, d);
-    let mut at = s;
-    let mut hops = 0u32;
-    let mut dim = first_dim;
-    loop {
-        let next = at.neighbor(dim);
-        if cfg.link_faults().contains(at, next) {
-            return BatchOutcome {
-                decision,
-                hops,
-                delivered: false,
-            };
-        }
-        nv = nv.after_hop(dim);
-        hops += 1;
-        at = next;
-        if cfg.node_faulty(at) {
-            // Footnote 3: entering a faulty *destination* still counts
-            // as delivered; a faulty intermediate eats the message.
-            return BatchOutcome {
-                decision,
-                hops,
-                delivered: nv.is_done(),
-            };
-        }
-        if nv.is_done() {
-            return BatchOutcome {
-                decision,
-                hops,
-                delivered: true,
-            };
-        }
-        match intermediate_dim_tb(map, at, nv, tb) {
-            Some(i) => dim = i,
-            None => {
-                return BatchOutcome {
-                    decision,
-                    hops,
-                    delivered: false,
-                }
-            }
-        }
-    }
+    walk(cfg, map, s, d, tb, &mut ())
 }
 
 /// Routes every `(source, destination)` pair against one safety map,
@@ -194,7 +120,9 @@ pub fn route_many_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::SafetyService;
     use crate::unicast::route_tb;
+    use hypersafe_simkit::service::{AttemptVerdict, DeliveryRung};
     use hypersafe_topology::{FaultSet, Hypercube};
 
     fn fig1() -> (FaultConfig, SafetyMap) {
@@ -215,15 +143,56 @@ mod tests {
             TieBreak::HighestDim,
             TieBreak::Hashed { salt: 7 },
         ];
-        for s in cfg.cube().nodes() {
-            for d in cfg.cube().nodes() {
-                for tb in policies {
+        for tb in policies {
+            // A quiet service plans on the same map and judges against
+            // the same fault set.
+            let mut svc = SafetyService::with_tiebreak(cfg.clone(), tb);
+            let mut trail = Vec::new();
+            for s in cfg.cube().nodes() {
+                for d in cfg.cube().nodes() {
                     let full = route_tb(&cfg, &map, s, d, tb);
                     let light = route_light(&cfg, &map, s, d, tb);
                     assert_eq!(light.decision, full.decision, "{s} → {d} {tb:?}");
                     assert_eq!(light.delivered, full.delivered, "{s} → {d} {tb:?}");
                     let full_hops = full.path.as_ref().map_or(0, |p| p.len());
                     assert_eq!(light.hops, full_hops, "{s} → {d} {tb:?}");
+
+                    if cfg.node_faulty(s) || cfg.node_faulty(d) {
+                        continue;
+                    }
+                    let verdict = svc.attempt_traced(s, d, &mut trail).verdict;
+                    let Some(path) = &full.path else {
+                        // Source-side Failure ↔ the detour rung.
+                        assert_eq!(full.decision, Decision::Failure, "{s} → {d} {tb:?}");
+                        assert!(
+                            matches!(
+                                verdict,
+                                AttemptVerdict::Unreachable
+                                    | AttemptVerdict::Delivered {
+                                        rung: DeliveryRung::Detour,
+                                        ..
+                                    }
+                            ),
+                            "{s} → {d} {tb:?}: {verdict:?}"
+                        );
+                        assert!(trail.is_empty(), "{s} → {d} {tb:?}");
+                        continue;
+                    };
+                    let rung = match full.decision {
+                        Decision::Suboptimal { .. } => DeliveryRung::Suboptimal,
+                        _ => DeliveryRung::Optimal,
+                    };
+                    assert!(full.delivered, "{s} → {d} {tb:?}");
+                    assert_eq!(
+                        verdict,
+                        AttemptVerdict::Delivered {
+                            rung,
+                            hops: path.len()
+                        },
+                        "{s} → {d} {tb:?}"
+                    );
+                    let walked: &[NodeId] = if path.is_empty() { &[] } else { path.nodes() };
+                    assert_eq!(trail, walked, "{s} → {d} {tb:?}");
                 }
             }
         }

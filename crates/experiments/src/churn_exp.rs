@@ -9,8 +9,9 @@
 //! diff `churn.csv` across `RAYON_NUM_THREADS` settings and fail on
 //! any byte difference.
 
+use crate::checksum::{batch_outcome_word, fnv1a};
 use crate::table::{f2, Report};
-use hypersafe_core::{route_many, route_many_seq, BatchOutcome, Decision, DeltaStats, SafetyMap};
+use hypersafe_core::{route_many, route_many_seq, DeltaStats, SafetyMap};
 use hypersafe_simkit::Metrics;
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{random_pair, Sweep};
@@ -64,20 +65,6 @@ struct TrialOutcome {
     /// `rounds`, per-delivery batch-route hops in `hops`. Counts, so
     /// the merged export stays thread-count independent like the CSV.
     obs: Metrics,
-}
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-fn outcome_word(o: &BatchOutcome) -> u64 {
-    let tag = match o.decision {
-        Decision::Optimal { first_dim, .. } => 0x10 | first_dim as u64,
-        Decision::Suboptimal { first_dim } => 0x40 | first_dim as u64,
-        Decision::Failure => 0x80,
-        Decision::AlreadyThere => 0x81,
-    };
-    tag << 40 | (o.hops as u64) << 8 | o.delivered as u64
 }
 
 fn run_trial<R: Rng + ?Sized>(n: u8, events: u32, pairs: usize, rng: &mut R) -> TrialOutcome {
@@ -138,7 +125,7 @@ fn run_trial<R: Rng + ?Sized>(n: u8, events: u32, pairs: usize, rng: &mut R) -> 
         if o.delivered {
             out.obs.record_hops(o.hops as u64);
         }
-        out.checksum = fnv1a(out.checksum, outcome_word(o));
+        out.checksum = fnv1a(out.checksum, batch_outcome_word(o));
     }
     out
 }

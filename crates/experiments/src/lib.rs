@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod broadcast_exp;
+mod checksum;
 pub mod churn_exp;
 pub mod congestion_exp;
 pub mod distribution_exp;

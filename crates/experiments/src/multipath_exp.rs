@@ -32,6 +32,7 @@
 //! function of the seed and is byte-identical at any
 //! `RAYON_NUM_THREADS` (CI diffs 1 vs 4).
 
+use crate::checksum::fnv1a;
 use crate::table::Report;
 use hypersafe_core::{
     check_disjoint_delivery, outcome_of, route, route_disjoint, route_disjoint_many,
@@ -81,10 +82,6 @@ impl Default for MultipathParams {
             out_dir: PathBuf::from("results"),
         }
     }
-}
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
 }
 
 fn outcome_word(o: &MultiOutcome) -> u64 {

@@ -21,8 +21,9 @@
 //! `BENCH_churn.json`, and `BENCH_routing.json` via an id-preserving
 //! merge, and to the report notes.
 
+use crate::checksum::{batch_outcome_word, fnv1a};
 use crate::table::Report;
-use hypersafe_core::{route_many, route_many_seq, BatchOutcome, Decision, SafetyMap};
+use hypersafe_core::{route_many, route_many_seq, SafetyMap};
 use hypersafe_simkit::Metrics;
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
@@ -67,20 +68,6 @@ impl Default for SafetyScaleParams {
             out_dir: PathBuf::from("results"),
         }
     }
-}
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-fn outcome_word(o: &BatchOutcome) -> u64 {
-    let tag = match o.decision {
-        Decision::Optimal { first_dim, .. } => 0x10 | first_dim as u64,
-        Decision::Suboptimal { first_dim } => 0x40 | first_dim as u64,
-        Decision::Failure => 0x80,
-        Decision::AlreadyThere => 0x81,
-    };
-    tag << 40 | (o.hops as u64) << 8 | o.delivered as u64
 }
 
 /// Mean nanoseconds per call of `f`, over `reps` calls.
@@ -227,7 +214,7 @@ fn run_route<R: Rng + ?Sized>(p: &SafetyScaleParams, rng: &mut R) -> RouteOutcom
     };
     for o in &par {
         out.delivered += o.delivered as u64;
-        out.checksum = fnv1a(out.checksum, outcome_word(o));
+        out.checksum = fnv1a(out.checksum, batch_outcome_word(o));
     }
     out
 }

@@ -15,6 +15,7 @@
 //! across `RAYON_NUM_THREADS` settings and across reruns of the same
 //! seed (CI's replay gate).
 
+use crate::checksum::fnv1a;
 use crate::table::Report;
 use hypersafe_core::SafetyService;
 use hypersafe_simkit::service::{DegradeReason, ReqState, RoutingService, ServiceConfig, Terminal};
@@ -66,10 +67,6 @@ pub struct ServiceRun {
     /// Invariant violations + unterminated requests + deadline
     /// overruns, summed — zero on a healthy run.
     pub failures: u64,
-}
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
 }
 
 fn terminal_word(t: Terminal) -> u64 {

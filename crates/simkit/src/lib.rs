@@ -75,6 +75,6 @@ pub use sim::{
     shrink_injections, AdversarialScheduler, FifoScheduler, Invariant, InvariantViolation,
     Scheduler,
 };
-pub use stats::{EventStats, Histogram, SyncStats};
+pub use stats::{EventStats, SyncStats};
 pub use sync_engine::{SyncEngine, SyncNode};
 pub use trace::{Severity, Trace, TraceEvent, TraceKind, TraceSink};

@@ -38,10 +38,8 @@ const SUBBUCKETS: u64 = 8;
 const BUCKETS: usize = (LINEAR + (64 - 6) * SUBBUCKETS) as usize;
 
 /// A fixed-memory log-linear histogram over `u64` observations with
-/// quantile readout — the generalization of the ad-hoc
-/// [`crate::stats::Histogram`] (exact small buckets, overflow bucket,
-/// mean) to unbounded value ranges: values below 64 are counted
-/// exactly, larger values land in one of 8 sub-buckets per
+/// quantile readout, the workspace's one histogram: values below 64
+/// are counted exactly, larger values land in one of 8 sub-buckets per
 /// power-of-two range, so any tick count fits in ~4 KiB with ≤ 12.5%
 /// relative quantile error (the maximum is tracked exactly).
 #[derive(Clone, Debug)]

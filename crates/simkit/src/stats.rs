@@ -60,94 +60,3 @@ pub struct EventStats {
     /// Virtual time of the last processed event.
     pub end_time: u64,
 }
-
-/// A tiny fixed-bucket histogram used by experiments to summarise hop
-/// counts and round counts without pulling in a stats crate.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: u64,
-}
-
-impl Histogram {
-    /// Histogram over the values `0..buckets`; anything larger lands in
-    /// the overflow bucket.
-    pub fn new(buckets: usize) -> Self {
-        Histogram {
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
-        if (v as usize) < self.counts.len() {
-            self.counts[v as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-        self.sum += v;
-    }
-
-    /// Number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `v`.
-    pub fn count(&self, v: u64) -> u64 {
-        self.counts.get(v as usize).copied().unwrap_or(0)
-    }
-
-    /// Observations that exceeded the bucket range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Arithmetic mean of all observations, `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Largest in-range value observed, `None` when empty or only
-    /// overflow was recorded.
-    pub fn max_in_range(&self) -> Option<u64> {
-        self.counts.iter().rposition(|&c| c > 0).map(|i| i as u64)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new(4);
-        for v in [0, 1, 1, 3, 9] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(2), 0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.max_in_range(), Some(3));
-        assert!((h.mean() - 14.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = Histogram::new(2);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max_in_range(), None);
-        assert_eq!(h.total(), 0);
-    }
-}
