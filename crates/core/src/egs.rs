@@ -21,7 +21,7 @@
 use crate::level_store::LevelStore;
 use crate::safety::{level_from_neighbors, Level, SafetyMap};
 use crate::unicast::{route_traced, RouteResult};
-use hypersafe_simkit::{SyncEngine, SyncNode, SyncStats, Trace};
+use hypersafe_simkit::{HypercubeNet, SyncEngine, SyncNode, SyncStats, Trace};
 use hypersafe_topology::{FaultConfig, FaultSet, NodeId, MAX_DIM};
 
 /// Safety state of a hypercube with node and link faults: the
@@ -148,13 +148,13 @@ impl SyncNode for EgsNode {
         }
     }
 
-    fn receive(&mut self, inbox: &[(u8, Level)]) -> bool {
+    fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         // Faulty links never deliver, so absent dimensions read as 0 —
         // a stack array keeps the per-round evaluation allocation-free
         // even with a million simulated actors.
         let mut levels = [0 as Level; MAX_DIM as usize];
         for &(dim, lv) in inbox {
-            levels[dim as usize] = lv;
+            levels[dim] = lv;
         }
         let new = level_from_neighbors(self.n, &mut levels[..self.n as usize]);
         let changed = new != self.level;
@@ -168,7 +168,8 @@ impl SyncNode for EgsNode {
 pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     let cube = cfg.cube();
     let n = cube.dim();
-    let mut eng = SyncEngine::new(cfg, |a| EgsNode::new(cfg, a));
+    let net = HypercubeNet::new(cfg);
+    let mut eng = SyncEngine::new(&net, |a| EgsNode::new(cfg, a));
     eng.run_until_stable(n as u32 + 1);
     let mut advertised = Vec::with_capacity(cube.num_nodes() as usize);
     let mut own = Vec::with_capacity(cube.num_nodes() as usize);

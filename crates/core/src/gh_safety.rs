@@ -12,8 +12,9 @@
 //! reached in `n − 1` rounds.
 
 use crate::safety::{level_from_neighbors, Level};
-use hypersafe_simkit::{gh_port_dim, GenericSyncEngine, PortNode, SyncStats};
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use hypersafe_simkit::{gh_port_dim, GhNet, SyncEngine, SyncNode, SyncStats};
+use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
+use std::sync::Arc;
 
 /// Safety levels of every node of a faulty generalized hypercube.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,34 +117,34 @@ impl GhSafetyMap {
 }
 
 /// Per-node state of the distributed GH `GLOBAL_STATUS`
-/// (`EXTENDED_NODE_STATUS` of §4.2 run on the generic port engine):
-/// each round the node hears every clique peer's level, takes the
+/// (`EXTENDED_NODE_STATUS` of §4.2 run on the lock-step engine): each
+/// round the node hears every clique peer's level, takes the
 /// per-dimension minimum (`S_i = min{S(aⁱ)}`), and applies
 /// Definition 1's rule. Silent ports (faulty peers) read as level 0.
 #[derive(Clone, Debug)]
 pub struct GhGsNode {
-    /// Dimension of each port, precomputed from the radices.
-    port_dims: std::sync::Arc<[u8]>,
+    ports: Arc<GhPorts>,
     n: u8,
     level: Level,
 }
 
-impl GhGsNode {
-    pub(crate) fn new(port_dims: std::sync::Arc<[u8]>, n: u8) -> Self {
-        GhGsNode {
-            port_dims,
-            n,
-            level: n,
-        }
-    }
+/// The port layout every node of one GH shares, computed once per run.
+#[derive(Debug)]
+struct GhPorts {
+    /// Dimension of each port.
+    dims: Box<[u8]>,
+    /// Clique peers per dimension (`m_i − 1`).
+    peers: Box<[u16]>,
+}
 
+impl GhGsNode {
     /// Current safety level.
     pub fn level(&self) -> Level {
         self.level
     }
 }
 
-impl PortNode for GhGsNode {
+impl SyncNode for GhGsNode {
     type Msg = Level;
 
     fn broadcast(&self) -> Level {
@@ -152,50 +153,55 @@ impl PortNode for GhGsNode {
 
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         // Per-dimension minimum over the clique; a dimension with any
-        // silent (faulty) peer reads 0, so start from "0 unless every
-        // peer of the dimension spoke".
-        let mut mins = vec![self.n as u16; self.n as usize];
-        let mut heard = vec![0u16; self.n as usize];
+        // silent (faulty) peer reads 0.
+        let n = self.n as usize;
+        let mut mins = [self.n; MAX_DIM as usize];
+        let mut heard = [0u16; MAX_DIM as usize];
         for &(port, lv) in inbox {
-            let d = self.port_dims[port] as usize;
+            let d = self.ports.dims[port] as usize;
             heard[d] += 1;
-            mins[d] = mins[d].min(lv as u16);
+            mins[d] = mins[d].min(lv);
         }
-        let mut levels: Vec<Level> = Vec::with_capacity(self.n as usize);
-        let mut expected = vec![0u16; self.n as usize];
-        for (port, &d) in self.port_dims.iter().enumerate() {
-            let _ = port;
-            expected[d as usize] += 1;
+        for (min, (&h, &peers)) in mins.iter_mut().zip(heard.iter().zip(&*self.ports.peers)) {
+            if h < peers {
+                *min = 0;
+            }
         }
-        for i in 0..self.n as usize {
-            levels.push(if heard[i] < expected[i] {
-                0
-            } else {
-                mins[i] as Level
-            });
-        }
-        let new = level_from_neighbors(self.n, &mut levels);
+        let new = level_from_neighbors(self.n, &mut mins[..n]);
         let changed = new != self.level;
         self.level = new;
         changed
     }
 }
 
+/// The lock-step engine running GH `GLOBAL_STATUS` over `net`, every
+/// healthy node starting `n`-safe.
+pub(crate) fn gh_gs_engine<'a, 'g>(net: &'a GhNet<'g>) -> SyncEngine<'a, GhNet<'g>, GhGsNode> {
+    let gh = net.gh();
+    let n = gh.dim();
+    let ports = Arc::new(GhPorts {
+        dims: (0..gh.degree() as usize)
+            .map(|p| gh_port_dim(gh, p))
+            .collect(),
+        peers: (0..n).map(|i| gh.radix(i) - 1).collect(),
+    });
+    SyncEngine::new(net, |_| GhGsNode {
+        ports: ports.clone(),
+        n,
+        level: n,
+    })
+}
+
 /// Runs the distributed GH `GLOBAL_STATUS` to quiescence on the
-/// generic port engine and returns the converged map plus engine
+/// lock-step engine and returns the converged map plus engine
 /// statistics. Agrees with [`GhSafetyMap::compute`] (tested).
 pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, SyncStats) {
     let n = gh.dim();
-    let port_dims: std::sync::Arc<[u8]> = (0..gh.degree() as usize)
-        .map(|p| gh_port_dim(gh, p))
-        .collect();
-    let faulty: Vec<bool> = (0..gh.num_nodes())
-        .map(|a| faults.contains(NodeId::new(a)))
-        .collect();
-    let mut eng = GenericSyncEngine::new(gh, faulty, |_| GhGsNode::new(port_dims.clone(), n));
+    let net = GhNet::new(gh, faults);
+    let mut eng = gh_gs_engine(&net);
     let rounds = eng.run_until_stable(n as u32 + 1);
     let levels = (0..gh.num_nodes())
-        .map(|a| eng.node(a).map_or(0, GhGsNode::level))
+        .map(|a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level))
         .collect();
     let stats = eng.stats().clone();
     (GhSafetyMap { levels, n, rounds }, stats)

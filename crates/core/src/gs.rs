@@ -49,13 +49,13 @@ impl SyncNode for GsNode {
         self.level
     }
 
-    fn receive(&mut self, inbox: &[(u8, Level)]) -> bool {
+    fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         // Dimensions that delivered nothing (faulty neighbor or faulty
         // link) read as level 0. Stack scratch: this runs once per node
         // per round, so a heap allocation here dominates at n = 20.
         let mut levels = [0 as Level; MAX_DIM as usize];
         for &(dim, lv) in inbox {
-            levels[dim as usize] = lv;
+            levels[dim] = lv;
         }
         let new = level_from_neighbors(self.n, &mut levels[..self.n as usize]);
         let changed = new != self.level;
@@ -73,29 +73,9 @@ pub struct GsRun {
     pub stats: SyncStats,
 }
 
-/// Runs synchronous GS to quiescence (at most `max_rounds` rounds; the
-/// Corollary to Property 1 guarantees `n − 1` suffices, and the default
-/// entry point [`run_gs`] uses exactly that bound plus the quiescence
-/// probe).
-pub fn run_gs_bounded(cfg: &FaultConfig, max_rounds: u32) -> GsRun {
-    let n = cfg.cube().dim();
-    let mut eng = SyncEngine::new(cfg, |_| GsNode::new(n));
-    eng.run_until_stable(max_rounds);
-    let stats = eng.stats().clone();
-    let levels = cfg
-        .cube()
-        .nodes()
-        .map(|a| eng.node(a).map_or(0, GsNode::level))
-        .collect();
-    let rounds = stats.active_rounds;
-    GsRun {
-        map: SafetyMap::from_levels(cfg.cube(), levels).with_rounds(rounds),
-        stats,
-    }
-}
-
-/// Runs synchronous GS with the paper's bound `D = n − 1` (plus one
-/// quiescence-detection round so the active-round count is exact).
+/// Runs synchronous GS with the paper's bound `D = n − 1` (the
+/// Corollary to Property 1 guarantees it suffices) plus one
+/// quiescence-detection round, so the active-round count is exact.
 ///
 /// # Examples
 ///
@@ -112,7 +92,20 @@ pub fn run_gs_bounded(cfg: &FaultConfig, max_rounds: u32) -> GsRun {
 /// assert!(run.stats.messages > 0);
 /// ```
 pub fn run_gs(cfg: &FaultConfig) -> GsRun {
-    run_gs_bounded(cfg, cfg.cube().dim() as u32)
+    let n = cfg.cube().dim();
+    let net = HypercubeNet::new(cfg);
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(n));
+    eng.run_until_stable(n as u32);
+    let stats = eng.stats().clone();
+    let levels = cfg
+        .cube()
+        .nodes()
+        .map(|a| eng.node(a).map_or(0, GsNode::level))
+        .collect();
+    GsRun {
+        map: SafetyMap::from_levels(cfg.cube(), levels).with_rounds(stats.active_rounds),
+        stats,
+    }
 }
 
 /// Asynchronous GS actor: re-evaluates on every received level and

@@ -21,7 +21,7 @@
 //! [`run_unicast_lossy_checked`]) wire both layers together and are
 //! what `repro dst` sweeps over seeds.
 
-use crate::gh_safety::{GhGsNode, GhSafetyMap};
+use crate::gh_safety::{gh_gs_engine, GhGsNode, GhSafetyMap};
 use crate::gh_unicast::GhDecision;
 use crate::gs::{collect_gs_async, AsyncGsNode, GsAsyncRun};
 use crate::properties::Violation;
@@ -30,8 +30,8 @@ use crate::safety_delta::{ChurnEvent, DeltaGsNode, DeltaGsRun};
 use crate::unicast::Decision;
 use crate::unicast_distributed::{collect_lossy, lossy_engine, LossyOutcome, LossyRun};
 use hypersafe_simkit::{
-    ChannelModel, EventEngine, HypercubeNet, Invariant, InvariantViolation, Reliable,
-    ReliableConfig, Scheduler, Time, Trace,
+    ChannelModel, EventEngine, GhNet, HypercubeNet, Invariant, InvariantViolation, Reliable,
+    ReliableConfig, Scheduler, SyncEngine, Time, Trace,
 };
 use hypersafe_topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId,
@@ -583,17 +583,10 @@ pub fn run_gh_gs_checked(
 ) -> Result<GhSafetyMap, Violation> {
     let n = gh.dim();
     let central = GhSafetyMap::compute(gh, faults);
-    let port_dims: std::sync::Arc<[u8]> = (0..gh.degree() as usize)
-        .map(|p| hypersafe_simkit::gh_port_dim(gh, p))
-        .collect();
-    let faulty: Vec<bool> = (0..gh.num_nodes())
-        .map(|a| faults.contains(NodeId::new(a)))
-        .collect();
-    let mut eng = hypersafe_simkit::GenericSyncEngine::new(gh, faulty, |_| {
-        GhGsNode::new(port_dims.clone(), n)
-    });
-    let level_at = |eng: &hypersafe_simkit::GenericSyncEngine<'_, _, GhGsNode>, a: u64| {
-        eng.node(a).map_or(0, GhGsNode::level)
+    let net = GhNet::new(gh, faults);
+    let mut eng = gh_gs_engine(&net);
+    let level_at = |eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>, a: u64| {
+        eng.node(NodeId::new(a)).map_or(0, GhGsNode::level)
     };
     let mut prev: Vec<Level> = (0..gh.num_nodes()).map(|a| level_at(&eng, a)).collect();
     let mut rounds = 0u32;

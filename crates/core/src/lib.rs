@@ -82,8 +82,8 @@ pub use gh_safety::{run_gh_gs, GhGsNode, GhSafetyMap};
 pub use gh_unicast::{gh_route, gh_source_decision, GhDecision, GhRouteResult};
 pub use gh_unicast_distributed::{run_gh_unicast, GhDistributedRun, GhMsg, GhUnicastNode};
 pub use gs::{
-    run_gs, run_gs_async, run_gs_async_sched, run_gs_bounded, run_gs_reliable,
-    run_gs_reliable_observed, GsAsyncRun, GsLossyRun, GsRun,
+    run_gs, run_gs_async, run_gs_async_sched, run_gs_reliable, run_gs_reliable_observed,
+    GsAsyncRun, GsLossyRun, GsRun,
 };
 pub use invariants::{
     check_gh_theorem4_soundness, check_gs_convergence, check_lossy_outcome,

@@ -6,13 +6,15 @@
 //! asynchronous and maintenance-mode variants), plus statistics and
 //! tracing.
 //!
-//! The engines are generic over per-node state machines and the
+//! Both engines are generic over per-node state machines and the
 //! [`network::Network`] topology they run over — binary cubes with
-//! fault overlays ([`network::HypercubeNet`]) and generalized
-//! hypercubes ([`network::GhNet`]) share one event engine, one actor
-//! trait, and one reliability layer. The engines enforce the paper's
-//! system model: fault-stop nodes (faulty nodes neither run nor send),
-//! neighbor-only communication, and silent loss across faulty links.
+//! node and link faults ([`network::HypercubeNet`]) and generalized
+//! hypercubes with node faults ([`network::GhNet`]) share one lock-step
+//! engine ([`network::SyncEngine`]), one event engine, one actor trait,
+//! and one reliability layer. The network is the engines' only source
+//! of fault knowledge, and they enforce the paper's system model:
+//! fault-stop nodes (faulty nodes neither run nor send), neighbor-only
+//! communication, and silent loss across faulty links.
 //!
 //! Beyond the paper's reliable-link assumption, [`channel`] models
 //! noisy links (seeded deterministic loss / jitter / duplication) and
@@ -49,7 +51,6 @@ pub mod reliable;
 pub mod service;
 pub mod sim;
 pub mod stats;
-pub mod sync_engine;
 pub mod trace;
 
 pub use channel::{ChannelModel, LinkFate};
@@ -58,7 +59,7 @@ pub use mc::{
     engine_projection, explore, parse_artifact_path, projection_hash, render_artifact, replay,
     McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, McViolation, StateHash,
 };
-pub use network::{gh_port_dim, GenericSyncEngine, GhNet, HypercubeNet, Network, PortNode};
+pub use network::{gh_port_dim, GhNet, HypercubeNet, Network, SyncEngine, SyncNode};
 pub use obs::{
     parse_json, validate_json, DimStat, FlightRecorder, JsonValue, Metrics, MetricsSnapshot,
     NodeStat, QuantileHist, Quantiles, SnapshotTotals,
@@ -76,5 +77,4 @@ pub use sim::{
     Scheduler,
 };
 pub use stats::{EventStats, SyncStats};
-pub use sync_engine::{SyncEngine, SyncNode};
 pub use trace::{Severity, Trace, TraceEvent, TraceKind, TraceSink};

@@ -1,15 +1,25 @@
-//! Topology-generic synchronous execution.
+//! Topologies and the lock-step synchronous round engine.
 //!
-//! [`crate::sync_engine::SyncEngine`] is specialized to binary
-//! hypercubes (ports ≡ dimensions). The paper's §4.2 runs the same
-//! round-exchange protocols on *generalized* hypercubes, where a node
-//! has `Σ (m_i − 1)` neighbors grouped by dimension; this module
-//! provides a [`Network`] abstraction (nodes with numbered ports) and
-//! a lock-step engine over it, so `GLOBAL_STATUS`-style protocols can
-//! be executed message-accurately on any port-labeled topology.
+//! A [`Network`] is a port-labeled topology with a fault overlay. It
+//! has two implementations: [`HypercubeNet`] (a binary cube, where a
+//! port is a dimension, with node and link faults) and [`GhNet`] (a
+//! generalized hypercube of §4.2, where a node has `Σ (m_i − 1)`
+//! neighbors grouped by dimension, with node faults). Both engines —
+//! [`crate::event::EventEngine`] and the [`SyncEngine`] here — learn
+//! about faults from the network and nowhere else.
+//!
+//! The paper's `GLOBAL_STATUS` algorithm (§2.2) is a synchronous
+//! iteration: in each round every nonfaulty node sends its current
+//! status to all neighbors, then recomputes its own status from the
+//! received values (`parbegin NODE_STATUS(a) ∀a parend`). [`SyncEngine`]
+//! reproduces that execution model exactly for any protocol
+//! expressible as "broadcast my state, absorb neighbor states", on
+//! either network: deliveries are strictly round-synchronous, and a
+//! node never observes a neighbor's *current*-round update, only last
+//! round's value.
 
 use crate::stats::SyncStats;
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, NodeId};
 
 /// A static point-to-point topology: `num_nodes` endpoints, each with
 /// `degree(a)` numbered ports; `neighbor(a, p)` is the node at the far
@@ -19,10 +29,10 @@ use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, Hypercube,
 /// need structure (e.g. the GH dimension grouping) receive it at node
 /// construction time.
 ///
-/// A network also carries the fault model the engines consult:
-/// [`Network::node_faulty`] and [`Network::link_faulty`] default to a
-/// fault-free topology, and the wrappers [`HypercubeNet`] / [`GhNet`]
-/// overlay a concrete fault configuration on the pure topologies.
+/// A network also carries the fault model the engines consult
+/// ([`Network::node_faulty`], [`Network::link_faulty`]): its two
+/// implementations, [`HypercubeNet`] and [`GhNet`], overlay a concrete
+/// fault configuration on the pure topologies.
 pub trait Network {
     /// Number of nodes; addresses are `0..num_nodes`.
     fn num_nodes(&self) -> u64;
@@ -41,11 +51,10 @@ pub trait Network {
     }
 
     /// Whether node `a` is fault-stop dead (no actor, drops arrivals).
-    fn node_faulty(&self, _a: u64) -> bool {
-        false
-    }
+    fn node_faulty(&self, a: u64) -> bool;
 
     /// Whether the link `a ↔ b` is faulty (messages across it vanish).
+    /// The default models no link faults.
     fn link_faulty(&self, _a: u64, _b: u64) -> bool {
         false
     }
@@ -71,27 +80,33 @@ impl<'a> HypercubeNet<'a> {
 }
 
 impl Network for HypercubeNet<'_> {
+    #[inline]
     fn num_nodes(&self) -> u64 {
         self.cfg.cube().num_nodes()
     }
 
+    #[inline]
     fn degree(&self, _a: u64) -> usize {
         self.cfg.cube().dim() as usize
     }
 
+    #[inline]
     fn neighbor(&self, a: u64, p: usize) -> u64 {
         a ^ (1 << p)
     }
 
+    #[inline]
     fn port_of(&self, a: u64, b: u64) -> Option<usize> {
         let x = a ^ b;
         (x.count_ones() == 1).then(|| x.trailing_zeros() as usize)
     }
 
+    #[inline]
     fn node_faulty(&self, a: u64) -> bool {
         self.cfg.node_faulty(NodeId::new(a))
     }
 
+    #[inline]
     fn link_faulty(&self, a: u64, b: u64) -> bool {
         self.cfg
             .link_faults()
@@ -120,43 +135,11 @@ impl<'a> GhNet<'a> {
 
 impl Network for GhNet<'_> {
     fn num_nodes(&self) -> u64 {
-        GeneralizedHypercube::num_nodes(self.gh)
-    }
-
-    fn degree(&self, a: u64) -> usize {
-        Network::degree(self.gh, a)
-    }
-
-    fn neighbor(&self, a: u64, p: usize) -> u64 {
-        Network::neighbor(self.gh, a, p)
-    }
-
-    fn node_faulty(&self, a: u64) -> bool {
-        self.faults.contains(NodeId::new(a))
-    }
-}
-
-impl Network for Hypercube {
-    fn num_nodes(&self) -> u64 {
-        Hypercube::num_nodes(*self)
+        self.gh.num_nodes()
     }
 
     fn degree(&self, _a: u64) -> usize {
-        self.dim() as usize
-    }
-
-    fn neighbor(&self, a: u64, p: usize) -> u64 {
-        a ^ (1 << p)
-    }
-}
-
-impl Network for GeneralizedHypercube {
-    fn num_nodes(&self) -> u64 {
-        GeneralizedHypercube::num_nodes(self)
-    }
-
-    fn degree(&self, _a: u64) -> usize {
-        self.degree() as usize
+        self.gh.degree() as usize
     }
 
     /// Ports are numbered dimension-major: dimension 0's `m_0 − 1`
@@ -165,21 +148,25 @@ impl Network for GeneralizedHypercube {
     fn neighbor(&self, a: u64, p: usize) -> u64 {
         let mut p = p;
         let node = hypersafe_topology::GhNode(a);
-        for i in 0..self.dim() {
-            let peers = self.radix(i) as usize - 1;
+        for i in 0..self.gh.dim() {
+            let peers = self.gh.radix(i) as usize - 1;
             if p < peers {
-                let own = self.digit(node, i);
+                let own = self.gh.digit(node, i);
                 // The p-th peer digit, skipping `own`.
                 let digit = if (p as u16) < own {
                     p as u16
                 } else {
                     p as u16 + 1
                 };
-                return self.with_digit(node, i, digit).raw();
+                return self.gh.with_digit(node, i, digit).raw();
             }
             p -= peers;
         }
         panic!("port out of range");
+    }
+
+    fn node_faulty(&self, a: u64) -> bool {
+        self.faults.contains(NodeId::new(a))
     }
 }
 
@@ -197,40 +184,45 @@ pub fn gh_port_dim(gh: &GeneralizedHypercube, mut p: usize) -> u8 {
     panic!("port out of range");
 }
 
-/// Per-node state machine for the generic engine. Identical contract
-/// to [`crate::sync_engine::SyncNode`], with ports instead of
-/// dimensions.
-pub trait PortNode {
+/// A per-node state machine driven by the synchronous engine.
+pub trait SyncNode {
     /// The value exchanged with neighbors each round.
     type Msg: Clone;
 
-    /// The value this node shares with all neighbors this round.
+    /// The value this node shares with *all* its neighbors this round.
     fn broadcast(&self) -> Self::Msg;
 
-    /// Absorbs `(port, value)` pairs (only healthy neighbors deliver).
-    /// Returns `true` iff state changed.
+    /// Absorbs the neighbor values received this round as
+    /// `(port, value)` pairs, in port order (only healthy neighbors
+    /// behind usable links deliver; on a binary cube a port is a
+    /// dimension). Returns `true` iff the node's state changed.
     fn receive(&mut self, inbox: &[(usize, Self::Msg)]) -> bool;
 }
 
-/// Lock-step engine over any [`Network`].
-pub struct GenericSyncEngine<'a, N: Network, S: PortNode> {
+/// Synchronous round executor over the nonfaulty nodes of a
+/// [`Network`].
+///
+/// Faulty nodes ([`Network::node_faulty`], read once at construction)
+/// do not execute and do not send; messages across faulty links
+/// ([`Network::link_faulty`], read on every edge) are not delivered.
+/// Protocols that must still *account for* faulty neighbors (like GS,
+/// where a faulty neighbor reads as safety level 0) read silence as
+/// that value.
+pub struct SyncEngine<'a, N: Network, S: SyncNode> {
     net: &'a N,
-    faulty: Vec<bool>,
     nodes: Vec<Option<S>>,
     stats: SyncStats,
 }
 
-impl<'a, N: Network, S: PortNode> GenericSyncEngine<'a, N, S> {
-    /// Builds the engine; `faulty[a]` marks dead nodes (no state, no
-    /// messages), `init` constructs each healthy node's state machine.
-    pub fn new(net: &'a N, faulty: Vec<bool>, mut init: impl FnMut(u64) -> S) -> Self {
-        assert_eq!(faulty.len() as u64, net.num_nodes());
+impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
+    /// Builds the engine, instantiating a state machine for every
+    /// nonfaulty node via `init`.
+    pub fn new(net: &'a N, mut init: impl FnMut(NodeId) -> S) -> Self {
         let nodes = (0..net.num_nodes())
-            .map(|a| (!faulty[a as usize]).then(|| init(a)))
+            .map(|a| (!net.node_faulty(a)).then(|| init(NodeId::new(a))))
             .collect();
-        GenericSyncEngine {
+        SyncEngine {
             net,
-            faulty,
             nodes,
             stats: SyncStats::default(),
         }
@@ -241,36 +233,75 @@ impl<'a, N: Network, S: PortNode> GenericSyncEngine<'a, N, S> {
         &self.stats
     }
 
-    /// Read access to a node's state machine.
-    pub fn node(&self, a: u64) -> Option<&S> {
-        self.nodes[a as usize].as_ref()
+    /// Read access to a node's state machine (`None` for faulty nodes).
+    pub fn node(&self, a: NodeId) -> Option<&S> {
+        self.nodes[a.raw() as usize].as_ref()
     }
 
-    /// One lock-step round; returns the number of changed nodes.
-    pub fn run_round(&mut self) -> usize {
+    /// Executes one lock-step round: every nonfaulty node broadcasts,
+    /// then every nonfaulty node absorbs. Returns the number of nodes
+    /// whose state changed.
+    ///
+    /// The absorb half is data-parallel by construction — every node
+    /// reads only the immutable pre-round snapshot and writes only its
+    /// own state — so it fans out across rayon workers in contiguous
+    /// node-id chunks. Results are bitwise-identical to sequential
+    /// execution: per-chunk counters are committed in chunk order, and
+    /// no node observes another's current-round update either way.
+    pub fn run_round(&mut self) -> usize
+    where
+        N: Sync,
+        S: Send,
+        S::Msg: Sync,
+    {
+        use rayon::prelude::*;
+        let net = self.net;
+        // Snapshot phase: collect every node's outgoing value first so
+        // that all receives observe pre-round state (parbegin/parend).
         let outgoing: Vec<Option<S::Msg>> = self
             .nodes
             .iter()
-            .map(|n| n.as_ref().map(PortNode::broadcast))
+            .map(|n| n.as_ref().map(SyncNode::broadcast))
             .collect();
-        let mut changed = 0usize;
-        let mut inbox: Vec<(usize, S::Msg)> = Vec::new();
-        for a in 0..self.net.num_nodes() {
-            if self.faulty[a as usize] {
-                continue;
-            }
-            inbox.clear();
-            for p in 0..self.net.degree(a) {
-                let b = self.net.neighbor(a, p);
-                if let Some(msg) = &outgoing[b as usize] {
-                    inbox.push((p, msg.clone()));
-                    self.stats.messages += 1;
+
+        let chunk_len = self.nodes.len().div_ceil(rayon::num_threads()).max(1);
+        let per_chunk: Vec<(usize, u64)> = self
+            .nodes
+            .par_chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(ci, nodes)| {
+                let base = ci * chunk_len;
+                let mut changed = 0usize;
+                let mut messages = 0u64;
+                let mut inbox: Vec<(usize, S::Msg)> = Vec::new();
+                for (off, slot) in nodes.iter_mut().enumerate() {
+                    let Some(node) = slot.as_mut() else {
+                        continue;
+                    };
+                    let a = (base + off) as u64;
+                    inbox.clear();
+                    for p in 0..net.degree(a) {
+                        let b = net.neighbor(a, p);
+                        if net.link_faulty(a, b) {
+                            continue;
+                        }
+                        if let Some(msg) = &outgoing[b as usize] {
+                            inbox.push((p, msg.clone()));
+                            messages += 1;
+                        }
+                    }
+                    if node.receive(&inbox) {
+                        changed += 1;
+                    }
                 }
-            }
-            let node = self.nodes[a as usize].as_mut().expect("healthy");
-            if node.receive(&inbox) {
-                changed += 1;
-            }
+                (changed, messages)
+            })
+            .collect();
+
+        let mut changed = 0usize;
+        for (c, m) in per_chunk {
+            changed += c;
+            self.stats.messages += m;
         }
         self.stats.rounds_run += 1;
         if changed > 0 {
@@ -280,9 +311,15 @@ impl<'a, N: Network, S: PortNode> GenericSyncEngine<'a, N, S> {
         changed
     }
 
-    /// Runs until a quiescent round or `max_rounds`; returns active
-    /// rounds.
-    pub fn run_until_stable(&mut self, max_rounds: u32) -> u32 {
+    /// Runs rounds until a fully quiescent round occurs or `max_rounds`
+    /// have executed. Returns the number of *active* rounds (rounds in
+    /// which some node changed) — the paper's Fig. 2 metric.
+    pub fn run_until_stable(&mut self, max_rounds: u32) -> u32
+    where
+        N: Sync,
+        S: Send,
+        S::Msg: Sync,
+    {
         for _ in 0..max_rounds {
             if self.run_round() == 0 {
                 break;
@@ -295,17 +332,21 @@ impl<'a, N: Network, S: PortNode> GenericSyncEngine<'a, N, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypersafe_topology::{GhNode, Hypercube};
 
-    /// Min-propagation, as in the hypercube engine tests.
+    /// Toy protocol: every node computes min(own, neighbors) each round
+    /// — converges to the global minimum in diameter rounds.
     struct MinNode {
         value: u64,
     }
 
-    impl PortNode for MinNode {
+    impl SyncNode for MinNode {
         type Msg = u64;
+
         fn broadcast(&self) -> u64 {
             self.value
         }
+
         fn receive(&mut self, inbox: &[(usize, u64)]) -> bool {
             let m = inbox.iter().map(|&(_, v)| v).min().unwrap_or(self.value);
             if m < self.value {
@@ -317,22 +358,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hypercube_network_matches_bit_flips() {
-        let q = Hypercube::new(4);
-        assert_eq!(Network::num_nodes(&q), 16);
-        assert_eq!(q.degree(3), 4);
-        assert_eq!(Network::neighbor(&q, 0b0101, 1), 0b0111);
+    fn min_engine<N: Network>(net: &N) -> SyncEngine<'_, N, MinNode> {
+        SyncEngine::new(net, |a| MinNode { value: a.raw() })
+    }
+
+    fn value<N: Network>(eng: &SyncEngine<'_, N, MinNode>, a: u64) -> u64 {
+        eng.node(NodeId::new(a)).expect("healthy").value
     }
 
     #[test]
-    fn gh_network_port_enumeration() {
+    fn hypercube_net_ports_are_dimensions() {
+        let cfg = FaultConfig::fault_free(Hypercube::new(4));
+        let net = HypercubeNet::new(&cfg);
+        assert_eq!(net.num_nodes(), 16);
+        assert_eq!(net.degree(3), 4);
+        assert_eq!(net.neighbor(0b0101, 1), 0b0111);
+        assert_eq!(net.port_of(0b0101, 0b0111), Some(1));
+        assert_eq!(net.port_of(0b0101, 0b0110), None);
+    }
+
+    #[test]
+    fn gh_net_port_enumeration() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
+        let faults = gh.fault_set();
+        let net = GhNet::new(&gh, &faults);
         // degree = 1 + 2 + 1 = 4 ports.
-        assert_eq!(Network::degree(&gh, 0), 4);
+        assert_eq!(net.degree(0), 4);
         let a = gh.parse("010").unwrap().raw();
         let neighbors: Vec<String> = (0..4)
-            .map(|p| gh.format(hypersafe_topology::GhNode(Network::neighbor(&gh, a, p))))
+            .map(|p| gh.format(GhNode(net.neighbor(a, p))))
             .collect();
         // Port 0: dim-0 peer; ports 1–2: dim-1 peers by ascending digit
         // (skipping own digit 1); port 3: dim-2 peer.
@@ -344,36 +398,94 @@ mod tests {
     }
 
     #[test]
-    fn min_converges_on_gh() {
+    fn min_converges_in_diameter_rounds() {
+        let cube = Hypercube::new(5);
+        let cfg = FaultConfig::fault_free(cube);
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = min_engine(&net);
+        let rounds = eng.run_until_stable(32);
+        assert!(rounds <= 5, "diameter bound, got {rounds}");
+        assert!((0..32).all(|a| value(&eng, a) == 0));
+        // Message accounting: every active+quiescent round delivers
+        // 2 · num_links messages.
+        assert_eq!(
+            eng.stats().messages,
+            u64::from(eng.stats().rounds_run) * 2 * cube.num_links()
+        );
+
         let gh = GeneralizedHypercube::from_product(&[3, 4]);
-        let faulty = vec![false; gh.num_nodes() as usize];
-        let mut eng = GenericSyncEngine::new(&gh, faulty, |a| MinNode { value: a });
+        let faults = gh.fault_set();
+        let net = GhNet::new(&gh, &faults);
+        let mut eng = min_engine(&net);
         let rounds = eng.run_until_stable(16);
-        assert!(rounds <= 2, "GH diameter = #dims");
-        for a in 0..Network::num_nodes(&gh) {
-            assert_eq!(eng.node(a).unwrap().value, 0);
-        }
+        assert!(rounds <= 2, "GH diameter = #dims, got {rounds}");
+        assert!((0..12).all(|a| value(&eng, a) == 0));
     }
 
     #[test]
-    fn faulty_nodes_excluded_generically() {
-        let q = Hypercube::new(3);
-        let mut faulty = vec![false; 8];
-        faulty[0] = true;
-        let mut eng = GenericSyncEngine::new(&q, faulty, |a| MinNode { value: a });
+    fn faulty_nodes_do_not_participate() {
+        // Node 0 (the global min) is faulty on both overlays: the min
+        // among the healthy nodes is 1.
+        let cube = Hypercube::new(3);
+        let cfg = FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["000"]));
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = min_engine(&net);
+        eng.run_until_stable(16);
+        assert!(eng.node(NodeId::new(0)).is_none());
+        assert!((1..8).all(|a| value(&eng, a) == 1));
+
+        let gh = GeneralizedHypercube::from_product(&[3, 4]);
+        let mut faults = gh.fault_set();
+        faults.insert(NodeId::new(0));
+        let net = GhNet::new(&gh, &faults);
+        let mut eng = min_engine(&net);
+        eng.run_until_stable(16);
+        assert!(eng.node(NodeId::new(0)).is_none());
+        assert!((1..12).all(|a| value(&eng, a) == 1));
+    }
+
+    #[test]
+    fn link_fault_blocks_exchange() {
+        let cube = Hypercube::new(1);
+        let mut cfg = FaultConfig::fault_free(cube);
+        cfg.link_faults_mut().insert(NodeId::new(0), NodeId::new(1));
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = min_engine(&net);
         eng.run_until_stable(8);
-        assert!(eng.node(0).is_none());
-        for a in 1..8 {
-            assert_eq!(eng.node(a).unwrap().value, 1, "min among healthy");
-        }
+        // With the only link down, node 1 never learns of value 0.
+        assert_eq!(value(&eng, 1), 1);
+        assert_eq!(eng.stats().messages, 0);
     }
 
     #[test]
-    fn generic_engine_message_accounting() {
-        let q = Hypercube::new(3);
-        let faulty = vec![false; 8];
-        let mut eng = GenericSyncEngine::new(&q, faulty, |a| MinNode { value: a });
+    fn one_round_is_a_full_exchange() {
+        let cfg = FaultConfig::fault_free(Hypercube::new(3));
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = min_engine(&net);
         eng.run_round();
-        assert_eq!(eng.stats().messages, 8 * 3, "full exchange per round");
+        assert_eq!(eng.stats().messages, 8 * 3);
+
+        let gh = GeneralizedHypercube::from_product(&[3, 4]);
+        let faults = gh.fault_set();
+        let net = GhNet::new(&gh, &faults);
+        let mut eng = min_engine(&net);
+        eng.run_round();
+        assert_eq!(eng.stats().messages, 12 * (2 + 3));
+    }
+
+    #[test]
+    fn quiescent_start_reports_zero_active_rounds() {
+        let cfg = FaultConfig::fault_free(Hypercube::new(4));
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = SyncEngine::new(&net, |_| MinNode { value: 7 });
+        assert_eq!(eng.run_until_stable(10), 0);
+        assert_eq!(eng.stats().rounds_run, 1, "one probe round");
+
+        let gh = GeneralizedHypercube::from_product(&[2, 3]);
+        let faults = gh.fault_set();
+        let net = GhNet::new(&gh, &faults);
+        let mut eng = SyncEngine::new(&net, |_| MinNode { value: 7 });
+        assert_eq!(eng.run_until_stable(10), 0);
+        assert_eq!(eng.stats().rounds_run, 1, "one probe round");
     }
 }

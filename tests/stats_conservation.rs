@@ -10,11 +10,21 @@
 //! noise, an adversarial scheduler and mid-run kills; the same flood on
 //! generalized hypercubes; and the full reliable GS + unicast protocol
 //! stack over the standard loss profiles.
+//!
+//! The lock-step engine (see `SyncStats`) has its own law: every round
+//! delivers one message per ordered pair of healthy neighbors joined by
+//! a usable link, so
+//!
+//! `messages == rounds_run × usable ordered pairs`
+//!
+//! and every active round changes at least one node. It is exercised
+//! with min-propagation on `Q_n` with node and link faults and on
+//! generalized hypercubes with node faults.
 
 use hypersafe::safety::{run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     Actor, AdversarialScheduler, ChannelModel, Ctx, EventEngine, EventStats, GhNet, HypercubeNet,
-    Network, ReliableConfig,
+    Network, ReliableConfig, SyncEngine, SyncNode,
 };
 use hypersafe::topology::{FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId};
 use proptest::prelude::*;
@@ -103,6 +113,73 @@ fn flood_stats<N: Network>(
     }
     eng.run(500_000);
     (eng.stats().clone(), kills.len() as u64)
+}
+
+/// Min-propagation: each round a node keeps the least of its own and
+/// every delivered value.
+struct MinNode(u64);
+
+impl SyncNode for MinNode {
+    type Msg = u64;
+
+    fn broadcast(&self) -> u64 {
+        self.0
+    }
+
+    fn receive(&mut self, inbox: &[(usize, u64)]) -> bool {
+        let m = inbox.iter().map(|&(_, v)| v).min().unwrap_or(self.0);
+        let changed = m < self.0;
+        self.0 = self.0.min(m);
+        changed
+    }
+}
+
+/// Runs min-propagation on `net` for at most `max_rounds` lock-step
+/// rounds and checks the engine's accounting against the network's
+/// usable edges, counted independently of the engine.
+fn check_lockstep<N: Network + Sync>(
+    net: &N,
+    seed: u64,
+    max_rounds: u32,
+) -> Result<(), TestCaseError> {
+    let mut eng = SyncEngine::new(net, |a| {
+        MinNode((a.raw() ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    });
+    let mut quiescent = false;
+    for _ in 0..max_rounds {
+        if eng.run_round() == 0 {
+            quiescent = true;
+            break;
+        }
+    }
+    let usable: u64 = (0..net.num_nodes())
+        .filter(|&a| !net.node_faulty(a))
+        .map(|a| {
+            (0..net.degree(a))
+                .map(|p| net.neighbor(a, p))
+                .filter(|&b| !net.node_faulty(b) && !net.link_faulty(a, b))
+                .count() as u64
+        })
+        .sum();
+    let stats = eng.stats();
+    prop_assert_eq!(
+        stats.messages,
+        u64::from(stats.rounds_run) * usable,
+        "{:?}",
+        stats
+    );
+    prop_assert!(
+        stats.state_changes >= u64::from(stats.active_rounds),
+        "{:?}",
+        stats
+    );
+    prop_assert_eq!(
+        stats.active_rounds < stats.rounds_run,
+        quiescent,
+        "{:?}",
+        stats
+    );
+    Ok(())
 }
 
 proptest! {
@@ -206,5 +283,45 @@ proptest! {
             let uni = run_unicast_lossy(&cfg, &map, s, d, 1, channel(), rcfg, 2_000_000);
             assert_conserved(&uni.stats, 0)?;
         }
+    }
+
+    /// The lock-step engine on faulty `Q_n` with node and link faults.
+    #[test]
+    fn lockstep_on_faulty_cubes_conserves(
+        n in 3u8..=6,
+        fault_picks in proptest::collection::btree_set(0u64..64, 0..6),
+        link_picks in proptest::collection::btree_set((0u64..64, 0u8..6), 0..8),
+        seed in any::<u64>(),
+        max_rounds in 1u32..=8,
+    ) {
+        let cube = Hypercube::new(n);
+        let total = cube.num_nodes();
+        let faults = FaultSet::from_nodes(
+            cube,
+            fault_picks.iter().map(|&a| NodeId::new(a % total)),
+        );
+        let mut cfg = FaultConfig::with_node_faults(cube, faults);
+        for &(a, dim) in &link_picks {
+            let a = NodeId::new(a % total);
+            cfg.link_faults_mut().insert(a, a.neighbor(dim % n));
+        }
+        check_lockstep(&HypercubeNet::new(&cfg), seed, max_rounds)?;
+    }
+
+    /// The same engine on mixed-radix generalized hypercubes.
+    #[test]
+    fn lockstep_on_generalized_hypercubes_conserves(
+        radices in proptest::collection::vec(2u16..=4, 2..=3),
+        fault_picks in proptest::collection::btree_set(0u64..64, 0..4),
+        seed in any::<u64>(),
+        max_rounds in 1u32..=4,
+    ) {
+        let gh = GeneralizedHypercube::new(&radices);
+        let total = gh.num_nodes();
+        let mut faults = FaultSet::with_capacity(total);
+        for &a in &fault_picks {
+            faults.insert(NodeId::new(a % total));
+        }
+        check_lockstep(&GhNet::new(&gh, &faults), seed, max_rounds)?;
     }
 }
