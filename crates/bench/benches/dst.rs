@@ -4,8 +4,10 @@
 //! Run with `BENCH_JSON=results/BENCH_dst.json` to record the summary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hypersafe_core::{run_gs_async_checked, run_gs_async_sched};
-use hypersafe_simkit::{shrink_injections, AdversarialScheduler, FifoScheduler, Scheduler};
+use hypersafe_core::run_gs_async;
+use hypersafe_simkit::{
+    shrink_injections, AdversarialScheduler, FifoScheduler, RunOptions, Scheduler,
+};
 use hypersafe_topology::{FaultConfig, Hypercube};
 use hypersafe_workloads::{uniform_faults, Sweep};
 use std::hint::black_box;
@@ -31,7 +33,11 @@ fn bench_scheduler_overhead(c: &mut Criterion) {
                     "fifo" => Box::new(FifoScheduler),
                     _ => Box::new(AdversarialScheduler::permute(i as u64).with_stretch(3)),
                 };
-                black_box(run_gs_async_sched(cfg, 1, sched))
+                let opts = RunOptions {
+                    sched,
+                    ..RunOptions::default()
+                };
+                black_box(run_gs_async(cfg, 1, opts))
             })
         });
     }
@@ -49,10 +55,14 @@ fn bench_invariant_checks(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = &cfgs[i % cfgs.len()];
                 i += 1;
-                black_box(
-                    run_gs_async_checked(cfg, 1, Box::new(AdversarialScheduler::permute(i as u64)))
-                        .expect("invariants hold"),
-                )
+                let opts = RunOptions {
+                    sched: Box::new(AdversarialScheduler::permute(i as u64)),
+                    check: true,
+                    ..RunOptions::default()
+                };
+                let (run, report) = run_gs_async(cfg, 1, opts);
+                assert!(report.violation.is_none(), "invariants hold");
+                black_box(run)
             })
         });
     }

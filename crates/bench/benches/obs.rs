@@ -9,8 +9,11 @@
 //! serialization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hypersafe_core::{run_gs_reliable, run_gs_reliable_observed};
-use hypersafe_simkit::{FlightRecorder, Metrics, ReliableConfig, Severity, TraceEvent, TraceSink};
+use hypersafe_core::run_gs_reliable;
+use hypersafe_simkit::{
+    ChannelModel, FlightRecorder, Metrics, ReliableConfig, RunOptions, Severity, TraceEvent,
+    TraceSink,
+};
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{uniform_faults, Sweep, STANDARD_PROFILES};
 use std::hint::black_box;
@@ -32,6 +35,12 @@ fn bench_observed_vs_not(c: &mut Criterion) {
         .find(|p| p.name == "moderate")
         .expect("standard profile");
     let rcfg = ReliableConfig::default();
+    let opts = |channel: ChannelModel, observe| RunOptions {
+        channel: Some(channel),
+        max_events: 2_000_000,
+        observe,
+        ..RunOptions::default()
+    };
     for n in [6u8, 8] {
         let cfgs = instances(n, n as usize - 2, 4);
         g.bench_with_input(BenchmarkId::new("unobserved", n), &cfgs, |b, cfgs| {
@@ -41,10 +50,9 @@ fn bench_observed_vs_not(c: &mut Criterion) {
                 i += 1;
                 black_box(run_gs_reliable(
                     cfg,
-                    prof.channel(i as u64),
                     rcfg,
                     1,
-                    2_000_000,
+                    opts(prof.channel(i as u64), false),
                 ))
             })
         });
@@ -53,12 +61,11 @@ fn bench_observed_vs_not(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = &cfgs[i % cfgs.len()];
                 i += 1;
-                black_box(run_gs_reliable_observed(
+                black_box(run_gs_reliable(
                     cfg,
-                    prof.channel(i as u64),
                     rcfg,
                     1,
-                    2_000_000,
+                    opts(prof.channel(i as u64), true),
                 ))
             })
         });
@@ -116,13 +123,14 @@ fn bench_export(c: &mut Criterion) {
         .find(|p| p.name == "moderate")
         .expect("standard profile");
     let cfgs = instances(8, 6, 1);
-    let (_, m) = run_gs_reliable_observed(
-        &cfgs[0],
-        prof.channel(1),
-        ReliableConfig::default(),
-        1,
-        2_000_000,
-    );
+    let opts = RunOptions {
+        channel: Some(prof.channel(1)),
+        max_events: 2_000_000,
+        observe: true,
+        ..RunOptions::default()
+    };
+    let (_, report) = run_gs_reliable(&cfgs[0], ReliableConfig::default(), 1, opts);
+    let m = report.metrics.expect("observed");
     g.bench_function("snapshot", |b| b.iter(|| black_box(m.snapshot())));
     let snap = m.snapshot();
     g.bench_function("to_json", |b| b.iter(|| black_box(snap.to_json())));

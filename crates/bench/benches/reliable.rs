@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::{run_gs_async, run_gs_reliable};
-use hypersafe_simkit::{ChannelModel, ReliableConfig};
+use hypersafe_simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, Hypercube};
 use hypersafe_workloads::{uniform_faults, Sweep};
 use std::hint::black_box;
@@ -18,7 +18,14 @@ fn bench_gs_transport(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("gs_transport");
     g.bench_function("raw_channel", |b| {
-        b.iter(|| black_box(run_gs_async(&cfg, 1).1.delivered))
+        b.iter(|| {
+            black_box(
+                run_gs_async(&cfg, 1, RunOptions::default())
+                    .0
+                    .stats
+                    .delivered,
+            )
+        })
     });
     for loss in [0.0, 0.05, 0.2] {
         g.bench_with_input(
@@ -26,13 +33,11 @@ fn bench_gs_transport(c: &mut Criterion) {
             &loss,
             |b, &loss| {
                 b.iter(|| {
-                    let run = run_gs_reliable(
-                        &cfg,
-                        ChannelModel::lossy(0xC4A1, loss),
-                        ReliableConfig::default(),
-                        1,
-                        u64::MAX,
-                    );
+                    let opts = RunOptions {
+                        channel: Some(ChannelModel::lossy(0xC4A1, loss)),
+                        ..RunOptions::default()
+                    };
+                    let (run, _) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, opts);
                     black_box(run.stats.delivered)
                 })
             },

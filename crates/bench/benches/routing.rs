@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::unicast_distributed::run_unicast;
 use hypersafe_core::{route, source_decision, SafetyMap};
+use hypersafe_simkit::RunOptions;
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 use std::hint::black_box;
@@ -60,7 +61,11 @@ fn bench_distributed(c: &mut Criterion) {
         b.iter(|| {
             let (s, d) = fx.pairs[i % fx.pairs.len()];
             i += 1;
-            black_box(run_unicast(&fx.cfg, &fx.map, s, d, 1).messages)
+            black_box(
+                run_unicast(&fx.cfg, &fx.map, s, d, 1, RunOptions::default())
+                    .0
+                    .messages,
+            )
         })
     });
     g.finish();

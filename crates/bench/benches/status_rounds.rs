@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::{replay, run_gs_async, Strategy, Timeline, TimelineEvent};
+use hypersafe_simkit::RunOptions;
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{uniform_faults, Sweep};
 use std::hint::black_box;
@@ -21,7 +22,12 @@ fn bench_async_gs(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = &cfgs[i % cfgs.len()];
                 i += 1;
-                black_box(run_gs_async(cfg, 1).1.delivered)
+                black_box(
+                    run_gs_async(cfg, 1, RunOptions::default())
+                        .0
+                        .stats
+                        .delivered,
+                )
             })
         });
     }

@@ -14,12 +14,15 @@
 //! the discrete-event engine with arbitrary per-link latencies; by
 //! Theorem 1 both converge to the same unique fixed point, which the
 //! test suite cross-checks against the centralized computation.
+//! [`run_gs_reliable`] runs the same actor behind the ACK/retransmit
+//! layer, for lossy channels.
 
+use crate::invariants::GsLevelsDescend;
 use crate::level_store::NeighborLevels;
 use crate::safety::{level_from_neighbors, level_from_unsorted, Level, SafetyMap};
 use hypersafe_simkit::{
-    Actor, ChannelModel, Ctx, EventEngine, EventStats, FifoScheduler, HypercubeNet, Metrics,
-    RelCtx, Reliable, ReliableActor, ReliableConfig, Scheduler, SyncEngine, SyncNode, SyncStats,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, RelCtx, Reliable, ReliableActor,
+    ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
 };
 use hypersafe_topology::{FaultConfig, NodeId, MAX_DIM};
 
@@ -235,17 +238,10 @@ impl Actor for AsyncGsNode {
     }
 }
 
-/// Runs the asynchronous GS protocol with the given per-hop message
-/// latency and returns the converged map plus engine statistics.
-pub fn run_gs_async(cfg: &FaultConfig, latency: u64) -> (SafetyMap, hypersafe_simkit::EventStats) {
-    let run = run_gs_async_sched(cfg, latency, Box::new(hypersafe_simkit::FifoScheduler));
-    (run.map, run.stats)
-}
-
-/// Outcome of an asynchronous GS run under an explicit scheduler.
+/// Outcome of an asynchronous GS run.
 #[derive(Clone, Debug)]
 pub struct GsAsyncRun {
-    /// The levels when the run went quiescent.
+    /// The levels when the run stopped.
     pub map: SafetyMap,
     /// Engine statistics.
     pub stats: EventStats,
@@ -254,30 +250,26 @@ pub struct GsAsyncRun {
     pub monotone: bool,
 }
 
-/// [`run_gs_async`] under an arbitrary [`Scheduler`] — the DST entry
-/// point. Theorem 1's fixed point is schedule-free, so the returned map
-/// must equal the centralized computation under *any* scheduler that
-/// only reorders and delays (e.g.
+/// Runs the asynchronous GS protocol with the given per-hop message
+/// latency under `opts`, checking
+/// [`crate::invariants::GsLevelsDescend`] when `opts.check` is set.
+///
+/// Theorem 1's fixed point is schedule-free, so the returned map must
+/// equal the centralized computation under *any* scheduler that only
+/// reorders and delays (e.g.
 /// [`hypersafe_simkit::AdversarialScheduler::permute`]; the protocol
-/// assumes reliable links, so loss-bursting adversaries belong with
-/// [`run_gs_reliable`]).
-pub fn run_gs_async_sched(
-    cfg: &FaultConfig,
-    latency: u64,
-    sched: Box<dyn Scheduler>,
-) -> GsAsyncRun {
+/// assumes reliable links, so lossy channels and loss-bursting
+/// adversaries belong with [`run_gs_reliable`]).
+pub fn run_gs_async(cfg: &FaultConfig, latency: u64, opts: RunOptions) -> (GsAsyncRun, RunReport) {
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| {
-        AsyncGsNode::new(cfg, a, latency.max(1))
-    });
-    eng.run(u64::MAX);
-    collect_gs_async(cfg, &eng)
-}
-
-pub(crate) fn collect_gs_async(
-    cfg: &FaultConfig,
-    eng: &EventEngine<'_, HypercubeNet<'_>, AsyncGsNode>,
-) -> GsAsyncRun {
+    let mut descend = opts.check.then(|| GsLevelsDescend::new(cfg));
+    let (eng, report) = EventEngine::drive(
+        &net,
+        opts,
+        |a| AsyncGsNode::new(cfg, a, latency.max(1)),
+        |_| {},
+        descend.as_mut().map(|d| d as _),
+    );
     let levels = cfg
         .cube()
         .nodes()
@@ -288,11 +280,12 @@ pub(crate) fn collect_gs_async(
         .nodes()
         .filter_map(|a| eng.actor(a))
         .all(AsyncGsNode::monotone);
-    GsAsyncRun {
+    let run = GsAsyncRun {
         map: SafetyMap::from_levels(cfg.cube(), levels),
         stats: eng.stats().clone(),
         monotone,
-    }
+    };
+    (run, report)
 }
 
 /// The same state-change-driven protocol, but every announcement goes
@@ -348,8 +341,10 @@ pub struct GsLossyRun {
     pub links_abandoned: u64,
 }
 
-/// Runs GS over `channel` with per-hop `latency`, reliable delivery per
-/// `rcfg`, and an event budget of `max_events`.
+/// Runs GS with per-hop `latency` and reliable delivery per `rcfg`
+/// under `opts` (typically a lossy `opts.channel` and an event budget
+/// `opts.max_events`), checking
+/// [`crate::invariants::GsLevelsDescend`] when `opts.check` is set.
 ///
 /// Convergence: each reliable link delivers every announcement with
 /// probability `1 − p^(max_retries+1)` (loss rate `p < 1`), and the
@@ -359,53 +354,26 @@ pub struct GsLossyRun {
 /// quiescence detector is the drained event queue: with ACKs and
 /// bounded retries every message chain terminates, so an empty queue
 /// *is* global termination (no spurious timers keep the run alive).
+///
+/// When `opts.observe` is set, the registry's `rounds` histogram gets
+/// one observation: the quiescence tick (`stats.end_time`).
 pub fn run_gs_reliable(
     cfg: &FaultConfig,
-    channel: ChannelModel,
     rcfg: ReliableConfig,
     latency: u64,
-    max_events: u64,
-) -> GsLossyRun {
-    gs_reliable_impl(cfg, channel, rcfg, latency, max_events, false).0
-}
-
-/// [`run_gs_reliable`] with a [`Metrics`] registry installed from
-/// construction (so the initial announcements are attributed too):
-/// returns per-node / per-dimension counters and the transit-latency
-/// histogram alongside the run. The registry's `rounds` histogram gets
-/// one observation — the quiescence tick (`stats.end_time`).
-pub fn run_gs_reliable_observed(
-    cfg: &FaultConfig,
-    channel: ChannelModel,
-    rcfg: ReliableConfig,
-    latency: u64,
-    max_events: u64,
-) -> (GsLossyRun, Metrics) {
-    let (run, m) = gs_reliable_impl(cfg, channel, rcfg, latency, max_events, true);
-    (run, m.expect("metrics requested"))
-}
-
-fn gs_reliable_impl(
-    cfg: &FaultConfig,
-    channel: ChannelModel,
-    rcfg: ReliableConfig,
-    latency: u64,
-    max_events: u64,
-    observe: bool,
-) -> (GsLossyRun, Option<Metrics>) {
+    opts: RunOptions,
+) -> (GsLossyRun, RunReport) {
     let n = cfg.cube().dim();
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let build = if observe {
-        EventEngine::with_parts_observed
-    } else {
-        EventEngine::with_parts
-    };
-    let mut eng = build(&net, Some(channel), Box::new(FifoScheduler), |a| {
-        Reliable::new(AsyncGsNode::new(cfg, a, latency), a, n, latency, rcfg)
-    });
-    let processed = eng.run(max_events);
-    let quiescent = processed < max_events;
+    let mut descend = opts.check.then(|| GsLevelsDescend::new(cfg));
+    let (eng, mut report) = EventEngine::drive(
+        &net,
+        opts,
+        |a| Reliable::new(AsyncGsNode::new(cfg, a, latency), a, n, latency, rcfg),
+        |_| {},
+        descend.as_mut().map(|d| d as _),
+    );
     let levels = cfg
         .cube()
         .nodes()
@@ -418,22 +386,22 @@ fn gs_reliable_impl(
         .map(|r| r.endpoint.gave_up_dims().len() as u64)
         .sum();
     let stats = eng.stats().clone();
-    let metrics = eng.take_metrics().map(|mut m| {
+    if let Some(m) = &mut report.metrics {
         m.record_rounds(stats.end_time);
-        m
-    });
+    }
     let run = GsLossyRun {
         map: SafetyMap::from_levels(cfg.cube(), levels),
         stats,
-        quiescent,
+        quiescent: report.drained,
         links_abandoned,
     };
-    (run, metrics)
+    (run, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypersafe_simkit::ChannelModel;
     use hypersafe_topology::{FaultSet, Hypercube};
 
     fn cfg4(faults: &[&str]) -> FaultConfig {
@@ -453,10 +421,10 @@ mod tests {
     #[test]
     fn async_gs_matches_centralized_fig1() {
         let cfg = cfg4(&["0011", "0100", "0110", "1001"]);
-        let (map, stats) = run_gs_async(&cfg, 3);
+        let (run, _) = run_gs_async(&cfg, 3, RunOptions::default());
         let central = SafetyMap::compute(&cfg);
-        assert_eq!(map.store(), central.store());
-        assert!(stats.delivered > 0);
+        assert_eq!(run.map.store(), central.store());
+        assert!(run.stats.delivered > 0);
     }
 
     #[test]
@@ -475,8 +443,8 @@ mod tests {
             let central = SafetyMap::compute(&cfg);
             let sync = run_gs(&cfg);
             assert_eq!(sync.map.store(), central.store(), "sync mask {mask:#b}");
-            let (async_map, _) = run_gs_async(&cfg, 1);
-            assert_eq!(async_map.store(), central.store(), "async mask {mask:#b}");
+            let (run, _) = run_gs_async(&cfg, 1, RunOptions::default());
+            assert_eq!(run.map.store(), central.store(), "async mask {mask:#b}");
         }
     }
 
@@ -484,8 +452,8 @@ mod tests {
     fn async_with_heterogeneous_latencies_still_converges() {
         // Latency 7 ≫ 1 stresses reordering across rounds.
         let cfg = cfg4(&["0000", "0110", "1111"]);
-        let (map, _) = run_gs_async(&cfg, 7);
-        assert_eq!(map.store(), SafetyMap::compute(&cfg).store());
+        let (run, _) = run_gs_async(&cfg, 7, RunOptions::default());
+        assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
     }
 
     #[test]
@@ -496,7 +464,8 @@ mod tests {
             let ch = ChannelModel::new(0x6007 + i as u64)
                 .with_loss(loss)
                 .with_jitter(2);
-            let run = run_gs_reliable(&cfg, ch, ReliableConfig::default(), 1, 5_000_000);
+            let (run, _) =
+                run_gs_reliable(&cfg, ReliableConfig::default(), 1, lossy(ch, 5_000_000));
             assert!(run.quiescent, "loss {loss}: run must go quiescent");
             assert_eq!(
                 run.links_abandoned, 0,
@@ -515,18 +484,41 @@ mod tests {
     #[test]
     fn reliable_gs_on_clean_channel_has_zero_retransmissions() {
         let cfg = cfg4(&["0000", "0110", "1111"]);
-        let run = run_gs_reliable(
-            &cfg,
-            ChannelModel::new(1),
-            ReliableConfig::default(),
-            1,
-            5_000_000,
-        );
+        let opts = lossy(ChannelModel::new(1), 5_000_000);
+        let (run, _) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, opts);
         assert!(run.quiescent);
         assert_eq!(run.stats.retransmitted, 0);
         assert_eq!(run.stats.lost, 0);
         assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
         assert!(run.stats.acked > 0, "every announcement is acknowledged");
+    }
+
+    fn lossy(channel: ChannelModel, max_events: u64) -> RunOptions {
+        RunOptions {
+            channel: Some(channel),
+            max_events,
+            ..RunOptions::default()
+        }
+    }
+
+    #[test]
+    fn queue_drained_on_the_last_budgeted_event_is_quiescent() {
+        // On the Fig. 1 cube this run drains its queue on event 42, so
+        // a budget of exactly 42 must report the same quiescent run as
+        // any larger budget (a processed < budget test reported it as
+        // cut off).
+        let cfg = cfg4(&["0011", "0100", "0110", "1001"]);
+        let rcfg = ReliableConfig::default();
+        let (full, report) = run_gs_reliable(&cfg, rcfg, 1, lossy(ChannelModel::new(7), 43));
+        assert!(full.quiescent);
+        assert_eq!(report.processed, 42);
+        let (tight, report) = run_gs_reliable(&cfg, rcfg, 1, lossy(ChannelModel::new(7), 42));
+        assert!(report.drained);
+        assert!(tight.quiescent, "drained on the last budgeted event");
+        assert_eq!(tight.stats, full.stats);
+        assert_eq!(tight.map.store(), full.map.store());
+        let (cut, _) = run_gs_reliable(&cfg, rcfg, 1, lossy(ChannelModel::new(7), 41));
+        assert!(!cut.quiescent, "one event short of draining");
     }
 
     #[test]

@@ -17,27 +17,27 @@
 //!   [`hypersafe_topology::connectivity`] BFS oracle), GS convergence
 //!   to the centralized fixed point, and ARQ exactly-once accounting.
 //!
-//! The checked runners ([`run_gs_async_checked`],
-//! [`run_unicast_lossy_checked`]) wire both layers together and are
-//! what `repro dst` sweeps over seeds.
+//! The event-driven runners check their protocol's engine invariant
+//! when [`hypersafe_simkit::RunOptions::check`] is set:
+//! [`GsLevelsDescend`] for [`crate::run_gs_async`] and
+//! [`crate::run_gs_reliable`], [`DeltaGsDirected`] for
+//! [`crate::run_delta_gs`], [`ArqSingleDelivery`] for
+//! [`crate::run_unicast_lossy`] (the lossless [`crate::run_unicast`]
+//! has none). `repro dst` sweeps those checked runs over seeds and
+//! feeds their results to the post-run checkers.
 
 use crate::gh_safety::{gh_gs_engine, GhGsNode, GhSafetyMap};
 use crate::gh_unicast::GhDecision;
-use crate::gs::{collect_gs_async, AsyncGsNode, GsAsyncRun};
+use crate::gs::{AsyncGsNode, GsAsyncRun};
 use crate::properties::Violation;
 use crate::safety::{Level, SafetyMap};
-use crate::safety_delta::{ChurnEvent, DeltaGsNode, DeltaGsRun};
+use crate::safety_delta::{ChurnEvent, DeltaGsNode};
 use crate::unicast::Decision;
-use crate::unicast_distributed::{collect_lossy, lossy_engine, LossyOutcome, LossyRun};
-use hypersafe_simkit::{
-    ChannelModel, EventEngine, GhNet, HypercubeNet, Invariant, InvariantViolation, Reliable,
-    ReliableConfig, Scheduler, SyncEngine, Time, Trace,
-};
+use crate::unicast_distributed::{LossyOutcome, LossyRun, LossyUnicastNode};
+use hypersafe_simkit::{EventEngine, GhNet, HypercubeNet, Invariant, Reliable, SyncEngine};
 use hypersafe_topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId,
 };
-
-use crate::unicast_distributed::LossyUnicastNode;
 
 /// Engine invariant: every node's safety level descends monotonically
 /// from the top start and never undershoots the centralized fixed
@@ -60,18 +60,12 @@ impl GsLevelsDescend {
             prev: vec![n; cfg.cube().num_nodes() as usize],
         }
     }
-}
 
-impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
-    fn name(&self) -> &'static str {
-        "gs-levels-descend"
-    }
-
-    fn check(
+    fn check_nodes<'x>(
         &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, AsyncGsNode>,
+        nodes: impl Iterator<Item = (NodeId, &'x AsyncGsNode)>,
     ) -> Result<(), String> {
-        for (a, node) in eng.actors_iter() {
+        for (a, node) in nodes {
             let lv = node.level();
             let prev = self.prev[a.raw() as usize];
             if lv > prev {
@@ -89,6 +83,34 @@ impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
             self.prev[a.raw() as usize] = lv;
         }
         Ok(())
+    }
+}
+
+impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
+    fn name(&self) -> &'static str {
+        "gs-levels-descend"
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, AsyncGsNode>,
+    ) -> Result<(), String> {
+        self.check_nodes(eng.actors_iter())
+    }
+}
+
+/// The same descent under the reliable layer: ARQ changes how levels
+/// travel, not the lattice they descend.
+impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsLevelsDescend {
+    fn name(&self) -> &'static str {
+        "gs-levels-descend"
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<AsyncGsNode>>,
+    ) -> Result<(), String> {
+        self.check_nodes(eng.actors_iter().map(|(a, r)| (a, &r.inner)))
     }
 }
 
@@ -191,163 +213,6 @@ impl<'n> Invariant<HypercubeNet<'n>, Reliable<LossyUnicastNode>> for ArqSingleDe
             }
         }
         Ok(())
-    }
-}
-
-/// Runs asynchronous GS under `sched` with [`GsLevelsDescend`] checked
-/// at every quiescent point. Reorder/stretch adversaries only
-/// ([`hypersafe_simkit::AdversarialScheduler::permute`]): the plain
-/// protocol assumes reliable links.
-pub fn run_gs_async_checked(
-    cfg: &FaultConfig,
-    latency: u64,
-    sched: Box<dyn Scheduler>,
-) -> Result<GsAsyncRun, InvariantViolation> {
-    run_gs_async_checked_traced(cfg, latency, sched, false).0
-}
-
-/// [`run_gs_async_checked`] with an optional per-delivery [`Trace`]
-/// (enabled when `traced`) — the replay artifact `repro dst` writes for
-/// a violating seed. The trace is returned even when the run fails,
-/// which is the whole point: it shows the schedule that broke things.
-pub fn run_gs_async_checked_traced(
-    cfg: &FaultConfig,
-    latency: u64,
-    sched: Box<dyn Scheduler>,
-    traced: bool,
-) -> (Result<GsAsyncRun, InvariantViolation>, Trace) {
-    let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| {
-        AsyncGsNode::new(cfg, a, latency.max(1))
-    });
-    if traced {
-        eng.set_trace(Box::new(Trace::enabled()));
-    }
-    let mut descend = GsLevelsDescend::new(cfg);
-    let res = eng.run_checked(u64::MAX, &mut [&mut descend]);
-    let run = collect_gs_async(cfg, &eng);
-    let trace = eng
-        .take_trace()
-        .and_then(|t| t.into_trace())
-        .unwrap_or_default();
-    (res.map(|_| run), trace)
-}
-
-/// Runs one delta-GS update under `sched` with [`DeltaGsDirected`]
-/// checked at every quiescent point, then verifies the quiescent map
-/// equals `SafetyMap::compute` on the post-event configuration —
-/// incremental exactness as a machine-checked property of a running
-/// simulation. Reorder/stretch adversaries only (the protocol assumes
-/// reliable links).
-pub fn run_delta_gs_checked(
-    cfg: &FaultConfig,
-    prev_map: &SafetyMap,
-    event: ChurnEvent,
-    latency: u64,
-    sched: Box<dyn Scheduler>,
-) -> Result<DeltaGsRun, InvariantViolation> {
-    let net = HypercubeNet::new(cfg);
-    let latency = latency.max(1);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| {
-        DeltaGsNode::new(cfg, prev_map, event, a, latency)
-    });
-    let mut directed = DeltaGsDirected::new(cfg, prev_map, event);
-    eng.run_checked(u64::MAX, &mut [&mut directed])?;
-    let levels: Vec<Level> = cfg
-        .cube()
-        .nodes()
-        .map(|a| eng.actor(a).map_or(0, DeltaGsNode::level))
-        .collect();
-    let fixed = SafetyMap::compute(cfg);
-    if levels != fixed.to_vec() {
-        let bad = cfg
-            .cube()
-            .nodes()
-            .find(|a| levels[a.raw() as usize] != fixed.level(*a))
-            .expect("some node differs");
-        return Err(InvariantViolation {
-            invariant: "delta-gs-exact".into(),
-            time: eng.stats().end_time,
-            events_processed: eng.stats().delivered,
-            detail: format!(
-                "{bad} quiesced at level {} but the post-event fixed point is {}",
-                levels[bad.raw() as usize],
-                fixed.level(bad)
-            ),
-        });
-    }
-    let monotone = cfg
-        .cube()
-        .nodes()
-        .filter_map(|a| eng.actor(a))
-        .all(DeltaGsNode::monotone);
-    Ok(DeltaGsRun {
-        map: SafetyMap::from_levels(cfg.cube(), levels),
-        stats: eng.stats().clone(),
-        monotone,
-    })
-}
-
-/// Runs one reliable unicast under `sched` with [`ArqSingleDelivery`]
-/// checked at every quiescent point, after injecting each `(node,
-/// delay)` kill from `kills` (the DST adversary's fault plan — the
-/// list the shrinker minimizes on violation).
-#[allow(clippy::too_many_arguments)]
-pub fn run_unicast_lossy_checked(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-    max_events: u64,
-    kills: &[(NodeId, Time)],
-) -> Result<LossyRun, InvariantViolation> {
-    run_unicast_lossy_checked_traced(
-        cfg, map, s, d, latency, channel, sched, rcfg, max_events, kills, false,
-    )
-    .0
-}
-
-/// [`run_unicast_lossy_checked`] with an optional per-delivery
-/// [`Trace`] (enabled when `traced`), returned alongside the result so
-/// a violating run's exact schedule can be written as an artifact.
-#[allow(clippy::too_many_arguments)]
-pub fn run_unicast_lossy_checked_traced(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-    max_events: u64,
-    kills: &[(NodeId, Time)],
-    traced: bool,
-) -> (Result<LossyRun, InvariantViolation>, Trace) {
-    let net = HypercubeNet::new(cfg);
-    let mut eng = lossy_engine(&net, cfg, map, s, d, latency, channel, sched, rcfg);
-    if traced {
-        eng.set_trace(Box::new(Trace::enabled()));
-    }
-    for &(node, delay) in kills {
-        eng.inject_kill(node, delay);
-    }
-    let mut once = ArqSingleDelivery;
-    let res = eng.run_checked(max_events, &mut [&mut once]);
-    let trace = eng
-        .take_trace()
-        .and_then(|t| t.into_trace())
-        .unwrap_or_default();
-    match res {
-        Ok(processed) => (
-            Ok(collect_lossy(cfg, map, s, d, &eng, processed, max_events)),
-            trace,
-        ),
-        Err(v) => (Err(v), trace),
     }
 }
 
@@ -679,7 +544,11 @@ pub fn check_gh_theorem4_soundness(
 mod tests {
     use super::*;
     use crate::unicast::route;
-    use hypersafe_simkit::{AdversarialScheduler, FifoScheduler};
+    use crate::{run_delta_gs, run_gs_async, run_gs_reliable, run_unicast_lossy};
+    use hypersafe_simkit::{
+        AdversarialScheduler, ChannelModel, FifoScheduler, InvariantViolation, ReliableConfig,
+        RunOptions, RunReport, Scheduler,
+    };
     use hypersafe_topology::{FaultSet, Hypercube};
 
     fn fig1() -> (FaultConfig, SafetyMap) {
@@ -696,6 +565,19 @@ mod tests {
         NodeId::from_binary(s).unwrap()
     }
 
+    /// Options for a checked run under `sched`.
+    fn checked(sched: Box<dyn Scheduler>) -> RunOptions {
+        RunOptions {
+            sched,
+            check: true,
+            ..RunOptions::default()
+        }
+    }
+
+    fn ok<R>((run, report): (R, RunReport)) -> Result<R, InvariantViolation> {
+        report.violation.map_or(Ok(run), Err)
+    }
+
     #[test]
     fn checked_gs_passes_under_fifo_and_adversary() {
         let (cfg, _) = fig1();
@@ -704,7 +586,7 @@ mod tests {
             Box::new(AdversarialScheduler::permute(3)),
             Box::new(AdversarialScheduler::permute(0xBEEF)),
         ] {
-            let run = run_gs_async_checked(&cfg, 2, sched).expect("no violation");
+            let run = ok(run_gs_async(&cfg, 2, checked(sched))).expect("no violation");
             check_gs_convergence(&cfg, &run).expect("fixed point reached");
         }
     }
@@ -716,13 +598,25 @@ mod tests {
         // plus fixed-point convergence must survive every schedule.
         let (cfg, _) = fig1();
         for seed in 0..32 {
-            let run = run_gs_async_checked(
-                &cfg,
-                1,
-                Box::new(AdversarialScheduler::permute(seed).with_stretch(5)),
-            )
-            .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+            let sched = AdversarialScheduler::permute(seed).with_stretch(5);
+            let run = ok(run_gs_async(&cfg, 1, checked(Box::new(sched))))
+                .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
             check_gs_convergence(&cfg, &run).unwrap();
+        }
+    }
+
+    #[test]
+    fn checked_reliable_gs_descends_under_loss() {
+        let (cfg, _) = fig1();
+        for seed in 0..8 {
+            let opts = RunOptions {
+                channel: Some(ChannelModel::lossy(seed, 0.2)),
+                ..checked(Box::new(AdversarialScheduler::permute(seed)))
+            };
+            let run = ok(run_gs_reliable(&cfg, ReliableConfig::default(), 1, opts))
+                .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+            assert!(run.quiescent, "seed {seed}");
+            assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
         }
     }
 
@@ -734,26 +628,28 @@ mod tests {
         let mut cfg = cfg0.clone();
         cfg.node_faults_mut().insert(a);
         for seed in 0..16 {
-            let run = run_delta_gs_checked(
+            let sched = AdversarialScheduler::permute(seed).with_stretch(5);
+            let run = ok(run_delta_gs(
                 &cfg,
                 &prev,
-                crate::safety_delta::ChurnEvent::Fault(a),
+                ChurnEvent::Fault(a),
                 1,
-                Box::new(AdversarialScheduler::permute(seed).with_stretch(5)),
-            )
+                checked(Box::new(sched)),
+            ))
             .unwrap_or_else(|v| panic!("fault seed {seed}: {v}"));
             assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
 
             // And the reverse event, from the post-fault fixed point.
             let mut back = cfg.clone();
             back.node_faults_mut().remove(a);
-            let run2 = run_delta_gs_checked(
+            let sched = AdversarialScheduler::permute(seed ^ 0xA5).with_stretch(5);
+            let run2 = ok(run_delta_gs(
                 &back,
                 &run.map,
-                crate::safety_delta::ChurnEvent::Recover(a),
+                ChurnEvent::Recover(a),
                 1,
-                Box::new(AdversarialScheduler::permute(seed ^ 0xA5).with_stretch(5)),
-            )
+                checked(Box::new(sched)),
+            ))
             .unwrap_or_else(|v| panic!("recover seed {seed}: {v}"));
             assert_eq!(run2.map.store(), prev.store());
         }
@@ -771,13 +667,14 @@ mod tests {
         let a = n("0101");
         let mut cfg = cfg0.clone();
         cfg.node_faults_mut().insert(a);
-        let res = run_delta_gs_checked(
+        let opts = checked(Box::new(FifoScheduler));
+        let res = ok(run_delta_gs(
             &cfg,
             &wrong_map,
-            crate::safety_delta::ChurnEvent::Fault(a),
+            ChurnEvent::Fault(a),
             1,
-            Box::new(FifoScheduler),
-        );
+            opts,
+        ));
         assert!(res.is_err(), "corrupted prior must be detected");
     }
 
@@ -785,18 +682,20 @@ mod tests {
     fn checked_unicast_delivers_under_full_adversary() {
         let (cfg, map) = fig1();
         for seed in 0..16 {
-            let run = run_unicast_lossy_checked(
+            let opts = RunOptions {
+                max_events: 5_000_000,
+                ..checked(Box::new(AdversarialScheduler::from_seed(seed)))
+            };
+            let rcfg = ReliableConfig::default();
+            let run = ok(run_unicast_lossy(
                 &cfg,
                 &map,
                 n("1110"),
                 n("0001"),
                 1,
-                None,
-                Box::new(AdversarialScheduler::from_seed(seed)),
-                ReliableConfig::default(),
-                5_000_000,
-                &[],
-            )
+                rcfg,
+                opts,
+            ))
             .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
             check_lossy_outcome(&cfg, n("1110"), n("0001"), &run, 0)
                 .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
@@ -813,18 +712,21 @@ mod tests {
         let (cfg, map) = fig1();
         // Kill the first-hop holder the moment the run starts.
         let victim = n("1111");
-        let run = run_unicast_lossy_checked(
+        let opts = RunOptions {
+            max_events: 5_000_000,
+            kills: vec![(victim, 0)],
+            ..checked(Box::new(FifoScheduler))
+        };
+        let rcfg = ReliableConfig::default();
+        let run = ok(run_unicast_lossy(
             &cfg,
             &map,
             n("1110"),
             n("0001"),
             1,
-            None,
-            Box::new(FifoScheduler),
-            ReliableConfig::default(),
-            5_000_000,
-            &[(victim, 0)],
-        )
+            rcfg,
+            opts,
+        ))
         .expect("exactly-once still holds");
         check_lossy_outcome(&cfg, n("1110"), n("0001"), &run, 1).expect("kill excuses delivery");
     }

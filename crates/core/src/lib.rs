@@ -9,9 +9,16 @@
 //! * [`navigation`] + [`unicast`] — the optimal/suboptimal unicasting
 //!   algorithm with the `C1`/`C2`/`C3` source feasibility check.
 //! * [`unicast_distributed`] — the same algorithm as per-node actors
-//!   exchanging real messages; `run_unicast_lossy` and
-//!   [`gs::run_gs_reliable`] run the protocols over lossy channels via
+//!   exchanging real messages; [`run_unicast_lossy`] and
+//!   [`run_gs_reliable`] run the protocols over lossy channels via
 //!   `hypersafe-simkit`'s reliable delivery layer.
+//! * Event-driven runners: [`run_gs_async`], [`run_gs_reliable`],
+//!   [`run_unicast`], [`run_unicast_lossy`] and [`run_delta_gs`], one
+//!   per protocol. Each takes the protocol's own parameters plus a
+//!   [`hypersafe_simkit::RunOptions`] (scheduler, channel, event
+//!   budget, kill plan, and whether to observe, trace or check) and
+//!   returns its result with the engine's
+//!   [`hypersafe_simkit::RunReport`].
 //! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views).
 //! * [`gh_safety`] + [`gh_unicast`] — the §4.2 extension to
 //!   generalized hypercubes.
@@ -81,15 +88,11 @@ pub use gh_broadcast::{gh_broadcast, GhBroadcastResult};
 pub use gh_safety::{run_gh_gs, GhGsNode, GhSafetyMap};
 pub use gh_unicast::{gh_route, gh_source_decision, GhDecision, GhRouteResult};
 pub use gh_unicast_distributed::{run_gh_unicast, GhDistributedRun, GhMsg, GhUnicastNode};
-pub use gs::{
-    run_gs, run_gs_async, run_gs_async_sched, run_gs_reliable, run_gs_reliable_observed,
-    GsAsyncRun, GsLossyRun, GsRun,
-};
+pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLossyRun, GsRun};
 pub use invariants::{
     check_gh_theorem4_soundness, check_gs_convergence, check_lossy_outcome,
-    check_theorem4_soundness, check_unicast_optimality, run_delta_gs_checked, run_gh_gs_checked,
-    run_gs_async_checked, run_gs_async_checked_traced, run_unicast_lossy_checked,
-    run_unicast_lossy_checked_traced, ArqSingleDelivery, DeltaGsDirected, GsLevelsDescend,
+    check_theorem4_soundness, check_unicast_optimality, run_gh_gs_checked, ArqSingleDelivery,
+    DeltaGsDirected, GsLevelsDescend,
 };
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};
 pub use maintenance::{replay, MaintenanceReport, Strategy, Timeline, TimelineEvent};
@@ -107,9 +110,7 @@ pub use properties::{
 pub use reroute::{route_dynamic, DynamicOutcome, DynamicRun, FaultEvent};
 pub use route_batch::{route_light, route_many, route_many_seq, route_many_tb, BatchOutcome};
 pub use safety::{level_from_neighbors, level_from_sorted, level_from_unsorted, Level, SafetyMap};
-pub use safety_delta::{
-    run_delta_gs, run_delta_gs_sched, ChurnEvent, DeltaGsNode, DeltaGsRun, DeltaStats,
-};
+pub use safety_delta::{run_delta_gs, ChurnEvent, DeltaGsNode, DeltaGsRun, DeltaStats};
 pub use safety_vector::{vector_dominates_level, SafetyVectorMap};
 pub use service::{SafetyService, SafetyState};
 pub use unicast::{
@@ -117,6 +118,5 @@ pub use unicast::{
     source_decision, source_decision_tb, Condition, Decision, RouteResult, TieBreak,
 };
 pub use unicast_distributed::{
-    run_unicast, run_unicast_lossy, run_unicast_lossy_observed, run_unicast_lossy_sched,
-    run_unicast_sched, DistributedRun, LossyOutcome, LossyRun, UnicastMsg, UnicastNode,
+    run_unicast, run_unicast_lossy, DistributedRun, LossyOutcome, LossyRun, UnicastMsg, UnicastNode,
 };

@@ -20,6 +20,7 @@ use crate::gs::run_gs;
 use crate::safety::SafetyMap;
 use crate::safety_delta::{run_delta_gs, ChurnEvent};
 use crate::unicast::{route, Decision};
+use hypersafe_simkit::RunOptions;
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 
 /// One entry of a maintenance scenario.
@@ -140,7 +141,7 @@ pub fn replay(cube: Hypercube, timeline: &Timeline, strategy: Strategy) -> Maint
     // cross-check the two — exactness is part of the contract.
     let incremental =
         |cfg: &FaultConfig, map: &mut SafetyMap, report: &mut MaintenanceReport, ev: ChurnEvent| {
-            let run = run_delta_gs(cfg, map, ev, 1);
+            let (run, _) = run_delta_gs(cfg, map, ev, 1, RunOptions::default());
             let stats = match ev {
                 ChurnEvent::Fault(a) => map.apply_fault(cfg, a),
                 ChurnEvent::Recover(a) => map.apply_recover(cfg, a),

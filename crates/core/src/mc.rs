@@ -40,7 +40,7 @@ use crate::unicast::{source_decision, Decision};
 use crate::unicast_distributed::{LossyUnicastNode, START_TAG};
 use hypersafe_simkit::{
     engine_projection, explore, EventEngine, HypercubeNet, McCheck, McConfig, McReport, McSnapshot,
-    Reliable, ReliableConfig, Scheduler,
+    Reliable, ReliableConfig, RunOptions, Scheduler,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -53,7 +53,11 @@ use hypersafe_topology::{FaultConfig, NodeId};
 /// engine schedule is one interleaving of the untimed model.
 pub fn gs_engine_projections(cfg: &FaultConfig, sched: Box<dyn Scheduler>) -> Vec<u128> {
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| AsyncGsNode::new(cfg, a, 1));
+    let opts = RunOptions {
+        sched,
+        ..RunOptions::default()
+    };
+    let mut eng = EventEngine::with_options(&net, opts, |a| AsyncGsNode::new(cfg, a, 1));
     let mut seen = vec![engine_projection(&eng)];
     while eng.step() {
         seen.push(engine_projection(&eng));

@@ -28,10 +28,11 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use crate::invariants::DeltaGsDirected;
 use crate::level_store::NeighborLevels;
 use crate::safety::{level_from_unsorted, Level, SafetyMap};
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, FifoScheduler, HypercubeNet, Scheduler,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, InvariantViolation, RunOptions, RunReport,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -99,9 +100,7 @@ impl SafetyMap {
     /// assert!(stats.cells_touched <= 6);
     /// ```
     pub fn apply_fault(&mut self, cfg: &FaultConfig, a: NodeId) -> DeltaStats {
-        self.delta_preconditions(cfg, a);
-        assert!(cfg.node_faulty(a), "apply_fault: cfg must mark {a} faulty");
-        assert_ne!(self.level(a), 0, "apply_fault: {a} was already faulty");
+        assert_event(self, cfg, ChurnEvent::Fault(a));
         let n = self.dim();
         let mut stats = DeltaStats {
             cells_changed: 1, // the event node itself: level → 0
@@ -122,12 +121,7 @@ impl SafetyMap {
     /// the ascending twin of [`SafetyMap::apply_fault`]. `cfg` is the
     /// post-event configuration (with `a` already healthy again).
     pub fn apply_recover(&mut self, cfg: &FaultConfig, a: NodeId) -> DeltaStats {
-        self.delta_preconditions(cfg, a);
-        assert!(
-            !cfg.node_faulty(a),
-            "apply_recover: cfg must mark {a} healthy"
-        );
-        assert_eq!(self.level(a), 0, "apply_recover: {a} was not faulty");
+        assert_event(self, cfg, ChurnEvent::Recover(a));
         let n = self.dim();
         let mut stats = DeltaStats::default();
         // Seed with the event node itself (depth 0): re-evaluating it
@@ -139,15 +133,6 @@ impl SafetyMap {
         self.set_rounds(stats.waves);
         stats.rounds_saved = u32::from(n.saturating_sub(1)).saturating_sub(stats.waves);
         stats
-    }
-
-    fn delta_preconditions(&self, cfg: &FaultConfig, a: NodeId) {
-        assert!(
-            cfg.link_faults().is_empty(),
-            "delta updates handle node faults only; use egs for link faults"
-        );
-        assert_eq!(self.dim(), cfg.cube().dim(), "cube dimension mismatch");
-        assert!(cfg.cube().contains(a), "{a} outside the cube");
     }
 
     /// Drains the worklist: pop a node, re-evaluate Definition 1 over
@@ -175,6 +160,34 @@ impl SafetyMap {
                     work.push(c, depth + 1);
                 }
             }
+        }
+    }
+}
+
+/// Asserts the preconditions of folding `event` into `prev`, the
+/// pre-event fixed point, where `cfg` is the post-event configuration:
+/// node faults only, matching dimensions, and the event agreeing with
+/// both (a faulted node is faulty in `cfg` and healthy in `prev`, a
+/// recovered one the other way round).
+fn assert_event(prev: &SafetyMap, cfg: &FaultConfig, event: ChurnEvent) {
+    assert!(
+        cfg.link_faults().is_empty(),
+        "delta updates handle node faults only; use egs for link faults"
+    );
+    assert_eq!(prev.dim(), cfg.cube().dim(), "cube dimension mismatch");
+    let a = event.node();
+    assert!(cfg.cube().contains(a), "{a} outside the cube");
+    match event {
+        ChurnEvent::Fault(_) => {
+            assert!(cfg.node_faulty(a), "Fault event: cfg must mark {a} faulty");
+            assert_ne!(prev.level(a), 0, "Fault event: {a} was already faulty");
+        }
+        ChurnEvent::Recover(_) => {
+            assert!(
+                !cfg.node_faulty(a),
+                "Recover event: cfg must mark {a} healthy"
+            );
+            assert_eq!(prev.level(a), 0, "Recover event: {a} was not faulty");
         }
     }
 }
@@ -406,24 +419,40 @@ pub struct DeltaGsRun {
     pub monotone: bool,
 }
 
-/// Runs the delta-GS protocol for one churn event under FIFO
-/// scheduling. `cfg` is the post-event configuration, `prev` the
-/// pre-event fixed point. The returned map equals
-/// [`SafetyMap::compute`] on `cfg` — enforced by tests, goldens and
-/// the DST suite.
+/// Runs the delta-GS protocol for one churn event under `opts`. `cfg`
+/// is the post-event configuration, `prev` the pre-event fixed point.
+/// The fixed point is schedule-free, so the returned map equals
+/// [`SafetyMap::compute`] on `cfg` under any reordering adversary —
+/// enforced by tests, goldens and the DST suite. The protocol assumes
+/// reliable links (reorder/stretch adversaries only).
+///
+/// With `opts.check` set, [`crate::invariants::DeltaGsDirected`] is
+/// checked at every quiescent point, and a run that ends off the
+/// post-event fixed point reports a `delta-gs-exact` violation:
+/// incremental exactness as a machine-checked property of a running
+/// simulation.
+///
+/// # Panics
+///
+/// On every path, checked or not, when `cfg` has link faults, when
+/// `prev` and `cfg` differ in dimension, or when `event` disagrees with
+/// them: its node must lie in the cube, and a [`ChurnEvent::Fault`]
+/// node must be faulty in `cfg` and healthy in `prev`, a
+/// [`ChurnEvent::Recover`] node the other way round.
 ///
 /// # Examples
 ///
 /// ```
 /// use hypersafe_topology::{Hypercube, FaultSet, FaultConfig, NodeId};
 /// use hypersafe_core::{run_delta_gs, run_gs, ChurnEvent, SafetyMap};
+/// use hypersafe_simkit::RunOptions;
 ///
 /// let cube = Hypercube::new(5);
 /// let mut cfg = FaultConfig::fault_free(cube);
 /// let prev = SafetyMap::compute(&cfg);
 /// let a = NodeId::new(7);
 /// cfg.node_faults_mut().insert(a);
-/// let run = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1);
+/// let (run, _) = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1, RunOptions::default());
 /// assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
 /// // A lone fault demotes nobody in a healthy 5-cube: zero messages,
 /// // versus a full re-broadcast for the from-scratch protocol.
@@ -435,59 +464,55 @@ pub fn run_delta_gs(
     prev: &SafetyMap,
     event: ChurnEvent,
     latency: u64,
-) -> DeltaGsRun {
-    run_delta_gs_sched(cfg, prev, event, latency, Box::new(FifoScheduler))
-}
-
-/// [`run_delta_gs`] under an arbitrary [`Scheduler`] — the DST entry
-/// point. The fixed point is schedule-free, so the result must be
-/// identical under any reordering adversary.
-pub fn run_delta_gs_sched(
-    cfg: &FaultConfig,
-    prev: &SafetyMap,
-    event: ChurnEvent,
-    latency: u64,
-    sched: Box<dyn Scheduler>,
-) -> DeltaGsRun {
-    assert!(
-        cfg.link_faults().is_empty(),
-        "delta-GS handles node faults only"
-    );
-    assert_eq!(prev.dim(), cfg.cube().dim(), "cube dimension mismatch");
-    match event {
-        ChurnEvent::Fault(a) => {
-            assert!(cfg.node_faulty(a), "Fault event: cfg must mark {a} faulty");
-            assert_ne!(prev.level(a), 0, "Fault event: {a} was already faulty");
-        }
-        ChurnEvent::Recover(a) => {
-            assert!(
-                !cfg.node_faulty(a),
-                "Recover event: cfg must mark {a} healthy"
-            );
-            assert_eq!(prev.level(a), 0, "Recover event: {a} was not faulty");
-        }
-    }
+    opts: RunOptions,
+) -> (DeltaGsRun, RunReport) {
+    assert_event(prev, cfg, event);
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| {
-        DeltaGsNode::new(cfg, prev, event, a, latency)
-    });
-    eng.run(u64::MAX);
-    let levels = cfg
+    let check = opts.check;
+    let mut directed = check.then(|| DeltaGsDirected::new(cfg, prev, event));
+    let (eng, mut report) = EventEngine::drive(
+        &net,
+        opts,
+        |a| DeltaGsNode::new(cfg, prev, event, a, latency),
+        |_| {},
+        directed.as_mut().map(|d| d as _),
+    );
+    let levels: Vec<Level> = cfg
         .cube()
         .nodes()
         .map(|a| eng.actor(a).map_or(0, DeltaGsNode::level))
         .collect();
+    if check && report.violation.is_none() {
+        let fixed = SafetyMap::compute(cfg);
+        if let Some(bad) = cfg
+            .cube()
+            .nodes()
+            .find(|a| levels[a.raw() as usize] != fixed.level(*a))
+        {
+            report.violation = Some(InvariantViolation {
+                invariant: "delta-gs-exact".into(),
+                time: eng.stats().end_time,
+                events_processed: eng.stats().delivered,
+                detail: format!(
+                    "{bad} quiesced at level {} but the post-event fixed point is {}",
+                    levels[bad.raw() as usize],
+                    fixed.level(bad)
+                ),
+            });
+        }
+    }
     let monotone = cfg
         .cube()
         .nodes()
         .filter_map(|a| eng.actor(a))
         .all(DeltaGsNode::monotone);
-    DeltaGsRun {
+    let run = DeltaGsRun {
         map: SafetyMap::from_levels(cfg.cube(), levels),
         stats: eng.stats().clone(),
         monotone,
-    }
+    };
+    (run, report)
 }
 
 #[cfg(test)]
@@ -577,13 +602,19 @@ mod tests {
         let prev = SafetyMap::compute(&cfg);
         let a = n("0101");
         cfg.node_faults_mut().insert(a);
-        let run = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1);
+        let (run, _) = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1, RunOptions::default());
         assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
         assert!(run.monotone);
 
         let prev2 = run.map.clone();
         cfg.node_faults_mut().remove(a);
-        let run2 = run_delta_gs(&cfg, &prev2, ChurnEvent::Recover(a), 1);
+        let (run2, _) = run_delta_gs(
+            &cfg,
+            &prev2,
+            ChurnEvent::Recover(a),
+            1,
+            RunOptions::default(),
+        );
         assert_eq!(run2.map.store(), SafetyMap::compute(&cfg).store());
         assert!(run2.monotone);
     }
@@ -610,13 +641,11 @@ mod tests {
                 };
                 let want = SafetyMap::compute(&cfg);
                 for seed in [1u64, 0xBEEF] {
-                    let run = run_delta_gs_sched(
-                        &cfg,
-                        &prev,
-                        ev,
-                        1,
-                        Box::new(AdversarialScheduler::permute(seed)),
-                    );
+                    let opts = RunOptions {
+                        sched: Box::new(AdversarialScheduler::permute(seed)),
+                        ..RunOptions::default()
+                    };
+                    let (run, _) = run_delta_gs(&cfg, &prev, ev, 1, opts);
                     assert_eq!(
                         run.map.store(),
                         want.store(),
@@ -637,11 +666,39 @@ mod tests {
         let prev = SafetyMap::compute(&cfg);
         let a = NodeId::new(200);
         cfg.node_faults_mut().insert(a);
-        let delta = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1);
+        let (delta, _) = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1, RunOptions::default());
         let full = crate::gs::run_gs(&cfg);
         assert_eq!(delta.map.store(), full.map.store());
         assert_eq!(delta.stats.delivered, 0, "nobody demoted → nobody speaks");
         assert!(full.stats.messages > 1000, "full GS floods the cube");
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg must mark")]
+    fn checked_run_rejects_an_event_cfg_does_not_show() {
+        // The checked path asserts the preconditions too: a Fault event
+        // for a node `cfg` still marks healthy never reaches the engine.
+        let cfg = cfg4(&["0011"]);
+        let prev = SafetyMap::compute(&cfg);
+        let opts = RunOptions {
+            check: true,
+            ..RunOptions::default()
+        };
+        run_delta_gs(&cfg, &prev, ChurnEvent::Fault(n("0101")), 1, opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "node faults only")]
+    fn checked_run_rejects_link_faults() {
+        let mut cfg = cfg4(&[]);
+        let prev = SafetyMap::compute(&cfg);
+        cfg.link_faults_mut().insert(n("0000"), n("0001"));
+        cfg.node_faults_mut().insert(n("1111"));
+        let opts = RunOptions {
+            check: true,
+            ..RunOptions::default()
+        };
+        run_delta_gs(&cfg, &prev, ChurnEvent::Fault(n("1111")), 1, opts);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! same path hop for hop — evidence that the centralized shortcut is
 //! faithful.
 
+use crate::invariants::ArqSingleDelivery;
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{source_decision, Decision};
 use hypersafe_simkit::{
-    Actor, ChannelModel, Ctx, EventEngine, EventStats, FifoScheduler, HypercubeNet, Metrics,
-    RelCtx, Reliable, ReliableActor, ReliableConfig, Scheduler, Time,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, RelCtx, Reliable, ReliableActor,
+    ReliableConfig, RunOptions, RunReport, Time,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -176,53 +177,42 @@ pub struct DistributedRun {
 }
 
 /// Runs one unicast `s → d` as a distributed protocol over `cfg`,
-/// with per-hop `latency`. The safety map must already be converged
-/// (run GS first).
+/// with per-hop `latency`, under `opts`. The safety map must already be
+/// converged (run GS first). The actor assumes reliable links:
+/// reorder/stretch adversaries only, and lossy channels belong with
+/// [`run_unicast_lossy`]. The protocol has no engine invariant, so
+/// `opts.check` has nothing to check.
 pub fn run_unicast(
     cfg: &FaultConfig,
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
     latency: Time,
-) -> DistributedRun {
-    run_unicast_sched(cfg, map, s, d, latency, Box::new(FifoScheduler))
-}
-
-/// [`run_unicast`] under an arbitrary [`Scheduler`] — the DST entry
-/// point for the lossless protocol (reorder/stretch adversaries only;
-/// the plain actor assumes reliable links, so loss bursts belong with
-/// [`run_unicast_lossy_sched`]).
-pub fn run_unicast_sched(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    sched: Box<dyn Scheduler>,
-) -> DistributedRun {
+    opts: RunOptions,
+) -> (DistributedRun, RunReport) {
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(&net, None, sched, |a| {
+    let init = |a| {
         let mut node = UnicastNode::new(map, cfg, a, latency);
         if a == s {
             node.start = Some(d);
         }
         node
-    });
-    eng.inject(s, START_TAG, 0);
-    eng.run(u64::MAX);
+    };
+    let (eng, report) = EventEngine::drive(&net, opts, init, |e| e.inject(s, START_TAG, 0), None);
     let messages = eng.stats().delivered;
     let arrival = eng.stats().end_time;
     let received = eng
         .actor(d)
         .and_then(|n| n.received.as_ref())
         .map(|m| m.trail.clone());
-    DistributedRun {
+    let run = DistributedRun {
         decision: source_decision(map, s, d),
         arrival_time: received.as_ref().map(|_| arrival),
         trail: received,
         messages,
-    }
+    };
+    (run, report)
 }
 
 /// How a unicast over a lossy channel ended — the widened taxonomy the
@@ -237,7 +227,8 @@ pub enum LossyOutcome {
         /// Virtual time of first arrival at the destination.
         delay: Time,
     },
-    /// The event budget ran out before the run resolved.
+    /// The event budget ran out with events still queued, before the
+    /// run resolved.
     TimedOut,
     /// A node found no feasible continuation (C1–C3 failed at the
     /// source, or no preferred neighbor remained at an intermediate).
@@ -378,180 +369,73 @@ impl ReliableActor for LossyUnicastNode {
     }
 }
 
-/// Runs one unicast `s → d` over the lossy `channel` with reliable
-/// per-hop delivery (`rcfg`), spending at most `max_events` engine
-/// events. The safety map must already be converged — pair with
-/// [`crate::gs::run_gs_reliable`] for an end-to-end lossy stack.
+/// Runs one unicast `s → d` with per-hop `latency` and reliable
+/// per-hop delivery (`rcfg`) under `opts` (typically a lossy
+/// `opts.channel` and an event budget `opts.max_events`), checking
+/// [`crate::invariants::ArqSingleDelivery`] when `opts.check` is set.
+/// The safety map must already be converged — pair with
+/// [`crate::gs::run_gs_reliable`] for an end-to-end lossy stack. The
+/// ARQ layer absorbs loss/duplication-bursting adversaries too
+/// ([`hypersafe_simkit::AdversarialScheduler::from_seed`]).
 ///
 /// Delivery guarantee: whenever the centralized [`crate::unicast::route`]
 /// says the pair is feasible and no reliable link exhausts its retries,
 /// the outcome is [`LossyOutcome::Delivered`] — each hop's handoff is
 /// exactly-once, so the lossless hop-by-hop argument (Theorem 2)
 /// carries over unchanged.
-// The argument list mirrors run_unicast plus the channel knobs; a
-// params struct would just rename the call sites' locals.
-#[allow(clippy::too_many_arguments)]
+///
+/// When `opts.observe` is set and the message arrives, the registry's
+/// `hops` histogram records the trail length and its `rounds`
+/// histogram the end-to-end delay in ticks.
 pub fn run_unicast_lossy(
     cfg: &FaultConfig,
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
     latency: Time,
-    channel: ChannelModel,
     rcfg: ReliableConfig,
-    max_events: u64,
-) -> LossyRun {
-    run_unicast_lossy_sched(
-        cfg,
-        map,
-        s,
-        d,
-        latency,
-        Some(channel),
-        Box::new(FifoScheduler),
-        rcfg,
-        max_events,
-    )
-}
-
-/// [`run_unicast_lossy`] with a [`Metrics`] registry installed from
-/// engine construction: per-node / per-dimension counters and the
-/// transit-latency histogram come back alongside the run. On delivery
-/// the registry's `hops` histogram records the trail length and its
-/// `rounds` histogram the end-to-end delay in ticks.
-#[allow(clippy::too_many_arguments)]
-pub fn run_unicast_lossy_observed(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: ChannelModel,
-    rcfg: ReliableConfig,
-    max_events: u64,
-) -> (LossyRun, Metrics) {
-    let net = HypercubeNet::new(cfg);
-    let mut eng = lossy_engine_observed(
-        &net,
-        cfg,
-        map,
-        s,
-        d,
-        latency,
-        Some(channel),
-        Box::new(FifoScheduler),
-        rcfg,
-    );
-    let processed = eng.run(max_events);
-    let run = collect_lossy(cfg, map, s, d, &eng, processed, max_events);
-    let mut m = eng.take_metrics().expect("metrics requested");
-    if let Some(trail) = &run.trail {
-        m.record_hops(trail.len().saturating_sub(1) as u64);
-    }
-    if let LossyOutcome::Delivered { delay, .. } = run.outcome {
-        m.record_rounds(delay);
-    }
-    (run, m)
-}
-
-/// [`run_unicast_lossy`] under an arbitrary [`Scheduler`] and an
-/// optional channel — the DST entry point for the ARQ-protected
-/// protocol, which must survive even loss/duplication-bursting
-/// adversaries ([`hypersafe_simkit::AdversarialScheduler::from_seed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_unicast_lossy_sched(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-    max_events: u64,
-) -> LossyRun {
-    let net = HypercubeNet::new(cfg);
-    let mut eng = lossy_engine(&net, cfg, map, s, d, latency, channel, sched, rcfg);
-    let processed = eng.run(max_events);
-    collect_lossy(cfg, map, s, d, &eng, processed, max_events)
-}
-
-/// Builds (but does not run) the reliable unicast engine: actors
-/// installed, start event injected. Split out so [`crate::invariants`]
-/// can interleave invariant checks and kill injections with the run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lossy_engine<'e>(
-    net: &'e HypercubeNet<'e>,
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-) -> EventEngine<'e, HypercubeNet<'e>, Reliable<LossyUnicastNode>> {
-    build_lossy_engine(net, cfg, map, s, d, latency, channel, sched, rcfg, false)
-}
-
-/// [`lossy_engine`] with a metrics registry installed before
-/// `on_start`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lossy_engine_observed<'e>(
-    net: &'e HypercubeNet<'e>,
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-) -> EventEngine<'e, HypercubeNet<'e>, Reliable<LossyUnicastNode>> {
-    build_lossy_engine(net, cfg, map, s, d, latency, channel, sched, rcfg, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_lossy_engine<'e>(
-    net: &'e HypercubeNet<'e>,
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
-    latency: Time,
-    channel: Option<ChannelModel>,
-    sched: Box<dyn Scheduler>,
-    rcfg: ReliableConfig,
-    observe: bool,
-) -> EventEngine<'e, HypercubeNet<'e>, Reliable<LossyUnicastNode>> {
+    opts: RunOptions,
+) -> (LossyRun, RunReport) {
     let latency = latency.max(1);
     let n = cfg.cube().dim();
-    let build = if observe {
-        EventEngine::with_parts_observed
-    } else {
-        EventEngine::with_parts
-    };
-    let mut eng = build(net, channel, sched, |a| {
+    let net = HypercubeNet::new(cfg);
+    let init = |a| {
         let mut inner = LossyUnicastNode::new(map, cfg, a);
         if a == s {
             inner.start = Some(d);
         }
         Reliable::new(inner, a, n, latency, rcfg)
-    });
-    eng.inject(s, START_TAG, 0);
-    eng
+    };
+    let mut once = opts.check.then_some(ArqSingleDelivery);
+    let (eng, mut report) = EventEngine::drive(
+        &net,
+        opts,
+        init,
+        |e| e.inject(s, START_TAG, 0),
+        once.as_mut().map(|i| i as _),
+    );
+    let run = collect_lossy(cfg, map, s, d, &eng, report.drained);
+    if let Some(m) = &mut report.metrics {
+        if let Some(trail) = &run.trail {
+            m.record_hops(trail.len().saturating_sub(1) as u64);
+        }
+        if let LossyOutcome::Delivered { delay, .. } = run.outcome {
+            m.record_rounds(delay);
+        }
+    }
+    (run, report)
 }
 
 /// Resolves a finished (or budget-exhausted) reliable unicast engine
-/// into the [`LossyRun`] taxonomy.
-pub(crate) fn collect_lossy(
+/// into the [`LossyRun`] taxonomy; `drained` is the driver's
+/// queue-drained flag.
+fn collect_lossy(
     cfg: &FaultConfig,
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
     eng: &EventEngine<'_, HypercubeNet<'_>, Reliable<LossyUnicastNode>>,
-    processed: u64,
-    max_events: u64,
+    drained: bool,
 ) -> LossyRun {
     let stats = eng.stats().clone();
     let received = eng.actor(d).and_then(|r| r.inner.received.clone());
@@ -588,7 +472,7 @@ pub(crate) fn collect_lossy(
         LossyOutcome::AbortedAt(a)
     } else if let Some(h) = holder_failed {
         LossyOutcome::HolderFailed(h)
-    } else if processed == max_events {
+    } else if !drained {
         LossyOutcome::TimedOut
     } else {
         // Queue drained with no arrival, no abort, no give-up: the
@@ -608,6 +492,7 @@ pub(crate) fn collect_lossy(
 mod tests {
     use super::*;
     use crate::unicast::route;
+    use hypersafe_simkit::ChannelModel;
     use hypersafe_topology::{FaultSet, Hypercube};
 
     fn fig1() -> (FaultConfig, SafetyMap) {
@@ -630,7 +515,7 @@ mod tests {
         for s in cfg.healthy_nodes() {
             for d in cfg.healthy_nodes() {
                 let central = route(&cfg, &map, s, d);
-                let dist = run_unicast(&cfg, &map, s, d, 1);
+                let dist = run_unicast(&cfg, &map, s, d, 1, RunOptions::default()).0;
                 assert_eq!(central.decision, dist.decision, "{s} → {d}");
                 match (central.delivered, &dist.trail) {
                     (true, Some(trail)) => {
@@ -650,7 +535,7 @@ mod tests {
     #[test]
     fn arrival_time_is_hops_times_latency() {
         let (cfg, map) = fig1();
-        let run = run_unicast(&cfg, &map, n("1110"), n("0001"), 5);
+        let run = run_unicast(&cfg, &map, n("1110"), n("0001"), 5, RunOptions::default()).0;
         assert_eq!(run.arrival_time, Some(20), "4 hops × latency 5");
         assert_eq!(run.messages, 4);
     }
@@ -663,7 +548,7 @@ mod tests {
             FaultSet::from_binary_strs(cube, &["0110", "1010", "1100", "1111"]),
         );
         let map = SafetyMap::compute(&cfg);
-        let run = run_unicast(&cfg, &map, n("1110"), n("0000"), 1);
+        let run = run_unicast(&cfg, &map, n("1110"), n("0000"), 1, RunOptions::default()).0;
         assert_eq!(run.decision, Decision::Failure);
         assert_eq!(run.trail, None);
         assert_eq!(run.messages, 0, "abort is local — zero network cost");
@@ -672,7 +557,7 @@ mod tests {
     #[test]
     fn self_unicast_terminates_immediately() {
         let (cfg, map) = fig1();
-        let run = run_unicast(&cfg, &map, n("0000"), n("0000"), 1);
+        let run = run_unicast(&cfg, &map, n("0000"), n("0000"), 1, RunOptions::default()).0;
         assert_eq!(run.trail, Some(vec![n("0000")]));
         assert_eq!(run.messages, 0);
     }
@@ -684,16 +569,16 @@ mod tests {
         d: NodeId,
         channel: ChannelModel,
     ) -> LossyRun {
-        run_unicast_lossy(
-            cfg,
-            map,
-            s,
-            d,
-            1,
-            channel,
-            ReliableConfig::default(),
-            5_000_000,
-        )
+        let opts = lossy(channel, 5_000_000);
+        run_unicast_lossy(cfg, map, s, d, 1, ReliableConfig::default(), opts).0
+    }
+
+    fn lossy(channel: ChannelModel, max_events: u64) -> RunOptions {
+        RunOptions {
+            channel: Some(channel),
+            max_events,
+            ..RunOptions::default()
+        }
     }
 
     #[test]
@@ -771,16 +656,8 @@ mod tests {
             max_retries: 4,
             ..ReliableConfig::default()
         };
-        let run = run_unicast_lossy(
-            &cfg,
-            &stale,
-            n("0000"),
-            n("0011"),
-            1,
-            ChannelModel::new(2),
-            rcfg,
-            5_000_000,
-        );
+        let opts = lossy(ChannelModel::new(2), 5_000_000);
+        let (run, _) = run_unicast_lossy(&cfg, &stale, n("0000"), n("0011"), 1, rcfg, opts);
         assert_eq!(run.outcome, LossyOutcome::HolderFailed(n("0001")));
         assert_eq!(run.stats.retransmitted, 4, "bounded by max_retries");
     }
@@ -788,16 +665,9 @@ mod tests {
     #[test]
     fn event_budget_exhaustion_reports_timeout() {
         let (cfg, map) = fig1();
-        let run = run_unicast_lossy(
-            &cfg,
-            &map,
-            n("1110"),
-            n("0001"),
-            1,
-            ChannelModel::lossy(5, 0.3),
-            ReliableConfig::default(),
-            2, // absurdly small budget
-        );
+        let opts = lossy(ChannelModel::lossy(5, 0.3), 2); // absurdly small budget
+        let rcfg = ReliableConfig::default();
+        let (run, _) = run_unicast_lossy(&cfg, &map, n("1110"), n("0001"), 1, rcfg, opts);
         assert_eq!(run.outcome, LossyOutcome::TimedOut);
     }
 

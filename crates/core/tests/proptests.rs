@@ -7,7 +7,7 @@ use hypersafe_core::{
     broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, DynamicOutcome,
     ExtendedSafetyMap, FaultEvent, LossyOutcome, SafetyMap,
 };
-use hypersafe_simkit::{ChannelModel, ReliableConfig};
+use hypersafe_simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe_topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, LinkFaultSet,
     NodeId,
@@ -193,7 +193,7 @@ proptest! {
         let healthy: Vec<NodeId> = cfg.healthy_nodes().collect();
         for (k, &loss) in [0.01, 0.05, 0.2].iter().enumerate() {
             let ch = ChannelModel::lossy(seed ^ k as u64, loss).with_jitter(2);
-            let run = run_gs_reliable(&cfg, ch, ReliableConfig::default(), 1, 5_000_000);
+            let (run, _) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, lossy(ch));
             prop_assert!(run.quiescent, "GS budget exhausted at loss {}", loss);
             prop_assert_eq!(run.links_abandoned, 0);
             prop_assert_eq!(run.map.store(), central.store(), "loss {}", loss);
@@ -207,9 +207,8 @@ proptest! {
                 let ch = ChannelModel::lossy(seed ^ (k as u64) << 8 ^ i as u64, loss)
                     .with_jitter(2)
                     .with_duplication(0.05);
-                let run = run_unicast_lossy(
-                    &cfg, &central, s, d, 1, ch,
-                    ReliableConfig::default(), 5_000_000,
+                let (run, _) = run_unicast_lossy(
+                    &cfg, &central, s, d, 1, ReliableConfig::default(), lossy(ch),
                 );
                 prop_assert!(
                     matches!(run.outcome, LossyOutcome::Delivered { .. }),
@@ -222,6 +221,15 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A lossy channel with a 5M-event budget.
+fn lossy(channel: ChannelModel) -> RunOptions {
+    RunOptions {
+        channel: Some(channel),
+        max_events: 5_000_000,
+        ..RunOptions::default()
     }
 }
 

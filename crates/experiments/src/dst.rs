@@ -10,16 +10,13 @@
 //! reproducer before it is written out.
 
 use crate::table::{pct, Report};
-use hypersafe_core::invariants::{
-    check_gs_convergence, check_lossy_outcome, run_delta_gs_checked, run_gs_async_checked,
-    run_gs_async_checked_traced, run_unicast_lossy_checked, run_unicast_lossy_checked_traced,
-};
+use hypersafe_core::invariants::{check_gs_convergence, check_lossy_outcome};
 use hypersafe_core::{
-    run_gs_reliable_observed, run_unicast_lossy_observed, ChurnEvent, Decision, LossyOutcome,
-    SafetyMap,
+    run_delta_gs, run_gs_async, run_gs_reliable, run_unicast_lossy, ChurnEvent, Decision,
+    GsAsyncRun, LossyOutcome, LossyRun, SafetyMap,
 };
 use hypersafe_simkit::{
-    shrink_injections, AdversarialScheduler, Metrics, ReliableConfig, Scheduler, Time,
+    shrink_injections, AdversarialScheduler, Metrics, ReliableConfig, RunOptions, RunReport, Time,
 };
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep, STANDARD_PROFILES};
@@ -148,12 +145,18 @@ impl Scenario {
                 cfg2.node_faults_mut().remove(a);
             }
         }
-        let sched = Box::new(
-            AdversarialScheduler::permute(self.delta_seed).with_stretch(1 + self.delta_seed % 7),
-        );
-        match run_delta_gs_checked(&cfg2, &self.map, self.delta_event, 1, sched) {
-            Err(v) => Some(v.to_string()),
-            Ok(run) => {
+        let opts = RunOptions {
+            sched: Box::new(
+                AdversarialScheduler::permute(self.delta_seed)
+                    .with_stretch(1 + self.delta_seed % 7),
+            ),
+            check: true,
+            ..RunOptions::default()
+        };
+        let (run, report) = run_delta_gs(&cfg2, &self.map, self.delta_event, 1, opts);
+        match report.violation {
+            Some(v) => Some(v.to_string()),
+            None => {
                 let mut central = self.map.clone();
                 match self.delta_event {
                     ChurnEvent::Fault(a) => central.apply_fault(&cfg2, a),
@@ -169,17 +172,36 @@ impl Scenario {
         }
     }
 
-    /// Reorder/stretch adversary for the GS leg (the plain protocol
-    /// assumes reliable links, so no loss/duplication here).
-    fn gs_sched(&self) -> Box<dyn Scheduler> {
-        Box::new(AdversarialScheduler::permute(self.gs_seed).with_stretch(self.gs_stretch))
+    /// The GS leg, checked: async GS under a reorder/stretch adversary
+    /// (the plain protocol assumes reliable links, so no
+    /// loss/duplication here).
+    fn gs_run(&self, trace: bool) -> (GsAsyncRun, RunReport) {
+        let sched = AdversarialScheduler::permute(self.gs_seed).with_stretch(self.gs_stretch);
+        let opts = RunOptions {
+            sched: Box::new(sched),
+            trace,
+            check: true,
+            ..RunOptions::default()
+        };
+        run_gs_async(&self.cfg, 1, opts)
     }
 
-    /// Full adversary for the unicast leg: channel loss from the
-    /// workload profile plus seeded reorder/loss/duplication bursts —
-    /// the ARQ layer is expected to absorb all of it.
-    fn uni_sched(&self) -> Box<dyn Scheduler> {
-        Box::new(AdversarialScheduler::from_seed(self.uni_seed))
+    /// The unicast leg, checked, under the full adversary: channel loss
+    /// from the workload profile plus seeded reorder/loss/duplication
+    /// bursts — the ARQ layer is expected to absorb all of it — and
+    /// the kill plan `kills`.
+    fn uni_run(&self, budget: u64, kills: &[(NodeId, Time)], trace: bool) -> (LossyRun, RunReport) {
+        let opts = RunOptions {
+            sched: Box::new(AdversarialScheduler::from_seed(self.uni_seed)),
+            channel: self.channel(),
+            max_events: budget,
+            kills: kills.to_vec(),
+            trace,
+            check: true,
+            ..RunOptions::default()
+        };
+        let rcfg = ReliableConfig::default();
+        run_unicast_lossy(&self.cfg, &self.map, self.s, self.d, 1, rcfg, opts)
     }
 
     fn channel(&self) -> Option<hypersafe_simkit::ChannelModel> {
@@ -194,20 +216,10 @@ impl Scenario {
     /// The unicast leg as a pass/fail predicate over an arbitrary kill
     /// plan — exactly the shape [`shrink_injections`] minimizes.
     fn unicast_violation(&self, budget: u64, kills: &[(NodeId, Time)]) -> Option<String> {
-        match run_unicast_lossy_checked(
-            &self.cfg,
-            &self.map,
-            self.s,
-            self.d,
-            1,
-            self.channel(),
-            self.uni_sched(),
-            ReliableConfig::default(),
-            budget,
-            kills,
-        ) {
-            Err(v) => Some(v.to_string()),
-            Ok(run) => check_lossy_outcome(&self.cfg, self.s, self.d, &run, kills.len() as u64)
+        let (run, report) = self.uni_run(budget, kills, false);
+        match report.violation {
+            Some(v) => Some(v.to_string()),
+            None => check_lossy_outcome(&self.cfg, self.s, self.d, &run, kills.len() as u64)
                 .err()
                 .map(|v| format!("{v:?}")),
         }
@@ -234,32 +246,23 @@ impl SeedOutcome {
 
 fn run_seed(sweep: &Sweep, n: u8, m: usize, i: u32, budget: u64) -> SeedOutcome {
     let sc = Scenario::build(sweep, n, m, i);
-    let gs_violation = match run_gs_async_checked(&sc.cfg, 1, sc.gs_sched()) {
-        Err(v) => Some(v.to_string()),
-        Ok(run) => check_gs_convergence(&sc.cfg, &run)
+    let (gs_run, gs_report) = sc.gs_run(false);
+    let gs_violation = match gs_report.violation {
+        Some(v) => Some(v.to_string()),
+        None => check_gs_convergence(&sc.cfg, &gs_run)
             .err()
             .map(|v| format!("{v:?}")),
     };
     let delta_violation = sc.delta_violation();
     let mut delivered = false;
     let mut refused = false;
-    let uni_violation = match run_unicast_lossy_checked(
-        &sc.cfg,
-        &sc.map,
-        sc.s,
-        sc.d,
-        1,
-        sc.channel(),
-        sc.uni_sched(),
-        ReliableConfig::default(),
-        budget,
-        &sc.kills,
-    ) {
-        Err(v) => Some(v.to_string()),
-        Ok(run) => {
-            delivered = matches!(run.outcome, LossyOutcome::Delivered { .. });
-            refused = matches!(run.decision, Decision::Failure);
-            check_lossy_outcome(&sc.cfg, sc.s, sc.d, &run, sc.kills.len() as u64)
+    let (uni_run, uni_report) = sc.uni_run(budget, &sc.kills, false);
+    let uni_violation = match uni_report.violation {
+        Some(v) => Some(v.to_string()),
+        None => {
+            delivered = matches!(uni_run.outcome, LossyOutcome::Delivered { .. });
+            refused = matches!(uni_run.decision, Decision::Failure);
+            check_lossy_outcome(&sc.cfg, sc.s, sc.d, &uni_run, sc.kills.len() as u64)
                 .err()
                 .map(|v| format!("{v:?}"))
         }
@@ -292,7 +295,7 @@ fn artifact(p: &DstParams, sweep: &Sweep, n: u8, m: usize, i: u32, out: &SeedOut
     ));
     if let Some(v) = &out.gs_violation {
         art.push_str(&format!("gs violation: {v}\n"));
-        let (_, trace) = run_gs_async_checked_traced(&sc.cfg, 1, sc.gs_sched(), true);
+        let trace = sc.gs_run(true).1.trace.expect("traced");
         art.push_str("-- gs replay trace --\n");
         art.push_str(&trace.render());
     }
@@ -311,19 +314,11 @@ fn artifact(p: &DstParams, sweep: &Sweep, n: u8, m: usize, i: u32, out: &SeedOut
             "kill plan: {:?} shrunk to {:?}\n",
             sc.kills, shrunk
         ));
-        let (_, trace) = run_unicast_lossy_checked_traced(
-            &sc.cfg,
-            &sc.map,
-            sc.s,
-            sc.d,
-            1,
-            sc.channel(),
-            sc.uni_sched(),
-            ReliableConfig::default(),
-            p.event_budget,
-            &shrunk,
-            true,
-        );
+        let trace = sc
+            .uni_run(p.event_budget, &shrunk, true)
+            .1
+            .trace
+            .expect("traced");
         art.push_str("-- unicast replay trace --\n");
         art.push_str(&trace.render());
     }
@@ -373,26 +368,19 @@ pub fn run(p: &DstParams) -> DstRun {
             // every dimension × density of the sweep for dst_obs.json.
             let sc = Scenario::build(&sweep, n, m, 0);
             let prof = &STANDARD_PROFILES[sc.profile];
-            let (_, gsm) = run_gs_reliable_observed(
-                &sc.cfg,
-                prof.channel(sc.gs_seed),
-                ReliableConfig::default(),
-                1,
-                p.event_budget,
-            );
-            obs.merge(&gsm);
+            let observed = |seed| RunOptions {
+                channel: Some(prof.channel(seed)),
+                max_events: p.event_budget,
+                observe: true,
+                ..RunOptions::default()
+            };
+            let rcfg = ReliableConfig::default();
+            let (_, gs) = run_gs_reliable(&sc.cfg, rcfg, 1, observed(sc.gs_seed));
+            obs.merge(&gs.metrics.expect("observed"));
             if sc.s != sc.d {
-                let (_, um) = run_unicast_lossy_observed(
-                    &sc.cfg,
-                    &sc.map,
-                    sc.s,
-                    sc.d,
-                    1,
-                    prof.channel(sc.uni_seed),
-                    ReliableConfig::default(),
-                    p.event_budget,
-                );
-                obs.merge(&um);
+                let (_, uni) =
+                    run_unicast_lossy(&sc.cfg, &sc.map, sc.s, sc.d, 1, rcfg, observed(sc.uni_seed));
+                obs.merge(&uni.metrics.expect("observed"));
             }
             let gs_viol = outcomes.iter().filter(|o| o.gs_violation.is_some()).count();
             let delta_viol = outcomes

@@ -7,11 +7,8 @@
 //! feasible unicasts still deliver.
 
 use crate::table::{f2, pct, Report};
-use hypersafe_core::{
-    route, run_gs_reliable, run_gs_reliable_observed, run_unicast_lossy_observed, LossyOutcome,
-    SafetyMap,
-};
-use hypersafe_simkit::{Metrics, ReliableConfig};
+use hypersafe_core::{route, run_gs_reliable, run_unicast_lossy, LossyOutcome, SafetyMap};
+use hypersafe_simkit::{ChannelModel, Metrics, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, Hypercube};
 use hypersafe_workloads::{
     mean, random_pair, uniform_faults, LossProfile, Sweep, STANDARD_PROFILES,
@@ -77,11 +74,17 @@ fn run_point(p: &LossParams, prof: &LossProfile, m: usize, point: u64) -> Vec<Tr
         let central = SafetyMap::compute(&cfg);
         let chseed: u64 = rng.gen();
 
-        // The observed runner: same execution (metrics hooks are
-        // passive), plus the per-node/per-dimension registry that the
+        // Observed runs: same execution (metrics hooks are passive),
+        // plus the per-node/per-dimension registry that the
         // `loss_obs.json` snapshot aggregates.
-        let (run, mut obs) =
-            run_gs_reliable_observed(&cfg, prof.channel(chseed), rcfg, 1, p.event_budget);
+        let opts = |channel: ChannelModel, observe| RunOptions {
+            channel: Some(channel),
+            max_events: p.event_budget,
+            observe,
+            ..RunOptions::default()
+        };
+        let (run, report) = run_gs_reliable(&cfg, rcfg, 1, opts(prof.channel(chseed), true));
+        let mut obs = report.metrics.expect("observed");
         // The engine's corrected send counter: every injection attempt,
         // counted once, regardless of its fate. (An earlier accounting
         // reconstructed this from delivered + lost + dropped, which
@@ -97,7 +100,7 @@ fn run_point(p: &LossParams, prof: &LossProfile, m: usize, point: u64) -> Vec<Tr
             jitter: 0,
             duplicate: 0.0,
         };
-        let base = run_gs_reliable(&cfg, clean.channel(chseed), rcfg, 1, p.event_budget);
+        let (base, _) = run_gs_reliable(&cfg, rcfg, 1, opts(clean.channel(chseed), false));
         let base_sent = base.stats.sends as f64;
         // GS is state-change-driven: fault placements that lower no
         // level exchange no messages at all, so both counts are 0 and
@@ -124,17 +127,9 @@ fn run_point(p: &LossParams, prof: &LossProfile, m: usize, point: u64) -> Vec<Tr
                 continue;
             }
             t.feasible += 1;
-            let (urun, uobs) = run_unicast_lossy_observed(
-                &cfg,
-                &central,
-                s,
-                d,
-                1,
-                prof.channel(rng.gen()),
-                rcfg,
-                p.event_budget,
-            );
-            obs.merge(&uobs);
+            let observed = opts(prof.channel(rng.gen()), true);
+            let (urun, report) = run_unicast_lossy(&cfg, &central, s, d, 1, rcfg, observed);
+            obs.merge(&report.metrics.expect("observed"));
             if let LossyOutcome::Delivered { retransmits, .. } = urun.outcome {
                 t.delivered += 1;
                 t.retransmits += retransmits;

@@ -25,10 +25,8 @@
 //! is fully deterministic — no `--seed` knob.
 
 use crate::table::Report;
-use hypersafe_core::{
-    mc_delta_gs, mc_gs, mc_unicast_arq, run_gs_reliable_observed, ChurnEvent, SafetyMap,
-};
-use hypersafe_simkit::{McConfig, McReport, Metrics, ReliableConfig};
+use hypersafe_core::{mc_delta_gs, mc_gs, mc_unicast_arq, run_gs_reliable, ChurnEvent, SafetyMap};
+use hypersafe_simkit::{McConfig, McReport, Metrics, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 use hypersafe_workloads::STANDARD_PROFILES;
 use std::path::PathBuf;
@@ -343,14 +341,14 @@ pub fn run(p: &McParams) -> McExpRun {
     let obs_dims: &[u8] = if p.quick { &[3] } else { &[3, 4] };
     for &n in obs_dims {
         let cfg = cube_cfg(n, &[0, 3]);
-        let (_, m) = run_gs_reliable_observed(
-            &cfg,
-            STANDARD_PROFILES[0].channel(0xE28),
-            ReliableConfig::default(),
-            1,
-            500_000,
-        );
-        obs.merge(&m);
+        let opts = RunOptions {
+            channel: Some(STANDARD_PROFILES[0].channel(0xE28)),
+            max_events: 500_000,
+            observe: true,
+            ..RunOptions::default()
+        };
+        let (_, report) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, opts);
+        obs.merge(&report.metrics.expect("observed"));
     }
     let snap = obs.snapshot();
     let json_path = p.out_dir.join("mc_obs.json");

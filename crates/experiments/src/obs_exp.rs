@@ -10,10 +10,10 @@
 //! events of a run instead of an unbounded trace.
 
 use crate::table::{f2, Report};
-use hypersafe_core::{route, run_gs_reliable_observed, run_unicast_lossy_observed, SafetyMap};
+use hypersafe_core::{route, run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe_simkit::{
     Actor, Ctx, EventEngine, FlightRecorder, HypercubeNet, Metrics, MetricsSnapshot, Network,
-    Quantiles, ReliableConfig, Severity,
+    Quantiles, ReliableConfig, RunOptions, Severity,
 };
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep, STANDARD_PROFILES};
@@ -148,24 +148,22 @@ pub fn run(p: &ObsParams) -> ObsRun {
     let per_trial: Vec<Metrics> = sweep.run(|_, rng| {
         let cfg = FaultConfig::with_node_faults(cube, uniform_faults(cube, p.faults, rng));
         let central = SafetyMap::compute(&cfg);
-        let (_, mut m) =
-            run_gs_reliable_observed(&cfg, prof.channel(rng.gen()), rcfg, 1, p.event_budget);
+        let observed = |channel| RunOptions {
+            channel: Some(channel),
+            max_events: p.event_budget,
+            observe: true,
+            ..RunOptions::default()
+        };
+        let (_, report) = run_gs_reliable(&cfg, rcfg, 1, observed(prof.channel(rng.gen())));
+        let mut m = report.metrics.expect("observed");
         for _ in 0..p.pairs_per_instance {
             let (s, d) = random_pair(&cfg, rng);
             if s == d || !route(&cfg, &central, s, d).delivered {
                 continue;
             }
-            let (_, um) = run_unicast_lossy_observed(
-                &cfg,
-                &central,
-                s,
-                d,
-                1,
-                prof.channel(rng.gen()),
-                rcfg,
-                p.event_budget,
-            );
-            m.merge(&um);
+            let opts = observed(prof.channel(rng.gen()));
+            let (_, report) = run_unicast_lossy(&cfg, &central, s, d, 1, rcfg, opts);
+            m.merge(&report.metrics.expect("observed"));
         }
         m
     });

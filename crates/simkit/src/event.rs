@@ -25,7 +25,7 @@ use crate::network::Network;
 use crate::obs::Metrics;
 use crate::sim::{FifoScheduler, Invariant, InvariantViolation, Scheduler};
 use crate::stats::EventStats;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{Trace, TraceEvent, TraceSink};
 use hypersafe_topology::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -254,54 +254,77 @@ pub struct EventEngine<'a, N: Network, A: Actor> {
     metrics: Option<Metrics>,
 }
 
+/// How to drive one event-driven protocol run: every setting a
+/// protocol runner takes besides the protocol's own parameters.
+/// `RunOptions::default()` is the paper's model: perfect links, FIFO
+/// order, no event budget, nothing recorded or checked.
+pub struct RunOptions {
+    /// Same-tick ordering and adversarial perturbation ([`FifoScheduler`]
+    /// by default).
+    pub sched: Box<dyn Scheduler>,
+    /// Loss, jitter and duplication on every usable link; `None` keeps
+    /// links perfect.
+    pub channel: Option<ChannelModel>,
+    /// Event budget (`u64::MAX`: run until the queue drains).
+    pub max_events: u64,
+    /// `(node, delay)` fault-stops ([`EventEngine::inject_kill`]),
+    /// injected after the protocol's start event.
+    pub kills: Vec<(NodeId, Time)>,
+    /// Install a metrics registry before `on_start`, so the start-up
+    /// sends are attributed too; returned in [`RunReport::metrics`].
+    pub observe: bool,
+    /// Record every delivery into a [`Trace`], returned in
+    /// [`RunReport::trace`] even when the run stops on a violation.
+    pub trace: bool,
+    /// Check the protocol's engine invariant at every quiescent point
+    /// ([`EventEngine::run_checked`]); the first failure stops the run.
+    pub check: bool,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            sched: Box::new(FifoScheduler),
+            channel: None,
+            max_events: u64::MAX,
+            kills: Vec::new(),
+            observe: false,
+            trace: false,
+            check: false,
+        }
+    }
+}
+
+/// What [`EventEngine::drive`] reports besides the engine itself.
+#[derive(Debug)]
+pub struct RunReport {
+    /// Events processed.
+    pub processed: u64,
+    /// Whether the event queue was empty when the run stopped: the
+    /// protocol went quiescent within the budget.
+    pub drained: bool,
+    /// The first invariant failure (only when [`RunOptions::check`]).
+    pub violation: Option<InvariantViolation>,
+    /// Every delivery (only when [`RunOptions::trace`]).
+    pub trace: Option<Trace>,
+    /// The registry, channel decisions included (only when
+    /// [`RunOptions::observe`]).
+    pub metrics: Option<Metrics>,
+}
+
 impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     /// Builds the engine with one actor per nonfaulty node and runs
-    /// every actor's `on_start`. Links are perfect (the paper's model);
-    /// use [`EventEngine::with_channel`] for lossy links.
+    /// every actor's `on_start`, over perfect links in FIFO order.
     pub fn new(net: &'a N, init: impl FnMut(NodeId) -> A) -> Self {
-        Self::with_parts(net, None, Box::new(FifoScheduler), init)
+        Self::with_options(net, RunOptions::default(), init)
     }
 
-    /// Like [`EventEngine::new`], but every send across a usable link
-    /// passes through `channel` (loss / jitter / duplication).
-    pub fn with_channel(net: &'a N, channel: ChannelModel, init: impl FnMut(NodeId) -> A) -> Self {
-        Self::with_parts(net, Some(channel), Box::new(FifoScheduler), init)
-    }
-
-    /// The fully general constructor: optional lossy channel plus an
-    /// explicit [`Scheduler`]. The scheduler must be installed at
-    /// construction time because `on_start` — which already enqueues
-    /// events — runs here.
-    pub fn with_parts(
-        net: &'a N,
-        channel: Option<ChannelModel>,
-        sched: Box<dyn Scheduler>,
-        init: impl FnMut(NodeId) -> A,
-    ) -> Self {
-        Self::build(net, channel, sched, false, init)
-    }
-
-    /// Like [`EventEngine::with_parts`], but with a metrics registry
-    /// ([`crate::obs::Metrics`]) installed *before* the actors'
-    /// `on_start` runs — the only way `on_start` sends are attributed.
-    /// ([`EventEngine::enable_metrics`] after construction misses
-    /// them, since `on_start` already ran.)
-    pub fn with_parts_observed(
-        net: &'a N,
-        channel: Option<ChannelModel>,
-        sched: Box<dyn Scheduler>,
-        init: impl FnMut(NodeId) -> A,
-    ) -> Self {
-        Self::build(net, channel, sched, true, init)
-    }
-
-    fn build(
-        net: &'a N,
-        channel: Option<ChannelModel>,
-        sched: Box<dyn Scheduler>,
-        observe: bool,
-        mut init: impl FnMut(NodeId) -> A,
-    ) -> Self {
+    /// Like [`EventEngine::new`], but with `opts.sched`, `opts.channel`
+    /// and (when `opts.observe`) a metrics registry installed before
+    /// the actors' `on_start` runs, so they order, shape and count the
+    /// start-up sends too. The other fields describe a run, not an
+    /// engine: [`EventEngine::drive`] applies them.
+    pub fn with_options(net: &'a N, opts: RunOptions, mut init: impl FnMut(NodeId) -> A) -> Self {
         let actors: Vec<Option<A>> = (0..net.num_nodes())
             .map(|a| (!net.node_faulty(a)).then(|| init(NodeId::new(a))))
             .collect();
@@ -314,15 +337,17 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             seq: 0,
             now: 0,
             stats: EventStats::default(),
-            channel,
-            sched,
+            channel: opts.channel,
+            sched: opts.sched,
             halted: false,
             trace: None,
-            metrics: None,
+            // Sized for the network: engine, channel and ARQ layers
+            // report per-node / per-dimension counters into it.
+            metrics: opts.observe.then(|| {
+                let max_degree = (0..net.num_nodes()).map(|a| net.degree(a)).max();
+                Metrics::new(net.num_nodes() as usize, max_degree.unwrap_or(0))
+            }),
         };
-        if observe {
-            eng.enable_metrics();
-        }
         for a in 0..eng.net.num_nodes() {
             if eng.actors[a as usize].is_some() {
                 let id = NodeId::new(a);
@@ -337,6 +362,48 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
         eng
     }
 
+    /// Runs one protocol under `opts`, in this order: build the engine
+    /// ([`EventEngine::with_options`]), let `start` inject the
+    /// protocol's start event, install the trace, inject `opts.kills`,
+    /// then process up to `opts.max_events` events, checking
+    /// `invariant` at every quiescent point when `opts.check` is set.
+    /// Returns the engine in its final state and the [`RunReport`].
+    pub fn drive(
+        net: &'a N,
+        mut opts: RunOptions,
+        init: impl FnMut(NodeId) -> A,
+        start: impl FnOnce(&mut Self),
+        invariant: Option<&mut dyn Invariant<N, A>>,
+    ) -> (Self, RunReport) {
+        let (max_events, trace, check) = (opts.max_events, opts.trace, opts.check);
+        let kills = std::mem::take(&mut opts.kills);
+        let mut eng = Self::with_options(net, opts, init);
+        start(&mut eng);
+        if trace {
+            eng.set_trace(Box::new(Trace::enabled()));
+        }
+        for (node, delay) in kills {
+            eng.inject_kill(node, delay);
+        }
+        let (processed, violation) = if check {
+            let mut invariants: Vec<&mut dyn Invariant<N, A>> = invariant.into_iter().collect();
+            match eng.run_checked(max_events, &mut invariants) {
+                Ok(n) => (n, None),
+                Err(v) => (v.events_processed, Some(v)),
+            }
+        } else {
+            (eng.run(max_events), None)
+        };
+        let report = RunReport {
+            processed,
+            drained: eng.queue.is_empty(),
+            violation,
+            trace: eng.take_trace().and_then(|t| t.into_trace()),
+            metrics: eng.take_metrics(),
+        };
+        (eng, report)
+    }
+
     /// Records every delivered message as a [`TraceEvent::Hop`] into
     /// `sink` (dimension = sender's port, word = engine sequence
     /// number). Reclaim the sink with [`EventEngine::take_trace`].
@@ -349,34 +416,9 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
         self.trace.take()
     }
 
-    /// Installs a metrics registry sized for this engine's network:
-    /// engine, channel, and ARQ layers report per-node/per-dimension
-    /// counters and latency observations into it from now on. Without
-    /// this call every hook is a no-op branch (see [`crate::obs`]).
-    /// Note `on_start` already ran at construction — use
-    /// [`EventEngine::with_parts_observed`] to attribute its sends too.
-    pub fn enable_metrics(&mut self) {
-        let max_degree = (0..self.net.num_nodes())
-            .map(|a| self.net.degree(a))
-            .max()
-            .unwrap_or(0);
-        self.metrics = Some(Metrics::new(self.net.num_nodes() as usize, max_degree));
-    }
-
-    /// Installs a caller-built registry (e.g. one carried across
-    /// engine restarts to aggregate a multi-run sweep).
-    pub fn set_metrics(&mut self, m: Metrics) {
-        self.metrics = Some(m);
-    }
-
-    /// Read access to the installed registry, if any.
-    pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
-
     /// Detaches the metrics registry, folding in the channel's
     /// decision counter so the snapshot reports channel traffic.
-    pub fn take_metrics(&mut self) -> Option<Metrics> {
+    fn take_metrics(&mut self) -> Option<Metrics> {
         let mut m = self.metrics.take()?;
         if let Some(ch) = &self.channel {
             m.channel_decisions += ch.decisions();
@@ -960,12 +1002,12 @@ mod tests {
         let cfg = FaultConfig::fault_free(cube);
         let net = HypercubeNet::new(&cfg);
         for seed in 0..8 {
-            let mut eng = EventEngine::with_parts(
-                &net,
-                None,
-                Box::new(AdversarialScheduler::permute(seed)),
-                |a| Flood::new(&net, a, NodeId::ZERO),
-            );
+            let opts = RunOptions {
+                sched: Box::new(AdversarialScheduler::permute(seed)),
+                ..RunOptions::default()
+            };
+            let mut eng =
+                EventEngine::with_options(&net, opts, |a| Flood::new(&net, a, NodeId::ZERO));
             eng.run(u64::MAX);
             for a in cube.nodes() {
                 let seen = eng.actor(a).unwrap().seen_at;
@@ -983,12 +1025,12 @@ mod tests {
         let cfg = FaultConfig::fault_free(cube);
         let net = HypercubeNet::new(&cfg);
         let run = |seed| {
-            let mut eng = EventEngine::with_parts(
-                &net,
-                None,
-                Box::new(AdversarialScheduler::from_seed(seed)),
-                |a| Flood::new(&net, a, NodeId::ZERO),
-            );
+            let opts = RunOptions {
+                sched: Box::new(AdversarialScheduler::from_seed(seed)),
+                ..RunOptions::default()
+            };
+            let mut eng =
+                EventEngine::with_options(&net, opts, |a| Flood::new(&net, a, NodeId::ZERO));
             eng.set_trace(Box::new(Trace::enabled()));
             eng.run(u64::MAX);
             let trace = eng.take_trace().unwrap().into_trace().unwrap().render();
@@ -1094,8 +1136,11 @@ mod tests {
             .with_loss(0.2)
             .with_jitter(3)
             .with_duplication(0.1);
-        let mut eng =
-            EventEngine::with_channel(&net, channel, |a| Flood::new(&net, a, NodeId::ZERO));
+        let opts = RunOptions {
+            channel: Some(channel),
+            ..RunOptions::default()
+        };
+        let mut eng = EventEngine::with_options(&net, opts, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.inject_kill(NodeId::new(0b101), 1);
         eng.run(u64::MAX);
         let s = eng.stats();
@@ -1117,20 +1162,17 @@ mod tests {
             .with_jitter(2)
             .with_duplication(0.05);
         let run = |observe: bool| {
-            let build = if observe {
-                EventEngine::with_parts_observed
-            } else {
-                EventEngine::with_parts
+            let opts = RunOptions {
+                channel: Some(channel.clone()),
+                kills: vec![(NodeId::new(0b0110), 2)],
+                observe,
+                trace: true,
+                ..RunOptions::default()
             };
-            let mut eng = build(&net, Some(channel.clone()), Box::new(FifoScheduler), |a| {
-                Flood::new(&net, a, NodeId::ZERO)
-            });
-            eng.set_trace(Box::new(Trace::enabled()));
-            eng.inject_kill(NodeId::new(0b0110), 2);
-            eng.run(u64::MAX);
-            let trace = eng.take_trace().unwrap().into_trace().unwrap().render();
-            let metrics = eng.take_metrics();
-            (trace, eng.stats().clone(), metrics)
+            let init = |a| Flood::new(&net, a, NodeId::ZERO);
+            let (eng, report) = EventEngine::drive(&net, opts, init, |_| {}, None);
+            let trace = report.trace.expect("traced").render();
+            (trace, eng.stats().clone(), report.metrics)
         };
         let (trace_off, stats_off, none) = run(false);
         let (trace_on, stats_on, metrics) = run(true);

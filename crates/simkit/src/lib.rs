@@ -54,7 +54,7 @@ pub mod stats;
 pub mod trace;
 
 pub use channel::{ChannelModel, LinkFate};
-pub use event::{Actor, Ctx, EventEngine, Time, TimerTag};
+pub use event::{Actor, Ctx, EventEngine, RunOptions, RunReport, Time, TimerTag};
 pub use mc::{
     engine_projection, explore, parse_artifact_path, projection_hash, render_artifact, replay,
     McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, McViolation, StateHash,

@@ -219,8 +219,9 @@ pub struct DimStat {
 }
 
 /// The metrics registry: installed into an
-/// [`crate::event::EventEngine`] via `set_metrics`, filled by the
-/// engine / channel / ARQ hooks, read back via `take_metrics` and
+/// [`crate::event::EventEngine`] by [`crate::event::RunOptions::observe`],
+/// filled by the engine / channel / ARQ hooks, handed back in
+/// [`crate::event::RunReport::metrics`] and read via
 /// [`Metrics::snapshot`]. Protocol runners additionally record
 /// end-to-end observations ([`Metrics::record_hops`],
 /// [`Metrics::record_rounds`]).
@@ -246,8 +247,8 @@ pub struct Metrics {
 
 impl Metrics {
     /// A registry sized for `num_nodes` nodes of maximum degree
-    /// `max_degree`. (The engine's `enable_metrics` sizes this from
-    /// its network.)
+    /// `max_degree`. (An observed engine sizes this from its
+    /// network.)
     pub fn new(num_nodes: usize, max_degree: usize) -> Self {
         Metrics {
             nodes: vec![NodeStat::default(); num_nodes],

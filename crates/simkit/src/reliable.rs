@@ -563,10 +563,11 @@ mod tests {
                 ReliableConfig::default(),
             )
         };
-        let mut eng = match channel {
-            Some(ch) => EventEngine::with_channel(&net, ch, init),
-            None => EventEngine::new(&net, init),
+        let opts = crate::event::RunOptions {
+            channel,
+            ..Default::default()
         };
+        let mut eng = EventEngine::with_options(&net, opts, init);
         eng.run(1_000_000);
         let stats = eng.stats().clone();
         (eng.actor(NodeId::new(1)).unwrap().inner.log.clone(), stats)

@@ -28,7 +28,7 @@ use std::fmt;
 
 /// Decides same-tick delivery order and per-message adversarial
 /// perturbation. Installed into an engine via
-/// [`crate::event::EventEngine::with_parts`]; the engine consults it
+/// [`crate::event::RunOptions::sched`]; the engine consults it
 /// for every enqueued event (messages *and* timers) and every send
 /// across a usable link.
 pub trait Scheduler {

@@ -10,6 +10,7 @@
 use hypersafe::safety::broadcast_distributed::run_broadcast;
 use hypersafe::safety::unicast_distributed::run_unicast;
 use hypersafe::safety::{detect, run_gs, DetectorParams, SafetyMap};
+use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe::workloads::{random_pair, uniform_faults, Sweep};
 
@@ -54,7 +55,7 @@ fn main() {
     let mut msgs = 0;
     for _ in 0..50 {
         let (s, d) = random_pair(&cfg, &mut rng);
-        let run = run_unicast(&cfg, &map, s, d, 1);
+        let (run, _) = run_unicast(&cfg, &map, s, d, 1, RunOptions::default());
         delivered += run.trail.is_some() as u32;
         msgs += run.messages;
     }

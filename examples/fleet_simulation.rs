@@ -8,6 +8,7 @@
 
 use hypersafe::safety::unicast_distributed::run_unicast;
 use hypersafe::safety::{replay, run_gs, SafetyMap, Strategy};
+use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{FaultConfig, Hypercube};
 use hypersafe::workloads::{random_pair, uniform_faults, Sweep};
 use hypersafe_experiments::maintenance_exp::{random_timeline, MaintenanceParams};
@@ -37,7 +38,7 @@ fn main() {
     let mut messages = 0u64;
     for _ in 0..200 {
         let (s, d) = random_pair(&cfg, &mut rng);
-        let run = run_unicast(&cfg, &map, s, d, 1);
+        let (run, _) = run_unicast(&cfg, &map, s, d, 1, RunOptions::default());
         if let Some(trail) = &run.trail {
             delivered += 1;
             total_hops += (trail.len() - 1) as u64;

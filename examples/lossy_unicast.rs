@@ -9,7 +9,7 @@
 //! ```
 
 use hypersafe::safety::{route, run_gs_reliable, run_unicast_lossy, LossyOutcome, SafetyMap};
-use hypersafe::simkit::{ChannelModel, ReliableConfig};
+use hypersafe::simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 
 fn main() {
@@ -23,17 +23,16 @@ fn main() {
     let channel = ChannelModel::lossy(42, 0.05)
         .with_jitter(2)
         .with_duplication(0.01);
+    let lossy = |channel| RunOptions {
+        channel: Some(channel),
+        max_events: 1_000_000,
+        ..RunOptions::default()
+    };
 
     // 1. Distributed GS over the lossy channel: the ACK/retransmit
     //    layer makes it converge to the same fixed point the
     //    centralized evaluator computes.
-    let gs = run_gs_reliable(
-        &cfg,
-        channel.clone(),
-        ReliableConfig::default(),
-        1,
-        1_000_000,
-    );
+    let (gs, _) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, lossy(channel.clone()));
     assert!(gs.quiescent);
     assert_eq!(gs.map.store(), SafetyMap::compute(&cfg).store());
     println!(
@@ -46,16 +45,8 @@ fn main() {
     //    over the same lossy channel.
     let s = NodeId::from_binary("1110").unwrap();
     let d = NodeId::from_binary("0001").unwrap();
-    let run = run_unicast_lossy(
-        &cfg,
-        &gs.map,
-        s,
-        d,
-        1,
-        channel,
-        ReliableConfig::default(),
-        1_000_000,
-    );
+    let rcfg = ReliableConfig::default();
+    let (run, _) = run_unicast_lossy(&cfg, &gs.map, s, d, 1, rcfg, lossy(channel));
     match run.outcome {
         LossyOutcome::Delivered { retransmits, delay } => {
             let trail = run.trail.expect("delivered runs record the trail");

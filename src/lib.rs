@@ -25,6 +25,11 @@
 //! assert!(matches!(res.decision, Decision::Optimal { .. }));
 //! ```
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// Baseline routing schemes ([2], [3], [4], [5], [7], [8], [10]).
 pub use hypersafe_baselines as baselines;
 /// The paper's contribution: safety levels and unicasting.

@@ -5,6 +5,7 @@
 //! distributed delta-GS actor run must land on the same map.
 
 use hypersafe::safety::{run_delta_gs, ChurnEvent, SafetyMap};
+use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
 use proptest::prelude::*;
 
@@ -76,7 +77,7 @@ proptest! {
                     map.apply_recover(&cfg, a);
                 }
             }
-            let run = run_delta_gs(&cfg, &prev, ev, 1);
+            let (run, _) = run_delta_gs(&cfg, &prev, ev, 1, RunOptions::default());
             prop_assert_eq!(run.map.store(), map.store());
             prop_assert!(run.monotone, "delta-GS levels moved against the event's direction");
         }

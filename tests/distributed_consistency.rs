@@ -4,6 +4,7 @@
 
 use hypersafe::safety::unicast_distributed::run_unicast;
 use hypersafe::safety::{route, run_gs, run_gs_async, SafetyMap};
+use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{FaultConfig, Hypercube};
 use hypersafe::workloads::{random_pair, uniform_faults, Sweep};
 
@@ -17,7 +18,8 @@ fn gs_three_ways_on_random_6_cubes() {
             let cfg = FaultConfig::with_node_faults(cube, uniform_faults(cube, m, rng));
             let central = SafetyMap::compute(&cfg);
             let sync = run_gs(&cfg);
-            let (async_map, _) = run_gs_async(&cfg, 1 + (i as u64 % 5));
+            let (run, _) = run_gs_async(&cfg, 1 + (i as u64 % 5), RunOptions::default());
+            let async_map = run.map;
             (central.store() != sync.map.store() || central.store() != async_map.store()) as u32
         })
         .iter()
@@ -38,7 +40,7 @@ fn distributed_unicast_matches_centralized_on_random_instances() {
             for _ in 0..10 {
                 let (s, d) = random_pair(&cfg, rng);
                 let central = route(&cfg, &map, s, d);
-                let dist = run_unicast(&cfg, &map, s, d, 1);
+                let (dist, _) = run_unicast(&cfg, &map, s, d, 1, RunOptions::default());
                 match (central.delivered, &dist.trail) {
                     (true, Some(trail)) => {
                         if central.path.as_ref().unwrap().nodes() != trail.as_slice() {
@@ -69,7 +71,7 @@ fn message_cost_scales_with_hops_only() {
             let mut bad = 0u32;
             for _ in 0..10 {
                 let (s, d) = random_pair(&cfg, rng);
-                let run = run_unicast(&cfg, &map, s, d, 1);
+                let (run, _) = run_unicast(&cfg, &map, s, d, 1, RunOptions::default());
                 if let Some(trail) = &run.trail {
                     if run.messages != (trail.len() - 1) as u64 {
                         bad += 1;

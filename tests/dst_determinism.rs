@@ -17,11 +17,8 @@
 //! GOLDEN_REGEN=1 cargo test --test dst_determinism
 //! ```
 
-use hypersafe::safety::invariants::{
-    run_gs_async_checked_traced, run_unicast_lossy_checked_traced,
-};
-use hypersafe::safety::SafetyMap;
-use hypersafe::simkit::{AdversarialScheduler, ReliableConfig, Scheduler};
+use hypersafe::safety::{run_gs_async, run_unicast_lossy, SafetyMap};
+use hypersafe::simkit::{AdversarialScheduler, ReliableConfig, RunOptions, Scheduler};
 use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 use proptest::prelude::*;
 
@@ -35,6 +32,17 @@ fn fig1() -> (FaultConfig, SafetyMap) {
     (cfg, map)
 }
 
+/// A checked, traced run under `sched` with an event budget.
+fn checked_traced(sched: Box<dyn Scheduler>, max_events: u64) -> RunOptions {
+    RunOptions {
+        sched,
+        max_events,
+        trace: true,
+        check: true,
+        ..RunOptions::default()
+    }
+}
+
 /// Renders the observable outcome of one adversarial GS + unicast pair
 /// as text: the per-delivery hop trace plus the converged levels and
 /// the unicast outcome line.
@@ -44,32 +52,21 @@ fn scenario_text(seed: u64) -> String {
 
     let sched: Box<dyn Scheduler> =
         Box::new(AdversarialScheduler::permute(seed).with_stretch(1 + seed % 7));
-    let (res, trace) = run_gs_async_checked_traced(&cfg, 1, sched, true);
-    let run = res.expect("gs invariants hold");
+    let (run, report) = run_gs_async(&cfg, 1, checked_traced(sched, u64::MAX));
+    assert!(report.violation.is_none(), "gs invariants hold");
     out.push_str(&format!("gs seed={seed:#x}\n"));
-    out.push_str(&trace.render());
+    out.push_str(&report.trace.expect("traced").render());
     for a in cfg.cube().nodes() {
         out.push_str(&format!("level {a} = {}\n", run.map.level(a)));
     }
 
     let s = NodeId::from_binary("1110").unwrap();
     let d = NodeId::from_binary("0001").unwrap();
-    let (res, trace) = run_unicast_lossy_checked_traced(
-        &cfg,
-        &map,
-        s,
-        d,
-        1,
-        None,
-        Box::new(AdversarialScheduler::from_seed(seed)),
-        ReliableConfig::default(),
-        1_000_000,
-        &[],
-        true,
-    );
-    let run = res.expect("unicast invariants hold");
+    let opts = checked_traced(Box::new(AdversarialScheduler::from_seed(seed)), 1_000_000);
+    let (run, report) = run_unicast_lossy(&cfg, &map, s, d, 1, ReliableConfig::default(), opts);
+    assert!(report.violation.is_none(), "unicast invariants hold");
     out.push_str(&format!("unicast seed={seed:#x}\n"));
-    out.push_str(&trace.render());
+    out.push_str(&report.trace.expect("traced").render());
     out.push_str(&format!(
         "outcome {:?} trail {:?}\n",
         run.outcome,

@@ -4,14 +4,12 @@
 //! a deliberately broken actor whose violation delta-debugs down to a
 //! single injected event and replays byte-identically from its seed.
 
-use hypersafe::safety::invariants::{
-    check_gs_convergence, check_lossy_outcome, run_gs_async_checked, run_unicast_lossy_checked,
-};
-use hypersafe::safety::SafetyMap;
+use hypersafe::safety::invariants::{check_gs_convergence, check_lossy_outcome};
+use hypersafe::safety::{run_gs_async, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     explore as mc_explore, parse_artifact_path, render_artifact, replay as mc_replay,
     shrink_injections, Actor, AdversarialScheduler, Ctx, EventEngine, HypercubeNet, Invariant,
-    McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, ReliableConfig, Scheduler,
+    McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, ReliableConfig, RunOptions,
     StateHash, Time, Trace,
 };
 use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
@@ -31,12 +29,15 @@ fn check_seed(n: u8, i: u32, master: u64) -> Result<(), String> {
 
     // GS leg: reorder/stretch adversary, descent + convergence.
     let gs_seed: u64 = rng.gen();
-    let run = run_gs_async_checked(
-        &cfg,
-        1,
-        Box::new(AdversarialScheduler::permute(gs_seed).with_stretch(1 + gs_seed % 7)),
-    )
-    .map_err(|v| format!("n={n} i={i}: {v}"))?;
+    let opts = RunOptions {
+        sched: Box::new(AdversarialScheduler::permute(gs_seed).with_stretch(1 + gs_seed % 7)),
+        check: true,
+        ..RunOptions::default()
+    };
+    let (run, report) = run_gs_async(&cfg, 1, opts);
+    if let Some(v) = report.violation {
+        return Err(format!("n={n} i={i}: {v}"));
+    }
     check_gs_convergence(&cfg, &run).map_err(|v| format!("n={n} i={i}: {v:?}"))?;
 
     // Unicast leg: channel loss + seeded bursts + optional kills.
@@ -58,19 +59,18 @@ fn check_seed(n: u8, i: u32, master: u64) -> Result<(), String> {
             kills.push((victim, rng.gen_range(0..30)));
         }
     }
-    let run = run_unicast_lossy_checked(
-        &cfg,
-        &map,
-        s,
-        d,
-        1,
+    let opts = RunOptions {
+        sched: Box::new(AdversarialScheduler::from_seed(uni_seed)),
         channel,
-        Box::new(AdversarialScheduler::from_seed(uni_seed)),
-        ReliableConfig::default(),
-        1_000_000,
-        &kills,
-    )
-    .map_err(|v| format!("n={n} i={i}: {v}"))?;
+        max_events: 1_000_000,
+        kills: kills.clone(),
+        check: true,
+        ..RunOptions::default()
+    };
+    let (run, report) = run_unicast_lossy(&cfg, &map, s, d, 1, ReliableConfig::default(), opts);
+    if let Some(v) = report.violation {
+        return Err(format!("n={n} i={i}: {v}"));
+    }
     check_lossy_outcome(&cfg, s, d, &run, kills.len() as u64)
         .map_err(|v| format!("n={n} i={i}: {v:?}"))
 }
@@ -200,12 +200,11 @@ fn broken_run(
     injections: &[(NodeId, u64, Time)],
 ) -> (Option<String>, Trace) {
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::with_parts(
-        &net,
-        None,
-        Box::new(AdversarialScheduler::permute(seed)) as Box<dyn Scheduler>,
-        |_| BrokenNode { level: 100 },
-    );
+    let opts = RunOptions {
+        sched: Box::new(AdversarialScheduler::permute(seed)),
+        ..RunOptions::default()
+    };
+    let mut eng = EventEngine::with_options(&net, opts, |_| BrokenNode { level: 100 });
     eng.set_trace(Box::new(Trace::enabled()));
     for &(dst, tag, delay) in injections {
         eng.inject(dst, tag, delay);

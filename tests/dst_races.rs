@@ -9,14 +9,16 @@
 //! hop-granular [`route_dynamic`] taxonomy (`reroute.rs`) and the
 //! maintenance-strategy replay (`maintenance.rs`).
 
-use hypersafe::safety::invariants::{
-    check_gs_convergence, check_lossy_outcome, run_gs_async_checked, run_unicast_lossy_checked,
-};
+use hypersafe::safety::invariants::{check_gs_convergence, check_lossy_outcome};
 use hypersafe::safety::reroute::{route_dynamic, DynamicOutcome, FaultEvent};
 use hypersafe::safety::{
-    replay, route, LossyOutcome, SafetyMap, Strategy, Timeline, TimelineEvent,
+    replay, route, run_gs_async, run_unicast_lossy, LossyOutcome, LossyRun, SafetyMap, Strategy,
+    Timeline, TimelineEvent,
 };
-use hypersafe::simkit::{AdversarialScheduler, ChannelModel, ReliableConfig};
+use hypersafe::simkit::{
+    AdversarialScheduler, ChannelModel, InvariantViolation, ReliableConfig, RunOptions, RunReport,
+    Scheduler,
+};
 use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 
 fn fig1() -> (FaultConfig, SafetyMap) {
@@ -33,30 +35,51 @@ fn n(s: &str) -> NodeId {
     NodeId::from_binary(s).unwrap()
 }
 
+/// Options for a checked run under `sched`.
+fn checked(sched: impl Scheduler + 'static) -> RunOptions {
+    RunOptions {
+        sched: Box::new(sched),
+        max_events: 1_000_000,
+        check: true,
+        ..RunOptions::default()
+    }
+}
+
+fn ok<R>((run, report): (R, RunReport)) -> Result<R, InvariantViolation> {
+    report.violation.map_or(Ok(run), Err)
+}
+
+/// One checked reliable unicast `s → d` on the Fig. 1 map.
+fn unicast(s: NodeId, d: NodeId, opts: RunOptions) -> Result<LossyRun, InvariantViolation> {
+    let (cfg, map) = fig1();
+    ok(run_unicast_lossy(
+        &cfg,
+        &map,
+        s,
+        d,
+        1,
+        ReliableConfig::default(),
+        opts,
+    ))
+}
+
 /// Kill the destination at every instant across the delivery window.
 /// Early kills must fail the handoff, late kills must not matter, and
 /// nothing in between may ever break exactly-once or trail validity.
 #[test]
 fn fault_racing_the_final_hop() {
-    let (cfg, map) = fig1();
+    let (cfg, _) = fig1();
     let (s, d) = (n("1110"), n("0001"));
     let mut delivered = 0u32;
     let mut failed = 0u32;
     for t in 0..=20u64 {
         for seed in [3u64, 0xD57] {
-            let run = run_unicast_lossy_checked(
-                &cfg,
-                &map,
-                s,
-                d,
-                1,
-                None,
-                Box::new(AdversarialScheduler::permute(seed).with_stretch(2)),
-                ReliableConfig::default(),
-                1_000_000,
-                &[(d, t)],
-            )
-            .unwrap_or_else(|v| panic!("kill d at t={t} seed={seed}: {v}"));
+            let opts = RunOptions {
+                kills: vec![(d, t)],
+                ..checked(AdversarialScheduler::permute(seed).with_stretch(2))
+            };
+            let run =
+                unicast(s, d, opts).unwrap_or_else(|v| panic!("kill d at t={t} seed={seed}: {v}"));
             check_lossy_outcome(&cfg, s, d, &run, 1)
                 .unwrap_or_else(|v| panic!("kill d at t={t} seed={seed}: {v:?}"));
             match run.outcome {
@@ -87,21 +110,14 @@ fn fault_racing_an_inflight_retransmit() {
     let mut delivered = 0u32;
     let mut holder_failed = 0u32;
     for t in 0..=25u64 {
-        let run = run_unicast_lossy_checked(
-            &cfg,
-            &map,
-            s,
-            d,
-            1,
+        let opts = RunOptions {
             // 30% loss: the first data message is frequently lost, so
             // kills land between retransmission attempts.
-            Some(ChannelModel::lossy(0xACE ^ t, 0.3)),
-            Box::new(AdversarialScheduler::from_seed(t)),
-            ReliableConfig::default(),
-            1_000_000,
-            &[(first_hop, t)],
-        )
-        .unwrap_or_else(|v| panic!("kill {first_hop} at t={t}: {v}"));
+            channel: Some(ChannelModel::lossy(0xACE ^ t, 0.3)),
+            kills: vec![(first_hop, t)],
+            ..checked(AdversarialScheduler::from_seed(t))
+        };
+        let run = unicast(s, d, opts).unwrap_or_else(|v| panic!("kill {first_hop} at t={t}: {v}"));
         check_lossy_outcome(&cfg, s, d, &run, 1)
             .unwrap_or_else(|v| panic!("kill {first_hop} at t={t}: {v:?}"));
         match run.outcome {
@@ -183,12 +199,8 @@ fn gs_restabilizes_after_a_kill_under_adversarial_schedules() {
     faults.insert(victim);
     let cfg2 = FaultConfig::with_node_faults(cfg.cube(), faults);
     for seed in [0u64, 7, 0xD57] {
-        let run = run_gs_async_checked(
-            &cfg2,
-            1,
-            Box::new(AdversarialScheduler::permute(seed).with_stretch(4)),
-        )
-        .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+        let opts = checked(AdversarialScheduler::permute(seed).with_stretch(4));
+        let run = ok(run_gs_async(&cfg2, 1, opts)).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
         check_gs_convergence(&cfg2, &run).unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
     }
 }

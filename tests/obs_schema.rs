@@ -5,8 +5,10 @@
 //! freshly generated snapshots the same way so a shape drift fails
 //! locally before it fails in CI.
 
-use hypersafe::safety::{run_gs_reliable_observed, run_unicast_lossy_observed, SafetyMap};
-use hypersafe::simkit::{parse_json, validate_json, JsonValue, Metrics, ReliableConfig};
+use hypersafe::safety::{run_gs_reliable, run_unicast_lossy, SafetyMap};
+use hypersafe::simkit::{
+    parse_json, validate_json, ChannelModel, JsonValue, Metrics, ReliableConfig, RunOptions,
+};
 use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 use hypersafe::workloads::STANDARD_PROFILES;
 
@@ -24,20 +26,19 @@ fn populated_snapshot() -> hypersafe::simkit::MetricsSnapshot {
         .find(|p| p.name == "moderate")
         .expect("standard profile");
     let rcfg = ReliableConfig::default();
-    let (gs, mut obs) = run_gs_reliable_observed(&cfg, prof.channel(7), rcfg, 1, 2_000_000);
+    let observed = |channel: ChannelModel| RunOptions {
+        channel: Some(channel),
+        max_events: 2_000_000,
+        observe: true,
+        ..RunOptions::default()
+    };
+    let (gs, report) = run_gs_reliable(&cfg, rcfg, 1, observed(prof.channel(7)));
     assert!(gs.quiescent, "GS ran out of event budget");
+    let mut obs = report.metrics.expect("observed");
     let map = SafetyMap::compute(&cfg);
-    let (_, uobs) = run_unicast_lossy_observed(
-        &cfg,
-        &map,
-        NodeId::new(0),
-        NodeId::new(cube.num_nodes() - 1),
-        1,
-        prof.channel(11),
-        rcfg,
-        2_000_000,
-    );
-    obs.merge(&uobs);
+    let (s, d) = (NodeId::new(0), NodeId::new(cube.num_nodes() - 1));
+    let (_, report) = run_unicast_lossy(&cfg, &map, s, d, 1, rcfg, observed(prof.channel(11)));
+    obs.merge(&report.metrics.expect("observed"));
     obs.snapshot()
 }
 

@@ -7,6 +7,7 @@ use hypersafe::safety::{
     check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
     check_theorem3, run_gs, run_gs_async, NavVector, SafetyMap,
 };
+use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{
     connectivity, disjoint, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId,
 };
@@ -40,8 +41,8 @@ proptest! {
         prop_assert_eq!(central.store(), constructive.store());
         let sync = run_gs(&cfg);
         prop_assert_eq!(central.store(), sync.map.store());
-        let (async_map, _) = run_gs_async(&cfg, 3);
-        prop_assert_eq!(central.store(), async_map.store());
+        let (run, _) = run_gs_async(&cfg, 3, RunOptions::default());
+        prop_assert_eq!(central.store(), run.map.store());
     }
 
     /// Theorem 2 + Property 1 on arbitrary instances.

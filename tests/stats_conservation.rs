@@ -24,7 +24,7 @@
 use hypersafe::safety::{run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     Actor, AdversarialScheduler, ChannelModel, Ctx, EventEngine, EventStats, GhNet, HypercubeNet,
-    Network, ReliableConfig, SyncEngine, SyncNode,
+    Network, ReliableConfig, RunOptions, SyncEngine, SyncNode,
 };
 use hypersafe::topology::{FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId};
 use proptest::prelude::*;
@@ -104,15 +104,26 @@ fn flood_stats<N: Network>(
             .find(|&a| live(a))
             .expect("at least one live node"),
     );
-    let sched =
-        Box::new(AdversarialScheduler::permute(sched_seed).with_stretch(1 + sched_seed % 5));
-    let mut eng =
-        EventEngine::with_parts(net, Some(channel), sched, |a| Flood::new(net, a, origin));
+    let opts = RunOptions {
+        sched: Box::new(AdversarialScheduler::permute(sched_seed).with_stretch(1 + sched_seed % 5)),
+        channel: Some(channel),
+        ..RunOptions::default()
+    };
+    let mut eng = EventEngine::with_options(net, opts, |a| Flood::new(net, a, origin));
     for &(victim, delay) in kills {
         eng.inject_kill(NodeId::new(victim % net.num_nodes()), delay);
     }
     eng.run(500_000);
     (eng.stats().clone(), kills.len() as u64)
+}
+
+/// A lossy channel with a 2M-event budget.
+fn lossy(channel: ChannelModel) -> RunOptions {
+    RunOptions {
+        channel: Some(channel),
+        max_events: 2_000_000,
+        ..RunOptions::default()
+    }
 }
 
 /// Min-propagation: each round a node keeps the least of its own and
@@ -272,7 +283,7 @@ proptest! {
         };
         let rcfg = ReliableConfig::default();
 
-        let gs = run_gs_reliable(&cfg, channel(), rcfg, 1, 2_000_000);
+        let (gs, _) = run_gs_reliable(&cfg, rcfg, 1, lossy(channel()));
         prop_assert!(gs.quiescent, "GS ran out of event budget");
         assert_conserved(&gs.stats, 0)?;
 
@@ -280,7 +291,7 @@ proptest! {
         let s = NodeId::new(0);
         let d = NodeId::new(total - 1);
         if !cfg.node_faulty(d) {
-            let uni = run_unicast_lossy(&cfg, &map, s, d, 1, channel(), rcfg, 2_000_000);
+            let (uni, _) = run_unicast_lossy(&cfg, &map, s, d, 1, rcfg, lossy(channel()));
             assert_conserved(&uni.stats, 0)?;
         }
     }
