@@ -1,82 +1,38 @@
-//! `repro` — regenerate every figure and claim of the paper.
+//! `repro` — regenerate every figure and claim of the paper, and run
+//! the gates that hold its extensions to their contracts.
 //!
 //! ```text
-//! repro <experiment> [options]
-//!
-//! experiments:
-//!   fig1 fig2 fig3 fig4 fig5 safesets property2 thm4
-//!   compare rounds maintenance broadcast dynamic distribution
-//!   linkfaults tightness traffic multicast patterns vectors
-//!   congestion loss obs dst churn all
-//!
-//! `obs` (E25) runs the reliable GS + unicast stack with the simkit
-//! metrics registry installed and writes the merged snapshot as
-//! `<dir>/obs_metrics.json` + `<dir>/obs_metrics.csv` (`--csv` names
-//! the directory, default `results`); CI validates the JSON against
-//! `tests/goldens/obs_schema.json`.
-//!
-//! `dst` (deterministic simulation testing) is not part of `all`: it
-//! sweeps seeded adversarial schedules against the invariant suite,
-//! writes `results/dst.csv` plus a shrunk replay artifact per
-//! violating point, and exits nonzero on any violation.
-//!
-//! `churn` is likewise a gate, not a figure: it cross-checks the
-//! incremental safety-level engine against from-scratch recomputes and
-//! the batched router against its sequential path, writes the
-//! thread-count-independent `results/churn.csv`, and exits nonzero on
-//! any mismatch.
-//!
-//! `service` (E26) is a gate too: it soaks the epoch-snapshot routing
-//! service with an open-loop request + churn mix, writes the
-//! thread-count-independent `results/service.csv`,
-//! `results/BENCH_service.json`, and `results/service_obs.json`, and
-//! exits nonzero on any invariant violation, unterminated request, or
-//! deadline overrun.
-//!
-//! `safety-scale` (E27) is a gate: it runs the packed bit-plane safety
-//! kernels on large cubes (up to 2²⁰ nodes; `--quick` stops at 2¹⁶),
-//! cross-checks them against the scalar reference and from-scratch
-//! recomputes, enforces the ≤ 1 byte/node store ceiling, writes the
-//! deterministic `results/safety_scale.csv` + `safety_scale_obs.json`,
-//! and merges wall-clock numbers into `results/BENCH_safety_compute.json`,
-//! `BENCH_churn.json`, and `BENCH_routing.json`.
-//!
-//! `mc` (E28) is a gate: it runs the explicit-state model checker
-//! over every delivery interleaving of GS / delta-GS / ARQ on small
-//! cubes (`--quick` limits to `Q_3` single-fault GS plus a lossless
-//! ARQ pair), writes the fully deterministic `results/mc.csv` +
-//! `mc_obs.json`, and exits nonzero on any property violation or any
-//! truncated (non-exhaustive) search.
-//!
-//! `multipath` (E29) is a gate: it routes k-disjoint multi-path
-//! unicasts over fault sweeps, a hotspot/incast queueing replay, and
-//! percolation-regime Bernoulli failures; every point cross-checks the
-//! batched router against the scalar one, the structural disjoint-
-//! delivery check, the Menger bound `min(k, n − f)`, delivery
-//! dominance over the single-path router, and giant-component
-//! deliverability. Writes the thread-count-independent
-//! `results/multipath.csv` + `multipath_obs.json` and exits nonzero on
-//! any violation.
-//!
-//! `validate-obs` is the export gate: it checks every metrics snapshot
-//! in the `--csv` directory (`obs_metrics.json`, `loss_obs.json`,
-//! `dst_obs.json`, `churn_obs.json`, `service_obs.json`,
-//! `safety_scale_obs.json`, `mc_obs.json`, `multipath_obs.json`)
-//! against the compiled-in copy of `tests/goldens/obs_schema.json` and
-//! exits nonzero on any shape drift — or if no snapshot is found at
-//! all.
+//! repro <subcommand> [options]
 //!
 //! options:
 //!   --n <dim>        cube dimension (where applicable)
-//!   --trials <k>     Monte-Carlo trials per point
+//!   --trials <k>     Monte-Carlo trials per point (gates: their scale knob)
 //!   --seeds <k>      DST scenarios per sweep point (dst only)
 //!   --max-faults <m> largest fault count in sweeps
 //!   --seed <s>       master RNG seed
-//!   --csv <dir>      also write <dir>/<name>.csv per report
+//!   --csv <dir>      output directory
 //!   --md             print GitHub-flavored Markdown instead of text
 //!   --quick          small trial counts (CI-sized run)
 //! ```
+//!
+//! Every subcommand is one row of [`COMMANDS`], and `repro` with no
+//! arguments lists them. There are three kinds:
+//!
+//! * **Reports** (E1–E22, E25): print their tables; `all` runs them in
+//!   table order. Only under `--csv` do they write, as
+//!   `<dir>/<name>.csv`; E22 and E25 add their metrics snapshot as
+//!   `<dir>/<name>_obs.{json,csv}` (E25's is `obs_metrics`).
+//! * **Gates** (E23, E24, E26–E29): not part of `all`. Each checks its
+//!   contract and always writes its CSV and snapshot, into `--csv` or
+//!   else `results`.
+//! * **The schema check** validates the snapshot next to every report
+//!   CSV in `--csv` (default `results`) against the compiled-in copy of
+//!   `tests/goldens/obs_schema.json`.
+//!
+//! The exit status is 2 on a usage error and 1 when any check or any
+//! write failed; each failure is one line on stderr.
 
+use hypersafe_experiments::gate::{export, snapshot_stem, GateRun};
 use hypersafe_experiments::table::Report;
 use hypersafe_experiments::{
     broadcast_exp, churn_exp, congestion_exp, distribution_exp, dst, dynamic_exp, fig1, fig2, fig3,
@@ -100,10 +56,408 @@ struct Opts {
     quick: bool,
 }
 
+impl Opts {
+    /// A report's trial count: `--trials` if given, else `default`
+    /// (a tenth of it under `--quick`), never below `floor`.
+    fn trials(&self, default: u32, floor: u32) -> u32 {
+        let div = if self.quick { 10 } else { 1 };
+        self.trials.unwrap_or((default / div).max(floor))
+    }
+}
+
+/// One subcommand: its name, whether `all` runs it, and its runner.
+struct Command {
+    name: &'static str,
+    in_all: bool,
+    run: fn(&Opts) -> Vec<GateRun>,
+}
+
+/// The subcommand that runs every `in_all` row of [`COMMANDS`].
+const ALL: &str = "all";
+
+/// Every subcommand, in the order `all` runs them and usage lists them.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "fig1",
+        in_all: true,
+        run: |o| reports(o, vec![fig1::run()]),
+    },
+    Command {
+        name: "fig2",
+        in_all: true,
+        run: |o| {
+            let mut p = fig2::Fig2Params::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.max_faults = o
+                .max_faults
+                .unwrap_or(if o.quick { 14 } else { p.max_faults });
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![fig2::run(&p)])
+        },
+    },
+    Command {
+        name: "fig3",
+        in_all: true,
+        run: |o| reports(o, vec![fig3::run()]),
+    },
+    Command {
+        name: "fig4",
+        in_all: true,
+        run: |o| reports(o, vec![fig4::run()]),
+    },
+    Command {
+        name: "fig5",
+        in_all: true,
+        run: |o| reports(o, vec![fig5::run()]),
+    },
+    Command {
+        name: "safesets",
+        in_all: true,
+        run: |o| {
+            let mut p = safesets::SafeSetParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![safesets::run_example(), safesets::run_sweep(&p)])
+        },
+    },
+    Command {
+        name: "property2",
+        in_all: true,
+        run: |o| {
+            let mut p = property2::Property2Params::default();
+            p.trials = o.trials(p.trials, 10);
+            p.seed = o.seed.unwrap_or(p.seed);
+            if o.quick {
+                p.dims = [3, 4, 5, 6];
+            }
+            reports(o, vec![property2::run(&p)])
+        },
+    },
+    Command {
+        name: "thm4",
+        in_all: true,
+        run: |o| {
+            let mut p = thm4::Thm4Params::default();
+            p.trials = o.trials(p.trials, 10);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![thm4::run(&p)])
+        },
+    },
+    Command {
+        name: "compare",
+        in_all: true,
+        run: |o| {
+            let mut p = routing_compare::CompareParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 10);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![routing_compare::run(&p)])
+        },
+    },
+    Command {
+        name: "rounds",
+        in_all: true,
+        run: |o| {
+            let mut p = rounds_compare::RoundsParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 10);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![rounds_compare::run(&p)])
+        },
+    },
+    Command {
+        name: "maintenance",
+        in_all: true,
+        run: |o| {
+            let mut p = maintenance_exp::MaintenanceParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 5);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![maintenance_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "broadcast",
+        in_all: true,
+        run: |o| {
+            let mut p = broadcast_exp::BroadcastParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 10);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![broadcast_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "dynamic",
+        in_all: true,
+        run: |o| {
+            let mut p = dynamic_exp::DynamicParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![dynamic_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "distribution",
+        in_all: true,
+        run: |o| {
+            let mut p = distribution_exp::DistributionParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![distribution_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "linkfaults",
+        in_all: true,
+        run: |o| {
+            let mut p = linkfaults_exp::LinkFaultParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![linkfaults_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "tightness",
+        in_all: true,
+        run: |o| {
+            let mut p = tightness_exp::TightnessParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 5);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![tightness_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "traffic",
+        in_all: true,
+        run: |o| {
+            let mut p = traffic_exp::TrafficParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 3);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![traffic_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "multicast",
+        in_all: true,
+        run: |o| {
+            let mut p = multicast_exp::MulticastParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 20);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![multicast_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "patterns",
+        in_all: true,
+        run: |o| {
+            let mut p = patterns_exp::PatternsParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 10);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![patterns_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "vectors",
+        in_all: true,
+        run: |o| {
+            let mut p = vectors_exp::VectorsParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 5);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![vectors_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "congestion",
+        in_all: true,
+        run: |o| {
+            let mut p = congestion_exp::CongestionParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 2);
+            p.seed = o.seed.unwrap_or(p.seed);
+            reports(o, vec![congestion_exp::run(&p)])
+        },
+    },
+    Command {
+        name: "loss",
+        in_all: true,
+        run: |o| {
+            let mut p = loss_exp::LossParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 4);
+            p.max_faults = o.max_faults.unwrap_or(p.max_faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            if o.quick {
+                // The reliable-layer runs simulate every retransmission
+                // timer; shrink the cube too, not just the trials.
+                p.n = p.n.min(5);
+            }
+            p.out_dir = o.csv.clone();
+            vec![loss_exp::run(&p)]
+        },
+    },
+    Command {
+        name: "obs",
+        in_all: true,
+        run: |o| {
+            let mut p = obs_exp::ObsParams::default();
+            p.n = o.n.unwrap_or(p.n);
+            p.trials = o.trials(p.trials, 3);
+            p.faults = o.max_faults.unwrap_or(p.faults);
+            p.seed = o.seed.unwrap_or(p.seed);
+            if o.quick {
+                // Like E22: the reliable layer simulates every
+                // retransmission timer, so shrink the cube too.
+                p.n = p.n.min(5);
+                p.faults = p.faults.min(3);
+            }
+            p.out_dir = o.csv.clone();
+            vec![obs_exp::run(&p)]
+        },
+    },
+    // E23: seeded adversarial schedules against the invariant suite; a
+    // violating point also writes a shrunk replay artifact.
+    Command {
+        name: "dst",
+        in_all: false,
+        run: |o| {
+            let mut p = dst::DstParams::default();
+            p.seeds = o.seeds.unwrap_or(if o.quick { 32 } else { p.seeds });
+            p.dims = match o.n {
+                Some(n) => vec![n],
+                // CI-sized: drop the two largest cubes, keep the spread.
+                None if o.quick => vec![3, 4, 5, 6],
+                None => p.dims,
+            };
+            p.seed = o.seed.unwrap_or(p.seed);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![dst::run(&p)]
+        },
+    },
+    // E24: the incremental safety-level engine against from-scratch
+    // recomputes, and the batched router against its sequential path.
+    Command {
+        name: "churn",
+        in_all: false,
+        run: |o| {
+            let mut p = churn_exp::ChurnParams::default();
+            match o.n {
+                Some(n) => p.dims = vec![n],
+                // CI-sized: the small/large ends of the sweep only.
+                None if o.quick => (p.dims, p.rates, p.pairs) = (vec![8, 10], vec![8, 32], 4_000),
+                None => {}
+            }
+            p.trials = o.trials.unwrap_or(p.trials);
+            p.seed = o.seed.unwrap_or(p.seed);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![churn_exp::run(&p)]
+        },
+    },
+    // E26: the epoch-snapshot routing service under an open-loop
+    // request + churn mix; also writes `BENCH_service.json`.
+    Command {
+        name: "service",
+        in_all: false,
+        run: |o| {
+            let mut p = service_exp::ServiceParams::default();
+            match o.n {
+                Some(n) => p.dims = vec![n],
+                // CI-sized: small cubes, a few thousand requests.
+                None if o.quick => (p.dims, p.requests) = (vec![6, 8], 3_000),
+                None => {}
+            }
+            // --trials is the request count in thousands.
+            p.requests = o.trials.map_or(p.requests, |t| u64::from(t) * 1_000);
+            p.seed = o.seed.unwrap_or(p.seed);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![service_exp::run(&p)]
+        },
+    },
+    // E27: packed bit-plane safety kernels up to 2^20 nodes (--quick
+    // stops at 2^16) against the scalar reference, under the 1
+    // byte/node ceiling; wall-clock numbers merge into BENCH_*.json.
+    Command {
+        name: "safety-scale",
+        in_all: false,
+        run: |o| {
+            let mut p = safety_scale_exp::SafetyScaleParams::default();
+            if o.quick {
+                (p.dims, p.events, p.route_pairs) = (vec![14, 16], 8, 100_000);
+            }
+            p.events = o.trials.unwrap_or(p.events);
+            p.seed = o.seed.unwrap_or(p.seed);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![safety_scale_exp::run(&p)]
+        },
+    },
+    // E28: every delivery interleaving of GS / delta-GS / ARQ on small
+    // cubes; a truncated search fails like a violation.
+    Command {
+        name: "mc",
+        in_all: false,
+        run: |o| {
+            let mut p = mc_exp::McParams {
+                quick: o.quick,
+                ..mc_exp::McParams::default()
+            };
+            // --trials is the state cap in millions.
+            p.max_states = o.trials.map_or(p.max_states, |t| u64::from(t) * 1_000_000);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![mc_exp::run(&p)]
+        },
+    },
+    // E29: k-disjoint multi-path unicast against the Menger bound, the
+    // scalar router, single-path dominance and percolation.
+    Command {
+        name: "multipath",
+        in_all: false,
+        run: |o| {
+            let mut p = multipath_exp::MultipathParams::default();
+            if o.quick {
+                // CI-sized: smaller cube, fewer pairs, three percolation points.
+                (p.n, p.k, p.pairs, p.hotspot_messages) = (6, 6, 400, 800);
+                p.percolation_of_threshold_bp = vec![5_000, 10_000, 11_000];
+                p.percolation_pairs = 200;
+            }
+            if let Some(n) = o.n {
+                (p.n, p.k) = (n, n);
+            }
+            // --trials is the pairs per point in hundreds.
+            p.pairs = o.trials.map_or(p.pairs, |t| t as usize * 100);
+            p.seed = o.seed.unwrap_or(p.seed);
+            p.out_dir = o.csv.clone().unwrap_or(p.out_dir);
+            vec![multipath_exp::run(&p)]
+        },
+    },
+    Command {
+        name: "validate-obs",
+        in_all: false,
+        run: validate_obs,
+    },
+];
+
 fn usage() -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).chain([ALL]).collect();
     eprintln!(
-        "usage: repro <fig1|fig2|fig3|fig4|fig5|safesets|property2|thm4|compare|rounds|maintenance|broadcast|dynamic|distribution|linkfaults|tightness|traffic|multicast|patterns|vectors|congestion|loss|obs|dst|churn|service|safety-scale|mc|multipath|validate-obs|all> \
-         [--n N] [--trials K] [--seeds K] [--max-faults M] [--seed S] [--csv DIR] [--md] [--quick]"
+        "usage: repro <{}> [--n N] [--trials K] [--seeds K] [--max-faults M] [--seed S] \
+         [--csv DIR] [--md] [--quick]",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -155,472 +509,18 @@ fn parse_args() -> Opts {
     opts
 }
 
-fn emit(rep: &Report, csv: &Option<PathBuf>, markdown: bool) {
-    if markdown {
-        println!("{}", rep.to_markdown());
-    } else {
-        println!("{}", rep.render());
-    }
-    if let Some(dir) = csv {
-        match rep.write_csv(dir) {
-            Ok(path) => println!("csv: {}", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
-    }
-}
-
-fn run_one(name: &str, o: &Opts) -> Vec<Report> {
-    let quick_div = if o.quick { 10 } else { 1 };
-    match name {
-        "fig1" => vec![fig1::run()],
-        "fig2" => {
-            let mut p = fig2::Fig2Params::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            } else if o.quick {
-                p.max_faults = 14;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![fig2::run(&p)]
-        }
-        "fig3" => vec![fig3::run()],
-        "fig4" => vec![fig4::run()],
-        "fig5" => vec![fig5::run()],
-        "safesets" => {
-            let mut p = safesets::SafeSetParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![safesets::run_example(), safesets::run_sweep(&p)]
-        }
-        "property2" => {
-            let mut p = property2::Property2Params::default();
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            if o.quick {
-                p.dims = [3, 4, 5, 6];
-            }
-            vec![property2::run(&p)]
-        }
-        "thm4" => {
-            let mut p = thm4::Thm4Params::default();
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![thm4::run(&p)]
-        }
-        "compare" => {
-            let mut p = routing_compare::CompareParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![routing_compare::run(&p)]
-        }
-        "rounds" => {
-            let mut p = rounds_compare::RoundsParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![rounds_compare::run(&p)]
-        }
-        "broadcast" => {
-            let mut p = broadcast_exp::BroadcastParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![broadcast_exp::run(&p)]
-        }
-        "dynamic" => {
-            let mut p = dynamic_exp::DynamicParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![dynamic_exp::run(&p)]
-        }
-        "distribution" => {
-            let mut p = distribution_exp::DistributionParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![distribution_exp::run(&p)]
-        }
-        "linkfaults" => {
-            let mut p = linkfaults_exp::LinkFaultParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![linkfaults_exp::run(&p)]
-        }
-        "tightness" => {
-            let mut p = tightness_exp::TightnessParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(5);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![tightness_exp::run(&p)]
-        }
-        "traffic" => {
-            let mut p = traffic_exp::TrafficParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(3);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![traffic_exp::run(&p)]
-        }
-        "multicast" => {
-            let mut p = multicast_exp::MulticastParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(20);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![multicast_exp::run(&p)]
-        }
-        "patterns" => {
-            let mut p = patterns_exp::PatternsParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(10);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![patterns_exp::run(&p)]
-        }
-        "vectors" => {
-            let mut p = vectors_exp::VectorsParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(5);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![vectors_exp::run(&p)]
-        }
-        "congestion" => {
-            let mut p = congestion_exp::CongestionParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(2);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![congestion_exp::run(&p)]
-        }
-        "loss" => {
-            let mut p = loss_exp::LossParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(4);
-            }
-            if let Some(m) = o.max_faults {
-                p.max_faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            if o.quick {
-                // The reliable-layer runs simulate every retransmission
-                // timer; shrink the cube too, not just the trials.
-                p.n = p.n.min(5);
-            }
-            // Metrics snapshot lands next to loss.csv.
-            p.out_dir = o.csv.clone();
-            vec![loss_exp::run(&p)]
-        }
-        "obs" => {
-            let mut p = obs_exp::ObsParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(3);
-            }
-            if let Some(m) = o.max_faults {
-                p.faults = m;
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            if o.quick {
-                // Like `loss`: the reliable layer simulates every
-                // retransmission timer, so shrink the cube too.
-                p.n = p.n.min(5);
-                p.faults = p.faults.min(3);
-            }
-            // The snapshot lands next to the report CSVs.
-            if let Some(dir) = &o.csv {
-                p.out_dir = dir.clone();
-            }
-            vec![obs_exp::run(&p).report]
-        }
-        "maintenance" => {
-            let mut p = maintenance_exp::MaintenanceParams::default();
-            if let Some(n) = o.n {
-                p.n = n;
-            }
-            if let Some(t) = o.trials {
-                p.trials = t;
-            } else {
-                p.trials = (p.trials / quick_div).max(5);
-            }
-            if let Some(s) = o.seed {
-                p.seed = s;
-            }
-            vec![maintenance_exp::run(&p)]
-        }
-        _ => usage(),
-    }
-}
-
-/// DST is special-cased: its parameters differ (`--seeds`, a fixed
-/// dimension sweep) and a violation must fail the process so CI can
-/// gate on it.
-fn run_dst(o: &Opts) -> ExitCode {
-    let mut p = dst::DstParams::default();
-    if let Some(k) = o.seeds {
-        p.seeds = k;
-    } else if o.quick {
-        p.seeds = 32;
-    }
-    if let Some(n) = o.n {
-        p.dims = vec![n];
-    } else if o.quick {
-        // CI-sized: drop the two largest cubes, keep the spread.
-        p.dims = vec![3, 4, 5, 6];
-    }
-    if let Some(s) = o.seed {
-        p.seed = s;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = dst::run(&p);
-    if o.markdown {
-        println!("{}", run.report.to_markdown());
-    } else {
-        println!("{}", run.report.render());
-    }
-    if run.violations > 0 {
-        eprintln!(
-            "dst: {} invariant violation(s) — see artifacts above",
-            run.violations
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Churn is special-cased like DST: an incremental-vs-scratch or
-/// parallel-vs-sequential mismatch must fail the process so CI can
-/// gate on it.
-fn run_churn(o: &Opts) -> ExitCode {
-    let mut p = churn_exp::ChurnParams::default();
-    if let Some(n) = o.n {
-        p.dims = vec![n];
-    } else if o.quick {
-        // CI-sized: the small/large ends of the sweep only.
-        p.dims = vec![8, 10];
-        p.rates = vec![8, 32];
-        p.pairs = 4_000;
-    }
-    if let Some(t) = o.trials {
-        p.trials = t;
-    }
-    if let Some(s) = o.seed {
-        p.seed = s;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = churn_exp::run(&p);
-    if o.markdown {
-        println!("{}", run.report.to_markdown());
-    } else {
-        println!("{}", run.report.render());
-    }
-    if run.mismatches > 0 {
-        eprintln!(
-            "churn: {} incremental/batched mismatch(es) — see the mismatches column",
-            run.mismatches
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// The service soak is a gate like DST and churn: any invariant
-/// violation, unterminated request, or deadline overrun must fail the
-/// process so CI can gate on it.
-fn run_service(o: &Opts) -> ExitCode {
-    let mut p = service_exp::ServiceParams::default();
-    if let Some(n) = o.n {
-        p.dims = vec![n];
-    } else if o.quick {
-        // CI-sized: small cubes, a few thousand requests.
-        p.dims = vec![6, 8];
-        p.requests = 3_000;
-    }
-    if let Some(t) = o.trials {
-        // Reuse --trials as a request multiplier knob (requests = t × 1000).
-        p.requests = u64::from(t) * 1_000;
-    }
-    if let Some(s) = o.seed {
-        p.seed = s;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = service_exp::run(&p);
-    if o.markdown {
-        println!("{}", run.report.to_markdown());
-    } else {
-        println!("{}", run.report.render());
-    }
-    if run.failures > 0 {
-        eprintln!(
-            "service: {} failure(s) (invariant violations / unterminated requests / \
-             deadline overruns) — see the `all` rows",
-            run.failures
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+/// A report subcommand's outcome: with `--csv`, each report is written
+/// as `<dir>/<name>.csv`, and a failed write is its only failure.
+fn reports(o: &Opts, reps: Vec<Report>) -> Vec<GateRun> {
+    reps.into_iter()
+        .map(|mut report| {
+            let failures = o
+                .csv
+                .as_deref()
+                .map_or_else(Vec::new, |dir| export(&mut report, dir, None));
+            GateRun { report, failures }
+        })
+        .collect()
 }
 
 /// The schema the exported snapshots are pinned to, compiled in from
@@ -628,233 +528,86 @@ fn run_service(o: &Opts) -> ExitCode {
 /// bytes under review.
 const OBS_SCHEMA: &str = include_str!("../../../../tests/goldens/obs_schema.json");
 
-/// Validates every metrics snapshot present in the `--csv` directory
-/// (default `results`) against [`OBS_SCHEMA`]. Missing files are
-/// skipped — each experiment only writes its own snapshot — but
-/// finding none at all is a failure (the gate would be vacuous).
-fn run_validate_obs(o: &Opts) -> ExitCode {
+/// Validates the metrics snapshot next to every report CSV in the
+/// `--csv` directory (default `results`) against [`OBS_SCHEMA`]; each
+/// experiment writes its own, found by [`snapshot_stem`]. Finding none
+/// at all fails too, since the gate would be vacuous.
+fn validate_obs(o: &Opts) -> Vec<GateRun> {
     let dir = o.csv.clone().unwrap_or_else(|| PathBuf::from("results"));
-    let candidates = [
-        "obs_metrics.json",
-        "loss_obs.json",
-        "dst_obs.json",
-        "churn_obs.json",
-        "service_obs.json",
-        "safety_scale_obs.json",
-        "mc_obs.json",
-        "multipath_obs.json",
-    ];
-    let mut checked = 0u32;
-    let mut bad = 0u32;
-    for name in candidates {
-        let path = dir.join(name);
+    let mut report = Report::new(
+        "validate_obs",
+        format!("metrics snapshots in {} vs obs_schema.json", dir.display()),
+        &["snapshot", "verdict"],
+    );
+    let mut failures = Vec::new();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    for name in names.iter().filter_map(|n| n.strip_suffix(".csv")) {
+        let path = dir.join(format!("{}.json", snapshot_stem(name)));
         let Ok(doc) = std::fs::read_to_string(&path) else {
             continue;
         };
-        checked += 1;
-        match hypersafe_simkit::validate_json(&doc, OBS_SCHEMA) {
-            Ok(()) => println!("validate-obs: {} ok", path.display()),
+        let verdict = match hypersafe_simkit::validate_json(&doc, OBS_SCHEMA) {
+            Ok(()) => "ok".to_string(),
             Err(e) => {
-                eprintln!("validate-obs: {} FAILED: {e}", path.display());
-                bad += 1;
+                failures.push(format!("validate-obs: {} FAILED: {e}", path.display()));
+                "FAILED".to_string()
             }
-        }
+        };
+        report.row(vec![path.display().to_string(), verdict]);
     }
-    if checked == 0 {
-        eprintln!(
-            "validate-obs: no snapshot found in {} (expected one of {:?})",
-            dir.display(),
-            candidates
-        );
-        return ExitCode::FAILURE;
+    if report.rows.is_empty() {
+        failures.push(format!(
+            "validate-obs: no snapshot found in {}",
+            dir.display()
+        ));
     }
-    if bad > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    vec![GateRun { report, failures }]
 }
 
-/// `safety-scale` (E27) is a gate: packed-vs-scalar equivalence and
-/// the bytes/node ceiling fail the run; timings land in the BENCH
-/// JSONs. `--quick` keeps CI at n <= 16.
-fn run_safety_scale(o: &Opts) -> ExitCode {
-    let mut p = safety_scale_exp::SafetyScaleParams::default();
-    if o.quick {
-        p.dims = vec![14, 16];
-        p.events = 8;
-        p.route_pairs = 100_000;
-    }
-    if let Some(t) = o.trials {
-        p.events = t;
-    }
-    if let Some(s) = o.seed {
-        p.seed = s;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = safety_scale_exp::run(&p);
-    if o.markdown {
+/// Prints a run's report, and its failure lines to stderr; true when
+/// there are none.
+fn finish(run: &GateRun, markdown: bool) -> bool {
+    if markdown {
         println!("{}", run.report.to_markdown());
     } else {
         println!("{}", run.report.render());
     }
-    if run.mismatches > 0 {
-        eprintln!(
-            "safety-scale: {} packed-vs-reference mismatch(es)",
-            run.mismatches
-        );
-        return ExitCode::FAILURE;
+    for line in &run.failures {
+        eprintln!("{line}");
     }
-    if run.max_bytes_per_node > 1.0 {
-        eprintln!(
-            "safety-scale: store exceeds 1 byte/node ({:.4})",
-            run.max_bytes_per_node
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `mc` (E28) is a gate: the explicit-state checker must visit every
-/// reachable state of each scenario without a property violation and
-/// without hitting the state cap — a truncated search is not a proof,
-/// so it fails the process too.
-fn run_mc(o: &Opts) -> ExitCode {
-    let mut p = mc_exp::McParams {
-        quick: o.quick,
-        ..mc_exp::McParams::default()
-    };
-    if let Some(t) = o.trials {
-        // Reuse --trials as the state-cap knob (max_states = t × 1M).
-        p.max_states = u64::from(t) * 1_000_000;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = mc_exp::run(&p);
-    if o.markdown {
-        println!("{}", run.report.to_markdown());
-    } else {
-        println!("{}", run.report.render());
-    }
-    if run.violations > 0 {
-        eprintln!(
-            "mc: {} property violation(s) — see the verdict column",
-            run.violations
-        );
-        return ExitCode::FAILURE;
-    }
-    if run.truncated > 0 {
-        eprintln!(
-            "mc: {} truncated search(es) — raise the state cap (--trials, in millions)",
-            run.truncated
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `multipath` (E29) is a gate: every violation of the disjointness /
-/// Menger-bound / dominance / giant-component contracts counts as a
-/// mismatch and fails the process so CI can gate on it.
-fn run_multipath(o: &Opts) -> ExitCode {
-    let mut p = multipath_exp::MultipathParams::default();
-    if o.quick {
-        // CI-sized: smaller cube, fewer pairs, three percolation points.
-        p.n = 6;
-        p.k = 6;
-        p.pairs = 400;
-        p.hotspot_messages = 800;
-        p.percolation_of_threshold_bp = vec![5_000, 10_000, 11_000];
-        p.percolation_pairs = 200;
-    }
-    if let Some(n) = o.n {
-        p.n = n;
-        p.k = n;
-    }
-    if let Some(t) = o.trials {
-        // Reuse --trials as the pairs-per-point knob (pairs = t × 100).
-        p.pairs = t as usize * 100;
-    }
-    if let Some(s) = o.seed {
-        p.seed = s;
-    }
-    if let Some(dir) = &o.csv {
-        p.out_dir = dir.clone();
-    }
-    let run = multipath_exp::run(&p);
-    if o.markdown {
-        println!("{}", run.report.to_markdown());
-    } else {
-        println!("{}", run.report.render());
-    }
-    if run.mismatches > 0 {
-        eprintln!(
-            "multipath: {} contract violation(s) — see the mismatches column",
-            run.mismatches
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    run.failures.is_empty()
 }
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    if opts.experiment == "validate-obs" {
-        return run_validate_obs(&opts);
+    let all = opts.experiment == ALL;
+    let commands: Vec<&Command> = COMMANDS
+        .iter()
+        .filter(|c| {
+            if all {
+                c.in_all
+            } else {
+                c.name == opts.experiment
+            }
+        })
+        .collect();
+    if commands.is_empty() {
+        usage();
     }
-    if opts.experiment == "multipath" {
-        return run_multipath(&opts);
-    }
-    if opts.experiment == "mc" {
-        return run_mc(&opts);
-    }
-    if opts.experiment == "dst" {
-        return run_dst(&opts);
-    }
-    if opts.experiment == "churn" {
-        return run_churn(&opts);
-    }
-    if opts.experiment == "service" {
-        return run_service(&opts);
-    }
-    if opts.experiment == "safety-scale" {
-        return run_safety_scale(&opts);
-    }
-    let names: Vec<&str> = if opts.experiment == "all" {
-        vec![
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "safesets",
-            "property2",
-            "thm4",
-            "compare",
-            "rounds",
-            "maintenance",
-            "broadcast",
-            "dynamic",
-            "distribution",
-            "linkfaults",
-            "tightness",
-            "traffic",
-            "multicast",
-            "patterns",
-            "vectors",
-            "congestion",
-            "loss",
-            "obs",
-        ]
-    } else {
-        vec![opts.experiment.as_str()]
-    };
-    for name in names {
-        for rep in run_one(name, &opts) {
-            emit(&rep, &opts.csv, opts.markdown);
+    let mut passed = true;
+    for command in commands {
+        for run in (command.run)(&opts) {
+            passed &= finish(&run, opts.markdown);
         }
     }
-    ExitCode::SUCCESS
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -9,7 +9,7 @@
 //! diff `churn.csv` across `RAYON_NUM_THREADS` settings and fail on
 //! any byte difference.
 
-use crate::checksum::{batch_outcome_word, fnv1a};
+use crate::gate::{batch_outcome_word, export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::{f2, Report};
 use hypersafe_core::{route_many, route_many_seq, DeltaStats, SafetyMap};
 use hypersafe_simkit::Metrics;
@@ -77,7 +77,7 @@ fn run_trial<R: Rng + ?Sized>(n: u8, events: u32, pairs: usize, rng: &mut R) -> 
         waves_max: 0,
         rounds_saved: 0,
         delivered: 0,
-        checksum: 0xcbf2_9ce4_8422_2325,
+        checksum: FNV_OFFSET,
         mismatches: 0,
         obs: Metrics::new(0, 0),
     };
@@ -130,17 +130,10 @@ fn run_trial<R: Rng + ?Sized>(n: u8, events: u32, pairs: usize, rng: &mut R) -> 
     out
 }
 
-/// The sweep's outcome: the report plus the mismatch count the `repro`
-/// binary turns into its exit code.
-pub struct ChurnRun {
-    /// Renderable summary table (one row per dimension × rate).
-    pub report: Report,
-    /// Incremental-vs-scratch and parallel-vs-sequential divergences.
-    pub mismatches: u64,
-}
-
-/// Runs the sweep; writes `churn.csv` into `p.out_dir`.
-pub fn run(p: &ChurnParams) -> ChurnRun {
+/// Runs the sweep; writes `churn.csv` and the obs snapshot pair into
+/// `p.out_dir`. Any incremental-vs-scratch or parallel-vs-sequential
+/// divergence is a failure.
+pub fn run(p: &ChurnParams) -> GateRun {
     let mut rep = Report::new(
         "churn",
         format!(
@@ -212,36 +205,17 @@ pub fn run(p: &ChurnParams) -> ChurnRun {
          rerun with a different RAYON_NUM_THREADS and the csv must be byte-identical"
             .to_string(),
     );
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
+    let mut failures = Vec::new();
+    if mismatches > 0 {
+        failures.push(format!(
+            "churn: {mismatches} incremental/batched mismatch(es) — see the mismatches column"
+        ));
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("churn_obs.json");
-    let csv_path = p.out_dir.join("churn_obs.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (update-wave + batch-route-hop histograms, \
-                 thread-count independent like the csv): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
-    }
-    ChurnRun {
+    let about = "update-wave + batch-route-hop histograms, thread-count independent like the csv";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
-        mismatches,
+        failures,
     }
 }
 
@@ -264,7 +238,7 @@ mod tests {
     fn tiny_sweep_is_clean_and_deterministic() {
         let a = run(&tiny());
         let b = run(&tiny());
-        assert_eq!(a.mismatches, 0, "{}", a.report.render());
+        assert!(a.failures.is_empty(), "{:?}", a.failures);
         assert_eq!(a.report.rows, b.report.rows);
         let _ = std::fs::remove_dir_all(tiny().out_dir);
     }

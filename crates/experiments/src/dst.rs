@@ -9,6 +9,7 @@
 //! ([`hypersafe_simkit::shrink_injections`]) down to a 1-minimal
 //! reproducer before it is written out.
 
+use crate::gate::{export, write, GateRun};
 use crate::table::{pct, Report};
 use hypersafe_core::invariants::{check_gs_convergence, check_lossy_outcome};
 use hypersafe_core::{
@@ -325,18 +326,10 @@ fn artifact(p: &DstParams, sweep: &Sweep, n: u8, m: usize, i: u32, out: &SeedOut
     art
 }
 
-/// The sweep's outcome: the report plus the violation count the
-/// `repro` binary turns into its exit code.
-pub struct DstRun {
-    /// Renderable summary table (one row per dimension × fault count).
-    pub report: Report,
-    /// Total invariant violations across all seeds.
-    pub violations: u64,
-}
-
-/// Runs the sweep; writes `dst.csv` and any violation artifacts into
-/// `p.out_dir`.
-pub fn run(p: &DstParams) -> DstRun {
+/// Runs the sweep; writes `dst.csv`, the obs snapshot pair and any
+/// violation artifacts into `p.out_dir`. Any invariant violation is a
+/// failure.
+pub fn run(p: &DstParams) -> GateRun {
     let mut rep = Report::new(
         "dst",
         format!(
@@ -357,6 +350,7 @@ pub fn run(p: &DstParams) -> DstRun {
     );
     let mut violations = 0u64;
     let mut artifacts: Vec<PathBuf> = Vec::new();
+    let mut failures = Vec::new();
     let mut obs = Metrics::new(0, 0);
     for &n in &p.dims {
         for m in densities(n) {
@@ -400,10 +394,9 @@ pub fn run(p: &DstParams) -> DstRun {
             if let Some((i, out)) = outcomes.iter().enumerate().find(|(_, o)| o.violated()) {
                 let text = artifact(p, &sweep, n, m, i as u32, out);
                 let path = p.out_dir.join(format!("dst_violation_n{n}_m{m}.txt"));
-                if std::fs::create_dir_all(&p.out_dir).is_ok()
-                    && std::fs::write(&path, &text).is_ok()
-                {
-                    artifacts.push(path);
+                match write(&path, &text) {
+                    Ok(()) => artifacts.push(path),
+                    Err(e) => failures.push(format!("dst: {e}")),
                 }
             }
             rep.row(vec![
@@ -442,35 +435,16 @@ pub fn run(p: &DstParams) -> DstRun {
     for path in &artifacts {
         rep.note(format!("violation artifact: {}", path.display()));
     }
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
+    if violations > 0 {
+        failures.push(format!(
+            "dst: {violations} invariant violation(s) — see artifacts above"
+        ));
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("dst_obs.json");
-    let csv_path = p.out_dir.join("dst_obs.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (one observed FIFO replay per point): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
-    }
-    DstRun {
+    let about = "one observed FIFO replay per point";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
-        violations,
+        failures,
     }
 }
 
@@ -491,7 +465,7 @@ mod tests {
     #[test]
     fn tiny_sweep_is_clean() {
         let run = run(&tiny());
-        assert_eq!(run.violations, 0, "{}", run.report.render());
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         // Four densities per dimension (0, n/2, n-1, n+1).
         assert_eq!(
             run.report.rows.len(),

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod broadcast_exp;
-mod checksum;
 pub mod churn_exp;
 pub mod congestion_exp;
 pub mod distribution_exp;
@@ -49,6 +48,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod gate;
 pub mod linkfaults_exp;
 pub mod loss_exp;
 pub mod maintenance_exp;

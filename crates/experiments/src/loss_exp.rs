@@ -6,6 +6,7 @@
 //! overhead does ACK/retransmit add over the lossless baseline, and do
 //! feasible unicasts still deliver.
 
+use crate::gate::{export, GateRun};
 use crate::table::{f2, pct, Report};
 use hypersafe_core::{route, run_gs_reliable, run_unicast_lossy, LossyOutcome, SafetyMap};
 use hypersafe_simkit::{ChannelModel, Metrics, ReliableConfig, RunOptions};
@@ -33,8 +34,8 @@ pub struct LossParams {
     pub event_budget: u64,
     /// Master seed.
     pub seed: u64,
-    /// When set, the merged metrics snapshot of every lossy run lands
-    /// here as `loss_obs.json` / `loss_obs.csv` (next to `loss.csv`).
+    /// When set, `loss.csv` and the merged metrics snapshot of every
+    /// lossy run (`loss_obs.json` / `loss_obs.csv`) land here.
     pub out_dir: Option<PathBuf>,
 }
 
@@ -141,8 +142,9 @@ fn run_point(p: &LossParams, prof: &LossProfile, m: usize, point: u64) -> Vec<Tr
     })
 }
 
-/// Runs the sweep.
-pub fn run(p: &LossParams) -> Report {
+/// Runs the sweep; with `p.out_dir` set, writes `loss.csv` and the obs
+/// snapshot pair there. A failed write is the only failure.
+pub fn run(p: &LossParams) -> GateRun {
     let mut rep = Report::new(
         "loss",
         format!(
@@ -214,23 +216,18 @@ pub fn run(p: &LossParams) -> Report {
          asserted to be zero"
             .to_string(),
     );
-    if let Some(dir) = &p.out_dir {
-        let snap = agg.snapshot();
-        let json_path = dir.join("loss_obs.json");
-        let csv_path = dir.join("loss_obs.csv");
-        match std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-            .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-        {
-            Ok(()) => rep.note(format!(
-                "metrics snapshot over every lossy run (all profiles × fault counts): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            )),
-            Err(e) => rep.note(format!("metrics snapshot write failed: {e}")),
-        };
+    let snap = (
+        &agg.snapshot(),
+        "every lossy run, all profiles × fault counts",
+    );
+    let failures = p
+        .out_dir
+        .as_deref()
+        .map_or_else(Vec::new, |dir| export(&mut rep, dir, Some(snap)));
+    GateRun {
+        report: rep,
+        failures,
     }
-    rep
 }
 
 #[cfg(test)]
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn clean_profile_is_the_baseline() {
-        let rep = run(&tiny());
+        let rep = run(&tiny()).report;
         // First rows belong to the "clean" profile: unit overhead,
         // full convergence, full delivery.
         assert_eq!(rep.rows[0][0], "clean");
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn every_profile_converges_and_delivers() {
-        let rep = run(&tiny());
+        let rep = run(&tiny()).report;
         for row in &rep.rows {
             assert_eq!(row[3], "100.0%", "profile {} faults {}", row[0], row[2]);
             assert_eq!(row[6], "100.0%", "profile {} faults {}", row[0], row[2]);

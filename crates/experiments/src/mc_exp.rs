@@ -24,6 +24,7 @@
 //! scope is scenario-enumerated rather than seed-sampled, so the run
 //! is fully deterministic — no `--seed` knob.
 
+use crate::gate::{export, GateRun};
 use crate::table::Report;
 use hypersafe_core::{mc_delta_gs, mc_gs, mc_unicast_arq, run_gs_reliable, ChurnEvent, SafetyMap};
 use hypersafe_simkit::{McConfig, McReport, Metrics, ReliableConfig, RunOptions};
@@ -107,37 +108,26 @@ fn q4_orbit_reps() -> Vec<Vec<u64>> {
     ]
 }
 
-/// The gate's outcome: the report plus the counts the `repro` binary
-/// turns into its exit code.
-pub struct McExpRun {
-    /// Renderable summary table (one row per scenario).
-    pub report: Report,
-    /// Property violations across all scenarios.
-    pub violations: u64,
-    /// Scenarios whose search hit the state cap — their verdicts are
-    /// not exhaustive, so the gate fails on them too.
-    pub truncated: u64,
+/// A scenario's verdict: clean, a property violation, or a search that
+/// hit the state cap (not exhaustive, so it fails the gate too).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    Ok,
+    Violation,
+    Truncated,
 }
 
-/// Appends one scenario row and folds its verdict into the counters.
-#[allow(clippy::too_many_arguments)]
-fn record(
-    rep: &mut Report,
-    leg: &str,
-    n: u8,
-    scenario: &str,
-    r: &McReport,
-    violations: &mut u64,
-    truncated: &mut u64,
-) {
-    let verdict = if let Some(v) = &r.violation {
-        *violations += 1;
-        format!("VIOLATION: {} ({})", v.property, v.detail)
+/// Appends one scenario row and returns its verdict.
+fn record(rep: &mut Report, leg: &str, n: u8, scenario: &str, r: &McReport) -> Verdict {
+    let (verdict, cell) = if let Some(v) = &r.violation {
+        (
+            Verdict::Violation,
+            format!("VIOLATION: {} ({})", v.property, v.detail),
+        )
     } else if r.truncated {
-        *truncated += 1;
-        "TRUNCATED".to_string()
+        (Verdict::Truncated, "TRUNCATED".to_string())
     } else {
-        "ok".to_string()
+        (Verdict::Ok, "ok".to_string())
     };
     rep.row(vec![
         leg.to_string(),
@@ -151,13 +141,15 @@ fn record(
         r.frontier_peak.to_string(),
         r.terminals.to_string(),
         r.max_depth.to_string(),
-        verdict,
+        cell,
     ]);
+    verdict
 }
 
 /// Runs the gate; writes `mc.csv` plus `mc_obs.json` / `mc_obs.csv`
-/// into `p.out_dir`.
-pub fn run(p: &McParams) -> McExpRun {
+/// into `p.out_dir`. Any property violation or truncated search is a
+/// failure.
+pub fn run(p: &McParams) -> GateRun {
     let mut rep = Report::new(
         "mc",
         format!(
@@ -179,8 +171,7 @@ pub fn run(p: &McParams) -> McExpRun {
             "verdict",
         ],
     );
-    let mut violations = 0u64;
-    let mut truncated = 0u64;
+    let mut verdicts = Vec::new();
     let base = McConfig {
         max_states: p.max_states,
         ..McConfig::default()
@@ -200,15 +191,7 @@ pub fn run(p: &McParams) -> McExpRun {
         let cfg = cube_cfg(*n, faults);
         let r = mc_gs(&cfg, &base);
         let label = format!("faults={}", fault_label(faults));
-        record(
-            &mut rep,
-            "gs",
-            *n,
-            &label,
-            &r,
-            &mut violations,
-            &mut truncated,
-        );
+        verdicts.push(record(&mut rep, "gs", *n, &label, &r));
     }
 
     // -- Delta-GS leg ----------------------------------------------
@@ -240,15 +223,7 @@ pub fn run(p: &McParams) -> McExpRun {
             ChurnEvent::Fault(a) => format!("fault({}) from {}", a.raw(), fault_label(pre)),
             ChurnEvent::Recover(a) => format!("recover({}) from {}", a.raw(), fault_label(pre)),
         };
-        record(
-            &mut rep,
-            "delta-gs",
-            *n,
-            &label,
-            &r,
-            &mut violations,
-            &mut truncated,
-        );
+        verdicts.push(record(&mut rep, "delta-gs", *n, &label, &r));
     }
 
     // -- ARQ leg ---------------------------------------------------
@@ -282,15 +257,7 @@ pub fn run(p: &McParams) -> McExpRun {
             "{s}->{d} faults={} loss={loss} dup={dup}",
             fault_label(faults)
         );
-        record(
-            &mut rep,
-            "arq",
-            3,
-            &label,
-            &r,
-            &mut violations,
-            &mut truncated,
-        );
+        verdicts.push(record(&mut rep, "arq", 3, &label, &r));
     }
 
     rep.note(
@@ -326,15 +293,6 @@ pub fn run(p: &McParams) -> McExpRun {
                 .to_string(),
         );
     }
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
-    }
-
     // Observed FIFO replays of the checked GS configurations feed the
     // schema-gated metrics snapshot (one per cube dimension covered).
     let mut obs = Metrics::new(0, 0);
@@ -350,29 +308,25 @@ pub fn run(p: &McParams) -> McExpRun {
         let (_, report) = run_gs_reliable(&cfg, ReliableConfig::default(), 1, opts);
         obs.merge(&report.metrics.expect("observed"));
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("mc_obs.json");
-    let csv_path = p.out_dir.join("mc_obs.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (observed FIFO replays of checked configs): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
+    let count = |v| verdicts.iter().filter(|&&x| x == v).count();
+    let mut failures = Vec::new();
+    let violations = count(Verdict::Violation);
+    if violations > 0 {
+        failures.push(format!(
+            "mc: {violations} property violation(s) — see the verdict column"
+        ));
     }
-
-    McExpRun {
+    let truncated = count(Verdict::Truncated);
+    if truncated > 0 {
+        failures.push(format!(
+            "mc: {truncated} truncated search(es) — raise the state cap (--trials, in millions)"
+        ));
+    }
+    let about = "observed FIFO replays of checked configs";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
-        violations,
-        truncated,
+        failures,
     }
 }
 
@@ -388,8 +342,7 @@ mod tests {
             ..McParams::default()
         };
         let run = run(&p);
-        assert_eq!(run.violations, 0, "{}", run.report.render());
-        assert_eq!(run.truncated, 0, "{}", run.report.render());
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         // 9 GS rows (Q_3, <= 1 fault) + 1 delta + 1 ARQ.
         assert_eq!(run.report.rows.len(), 11);
         assert!(p.out_dir.join("mc.csv").exists());

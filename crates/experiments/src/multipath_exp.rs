@@ -32,7 +32,7 @@
 //! function of the seed and is byte-identical at any
 //! `RAYON_NUM_THREADS` (CI diffs 1 vs 4).
 
-use crate::checksum::fnv1a;
+use crate::gate::{export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::Report;
 use hypersafe_core::{
     check_disjoint_delivery, outcome_of, route, route_disjoint, route_disjoint_many,
@@ -123,7 +123,7 @@ fn run_sweep_point(
 
     let batch = route_disjoint_many(&cfg, &map, &pairs, p.k);
     let mut out = SweepPoint {
-        checksum: 0xcbf2_9ce4_8422_2325,
+        checksum: FNV_OFFSET,
         ..SweepPoint::default()
     };
     let bound = u64::from(p.k.min(p.n)).min(p.n as u64 - f as u64);
@@ -203,7 +203,7 @@ fn run_hotspot(
     let mut hist = hypersafe_simkit::QuantileHist::new();
     let mut delivered = 0u64;
     let mut hops = 0u64;
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_OFFSET;
     for &(s, d) in &pairs {
         let arrival = if multi {
             let res = route_disjoint_ranked(&cfg, &map, s, d, k, &|a, j| load.cost(a, j));
@@ -278,7 +278,7 @@ fn run_percolation_point(
         delivered_pairs: 0,
         paths_total: 0,
         single_delivered: 0,
-        checksum: 0xcbf2_9ce4_8422_2325,
+        checksum: FNV_OFFSET,
         mismatches: 0,
     };
     for (o, &(s, d)) in batch.iter().zip(&pairs) {
@@ -299,18 +299,9 @@ fn run_percolation_point(
     out
 }
 
-/// The run's outcome: the report plus the violation count the `repro`
-/// binary turns into its exit code.
-pub struct MultipathRun {
-    /// Renderable summary.
-    pub report: Report,
-    /// Gate violations across all regimes (must be 0).
-    pub mismatches: u64,
-}
-
 /// Runs E29; writes `multipath.csv` and `multipath_obs.{json,csv}`
-/// into `p.out_dir`.
-pub fn run(p: &MultipathParams) -> MultipathRun {
+/// into `p.out_dir`. Any contract violation is a failure.
+pub fn run(p: &MultipathParams) -> GateRun {
     let mut rep = Report::new(
         "multipath",
         format!(
@@ -446,36 +437,17 @@ pub fn run(p: &MultipathParams) -> MultipathRun {
          RAYON_NUM_THREADS"
             .to_string(),
     );
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
+    let mut failures = Vec::new();
+    if mismatches > 0 {
+        failures.push(format!(
+            "multipath: {mismatches} contract violation(s) — see the mismatches column"
+        ));
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("multipath_obs.json");
-    let csv_path = p.out_dir.join("multipath_obs.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (diversity in rounds, best-copy hops, hotspot \
-                 latency): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
-    }
-    MultipathRun {
+    let about = "diversity in rounds, best-copy hops, hotspot latency";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
-        mismatches,
+        failures,
     }
 }
 
@@ -499,7 +471,7 @@ mod tests {
     #[test]
     fn tiny_run_is_clean() {
         let run = run(&tiny());
-        assert_eq!(run.mismatches, 0, "{}", run.report.render());
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         let _ = std::fs::remove_dir_all(tiny().out_dir);
     }
 

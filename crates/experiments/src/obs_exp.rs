@@ -9,6 +9,7 @@
 //! [`FlightRecorder`]: a bounded ring that keeps the *last N* trace
 //! events of a run instead of an unbounded trace.
 
+use crate::gate::{export, GateRun};
 use crate::table::{f2, Report};
 use hypersafe_core::{route, run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe_simkit::{
@@ -35,8 +36,9 @@ pub struct ObsParams {
     pub event_budget: u64,
     /// Master seed.
     pub seed: u64,
-    /// Where `obs_metrics.json` / `obs_metrics.csv` land.
-    pub out_dir: PathBuf,
+    /// When set, `obs.csv` and the snapshot (`obs_metrics.json` /
+    /// `obs_metrics.csv`) land here.
+    pub out_dir: Option<PathBuf>,
 }
 
 impl Default for ObsParams {
@@ -48,19 +50,9 @@ impl Default for ObsParams {
             pairs_per_instance: 4,
             event_budget: 2_000_000,
             seed: 0x0B5,
-            out_dir: PathBuf::from("results"),
+            out_dir: None,
         }
     }
-}
-
-/// The sweep's outcome: the renderable report plus the merged snapshot
-/// (already written to disk when `out_dir` was writable).
-pub struct ObsRun {
-    /// Summary table: one row per histogram, notes carrying totals,
-    /// per-dimension balance, and the flight-recorder demonstration.
-    pub report: Report,
-    /// The merged cross-trial snapshot.
-    pub snapshot: MetricsSnapshot,
 }
 
 /// Flood used for the flight-recorder demonstration: enough traffic to
@@ -133,9 +125,23 @@ fn hist_row(rep: &mut Report, name: &str, q: &Quantiles) {
     ]);
 }
 
-/// Runs the sweep; writes `obs_metrics.json` and `obs_metrics.csv`
-/// into `p.out_dir`.
-pub fn run(p: &ObsParams) -> ObsRun {
+/// Runs the sweep; with `p.out_dir` set, writes `obs.csv`,
+/// `obs_metrics.json` and `obs_metrics.csv` there. A failed write is
+/// the only failure.
+pub fn run(p: &ObsParams) -> GateRun {
+    let (mut report, snapshot) = measure(p);
+    let snap = (&snapshot, "merged reliable GS + unicast registry");
+    let failures = p
+        .out_dir
+        .as_deref()
+        .map_or_else(Vec::new, |dir| export(&mut report, dir, Some(snap)));
+    GateRun { report, failures }
+}
+
+/// The sweep itself: the summary table (one row per histogram, notes
+/// carrying totals, per-dimension balance, and the flight-recorder
+/// demonstration) and the merged cross-trial snapshot.
+fn measure(p: &ObsParams) -> (Report, MetricsSnapshot) {
     let cube = Hypercube::new(p.n);
     let rcfg = ReliableConfig::default();
     // The "moderate" profile: loss + jitter + duplication all nonzero,
@@ -221,23 +227,7 @@ pub fn run(p: &ObsParams) -> ObsRun {
         fr.seen() - fr.evicted(),
         fr.evicted()
     ));
-    let json_path = p.out_dir.join("obs_metrics.json");
-    let csv_path = p.out_dir.join("obs_metrics.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snapshot.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snapshot.to_csv()))
-    {
-        Ok(()) => rep.note(format!(
-            "snapshot: {} and {}",
-            json_path.display(),
-            csv_path.display()
-        )),
-        Err(e) => rep.note(format!("snapshot write failed: {e}")),
-    };
-    ObsRun {
-        report: rep,
-        snapshot,
-    }
+    (rep, snapshot)
 }
 
 #[cfg(test)]
@@ -252,37 +242,37 @@ mod tests {
             pairs_per_instance: 2,
             event_budget: 500_000,
             seed: 5,
-            out_dir: std::env::temp_dir().join("hypersafe_obs_test"),
+            out_dir: Some(std::env::temp_dir().join("hypersafe_obs_test")),
         }
     }
 
     #[test]
     fn snapshot_respects_conservation_and_is_deterministic() {
-        let a = run(&tiny());
-        let b = run(&tiny());
-        let t = &a.snapshot.totals;
+        let (a_rep, a) = measure(&tiny());
+        let (b_rep, b) = measure(&tiny());
+        let t = &a.totals;
         assert_eq!(
             t.delivered + t.dropped + t.lost,
             t.sends + t.duplicated,
             "conservation law over the merged sweep"
         );
         assert!(t.sends > 0);
-        assert!(a.snapshot.latency.count > 0);
-        assert_eq!(a.snapshot.to_json(), b.snapshot.to_json());
-        assert_eq!(a.report.rows, b.report.rows);
-        let _ = std::fs::remove_dir_all(tiny().out_dir);
+        assert!(a.latency.count > 0);
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a_rep.rows, b_rep.rows);
     }
 
     #[test]
     fn snapshot_files_are_written() {
         let p = tiny();
-        let _ = run(&p);
-        let json = std::fs::read_to_string(p.out_dir.join("obs_metrics.json")).unwrap();
-        let csv = std::fs::read_to_string(p.out_dir.join("obs_metrics.csv")).unwrap();
+        let dir = p.out_dir.clone().unwrap();
+        assert!(run(&p).failures.is_empty());
+        let json = std::fs::read_to_string(dir.join("obs_metrics.json")).unwrap();
+        let csv = std::fs::read_to_string(dir.join("obs_metrics.csv")).unwrap();
         assert!(json.starts_with("{\"schema\":\"hypersafe.obs.v1\""));
         assert!(csv.starts_with("scope,index,field,value\n"));
         hypersafe_simkit::parse_json(&json).expect("exported JSON parses");
-        let _ = std::fs::remove_dir_all(p.out_dir);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! `BENCH_churn.json`, and `BENCH_routing.json` via an id-preserving
 //! merge, and to the report notes.
 
-use crate::checksum::{batch_outcome_word, fnv1a};
+use crate::gate::{batch_outcome_word, export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::Report;
 use hypersafe_core::{route_many, route_many_seq, SafetyMap};
 use hypersafe_simkit::Metrics;
@@ -126,7 +126,7 @@ fn run_dim<R: Rng + ?Sized>(p: &SafetyScaleParams, n: u8, reps: u32, rng: &mut R
         .store()
         .to_vec()
         .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &l| fnv1a(h, l as u64));
+        .fold(FNV_OFFSET, |h, &l| fnv1a(h, l as u64));
     let rounds = map.rounds();
 
     // Incremental tail: single-event updates on the packed store,
@@ -209,7 +209,7 @@ fn run_route<R: Rng + ?Sized>(p: &SafetyScaleParams, rng: &mut R) -> RouteOutcom
         seq_ns_per_route: seq_ns / pairs.len() as f64,
         chunked_ns_per_route: chunked_ns / pairs.len() as f64,
         delivered: 0,
-        checksum: 0xcbf2_9ce4_8422_2325,
+        checksum: FNV_OFFSET,
         mismatches: (par != seq) as u64,
     };
     for o in &par {
@@ -259,20 +259,11 @@ pub fn merge_bench_json(path: &Path, entries: &[(String, f64)]) -> std::io::Resu
     std::fs::write(path, doc)
 }
 
-/// The run's outcome: the report plus the mismatch count the `repro`
-/// binary turns into its exit code.
-pub struct SafetyScaleRun {
-    /// Renderable summary (one row per dimension, one routing row).
-    pub report: Report,
-    /// Equivalence failures across all gates (must be 0).
-    pub mismatches: u64,
-    /// Worst bytes/node across the sweep (gated at ≤ 1.0).
-    pub max_bytes_per_node: f64,
-}
-
 /// Runs the scale experiment; writes `safety_scale.csv`, the obs
-/// snapshot, and the BENCH merges into `p.out_dir`.
-pub fn run(p: &SafetyScaleParams) -> SafetyScaleRun {
+/// snapshot, and the BENCH merges into `p.out_dir`. Any
+/// packed-vs-reference mismatch, and a store above 1 byte/node, is a
+/// failure.
+pub fn run(p: &SafetyScaleParams) -> GateRun {
     let mut rep = Report::new(
         "safety_scale",
         format!(
@@ -402,13 +393,16 @@ pub fn run(p: &SafetyScaleParams) -> SafetyScaleRun {
          in results/BENCH_safety_compute.json / BENCH_churn.json / BENCH_routing.json"
             .to_string(),
     );
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
+    let mut failures = Vec::new();
+    if mismatches > 0 {
+        failures.push(format!(
+            "safety-scale: {mismatches} packed-vs-reference mismatch(es)"
+        ));
+    }
+    if max_bpn > 1.0 {
+        failures.push(format!(
+            "safety-scale: store exceeds 1 byte/node ({max_bpn:.4})"
+        ));
     }
     for (file, entries) in [
         ("BENCH_safety_compute.json", &bench_compute),
@@ -423,33 +417,14 @@ pub fn run(p: &SafetyScaleParams) -> SafetyScaleRun {
             Ok(()) => {
                 rep.note(format!("bench merge: {}", path.display()));
             }
-            Err(e) => {
-                rep.note(format!("bench merge into {file} failed: {e}"));
-            }
+            Err(e) => failures.push(format!("safety-scale: bench merge into {file} failed: {e}")),
         }
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("safety_scale_obs.json");
-    let csv_path = p.out_dir.join("safety_scale_obs.csv");
-    match std::fs::create_dir_all(&p.out_dir)
-        .and_then(|()| std::fs::write(&json_path, snap.to_json()))
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (compute-round histogram): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
-    }
-    SafetyScaleRun {
+    let about = "compute-round histogram";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
-        mismatches,
-        max_bytes_per_node: max_bpn,
+        failures,
     }
 }
 
@@ -473,8 +448,7 @@ mod tests {
     #[test]
     fn tiny_run_is_clean() {
         let run = run(&tiny());
-        assert_eq!(run.mismatches, 0, "{}", run.report.render());
-        assert!(run.max_bytes_per_node <= 1.0);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         let _ = std::fs::remove_dir_all(tiny().out_dir);
     }
 

@@ -15,7 +15,7 @@
 //! across `RAYON_NUM_THREADS` settings and across reruns of the same
 //! seed (CI's replay gate).
 
-use crate::checksum::fnv1a;
+use crate::gate::{export, fnv1a, write, GateRun, FNV_OFFSET};
 use crate::table::Report;
 use hypersafe_core::SafetyService;
 use hypersafe_simkit::service::{DegradeReason, ReqState, RoutingService, ServiceConfig, Terminal};
@@ -57,16 +57,6 @@ impl Default for ServiceParams {
             out_dir: PathBuf::from("results"),
         }
     }
-}
-
-/// The soak's outcome: the report plus the failure count the `repro`
-/// binary turns into its exit code.
-pub struct ServiceRun {
-    /// Renderable summary (one row per dimension × ladder rung).
-    pub report: Report,
-    /// Invariant violations + unterminated requests + deadline
-    /// overruns, summed — zero on a healthy run.
-    pub failures: u64,
 }
 
 fn terminal_word(t: Terminal) -> u64 {
@@ -125,7 +115,7 @@ fn soak_dim(p: &ServiceParams, n: u8) -> DimOutcome {
     svc.load(&injections);
     svc.run();
 
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_OFFSET;
     let mut unterminated = 0u64;
     let mut deadline_overruns = 0u64;
     let mut hops = QuantileHist::new();
@@ -182,8 +172,9 @@ fn q_cells(h: &QuantileHist) -> [String; 4] {
 }
 
 /// Runs the soak; writes `service.csv`, `BENCH_service.json`, and the
-/// obs snapshot pair into `p.out_dir`.
-pub fn run(p: &ServiceParams) -> ServiceRun {
+/// obs snapshot pair into `p.out_dir`. Any invariant violation,
+/// unterminated request or deadline overrun is a failure.
+pub fn run(p: &ServiceParams) -> GateRun {
     let mut rep = Report::new(
         "service",
         format!(
@@ -193,7 +184,7 @@ pub fn run(p: &ServiceParams) -> ServiceRun {
         ),
         &["n", "rung", "count", "p50", "p95", "p99", "max", "detail"],
     );
-    let mut failures = 0u64;
+    let mut failed = 0u64;
     let mut bench = String::from("{\n  \"results\": [\n");
     let mut bench_rows: Vec<String> = Vec::new();
     let mut obs = Metrics::new(0, 0);
@@ -201,7 +192,7 @@ pub fn run(p: &ServiceParams) -> ServiceRun {
     for &n in &p.dims {
         let o = soak_dim(p, n);
         let s = &o.stats;
-        failures += s.invariant_violations + o.unterminated + o.deadline_overruns;
+        failed += s.invariant_violations + o.unterminated + o.deadline_overruns;
 
         let rungs: [(&str, u64, &QuantileHist, String); 6] = [
             (
@@ -325,41 +316,23 @@ pub fn run(p: &ServiceParams) -> ServiceRun {
          function of the seed)"
             .to_string(),
     );
-    match rep.write_csv(&p.out_dir) {
-        Ok(path) => {
-            rep.note(format!("csv: {}", path.display()));
-        }
-        Err(e) => {
-            rep.note(format!("csv write failed: {e}"));
-        }
+    let mut failures = Vec::new();
+    if failed > 0 {
+        failures.push(format!(
+            "service: {failed} failure(s) (invariant violations / unterminated requests / \
+             deadline overruns) — see the `all` rows"
+        ));
     }
     let bench_path = p.out_dir.join("BENCH_service.json");
-    match std::fs::create_dir_all(&p.out_dir).and_then(|()| std::fs::write(&bench_path, &bench)) {
+    match write(&bench_path, &bench) {
         Ok(()) => {
             rep.note(format!("bench summary: {}", bench_path.display()));
         }
-        Err(e) => {
-            rep.note(format!("bench summary write failed: {e}"));
-        }
+        Err(e) => failures.push(format!("service: {e}")),
     }
-    let snap = obs.snapshot();
-    let json_path = p.out_dir.join("service_obs.json");
-    let csv_path = p.out_dir.join("service_obs.csv");
-    match std::fs::write(&json_path, snap.to_json())
-        .and_then(|()| std::fs::write(&csv_path, snap.to_csv()))
-    {
-        Ok(()) => {
-            rep.note(format!(
-                "metrics snapshot (delivered latency / hops / attempts histograms): {} and {}",
-                json_path.display(),
-                csv_path.display()
-            ));
-        }
-        Err(e) => {
-            rep.note(format!("metrics snapshot write failed: {e}"));
-        }
-    }
-    ServiceRun {
+    let about = "delivered latency / hops / attempts histograms";
+    failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
+    GateRun {
         report: rep,
         failures,
     }
@@ -384,7 +357,7 @@ mod tests {
     fn tiny_soak_is_clean_and_deterministic() {
         let a = run(&tiny());
         let b = run(&tiny());
-        assert_eq!(a.failures, 0, "{}", a.report.render());
+        assert!(a.failures.is_empty(), "{:?}", a.failures);
         assert_eq!(a.report.rows, b.report.rows, "same seed, same bytes");
         let _ = std::fs::remove_dir_all(tiny().out_dir);
     }
