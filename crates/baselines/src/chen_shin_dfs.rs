@@ -1,4 +1,4 @@
-//! Chen–Shin depth-first-search routing (paper's reference [3]).
+//! Chen–Shin depth-first-search routing (paper's reference \[3\]).
 //!
 //! The message carries a history of visited nodes; at each node it
 //! tries unvisited nonfaulty preferred neighbors first, then unvisited

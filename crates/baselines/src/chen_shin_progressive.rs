@@ -1,8 +1,8 @@
 //! Progressive (backtrack-free) adaptive routing — the simplified
-//! Chen–Shin scheme the paper cites as [2].
+//! Chen–Shin scheme the paper cites as \[2\].
 //!
 //! "A simplified version of this approach that tolerates fewer faults
-//! was presented in [2], where routing is progressive without
+//! was presented in \[2\], where routing is progressive without
 //! backtracking. Still routing paths are not optimal in general."
 //!
 //! At each node the message moves to a nonfaulty preferred neighbor if

@@ -1,5 +1,5 @@
 //! Chiu–Wu-style routing over Wu–Fernandez safe-node status (the
-//! paper's reference [4]).
+//! paper's reference \[4\]).
 //!
 //! The original algorithm is not reproduced line-by-line (the cited
 //! paper is outside this reproduction's corpus); what the paper relies

@@ -1,16 +1,16 @@
-//! Free dimensions (paper's reference [8], Raghavendra–Yang–Tien).
+//! Free dimensions (paper's reference \[8\], Raghavendra–Yang–Tien).
 //!
 //! A dimension `i` is *free* when no two faulty nodes are adjacent
 //! along it — equivalently, every node pair `(a, a ⊕ eⁱ)` contains at
 //! most one fault. Splitting the cube along a free dimension leaves
 //! each faulty node with a nonfaulty partner in the opposite half, the
-//! structural property [8] exploits for fault-tolerant routing.
+//! structural property \[8\] exploits for fault-tolerant routing.
 //!
 //! This module implements free-dimension identification exactly and a
 //! simplified recursive router over it (cross a free preferred
 //! dimension early, then recurse in the remaining subcube), falling
 //! back to greedy-with-detour when no free preferred dimension helps.
-//! It serves as an E9 comparison point, not a line-by-line port of [8].
+//! It serves as an E9 comparison point, not a line-by-line port of \[8\].
 
 use hypersafe_topology::{FaultConfig, NodeId, Path};
 
@@ -27,7 +27,7 @@ pub fn free_dimensions(cfg: &FaultConfig) -> Vec<u8> {
         .collect()
 }
 
-/// Classic result of [8]: with at most `n` faults in an `n`-cube, at
+/// Classic result of \[8\]: with at most `n` faults in an `n`-cube, at
 /// least one free dimension exists for `n ≥ 3` unless the faults are
 /// pathologically paired. This helper reports whether the instance has
 /// one (used by experiments to bucket instances).

@@ -1,4 +1,4 @@
-//! Lee–Hayes safe nodes (paper's Definition 2, from [7]) and a routing
+//! Lee–Hayes safe nodes (paper's Definition 2, from \[7\]) and a routing
 //! baseline built on them.
 //!
 //! > A nonfaulty node is *unsafe* if and only if there are at least two
@@ -101,10 +101,10 @@ impl LeeHayesStatus {
 /// Routes `s → d` with a Lee–Hayes-style strategy: prefer safe
 /// preferred neighbors, fall back to any nonfaulty preferred neighbor,
 /// detour via a safe spare neighbor when blocked. The hop budget is
-/// `H + 2` (the bound claimed in [7]); exceeding it is a failure.
+/// `H + 2` (the bound claimed in \[7\]); exceeding it is a failure.
 ///
 /// This is a faithful-to-claims reconstruction, not a line-by-line port
-/// of [7] (see DESIGN.md §5): it requires a non-fully-unsafe cube and
+/// of \[7\] (see DESIGN.md §5): it requires a non-fully-unsafe cube and
 /// achieves `≤ H + 2` when safe nodes steer the detour.
 pub fn lh_route(cfg: &FaultConfig, status: &LeeHayesStatus, s: NodeId, d: NodeId) -> Option<Path> {
     if status.fully_unsafe() || cfg.node_faulty(s) || cfg.node_faulty(d) {

@@ -3,15 +3,15 @@
 //! The fault-tolerant routing schemes the paper positions safety levels
 //! against, implemented as runnable baselines:
 //!
-//! * [`lee_hayes`] — safe nodes per Definition 2 ([7]) + routing.
-//! * [`wu_fernandez`] — enhanced safe nodes per Definition 3 ([10]).
-//! * [`chiu_wu`] — routing over WF status with the `H + 4` bound ([4],
+//! * [`lee_hayes`] — safe nodes per Definition 2 (\[7\]) + routing.
+//! * [`wu_fernandez`] — enhanced safe nodes per Definition 3 (\[10\]).
+//! * [`chiu_wu`] — routing over WF status with the `H + 4` bound (\[4\],
 //!   faithful-to-claims reconstruction; see DESIGN.md §5).
 //! * [`chen_shin_dfs`] — DFS routing with backtracking and message
-//!   history ([3]).
-//! * [`chen_shin_progressive`] — backtrack-free adaptive routing ([2]).
-//! * [`sidetrack`] — Gordon–Stout random sidetracking ([5]).
-//! * [`free_dimensions`] — Raghavendra et al. free dimensions ([8]).
+//!   history (\[3\]).
+//! * [`chen_shin_progressive`] — backtrack-free adaptive routing (\[2\]).
+//! * [`sidetrack`] — Gordon–Stout random sidetracking (\[5\]).
+//! * [`free_dimensions`](mod@free_dimensions) — Raghavendra et al. free dimensions (\[8\]).
 //!
 //! The crate-level tests pin the paper's §2.3 comparison: for every
 //! fault distribution, LH-safe ⊆ WF-safe ⊆ {level-n nodes}, and both

@@ -1,4 +1,4 @@
-//! Gordon–Stout random sidetracking (paper's reference [5]).
+//! Gordon–Stout random sidetracking (paper's reference \[5\]).
 //!
 //! "A message is rerouted to a randomly chosen fault-free neighboring
 //! node when there exists no fault-free neighbor along optimal paths to

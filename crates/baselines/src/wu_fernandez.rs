@@ -1,4 +1,4 @@
-//! Wu–Fernandez enhanced safe nodes (paper's Definition 3, from [10]).
+//! Wu–Fernandez enhanced safe nodes (paper's Definition 3, from \[10\]).
 //!
 //! > A nonfaulty node is *unsafe* if and only if one of the following
 //! > conditions is true: there are two faulty neighbors, or there are

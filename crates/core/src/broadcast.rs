@@ -1,5 +1,5 @@
 //! Reliable broadcasting with safety levels — the concept's original
-//! application (the paper's reference [9], Wu, IEEE TC May 1995), and
+//! application (the paper's reference \[9\], Wu, IEEE TC May 1995), and
 //! the foundation §2 builds on.
 //!
 //! A fault-free hypercube broadcast is a binomial tree: the source

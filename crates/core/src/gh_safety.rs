@@ -11,6 +11,7 @@
 //! suffices to learn the dimension minimum, so the fixed point is still
 //! reached in `n − 1` rounds.
 
+use crate::properties::{check_level_corridor, check_levels_converged, Violation};
 use crate::safety::{level_from_neighbors, Level};
 use hypersafe_simkit::{gh_port_dim, GhNet, SyncEngine, SyncNode, SyncStats};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
@@ -205,6 +206,50 @@ pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, 
         .collect();
     let stats = eng.stats().clone();
     (GhSafetyMap { levels, n, rounds }, stats)
+}
+
+/// Checked runner for the distributed GH `GLOBAL_STATUS`: steps the
+/// lock-step engine round by round and, after every round, checks
+/// [`check_level_corridor`] from the all-`n` start down to the
+/// centralized Definition 4 fixed point (`GhGsNode` keeps no direction
+/// flag, so a node's direction bit is "no higher than last round"),
+/// that the round count stays within the paper's `n − 1` bound (`+1`
+/// for the final no-change confirmation round), and at quiescence
+/// [`check_levels_converged`] against [`GhSafetyMap::compute`].
+pub fn run_gh_gs_checked(
+    gh: &GeneralizedHypercube,
+    faults: &FaultSet,
+) -> Result<GhSafetyMap, Violation> {
+    let n = gh.dim();
+    let central = GhSafetyMap::compute(gh, faults);
+    let fixed = |a: NodeId| central.level(GhNode(a.raw()));
+    let net = GhNet::new(gh, faults);
+    let mut eng = gh_gs_engine(&net);
+    let levels = |eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>| -> Vec<Level> {
+        (0..gh.num_nodes())
+            .map(|a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level))
+            .collect()
+    };
+    let mut prev = levels(&eng);
+    let mut rounds = 0u32;
+    while eng.run_round() != 0 {
+        rounds += 1;
+        if rounds > n as u32 {
+            return Err(Violation {
+                claim: "gh-gs-round-bound",
+                witness: Vec::new(),
+                detail: format!("still active after {rounds} rounds on an n = {n} GH"),
+            });
+        }
+        let now = levels(&eng);
+        let cut = now.iter().zip(&prev).enumerate();
+        let cut = cut.map(|(a, (&lv, &was))| (NodeId::new(a as u64), lv, lv <= was));
+        check_level_corridor(cut, |_| n, fixed, true)?;
+        prev = now;
+    }
+    let cut = levels(&eng).into_iter().enumerate();
+    check_levels_converged(cut.map(|(a, lv)| (NodeId::new(a as u64), lv)), fixed)?;
+    Ok(central)
 }
 
 #[cfg(test)]

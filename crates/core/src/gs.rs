@@ -17,11 +17,11 @@
 //! [`run_gs_reliable`] runs the same actor behind the ACK/retransmit
 //! layer, for lossy channels.
 
-use crate::invariants::GsLevelsDescend;
 use crate::level_store::NeighborLevels;
+use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
 use crate::safety::{level_from_neighbors, level_from_unsorted, Level, SafetyMap};
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, RelCtx, Reliable, ReliableActor,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
     ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
 };
 use hypersafe_topology::{FaultConfig, NodeId, MAX_DIM};
@@ -137,10 +137,9 @@ pub struct AsyncGsNode {
     latency: u64,
     /// Whether every level change so far was a decrease. Starting from
     /// the top element this must stay `true` (the Definition 1 operator
-    /// is monotone); the DST invariant suite
-    /// ([`crate::invariants::GsLevelsConverge`]) checks it at every
-    /// quiescent point instead of a `debug_assert` so adversarial runs
-    /// report a violation rather than abort.
+    /// is monotone); [`GsLevelsDescend`] checks it at every quiescent
+    /// point instead of a `debug_assert` so adversarial runs report a
+    /// violation rather than abort.
     monotone: bool,
 }
 
@@ -230,11 +229,78 @@ impl Actor for AsyncGsNode {
         // announcement — ignore it. With plain overwrite a late-arriving
         // high level could resurrect knowledge under an adversarial
         // schedule; the min() makes descent unconditional, which is what
-        // the `GsLevelsDescend` DST invariant checks.
+        // the `GsLevelsDescend` corridor checks.
         self.heard.set(dim, self.heard.get(dim).min(msg));
         if self.reevaluate() {
             self.announce(ctx);
         }
+    }
+}
+
+/// Engine invariant for asynchronous GS, plain or behind the reliable
+/// layer: the [`check_level_corridor`] adapter, from the all-`n` start
+/// down to Theorem 1's fixed point, checked at every quiescent point.
+/// Its violation under message reordering motivated the monotone merge
+/// in [`AsyncGsNode`]. The model checker ([`crate::mc_gs`]) runs the
+/// same two predicates over every reached state.
+pub struct GsLevelsDescend {
+    fixed: SafetyMap,
+}
+
+impl GsLevelsDescend {
+    /// Invariant state for a run over `cfg` (computes the Theorem 1
+    /// fixed point once).
+    pub fn new(cfg: &FaultConfig) -> Self {
+        GsLevelsDescend {
+            fixed: SafetyMap::compute(cfg),
+        }
+    }
+
+    /// [`check_level_corridor`] over the actors of one cut.
+    pub fn corridor<'x>(
+        &self,
+        actors: impl Iterator<Item = (NodeId, &'x AsyncGsNode)>,
+    ) -> Result<(), Violation> {
+        let n = self.fixed.dim();
+        let levels = actors.map(|(a, g)| (a, g.level, g.monotone));
+        check_level_corridor(levels, |_| n, |a| self.fixed.level(a), true)
+    }
+
+    /// [`check_levels_converged`] over the actors of a quiescent cut.
+    pub fn converged<'x>(
+        &self,
+        actors: impl Iterator<Item = (NodeId, &'x AsyncGsNode)>,
+    ) -> Result<(), Violation> {
+        check_levels_converged(actors.map(|(a, g)| (a, g.level)), |a| self.fixed.level(a))
+    }
+}
+
+impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
+    fn name(&self) -> &'static str {
+        GS_CORRIDOR
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, AsyncGsNode>,
+    ) -> Result<(), String> {
+        self.corridor(eng.actors_iter()).map_err(|v| v.detail)
+    }
+}
+
+/// The same corridor under the reliable layer: ARQ changes how levels
+/// travel, not the lattice they descend.
+impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsLevelsDescend {
+    fn name(&self) -> &'static str {
+        GS_CORRIDOR
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<AsyncGsNode>>,
+    ) -> Result<(), String> {
+        let actors = eng.actors_iter().map(|(a, r)| (a, &r.inner));
+        self.corridor(actors).map_err(|v| v.detail)
     }
 }
 
@@ -252,7 +318,7 @@ pub struct GsAsyncRun {
 
 /// Runs the asynchronous GS protocol with the given per-hop message
 /// latency under `opts`, checking
-/// [`crate::invariants::GsLevelsDescend`] when `opts.check` is set.
+/// [`GsLevelsDescend`] when `opts.check` is set.
 ///
 /// Theorem 1's fixed point is schedule-free, so the returned map must
 /// equal the centralized computation under *any* scheduler that only
@@ -344,7 +410,7 @@ pub struct GsLossyRun {
 /// Runs GS with per-hop `latency` and reliable delivery per `rcfg`
 /// under `opts` (typically a lossy `opts.channel` and an event budget
 /// `opts.max_events`), checking
-/// [`crate::invariants::GsLevelsDescend`] when `opts.check` is set.
+/// [`GsLevelsDescend`] when `opts.check` is set.
 ///
 /// Convergence: each reliable link delivers every announcement with
 /// probability `1 − p^(max_retries+1)` (loss rate `p < 1`), and the

@@ -454,7 +454,7 @@ impl PlaneView {
     }
 
     /// Transposes a packed store into planes: each plane word gathers
-    /// one nibble bit from four nibble words via [`compact16`]; the
+    /// one nibble bit from four nibble words via `compact16`; the
     /// fifth plane, when present, is the store's high plane verbatim
     /// (that's the payoff of the nibble+high split).
     pub fn from_store(store: &LevelStore) -> Self {

@@ -22,8 +22,10 @@
 //! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views).
 //! * [`gh_safety`] + [`gh_unicast`] — the §4.2 extension to
 //!   generalized hypercubes.
-//! * [`properties`] — executable checkers for Theorems 1–3 and
-//!   Properties 1–2.
+//! * [`properties`] — the spec: Theorems 1–4 and Properties 1–2, each
+//!   written once as a predicate. The runners' checked mode (engine
+//!   invariants), the DST post-run checkers and the model checker
+//!   ([`mc`]) are thin adapters over it.
 //! * [`maintenance`] — the §2.2 demand-driven / periodic /
 //!   state-change-driven update strategies.
 //!
@@ -62,7 +64,6 @@ pub mod gh_safety;
 pub mod gh_unicast;
 pub mod gh_unicast_distributed;
 pub mod gs;
-pub mod invariants;
 pub mod level_store;
 pub mod maintenance;
 pub mod mc;
@@ -85,14 +86,11 @@ pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
 pub use egs::{route_egs, route_egs_traced, run_egs, EgsNode, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
 pub use gh_broadcast::{gh_broadcast, GhBroadcastResult};
-pub use gh_safety::{run_gh_gs, GhGsNode, GhSafetyMap};
+pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhGsNode, GhSafetyMap};
 pub use gh_unicast::{gh_route, gh_source_decision, GhDecision, GhRouteResult};
 pub use gh_unicast_distributed::{run_gh_unicast, GhDistributedRun, GhMsg, GhUnicastNode};
-pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLossyRun, GsRun};
-pub use invariants::{
-    check_gh_theorem4_soundness, check_gs_convergence, check_lossy_outcome,
-    check_theorem4_soundness, check_unicast_optimality, run_gh_gs_checked, ArqSingleDelivery,
-    DeltaGsDirected, GsLevelsDescend,
+pub use gs::{
+    run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLevelsDescend, GsLossyRun, GsRun,
 };
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};
 pub use maintenance::{replay, MaintenanceReport, Strategy, Timeline, TimelineEvent};
@@ -104,13 +102,17 @@ pub use multipath::{
 };
 pub use navigation::NavVector;
 pub use properties::{
-    check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
-    check_theorem2_at, check_theorem3, Violation,
+    check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence, check_level_corridor,
+    check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
+    check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
+    check_unicast_optimality, Violation,
 };
 pub use reroute::{route_dynamic, DynamicOutcome, DynamicRun, FaultEvent};
 pub use route_batch::{route_light, route_many, route_many_seq, route_many_tb, BatchOutcome};
 pub use safety::{level_from_neighbors, level_from_sorted, level_from_unsorted, Level, SafetyMap};
-pub use safety_delta::{run_delta_gs, ChurnEvent, DeltaGsNode, DeltaGsRun, DeltaStats};
+pub use safety_delta::{
+    run_delta_gs, ChurnEvent, DeltaGsDirected, DeltaGsNode, DeltaGsRun, DeltaStats,
+};
 pub use safety_vector::{vector_dominates_level, SafetyVectorMap};
 pub use service::{SafetyService, SafetyState};
 pub use unicast::{
@@ -118,5 +120,6 @@ pub use unicast::{
     source_decision, source_decision_tb, Condition, Decision, RouteResult, TieBreak,
 };
 pub use unicast_distributed::{
-    run_unicast, run_unicast_lossy, DistributedRun, LossyOutcome, LossyRun, UnicastMsg, UnicastNode,
+    run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun, LossyOutcome, LossyRun,
+    UnicastMsg, UnicastNode,
 };

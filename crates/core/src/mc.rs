@@ -3,27 +3,29 @@
 //! exactly-once unicast on small cubes.
 //!
 //! Each function wires one protocol into the explicit-state checker
-//! ([`hypersafe_simkit::mc`]) with the *path-free* reformulation of
-//! the corresponding `core::invariants` property — a condition on a
-//! single reached state, so it can be checked at every state of the
-//! BFS rather than along one schedule:
+//! ([`hypersafe_simkit::mc`]); every [`McCheck`] calls the predicate of
+//! [`crate::properties`] that the engine invariants call, under the
+//! same name, over the live actors of one reached state. The
+//! predicates are path-free — a condition on a single state — so they
+//! are checked at every state of the BFS rather than along one
+//! schedule:
 //!
 //! * **GS** ([`mc_gs`]): at every state every healthy node's level has
 //!   only descended and sits at or above the centralized fixed point
-//!   (the "corridor" the monotone Definition 1 operator guarantees);
-//!   at every quiescent state it *equals* the fixed point (Theorem 1 /
-//!   convergence, now proven over *all* delivery orders, not sampled
-//!   ones).
+//!   ([`GS_CORRIDOR`]); at every quiescent state it *equals* the fixed
+//!   point ([`GS_CONVERGENCE`], Theorem 1 over *all* delivery orders,
+//!   not sampled ones).
 //! * **Delta-GS** ([`mc_delta_gs`]): levels stay inside the directed
-//!   corridor between the pre-event fixed point and the post-event
-//!   one, and land exactly on the post-event map at quiescence —
-//!   distributed incremental maintenance ≡ centralized recompute.
+//!   corridor between each actor's start level and the post-event
+//!   fixed point, and land exactly on the post-event map at quiescence
+//!   — distributed incremental maintenance ≡ centralized recompute.
 //! * **ARQ unicast** ([`mc_unicast_arq`]): no node's inner actor ever
-//!   sees a payload twice (exactly-once through the reliable layer,
-//!   under adversarial loss/duplication within the configured
-//!   budgets), and quiescent outcomes obey Theorems 2–4: feasible
-//!   decisions deliver on a path of the promised length, `Failure` is
-//!   only ever declared soundly.
+//!   sees a payload twice ([`ARQ_EXACTLY_ONCE`], under adversarial
+//!   loss/duplication within the configured budgets); at quiescent
+//!   states the delivered trail is valid and exactly `H` hops long for
+//!   `Optimal`, exactly `H + 2` for `Suboptimal`, and `Failure` sends
+//!   nothing ([`UNICAST_OUTCOME`]); and the source's verdict is sound
+//!   against the connectivity oracle ([`THEOREM4_SOUNDNESS`]).
 //!
 //! The GS legs run with no-op closure enabled (their merges are
 //! monotone, so a stale announcement stays a no-op forever — see
@@ -31,13 +33,15 @@
 //! out-of-order segment makes a later redelivery ack-effectful, which
 //! breaks the stability requirement).
 
-use crate::gs::AsyncGsNode;
-use crate::invariants::check_theorem4_soundness;
-use crate::navigation::NavVector;
-use crate::safety::{Level, SafetyMap};
-use crate::safety_delta::{ChurnEvent, DeltaGsNode};
-use crate::unicast::{source_decision, Decision};
-use crate::unicast_distributed::{LossyUnicastNode, START_TAG};
+use crate::gs::{AsyncGsNode, GsLevelsDescend};
+use crate::properties::{
+    check_theorem4_soundness, check_unicast_optimality, Violation, ARQ_EXACTLY_ONCE,
+    GS_CONVERGENCE, GS_CORRIDOR, THEOREM4_SOUNDNESS, UNICAST_OUTCOME,
+};
+use crate::safety::SafetyMap;
+use crate::safety_delta::{ChurnEvent, DeltaGsDirected, DeltaGsNode};
+use crate::unicast::source_decision;
+use crate::unicast_distributed::{ArqSingleDelivery, LossyUnicastNode, START_TAG};
 use hypersafe_simkit::{
     engine_projection, explore, EventEngine, HypercubeNet, McCheck, McConfig, McReport, McSnapshot,
     Reliable, ReliableConfig, RunOptions, Scheduler,
@@ -65,68 +69,53 @@ pub fn gs_engine_projections(cfg: &FaultConfig, sched: Box<dyn Scheduler>) -> Ve
     seen
 }
 
-/// Exhaustively checks asynchronous GS on `cfg`: monotone descent and
-/// the fixed-point corridor at every reachable state, exact
-/// convergence at every quiescent one. Forces no-op closure on (sound
-/// for GS's min-merge; see module docs).
+/// The live actors of one reached state, as the engine's
+/// `actors_iter` lists them.
+fn live<'s, A>(s: &McSnapshot<'s, A>) -> impl Iterator<Item = (NodeId, &'s A)> {
+    let actors = s.actors.iter().enumerate();
+    actors.filter_map(|(v, a)| a.as_ref().map(|a| (NodeId::new(v as u64), a)))
+}
+
+/// The [`McCheck`] named `name` that runs `pred` at every reached state
+/// or, with `terminal_only`, at every quiescent one.
+fn check<'p, A>(
+    name: &'static str,
+    terminal_only: bool,
+    pred: impl Fn(&McSnapshot<'_, A>) -> Result<(), Violation> + 'p,
+) -> McCheck<'p, A> {
+    McCheck {
+        name,
+        terminal_only,
+        check: Box::new(move |s: &McSnapshot<'_, A>| {
+            if terminal_only && !s.quiescent {
+                return Ok(());
+            }
+            pred(s).map_err(|v| v.detail)
+        }),
+    }
+}
+
+/// Exhaustively checks asynchronous GS on `cfg`: the level corridor at
+/// every reachable state, exact convergence at every quiescent one.
+/// Forces no-op closure on (sound for GS's min-merge; see module docs).
 pub fn mc_gs(cfg: &FaultConfig, mcfg: &McConfig) -> McReport {
     let mut mcfg = mcfg.clone();
     mcfg.closure = true;
-    let fixed = SafetyMap::compute(cfg);
     let net = HypercubeNet::new(cfg);
-    let corridor = fixed.clone();
+    let descend = GsLevelsDescend::new(cfg);
     let checks = [
-        McCheck {
-            name: "gs-monotone-descent",
-            terminal_only: false,
-            check: Box::new(move |s: &McSnapshot<'_, AsyncGsNode>| {
-                for (v, a) in s.actors.iter().enumerate() {
-                    let Some(a) = a else { continue };
-                    if !a.monotone() {
-                        return Err(format!("node {v}: level rose during descent"));
-                    }
-                    let floor = corridor.level(NodeId::new(v as u64));
-                    if a.level() < floor {
-                        return Err(format!(
-                            "node {v}: level {} fell below the fixed point {floor}",
-                            a.level()
-                        ));
-                    }
-                }
-                Ok(())
-            }),
-        },
-        McCheck {
-            name: "gs-convergence",
-            terminal_only: true,
-            check: Box::new(move |s: &McSnapshot<'_, AsyncGsNode>| {
-                if !s.quiescent {
-                    return Ok(());
-                }
-                for (v, a) in s.actors.iter().enumerate() {
-                    let Some(a) = a else { continue };
-                    let want = fixed.level(NodeId::new(v as u64));
-                    if a.level() != want {
-                        return Err(format!(
-                            "node {v}: quiescent at level {}, centralized says {want}",
-                            a.level()
-                        ));
-                    }
-                }
-                Ok(())
-            }),
-        },
+        check(GS_CORRIDOR, false, |s| descend.corridor(live(s))),
+        check(GS_CONVERGENCE, true, |s| descend.converged(live(s))),
     ];
     explore(&net, |a| AsyncGsNode::new(cfg, a, 1), &[], &mcfg, &checks)
 }
 
 /// Exhaustively checks distributed delta-GS for one churn `event`:
 /// every reachable state keeps each node inside the directed corridor
-/// between its pre-event start level and the post-event fixed point,
-/// and every quiescent state equals the centralized recompute exactly.
-/// `cfg` is the post-event configuration, `prev` the pre-event fixed
-/// point. Forces no-op closure on (the direction-fixed merge is
-/// monotone).
+/// between its start level and the post-event fixed point, and every
+/// quiescent state equals the centralized recompute exactly. `cfg` is
+/// the post-event configuration, `prev` the pre-event fixed point.
+/// Forces no-op closure on (the direction-fixed merge is monotone).
 pub fn mc_delta_gs(
     cfg: &FaultConfig,
     prev: &SafetyMap,
@@ -135,61 +124,11 @@ pub fn mc_delta_gs(
 ) -> McReport {
     let mut mcfg = mcfg.clone();
     mcfg.closure = true;
-    let target = SafetyMap::compute(cfg);
     let net = HypercubeNet::new(cfg);
-    let descending = matches!(event, ChurnEvent::Fault(_));
-    // Each node's corridor entry point: the level its actor is built
-    // with (prev fixed point, adjusted by local event detection).
-    let start: Vec<Level> = (0..cfg.cube().num_nodes())
-        .map(|v| DeltaGsNode::new(cfg, prev, event, NodeId::new(v), 1).level())
-        .collect();
-    let corridor_target = target.clone();
+    let directed = DeltaGsDirected::new(cfg, prev, event);
     let checks = [
-        McCheck {
-            name: "delta-gs-corridor",
-            terminal_only: false,
-            check: Box::new(move |s: &McSnapshot<'_, DeltaGsNode>| {
-                for (v, a) in s.actors.iter().enumerate() {
-                    let Some(a) = a else { continue };
-                    if !a.monotone() {
-                        return Err(format!("node {v}: level moved against the event direction"));
-                    }
-                    let goal = corridor_target.level(NodeId::new(v as u64));
-                    let (lo, hi) = if descending {
-                        (goal, start[v])
-                    } else {
-                        (start[v], goal)
-                    };
-                    if a.level() < lo || a.level() > hi {
-                        return Err(format!(
-                            "node {v}: level {} outside corridor [{lo}, {hi}]",
-                            a.level()
-                        ));
-                    }
-                }
-                Ok(())
-            }),
-        },
-        McCheck {
-            name: "delta-gs-exact",
-            terminal_only: true,
-            check: Box::new(move |s: &McSnapshot<'_, DeltaGsNode>| {
-                if !s.quiescent {
-                    return Ok(());
-                }
-                for (v, a) in s.actors.iter().enumerate() {
-                    let Some(a) = a else { continue };
-                    let want = target.level(NodeId::new(v as u64));
-                    if a.level() != want {
-                        return Err(format!(
-                            "node {v}: quiescent at level {}, recompute says {want}",
-                            a.level()
-                        ));
-                    }
-                }
-                Ok(())
-            }),
-        },
+        check(GS_CORRIDOR, false, |s| directed.corridor(live(s))),
+        check(GS_CONVERGENCE, true, |s| directed.converged(live(s))),
     ];
     explore(
         &net,
@@ -204,15 +143,17 @@ pub fn mc_delta_gs(
 /// must be the converged map for `cfg`) under adversarial delivery
 /// order plus the loss/duplication budgets in `mcfg`:
 ///
-/// * **exactly-once** at every state: no inner actor's `receives`
+/// * [`ARQ_EXACTLY_ONCE`] at every state: no inner actor's `receives`
 ///   exceeds 1 (the reliable layer never leaks a duplicate to the
 ///   protocol);
-/// * at every quiescent state, the **outcome taxonomy** of Theorems
-///   2–4: a feasible decision with no mid-run kills and no exhausted
-///   link must have delivered, on a trail of the promised length
-///   (Hamming for `Optimal`, ≤ H+2 for `Suboptimal`); a `Failure`
-///   decision must be sound against the connectivity oracle and sends
-///   nothing.
+/// * [`UNICAST_OUTCOME`] at every quiescent state: the source's
+///   decision implies the trail the destination recorded. A feasible
+///   decision with no mid-run kill and no exhausted link must have
+///   delivered, on a valid trail of exactly the promised length;
+///   `Failure` delivers nothing;
+/// * [`THEOREM4_SOUNDNESS`] of the source's verdict against the
+///   connectivity oracle (the decision is fixed before the first
+///   event, so it is evaluated once).
 ///
 /// Forces no-op closure **off** — the ARQ layer's reorder buffer makes
 /// no-op-ness unstable (see module docs). Keep `rcfg.max_retries`
@@ -230,83 +171,27 @@ pub fn mc_unicast_arq(
     let net = HypercubeNet::new(cfg);
     let n = cfg.cube().dim();
     let decision = source_decision(map, s, d);
-    let hamming = NavVector::new(s, d).remaining() as usize;
-    let cfg_owned = cfg.clone();
+    let sound = check_theorem4_soundness(cfg, s, d, decision);
+    let outcome = |st: &McSnapshot<'_, Reliable<LossyUnicastNode>>| {
+        let delivered = st.actors[d.raw() as usize]
+            .as_ref()
+            .and_then(|a| a.inner.received.as_ref());
+        let killed = st.dead.iter().any(|&k| k);
+        // In the untimed model a retransmission timer may fire any
+        // number of times while its own segment is still in flight, so
+        // a link can exhaust its retries even with zero losses —
+        // give-up is always a legal explanation for non-delivery, never
+        // a violation by itself.
+        let gave_up = live(st).any(|(_, a)| !a.endpoint.gave_up_dims().is_empty());
+        let trail = delivered.map(|m| m.trail.as_slice());
+        check_unicast_optimality(cfg, s, d, decision, trail, !killed && !gave_up)
+    };
     let checks = [
-        McCheck {
-            name: "arq-exactly-once",
-            terminal_only: false,
-            check: Box::new(move |st: &McSnapshot<'_, Reliable<LossyUnicastNode>>| {
-                for (v, a) in st.actors.iter().enumerate() {
-                    let Some(a) = a else { continue };
-                    if a.inner.receives > 1 {
-                        return Err(format!(
-                            "node {v}: {} deliveries surfaced to the actor",
-                            a.inner.receives
-                        ));
-                    }
-                }
-                Ok(())
-            }),
-        },
-        McCheck {
-            name: "unicast-outcome",
-            terminal_only: true,
-            check: Box::new(move |st: &McSnapshot<'_, Reliable<LossyUnicastNode>>| {
-                if !st.quiescent {
-                    return Ok(());
-                }
-                let delivered = st.actors[d.raw() as usize]
-                    .as_ref()
-                    .and_then(|a| a.inner.received.as_ref());
-                let killed = st.dead.iter().any(|&k| k);
-                // In the untimed model a retransmission timer may fire
-                // any number of times while its own segment is still in
-                // flight, so a link can exhaust its retries even with
-                // zero losses — give-up is always a legal explanation
-                // for non-delivery, never a violation by itself.
-                let gave_up = st
-                    .actors
-                    .iter()
-                    .flatten()
-                    .any(|a| !a.endpoint.gave_up_dims().is_empty());
-                if let Some(msg) = delivered {
-                    let hops = msg.trail.len().saturating_sub(1);
-                    match decision {
-                        Decision::Optimal { .. } | Decision::AlreadyThere => {
-                            if hops != hamming {
-                                return Err(format!(
-                                    "optimal decision but delivered in {hops} hops (H = {hamming})"
-                                ));
-                            }
-                        }
-                        Decision::Suboptimal { .. } => {
-                            if hops > hamming + 2 {
-                                return Err(format!(
-                                    "suboptimal decision but {hops} hops > H+2 = {}",
-                                    hamming + 2
-                                ));
-                            }
-                        }
-                        Decision::Failure => {
-                            return Err("delivered although the source declared Failure".into())
-                        }
-                    }
-                } else if !killed && !gave_up {
-                    // Nothing was lost for good, yet the message never
-                    // arrived: only a sound local Failure explains it.
-                    if !matches!(decision, Decision::Failure) {
-                        return Err(format!(
-                            "feasible decision {decision:?} but the message never arrived"
-                        ));
-                    }
-                    if let Err(v) = check_theorem4_soundness(&cfg_owned, s, d, decision) {
-                        return Err(v.detail);
-                    }
-                }
-                Ok(())
-            }),
-        },
+        check(ARQ_EXACTLY_ONCE, false, |st| {
+            ArqSingleDelivery::check_actors(live(st))
+        }),
+        check(UNICAST_OUTCOME, true, outcome),
+        check(THEOREM4_SOUNDNESS, false, |_| sound.clone()),
     ];
     explore(
         &net,

@@ -1,5 +1,5 @@
 //! Multicasting over safety levels — the one-to-many middle ground
-//! between the paper's unicast and reference [9]'s broadcast,
+//! between the paper's unicast and reference \[9\]'s broadcast,
 //! documented as an extension (DESIGN.md E18).
 //!
 //! A multicast to destination set `D` could be served by `|D|`

@@ -23,16 +23,17 @@
 //! centralized form; [`run_delta_gs`] is the distributed form (a
 //! delta-GS actor on the unified event engine, where only nodes whose
 //! level changed re-broadcast). Both are *exact*: the test suite and
-//! the DST invariant [`crate::invariants`] enforce byte-identity
-//! against [`SafetyMap::compute`] after every event.
+//! the checked runs ([`DeltaGsDirected`]) enforce byte-identity against
+//! [`SafetyMap::compute`] after every event.
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::invariants::DeltaGsDirected;
 use crate::level_store::NeighborLevels;
+use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
 use crate::safety::{level_from_unsorted, Level, SafetyMap};
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, InvariantViolation, RunOptions, RunReport,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, InvariantViolation, RunOptions,
+    RunReport,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -406,6 +407,74 @@ impl Actor for DeltaGsNode {
     }
 }
 
+/// Engine invariant for delta-GS runs: the [`check_level_corridor`]
+/// adapter. Every node's level moves only in the event's direction
+/// (down after a fault, up after a recovery), pinned between the level
+/// its actor starts from and the post-event Theorem 1 fixed point —
+/// if the delta protocol ever leaves that corridor, incremental
+/// maintenance is not exact and the run fails. The model checker
+/// ([`crate::mc_delta_gs`]) runs the same two predicates over every
+/// reached state.
+pub struct DeltaGsDirected {
+    start: Vec<Level>,
+    target: SafetyMap,
+    descending: bool,
+}
+
+impl DeltaGsDirected {
+    /// Invariant state for a delta-GS run: `cfg` is the post-event
+    /// configuration, `prev_map` the pre-event fixed point. Computes
+    /// the post-event fixed point once as the far bound; the near bound
+    /// is each actor's start level (the pre-event level, except that a
+    /// revived node starts from zero knowledge, which Definition 1
+    /// evaluates to level 1).
+    pub fn new(cfg: &FaultConfig, prev_map: &SafetyMap, event: ChurnEvent) -> Self {
+        DeltaGsDirected {
+            start: cfg
+                .cube()
+                .nodes()
+                .map(|a| DeltaGsNode::new(cfg, prev_map, event, a, 1).level)
+                .collect(),
+            target: SafetyMap::compute(cfg),
+            descending: matches!(event, ChurnEvent::Fault(_)),
+        }
+    }
+
+    /// [`check_level_corridor`] over the actors of one cut.
+    pub fn corridor<'x>(
+        &self,
+        actors: impl Iterator<Item = (NodeId, &'x DeltaGsNode)>,
+    ) -> Result<(), Violation> {
+        check_level_corridor(
+            actors.map(|(a, x)| (a, x.level, x.monotone)),
+            |a| self.start[a.raw() as usize],
+            |a| self.target.level(a),
+            self.descending,
+        )
+    }
+
+    /// [`check_levels_converged`] over the actors of a quiescent cut.
+    pub fn converged<'x>(
+        &self,
+        actors: impl Iterator<Item = (NodeId, &'x DeltaGsNode)>,
+    ) -> Result<(), Violation> {
+        check_levels_converged(actors.map(|(a, x)| (a, x.level)), |a| self.target.level(a))
+    }
+}
+
+impl<'n> Invariant<HypercubeNet<'n>, DeltaGsNode> for DeltaGsDirected {
+    fn name(&self) -> &'static str {
+        GS_CORRIDOR
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, DeltaGsNode>,
+    ) -> Result<(), String> {
+        self.corridor(eng.actors_iter()).map_err(|v| v.detail)
+    }
+}
+
 /// Outcome of a distributed delta-GS run.
 #[derive(Clone, Debug)]
 pub struct DeltaGsRun {
@@ -426,9 +495,9 @@ pub struct DeltaGsRun {
 /// enforced by tests, goldens and the DST suite. The protocol assumes
 /// reliable links (reorder/stretch adversaries only).
 ///
-/// With `opts.check` set, [`crate::invariants::DeltaGsDirected`] is
-/// checked at every quiescent point, and a run that ends off the
-/// post-event fixed point reports a `delta-gs-exact` violation:
+/// With `opts.check` set, [`DeltaGsDirected`] is checked at every
+/// quiescent point, and a run that ends off the post-event fixed point
+/// reports a [`crate::properties::GS_CONVERGENCE`] violation:
 /// incremental exactness as a machine-checked property of a running
 /// simulation.
 ///
@@ -469,8 +538,7 @@ pub fn run_delta_gs(
     assert_event(prev, cfg, event);
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let check = opts.check;
-    let mut directed = check.then(|| DeltaGsDirected::new(cfg, prev, event));
+    let mut directed = opts.check.then(|| DeltaGsDirected::new(cfg, prev, event));
     let (eng, mut report) = EventEngine::drive(
         &net,
         opts,
@@ -478,30 +546,21 @@ pub fn run_delta_gs(
         |_| {},
         directed.as_mut().map(|d| d as _),
     );
+    if let (Some(directed), None) = (&directed, &report.violation) {
+        if let Err(v) = directed.converged(eng.actors_iter()) {
+            report.violation = Some(InvariantViolation {
+                invariant: v.claim.into(),
+                time: eng.stats().end_time,
+                events_processed: eng.stats().delivered,
+                detail: v.detail,
+            });
+        }
+    }
     let levels: Vec<Level> = cfg
         .cube()
         .nodes()
         .map(|a| eng.actor(a).map_or(0, DeltaGsNode::level))
         .collect();
-    if check && report.violation.is_none() {
-        let fixed = SafetyMap::compute(cfg);
-        if let Some(bad) = cfg
-            .cube()
-            .nodes()
-            .find(|a| levels[a.raw() as usize] != fixed.level(*a))
-        {
-            report.violation = Some(InvariantViolation {
-                invariant: "delta-gs-exact".into(),
-                time: eng.stats().end_time,
-                events_processed: eng.stats().delivered,
-                detail: format!(
-                    "{bad} quiesced at level {} but the post-event fixed point is {}",
-                    levels[bad.raw() as usize],
-                    fixed.level(bad)
-                ),
-            });
-        }
-    }
     let monotone = cfg
         .cube()
         .nodes()

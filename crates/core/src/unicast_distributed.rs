@@ -10,12 +10,12 @@
 //! same path hop for hop — evidence that the centralized shortcut is
 //! faithful.
 
-use crate::invariants::ArqSingleDelivery;
 use crate::navigation::NavVector;
+use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{source_decision, Decision};
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, RelCtx, Reliable, ReliableActor,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
     ReliableConfig, RunOptions, RunReport, Time,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
@@ -258,7 +258,7 @@ pub struct LossyRun {
 
 /// [`UnicastNode`]'s logic behind the reliable layer, with the
 /// bookkeeping the widened outcome taxonomy needs. Crate-visible so
-/// [`crate::invariants`] can inspect it mid-run.
+/// the model checker ([`crate::mc_unicast_arq`]) can inspect it.
 #[derive(Clone)]
 pub(crate) struct LossyUnicastNode {
     n: u8,
@@ -369,10 +369,39 @@ impl ReliableActor for LossyUnicastNode {
     }
 }
 
+/// Engine invariant for reliable unicast: the [`check_exactly_once`]
+/// adapter, checked at every quiescent point (not just at the end, so
+/// a transient duplicate that a later event would mask still fails the
+/// run). The model checker runs the same predicate over every reached
+/// state.
+pub struct ArqSingleDelivery;
+
+impl ArqSingleDelivery {
+    /// [`check_exactly_once`] over the actors of one cut.
+    pub(crate) fn check_actors<'x>(
+        actors: impl Iterator<Item = (NodeId, &'x Reliable<LossyUnicastNode>)>,
+    ) -> Result<(), Violation> {
+        check_exactly_once(actors.map(|(a, r)| (a, r.inner.receives.saturating_sub(1))))
+    }
+}
+
+impl<'n> Invariant<HypercubeNet<'n>, Reliable<LossyUnicastNode>> for ArqSingleDelivery {
+    fn name(&self) -> &'static str {
+        ARQ_EXACTLY_ONCE
+    }
+
+    fn check(
+        &mut self,
+        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<LossyUnicastNode>>,
+    ) -> Result<(), String> {
+        Self::check_actors(eng.actors_iter()).map_err(|v| v.detail)
+    }
+}
+
 /// Runs one unicast `s → d` with per-hop `latency` and reliable
 /// per-hop delivery (`rcfg`) under `opts` (typically a lossy
 /// `opts.channel` and an event budget `opts.max_events`), checking
-/// [`crate::invariants::ArqSingleDelivery`] when `opts.check` is set.
+/// [`ArqSingleDelivery`] when `opts.check` is set.
 /// The safety map must already be converged — pair with
 /// [`crate::gs::run_gs_reliable`] for an end-to-end lossy stack. The
 /// ARQ layer absorbs loss/duplication-bursting adversaries too

@@ -1,4 +1,4 @@
-//! E12 — safety-level broadcasting (the paper's reference [9], the
+//! E12 — safety-level broadcasting (the paper's reference \[9\], the
 //! origin of the concept): coverage and message cost as fault density
 //! grows, split by source kind (safe / relayed-unsafe / stranded).
 

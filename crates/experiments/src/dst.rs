@@ -1,7 +1,7 @@
 //! E23 — deterministic simulation testing (`repro dst`): sweep seeded
 //! adversarial schedules over cube sizes, fault densities and loss
 //! profiles, checking the full invariant suite
-//! ([`hypersafe_core::invariants`]) on every run. Each seed fully
+//! ([`hypersafe_core::properties`]) on every run. Each seed fully
 //! determines its scenario — fault placement, source/destination pair,
 //! channel noise, scheduler permutation and kill plan — so any
 //! violation replays exactly from the coordinates printed in the
@@ -11,7 +11,7 @@
 
 use crate::gate::{export, write, GateRun};
 use crate::table::{pct, Report};
-use hypersafe_core::invariants::{check_gs_convergence, check_lossy_outcome};
+use hypersafe_core::properties::{check_gs_convergence, check_lossy_outcome};
 use hypersafe_core::{
     run_delta_gs, run_gs_async, run_gs_reliable, run_unicast_lossy, ChurnEvent, Decision,
     GsAsyncRun, LossyOutcome, LossyRun, SafetyMap,

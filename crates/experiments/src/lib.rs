@@ -17,7 +17,7 @@
 //! | E9 | [`routing_compare`] | routing comparison vs all baselines |
 //! | E10 | [`maintenance_exp`] | §2.2 — maintenance strategy ablation |
 //! | E11 | [`rounds_compare`] | §2.3 — status rounds GS vs LH vs WF |
-//! | E12 | [`broadcast_exp`] | [9] — safety-level broadcasting |
+//! | E12 | [`broadcast_exp`] | \[9\] — safety-level broadcasting |
 //! | E13 | [`dynamic_exp`] | §2.2 — mid-flight faults + reroute |
 //! | E14 | [`distribution_exp`] | fault-distribution sensitivity |
 //! | E15 | [`linkfaults_exp`] | §4.1 — faulty links at scale (EGS) |

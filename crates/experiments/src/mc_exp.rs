@@ -274,8 +274,8 @@ pub fn run(p: &McParams) -> GateRun {
     );
     rep.note(
         "arq leg: closure off (the reorder buffer makes redelivery ack-effectful); \
-         exactly-once at every state, Theorem 2/3 hop bounds on delivery, Theorem 4 \
-         soundness on Failure; in the untimed model a retransmit timer may fire while its \
+         exactly-once at every state, a valid trail of exactly H / H+2 hops on delivery, \
+         Theorem 4 soundness of the verdict; in the untimed model a retransmit timer may fire while its \
          segment is in flight, so link give-up legally explains non-delivery"
             .to_string(),
     );

@@ -30,7 +30,7 @@
 #[doc = include_str!("../README.md")]
 pub struct ReadmeDoctests;
 
-/// Baseline routing schemes ([2], [3], [4], [5], [7], [8], [10]).
+/// Baseline routing schemes (\[2\], \[3\], \[4\], \[5\], \[7\], \[8\], \[10\]).
 pub use hypersafe_baselines as baselines;
 /// The paper's contribution: safety levels and unicasting.
 pub use hypersafe_core as safety;

@@ -4,7 +4,7 @@
 //! a deliberately broken actor whose violation delta-debugs down to a
 //! single injected event and replays byte-identically from its seed.
 
-use hypersafe::safety::invariants::{check_gs_convergence, check_lossy_outcome};
+use hypersafe::safety::properties::{check_gs_convergence, check_lossy_outcome};
 use hypersafe::safety::{run_gs_async, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     explore as mc_explore, parse_artifact_path, render_artifact, replay as mc_replay,

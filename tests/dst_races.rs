@@ -9,7 +9,7 @@
 //! hop-granular [`route_dynamic`] taxonomy (`reroute.rs`) and the
 //! maintenance-strategy replay (`maintenance.rs`).
 
-use hypersafe::safety::invariants::{check_gs_convergence, check_lossy_outcome};
+use hypersafe::safety::properties::{check_gs_convergence, check_lossy_outcome};
 use hypersafe::safety::reroute::{route_dynamic, DynamicOutcome, FaultEvent};
 use hypersafe::safety::{
     replay, route, run_gs_async, run_unicast_lossy, LossyOutcome, LossyRun, SafetyMap, Strategy,
