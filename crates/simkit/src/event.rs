@@ -23,12 +23,11 @@
 use crate::channel::ChannelModel;
 use crate::network::Network;
 use crate::obs::Metrics;
+use crate::queue::EventQueue;
 use crate::sim::{FifoScheduler, Invariant, InvariantViolation, Scheduler};
 use crate::stats::EventStats;
 use crate::trace::{Trace, TraceEvent, TraceSink};
 use hypersafe_topology::NodeId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Virtual time, in abstract ticks.
 pub type Time = u64;
@@ -112,20 +111,22 @@ impl<M> Ctx<M> {
     /// (latency 0 is delivered at the current time, after all
     /// already-queued same-time events).
     pub fn send(&mut self, dst: NodeId, msg: M, latency: Time) {
-        self.sends.push((self.now + latency, dst, msg));
+        self.sends
+            .push((self.now.saturating_add(latency), dst, msg));
     }
 
     /// Arms a timer on this node firing after `delay` ticks, carrying an
     /// opaque `tag`.
     pub fn set_timer(&mut self, delay: Time, tag: u64) {
-        self.timers.push((self.now + delay, TimerTag::Actor(tag)));
+        self.timers
+            .push((self.now.saturating_add(delay), TimerTag::Actor(tag)));
     }
 
     /// Arms a reliable-layer retransmission timer (crate-internal: only
     /// [`crate::reliable`] may occupy the ARQ tag space).
     pub(crate) fn set_arq_timer(&mut self, delay: Time, port: u32, seq: u64) {
         self.timers
-            .push((self.now + delay, TimerTag::Arq { port, seq }));
+            .push((self.now.saturating_add(delay), TimerTag::Arq { port, seq }));
     }
 
     /// Records `n` retransmissions into [`EventStats::retransmitted`]
@@ -202,35 +203,6 @@ enum Payload<M> {
     Kill,
 }
 
-struct Pending<M> {
-    time: Time,
-    /// Same-tick tiebreak assigned by the [`Scheduler`]; the FIFO
-    /// scheduler returns `seq` so `(time, key, seq)` ordering
-    /// degenerates to the historical `(time, seq)`.
-    key: u64,
-    seq: u64,
-    dst: NodeId,
-    payload: Payload<M>,
-}
-
-/// Min-heap ordering by (time, key, seq).
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.key, self.seq).cmp(&(other.time, other.key, other.seq))
-    }
-}
-
 /// The discrete-event executor over any [`Network`].
 pub struct EventEngine<'a, N: Network, A: Actor> {
     net: &'a N,
@@ -241,7 +213,11 @@ pub struct EventEngine<'a, N: Network, A: Actor> {
     /// [`EventEngine::actor`] — unlike pre-run faults, which never had
     /// an actor at all.
     dead: Vec<bool>,
-    queue: BinaryHeap<Reverse<Pending<A::Msg>>>,
+    /// Pending events toward their destination, ordered by `(time,
+    /// key, seq)`: the [`Scheduler`]'s key breaks same-tick ties (the
+    /// FIFO scheduler returns `seq`, so the order degenerates to the
+    /// historical `(time, seq)`).
+    queue: EventQueue<(NodeId, Payload<A::Msg>)>,
     seq: u64,
     now: Time,
     stats: EventStats,
@@ -333,7 +309,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             net,
             actors,
             dead,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             seq: 0,
             now: 0,
             stats: EventStats::default(),
@@ -443,13 +419,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     fn enqueue(&mut self, time: Time, dst: NodeId, payload: Payload<A::Msg>) {
         self.seq += 1;
         let key = self.sched.order_key(self.seq, dst.raw());
-        self.queue.push(Reverse(Pending {
-            time,
-            key,
-            seq: self.seq,
-            dst,
-            payload,
-        }));
+        self.queue.push(time, key, self.seq, (dst, payload));
     }
 
     fn absorb_ctx(&mut self, src: NodeId, ctx: Ctx<A::Msg>) {
@@ -502,7 +472,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
                     m.on_duplicated(port);
                 }
                 self.enqueue(
-                    time + dup_jitter,
+                    time.saturating_add(dup_jitter),
                     dst,
                     Payload::Message {
                         from: src,
@@ -512,7 +482,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
                 );
             }
             self.enqueue(
-                time + fate.jitter,
+                time.saturating_add(fate.jitter),
                 dst,
                 Payload::Message {
                     from: src,
@@ -568,20 +538,19 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
         if self.halted {
             return false;
         }
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some((time, seq, (dst, payload))) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.time >= self.now, "time travels forward");
-        self.now = ev.time;
+        self.now = time;
         self.stats.end_time = self.now;
-        let idx = ev.dst.raw() as usize;
+        let idx = dst.raw() as usize;
         // Kills are handled before the liveness check so they stay
         // idempotent: re-killing a dead node — or one that was faulty
         // from the start — is a no-op that touches no counter. (An
         // earlier ordering ran the liveness check first, so double
         // kills and kills racing initial faults inflated the
         // message-drop counter.)
-        if let Payload::Kill = ev.payload {
+        if let Payload::Kill = payload {
             if self.actors[idx].is_some() && !self.dead[idx] {
                 // The node fault-stops: it processes no further events,
                 // and everything already queued toward it drops on
@@ -593,12 +562,12 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
                 self.dead[idx] = true;
                 self.stats.killed += 1;
                 if let Some(m) = &mut self.metrics {
-                    m.on_kill(ev.dst.raw());
+                    m.on_kill(dst.raw());
                 }
                 if let Some(sink) = &mut self.trace {
                     sink.record(TraceEvent::Note(format!(
                         "t={}: node {} killed",
-                        self.now, ev.dst
+                        self.now, dst
                     )));
                 }
             }
@@ -610,11 +579,11 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
         // control state, not a message, and counting it as `dropped`
         // would break the send/fate balance.
         if self.actors[idx].is_none() || self.dead[idx] {
-            match ev.payload {
+            match payload {
                 Payload::Message { .. } => {
                     self.stats.dropped += 1;
                     if let Some(m) = &mut self.metrics {
-                        m.on_dead_drop(ev.dst.raw());
+                        m.on_dead_drop(dst.raw());
                     }
                 }
                 Payload::Timer { .. } => self.stats.timers_quashed += 1,
@@ -622,21 +591,21 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             }
             return true;
         }
-        let mut ctx = self.ctx_for(ev.dst);
-        match ev.payload {
+        let mut ctx = self.ctx_for(dst);
+        match payload {
             Payload::Message { from, msg, sent } => {
                 self.stats.delivered += 1;
                 if self.trace.is_some() || self.metrics.is_some() {
-                    let port = self.net.port_of(from.raw(), ev.dst.raw());
+                    let port = self.net.port_of(from.raw(), dst.raw());
                     if let Some(m) = &mut self.metrics {
-                        m.on_delivered(ev.dst.raw(), port, self.now - sent);
+                        m.on_delivered(dst.raw(), port, self.now - sent);
                     }
                     if let Some(sink) = &mut self.trace {
                         sink.record(TraceEvent::Hop {
                             from,
-                            to: ev.dst,
+                            to: dst,
                             dim: port.and_then(|p| u8::try_from(p).ok()),
-                            word: ev.seq,
+                            word: seq,
                         });
                     }
                 }
@@ -648,7 +617,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             Payload::Timer { tag } => {
                 self.stats.timers += 1;
                 if let Some(m) = &mut self.metrics {
-                    m.on_timer(ev.dst.raw());
+                    m.on_timer(dst.raw());
                 }
                 self.actors[idx]
                     .as_mut()
@@ -657,7 +626,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             }
             Payload::Kill => unreachable!("handled above"),
         }
-        self.absorb_ctx(ev.dst, ctx);
+        self.absorb_ctx(dst, ctx);
         !self.halted
     }
 
@@ -674,7 +643,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
 
     /// Virtual time of the earliest queued event, if any.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.queue.peek().map(|Reverse(p)| p.time)
+        self.queue.peek_time()
     }
 
     /// Whether the engine is at a quiescent point: no event remains at
@@ -736,7 +705,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     /// delivered as an actor timer with `tag` after `delay` ticks.
     pub fn inject(&mut self, dst: NodeId, tag: u64, delay: Time) {
         self.enqueue(
-            self.now + delay,
+            self.now.saturating_add(delay),
             dst,
             Payload::Timer {
                 tag: TimerTag::Actor(tag),
@@ -751,7 +720,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     /// is the DST adversary's "fault burst" primitive; killing an
     /// already-dead node is a no-op.
     pub fn inject_kill(&mut self, dst: NodeId, delay: Time) {
-        self.enqueue(self.now + delay, dst, Payload::Kill);
+        self.enqueue(self.now.saturating_add(delay), dst, Payload::Kill);
     }
 
     /// Extracts all actors as `(node, actor)` pairs.
@@ -975,6 +944,60 @@ mod tests {
             "time order respected"
         );
         assert_eq!(eng.stats().end_time, 5);
+    }
+
+    #[test]
+    fn delays_past_time_max_saturate() {
+        struct S {
+            fired: Vec<u64>,
+        }
+        impl Actor for S {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<()>) {
+                ctx.set_timer(5, 0);
+            }
+            fn on_message(&mut self, _: &mut Ctx<()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<()>, tag: u64) {
+                self.fired.push(tag);
+                if tag == 0 {
+                    // Wrapping would land at t = 4, before `now`.
+                    ctx.set_timer(Time::MAX, 1);
+                    ctx.set_timer(1, 2);
+                }
+            }
+        }
+        let cube = Hypercube::new(1);
+        let cfg = FaultConfig::fault_free(cube);
+        let net = HypercubeNet::new(&cfg);
+        let mut eng = EventEngine::new(&net, |_| S { fired: vec![] });
+        eng.run(3);
+        assert_eq!(eng.now(), 6);
+        eng.inject(NodeId::new(1), 3, Time::MAX);
+        eng.inject_kill(NodeId::new(1), Time::MAX);
+        eng.run(u64::MAX);
+        assert_eq!(eng.actor(NodeId::new(0)).unwrap().fired, vec![0, 2, 1]);
+        assert_eq!(eng.actor(NodeId::new(1)).unwrap().fired, vec![0, 2, 1, 3]);
+        assert!(eng.is_dead(NodeId::new(1)));
+        assert_eq!(eng.stats().end_time, Time::MAX);
+    }
+
+    #[test]
+    fn order_key_is_drawn_once_per_push() {
+        let cube = Hypercube::new(4);
+        let cfg = FaultConfig::fault_free(cube);
+        let net = HypercubeNet::new(&cfg);
+        let seqs = std::rc::Rc::default();
+        let opts = RunOptions {
+            sched: Box::new(crate::sim::Recording(std::rc::Rc::clone(&seqs))),
+            ..RunOptions::default()
+        };
+        let mut eng = EventEngine::with_options(&net, opts, |a| Flood::new(&net, a, NodeId::ZERO));
+        eng.inject(NodeId::new(3), 9, 200);
+        eng.inject_kill(NodeId::new(5), 2);
+        let processed = eng.run(u64::MAX);
+        // Every push pops exactly once, so the pushes number the events
+        // processed, and their keys were drawn in push order.
+        assert_eq!(*seqs.borrow(), (1..=processed).collect::<Vec<_>>());
     }
 
     #[test]

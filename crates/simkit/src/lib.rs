@@ -16,6 +16,11 @@
 //! fault-stop nodes (faulty nodes neither run nor send), neighbor-only
 //! communication, and silent loss across faulty links.
 //!
+//! The event engine and the routing service ([`service`]) share one
+//! crate-private event queue: a timing wheel of per-tick buckets over a
+//! sorted run of far-off events, popping in exact `(time, key, seq)`
+//! order, where the key is the [`sim::Scheduler`]'s same-tick tiebreak.
+//!
 //! Beyond the paper's reliable-link assumption, [`channel`] models
 //! noisy links (seeded deterministic loss / jitter / duplication) and
 //! [`reliable`] recovers exactly-once in-order delivery on top of them
@@ -47,6 +52,7 @@ pub mod event;
 pub mod mc;
 pub mod network;
 pub mod obs;
+mod queue;
 pub mod reliable;
 pub mod service;
 pub mod sim;

@@ -47,10 +47,9 @@
 use crate::channel::{mix, uniform_inclusive};
 use crate::event::Time;
 use crate::obs::QuantileHist;
+use crate::queue::EventQueue;
 use crate::sim::Scheduler;
 use hypersafe_topology::NodeId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -385,7 +384,8 @@ pub struct ServiceConfig {
     /// Retries after the first attempt before
     /// [`RejectReason::Unreachable`].
     pub retry_limit: u32,
-    /// First backoff delay; doubles per retry.
+    /// First backoff delay; doubles per retry. 0 retries in the same
+    /// tick (`retry_limit` still bounds the retries).
     pub backoff_base: Time,
     /// Backoff saturation.
     pub backoff_cap: Time,
@@ -576,7 +576,8 @@ pub enum Injection {
         src: NodeId,
         /// Destination node.
         dst: NodeId,
-        /// Ticks from submit to the deadline.
+        /// Ticks from submit to the deadline; an absolute deadline past
+        /// `Time::MAX` saturates, and the request never times out.
         deadline: Time,
     },
     /// Fault (`fault = true`) or recover a node at `at`.
@@ -631,9 +632,7 @@ pub struct RoutingService<P: RouteProvider> {
     provider: P,
     cfg: ServiceConfig,
     sched: Box<dyn Scheduler>,
-    heap: BinaryHeap<Reverse<(Time, u64, u64, u64)>>,
-    /// Payloads keyed by the heap entry's sequence number.
-    events: Vec<Ev>,
+    queue: EventQueue<Ev>,
     requests: Vec<Request>,
     now: Time,
     seq: u64,
@@ -652,13 +651,11 @@ impl<P: RouteProvider> RoutingService<P> {
     /// A service whose same-tick event order is decided by `sched` —
     /// plug in an [`crate::sim::AdversarialScheduler`] for DST runs.
     pub fn with_scheduler(provider: P, cfg: ServiceConfig, sched: Box<dyn Scheduler>) -> Self {
-        assert!(cfg.backoff_base > 0, "backoff_base must be positive");
         RoutingService {
             provider,
             cfg,
             sched,
-            heap: BinaryHeap::new(),
-            events: Vec::new(),
+            queue: EventQueue::default(),
             requests: Vec::new(),
             now: 0,
             seq: 0,
@@ -671,6 +668,8 @@ impl<P: RouteProvider> RoutingService<P> {
     /// Registers the workload. Submits are assigned consecutive
     /// [`ReqId`]s in list order (what `Injection::Cancel` refers to).
     pub fn load(&mut self, injections: &[Injection]) {
+        self.queue.reserve(injections.len());
+        self.requests.reserve(injections.len());
         for inj in injections {
             match *inj {
                 Injection::Submit {
@@ -684,7 +683,7 @@ impl<P: RouteProvider> RoutingService<P> {
                         src,
                         dst,
                         submit: at,
-                        deadline: at + deadline,
+                        deadline: at.saturating_add(deadline),
                         state: ReqState::Pending,
                         epoch: 0,
                         done_at: 0,
@@ -705,19 +704,16 @@ impl<P: RouteProvider> RoutingService<P> {
         let seq = self.seq;
         self.seq += 1;
         let key = self.sched.order_key(seq, dst_hint);
-        self.events.push(ev);
-        self.heap.push(Reverse((at, key, seq, seq)));
+        self.queue.push(at, key, seq, ev);
     }
 
-    /// Runs the loop to quiescence (heap empty), returning the number
-    /// of events processed. A final invariant check is recorded before
-    /// returning.
+    /// Runs the loop to quiescence (event queue empty), returning the
+    /// number of events processed. A final invariant check is recorded
+    /// before returning.
     pub fn run(&mut self) -> u64 {
         let mut processed = 0u64;
-        while let Some(Reverse((at, _key, _seq, idx))) = self.heap.pop() {
-            debug_assert!(at >= self.now, "time travels forward");
+        while let Some((at, _seq, ev)) = self.queue.pop() {
             self.now = at;
-            let ev = self.events[idx as usize];
             self.dispatch(ev);
             processed += 1;
         }
@@ -738,7 +734,11 @@ impl<P: RouteProvider> RoutingService<P> {
             Ev::Churn { node, fault } => {
                 if self.provider.apply_churn(node, fault) {
                     self.stats.churn_applied += 1;
-                    self.push(self.now + self.cfg.publish_lag, Ev::Publish, node.raw());
+                    self.push(
+                        self.now.saturating_add(self.cfg.publish_lag),
+                        Ev::Publish,
+                        node.raw(),
+                    );
                 } else {
                     self.stats.churn_skipped += 1;
                 }
@@ -778,7 +778,7 @@ impl<P: RouteProvider> RoutingService<P> {
         // The deadline event is the unique TimedOut source: it fires
         // one tick after the deadline, so no request is ever terminal
         // later than deadline + 1.
-        self.push(deadline + 1, Ev::Deadline(id), dst.raw());
+        self.push(deadline.saturating_add(1), Ev::Deadline(id), dst.raw());
     }
 
     fn on_attempt(&mut self, id: ReqId) {
@@ -850,7 +850,7 @@ impl<P: RouteProvider> RoutingService<P> {
                 self.requests[id as usize].state = ReqState::Routing { attempts };
                 self.stats.retries += 1;
                 let delay = self.backoff(id, attempts);
-                self.push(self.now + delay, Ev::Attempt(id), dst.raw());
+                self.push(self.now.saturating_add(delay), Ev::Attempt(id), dst.raw());
             }
         }
     }
@@ -875,7 +875,7 @@ impl<P: RouteProvider> RoutingService<P> {
                 self.cfg.jitter_max,
             )
         };
-        exp + jitter
+        exp.saturating_add(jitter)
     }
 
     fn on_cancel(&mut self, id: ReqId) {
@@ -1249,6 +1249,90 @@ mod tests {
             done_at <= deadline + 1,
             "terminal at {done_at}, deadline {deadline}"
         );
+    }
+
+    #[test]
+    fn deadline_past_time_max_never_times_out() {
+        let cfg = ServiceConfig {
+            retry_limit: 2,
+            ..Default::default()
+        };
+        let mut svc = RoutingService::new(Scripted::new(vec![AttemptVerdict::Stale; 8]), cfg);
+        svc.load(&[Injection::Submit {
+            at: 5,
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            deadline: Time::MAX,
+        }]);
+        svc.run();
+        assert_eq!(
+            svc.state(0),
+            Some(ReqState::Done(Terminal::Rejected {
+                reason: RejectReason::Unreachable { attempts: 3 }
+            }))
+        );
+        let (_, submit, deadline, done_at, _) = svc.request_records().next().unwrap();
+        assert_eq!((submit, deadline), (5, Time::MAX));
+        assert!(done_at > submit, "the retries ran");
+        let huge = ServiceConfig {
+            backoff_base: Time::MAX,
+            backoff_cap: Time::MAX,
+            jitter_max: 3,
+            ..Default::default()
+        };
+        let svc = RoutingService::new(Scripted::new(vec![]), huge);
+        assert_eq!(svc.backoff(1, 1), Time::MAX, "backoff saturates");
+    }
+
+    #[test]
+    fn zero_backoff_base_retries_in_the_same_tick() {
+        let cfg = ServiceConfig {
+            backoff_base: 0,
+            jitter_max: 0,
+            retry_limit: 2,
+            ..Default::default()
+        };
+        let mut svc = RoutingService::new(Scripted::new(vec![AttemptVerdict::Stale; 8]), cfg);
+        svc.load(&one_submit(100));
+        svc.run();
+        assert_eq!(
+            svc.state(0),
+            Some(ReqState::Done(Terminal::Rejected {
+                reason: RejectReason::Unreachable { attempts: 3 }
+            }))
+        );
+        assert_eq!(svc.stats().retries, 2);
+        let (_, _, _, done_at, _) = svc.request_records().next().unwrap();
+        assert_eq!(done_at, 0, "every retry ran at the submit tick");
+    }
+
+    #[test]
+    fn order_key_is_drawn_once_per_push() {
+        let seqs = std::rc::Rc::default();
+        let mut svc = RoutingService::with_scheduler(
+            Scripted::new(vec![AttemptVerdict::Stale; 64]),
+            ServiceConfig::default(),
+            Box::new(crate::sim::Recording(std::rc::Rc::clone(&seqs))),
+        );
+        let mut inj: Vec<Injection> = (0..20)
+            .map(|k| Injection::Submit {
+                at: k % 6,
+                src: NodeId::new(0),
+                dst: NodeId::new(1),
+                deadline: 10 + k * 20,
+            })
+            .collect();
+        inj.push(Injection::Churn {
+            at: 3,
+            node: NodeId::new(4),
+            fault: true,
+        });
+        inj.push(Injection::Cancel { at: 2, req: 7 });
+        svc.load(&inj);
+        let processed = svc.run();
+        // Every push pops exactly once, so the pushes number the events
+        // processed, and their keys were drawn in push order.
+        assert_eq!(*seqs.borrow(), (0..processed).collect::<Vec<_>>());
     }
 
     #[test]

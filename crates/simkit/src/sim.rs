@@ -270,6 +270,19 @@ pub fn shrink_injections<I: Clone>(events: &[I], mut fails: impl FnMut(&[I]) -> 
     current
 }
 
+/// A FIFO scheduler that records the `seq` of every `order_key` call,
+/// for tests of the event loops' key draws.
+#[cfg(test)]
+pub(crate) struct Recording(pub(crate) std::rc::Rc<std::cell::RefCell<Vec<u64>>>);
+
+#[cfg(test)]
+impl Scheduler for Recording {
+    fn order_key(&mut self, seq: u64, _dst: u64) -> u64 {
+        self.0.borrow_mut().push(seq);
+        seq
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

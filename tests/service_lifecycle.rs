@@ -12,10 +12,10 @@
 
 use hypersafe::safety::{SafetyService, SafetyState};
 use hypersafe::simkit::{
-    AdversarialScheduler, AttemptVerdict, DeliveryRung, Epoch, Injection, RejectReason, ReqState,
-    RoutingService, ServiceConfig, Terminal,
+    AdversarialScheduler, AttemptOutcome, AttemptVerdict, DeliveryRung, Epoch, Injection,
+    RejectReason, ReqState, RouteProvider, RoutingService, ServiceConfig, Terminal,
 };
-use hypersafe::topology::{FaultConfig, Hypercube};
+use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe::workloads::{open_loop_mix, OpenLoop};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -47,7 +47,7 @@ fn soak(seed: u64, n: u8, requests: u64, churn_prob: f64) -> RoutingService<Safe
 }
 
 /// Full observable outcome of a run, for byte-identity comparisons.
-fn fingerprint(svc: &RoutingService<SafetyService>) -> String {
+fn fingerprint<P: RouteProvider>(svc: &RoutingService<P>) -> String {
     let records: Vec<_> = svc.request_records().collect();
     format!(
         "{records:?}|{}|{:?}|{}",
@@ -55,6 +55,32 @@ fn fingerprint(svc: &RoutingService<SafetyService>) -> String {
         svc.violations(),
         svc.now()
     )
+}
+
+/// Forwards churn and publication to `SafetyService` but answers every
+/// attempt `Stale`, so each request retries until its retry budget or
+/// its deadline ends it.
+struct AlwaysStale(SafetyService);
+
+impl RouteProvider for AlwaysStale {
+    fn attempt(&mut self, _s: NodeId, _d: NodeId) -> AttemptOutcome {
+        AttemptOutcome {
+            epoch: self.0.current_epoch(),
+            verdict: AttemptVerdict::Stale,
+        }
+    }
+    fn apply_churn(&mut self, node: NodeId, fault: bool) -> bool {
+        self.0.apply_churn(node, fault)
+    }
+    fn publish_next(&mut self) -> Option<u64> {
+        self.0.publish_next()
+    }
+    fn current_epoch(&self) -> u64 {
+        self.0.current_epoch()
+    }
+    fn check_invariants(&mut self) -> Result<(), String> {
+        self.0.check_invariants()
+    }
 }
 
 proptest! {
@@ -83,6 +109,66 @@ proptest! {
         // The per-rung counters partition the requests: each request
         // was counted on exactly one rung.
         prop_assert_eq!(svc.stats().terminals(), terminals);
+    }
+
+    /// The same contract past the event queue's window: deadlines up
+    /// to 1,000 ticks and backoffs up to 512 put Deadline and retry
+    /// events far ahead, so they wait outside the window and migrate
+    /// into it later, under a permuted schedule with every attempt
+    /// stale.
+    #[test]
+    fn far_deadlines_and_backoffs_reach_exactly_one_terminal(
+        seed in any::<u64>(),
+        n in 4u8..=6,
+        deadline_max in 16u64..=1_000,
+        backoff_base in 0u64..=8,
+        backoff_cap in 1u64..=512,
+        retry_limit in 0u32..=12,
+    ) {
+        let cube = Hypercube::new(n);
+        let wl = OpenLoop {
+            requests: 200,
+            churn_prob: 0.15,
+            max_live_faults: usize::from(n - 1),
+            cancel_prob: 0.05,
+            deadline_max,
+            ..OpenLoop::default()
+        };
+        let cfg = ServiceConfig {
+            retry_limit,
+            backoff_base,
+            backoff_cap,
+            ..ServiceConfig::default()
+        };
+        let run = || {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let injections = open_loop_mix(cube, &wl, &mut rng);
+            let provider = AlwaysStale(SafetyService::new(FaultConfig::fault_free(cube)));
+            let mut svc = RoutingService::with_scheduler(
+                provider,
+                cfg,
+                Box::new(AdversarialScheduler::permute(seed)),
+            );
+            svc.load(&injections);
+            svc.run();
+            svc
+        };
+        let svc = run();
+        prop_assert_eq!(svc.violations(), &[] as &[String]);
+        for (state, submit, deadline, done_at, _) in svc.request_records() {
+            prop_assert!(
+                matches!(state, ReqState::Done(_)),
+                "request left non-terminal: {state:?}"
+            );
+            prop_assert!(
+                done_at <= deadline + 1,
+                "terminal at {done_at} past deadline {deadline} (+1): {state:?}"
+            );
+            prop_assert!(done_at >= submit, "terminal precedes submission");
+        }
+        prop_assert_eq!(svc.stats().terminal_transitions, svc.num_requests() as u64);
+        prop_assert_eq!(svc.stats().terminals(), svc.num_requests() as u64);
+        prop_assert_eq!(fingerprint(&svc), fingerprint(&run()));
     }
 
     /// Deadlines are honored within the documented +1 tick: the
