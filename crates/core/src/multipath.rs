@@ -1,4 +1,4 @@
-//! k-disjoint multi-path unicast (ROADMAP open item 1).
+//! k-disjoint multi-path unicast.
 //!
 //! The paper routes each unicast on a single safety-level-guided path;
 //! its Theorem 2 machinery already leans on the classic fan of `n`
@@ -28,25 +28,41 @@
 //!    delivered count equals `min(k, F(s, d))` where `F` is the max
 //!    number of pairwise internally-disjoint fault-free `s → d` paths
 //!    (the max-flow / Menger bound) — property-tested against an
-//!    independent oracle in `tests/multipath_props.rs`.
+//!    independent oracle in `tests/multipath_props.rs`. The usable
+//!    degrees of `s` and of `d` are cuts, so augmentation stops once
+//!    the flow reaches either; when the surviving fan already fills
+//!    one, no residual graph is built and the survivors are returned
+//!    in the order the flow decomposition would list them (ascending
+//!    first dimension).
 //!
 //!    Each augmenting path comes from a level-synchronous BFS over
 //!    per-dimension bit-planes of the residual graph (64 nodes per
-//!    word, neighbours gathered with the `level_store` shuffle): the
-//!    levels alternate between out-states and in-states from `s_out`
-//!    until one holds `d_in`. A FIFO BFS that visits edges in a fixed
-//!    order lists every level in the lexicographic order of its tree
-//!    paths, so the path it finds is the lexicographically first
-//!    shortest path. The plane BFS recovers exactly that path: a
-//!    backward pass keeps the level states with a layered path to
-//!    `d_in`, and a forward walk from `s_out` takes the first
-//!    surviving edge in the FIFO visiting order (ascending dimension,
-//!    internal edge last at an out-state and first at an in-state).
-//!    The paths, and so every outcome, equal those of a scalar
-//!    one-state-at-a-time FIFO BFS, which the unit tests keep as a
-//!    differential reference. Augmentation stops as soon as the flow
-//!    reaches the usable degree of `s` or of `d`: those are cuts, so
-//!    no augmenting path can exist past them.
+//!    word, neighbours moved with the `level_store` shuffle), run from
+//!    both ends: forward from `s_out`, backward from `d_in` over the
+//!    reversed edges, always extending the side with the smaller last
+//!    level, until a new level overlaps what the other side reached.
+//!    Levels alternate between out- and in-states; faulty states,
+//!    `s_in` and `d_out` are never entered. If the forward search
+//!    stopped at depth `m` and the backward one at depth `b`, the
+//!    shortest augmenting paths have length `L = m + b`, and their
+//!    layer `j` is forward level `j` ∩ backward level `L − j`.
+//!
+//!    A FIFO BFS that visits edges in a fixed order lists every level
+//!    in the lexicographic order of its tree paths, so the path it
+//!    finds is the lexicographically first shortest path. A forward
+//!    walk from `s_out` through the layers recovers exactly that path
+//!    by taking the first edge into the next layer in the FIFO visiting
+//!    order (ascending dimension, internal edge last at an out-state
+//!    and first at an in-state). Up to layer `m`, the layers come from
+//!    a prune backward from the meeting states through the forward
+//!    levels, so only shortest-path states are expanded twice; past
+//!    it, the next layer is simply what the backward search reached in
+//!    the right number of steps. Clearing a deeper level's marks first
+//!    leaves only that level marked. The paths, and so every outcome,
+//!    equal those of a scalar one-state-at-a-time FIFO BFS, which the
+//!    unit tests keep as a differential reference. Each thread keeps
+//!    one residual graph for reuse and zeroes only the words a call
+//!    set.
 //!
 //! On the fault-free cube the fan phase alone returns exactly `n`
 //! disjoint delivered paths for distinct endpoints (`h` optimal +
@@ -60,11 +76,14 @@
 //! (footnote 3), multi-path delivery needs a *healthy* destination: a
 //! path's last link must be usable, so a faulty `d` gets no path (its
 //! usable in-degree is 0, which stops the reroute phase at once). A
-//! faulty *source* cannot transmit and yields an empty result.
+//! faulty *source* cannot transmit and yields an empty result, as does
+//! an endpoint outside the cube.
 
-use crate::level_store::{delta_swap, gather_neighbor_word};
+use crate::level_store::delta_swap;
 use crate::safety::SafetyMap;
 use hypersafe_topology::{e, FaultConfig, NodeId, Path, MAX_DIM};
+use std::cell::Cell;
+use std::ops::Range;
 
 /// Length class of one delivered path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -248,13 +267,14 @@ pub fn route_disjoint_ranked(
     k: u8,
     spare_cost: &dyn Fn(NodeId, u8) -> u64,
 ) -> MultipathResult {
-    let n = cfg.cube().dim();
-    let k = k.min(n);
-    if s == d || k == 0 || cfg.node_faulty(s) {
+    let cube = cfg.cube();
+    let k = k.min(cube.dim());
+    let outside = |v: NodeId| v.raw() >= cube.num_nodes();
+    if s == d || k == 0 || outside(s) || outside(d) || cfg.node_faulty(s) {
         return MultipathResult::empty(k);
     }
 
-    let dims: Vec<u8> = cfg.cube().preferred_dims(s, d).collect();
+    let dims: Vec<u8> = cube.preferred_dims(s, d).collect();
     let h = dims.len();
 
     // Safety-guided candidate order: optimal rotations first (by
@@ -262,7 +282,7 @@ pub fn route_disjoint_ranked(
     // level). All keys are deterministic, so so is the whole route.
     let mut rot_order: Vec<usize> = (0..h).collect();
     rot_order.sort_by_key(|&i| (std::cmp::Reverse(map.level(s.neighbor(dims[i]))), dims[i]));
-    let mut spare_order: Vec<u8> = cfg.cube().spare_dims(s, d).collect();
+    let mut spare_order: Vec<u8> = cube.spare_dims(s, d).collect();
     spare_order.sort_by_key(|&j| {
         (
             spare_cost(s, j),
@@ -301,7 +321,7 @@ pub fn route_disjoint_ranked(
     if (accepted.len() as u8) < k && candidates_cut {
         // Live reroute: grow the surviving fan flow to the maximum
         // set of disjoint fault-free paths through the faulty cube.
-        accepted = augment_to_max(cfg, s, d, &accepted, k);
+        accepted = augment_to_max(cfg, s, d, accepted, k);
         rerouted = true;
     }
 
@@ -334,39 +354,45 @@ fn augment_to_max(
     cfg: &FaultConfig,
     s: NodeId,
     d: NodeId,
-    initial: &[Vec<NodeId>],
+    mut initial: Vec<Vec<NodeId>>,
     k: u8,
 ) -> Vec<Vec<NodeId>> {
-    let mut r = Residual::new(cfg, s, initial);
     let (sr, dr) = (s.raw() as usize, d.raw() as usize);
     // `s_out` and `d_in` are cuts: once the flow fills every usable
     // link out of `s` or into `d`, no augmenting path exists.
     let cap = usize::from(k).min(degree(cfg, s)).min(degree(cfg, d));
+    if initial.len() >= cap {
+        // Already maximum: these are the paths the flow decomposes
+        // into, and this is the order it lists them in.
+        initial.sort_by_key(|p| dim(sr, p[1].raw() as usize));
+        return initial;
+    }
+    let n = cfg.cube().dim();
+    let mut r = SCRATCH
+        .take()
+        .filter(|r| r.g.n == n)
+        .unwrap_or_else(|| Residual::new(n));
+    debug_assert!(r.is_clear(), "a previous call left state behind");
+    r.g.load(cfg, &initial);
+    let faulty = cfg.node_faults().words();
     let mut flows = initial.len();
-    while flows < cap && r.search(sr, dr) {
-        r.prune(dr);
+    while flows < cap && r.search(faulty, sr, dr) {
         r.augment(sr);
         flows += 1;
     }
-
-    // Decompose the flow into paths: from s, follow each outgoing
-    // flow edge (ascending dimension for determinism); every interior
-    // vertex carries exactly one outgoing unit.
-    let mut paths = Vec::with_capacity(flows);
-    let mut nodes = Vec::new();
-    for i in (0..r.n).filter(|&i| r.flow.get(i, sr)) {
-        nodes.clear();
-        nodes.push(s);
-        let mut v = sr ^ (1 << i);
-        while v != dr {
-            nodes.push(NodeId::new(v as u64));
-            v ^= 1 << r.out_dim(v);
-        }
-        nodes.push(d);
-        paths.push(nodes.clone());
-    }
+    let paths = r.g.decompose(s, d);
     debug_assert_eq!(paths.len(), flows);
+    r.g.reset();
+    SCRATCH.set(Some(r));
     paths
+}
+
+thread_local! {
+    /// One residual per thread, kept between calls on cubes of the same
+    /// dimension. Each call leaves it as it found it: all flow, block,
+    /// use and visit bits zero. A call that panics takes it along, and
+    /// the next call builds a fresh one.
+    static SCRATCH: Cell<Option<Residual>> = const { Cell::new(None) };
 }
 
 /// Usable links at `v`: both endpoints healthy and the link not faulty
@@ -389,8 +415,7 @@ fn nbr_word(w: usize, i: u8) -> usize {
 
 /// Moves the lanes of a word read at [`nbr_word`]`(w, i)` across
 /// dimension `i`, so lane `j` lands on lane `j ^ 2^i`: the push form of
-/// [`gather_neighbor_word`] (`gather_neighbor_word(p, w, i)` is
-/// `cross(p[nbr_word(w, i)], i)`).
+/// [`gather_neighbor_word`](crate::level_store::gather_neighbor_word).
 #[inline]
 fn cross(x: u64, i: u8) -> u64 {
     if i < 6 {
@@ -417,6 +442,18 @@ fn put(word: &mut u64, v: usize, on: bool) {
         *word |= 1 << (v % 64);
     } else {
         *word &= !(1 << (v % 64));
+    }
+}
+
+/// Clears `bits` and calls `f` with the index of each bit that was set,
+/// ascending.
+fn drain_bits(bits: &mut [u64], mut f: impl FnMut(usize)) {
+    for (i, word) in bits.iter_mut().enumerate() {
+        let mut m = std::mem::take(word);
+        while m != 0 {
+            f(i * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
     }
 }
 
@@ -455,6 +492,25 @@ impl Planes {
     fn put(&mut self, i: u8, v: usize, on: bool) {
         put(&mut self.bits[v / 64 * self.n + i as usize], v, on);
     }
+
+    fn clear_row(&mut self, w: usize) {
+        self.bits[w * self.n..][..self.n].fill(0);
+    }
+}
+
+/// The two sides of a split node, as indices into per-side planes.
+const IN: usize = 0;
+const OUT: usize = 1;
+
+/// The side of level `j` of a search: the forward search starts at
+/// `s_out`, the backward one at `d_in`, and every edge changes side.
+#[inline]
+fn side(forward: bool, j: usize) -> usize {
+    if j.is_multiple_of(2) == forward {
+        OUT
+    } else {
+        IN
+    }
 }
 
 /// One state of the node-split residual graph: node and side.
@@ -465,12 +521,8 @@ struct State {
 }
 
 /// The residual graph of a unit-vertex-capacity flow on the faulty
-/// cube, in bit-planes of 64 nodes per word, and the level-synchronous
-/// BFS that finds its augmenting paths (the module docs give why the
-/// path is the scalar FIFO BFS's): [`Residual::search`] builds the
-/// levels, [`Residual::prune`] keeps the states on a layered path to
-/// `d_in`, and [`Residual::augment`] walks the first surviving edges.
-struct Residual {
+/// cube, in bit-planes of 64 nodes per word.
+struct Graph {
     n: u8,
     /// Bit `v` of plane `i` when one unit of flow runs on `v → v ⊕ eᵢ`.
     flow: Planes,
@@ -480,276 +532,116 @@ struct Residual {
     blocked: Planes,
     /// Interior vertices on a path.
     used: Vec<u64>,
-    /// In-states already reached, preset with the in-states no edge
-    /// may enter (faulty nodes and `s`); a search clears its own bits
-    /// when it ends.
-    seen_in: Vec<u64>,
-    seen_out: Vec<u64>,
-    /// All zero between uses: the next level's accumulator during a
-    /// search, the surviving next level while pruning and walking.
-    acc: Vec<u64>,
-    /// One bit per word of `acc`: the words a search level touched.
-    touched: Vec<u64>,
-    /// BFS levels as `(word, bits)` entries; level `j` is
-    /// `levels[starts[j]..starts[j + 1]]`, the last one running to the
-    /// end. Even levels hold out-states, odd levels in-states.
-    levels: Vec<(usize, u64)>,
-    starts: Vec<usize>,
-    /// After [`Residual::prune`], level `j`'s survivors are
-    /// `levels[starts[j]..live[j]]`.
-    live: Vec<usize>,
+    /// One bit per node word that a flow, block or use has touched
+    /// since the last [`Graph::reset`].
+    dirty: Vec<u64>,
 }
 
-impl Residual {
-    fn new(cfg: &FaultConfig, s: NodeId, initial: &[Vec<NodeId>]) -> Self {
-        let cube = cfg.cube();
-        let n = cube.dim();
-        let words = cube.num_nodes().div_ceil(64) as usize;
-        let mut seen_in = cfg.node_faults().words().to_vec();
-        put(&mut seen_in[s.raw() as usize / 64], s.raw() as usize, true);
-        let mut r = Residual {
+impl Graph {
+    fn new(n: u8, words: usize) -> Self {
+        Graph {
             n,
             flow: Planes::new(n, words),
             blocked: Planes::new(n, words),
             used: vec![0; words],
-            seen_in,
-            seen_out: vec![0; words],
-            acc: vec![0; words],
-            touched: vec![0; words.div_ceil(64)],
-            levels: Vec::new(),
-            starts: Vec::new(),
-            live: Vec::new(),
-        };
-        // A link set may name links beyond this cube; no path uses them.
-        let inside = |&(_, hi): &(NodeId, NodeId)| hi.raw() < cube.num_nodes();
-        for (lo, hi) in cfg.link_faults().iter().filter(inside) {
-            r.block(lo.raw() as usize, hi.raw() as usize, true);
+            dirty: vec![0; words.div_ceil(64)],
         }
-        for path in initial {
+    }
+
+    /// Blocks the faulty links and lays the flow of `paths` on the
+    /// empty graph.
+    fn load(&mut self, cfg: &FaultConfig, paths: &[Vec<NodeId>]) {
+        // A link set may name links beyond this cube; no path uses them.
+        let nodes = cfg.cube().num_nodes();
+        let inside = |&(_, hi): &(NodeId, NodeId)| hi.raw() < nodes;
+        for (lo, hi) in cfg.link_faults().iter().filter(inside) {
+            self.block(lo.raw() as usize, hi.raw() as usize, true);
+        }
+        for path in paths {
             for w in path.windows(2) {
                 let (a, b) = (w[0].raw() as usize, w[1].raw() as usize);
-                r.flow.put(dim(a, b), a, true);
-                r.block(a, b, true);
+                self.flow.put(dim(a, b), a, true);
+                self.block(a, b, true);
             }
             for &v in &path[1..path.len() - 1] {
-                let v = v.raw() as usize;
-                put(&mut r.used[v / 64], v, true);
+                self.set_used(v.raw() as usize, true);
             }
         }
-        r
     }
 
     /// Marks the link `a – b` blocked (or open again) at both ends.
     fn block(&mut self, a: usize, b: usize, on: bool) {
         self.blocked.put(dim(a, b), a, on);
         self.blocked.put(dim(a, b), b, on);
+        self.touch(a);
+        self.touch(b);
     }
 
-    /// ORs `x` into word `w` of the next level.
-    #[inline]
-    fn push(acc: &mut [u64], touched: &mut [u64], w: usize, x: u64) {
-        acc[w] |= x;
-        touched[w / 64] |= 1 << (w % 64);
+    fn set_used(&mut self, v: usize, on: bool) {
+        put(&mut self.used[v / 64], v, on);
+        self.touch(v);
     }
 
-    /// Level-synchronous BFS from `s_out`. Returns whether `d_in` was
-    /// reached; the levels are left in `self.levels`, the last one
-    /// holding `d_in` (and possibly only part of the rest of its level).
-    fn search(&mut self, s: usize, d: usize) -> bool {
-        self.levels.clear();
-        self.starts.clear();
-        self.starts.push(0);
-        self.levels.push((s / 64, 1 << (s % 64)));
-        put(&mut self.seen_out[s / 64], s, true);
-        let (dw, dbit) = (d / 64, 1 << (d % 64));
-        let mut found = false;
-        while !found {
-            let j = self.starts.len() - 1;
-            let (lo, hi) = (self.starts[j], self.levels.len());
-            if lo == hi {
-                break;
-            }
-            let out_level = j.is_multiple_of(2);
-            let (acc, touched) = (&mut self.acc, &mut self.touched);
-            for &(w, c) in &self.levels[lo..hi] {
-                let used = c & self.used[w];
-                if out_level {
-                    // Forward links v_out → x_in (the in-word
-                    // dimensions gathered into one word), then the
-                    // residual internal edge v_out → v_in of a used
-                    // vertex.
-                    let row = self.blocked.row(w);
-                    let near = row.len().min(6);
-                    let mut here = used;
-                    for (i, &b) in row[..near].iter().enumerate() {
-                        here |= delta_swap(c & !b, i as u8);
-                    }
-                    Self::push(acc, touched, w, here);
-                    for (i, &b) in row[near..].iter().enumerate() {
-                        Self::push(acc, touched, w ^ (1 << i), c & !b);
-                    }
-                    if acc[dw] & !self.seen_in[dw] & dbit != 0 {
-                        // Only d_in matters from this level on.
-                        break;
-                    }
-                } else {
-                    // The internal edge v_in → v_out of an unused
-                    // vertex; a used one instead cancels the flow
-                    // x → v that enters it, v_in → x_out.
-                    Self::push(acc, touched, w, c & !used);
-                    if used != 0 {
-                        for i in 0..self.n {
-                            let t = nbr_word(w, i);
-                            Self::push(acc, touched, t, cross(used, i) & self.flow.word(i, t));
-                        }
+    fn touch(&mut self, v: usize) {
+        let w = v / 64;
+        self.dirty[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Zeroes the words touched since the last reset, which leaves the
+    /// graph of the fault-free cube with no flow.
+    fn reset(&mut self) {
+        let (flow, blocked, used) = (&mut self.flow, &mut self.blocked, &mut self.used);
+        drain_bits(&mut self.dirty, |w| {
+            flow.clear_row(w);
+            blocked.clear_row(w);
+            used[w] = 0;
+        });
+    }
+
+    /// Pushes into `fr` the states one residual edge away from each
+    /// level entry `(w, c)`, states `c` of word `w` on side `side`:
+    /// their successors if `forward`, else their predecessors.
+    fn expand(&self, fr: &mut Frontier, level: &[(usize, u64)], side: usize, forward: bool) {
+        for &(w, c) in level {
+            let used = c & self.used[w];
+            if (side == OUT) == forward {
+                // The link edges v_out → x_in (the in-word dimensions
+                // gathered into one word), then the residual internal
+                // edge v_out → v_in of a used vertex. Blocking is
+                // symmetric, so backwards the same words give an
+                // in-state's predecessors.
+                let row = self.blocked.row(w);
+                let near = row.len().min(6);
+                let mut here = used;
+                for (i, &b) in row[..near].iter().enumerate() {
+                    here |= delta_swap(c & !b, i as u8);
+                }
+                fr.push(w, here);
+                for (i, &b) in row[near..].iter().enumerate() {
+                    fr.push(w ^ (1 << i), c & !b);
+                }
+            } else if forward {
+                // The internal edge v_in → v_out of an unused vertex; a
+                // used one instead cancels the flow x → v that enters
+                // it, v_in → x_out.
+                fr.push(w, c & !used);
+                if used != 0 {
+                    for i in 0..self.n {
+                        let t = nbr_word(w, i);
+                        fr.push(t, cross(used, i) & self.flow.word(i, t));
                     }
                 }
-            }
-            self.starts.push(self.levels.len());
-            let seen = if out_level {
-                &mut self.seen_in
             } else {
-                &mut self.seen_out
-            };
-            for (tw, touched) in self.touched.iter_mut().enumerate() {
-                let mut m = std::mem::take(touched);
-                while m != 0 {
-                    let w = tw * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let fresh = std::mem::take(&mut self.acc[w]) & !seen[w];
-                    if fresh != 0 {
-                        seen[w] |= fresh;
-                        self.levels.push((w, fresh));
-                        found |= out_level && w == dw && fresh & dbit != 0;
+                // Into v_out: v_in of an unused vertex, and x_in of the
+                // used vertex its flow v → x enters.
+                fr.push(w, c & !used);
+                for (i, &f) in self.flow.row(w).iter().enumerate() {
+                    let i = i as u8;
+                    if c & f != 0 {
+                        let t = nbr_word(w, i);
+                        fr.push(t, cross(c & f, i) & self.used[t]);
                     }
                 }
-            }
-        }
-        // Forget this search's visits; the preset in-states stay.
-        for j in 0..self.starts.len() {
-            let range = self.level(j);
-            let seen = if j.is_multiple_of(2) {
-                &mut self.seen_out
-            } else {
-                &mut self.seen_in
-            };
-            for &(w, c) in &self.levels[range] {
-                seen[w] &= !c;
-            }
-        }
-        found
-    }
-
-    fn level(&self, j: usize) -> std::ops::Range<usize> {
-        let end = self.starts.get(j + 1).copied().unwrap_or(self.levels.len());
-        self.starts[j]..end
-    }
-
-    /// Writes level `j`'s survivors into `acc` (`on`), or zeroes their
-    /// words again.
-    fn scatter(&mut self, j: usize, on: bool) {
-        for e in self.starts[j]..self.live[j] {
-            let (w, c) = self.levels[e];
-            self.acc[w] = if on { c } else { 0 };
-        }
-    }
-
-    /// Keeps only the level states with a layered path to `d_in`: the
-    /// last level shrinks to `d_in`, and each earlier one to the states
-    /// with an edge into the survivors of the next. Each level's
-    /// nonzero survivor words are compacted, in place, to the front of
-    /// its range, ending at `live[j]`.
-    fn prune(&mut self, d: usize) {
-        let top = self.starts.len() - 1;
-        self.live.clear();
-        self.live.resize(top + 1, 0);
-        self.levels.truncate(self.starts[top]);
-        self.levels.push((d / 64, 1 << (d % 64)));
-        self.live[top] = self.levels.len();
-        self.scatter(top, true);
-        for j in (0..top).rev() {
-            let mut kept = self.starts[j];
-            for e in self.level(j) {
-                let (w, c) = self.levels[e];
-                let (t, used) = (&self.acc, self.used[w]);
-                let mut keep;
-                if j.is_multiple_of(2) {
-                    keep = used & t[w];
-                    for (i, &b) in self.blocked.row(w).iter().enumerate() {
-                        keep |= !b & gather_neighbor_word(t, w, i as u8);
-                    }
-                } else {
-                    keep = !used & t[w];
-                    if c & used != 0 {
-                        for i in 0..self.n {
-                            let x = nbr_word(w, i);
-                            keep |= cross(self.flow.word(i, x) & t[x], i);
-                        }
-                    }
-                }
-                if c & keep != 0 {
-                    self.levels[kept] = (w, c & keep);
-                    kept += 1;
-                }
-            }
-            self.live[j] = kept;
-            self.scatter(j + 1, false);
-            self.scatter(j, true);
-        }
-        self.scatter(0, false);
-    }
-
-    /// The successor of `st` on the first surviving layered path, in
-    /// the order a FIFO BFS visits edges: at an out-state the forward
-    /// links by ascending dimension, then the internal edge; at an
-    /// in-state the internal edge, then the cancel edges by ascending
-    /// dimension (flow conservation leaves an in-state only one of
-    /// them). `acc` holds the surviving next level.
-    fn step(&self, st: State) -> State {
-        let (v, t) = (st.v, &self.acc);
-        if st.out {
-            let i = (0..self.n).find(|&i| !self.blocked.get(i, v) && bit(t, v ^ (1 << i)));
-            debug_assert!(i.is_some() || (bit(&self.used, v) && bit(t, v)));
-            State {
-                v: i.map_or(v, |i| v ^ (1 << i)),
-                out: false,
-            }
-        } else if !bit(&self.used, v) && bit(t, v) {
-            State { v, out: true }
-        } else {
-            let i = (0..self.n)
-                .find(|&i| self.flow.get(i, v ^ (1 << i)) && bit(t, v ^ (1 << i)))
-                .expect("a surviving in-state has a layered successor");
-            State {
-                v: v ^ (1 << i),
-                out: true,
-            }
-        }
-    }
-
-    /// Walks the lexicographically first shortest augmenting path
-    /// through the pruned levels and applies it to the flow.
-    fn augment(&mut self, s: usize) {
-        let mut path = vec![State { v: s, out: true }];
-        for j in 0..self.starts.len() - 1 {
-            self.scatter(j + 1, true);
-            path.push(self.step(path[j]));
-            self.scatter(j + 1, false);
-        }
-        for e in path.windows(2) {
-            let (a, b) = (e[0], e[1]);
-            if a.v == b.v {
-                // Internal edge: forward in→out claims the vertex,
-                // residual out→in releases it.
-                put(&mut self.used[a.v / 64], a.v, b.out);
-            } else if a.out {
-                // Forward link a → b.
-                self.flow.put(dim(a.v, b.v), a.v, true);
-                self.block(a.v, b.v, true);
-            } else {
-                // Residual link edge: cancel flow b → a.
-                self.flow.put(dim(a.v, b.v), b.v, false);
-                self.block(a.v, b.v, false);
             }
         }
     }
@@ -766,6 +658,327 @@ impl Residual {
             .position(|&f| (f >> (v % 64)) & 1 == 1)
             .expect("flow conservation") as u8
     }
+
+    /// Decomposes the flow into paths: from `s`, follow each outgoing
+    /// flow edge (ascending dimension for determinism); every interior
+    /// vertex carries exactly one outgoing unit.
+    fn decompose(&self, s: NodeId, d: NodeId) -> Vec<Vec<NodeId>> {
+        let (sr, dr) = (s.raw() as usize, d.raw() as usize);
+        let mut nodes = Vec::new();
+        (0..self.n)
+            .filter(|&i| self.flow.get(i, sr))
+            .map(|i| {
+                nodes.clear();
+                nodes.push(s);
+                let mut v = sr ^ (1 << i);
+                while v != dr {
+                    nodes.push(NodeId::new(v as u64));
+                    debug_assert!(nodes.len() <= self.used.len() * 64, "flow cycle");
+                    v ^= 1 << self.out_dim(v);
+                }
+                nodes.push(d);
+                nodes.clone()
+            })
+            .collect()
+    }
+}
+
+/// The next level's accumulator: all zero between uses, with one bit
+/// per word of `acc` marking the words a level touched.
+struct Frontier {
+    acc: Vec<u64>,
+    touched: Vec<u64>,
+}
+
+impl Frontier {
+    /// ORs `x` into word `w` of the next level.
+    #[inline]
+    fn push(&mut self, w: usize, x: u64) {
+        self.acc[w] |= x;
+        self.touched[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Calls `f` with each touched word and its bits, ascending, and
+    /// zeroes them again.
+    fn drain(&mut self, mut f: impl FnMut(usize, u64)) {
+        let acc = &mut self.acc;
+        drain_bits(&mut self.touched, |w| f(w, std::mem::take(&mut acc[w])));
+    }
+}
+
+/// BFS levels as `(word, bits)` entries: level `j` is
+/// `entries[starts[j]..starts[j + 1]]`, the last one running to the end.
+#[derive(Default)]
+struct Levels {
+    entries: Vec<(usize, u64)>,
+    starts: Vec<usize>,
+}
+
+impl Levels {
+    /// Starts over with the one state `bits` of word `w` as level 0.
+    fn reset(&mut self, w: usize, bits: u64) {
+        self.entries.clear();
+        self.entries.push((w, bits));
+        self.starts.clear();
+        self.starts.push(0);
+    }
+
+    /// Opens the next level; entries pushed from now on belong to it.
+    fn open(&mut self) {
+        self.starts.push(self.entries.len());
+    }
+
+    /// Index of the last level.
+    fn depth(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn level(&self, j: usize) -> &[(usize, u64)] {
+        let end = self
+            .starts
+            .get(j + 1)
+            .copied()
+            .unwrap_or(self.entries.len());
+        &self.entries[self.starts[j]..end]
+    }
+
+    fn top(&self) -> &[(usize, u64)] {
+        self.level(self.depth())
+    }
+}
+
+/// Indices of the two searches' visit planes in [`Residual::seen`].
+const FWD: usize = 0;
+const BWD: usize = 1;
+
+/// The residual graph and the search that finds its augmenting paths
+/// (the module docs give why the path is the scalar FIFO BFS's):
+/// [`Residual::search`] grows levels from `s_out` and, over reversed
+/// edges, from `d_in` until they meet, and [`Residual::augment`] walks
+/// the first edges that stay on a shortest path.
+struct Residual {
+    g: Graph,
+    fr: Frontier,
+    /// Levels of the forward search (even levels hold out-states) and
+    /// of the backward one (even levels hold in-states).
+    fwd: Levels,
+    bwd: Levels,
+    /// `seen[FWD]` and `seen[BWD]`: per side, the states each search
+    /// has reached. Both are all zero between searches.
+    seen: [[Vec<u64>; 2]; 2],
+    /// The shortest-path layers up to the meeting layer: layer `j`
+    /// holds the states `j` steps from `s_out` on a shortest path to
+    /// `d_in`, at `kept[layers[j]]`. A search leaves in `kept` where
+    /// the two searches met.
+    kept: Vec<(usize, u64)>,
+    layers: Vec<Range<usize>>,
+}
+
+impl Residual {
+    fn new(n: u8) -> Self {
+        let words = (1usize << n).div_ceil(64);
+        let plane = || vec![0; words];
+        Residual {
+            g: Graph::new(n, words),
+            fr: Frontier {
+                acc: plane(),
+                touched: vec![0; words.div_ceil(64)],
+            },
+            fwd: Levels::default(),
+            bwd: Levels::default(),
+            seen: [[plane(), plane()], [plane(), plane()]],
+            kept: Vec::new(),
+            layers: Vec::new(),
+        }
+    }
+
+    /// Whether every flow, block, use, visit and accumulator bit is
+    /// zero, as between calls.
+    fn is_clear(&self) -> bool {
+        let g = &self.g;
+        let planes = [&g.flow.bits, &g.blocked.bits, &g.used, &g.dirty];
+        let scratch = [&self.fr.acc, &self.fr.touched];
+        planes
+            .into_iter()
+            .chain(scratch)
+            .chain(self.seen.iter().flatten())
+            .all(|p| p.iter().all(|&x| x == 0))
+    }
+
+    /// Bidirectional level-synchronous BFS: one search from `s_out`,
+    /// one from `d_in` over the reversed edges, and each step extends
+    /// whichever has the shorter last level. No edge enters a faulty
+    /// state, `s_in` or `d_out`. A new level is checked against
+    /// everything the other search reached: the first nonempty
+    /// overlap is where they meet (in `kept`), and then the two last
+    /// levels' depths add up to the length of a shortest augmenting
+    /// path. Returns `false`, with every visit mark cleared, when
+    /// either search runs dry first.
+    fn search(&mut self, faulty: &[u64], s: usize, d: usize) -> bool {
+        let (sw, sbit, dw, dbit) = (s / 64, 1 << (s % 64), d / 64, 1 << (d % 64));
+        self.fwd.reset(sw, sbit);
+        self.bwd.reset(dw, dbit);
+        self.seen[FWD][OUT][sw] |= sbit;
+        self.seen[BWD][IN][dw] |= dbit;
+        // Per side, the one healthy state no edge enters.
+        let never = [(sw, sbit), (dw, dbit)];
+        self.kept.clear();
+        while self.kept.is_empty() {
+            let (f, b) = (self.fwd.top().len(), self.bwd.top().len());
+            if f == 0 || b == 0 {
+                for (dir, levels) in [(FWD, &self.fwd), (BWD, &self.bwd)] {
+                    for j in 0..=levels.depth() {
+                        forget(&mut self.seen[dir], levels, dir == FWD, j);
+                    }
+                }
+                return false;
+            }
+            let forward = f <= b;
+            let [seen_fwd, seen_bwd] = &mut self.seen;
+            let (levels, mine, theirs) = if forward {
+                (&mut self.fwd, seen_fwd, &*seen_bwd)
+            } else {
+                (&mut self.bwd, seen_bwd, &*seen_fwd)
+            };
+            let j = levels.depth();
+            self.g
+                .expand(&mut self.fr, levels.top(), side(forward, j), forward);
+            let side = side(forward, j + 1);
+            let (mine, theirs, (nw, nbit)) = (&mut mine[side], &theirs[side], never[side]);
+            levels.open();
+            let kept = &mut self.kept;
+            self.fr.drain(|w, x| {
+                let mut fresh = x & !mine[w] & !faulty[w];
+                if w == nw {
+                    fresh &= !nbit;
+                }
+                if fresh != 0 {
+                    mine[w] |= fresh;
+                    levels.entries.push((w, fresh));
+                    if fresh & theirs[w] != 0 {
+                        kept.push((w, fresh & theirs[w]));
+                    }
+                }
+            });
+        }
+        true
+    }
+
+    /// Builds the layers up to the meeting layer `m`, and clears the
+    /// forward search's marks. With the backward search at depth `b`,
+    /// a shortest path has length `L = m + b`, and its layer `j` is
+    /// forward level `j` ∩ backward level `L − j`. Layer `m` is where
+    /// the searches met; each earlier layer `j` is the predecessors of
+    /// layer `j + 1` that the forward search reached. No predecessor is
+    /// fewer than `j` steps from `s_out`, so once the deeper levels'
+    /// marks are cleared, the marks left select forward level `j`.
+    fn prune(&mut self) {
+        let m = self.fwd.depth();
+        self.layers.clear();
+        self.layers.resize(m + 1, 0..0);
+        self.layers[m] = 0..self.kept.len();
+        for j in (0..m).rev() {
+            forget(&mut self.seen[FWD], &self.fwd, true, j + 1);
+            let next = self.layers[j + 1].clone();
+            self.g
+                .expand(&mut self.fr, &self.kept[next], side(true, j + 1), false);
+            let start = self.kept.len();
+            let (kept, seen) = (&mut self.kept, &self.seen[FWD][side(true, j)]);
+            self.fr.drain(|w, x| {
+                if x & seen[w] != 0 {
+                    kept.push((w, x & seen[w]));
+                }
+            });
+            self.layers[j] = start..self.kept.len();
+        }
+        forget(&mut self.seen[FWD], &self.fwd, true, 0);
+    }
+
+    /// Writes layer `j` into `acc` (`on`), or zeroes its words again.
+    fn scatter(&mut self, j: usize, on: bool) {
+        for &(w, c) in &self.kept[self.layers[j].clone()] {
+            self.fr.acc[w] = if on { c } else { 0 };
+        }
+    }
+
+    /// The successor of `st` in the next layer `t`, in the order a FIFO
+    /// BFS visits edges: at an out-state the forward links by
+    /// ascending dimension, then the internal edge; at an in-state the
+    /// internal edge, then the cancel edges by ascending dimension
+    /// (flow conservation leaves an in-state only one of them).
+    fn step(&self, st: State, t: &[u64]) -> State {
+        let (g, v) = (&self.g, st.v);
+        if st.out {
+            let i = (0..g.n).find(|&i| !g.blocked.get(i, v) && bit(t, v ^ (1 << i)));
+            debug_assert!(i.is_some() || (bit(&g.used, v) && bit(t, v)));
+            State {
+                v: i.map_or(v, |i| v ^ (1 << i)),
+                out: false,
+            }
+        } else if !bit(&g.used, v) && bit(t, v) {
+            State { v, out: true }
+        } else {
+            let i = (0..g.n)
+                .find(|&i| g.flow.get(i, v ^ (1 << i)) && bit(t, v ^ (1 << i)))
+                .expect("a layer state has a successor in the next layer");
+            State {
+                v: v ^ (1 << i),
+                out: true,
+            }
+        }
+    }
+
+    /// Walks the lexicographically first shortest augmenting path from
+    /// `s_out` and applies it to the flow; clears every visit mark. Up
+    /// to the meeting layer, [`Residual::prune`] gives the next layer.
+    /// Past it, layer `j + 1` is what the backward search reached in
+    /// `L − j − 1` steps: no successor of a layer-`j` state is fewer
+    /// steps from `d_in`, so clearing the deeper levels' marks is
+    /// enough.
+    fn augment(&mut self, s: usize) {
+        self.prune();
+        let (m, l) = (self.fwd.depth(), self.fwd.depth() + self.bwd.depth());
+        let mut path = vec![State { v: s, out: true }];
+        for j in 0..l {
+            let next = if j < m {
+                self.scatter(j + 1, true);
+                let next = self.step(path[j], &self.fr.acc);
+                self.scatter(j + 1, false);
+                next
+            } else {
+                forget(&mut self.seen[BWD], &self.bwd, false, l - j);
+                self.step(path[j], &self.seen[BWD][side(true, j + 1)])
+            };
+            path.push(next);
+        }
+        forget(&mut self.seen[BWD], &self.bwd, false, 0);
+        let g = &mut self.g;
+        for e in path.windows(2) {
+            let (a, b) = (e[0], e[1]);
+            if a.v == b.v {
+                // Internal edge: forward in→out claims the vertex,
+                // residual out→in releases it.
+                g.set_used(a.v, b.out);
+            } else if a.out {
+                // Forward link a → b.
+                g.flow.put(dim(a.v, b.v), a.v, true);
+                g.block(a.v, b.v, true);
+            } else {
+                // Residual link edge: cancel flow b → a.
+                g.flow.put(dim(a.v, b.v), b.v, false);
+                g.block(a.v, b.v, false);
+            }
+        }
+    }
+}
+
+/// Clears the visit marks of level `j` of the forward or backward
+/// search in its plane of `seen`.
+fn forget(seen: &mut [Vec<u64>; 2], levels: &Levels, forward: bool, j: usize) {
+    let plane = &mut seen[side(forward, j)];
+    for &(w, c) in levels.level(j) {
+        plane[w] &= !c;
+    }
 }
 
 /// Routes every pair across up to `k` disjoint paths, in parallel,
@@ -774,9 +987,8 @@ impl Residual {
 /// `(cfg, map, pair, k)`, and chunks commit in order, so the result is
 /// bitwise identical at any `RAYON_NUM_THREADS` (CI diffs 1 vs 4).
 ///
-/// Degenerate `s == d` pairs yield an all-zero outcome — the
-/// `disjoint_paths` contract fix this PR exists so such pairs cannot
-/// kill a batch.
+/// Degenerate `s == d` pairs, faulty sources and endpoints outside the
+/// cube yield an all-zero outcome, so no pair can kill a batch.
 pub fn route_disjoint_many(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -846,6 +1058,9 @@ pub fn check_disjoint_delivery(
             return Err(format!("path endpoints are not {s} → {d}: {}", p.path));
         }
         let nodes = p.path.nodes();
+        if let Some(v) = nodes.iter().find(|v| v.raw() >= cfg.cube().num_nodes()) {
+            return Err(format!("path leaves the cube at {v}: {}", p.path));
+        }
         if !fan_path_ok(cfg, nodes) {
             return Err(format!("path not fault-free: {}", p.path));
         }
@@ -1192,26 +1407,26 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(!seed);
             for k in 1..=n {
                 prop_assert_eq!(
-                    augment_to_max(&cfg, s, d, &[], k),
+                    augment_to_max(&cfg, s, d, Vec::new(), k),
                     reference_augment(&cfg, s, d, Vec::new(), k),
                     "empty flow, k = {}", k
                 );
                 let p = usize::from(pick) % (max.len().min(usize::from(k)) + 1);
                 let initial = max[..p].to_vec();
                 prop_assert_eq!(
-                    augment_to_max(&cfg, s, d, &initial, k),
+                    augment_to_max(&cfg, s, d, initial.clone(), k),
                     reference_augment(&cfg, s, d, initial, k),
                     "prefix of {} paths, k = {}", p, k
                 );
                 let winding = winding_flow(&cfg, s, d, k, &mut rng);
                 prop_assert_eq!(
-                    augment_to_max(&cfg, s, d, &winding, k),
+                    augment_to_max(&cfg, s, d, winding.clone(), k),
                     reference_augment(&cfg, s, d, winding, k),
                     "winding flow, k = {}", k
                 );
                 let fan = fan_survivors(&cfg, s, d, k);
                 prop_assert_eq!(
-                    augment_to_max(&cfg, s, d, &fan, k),
+                    augment_to_max(&cfg, s, d, fan.clone(), k),
                     reference_augment(&cfg, s, d, fan, k),
                     "fan flow, k = {}", k
                 );
@@ -1366,7 +1581,7 @@ mod tests {
         let (s, d) = (n("000"), n("011"));
         for k in 1..=3 {
             assert_eq!(
-                augment_to_max(&cfg, s, d, &[], k),
+                augment_to_max(&cfg, s, d, Vec::new(), k),
                 reference_augment(&cfg, s, d, Vec::new(), k)
             );
         }
@@ -1388,5 +1603,155 @@ mod tests {
             assert_eq!(res.delivered(), 0, "{s} → {d}");
             assert!(res.rerouted, "{s} → {d}");
         }
+    }
+
+    /// `n − 1` distinct uniform node faults on `Q_n`, as in the
+    /// fan-dense workload, and a healthy pair `s ≠ d`.
+    fn sparse_instance(n: u8, rng: &mut ChaCha8Rng) -> (FaultConfig, NodeId, NodeId) {
+        let cube = Hypercube::new(n);
+        let mut faults = FaultSet::new(cube);
+        while faults.len() < usize::from(n) - 1 {
+            faults.insert(NodeId::new(rng.gen_range(0..cube.num_nodes())));
+        }
+        let cfg = FaultConfig::with_node_faults(cube, faults);
+        let healthy = |rng: &mut ChaCha8Rng| loop {
+            let v = NodeId::new(rng.gen_range(0..cube.num_nodes()));
+            if !cfg.node_faulty(v) {
+                break v;
+            }
+        };
+        let s = healthy(rng);
+        let d = loop {
+            let d = healthy(rng);
+            if d != s {
+                break d;
+            }
+        };
+        (cfg, s, d)
+    }
+
+    #[test]
+    fn reroutes_match_the_reference_at_the_workload_size() {
+        // With k = n, route_disjoint seeds the flow with every fan
+        // survivor; the reference augments the same set.
+        for nn in [11u8, 12] {
+            let mut rng = ChaCha8Rng::seed_from_u64(u64::from(nn));
+            // Until six calls have grown the fan by augmentation.
+            let mut grown = 0;
+            while grown < 6 {
+                let (cfg, s, d) = sparse_instance(nn, &mut rng);
+                let map = SafetyMap::compute(&cfg);
+                let res = route_disjoint(&cfg, &map, s, d, nn);
+                check_disjoint_delivery(&cfg, s, d, &res).unwrap();
+                if !res.rerouted {
+                    continue;
+                }
+                let mut want = reference_augment(&cfg, s, d, fan_survivors(&cfg, s, d, nn), nn);
+                want.sort_by_key(Vec::len);
+                let got: Vec<_> = res.paths.iter().map(|p| p.path.nodes().to_vec()).collect();
+                assert_eq!(got, want, "Q{nn}: {s} → {d}");
+                grown += usize::from(res.delivered() > usize::from(res.fan_accepted));
+            }
+        }
+    }
+
+    /// `Q_8` with `v`'s only healthy neighbour `v ⊕ e₀`, whose other
+    /// neighbours are faulty: a pocket of two nodes.
+    fn pocket(v: NodeId) -> FaultConfig {
+        let cube = Hypercube::new(8);
+        let u = v.neighbor(0);
+        let walls = (1..8).flat_map(|i| [v.neighbor(i), u.neighbor(i)]);
+        FaultConfig::with_node_faults(cube, FaultSet::from_nodes(cube, walls))
+    }
+
+    #[test]
+    fn a_pocket_stops_the_search_from_its_side() {
+        let (s, d) = (NodeId::new(0), NodeId::new(255));
+        // Forward: s_out, 1_in, 1_out, then nothing, while the backward
+        // search has not moved. Backward: d_in, 254_out, 254_in, then
+        // nothing, after one forward level of three words.
+        for (cfg, forward_dry) in [(pocket(s), true), (pocket(d), false)] {
+            assert_eq!(
+                augment_to_max(&cfg, s, d, Vec::new(), 8),
+                Vec::<Vec<NodeId>>::new()
+            );
+            assert_eq!(reference_augment(&cfg, s, d, Vec::new(), 8).len(), 0);
+            let mut r = Residual::new(8);
+            r.g.load(&cfg, &[]);
+            assert!(!r.search(cfg.node_faults().words(), 0, 255));
+            let (dry, other) = if forward_dry {
+                (&r.fwd, &r.bwd)
+            } else {
+                (&r.bwd, &r.fwd)
+            };
+            assert!(dry.top().is_empty());
+            assert_eq!((dry.depth(), other.depth()), (3, usize::from(!forward_dry)));
+            assert!(r.is_clear(), "a failed search clears its marks");
+        }
+    }
+
+    #[test]
+    fn a_full_fan_is_returned_in_decomposition_order() {
+        let mut early = 0;
+        for (nn, seed) in (3u8..=8).flat_map(|nn| (0..64).map(move |seed| (nn, seed))) {
+            let Some((cfg, s, d)) = diff_instance(nn, seed, 1, true) else {
+                continue;
+            };
+            let mut fan = fan_survivors(&cfg, s, d, nn);
+            let cap = degree(&cfg, s).min(degree(&cfg, d));
+            if fan.is_empty() || fan.len() < cap {
+                continue;
+            }
+            // The fan in acceptance order is not sorted by first
+            // dimension; the early return must sort it.
+            fan.reverse();
+            let mut g = Graph::new(nn, (1usize << nn).div_ceil(64));
+            g.load(&cfg, &fan);
+            assert_eq!(augment_to_max(&cfg, s, d, fan, nn), g.decompose(s, d));
+            early += 1;
+        }
+        assert!(early > 50, "{early} early returns");
+    }
+
+    #[test]
+    fn out_of_cube_endpoints_get_no_paths() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cube = Hypercube::new(4);
+        let cfg = FaultConfig::fault_free(cube);
+        let map = SafetyMap::compute(&cfg);
+        let (a, far) = (n("0000"), NodeId::new(1 << 40));
+        let pairs = [
+            (a, NodeId::new(16)),
+            (NodeId::new(16), a),
+            (a, far),
+            (far, a),
+        ];
+        for (s, d) in pairs {
+            let res = catch_unwind(AssertUnwindSafe(|| route_disjoint(&cfg, &map, s, d, 4)))
+                .unwrap_or_else(|_| panic!("{s} → {d} panicked"));
+            assert_eq!((res.delivered(), res.rerouted), (0, false), "{s} → {d}");
+        }
+        let batch = catch_unwind(AssertUnwindSafe(|| {
+            route_disjoint_many(&cfg, &map, &pairs, 4)
+        }))
+        .expect("the batch does not panic");
+        assert!(batch.iter().all(|o| o.delivered == 0));
+
+        // A delivered path through nodes 16 and 17, which Q_4 lacks.
+        let d = n("0001");
+        let path = Path::from_nodes(vec![a, NodeId::new(16), NodeId::new(17), d]);
+        let res = MultipathResult {
+            paths: vec![DisjointPath {
+                path,
+                kind: PathKind::Reroute,
+            }],
+            ..MultipathResult::empty(4)
+        };
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            check_disjoint_delivery(&cfg, a, d, &res)
+        }))
+        .expect("the check does not panic")
+        .unwrap_err();
+        assert!(err.contains("leaves the cube"), "{err}");
     }
 }
