@@ -20,7 +20,7 @@
 
 use crate::level_store::LevelStore;
 use crate::safety::{level_from_neighbors, Level, SafetyMap};
-use crate::unicast::{route_traced, RouteResult};
+use crate::unicast::{route_over, LevelView, Qn, RouteResult, TieBreak};
 use hypersafe_simkit::{HypercubeNet, SyncEngine, SyncNode, SyncStats, Trace};
 use hypersafe_topology::{FaultConfig, FaultSet, NodeId, MAX_DIM};
 
@@ -215,19 +215,47 @@ pub fn route_egs_traced(
     d: NodeId,
     trace: &mut Trace,
 ) -> RouteResult {
-    // The routing algorithm is byte-for-byte the node-fault one; the
-    // only difference is the level view: the source's C1 test uses its
-    // own level. Clone the packed store and substitute that one level
-    // — no byte-per-node materialization.
-    let mut view = emap.advertised.store().clone();
-    view.set(s.raw(), emap.own_level(s));
-    let view = SafetyMap::from_store(cfg.cube(), view);
-    // An N2 destination advertises 0 and so, like a faulty one, is only
-    // reachable as the final hop; `route_traced` treats message entry
-    // into it as ordinary arrival because it is not in the node fault
-    // set, and a final hop across a faulty link is already marked
-    // undelivered there.
-    route_traced(cfg, &view, s, d, trace)
+    // The routing rule is the node-fault one, over a view in which
+    // only the source reads differently: wherever the walk reads `s`'s
+    // level (its C1 test, or a later hop looking back at `s`), it gets
+    // `s`'s own level. An N2 destination advertises 0 and so, like a
+    // faulty one, is only reachable as the final hop; the walk treats
+    // message entry into it as ordinary arrival because it is not in
+    // the node fault set, and a final hop across a faulty link is
+    // already marked undelivered there.
+    let view = SourceOverlay { emap, s };
+    route_over(cfg, &view, s, d, TieBreak::LowestDim, trace)
+}
+
+/// The advertised map as seen by a route from `s`: `s`'s own level at
+/// `s`, the advertised level everywhere else. Reads through, with no
+/// copy of the map.
+struct SourceOverlay<'a> {
+    emap: &'a ExtendedSafetyMap,
+    s: NodeId,
+}
+
+impl LevelView for SourceOverlay<'_> {
+    type Space = Qn;
+
+    #[inline]
+    fn space(&self) -> Qn {
+        self.emap.advertised.space()
+    }
+
+    #[inline]
+    fn own_level(&self, a: NodeId) -> Level {
+        if a == self.s {
+            self.emap.own_level(a)
+        } else {
+            self.emap.advertised.level(a)
+        }
+    }
+
+    #[inline]
+    fn level_across(&self, at: NodeId, i: u8) -> Level {
+        self.own_level(at.neighbor(i))
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 
 use crate::gh_safety::GhSafetyMap;
 use crate::safety::Level;
+use crate::unicast::{
+    rule_at_hop, rule_at_source, Condition, LevelView, PortSpace, SourceStep, TieBreak,
+};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
 
 /// Source decision for a GH unicast, mirroring [`crate::unicast::Decision`].
@@ -46,69 +49,87 @@ impl GhRouteResult {
     }
 }
 
-fn level_of(map: &GhSafetyMap, a: GhNode) -> Level {
-    map.level(a)
+/// A generalized hypercube as a [`PortSpace`]: a port is a
+/// `(dimension, digit)` pair, naming the clique peer that carries
+/// `digit` in that dimension. The preferred port along a differing
+/// dimension is the peer with the destination's digit; the spare ports
+/// are every peer along an agreeing dimension.
+impl PortSpace for &GeneralizedHypercube {
+    type Node = GhNode;
+    type Port = (u8, u16);
+
+    fn ceiling(self) -> Level {
+        self.dim()
+    }
+
+    fn distance(self, at: GhNode, d: GhNode) -> Option<u32> {
+        (self.contains(at) && self.contains(d)).then(|| GeneralizedHypercube::distance(self, at, d))
+    }
+
+    fn preferred(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
+        (0..self.dim())
+            .map(move |i| (i, self.digit(d, i)))
+            .filter(move |&(i, v)| self.digit(at, i) != v)
+    }
+
+    fn spare(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
+        (0..self.dim())
+            .filter(move |&i| self.digit(at, i) == self.digit(d, i))
+            .flat_map(move |i| {
+                let own = self.digit(at, i);
+                (0..self.radix(i))
+                    .filter(move |&v| v != own)
+                    .map(move |v| (i, v))
+            })
+    }
+
+    fn raw(a: GhNode) -> u64 {
+        a.raw()
+    }
 }
 
-/// The preferred neighbor of `at` along dimension `i` for destination
-/// `d`: the clique node carrying `d`'s digit.
-fn preferred_neighbor(gh: &GeneralizedHypercube, at: GhNode, d: GhNode, i: u8) -> GhNode {
-    gh.with_digit(at, i, gh.digit(d, i))
+/// The centralized GH map as the §3 rule reads it.
+struct GhMapView<'a> {
+    gh: &'a GeneralizedHypercube,
+    map: &'a GhSafetyMap,
 }
 
-/// Picks the forwarding dimension at `at`: among unresolved dimensions,
-/// the one whose destination-digit neighbor has the highest safety
-/// level (lowest dimension wins ties).
-fn forwarding_dim(
-    gh: &GeneralizedHypercube,
-    map: &GhSafetyMap,
-    at: GhNode,
-    d: GhNode,
-) -> Option<(u8, GhNode, Level)> {
-    let mut best: Option<(u8, GhNode, Level)> = None;
-    for i in gh.differing_dims(at, d) {
-        let nb = preferred_neighbor(gh, at, d, i);
-        let lv = level_of(map, nb);
-        match best {
-            Some((_, _, b)) if b >= lv => {}
-            _ => best = Some((i, nb, lv)),
+impl<'a> LevelView for GhMapView<'a> {
+    type Space = &'a GeneralizedHypercube;
+
+    fn space(&self) -> &'a GeneralizedHypercube {
+        self.gh
+    }
+
+    fn own_level(&self, at: GhNode) -> Level {
+        self.map.level(at)
+    }
+
+    fn level_across(&self, at: GhNode, (i, v): (u8, u16)) -> Level {
+        self.map.level(self.gh.with_digit(at, i, v))
+    }
+}
+
+impl From<SourceStep<(u8, u16)>> for GhDecision {
+    fn from(step: SourceStep<(u8, u16)>) -> Self {
+        match step {
+            SourceStep::Leave(Condition::C3, _) => GhDecision::Suboptimal,
+            SourceStep::Leave(..) => GhDecision::Optimal,
+            SourceStep::Failure => GhDecision::Failure,
+            SourceStep::AlreadyThere => GhDecision::AlreadyThere,
         }
     }
-    best
 }
 
-/// Source feasibility for a GH unicast.
+/// Source feasibility for a GH unicast. An endpoint outside `gh` is a
+/// [`GhDecision::Failure`].
 pub fn gh_source_decision(
     gh: &GeneralizedHypercube,
     map: &GhSafetyMap,
     s: GhNode,
     d: GhNode,
 ) -> GhDecision {
-    let h = gh.distance(s, d) as u16;
-    if h == 0 {
-        return GhDecision::AlreadyThere;
-    }
-    // C1: the source's own level covers the distance.
-    if (map.level(s) as u16) >= h {
-        return GhDecision::Optimal;
-    }
-    // C2: some preferred (destination-digit) neighbor has level ≥ H − 1.
-    if let Some((_, _, lv)) = forwarding_dim(gh, map, s, d) {
-        if (lv as u16) + 1 >= h {
-            return GhDecision::Optimal;
-        }
-    }
-    // C3: some spare-dimension clique neighbor has level ≥ H + 1.
-    for i in 0..gh.dim() {
-        if gh.digit(s, i) == gh.digit(d, i) {
-            for nb in gh.neighbors_along(s, i) {
-                if (level_of(map, nb) as u16) > h {
-                    return GhDecision::Suboptimal;
-                }
-            }
-        }
-    }
-    GhDecision::Failure
+    rule_at_source(&GhMapView { gh, map }, s, d, TieBreak::LowestDim).into()
 }
 
 /// Routes one GH unicast to completion, judging the physical outcome
@@ -120,78 +141,43 @@ pub fn gh_route(
     s: GhNode,
     d: GhNode,
 ) -> GhRouteResult {
-    let decision = gh_source_decision(gh, map, s, d);
-    match decision {
-        GhDecision::AlreadyThere => {
+    let view = GhMapView { gh, map };
+    let step = rule_at_source(&view, s, d, TieBreak::LowestDim);
+    let decision = GhDecision::from(step);
+    let mut port = match step {
+        SourceStep::AlreadyThere => {
             return GhRouteResult {
                 decision,
                 nodes: Some(vec![s]),
                 delivered: !faults.contains(NodeId::new(s.raw())),
             }
         }
-        GhDecision::Failure => {
+        SourceStep::Failure => {
             return GhRouteResult {
                 decision,
                 nodes: None,
                 delivered: false,
             }
         }
-        GhDecision::Optimal | GhDecision::Suboptimal => {}
-    }
-
+        SourceStep::Leave(_, p) => p,
+    };
     let mut at = s;
     let mut nodes = vec![s];
-    if decision == GhDecision::Suboptimal {
-        // First hop: the best spare-clique neighbor with level ≥ H + 1.
-        let h = gh.distance(s, d) as u16;
-        let mut best: Option<(GhNode, Level)> = None;
-        for i in 0..gh.dim() {
-            if gh.digit(s, i) == gh.digit(d, i) {
-                for nb in gh.neighbors_along(s, i) {
-                    let lv = level_of(map, nb);
-                    if (lv as u16) > h {
-                        match best {
-                            Some((_, b)) if b >= lv => {}
-                            _ => best = Some((nb, lv)),
-                        }
-                    }
-                }
-            }
-        }
-        let (nb, _) = best.expect("Suboptimal decision implies an eligible spare");
-        at = nb;
+    let delivered = loop {
+        at = gh.with_digit(at, port.0, port.1);
         nodes.push(at);
         if faults.contains(NodeId::new(at.raw())) {
-            return GhRouteResult {
-                decision,
-                nodes: Some(nodes),
-                delivered: false,
-            };
+            break at == d;
         }
-    }
-
-    while at != d {
-        let Some((_, next, _)) = forwarding_dim(gh, map, at, d) else {
-            return GhRouteResult {
-                decision,
-                nodes: Some(nodes),
-                delivered: false,
-            };
-        };
-        at = next;
-        nodes.push(at);
-        if faults.contains(NodeId::new(at.raw())) {
-            return GhRouteResult {
-                decision,
-                nodes: Some(nodes),
-                delivered: at == d,
-            };
+        match rule_at_hop(&view, at, d, TieBreak::LowestDim) {
+            Some(p) => port = p,
+            None => break true,
         }
-    }
+    };
     GhRouteResult {
         decision,
         nodes: Some(nodes),
-        delivered: true,
+        delivered,
     }
 }
 
@@ -213,12 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn preferred_neighbor_resolves_digit() {
+    fn preferred_port_resolves_digit() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
-        let nb = preferred_neighbor(&gh, s, d, 1);
-        assert_eq!(gh.format(nb), "000");
+        let ports: Vec<(u8, u16)> = (&gh).preferred(s, d).collect();
+        assert_eq!(ports, vec![(0, 1), (1, 0), (2, 1)]);
+        assert_eq!(gh.format(gh.with_digit(s, 1, 0)), "000");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 use crate::gh_safety::GhSafetyMap;
 use crate::gh_unicast::{gh_source_decision, GhDecision};
 use crate::safety::Level;
+use crate::unicast::{rule_at_hop, rule_at_source, LevelView, SourceStep, TieBreak};
 use hypersafe_simkit::{Actor, Ctx, EventEngine, GhNet, Time};
 use hypersafe_topology::{GeneralizedHypercube, GhNode, NodeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A GH unicast in flight.
@@ -30,10 +30,8 @@ pub struct GhMsg {
 /// Per-node actor.
 pub struct GhUnicastNode {
     gh: Arc<GeneralizedHypercube>,
-    /// Level of every clique peer, keyed by node id — the node's local
-    /// table after GH-GS.
-    peer_levels: HashMap<u64, Level>,
-    own_level: Level,
+    /// The node's local table after GH-GS.
+    levels: GhPeerLevels,
     /// Set when a message for this node arrives.
     pub received: Option<GhMsg>,
     start: Option<GhNode>,
@@ -42,36 +40,70 @@ pub struct GhUnicastNode {
 
 const START_TAG: u64 = 0x64;
 
+/// A GH node's own level and the level of every clique peer, laid out
+/// dimension by dimension, each clique in digit order (the node's own
+/// slot in each clique holds its own level).
+struct GhPeerLevels {
+    own: Level,
+    by_port: Vec<Level>,
+}
+
+impl GhPeerLevels {
+    fn new(gh: &GeneralizedHypercube, map: &GhSafetyMap, me: GhNode) -> Self {
+        let by_port = (0..gh.dim())
+            .flat_map(|i| (0..gh.radix(i)).map(move |v| (i, v)))
+            .map(|(i, v)| map.level(gh.with_digit(me, i, v)))
+            .collect();
+        GhPeerLevels {
+            own: map.level(me),
+            by_port,
+        }
+    }
+}
+
+/// An actor's peer table as the §3 rule reads it.
+struct GhPeerView<'a> {
+    gh: &'a GeneralizedHypercube,
+    levels: &'a GhPeerLevels,
+}
+
+impl<'a> LevelView for GhPeerView<'a> {
+    type Space = &'a GeneralizedHypercube;
+
+    fn space(&self) -> &'a GeneralizedHypercube {
+        self.gh
+    }
+
+    fn own_level(&self, _: GhNode) -> Level {
+        self.levels.own
+    }
+
+    fn level_across(&self, _: GhNode, (i, v): (u8, u16)) -> Level {
+        let start: usize = (0..i).map(|j| self.gh.radix(j) as usize).sum();
+        self.levels.by_port[start + v as usize]
+    }
+}
+
 impl GhUnicastNode {
     fn new(gh: Arc<GeneralizedHypercube>, map: &GhSafetyMap, me: GhNode, latency: Time) -> Self {
-        let peer_levels = gh.neighbors(me).map(|b| (b.raw(), map.level(b))).collect();
         GhUnicastNode {
-            own_level: map.level(me),
+            levels: GhPeerLevels::new(&gh, map, me),
             gh,
-            peer_levels,
             received: None,
             start: None,
             latency,
         }
     }
 
-    /// The destination-digit neighbor with the highest known level
-    /// among unresolved dimensions (ties: lowest dimension) — the
-    /// intermediate rule of `gh_route`, from local state only.
-    fn forwarding_peer(&self, at: GhNode, d: GhNode) -> Option<(GhNode, Level)> {
-        let mut best: Option<(GhNode, Level)> = None;
-        for i in self.gh.differing_dims(at, d) {
-            let nb = self.gh.with_digit(at, i, self.gh.digit(d, i));
-            let lv = *self.peer_levels.get(&nb.raw()).expect("clique peer");
-            match best {
-                Some((_, b)) if b >= lv => {}
-                _ => best = Some((nb, lv)),
-            }
+    fn view(&self) -> GhPeerView<'_> {
+        GhPeerView {
+            gh: &self.gh,
+            levels: &self.levels,
         }
-        best
     }
 
-    fn forward(&self, ctx: &mut Ctx<GhMsg>, mut msg: GhMsg, next: GhNode) {
+    fn forward(&self, ctx: &mut Ctx<GhMsg>, mut msg: GhMsg, at: GhNode, port: (u8, u16)) {
+        let next = self.gh.with_digit(at, port.0, port.1);
         msg.trail.push(next);
         ctx.send(NodeId::new(next.raw()), msg, self.latency);
     }
@@ -86,56 +118,23 @@ impl Actor for GhUnicastNode {
         }
         let Some(d) = self.start.take() else { return };
         let s = GhNode(ctx.self_id().raw());
-        let h = self.gh.distance(s, d) as u16;
-        if h == 0 {
-            self.received = Some(GhMsg {
-                dest: d,
-                trail: vec![s],
-            });
-            return;
-        }
         let msg = GhMsg {
             dest: d,
             trail: vec![s],
         };
-        // C1 / C2: optimal start via the best preferred peer.
-        let pref = self.forwarding_peer(s, d);
-        let c1 = (self.own_level as u16) >= h;
-        let c2 = pref.is_some_and(|(_, lv)| (lv as u16) + 1 >= h);
-        if c1 || c2 {
-            let (next, _) = pref.expect("h ≥ 1");
-            self.forward(ctx, msg, next);
-            return;
+        match rule_at_source(&self.view(), s, d, TieBreak::LowestDim) {
+            SourceStep::AlreadyThere => self.received = Some(msg),
+            SourceStep::Leave(_, port) => self.forward(ctx, msg, s, port),
+            // Local failure, nothing sent.
+            SourceStep::Failure => {}
         }
-        // C3: best spare-clique peer with level ≥ H + 1.
-        let mut best: Option<(GhNode, Level)> = None;
-        for i in 0..self.gh.dim() {
-            if self.gh.digit(s, i) == self.gh.digit(d, i) {
-                for nb in self.gh.neighbors_along(s, i) {
-                    let lv = *self.peer_levels.get(&nb.raw()).expect("peer");
-                    if (lv as u16) > h {
-                        match best {
-                            Some((_, b)) if b >= lv => {}
-                            _ => best = Some((nb, lv)),
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((next, _)) = best {
-            self.forward(ctx, msg, next);
-        }
-        // else: local failure, nothing sent.
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<GhMsg>, _from: NodeId, msg: GhMsg) {
         let me = GhNode(ctx.self_id().raw());
-        if msg.dest == me {
-            self.received = Some(msg);
-            return;
-        }
-        if let Some((next, _)) = self.forwarding_peer(me, msg.dest) {
-            self.forward(ctx, msg, next);
+        match rule_at_hop(&self.view(), me, msg.dest, TieBreak::LowestDim) {
+            Some(port) => self.forward(ctx, msg, me, port),
+            None => self.received = Some(msg),
         }
     }
 }
@@ -151,7 +150,9 @@ pub struct GhDistributedRun {
     pub messages: u64,
 }
 
-/// Runs one GH unicast `s → d` as a distributed protocol.
+/// Runs one GH unicast `s → d` as a distributed protocol. An endpoint
+/// outside `gh` gives a `Failure` run with no messages, and no engine
+/// is built.
 pub fn run_gh_unicast(
     gh: &GeneralizedHypercube,
     map: &GhSafetyMap,
@@ -160,6 +161,13 @@ pub fn run_gh_unicast(
     d: GhNode,
     latency: Time,
 ) -> GhDistributedRun {
+    if !(gh.contains(s) && gh.contains(d)) {
+        return GhDistributedRun {
+            decision: GhDecision::Failure,
+            trail: None,
+            messages: 0,
+        };
+    }
     let gh_arc = Arc::new(gh.clone());
     let net = GhNet::new(gh, faults);
     let mut eng = EventEngine::new(&net, |a| {

@@ -504,9 +504,10 @@ impl SafetyMap {
     }
 
     /// The packed level store — the seam every consumer reads levels
-    /// through. Clone it to edit a what-if copy (see
-    /// [`crate::egs::route_egs`]) and rewrap with
-    /// [`SafetyMap::from_store`].
+    /// through. Clone it to edit a what-if copy and rewrap with
+    /// [`SafetyMap::from_store`]; to change how a single route reads a
+    /// few levels, wrap the map in a view instead, as
+    /// [`crate::egs::route_egs`] does for the source's own level.
     #[inline]
     pub fn store(&self) -> &LevelStore {
         &self.levels
@@ -649,6 +650,23 @@ mod tests {
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()
+    }
+
+    #[test]
+    fn a_short_fault_set_gives_the_same_map() {
+        // A set sized for Q6 used to make `compute` on Q8 read past it.
+        let cube = Hypercube::new(8);
+        let members = [0u64, 1, 2, 3, 17, 40, 63].map(NodeId::new);
+        let mut short = FaultSet::with_capacity(64);
+        for a in members {
+            short.insert(a);
+        }
+        let short = SafetyMap::compute(&FaultConfig::with_node_faults(cube, short));
+        let full = SafetyMap::compute(&FaultConfig::with_node_faults(
+            cube,
+            FaultSet::from_nodes(cube, members),
+        ));
+        assert_eq!(short.store(), full.store());
     }
 
     #[test]

@@ -29,18 +29,30 @@
 //! policies read every candidate, because their winner among tied
 //! neighbors is not the first one seen.
 //!
+//! The rule itself — the source decision and the hop choice — is
+//! written once, over a level view: what one node reads of its own
+//! level and its neighbors' levels. The packed [`SafetyMap`], the
+//! cube actors' neighbor tables, the GH map and the GH actors' peer
+//! tables, and EGS's source overlay (§4.1) are its views; §4.2's GH
+//! routing "is exactly the same as in a regular hypercube", so the
+//! rule is generic over the topology's ports as well. An endpoint
+//! outside the topology fails at the source, before any level is
+//! read.
+//!
 //! One walk runs the hops for [`route`] and its variants,
-//! [`crate::route_light`] / [`crate::route_many`] and the routing
-//! service's attempt; each caller only chooses what to record per
-//! hop. Four other hop loops stay separate on purpose:
+//! [`crate::route_light`] / [`crate::route_many`], EGS routing and the
+//! routing service's attempt; each caller only chooses what to record
+//! per hop. Other hop loops stay separate on purpose:
 //!
 //! * `properties::check_theorem2_at` states Theorem 2 itself, as an
 //!   independent greedy walk for the checker to compare against;
 //! * `reroute::route_dynamic` re-decides at the source whenever a
 //!   fault arrives mid-flight, which one walk over a fixed map cannot;
-//! * the distributed actors take one hop per delivered message;
-//! * `congestion_exp` takes one hop per simulated event, with queueing
-//!   between hops.
+//! * the distributed actors (cube and GH) take one hop per delivered
+//!   message, and `congestion_exp` one hop per simulated event with
+//!   queueing between hops; both apply the rule at each hop;
+//! * `gh_route` walks GH addresses, which the cube walk's navigation
+//!   vector cannot carry, over the same rule.
 
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
@@ -117,114 +129,250 @@ pub enum TieBreak {
     },
 }
 
-/// Picks the neighbor of `at` along the dimension set `dims` with the
-/// highest safety level, breaking ties per `tb`. Returns
-/// `(dim, level)`.
+/// What the §3 rule needs from a topology: addresses, distance, and
+/// the preferred and spare ports of a node toward a destination.
+pub(crate) trait PortSpace: Copy {
+    /// A node address.
+    type Node: Copy + Eq;
+    /// A neighbor of a node, named relative to it: a dimension in
+    /// `Q_n`, a `(dimension, digit)` pair in a generalized hypercube.
+    type Port: Copy;
+    /// The highest level any node can hold, `n`.
+    fn ceiling(self) -> Level;
+    /// The distance `H(at, d)`, or `None` when either node lies
+    /// outside the topology.
+    fn distance(self, at: Self::Node, d: Self::Node) -> Option<u32>;
+    /// The ports of `at` that resolve a coordinate toward `d`, by
+    /// ascending dimension.
+    fn preferred(self, at: Self::Node, d: Self::Node) -> impl Iterator<Item = Self::Port> + Clone;
+    /// The other ports of `at` (the spare ones), by ascending dimension.
+    fn spare(self, at: Self::Node, d: Self::Node) -> impl Iterator<Item = Self::Port> + Clone;
+    /// The address as an integer, seeding [`TieBreak::Hashed`].
+    fn raw(a: Self::Node) -> u64;
+}
+
+/// The binary cube `Q_n` as a [`PortSpace`]: a port is a dimension.
+#[derive(Clone, Copy)]
+pub(crate) struct Qn(pub(crate) u8);
+
+impl PortSpace for Qn {
+    type Node = NodeId;
+    type Port = u8;
+
+    #[inline]
+    fn ceiling(self) -> Level {
+        self.0
+    }
+
+    #[inline]
+    fn distance(self, at: NodeId, d: NodeId) -> Option<u32> {
+        ((at.raw() | d.raw()) >> self.0 == 0).then(|| at.distance(d))
+    }
+
+    #[inline]
+    fn preferred(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
+        NavVector::new(at, d).preferred_dims()
+    }
+
+    #[inline]
+    fn spare(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
+        NavVector::new(at, d).spare_dims(self.0)
+    }
+
+    #[inline]
+    fn raw(a: NodeId) -> u64 {
+        a.raw()
+    }
+}
+
+/// The levels one node reads when it applies the §3 rule: its own and
+/// its neighbors' across each port. The packed [`SafetyMap`], the cube
+/// and GH actors' local tables, the GH map and EGS's source overlay
+/// each implement it, so the rule below is written once for all of
+/// them.
+pub(crate) trait LevelView {
+    /// The topology the levels live on.
+    type Space: PortSpace;
+    /// The topology.
+    fn space(&self) -> Self::Space;
+    /// The level of `at` itself.
+    fn own_level(&self, at: NodeOf<Self>) -> Level;
+    /// The level of `at`'s neighbor across `p`.
+    fn level_across(&self, at: NodeOf<Self>, p: PortOf<Self>) -> Level;
+}
+
+/// A view's node address type.
+pub(crate) type NodeOf<V> = <<V as LevelView>::Space as PortSpace>::Node;
+/// A view's port type.
+pub(crate) type PortOf<V> = <<V as LevelView>::Space as PortSpace>::Port;
+
+impl LevelView for SafetyMap {
+    type Space = Qn;
+
+    #[inline]
+    fn space(&self) -> Qn {
+        Qn(self.dim())
+    }
+
+    #[inline]
+    fn own_level(&self, at: NodeId) -> Level {
+        self.level(at)
+    }
+
+    #[inline]
+    fn level_across(&self, at: NodeId, i: u8) -> Level {
+        self.level(at.neighbor(i))
+    }
+}
+
+/// The rule's verdict at the source, over any topology's ports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SourceStep<P> {
+    /// Leave across the port: optimally under `C1`/`C2`, over the
+    /// `H + 2` detour under `C3`.
+    Leave(Condition, P),
+    /// C1–C3 all fail, or an endpoint lies outside the topology.
+    Failure,
+    /// `s == d`.
+    AlreadyThere,
+}
+
+impl SourceStep<u8> {
+    /// The cube's public form of the verdict.
+    pub(crate) fn decision(self) -> Decision {
+        match self {
+            SourceStep::Leave(Condition::C3, first_dim) => Decision::Suboptimal { first_dim },
+            SourceStep::Leave(condition, first_dim) => Decision::Optimal {
+                condition,
+                first_dim,
+            },
+            SourceStep::Failure => Decision::Failure,
+            SourceStep::AlreadyThere => Decision::AlreadyThere,
+        }
+    }
+}
+
+/// `UNICASTING_AT_SOURCE_NODE`, the one copy: checks that both
+/// endpoints lie in the topology (before any level is read), then
+/// `C1`/`C2`/`C3`, and names the first port.
+#[inline(always)]
+pub(crate) fn rule_at_source<V: LevelView>(
+    v: &V,
+    s: NodeOf<V>,
+    d: NodeOf<V>,
+    tb: TieBreak,
+) -> SourceStep<PortOf<V>> {
+    let space = v.space();
+    let Some(h) = space.distance(s, d) else {
+        return SourceStep::Failure;
+    };
+    let h = h as u16;
+    if h == 0 {
+        return SourceStep::AlreadyThere;
+    }
+    let c1 = (v.own_level(s) as u16) >= h;
+    let preferred_best = best_port(v, s, space.preferred(s, d), tb);
+    let c2 = preferred_best.is_some_and(|(_, lv)| (lv as u16) + 1 >= h);
+    if c1 || c2 {
+        let (port, _) = preferred_best.expect("H ≥ 1 gives ≥ 1 preferred port");
+        let condition = if c1 { Condition::C1 } else { Condition::C2 };
+        return SourceStep::Leave(condition, port);
+    }
+    match best_port(v, s, space.spare(s, d), tb) {
+        Some((port, lv)) if (lv as u16) > h => SourceStep::Leave(Condition::C3, port),
+        _ => SourceStep::Failure,
+    }
+}
+
+/// `UNICASTING_AT_INTERMEDIATE_NODE`, the one copy: the preferred
+/// port of `at` toward `d` with the highest level. `None` when
+/// `at == d`. The caller keeps `at` and `d` in the topology.
+#[inline(always)]
+pub(crate) fn rule_at_hop<V: LevelView>(
+    v: &V,
+    at: NodeOf<V>,
+    d: NodeOf<V>,
+    tb: TieBreak,
+) -> Option<PortOf<V>> {
+    best_port(v, at, v.space().preferred(at, d), tb).map(|(p, _)| p)
+}
+
+/// The port among `ports` whose neighbor has the highest level,
+/// breaking ties per `tb`, with that level.
 ///
 /// Under [`TieBreak::LowestDim`] the scan stops at the first neighbor
-/// at the ceiling `map.dim()`: a later one could only win with a
-/// strictly higher level, and none exists. `HighestDim` and `Hashed`
-/// pick among all tied neighbors, so they scan every dimension.
-pub(crate) fn argmax_level_tb(
-    map: &SafetyMap,
-    at: NodeId,
-    dims: impl Iterator<Item = u8>,
+/// at the ceiling: a later one could only win with a strictly higher
+/// level, and none exists. `HighestDim` takes the last of the tied
+/// ports; `Hashed` counts them and, in a second pass, takes the one
+/// its hash names.
+#[inline(always)]
+fn best_port<V: LevelView>(
+    v: &V,
+    at: NodeOf<V>,
+    ports: impl Iterator<Item = PortOf<V>> + Clone,
     tb: TieBreak,
-) -> Option<(u8, Level)> {
-    // Tied dimensions live on the stack (≤ MAX_DIM of them) — this
-    // runs once per hop on the batched routing path, so no heap.
-    let mut ties = [0u8; hypersafe_topology::MAX_DIM as usize];
-    let mut num_ties = 0usize;
-    let mut best_level: Option<Level> = None;
-    let ceiling = map.dim();
-    for i in dims {
-        let lv = map.level(at.neighbor(i));
-        match best_level {
-            Some(b) if b > lv => {}
-            Some(b) if b == lv => {
-                ties[num_ties] = i;
-                num_ties += 1;
+) -> Option<(PortOf<V>, Level)> {
+    let ceiling = v.space().ceiling();
+    // (first port at the best level, last port at it, tie count, level)
+    let mut best: Option<(PortOf<V>, PortOf<V>, u64, Level)> = None;
+    for p in ports.clone() {
+        let lv = v.level_across(at, p);
+        match &mut best {
+            Some((_, _, _, b)) if *b > lv => {}
+            Some((_, last, ties, b)) if *b == lv => {
+                *last = p;
+                *ties += 1;
             }
-            _ => {
-                best_level = Some(lv);
-                ties[0] = i;
-                num_ties = 1;
-            }
+            _ => best = Some((p, p, 1, lv)),
         }
         if lv == ceiling && matches!(tb, TieBreak::LowestDim) {
             break;
         }
     }
-    let lv = best_level?;
-    let dim = match tb {
-        TieBreak::LowestDim => ties[0],
-        TieBreak::HighestDim => ties[num_ties - 1],
+    let (first, last, ties, lv) = best?;
+    let port = match tb {
+        TieBreak::LowestDim => first,
+        TieBreak::HighestDim => last,
         TieBreak::Hashed { salt } => {
             // SplitMix64 over (node, salt): cheap, stateless, uniform.
-            let mut z = at.raw() ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
+            let mut z = <V::Space as PortSpace>::raw(at) ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^= z >> 31;
-            ties[(z % num_ties as u64) as usize]
+            ports
+                .filter(|&p| v.level_across(at, p) == lv)
+                .nth((z % ties) as usize)
+                .expect("the first pass counted the tied ports")
         }
     };
-    Some((dim, lv))
-}
-
-fn argmax_level(
-    map: &SafetyMap,
-    at: NodeId,
-    dims: impl Iterator<Item = u8>,
-) -> Option<(u8, Level)> {
-    argmax_level_tb(map, at, dims, TieBreak::LowestDim)
+    Some((port, lv))
 }
 
 /// `UNICASTING_AT_SOURCE_NODE`: evaluates `C1`/`C2`/`C3` and returns
-/// the decision, without forwarding.
+/// the decision, without forwarding. An endpoint outside the cube is
+/// a [`Decision::Failure`].
 pub fn source_decision(map: &SafetyMap, s: NodeId, d: NodeId) -> Decision {
     source_decision_tb(map, s, d, TieBreak::LowestDim)
 }
 
 /// [`source_decision`] with an explicit tie-break policy.
 pub fn source_decision_tb(map: &SafetyMap, s: NodeId, d: NodeId, tb: TieBreak) -> Decision {
-    let n = map.dim();
-    let nv = NavVector::new(s, d);
-    let h = nv.remaining() as u16;
-    if h == 0 {
-        return Decision::AlreadyThere;
-    }
-
-    let c1 = (map.level(s) as u16) >= h;
-    let preferred_best = argmax_level_tb(map, s, nv.preferred_dims(), tb);
-    let c2 = preferred_best.is_some_and(|(_, lv)| (lv as u16) + 1 >= h);
-    if c1 || c2 {
-        let (first_dim, _) = preferred_best.expect("H ≥ 1 gives ≥ 1 preferred dim");
-        let condition = if c1 { Condition::C1 } else { Condition::C2 };
-        return Decision::Optimal {
-            condition,
-            first_dim,
-        };
-    }
-
-    let spare_best = argmax_level_tb(map, s, nv.spare_dims(n), tb);
-    if let Some((i, lv)) = spare_best {
-        if (lv as u16) > h {
-            return Decision::Suboptimal { first_dim: i };
-        }
-    }
-    Decision::Failure
+    rule_at_source(map, s, d, tb).decision()
 }
 
 /// `UNICASTING_AT_INTERMEDIATE_NODE`: the forwarding dimension chosen
 /// at `at` for navigation vector `nv` — the preferred neighbor with
-/// the highest safety level. `None` when `nv` is zero.
+/// the highest safety level. `None` when `nv` is zero, or when `at` or
+/// the destination `nv` implies lies outside the cube.
 pub fn intermediate_dim(map: &SafetyMap, at: NodeId, nv: NavVector) -> Option<u8> {
-    argmax_level(map, at, nv.preferred_dims()).map(|(i, _)| i)
+    intermediate_dim_tb(map, at, nv, TieBreak::LowestDim)
 }
 
 /// [`intermediate_dim`] with an explicit tie-break policy.
 pub fn intermediate_dim_tb(map: &SafetyMap, at: NodeId, nv: NavVector, tb: TieBreak) -> Option<u8> {
-    argmax_level_tb(map, at, nv.preferred_dims(), tb).map(|(i, _)| i)
+    let d = nv.destination(at);
+    map.space().distance(at, d)?;
+    rule_at_hop(map, at, d, tb)
 }
 
 /// Routes one unicast from `s` to `d` to completion, simulating every
@@ -292,11 +440,24 @@ pub fn route_traced_tb(
     tb: TieBreak,
     trace: &mut Trace,
 ) -> RouteResult {
+    route_over(cfg, map, s, d, tb, trace)
+}
+
+/// [`route_traced_tb`] over any cube level view (EGS routes over its
+/// source overlay).
+pub(crate) fn route_over<V: LevelView<Space = Qn>>(
+    cfg: &FaultConfig,
+    view: &V,
+    s: NodeId,
+    d: NodeId,
+    tb: TieBreak,
+    trace: &mut Trace,
+) -> RouteResult {
     let mut sink = PathSink {
         path: Path::starting_at(s),
         trace,
     };
-    let out = walk(cfg, map, s, d, tb, &mut sink);
+    let out = walk(cfg, view, s, d, tb, &mut sink);
     RouteResult {
         decision: out.decision,
         path: (out.decision != Decision::Failure).then_some(sink.path),
@@ -378,15 +539,15 @@ impl HopSink for PathSink<'_> {
 /// outcome. Called out of line, the walk cost the service about 3 ns
 /// of a 70 ns attempt on Q12 (2-vCPU Xeon under KVM).
 #[inline(always)]
-pub(crate) fn walk<S: HopSink>(
+pub(crate) fn walk<V: LevelView<Space = Qn>, S: HopSink>(
     judge: &FaultConfig,
-    map: &SafetyMap,
+    map: &V,
     s: NodeId,
     d: NodeId,
     tb: TieBreak,
     sink: &mut S,
 ) -> BatchOutcome {
-    let decision = source_decision_tb(map, s, d, tb);
+    let decision = rule_at_source(map, s, d, tb).decision();
     let mut dim = match decision {
         Decision::AlreadyThere => {
             return BatchOutcome {
@@ -425,7 +586,7 @@ pub(crate) fn walk<S: HopSink>(
         if nv.is_done() {
             break true;
         }
-        match intermediate_dim_tb(map, at, nv, tb) {
+        match rule_at_hop(map, at, d, tb) {
             Some(i) => dim = i,
             None => break false,
         }

@@ -10,64 +10,76 @@
 //! same path hop for hop — evidence that the centralized shortcut is
 //! faithful.
 
+use crate::level_store::NeighborLevels;
 use crate::navigation::NavVector;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::{Level, SafetyMap};
-use crate::unicast::{source_decision, Decision};
+use crate::unicast::{
+    rule_at_hop, rule_at_source, source_decision, Decision, LevelView, Qn, SourceStep, TieBreak,
+};
 use hypersafe_simkit::{
     Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
     ReliableConfig, RunOptions, RunReport, Time,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
-/// Preferred-dimension choice shared by the lossless and lossy actors:
-/// the preferred neighbor with the highest safety level (first such
-/// dimension on ties).
-fn best_preferred(neighbor_levels: &[Level], nav: NavVector) -> Option<u8> {
-    let mut best: Option<(u8, Level)> = None;
-    for i in nav.preferred_dims() {
-        let lv = neighbor_levels[i as usize];
-        match best {
-            Some((_, b)) if b >= lv => {}
-            _ => best = Some((i, lv)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// C3's spare choice: the spare neighbor with the highest level, kept
-/// only if that level exceeds `h` (level ≥ H + 1).
-fn best_spare(neighbor_levels: &[Level], n: u8, nav: NavVector, h: u16) -> Option<u8> {
-    let mut best: Option<(u8, Level)> = None;
-    for i in nav.spare_dims(n) {
-        let lv = neighbor_levels[i as usize];
-        if (lv as u16) > h {
-            match best {
-                Some((_, b)) if b >= lv => {}
-                _ => best = Some((i, lv)),
-            }
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// `UNICASTING_AT_SOURCE_NODE`, evaluated from purely local state:
-/// the dimension of the first hop, or `None` when C1–C3 all fail.
-fn source_first_dim(
-    own_level: Level,
-    neighbor_levels: &[Level],
+/// What a cube actor knows after GS (the paper's locality
+/// assumption): its own level and its `n` neighbors' levels, by
+/// dimension. Both actors apply the §3 rule over it, with the
+/// default [`TieBreak::LowestDim`].
+#[derive(Clone, Copy, Debug)]
+struct LocalLevels {
     n: u8,
-    nav: NavVector,
-) -> Option<u8> {
-    let h = nav.remaining() as u16;
-    debug_assert!(h > 0);
-    let c1 = (own_level as u16) >= h;
-    let best_pref = best_preferred(neighbor_levels, nav);
-    let c2 = best_pref.is_some_and(|i| (neighbor_levels[i as usize] as u16) + 1 >= h);
-    if c1 || c2 {
-        return Some(best_pref.expect("h ≥ 1"));
+    own: Level,
+    neighbors: NeighborLevels,
+}
+
+impl LocalLevels {
+    fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
+        let cube = cfg.cube();
+        let mut neighbors = NeighborLevels::filled(cube.dim(), 0);
+        for (i, b) in cube.neighbors(me).enumerate() {
+            neighbors.set(i as u8, map.level(b));
+        }
+        LocalLevels {
+            n: cube.dim(),
+            own: map.level(me),
+            neighbors,
+        }
     }
-    best_spare(neighbor_levels, n, nav, h)
+
+    /// `UNICASTING_AT_INTERMEDIATE_NODE` from local state.
+    fn next_dim(&self, at: NodeId, nav: NavVector) -> Option<u8> {
+        rule_at_hop(self, at, nav.destination(at), TieBreak::LowestDim)
+    }
+}
+
+impl LevelView for LocalLevels {
+    type Space = Qn;
+
+    fn space(&self) -> Qn {
+        Qn(self.n)
+    }
+
+    fn own_level(&self, _: NodeId) -> Level {
+        self.own
+    }
+
+    fn level_across(&self, _: NodeId, i: u8) -> Level {
+        self.neighbors.get(i)
+    }
+}
+
+/// The run of a unicast with an endpoint outside the cube: the source
+/// decision fails and no engine is built.
+fn idle_report() -> RunReport {
+    RunReport {
+        processed: 0,
+        drained: true,
+        violation: None,
+        trace: None,
+        metrics: None,
+    }
 }
 
 /// A unicast message in flight: the navigation vector plus the hop
@@ -83,12 +95,10 @@ pub struct UnicastMsg {
 
 /// Per-node actor: local safety knowledge plus delivery flag.
 pub struct UnicastNode {
-    n: u8,
     /// Own level and the levels of the `n` neighbors, by dimension —
     /// exactly the information the paper's algorithm requires a node
     /// to hold after GS.
-    own_level: Level,
-    neighbor_levels: Vec<Level>,
+    levels: LocalLevels,
     /// Set when this node receives a message with a zero vector.
     pub received: Option<UnicastMsg>,
     /// Pending unicast to start from this node: `(destination)`.
@@ -98,11 +108,8 @@ pub struct UnicastNode {
 
 impl UnicastNode {
     fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId, latency: Time) -> Self {
-        let cube = cfg.cube();
         UnicastNode {
-            n: cube.dim(),
-            own_level: map.level(me),
-            neighbor_levels: cube.neighbors(me).map(|b| map.level(b)).collect(),
+            levels: LocalLevels::new(map, cfg, me),
             received: None,
             start: None,
             latency,
@@ -129,25 +136,16 @@ impl Actor for UnicastNode {
         }
         let Some(d) = self.start.take() else { return };
         let s = ctx.self_id();
-        let nav = NavVector::new(s, d);
-        if nav.is_done() {
-            self.received = Some(UnicastMsg {
-                nav,
-                trail: vec![s],
-            });
-            return;
+        let msg = UnicastMsg {
+            nav: NavVector::new(s, d),
+            trail: vec![s],
+        };
+        match rule_at_source(&self.levels, s, d, TieBreak::LowestDim) {
+            SourceStep::AlreadyThere => self.received = Some(msg),
+            SourceStep::Leave(_, dim) => self.forward(ctx, msg, dim),
+            // Failure is detected locally; nothing is sent.
+            SourceStep::Failure => {}
         }
-        if let Some(dim) = source_first_dim(self.own_level, &self.neighbor_levels, self.n, nav) {
-            self.forward(
-                ctx,
-                UnicastMsg {
-                    nav,
-                    trail: vec![s],
-                },
-                dim,
-            );
-        }
-        // else: failure detected locally; nothing is sent.
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<UnicastMsg>, _from: NodeId, msg: UnicastMsg) {
@@ -157,7 +155,7 @@ impl Actor for UnicastNode {
             self.received = Some(msg);
             return;
         }
-        if let Some(dim) = best_preferred(&self.neighbor_levels, msg.nav) {
+        if let Some(dim) = self.levels.next_dim(ctx.self_id(), msg.nav) {
             self.forward(ctx, msg, dim);
         }
     }
@@ -181,7 +179,8 @@ pub struct DistributedRun {
 /// converged (run GS first). The actor assumes reliable links:
 /// reorder/stretch adversaries only, and lossy channels belong with
 /// [`run_unicast_lossy`]. The protocol has no engine invariant, so
-/// `opts.check` has nothing to check.
+/// `opts.check` has nothing to check. An endpoint outside the cube
+/// gives a `Failure` run with no messages, and no engine is built.
 pub fn run_unicast(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -190,6 +189,15 @@ pub fn run_unicast(
     latency: Time,
     opts: RunOptions,
 ) -> (DistributedRun, RunReport) {
+    if !(cfg.cube().contains(s) && cfg.cube().contains(d)) {
+        let run = DistributedRun {
+            decision: Decision::Failure,
+            trail: None,
+            arrival_time: None,
+            messages: 0,
+        };
+        return (run, idle_report());
+    }
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
     let init = |a| {
@@ -261,9 +269,7 @@ pub struct LossyRun {
 /// the model checker ([`crate::mc_unicast_arq`]) can inspect it.
 #[derive(Clone)]
 pub(crate) struct LossyUnicastNode {
-    n: u8,
-    own_level: Level,
-    neighbor_levels: Vec<Level>,
+    levels: LocalLevels,
     pub(crate) received: Option<UnicastMsg>,
     pub(crate) received_at: Option<Time>,
     /// Unicast payloads surfaced to this node (≥ 2 would mean the
@@ -276,11 +282,8 @@ pub(crate) struct LossyUnicastNode {
 
 impl LossyUnicastNode {
     pub(crate) fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
-        let cube = cfg.cube();
         LossyUnicastNode {
-            n: cube.dim(),
-            own_level: map.level(me),
-            neighbor_levels: cube.neighbors(me).map(|b| map.level(b)).collect(),
+            levels: LocalLevels::new(map, cfg, me),
             received: None,
             received_at: None,
             receives: 0,
@@ -326,25 +329,17 @@ impl ReliableActor for LossyUnicastNode {
         }
         let Some(d) = self.start.take() else { return };
         let s = ctx.self_id();
-        let nav = NavVector::new(s, d);
-        if nav.is_done() {
-            self.received = Some(UnicastMsg {
-                nav,
-                trail: vec![s],
-            });
-            self.received_at = Some(ctx.now());
-            return;
-        }
-        match source_first_dim(self.own_level, &self.neighbor_levels, self.n, nav) {
-            Some(dim) => self.forward(
-                ctx,
-                UnicastMsg {
-                    nav,
-                    trail: vec![s],
-                },
-                dim,
-            ),
-            None => self.aborted = true,
+        let msg = UnicastMsg {
+            nav: NavVector::new(s, d),
+            trail: vec![s],
+        };
+        match rule_at_source(&self.levels, s, d, TieBreak::LowestDim) {
+            SourceStep::AlreadyThere => {
+                self.received = Some(msg);
+                self.received_at = Some(ctx.now());
+            }
+            SourceStep::Leave(_, dim) => self.forward(ctx, msg, dim),
+            SourceStep::Failure => self.aborted = true,
         }
     }
 
@@ -362,7 +357,7 @@ impl ReliableActor for LossyUnicastNode {
             // again would fork the unicast, so refuse.
             return;
         }
-        match best_preferred(&self.neighbor_levels, msg.nav) {
+        match self.levels.next_dim(ctx.self_id(), msg.nav) {
             Some(dim) => self.forward(ctx, msg, dim),
             None => self.aborted = true,
         }
@@ -401,8 +396,9 @@ impl<'n> Invariant<HypercubeNet<'n>, Reliable<LossyUnicastNode>> for ArqSingleDe
 /// Runs one unicast `s → d` with per-hop `latency` and reliable
 /// per-hop delivery (`rcfg`) under `opts` (typically a lossy
 /// `opts.channel` and an event budget `opts.max_events`), checking
-/// [`ArqSingleDelivery`] when `opts.check` is set.
-/// The safety map must already be converged — pair with
+/// [`ArqSingleDelivery`] when `opts.check` is set. An endpoint outside
+/// the cube gives a `Failure` run aborted at `s`, and no engine is
+/// built. The safety map must already be converged — pair with
 /// [`crate::gs::run_gs_reliable`] for an end-to-end lossy stack. The
 /// ARQ layer absorbs loss/duplication-bursting adversaries too
 /// ([`hypersafe_simkit::AdversarialScheduler::from_seed`]).
@@ -425,6 +421,16 @@ pub fn run_unicast_lossy(
     rcfg: ReliableConfig,
     opts: RunOptions,
 ) -> (LossyRun, RunReport) {
+    if !(cfg.cube().contains(s) && cfg.cube().contains(d)) {
+        let run = LossyRun {
+            outcome: LossyOutcome::AbortedAt(s),
+            decision: Decision::Failure,
+            trail: None,
+            stats: EventStats::default(),
+            duplicate_deliveries: 0,
+        };
+        return (run, idle_report());
+    }
     let latency = latency.max(1);
     let n = cfg.cube().dim();
     let net = HypercubeNet::new(cfg);

@@ -4,15 +4,22 @@
 //! `Violation`, never as a panic. A checker that panics on bad input
 //! would turn a counterexample into an abort, so each call here runs
 //! under `catch_unwind`.
+//!
+//! The routing entry points are held to the same standard: an
+//! endpoint outside the topology is a typed `Failure`, never a panic
+//! or an alias of a node inside it.
 
 use hypersafe_core::{
     check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence, check_level_corridor,
     check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
     check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
-    check_unicast_optimality, Condition, Decision, GhDecision, GsAsyncRun, Level, LossyOutcome,
-    LossyRun, SafetyMap,
+    check_unicast_optimality, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb,
+    route, route_dynamic, route_egs, route_light, route_many_seq, run_gh_unicast, run_unicast,
+    run_unicast_lossy, source_decision, Condition, Decision, DynamicOutcome, ExtendedSafetyMap,
+    GhDecision, GhSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap,
+    TieBreak,
 };
-use hypersafe_simkit::EventStats;
+use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,6 +75,33 @@ fn total<R>(what: &str, f: impl FnOnce() -> R) -> Result<(), TestCaseError> {
     let res = catch_unwind(AssertUnwindSafe(f));
     prop_assert!(res.is_ok(), "{what} panicked");
     Ok(())
+}
+
+/// Runs `f`, failing the case with `what` if it panics or, when an
+/// endpoint is `outside` the topology, if `failed` rejects its result.
+fn fails_outside<R: std::fmt::Debug>(
+    what: &str,
+    outside: bool,
+    f: impl FnOnce() -> R,
+    failed: impl FnOnce(&R) -> bool,
+) -> Result<(), TestCaseError> {
+    let res = catch_unwind(AssertUnwindSafe(f));
+    prop_assert!(res.is_ok(), "{what} panicked");
+    let res = res.unwrap();
+    prop_assert!(
+        !outside || failed(&res),
+        "{what} outside the topology gave {res:?}"
+    );
+    Ok(())
+}
+
+/// An address drawn over four times the topology, or far outside it.
+fn endpoint(v: u64, nodes: u64) -> u64 {
+    if v % 9 == 8 {
+        1 << 40
+    } else {
+        v % (4 * nodes)
+    }
 }
 
 proptest! {
@@ -131,6 +165,85 @@ proptest! {
         total("check_exactly_once", || {
             check_exactly_once(cut().map(|(a, lv, _)| (a, lv as u64)))
         })?;
+    }
+
+    #[test]
+    fn cube_routing_fails_outside_the_cube(
+        cube in (
+            1u8..=5,
+            proptest::collection::vec(0u64..64, 0..6),
+            proptest::collection::vec(0u64..64, 0..3),
+        ),
+        pair in (0u64..1000, 0u64..1000),
+    ) {
+        let ((n, node_faults, link_faults), (s, d)) = (cube, pair);
+        let cfg = faulty_cube(n, &node_faults, &link_faults);
+        let node_cfg = faulty_cube(n, &node_faults, &[]);
+        let map = SafetyMap::compute(&node_cfg);
+        let emap = ExtendedSafetyMap::compute(&cfg);
+        let cube = cfg.cube();
+        let nodes = cube.num_nodes();
+        let (s, d) = (NodeId::new(endpoint(s, nodes)), NodeId::new(endpoint(d, nodes)));
+        let outside = !(cube.contains(s) && cube.contains(d));
+        let failure = |dec: &Decision| *dec == Decision::Failure;
+
+        fails_outside("source_decision", outside, || source_decision(&map, s, d), failure)?;
+        fails_outside("route", outside, || route(&cfg, &map, s, d).decision, failure)?;
+        fails_outside("route_light", outside, || {
+            route_light(&cfg, &map, s, d, TieBreak::HighestDim).decision
+        }, failure)?;
+        fails_outside("route_many_seq", outside, || {
+            route_many_seq(&cfg, &map, &[(s, d)])[0].decision
+        }, failure)?;
+        fails_outside("route_egs", outside, || route_egs(&cfg, &emap, s, d).decision, failure)?;
+        fails_outside("intermediate_dim", outside, || {
+            intermediate_dim(&map, s, NavVector::new(s, d))
+        }, Option::is_none)?;
+        fails_outside("intermediate_dim_tb", outside, || {
+            intermediate_dim_tb(&map, s, NavVector::new(s, d), TieBreak::Hashed { salt: 7 })
+        }, Option::is_none)?;
+        fails_outside("run_unicast", outside, || {
+            let run = run_unicast(&node_cfg, &map, s, d, 1, RunOptions::default()).0;
+            (run.decision, run.trail)
+        }, |(dec, trail)| failure(dec) && trail.is_none())?;
+        fails_outside("run_unicast_lossy", outside, || {
+            let rcfg = ReliableConfig::default();
+            let run = run_unicast_lossy(&node_cfg, &map, s, d, 1, rcfg, RunOptions::default()).0;
+            (run.decision, run.trail)
+        }, |(dec, trail)| failure(dec) && trail.is_none())?;
+        fails_outside("route_dynamic", outside, || {
+            route_dynamic(cube, node_cfg.node_faults(), &[], s, d).outcome
+        }, |o| *o == DynamicOutcome::InfeasibleAtSource)?;
+    }
+
+    #[test]
+    fn gh_routing_fails_outside_the_topology(
+        radices in proptest::collection::vec(2u16..=4, 1..=3),
+        faults in proptest::collection::vec(0u64..64, 0..5),
+        pair in (0u64..1000, 0u64..1000),
+    ) {
+        let gh = GeneralizedHypercube::new(&radices);
+        let mut set: FaultSet = gh.fault_set();
+        for &f in &faults {
+            set.insert(NodeId::new(f % gh.num_nodes()));
+        }
+        let map = GhSafetyMap::compute(&gh, &set);
+        let nodes = gh.num_nodes();
+        let (s, d) = (GhNode(endpoint(pair.0, nodes)), GhNode(endpoint(pair.1, nodes)));
+        let outside = !(gh.contains(s) && gh.contains(d));
+        let failure = |dec: &GhDecision| *dec == GhDecision::Failure;
+
+        fails_outside("gh_source_decision", outside, || {
+            gh_source_decision(&gh, &map, s, d)
+        }, failure)?;
+        fails_outside("gh_route", outside, || {
+            let res = gh_route(&gh, &map, &set, s, d);
+            (res.decision, res.nodes)
+        }, |(dec, nodes)| failure(dec) && nodes.is_none())?;
+        fails_outside("run_gh_unicast", outside, || {
+            let run = run_gh_unicast(&gh, &map, &set, s, d, 1);
+            (run.decision, run.trail)
+        }, |(dec, trail)| failure(dec) && trail.is_none())?;
     }
 
     #[test]

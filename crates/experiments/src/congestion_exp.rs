@@ -7,14 +7,12 @@
 //! latency under increasing load.
 
 use crate::table::{f2, Report};
-use hypersafe_core::{intermediate_dim_tb, NavVector, SafetyMap, TieBreak};
+use hypersafe_core::{
+    intermediate_dim_tb, source_decision_tb, Decision, NavVector, SafetyMap, TieBreak,
+};
 use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, Time};
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, Sweep};
-use std::collections::HashMap;
-
-/// Injection bookkeeping: a tag plus the job's destination and id.
-type Injection = (u64, (NodeId, u32));
 
 /// A routed job in flight.
 #[derive(Clone, Copy, Debug)]
@@ -25,31 +23,37 @@ struct Job {
 }
 
 /// Queueing router node: one message per `service` ticks.
-struct QueueNode {
-    neighbor_levels_map: SafetyMap,
+struct QueueNode<'m> {
+    map: &'m SafetyMap,
     tb: TieBreak,
     service: Time,
     busy_until: Time,
-    /// Jobs this node originates: injection tag → (destination, id).
-    to_start: HashMap<u64, (NodeId, u32)>,
+    /// The burst: job `i` goes from `pairs[i].0` to `pairs[i].1`, and
+    /// its source starts it on the timer tagged `i`.
+    pairs: &'m [(NodeId, NodeId)],
     /// Completions observed at this node: (id, end_time, start_time).
     completed: Vec<(u32, Time, Time)>,
 }
 
-impl QueueNode {
-    fn forward(&mut self, ctx: &mut Ctx<Job>, mut job: Job) {
+impl QueueNode<'_> {
+    /// The policy for one job: `Hashed` is salted by the job id.
+    fn tie_break(&self, job: &Job) -> TieBreak {
+        match self.tb {
+            TieBreak::Hashed { .. } => TieBreak::Hashed {
+                salt: job.id as u64,
+            },
+            other => other,
+        }
+    }
+
+    /// Sends `job` across `dim`, or records its arrival here.
+    fn forward(&mut self, ctx: &mut Ctx<Job>, mut job: Job, dim: Option<u8>) {
         let at = ctx.self_id();
         if job.nav.is_done() {
             self.completed.push((job.id, ctx.now(), job.started));
             return;
         }
-        let tb = match self.tb {
-            TieBreak::Hashed { .. } => TieBreak::Hashed {
-                salt: job.id as u64,
-            },
-            other => other,
-        };
-        let Some(dim) = intermediate_dim_tb(&self.neighbor_levels_map, at, job.nav, tb) else {
+        let Some(dim) = dim else {
             return;
         };
         job.nav = job.nav.after_hop(dim);
@@ -62,22 +66,30 @@ impl QueueNode {
     }
 }
 
-impl Actor for QueueNode {
+impl Actor for QueueNode<'_> {
     type Msg = Job;
 
     fn on_timer(&mut self, ctx: &mut Ctx<Job>, tag: u64) {
-        if let Some((d, id)) = self.to_start.remove(&tag) {
-            let job = Job {
-                nav: NavVector::new(ctx.self_id(), d),
-                id,
-                started: ctx.now(),
-            };
-            self.forward(ctx, job);
-        }
+        let (s, d) = self.pairs[tag as usize];
+        let job = Job {
+            nav: NavVector::new(s, d),
+            id: tag as u32,
+            started: ctx.now(),
+        };
+        // The source decision: a Failure pair is aborted here, a C3
+        // pair leaves on its spare dimension.
+        let dim = match source_decision_tb(self.map, s, d, self.tie_break(&job)) {
+            Decision::Optimal { first_dim, .. } | Decision::Suboptimal { first_dim } => {
+                Some(first_dim)
+            }
+            Decision::Failure | Decision::AlreadyThere => None,
+        };
+        self.forward(ctx, job, dim);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Job>, _from: NodeId, job: Job) {
-        self.forward(ctx, job);
+        let dim = intermediate_dim_tb(self.map, ctx.self_id(), job.nav, self.tie_break(&job));
+        self.forward(ctx, job, dim);
     }
 }
 
@@ -103,52 +115,14 @@ pub fn simulate_burst(
     pairs: &[(NodeId, NodeId)],
     tb: TieBreak,
 ) -> LatencySummary {
-    let mut assignments: HashMap<u64, Vec<Injection>> = HashMap::new();
-    for (i, &(s, d)) in pairs.iter().enumerate() {
-        assignments
-            .entry(s.raw())
-            .or_default()
-            .push((i as u64, (d, i as u32)));
-    }
-    let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::new(&net, |a| QueueNode {
-        neighbor_levels_map: map.clone(),
-        tb,
-        service: 1,
-        busy_until: 0,
-        to_start: assignments
-            .get(&a.raw())
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_default(),
-        completed: Vec::new(),
-    });
-    // Inject in sorted source order: the engine breaks same-time ties
-    // by insertion sequence, so iterating the HashMap directly would
-    // make the simulation outcome depend on hasher state.
-    let mut sources: Vec<&u64> = assignments.keys().collect();
-    sources.sort();
-    for s in sources {
-        for &(tag, _) in &assignments[s] {
-            eng.inject(NodeId::new(*s), tag, 0);
-        }
-    }
-    eng.run(u64::MAX);
-
+    let completed = run_burst(cfg, map, pairs, tb);
     let mut latencies = Vec::new();
-    let mut per_job_h: HashMap<u32, u32> = HashMap::new();
-    for (i, &(s, d)) in pairs.iter().enumerate() {
-        per_job_h.insert(i as u32, s.distance(d));
-    }
     let mut slowdowns = Vec::new();
-    for a in cfg.cube().nodes() {
-        if let Some(node) = eng.actor(a) {
-            for &(id, end, start) in &node.completed {
-                let lat = end - start;
-                latencies.push(lat as f64);
-                let h = per_job_h[&id].max(1) as f64;
-                slowdowns.push(lat as f64 / h);
-            }
-        }
+    for &(id, end, start) in &completed {
+        let lat = end - start;
+        latencies.push(lat as f64);
+        let (s, d) = pairs[id as usize];
+        slowdowns.push(lat as f64 / s.distance(d).max(1) as f64);
     }
     LatencySummary {
         delivered: latencies.len() as u64,
@@ -156,6 +130,39 @@ pub fn simulate_burst(
         max_latency: latencies.iter().cloned().fold(0.0, f64::max) as u64,
         slowdown: mean(&slowdowns),
     }
+}
+
+/// [`simulate_burst`]'s completions `(job, end, start)`, by
+/// destination node and, within a node, in arrival order; `job`
+/// indexes `pairs`, and an undelivered job has no entry.
+pub fn run_burst(
+    cfg: &FaultConfig,
+    map: &SafetyMap,
+    pairs: &[(NodeId, NodeId)],
+    tb: TieBreak,
+) -> Vec<(u32, Time, Time)> {
+    let net = HypercubeNet::new(cfg);
+    let mut eng = EventEngine::new(&net, |_| QueueNode {
+        map,
+        tb,
+        service: 1,
+        busy_until: 0,
+        pairs,
+        completed: Vec::new(),
+    });
+    // Inject by ascending source, each source's jobs in burst order:
+    // the engine breaks same-time ties by insertion sequence.
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_by_key(|&i| pairs[i].0.raw());
+    for i in order {
+        eng.inject(pairs[i].0, i as u64, 0);
+    }
+    eng.run(u64::MAX);
+    cfg.cube()
+        .nodes()
+        .filter_map(|a| eng.actor(a))
+        .flat_map(|node| node.completed.iter().copied())
+        .collect()
 }
 
 /// Parameters for the congestion sweep.

@@ -270,16 +270,20 @@ impl FaultConfig {
     }
 
     /// An instance with the given faulty nodes and no faulty links.
+    /// The set is sized to `cube` (see [`FaultConfig::with_faults`]).
     pub fn with_node_faults(cube: Hypercube, nodes: FaultSet) -> Self {
-        FaultConfig {
-            cube,
-            nodes,
-            links: LinkFaultSet::new(),
-        }
+        Self::with_faults(cube, nodes, LinkFaultSet::new())
     }
 
     /// An instance with both faulty nodes and faulty links (§4.1).
+    /// A node set built for another size is fitted to `cube`: it grows
+    /// to cover every node, and members outside `cube` are dropped.
     pub fn with_faults(cube: Hypercube, nodes: FaultSet, links: LinkFaultSet) -> Self {
+        let nodes = if nodes.capacity == cube.num_nodes() {
+            nodes
+        } else {
+            FaultSet::from_nodes(cube, nodes.iter().filter(|&a| cube.contains(a)))
+        };
         FaultConfig { cube, nodes, links }
     }
 
@@ -343,6 +347,26 @@ mod tests {
 
     fn q4() -> Hypercube {
         Hypercube::new(4)
+    }
+
+    #[test]
+    fn a_fault_set_sized_for_another_cube_is_fitted() {
+        let q8 = Hypercube::new(8);
+        let members = [NodeId::new(3), NodeId::new(40)];
+        let mut short = FaultSet::with_capacity(64);
+        let mut long = FaultSet::with_capacity(1 << 10);
+        for a in members {
+            short.insert(a);
+            long.insert(a);
+        }
+        long.insert(NodeId::new(700));
+        let want = FaultConfig::with_node_faults(q8, FaultSet::from_nodes(q8, members));
+        for set in [short, long] {
+            let cfg = FaultConfig::with_faults(q8, set, LinkFaultSet::new());
+            assert_eq!(cfg, want);
+            assert!(!cfg.node_faulty(NodeId::new(200)));
+            assert_eq!(cfg.node_faults().len(), 2);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_equivalence
 //! ```
 
-use hypersafe::experiments::congestion_exp::simulate_burst;
+use hypersafe::experiments::congestion_exp::{run_burst, simulate_burst};
 use hypersafe::safety::gh_unicast_distributed::run_gh_unicast;
 use hypersafe::safety::unicast_distributed::{run_unicast, run_unicast_lossy, LossyOutcome};
 use hypersafe::safety::{
@@ -31,7 +31,7 @@ use hypersafe::safety::{
 };
 use hypersafe::simkit::{ChannelModel, EventStats, Metrics, ReliableConfig, RunOptions, SyncStats};
 use hypersafe::topology::{FaultConfig, GeneralizedHypercube, GhNode, Hypercube, NodeId};
-use hypersafe::workloads::{uniform_faults, Sweep};
+use hypersafe::workloads::{random_pair, uniform_faults, Sweep};
 use std::fmt::Write as _;
 
 /// SplitMix64: deterministic pair sampling without threading an RNG
@@ -599,5 +599,72 @@ fn engine_outcomes_match_pre_refactor_goldens() {
         "golden line count changed ({} recorded, {} produced)",
         want.len(),
         got.len()
+    );
+}
+
+/// E21's queueing forwarder applies the same §3 rule as `route_tb`:
+/// its burst delivers exactly the jobs `route_tb` delivers, under both
+/// of E21's policies (`Hashed` salted by the job id), on every golden
+/// cube scenario and on random Q7 bursts dense enough to hold Failure
+/// and C3 pairs.
+#[test]
+fn burst_delivers_exactly_what_route_delivers() {
+    let mut cases = Vec::new();
+    for n in [4u8, 6, 8] {
+        for m in [0usize, n as usize, 2 * n as usize] {
+            cases.push((format!("n{n}/m{m}"), node_fault_cfg(n, m)));
+        }
+        let cfg = add_link_faults(node_fault_cfg(n, n as usize / 2), n as usize);
+        cases.push((format!("n{n}/links{n}"), cfg));
+    }
+    let cube = Hypercube::new(7);
+    for m in [7usize, 16, 28] {
+        let cfg = Sweep::new(1, 0xE21 ^ m as u64)
+            .run_seq(|_, rng| FaultConfig::with_node_faults(cube, uniform_faults(cube, m, rng)))
+            .pop()
+            .expect("one instance");
+        cases.push((format!("q7/m{m}"), cfg));
+    }
+    let (mut failures, mut detours) = (0, 0);
+    for (tag, cfg) in &cases {
+        // The golden scenarios route on the lock-step GS map (link
+        // faults included); the Q7 bursts are larger.
+        let map = run_gs(cfg).map;
+        let n = cfg.cube().dim() as u64;
+        let pairs = if tag.starts_with("q7") {
+            let mut rng = Sweep::new(1, n).trial_rng(0);
+            (0..256).map(|_| random_pair(cfg, &mut rng)).collect()
+        } else {
+            sample_pairs(cfg, 6, 0xB00 ^ n)
+        };
+        for tb in [TieBreak::LowestDim, TieBreak::Hashed { salt: 0 }] {
+            let want: Vec<bool> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| {
+                    let tb = match tb {
+                        TieBreak::Hashed { .. } => TieBreak::Hashed { salt: i as u64 },
+                        other => other,
+                    };
+                    route_tb(cfg, &map, s, d, tb).delivered
+                })
+                .collect();
+            let mut got = vec![false; pairs.len()];
+            for (job, _, _) in run_burst(cfg, &map, &pairs, tb) {
+                got[job as usize] = true;
+            }
+            assert_eq!(got, want, "{tag} {tb:?}");
+        }
+        for &(s, d) in &pairs {
+            match route_tb(cfg, &map, s, d, TieBreak::LowestDim).decision {
+                Decision::Failure => failures += 1,
+                Decision::Suboptimal { .. } => detours += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        failures > 0 && detours > 0,
+        "{failures} Failure and {detours} C3 pairs"
     );
 }
