@@ -182,20 +182,21 @@ impl LevelStore {
         })
     }
 
-    /// Indices whose levels differ between `self` and `other`,
-    /// ascending. Word-parallel: packed words are XORed and only words
+    /// One mask per 64 nodes, ascending: bit `j` of the `pw`-th is set
+    /// iff the levels of node `64·pw + j` differ between `self` and
+    /// `other`. Word-parallel: packed words are XORed and only words
     /// that differ are decoded, so two stores that agree almost
     /// everywhere cost one XOR per word.
     ///
     /// # Panics
     ///
     /// If the two stores differ in length or level ceiling.
-    pub fn diff_indices<'a>(&'a self, other: &'a LevelStore) -> impl Iterator<Item = u64> + 'a {
+    pub fn diff_words<'a>(&'a self, other: &'a LevelStore) -> impl Iterator<Item = u64> + 'a {
         assert!(
             self.len == other.len && self.max_level == other.max_level,
-            "diff_indices needs stores of one shape"
+            "diff_words needs stores of one shape"
         );
-        (0..self.len.div_ceil(BITS_PER_WORD) as usize).flat_map(move |pw| {
+        (0..self.len.div_ceil(BITS_PER_WORD) as usize).map(move |pw| {
             let mut diff = 0u64;
             for q in 0..4 {
                 let ni = pw * 4 + q;
@@ -210,8 +211,7 @@ impl LevelStore {
             if self.max_level > 15 {
                 diff |= self.high[pw] ^ other.high[pw];
             }
-            let base = pw as u64 * BITS_PER_WORD;
-            SetBits(diff).map(move |b| base + b as u64)
+            diff
         })
     }
 
@@ -663,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_indices_match_scalar_scan() {
+    fn diff_words_match_scalar_scan() {
         // Lengths off the nibble and plane word boundaries, with and
         // without the fifth-bit plane; edits at word edges and a pair
         // that differs only in bit 4.
@@ -688,9 +688,15 @@ mod tests {
             let want: Vec<u64> = (0..len)
                 .filter(|&i| a[i as usize] != b[i as usize])
                 .collect();
-            assert_eq!(sa.diff_indices(&sb).collect::<Vec<_>>(), want, "max={max}");
-            assert_eq!(sb.diff_indices(&sa).collect::<Vec<_>>(), want, "max={max}");
-            assert_eq!(sa.diff_indices(&sa).count(), 0);
+            let diff = |x: &LevelStore, y: &LevelStore| -> Vec<u64> {
+                x.diff_words(y)
+                    .enumerate()
+                    .flat_map(|(w, m)| SetBits(m).map(move |j| w as u64 * 64 + j as u64))
+                    .collect()
+            };
+            assert_eq!(diff(&sa, &sb), want, "max={max}");
+            assert_eq!(diff(&sb, &sa), want, "max={max}");
+            assert!(sa.diff_words(&sa).all(|m| m == 0));
         }
     }
 

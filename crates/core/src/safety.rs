@@ -106,6 +106,31 @@ pub fn level_from_unsorted<I: IntoIterator<Item = Level>>(n: u8, levels: I) -> L
     n
 }
 
+/// [`level_from_unsorted`] with less work per call, for
+/// [`SafetyMap::rule_level`]: the histogram is 32 bytes (one store to
+/// clear), neighbours at the ceiling `n` are not counted (the scan never
+/// reads them), and the scan stops once `k` reaches the number `low` of
+/// neighbours below `n`, which bounds every "neighbours below `k`".
+#[inline(always)]
+fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Level>) -> Level {
+    let mut counts = [0u8; 32];
+    let mut low = 0u8;
+    for l in levels {
+        if l < n {
+            counts[l as usize & 31] += 1;
+            low += 1;
+        }
+    }
+    let mut below = 0u8; // #neighbors with level < k
+    for k in 0..low.min(n) {
+        if below > k {
+            return k;
+        }
+        below += counts[k as usize];
+    }
+    n
+}
+
 /// The safety level of every node of one faulty hypercube instance,
 /// indexed by raw address. Levels are held packed (0.5–0.625
 /// bytes/node, [`LevelStore`]) — an n=20 cube's map is 640 KiB instead
@@ -533,6 +558,20 @@ impl SafetyMap {
         self.rounds = rounds;
     }
 
+    /// Definition 1 at `a` over the packed store: the level the current
+    /// levels of `a`'s neighbours give it (pinning a faulty `a` to 0 is
+    /// the caller's part). The delta worklist and
+    /// [`SafetyMap::check_fixed_point_since`] evaluate the rule here;
+    /// [`SafetyMap::compute_reference`] keeps its own histogram copy as
+    /// the independent oracle.
+    #[inline]
+    pub(crate) fn rule_level(&self, a: NodeId) -> Level {
+        level_from_low_counts(
+            self.n,
+            (0..self.n).map(|d| self.levels.get(a.raw() ^ (1 << d))),
+        )
+    }
+
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
     /// that it is *the* fixed point promised by Theorem 1. Returns the
     /// first (lowest-addressed) violating node, if any.
@@ -575,9 +614,12 @@ impl SafetyMap {
     /// plus their neighbors. Any other node has exactly the inputs and
     /// level it had in a verified fixed point, so it passes; every
     /// violator is therefore a candidate, and the lowest failing
-    /// candidate is the first violator. The diff is found by XOR over
-    /// the packed level and fault words and is not taken from any
-    /// record of what the producer touched.
+    /// candidate is the first violator. Each changed node's closed
+    /// neighbourhood is evaluated in place, skipping candidates at or
+    /// above the lowest failure found so far, so nothing is collected
+    /// or sorted. The diff is found by XOR over the packed level and
+    /// fault words and is not taken from any record of what the
+    /// producer touched.
     ///
     /// Falls back to the full word-parallel scan when the verified
     /// epoch is of another cube, or differs in so many nodes that
@@ -600,41 +642,47 @@ impl SafetyMap {
         if verified_map.n != self.n || verified_cfg.cube().dim() != self.n {
             return self.check_fixed_point(cfg);
         }
+        // One mask per 64 nodes: a level or a fault bit differs. A node
+        // that changed both comes up once.
         let fault_diff = cfg
             .node_faults()
             .words()
             .iter()
             .zip(verified_cfg.node_faults().words())
+            .map(|(&a, &b)| a ^ b)
+            .chain(std::iter::repeat(0));
+        let changed = self
+            .levels
+            .diff_words(&verified_map.levels)
+            .zip(fault_diff)
             .enumerate()
-            .flat_map(|(w, (&a, &b))| BitDims(a ^ b).map(move |j| w as u64 * 64 + j as u64));
+            .flat_map(|(w, (l, f))| BitDims(l | f).map(move |j| w as u64 * 64 + j as u64));
         // A changed node costs about n² level reads (itself and its n
         // neighbors), the full scan a few word ops per 64 nodes: past
         // one changed node per 64 nodes the full scan is the cheaper.
         // Small cubes keep a floor of 64, where either is cheap.
         let budget = (self.levels.len() / 64).max(64) as usize;
-        let mut candidates: Vec<u64> = Vec::new();
-        let changed = self
-            .levels
-            .diff_indices(&verified_map.levels)
-            .chain(fault_diff);
+        let mut first = u64::MAX;
         for (k, i) in changed.enumerate() {
             if k == budget {
                 return self.check_fixed_point(cfg);
             }
-            candidates.push(i);
-            candidates.extend((0..self.n).map(|d| i ^ (1u64 << d)));
+            for c in std::iter::once(i).chain((0..self.n).map(|d| i ^ (1 << d))) {
+                if c >= first {
+                    continue;
+                }
+                let a = NodeId::new(c);
+                let want = if cfg.node_faulty(a) {
+                    0
+                } else {
+                    self.rule_level(a)
+                };
+                if self.level(a) != want {
+                    first = c;
+                }
+            }
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let cube = cfg.cube();
-        candidates.into_iter().map(NodeId::new).find(|&a| {
-            let want = if cfg.node_faulty(a) {
-                0
-            } else {
-                level_from_unsorted(self.n, cube.neighbors(a).map(|b| self.level(b)))
-            };
-            self.level(a) != want
-        })
+        (first != u64::MAX).then(|| NodeId::new(first))
     }
 }
 
@@ -667,6 +715,56 @@ mod tests {
             FaultSet::from_nodes(cube, members),
         ));
         assert_eq!(short.store(), full.store());
+    }
+
+    #[test]
+    fn low_count_rule_matches_the_histogram_rule() {
+        // Every sequence for n ≤ 5, then random ones up to MAX_DIM,
+        // half of them drawn near the stair (0, 1, …, n − 1) where the
+        // answer is decided.
+        for n in 1..=5u8 {
+            let mut seq = vec![0 as Level; n as usize];
+            for code in 0..(n as u64 + 1).pow(n as u32) {
+                let mut c = code;
+                for l in seq.iter_mut() {
+                    *l = (c % (n as u64 + 1)) as Level;
+                    c /= n as u64 + 1;
+                }
+                let want = level_from_unsorted(n, seq.iter().copied());
+                assert_eq!(
+                    level_from_low_counts(n, seq.iter().copied()),
+                    want,
+                    "{seq:?}"
+                );
+            }
+        }
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            z >> 33
+        };
+        for n in 1..=MAX_DIM {
+            for i in 0..4000 {
+                let seq: Vec<Level> = (0..n as u64)
+                    .map(|j| {
+                        let l = if i % 2 == 0 {
+                            next() % (n as u64 + 1)
+                        } else {
+                            (j + next() % 3).saturating_sub(1).min(n as u64)
+                        };
+                        l as Level
+                    })
+                    .collect();
+                let want = level_from_unsorted(n, seq.iter().copied());
+                assert_eq!(
+                    level_from_low_counts(n, seq.iter().copied()),
+                    want,
+                    "n {n} {seq:?}"
+                );
+            }
+        }
     }
 
     #[test]

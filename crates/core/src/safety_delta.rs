@@ -17,7 +17,12 @@
 //! extended by the neighbors of every node whose level actually moved
 //! reaches quiescence after touching just the affected region —
 //! typically a vanishing fraction of the cube (see `results/churn.csv`
-//! and DESIGN.md §10 for the cost model).
+//! and DESIGN.md §10 for the cost model). The worklist marks queued
+//! nodes in a dense bit per node, kept per thread and left clear by
+//! every drained event, so an event neither hashes nor allocates; each
+//! pop evaluates Definition 1 on the packed store with
+//! `SafetyMap::rule_level`, which the diff-driven fixed-point check
+//! uses too.
 //!
 //! [`SafetyMap::apply_fault`] / [`SafetyMap::apply_recover`] are the
 //! centralized form; [`run_delta_gs`] is the distributed form (a
@@ -26,7 +31,8 @@
 //! the checked runs ([`DeltaGsDirected`]) enforce byte-identity against
 //! [`SafetyMap::compute`] after every event.
 
-use std::collections::{HashSet, VecDeque};
+use std::cell::Cell;
+use std::collections::VecDeque;
 
 use crate::level_store::NeighborLevels;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
@@ -108,11 +114,7 @@ impl SafetyMap {
             ..DeltaStats::default()
         };
         self.set_level(a, 0);
-        let mut work = Worklist::new();
-        for b in cfg.cube().neighbors(a) {
-            work.push(b, 1);
-        }
-        self.propagate(cfg, work, &mut stats);
+        self.propagate(cfg, cfg.cube().neighbors(a).map(|b| (b, 1)), &mut stats);
         self.set_rounds(stats.waves);
         stats.rounds_saved = u32::from(n.saturating_sub(1)).saturating_sub(stats.waves);
         stats
@@ -128,40 +130,52 @@ impl SafetyMap {
         // Seed with the event node itself (depth 0): re-evaluating it
         // lifts it off 0, which is counted by `propagate` like any
         // other change, and its neighbors join the frontier from there.
-        let mut work = Worklist::new();
-        work.push(a, 0);
-        self.propagate(cfg, work, &mut stats);
+        self.propagate(cfg, [(a, 0)], &mut stats);
         self.set_rounds(stats.waves);
         stats.rounds_saved = u32::from(n.saturating_sub(1)).saturating_sub(stats.waves);
         stats
     }
 
-    /// Drains the worklist: pop a node, re-evaluate Definition 1 over
-    /// *current* levels (Gauss–Seidel — fresh values are used as soon
-    /// as they exist), and on change push its neighbors one wave
-    /// deeper. Terminates because every accepted change moves strictly
-    /// in one direction (down after a fault, up after a recovery)
-    /// through a finite lattice; quiescence means no node's inputs
-    /// changed since it was last evaluated, i.e. the map is a fixed
-    /// point — *the* fixed point, by Theorem 1's uniqueness.
-    fn propagate(&mut self, cfg: &FaultConfig, mut work: Worklist, stats: &mut DeltaStats) {
+    /// Seeds the worklist with `seeds` (node, wave) and drains it: pop
+    /// a node, re-evaluate Definition 1 over *current* levels
+    /// (Gauss–Seidel — fresh values are used as soon as they exist),
+    /// and on change push its neighbors one wave deeper. Terminates
+    /// because every accepted change moves strictly in one direction
+    /// (down after a fault, up after a recovery) through a finite
+    /// lattice; quiescence means no node's inputs changed since it was
+    /// last evaluated, i.e. the map is a fixed point — *the* fixed
+    /// point, by Theorem 1's uniqueness.
+    fn propagate(
+        &mut self,
+        cfg: &FaultConfig,
+        seeds: impl IntoIterator<Item = (NodeId, u32)>,
+        stats: &mut DeltaStats,
+    ) {
         let n = self.dim();
-        let cube = cfg.cube();
+        let mut work = WORKLIST
+            .take()
+            .filter(|w| w.n == n)
+            .unwrap_or_else(|| Worklist::new(n));
+        debug_assert!(work.queue.is_empty(), "a previous call left nodes queued");
+        for (b, depth) in seeds {
+            work.push(b, depth);
+        }
         while let Some((b, depth)) = work.pop() {
             if cfg.node_faulty(b) {
                 continue;
             }
             stats.cells_touched += 1;
-            let new = level_from_unsorted(n, cube.neighbors(b).map(|c| self.level(c)));
+            let new = self.rule_level(b);
             if new != self.level(b) {
                 self.set_level(b, new);
                 stats.cells_changed += 1;
                 stats.waves = stats.waves.max(depth);
-                for c in cube.neighbors(b) {
+                for c in cfg.cube().neighbors(b) {
                     work.push(c, depth + 1);
                 }
             }
         }
+        WORKLIST.set(Some(work));
     }
 }
 
@@ -193,39 +207,53 @@ fn assert_event(prev: &SafetyMap, cfg: &FaultConfig, event: ChurnEvent) {
     }
 }
 
-/// FIFO worklist with an in-queue set so each node appears at most
-/// once at a time; entries carry their BFS depth from the event node.
+/// FIFO worklist with a queued bit per node, so each node appears at
+/// most once at a time; entries carry their BFS depth from the event
+/// node.
 ///
-/// The set is a `HashSet` over the (typically tiny) affected region,
-/// *not* a `2ⁿ`-bit array: a dense bitset would cost an O(2ⁿ) zeroing
-/// per event — a 1 MiB memset at n=20, dwarfing the actual worklist
-/// drain and wrecking the "incremental beats scratch by orders of
-/// magnitude" contract the scale experiment measures. FIFO order is
-/// carried entirely by the queue, so dedup-set iteration order never
-/// influences results (determinism gate: churn.csv across thread
-/// counts).
+/// The queued bits are a dense `2ⁿ`-bit array, one bit per node (a
+/// quarter to a fifth of the packed map's size), set on push and cleared on pop. A
+/// drained worklist has every bit clear again, so it is kept per thread
+/// and reused by the next event without zeroing or allocating: the
+/// cost of an event stays proportional to the region it touches. FIFO
+/// order is carried entirely by the queue (determinism gate: churn.csv
+/// across thread counts).
 struct Worklist {
+    /// The cube dimension the bits are sized for.
+    n: u8,
     queue: VecDeque<(NodeId, u32)>,
-    queued: HashSet<u64>,
+    queued: Vec<u64>,
+}
+
+thread_local! {
+    /// One worklist per thread, kept between events on cubes of the
+    /// same dimension and left drained by each. A call that panics
+    /// takes it along, and the next call builds a fresh one.
+    static WORKLIST: Cell<Option<Worklist>> = const { Cell::new(None) };
 }
 
 impl Worklist {
-    fn new() -> Self {
+    fn new(n: u8) -> Self {
         Worklist {
+            n,
             queue: VecDeque::new(),
-            queued: HashSet::new(),
+            queued: vec![0; (1usize << n).div_ceil(64)],
         }
     }
 
+    #[inline]
     fn push(&mut self, a: NodeId, depth: u32) {
-        if self.queued.insert(a.raw()) {
+        let (w, bit) = ((a.raw() / 64) as usize, 1u64 << (a.raw() % 64));
+        if self.queued[w] & bit == 0 {
+            self.queued[w] |= bit;
             self.queue.push_back((a, depth));
         }
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(NodeId, u32)> {
         let (a, d) = self.queue.pop_front()?;
-        self.queued.remove(&a.raw());
+        self.queued[(a.raw() / 64) as usize] &= !(1u64 << (a.raw() % 64));
         Some((a, d))
     }
 }
@@ -579,6 +607,111 @@ mod tests {
     use super::*;
     use hypersafe_simkit::AdversarialScheduler;
     use hypersafe_topology::{FaultSet, Hypercube};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The worklist as it was before the per-thread queued bits: a
+    /// `HashSet` of queued nodes beside the FIFO, a fresh one per
+    /// event.
+    #[derive(Default)]
+    struct HashWorklist {
+        queue: VecDeque<(NodeId, u32)>,
+        queued: HashSet<u64>,
+    }
+
+    impl HashWorklist {
+        fn push(&mut self, a: NodeId, depth: u32) {
+            if self.queued.insert(a.raw()) {
+                self.queue.push_back((a, depth));
+            }
+        }
+
+        fn pop(&mut self) -> Option<(NodeId, u32)> {
+            let (a, d) = self.queue.pop_front()?;
+            self.queued.remove(&a.raw());
+            Some((a, d))
+        }
+    }
+
+    /// The delta as it was before the per-thread queued bits, over
+    /// [`HashWorklist`] and the histogram rule: the reference the delta
+    /// must match, map and counters alike.
+    fn reference_apply(map: &mut SafetyMap, cfg: &FaultConfig, event: ChurnEvent) -> DeltaStats {
+        let cube = cfg.cube();
+        let n = cube.dim();
+        let mut stats = DeltaStats::default();
+        let mut work = HashWorklist::default();
+        match event {
+            ChurnEvent::Fault(a) => {
+                stats.cells_changed = 1;
+                map.set_level(a, 0);
+                for b in cube.neighbors(a) {
+                    work.push(b, 1);
+                }
+            }
+            ChurnEvent::Recover(a) => work.push(a, 0),
+        }
+        while let Some((b, depth)) = work.pop() {
+            if cfg.node_faulty(b) {
+                continue;
+            }
+            stats.cells_touched += 1;
+            let new = level_from_unsorted(n, cube.neighbors(b).map(|c| map.level(c)));
+            if new != map.level(b) {
+                map.set_level(b, new);
+                stats.cells_changed += 1;
+                stats.waves = stats.waves.max(depth);
+                for c in cube.neighbors(b) {
+                    work.push(c, depth + 1);
+                }
+            }
+        }
+        map.set_rounds(stats.waves);
+        stats.rounds_saved = u32::from(n.saturating_sub(1)).saturating_sub(stats.waves);
+        stats
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random fault/recover sequences on Q3–Q12, dense enough that
+        /// waves run several shells deep: after every event the delta
+        /// equals the `HashSet` reference in map, rounds and every
+        /// counter, and the map is the scratch fixed point. Cases
+        /// alternate dimensions, so the per-thread worklist is rebuilt
+        /// and reused across them.
+        #[test]
+        fn worklist_matches_the_hashset_reference(
+            n in 3u8..=12,
+            initial in proptest::collection::vec(any::<u64>(), 0..=24),
+            events in proptest::collection::vec(any::<u64>(), 1..=32),
+        ) {
+            let cube = Hypercube::new(n);
+            let len = cube.num_nodes();
+            let mut cfg = FaultConfig::with_node_faults(
+                cube,
+                FaultSet::from_nodes(cube, initial.iter().map(|&r| NodeId::new(r % len))),
+            );
+            let mut map = SafetyMap::compute(&cfg);
+            let mut reference = map.clone();
+            for r in events {
+                // Half the events land next to the previous fault
+                // region, where waves are deepest.
+                let a = NodeId::new(if r & 1 == 0 { r % len } else { (r >> 1) % (len / 8).max(1) });
+                let (got, want) = if cfg.node_faulty(a) {
+                    cfg.node_faults_mut().remove(a);
+                    (map.apply_recover(&cfg, a), reference_apply(&mut reference, &cfg, ChurnEvent::Recover(a)))
+                } else {
+                    cfg.node_faults_mut().insert(a);
+                    (map.apply_fault(&cfg, a), reference_apply(&mut reference, &cfg, ChurnEvent::Fault(a)))
+                };
+                prop_assert_eq!(got, want, "event at {}", a);
+                prop_assert_eq!(&map, &reference);
+                let scratch = SafetyMap::compute(&cfg);
+                prop_assert_eq!(map.store(), scratch.store());
+            }
+        }
+    }
 
     fn cfg4(faults: &[&str]) -> FaultConfig {
         let cube = Hypercube::new(4);

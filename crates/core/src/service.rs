@@ -7,7 +7,9 @@
 //!
 //! * Readers route against an immutable [`SafetyState`] snapshot (a
 //!   `(FaultConfig, SafetyMap)` pair) obtained from an
-//!   [`EpochHandle`] — they never block and never observe a torn map.
+//!   [`EpochHandle`] and kept until the handle's epoch counter moves,
+//!   so an attempt costs one atomic load to find its snapshot; they
+//!   never observe a torn map.
 //! * The writer side queues each churn event and, after the service's
 //!   publication lag (modelling the safety-level restabilization
 //!   window), derives the next epoch by cloning the current snapshot
@@ -64,6 +66,9 @@ pub struct SafetyState {
 /// [`hypersafe_simkit::service::RoutingService`].
 pub struct SafetyService {
     epochs: EpochHandle<SafetyState>,
+    /// The snapshot loaded last; reloaded when the handle's epoch
+    /// counter moves past it.
+    current: Arc<Epoch<SafetyState>>,
     /// Ground truth: updated immediately on churn, ahead of the
     /// published epoch by up to the publication lag.
     live: FaultConfig,
@@ -94,11 +99,13 @@ impl SafetyService {
     /// [`SafetyService::new`] with an explicit tie-break policy.
     pub fn with_tiebreak(cfg: FaultConfig, tb: TieBreak) -> Self {
         let map = SafetyMap::compute(&cfg);
+        let epochs = EpochHandle::new(SafetyState {
+            cfg: cfg.clone(),
+            map,
+        });
         SafetyService {
-            epochs: EpochHandle::new(SafetyState {
-                cfg: cfg.clone(),
-                map,
-            }),
+            current: epochs.load(),
+            epochs,
             live: cfg,
             pending: VecDeque::new(),
             tb,
@@ -131,6 +138,17 @@ impl SafetyService {
     /// The current published snapshot.
     pub fn snapshot(&self) -> Arc<Epoch<SafetyState>> {
         self.epochs.load()
+    }
+
+    /// The current published snapshot, kept between calls: one atomic
+    /// load of the epoch counter while no epoch was published since the
+    /// last reload, including epochs published through
+    /// [`SafetyService::epochs`].
+    fn refresh(&mut self) -> &Epoch<SafetyState> {
+        if self.epochs.epoch() != self.current.epoch {
+            self.current = self.epochs.load();
+        }
+        &self.current
     }
 
     /// Read access to the epoch store itself (e.g. to share with
@@ -169,13 +187,13 @@ impl SafetyService {
     /// snapshot is stale: retry against a fresher epoch.
     fn attempt_with<S: HopSink>(&mut self, s: NodeId, d: NodeId, sink: &mut S) -> AttemptOutcome {
         self.attempts += 1;
-        let snap = self.epochs.load();
+        let epoch = self.refresh().epoch;
         let verdict = if self.live.node_faulty(s) {
             AttemptVerdict::SourceFaulty
         } else if self.live.node_faulty(d) {
             AttemptVerdict::DestinationFaulty
         } else {
-            let out = walk(&self.live, &snap.data.map, s, d, self.tb, sink);
+            let out = walk(&self.live, &self.current.data.map, s, d, self.tb, sink);
             match out.decision {
                 Decision::Failure => self.detour(s, d),
                 _ if !out.delivered => AttemptVerdict::Stale,
@@ -189,10 +207,7 @@ impl SafetyService {
                 },
             }
         };
-        AttemptOutcome {
-            epoch: snap.epoch,
-            verdict,
-        }
+        AttemptOutcome { epoch, verdict }
     }
 
     /// The detour rung: the snapshot refuses (`Failure`), but the live
@@ -241,7 +256,8 @@ impl RouteProvider for SafetyService {
     /// chances, no retry round-trip for single-fault losses.
     fn attempt_redundant(&mut self, s: NodeId, d: NodeId, k: u8) -> RedundantOutcome {
         self.attempts += 1;
-        let snap = self.epochs.load();
+        self.refresh();
+        let snap = &self.current;
         if self.live.node_faulty(s) || self.live.node_faulty(d) {
             return RedundantOutcome {
                 epoch: snap.epoch,
@@ -312,7 +328,8 @@ impl RouteProvider for SafetyService {
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
-        let snap = self.epochs.load();
+        self.refresh();
+        let snap = &self.current;
         let violation = match &self.verified {
             Some(v) => {
                 snap.data
@@ -327,7 +344,7 @@ impl RouteProvider for SafetyService {
                 snap.epoch
             ));
         }
-        self.verified = Some(Arc::clone(&snap));
+        self.verified = Some(Arc::clone(snap));
         if self.pending.is_empty() && self.live.node_faults() != snap.data.cfg.node_faults() {
             // Quiescent writer: the published epoch must have caught
             // up with the live fault set exactly.

@@ -3,11 +3,12 @@
 //! check against a verified epoch (`check_fixed_point_since`) must
 //! report exactly the node a scalar per-node Definition-1 scan reports
 //! first, on clean and on corrupted maps; and `SafetyService` must
-//! keep reporting a corrupt epoch until a clean one is published.
+//! keep reporting a corrupt epoch until a clean one is published, and
+//! route its next attempt on an epoch published from outside.
 
 use hypersafe_core::service::{SafetyService, SafetyState};
-use hypersafe_core::{level_from_unsorted, SafetyMap};
-use hypersafe_simkit::service::RouteProvider;
+use hypersafe_core::{level_from_unsorted, route, SafetyMap};
+use hypersafe_simkit::service::{AttemptVerdict, DeliveryRung, RouteProvider};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
 use proptest::prelude::*;
 
@@ -200,4 +201,93 @@ fn service_reports_a_planted_corruption_until_a_clean_epoch() {
     assert!(svc.apply_churn(NodeId::new(0), false));
     svc.publish_next();
     assert_eq!(svc.check_invariants(), Ok(()));
+}
+
+#[test]
+fn the_lowest_of_two_violators_around_a_changed_node_is_reported() {
+    // Node 129 dies, and a delta that stopped after clamping it leaves
+    // its neighbours 1 (next to fault 33) and 131 (next to fault 163)
+    // at their old levels, though each now has two faulty neighbours.
+    // The check meets 131 first, among 129's higher neighbours, and
+    // must still report the lower 1, met last.
+    let cube = Hypercube::new(8);
+    let faults = |extra: &[u64]| {
+        FaultConfig::with_node_faults(
+            cube,
+            FaultSet::from_nodes(cube, [33, 163].iter().chain(extra).map(|&r| NodeId::new(r))),
+        )
+    };
+    let (cfg0, cfg) = (faults(&[]), faults(&[129]));
+    let map0 = SafetyMap::compute(&cfg0);
+    let mut store = map0.store().clone();
+    store.set(129, 0);
+    let stalled = SafetyMap::from_store(cube, store);
+
+    let violators: Vec<u64> = cube
+        .nodes()
+        .filter(|&a| {
+            let want = if cfg.node_faulty(a) {
+                0
+            } else {
+                level_from_unsorted(8, cube.neighbors(a).map(|b| stalled.level(b)))
+            };
+            stalled.level(a) != want
+        })
+        .map(NodeId::raw)
+        .collect();
+    assert_eq!(violators, [1, 131]);
+    let first = Some(NodeId::new(1));
+    assert_eq!(stalled.check_fixed_point_since(&cfg, &map0, &cfg0), first);
+    assert_eq!(stalled.check_fixed_point(&cfg), first);
+}
+
+#[test]
+fn an_external_publish_reaches_the_next_attempt() {
+    // Live set: fault-free Q4. Published from outside: Fig. 1's
+    // configuration and map, whose levels send some pair over a
+    // detour of H + 2 hops where epoch 0 routes it optimally.
+    let cube = Hypercube::new(4);
+    let live = FaultConfig::fault_free(cube);
+    let mut svc = SafetyService::new(live.clone());
+    let fig1 = FaultConfig::with_node_faults(
+        cube,
+        FaultSet::from_binary_strs(cube, &["0011", "0100", "0110", "1001"]),
+    );
+    let fig1_map = SafetyMap::compute(&fig1);
+    let (s, d, detour) = cube
+        .nodes()
+        .flat_map(|s| cube.nodes().map(move |d| (s, d)))
+        .find_map(|(s, d)| {
+            let r = route(&live, &fig1_map, s, d);
+            let path = r.path.filter(|p| r.delivered && !p.is_optimal())?;
+            Some((s, d, path.nodes().to_vec()))
+        })
+        .expect("Fig. 1 sends some pair over a detour");
+
+    let mut trail = Vec::new();
+    let out = svc.attempt_traced(s, d, &mut trail);
+    assert_eq!(out.epoch, 0);
+    assert!(matches!(
+        out.verdict,
+        AttemptVerdict::Delivered {
+            rung: DeliveryRung::Optimal,
+            ..
+        }
+    ));
+
+    let e = svc.epochs().publish(SafetyState {
+        cfg: fig1,
+        map: fig1_map,
+    });
+    let out = svc.attempt_traced(s, d, &mut trail);
+    assert_eq!(out.epoch, e);
+    assert_eq!(
+        out.verdict,
+        AttemptVerdict::Delivered {
+            rung: DeliveryRung::Suboptimal,
+            hops: detour.len() as u32 - 1,
+        }
+    );
+    assert_eq!(trail, detour);
+    assert_eq!(svc.current_epoch(), e);
 }

@@ -34,7 +34,8 @@
 //! registry is installed.
 //!
 //! [`service`] turns the routing stack into a long-lived resilient
-//! service: lock-free epoch snapshots ([`service::EpochHandle`]), an
+//! service: immutable epoch snapshots behind an `RwLock<Arc<_>>` with
+//! an atomic epoch counter ([`service::EpochHandle`]), an
 //! explicit request lifecycle with deadlines / bounded retries /
 //! cancellation / admission control, and a graceful-degradation
 //! ladder — all deterministic under the DST scheduler.

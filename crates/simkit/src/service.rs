@@ -5,11 +5,12 @@
 //! service must keep answering route queries *while* faults churn.
 //! This module supplies the topology-agnostic machinery:
 //!
-//! * [`EpochHandle`] — a hand-rolled `ArcSwap`-style publication cell.
-//!   Readers obtain an immutable [`Epoch`] snapshot without ever
-//!   blocking and without ever observing a torn value; a single writer
-//!   clones the current snapshot, applies a delta, and publishes the
-//!   next epoch atomically.
+//! * [`EpochHandle`] — a publication cell for immutable [`Epoch`]
+//!   snapshots: an `RwLock<Arc<Epoch>>` held only for a pointer clone
+//!   or swap, plus an atomic epoch counter that tells a reader holding
+//!   a snapshot whether it is still current. Readers never observe a
+//!   torn value; a single writer clones the current snapshot, applies a
+//!   delta, and publishes the next epoch atomically.
 //! * [`RoutingService`] — a deterministic discrete-event loop driving
 //!   the explicit request state machine `Pending → Routing →
 //!   {Delivered, Degraded, Rejected, TimedOut}` with per-request
@@ -51,7 +52,7 @@ use crate::queue::EventQueue;
 use crate::sim::Scheduler;
 use hypersafe_topology::NodeId;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 // ---------------------------------------------------------------------------
@@ -67,114 +68,77 @@ pub struct Epoch<T> {
     pub data: T,
 }
 
-/// One ring slot: an optionally-published immutable generation.
-type EpochSlot<T> = RwLock<Option<Arc<Epoch<T>>>>;
-
-/// A hand-rolled `ArcSwap`: readers [`EpochHandle::load`] an
-/// `Arc<Epoch<T>>` snapshot without blocking; one writer at a time
-/// [`EpochHandle::publish`]es the next generation atomically.
+/// A publication cell for immutable [`Epoch`] snapshots: readers
+/// [`EpochHandle::load`] the latest `Arc<Epoch<T>>`; one writer at a
+/// time [`EpochHandle::publish`]es the next generation.
 ///
-/// Internally a small ring of slots. The writer installs generation
-/// `e` into slot `e % SLOTS` *before* flipping the `current` index, so
-/// a reader that loads `current` never races the slot being written —
-/// the slot under mutation is always `SLOTS − 1` generations away from
-/// the published one. A reader that stalls long enough for the ring to
-/// lap it simply retries and picks up a *newer* fully-published epoch;
-/// it can never observe a torn or partially-written value, because
-/// every observation is an `Arc` clone of an immutable allocation.
+/// The latest snapshot sits behind a `RwLock`, held only to clone or
+/// swap the `Arc`, so a reader waits at most for a pointer swap and can
+/// never observe a torn value: every observation is an `Arc` of an
+/// immutable allocation. Next to it, [`EpochHandle::epoch`] is one
+/// atomic load of the latest epoch number, so a reader that keeps the
+/// `Arc` it loaded last can tell whether it is still current without
+/// touching the lock or the reference count.
 ///
 /// No `unsafe`, no dependencies beyond `std::sync`.
 pub struct EpochHandle<T> {
-    slots: Box<[EpochSlot<T>]>,
-    /// Index of the latest fully-published slot.
-    current: AtomicUsize,
-    /// Serializes writers; holds the next epoch number.
-    writer: Mutex<u64>,
+    current: RwLock<Arc<Epoch<T>>>,
+    /// Epoch number of `current`, stored after each swap.
+    published: AtomicU64,
+    /// Serializes writers, so [`EpochHandle::update`] derives each
+    /// generation from the one it replaces.
+    writer: Mutex<()>,
 }
-
-/// Ring size: how many generations a reader may lag before it retries
-/// against a newer epoch.
-const EPOCH_SLOTS: usize = 8;
 
 impl<T> EpochHandle<T> {
     /// A handle whose epoch 0 is `initial`.
     pub fn new(initial: T) -> Self {
-        let slots: Box<[EpochSlot<T>]> = (0..EPOCH_SLOTS)
-            .map(|_| RwLock::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        *slots[0].write().expect("fresh lock") = Some(Arc::new(Epoch {
-            epoch: 0,
-            data: initial,
-        }));
         EpochHandle {
-            slots,
-            current: AtomicUsize::new(0),
-            writer: Mutex::new(1),
+            current: RwLock::new(Arc::new(Epoch {
+                epoch: 0,
+                data: initial,
+            })),
+            published: AtomicU64::new(0),
+            writer: Mutex::new(()),
         }
     }
 
-    /// The latest published snapshot. Never blocks on the writer: the
-    /// slot being written is never the one `current` points at, and a
-    /// lapped reader retries against the fresher index.
+    /// The latest published snapshot.
     pub fn load(&self) -> Arc<Epoch<T>> {
-        loop {
-            let i = self.current.load(Ordering::Acquire);
-            if let Ok(guard) = self.slots[i].try_read() {
-                if let Some(snap) = guard.as_ref() {
-                    return Arc::clone(snap);
-                }
-            }
-            std::hint::spin_loop();
-        }
+        Arc::clone(&self.current.read().expect("epoch lock"))
     }
 
-    /// Epoch number of the latest published snapshot.
+    /// Epoch number of the latest published snapshot: one atomic load.
+    /// A snapshot [`load`](Self::load)ed after it returns `e` has an
+    /// epoch of at least `e`.
     pub fn epoch(&self) -> u64 {
-        self.load().epoch
+        self.published.load(Ordering::Acquire)
     }
 
     /// Publishes `data` as the next generation and returns its epoch
-    /// number. Concurrent writers serialize; readers are never blocked
-    /// (they keep loading the previous generation until the atomic
-    /// index flips).
+    /// number. Concurrent writers serialize; readers keep loading the
+    /// previous generation until the swap.
     pub fn publish(&self, data: T) -> u64 {
-        let mut next = self.writer.lock().expect("writer lock");
-        let e = *next;
-        let slot = (e as usize) % self.slots.len();
-        {
-            // Only a reader lapped by SLOTS−1 generations can still
-            // hold this slot's read guard; the wait is bounded by its
-            // (tiny) guard scope.
-            let mut guard = self.slots[slot].write().expect("slot lock");
-            *guard = Some(Arc::new(Epoch { epoch: e, data }));
-        }
-        self.current.store(slot, Ordering::Release);
-        *next = e + 1;
-        e
+        let _writer = self.writer.lock().expect("writer lock");
+        self.install(data)
     }
 
     /// Clone-apply-publish in one step: reads the current snapshot,
     /// derives the next value, publishes it. The read and publish are
-    /// atomic with respect to other `update` callers.
+    /// atomic with respect to other writers, and readers are not held
+    /// up while `f` runs.
     pub fn update(&self, f: impl FnOnce(&Epoch<T>) -> T) -> u64 {
-        // Hold the writer lock across the read so two updaters cannot
-        // both derive from the same parent.
-        let mut next = self.writer.lock().expect("writer lock");
-        let parent = {
-            let i = self.current.load(Ordering::Acquire);
-            let guard = self.slots[i].read().expect("slot lock");
-            Arc::clone(guard.as_ref().expect("current slot is published"))
-        };
-        let data = f(&parent);
-        let e = *next;
-        let slot = (e as usize) % self.slots.len();
-        {
-            let mut guard = self.slots[slot].write().expect("slot lock");
-            *guard = Some(Arc::new(Epoch { epoch: e, data }));
-        }
-        self.current.store(slot, Ordering::Release);
-        *next = e + 1;
+        let _writer = self.writer.lock().expect("writer lock");
+        let data = f(&self.load());
+        self.install(data)
+    }
+
+    /// Swaps in the next generation; the caller holds the writer lock.
+    fn install(&self, data: T) -> u64 {
+        let mut current = self.current.write().expect("epoch lock");
+        let e = current.epoch + 1;
+        *current = Arc::new(Epoch { epoch: e, data });
+        self.published.store(e, Ordering::Release);
         e
     }
 }
@@ -1021,6 +985,7 @@ mod tests {
         for k in 1..100 {
             let e = h.publish(Pair { a: k, b: k });
             assert_eq!(e, k);
+            assert_eq!(h.epoch(), k);
             let snap = h.load();
             assert_eq!(snap.epoch, k);
             assert_eq!(snap.data.a, k);
@@ -1044,8 +1009,9 @@ mod tests {
 
     /// The torn-read test: readers hammer `load` while a writer
     /// publishes thousands of generations. Every observation must be
-    /// internally consistent (`a == b == epoch`) and per-reader epochs
-    /// must be monotone.
+    /// internally consistent (`a == b == epoch`), per-reader epochs
+    /// must be monotone, and a load is never older than the counter
+    /// read before it.
     #[test]
     fn concurrent_readers_never_observe_torn_or_regressing_snapshots() {
         let h = Arc::new(EpochHandle::new(Pair { a: 0, b: 0 }));
@@ -1058,7 +1024,9 @@ mod tests {
                     let mut last = 0u64;
                     let mut seen = 0u64;
                     loop {
+                        let floor = h.epoch();
                         let snap = h.load();
+                        assert!(snap.epoch >= floor, "load older than the counter");
                         assert_eq!(snap.data.a, snap.data.b, "torn snapshot");
                         assert_eq!(snap.data.a, snap.epoch, "payload from another epoch");
                         assert!(snap.epoch >= last, "epoch regressed");

@@ -162,14 +162,6 @@ impl GeneralizedHypercube {
             .count() as u32
     }
 
-    /// Dimensions in which `a` and `b` differ (the preferred dimensions
-    /// of the pair).
-    pub fn differing_dims(&self, a: GhNode, b: GhNode) -> Vec<u8> {
-        (0..self.dim())
-            .filter(|&i| self.digit(a, i) != self.digit(b, i))
-            .collect()
-    }
-
     /// The `m_i − 1` neighbors of `a` along dimension `i` (the rest of
     /// its dimension-`i` clique).
     pub fn neighbors_along<'a>(&'a self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> + 'a {
@@ -274,7 +266,6 @@ mod tests {
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
         assert_eq!(gh.distance(s, d), 3, "differ in all three coordinates");
-        assert_eq!(gh.differing_dims(s, d), vec![0, 1, 2]);
     }
 
     #[test]
