@@ -89,6 +89,36 @@ impl LevelStore {
         }
     }
 
+    /// Level `max_level` at every index except those set in `zero`
+    /// (64 indices per word, ascending — a fault set's words), which
+    /// get 0: the paper's Jacobi start, built word by word from the
+    /// bitmap with no transpose.
+    ///
+    /// # Panics
+    ///
+    /// If `max_level > MAX_DIM`, or `zero` has fewer than one word per
+    /// 64 indices.
+    pub fn ceiling_except(max_level: u8, len: u64, zero: &[u64]) -> Self {
+        let mut s = Self::zeroed(max_level, len);
+        let fill = (max_level & 0xF) as u64;
+        for (pw, &z) in zero[..len.div_ceil(BITS_PER_WORD) as usize]
+            .iter()
+            .enumerate()
+        {
+            let base = pw as u64 * BITS_PER_WORD;
+            let keep = !z & tail_mask(len - base);
+            for (q, nib) in s.nibbles.iter_mut().skip(pw * 4).take(4).enumerate() {
+                // expand16 puts a 1 in each kept field; a level ≤ 15
+                // times it fills the field without carrying.
+                *nib = expand16(keep >> (16 * q)) * fill;
+            }
+            if max_level > 15 {
+                s.high[pw] = keep;
+            }
+        }
+        s
+    }
+
     /// Packs a plain byte-per-level slice.
     ///
     /// # Panics
@@ -697,6 +727,39 @@ mod tests {
             assert_eq!(diff(&sa, &sb), want, "max={max}");
             assert_eq!(diff(&sb, &sa), want, "max={max}");
             assert!(sa.diff_words(&sa).all(|m| m == 0));
+        }
+    }
+
+    #[test]
+    fn ceiling_except_matches_from_levels() {
+        // Lengths off the nibble and plane word boundaries, with and
+        // without the fifth-bit plane, ceilings with even and odd low
+        // nibbles.
+        for (max, len) in [
+            (1u8, 2u64),
+            (4, 5),
+            (7, 150),
+            (15, 64),
+            (16, 200),
+            (30, 130),
+        ] {
+            let zero: Vec<u64> = (0..len.div_ceil(64))
+                .map(|w| 0x9E37_79B9_7F4A_7C15u64.rotate_left(w as u32 * 7))
+                .collect();
+            let want: Vec<Level> = (0..len)
+                .map(|i| {
+                    if (zero[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
+                        0
+                    } else {
+                        max
+                    }
+                })
+                .collect();
+            assert_eq!(
+                LevelStore::ceiling_except(max, len, &zero),
+                LevelStore::from_levels(max, &want),
+                "max={max} len={len}"
+            );
         }
     }
 

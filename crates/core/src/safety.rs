@@ -31,10 +31,26 @@
 //! survives as [`SafetyMap::compute_reference`], the differential
 //! oracle the plane kernels are checked against (exhaustively on
 //! small cubes, on goldens and random instances above).
+//!
+//! ## Frontier rounds
+//!
+//! [`SafetyMap::compute`] runs the Jacobi rounds but evaluates only
+//! what can change. Round 1 needs only the fault bitmap: a healthy node
+//! drops to 1 iff two or more of its neighbors are faulty. After that,
+//! a node's next level can differ only if a neighbor's level changed,
+//! and one that does change has at least two neighbors that changed in
+//! the round before (DESIGN.md §13). So each round visits the
+//! neighbours of the last round's changes and evaluates those met
+//! twice, one `SafetyMap::rule_level` each on the packed store, against
+//! the old levels, applying the changes after. While the changes are
+//! many for the cube's size a round sweeps the planes instead. Either
+//! way a round changes exactly the nodes a full sweep would, so every
+//! round's levels and the round count are those of the full sweep.
 
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
+use crate::safety_delta::with_clear_marks;
 use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, MAX_DIM};
 
 /// Safety level of one node: `0..=n`. `n` means *safe*; anything less
@@ -148,8 +164,8 @@ pub struct SafetyMap {
 /// One Jacobi round on planes: for every 64-node word, gather the
 /// `n` neighbor words per plane, run Definition 1's histogram rule as
 /// bit-sliced arithmetic, and write the next round's planes. Returns
-/// whether any level changed (the scalar loop's `changed` flag,
-/// word-XOR instead of per-node compare).
+/// how many levels changed (a popcount of the word-XOR instead of a
+/// per-node compare).
 ///
 /// A word leaves the `k` loop as soon as its outcome is fixed: no
 /// unassigned lane has more than `k` neighbors below `n` (DESIGN.md
@@ -159,9 +175,9 @@ pub struct SafetyMap {
 /// [`SafetyMap::check_fixed_point`]): called out of line, Q20
 /// `compute` ran 4–14% slower (best and median of ten runs).
 #[inline(always)]
-fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneView) -> bool {
+fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneView) -> u64 {
     let bits = cur.bits() as usize;
-    let mut changed = false;
+    let mut changed = 0u64;
     for (w, &faulty_w) in faulty.iter().enumerate().take(cur.words()) {
         let valid = cur.valid_mask(w);
         // Neighbor plane words, dimension-major: g[d][b] bit j is bit
@@ -210,10 +226,12 @@ fn jacobi_round_planes(n: u8, cur: &PlaneView, faulty: &[u64], next: &mut PlaneV
                 *lane |= rem;
             }
         }
+        let mut diff = 0u64;
         for (b, &lane) in res.iter().enumerate().take(bits) {
-            changed |= lane != cur.plane(b)[w];
+            diff |= lane ^ cur.plane(b)[w];
             next.plane_mut(b)[w] = lane;
         }
+        changed += diff.count_ones() as u64;
     }
     changed
 }
@@ -229,26 +247,103 @@ fn lanes_at_level(planes: &[u64; 5], bits: usize, l: u32) -> u64 {
     eq
 }
 
-/// The paper's Jacobi initial state as planes: faulty nodes 0,
-/// healthy nodes `n`.
-fn initial_planes(n: u8, len: u64, faulty: &[u64]) -> PlaneView {
+/// Bit `j` is set iff node `64w + j` has different levels in `a` and
+/// `b`.
+fn plane_diff_word(a: &PlaneView, b: &PlaneView, w: usize) -> u64 {
+    (0..a.bits() as usize).fold(0, |acc, p| acc | (a.plane(p)[w] ^ b.plane(p)[w]))
+}
+
+/// Round 1 of the Jacobi iteration from the fault bitmap alone. In the
+/// initial state every neighbor is at 0 (faulty) or at `n`, so the
+/// only count Definition 1 can see is "faulty neighbors", and a
+/// healthy node drops to 1 iff it has two or more of them; every other
+/// node keeps its level. Writes those nodes into `ones` (64 per word)
+/// and returns their number: `n` gathers of one plane per word into a
+/// two-bit saturating count.
+fn first_round(n: u8, len: u64, faulty: &[u64], ones: &mut [u64]) -> u64 {
+    let mut count = 0u64;
+    for (w, out) in ones.iter_mut().enumerate() {
+        let (mut one, mut two) = (0u64, 0u64);
+        for d in 0..n {
+            let g = gather_neighbor_word(faulty, w, d);
+            two |= one & g;
+            one |= g;
+        }
+        *out = two & !faulty[w] & tail_mask(len - w as u64 * 64);
+        count += out.count_ones() as u64;
+    }
+    count
+}
+
+/// The state after round 1 as planes: faulty nodes 0, the nodes in
+/// `ones` 1, every other node `n`. Clears `ones` as it reads it.
+fn first_round_planes(n: u8, len: u64, faulty: &[u64], ones: &mut [u64]) -> PlaneView {
     let mut v = PlaneView::zeroed(n, len);
-    for b in 0..v.bits() as usize {
-        if ((n as u32) >> b) & 1 == 1 {
-            let words = v.words();
-            let plane = v.plane_mut(b);
-            for w in 0..words {
-                let base = w as u64 * 64;
-                let valid = if base + 64 > len {
-                    tail_mask(len - base)
-                } else {
-                    !0
-                };
-                plane[w] = !faulty[w] & valid;
+    for (w, one) in ones.iter_mut().enumerate() {
+        let one = std::mem::take(one);
+        let ceiling = !faulty[w] & !one & v.valid_mask(w);
+        for b in 0..v.bits() as usize {
+            let mut lane = if ((n as u32) >> b) & 1 == 1 {
+                ceiling
+            } else {
+                0
+            };
+            if b == 0 {
+                lane |= one;
             }
+            v.plane_mut(b)[w] = lane;
         }
     }
     v
+}
+
+/// Frontier visits per plane word at which a frontier round costs
+/// about what a plane round does: a round runs on the frontier while
+/// the last round's changes times `n` (the neighbours it visits) stay
+/// at or below this many per word. Measured per round on a 2-vCPU
+/// Xeon from Q10 to Q20, a plane round costs 130–650 ns per word, more
+/// as the levels spread, and a visit 10–50 ns: a mark-bit test, plus
+/// one [`SafetyMap::rule_level`] for a node met twice. Where the
+/// frontier is near this size, on uniform faults, a word cost 11–23
+/// visits; only the first rounds of one compact cluster, where nearly
+/// every node visited is met twice and few words hold any change, came
+/// out at 2.5–4, and those rounds are cheap either way.
+const FRONTIER_VISITS_PER_WORD: u64 = 12;
+
+/// Whether the round after one that changed `changed` nodes of an
+/// `n`-cube of `len` nodes runs on the frontier rather than the planes.
+fn frontier_is_sparse(changed: u64, n: u8, len: u64) -> bool {
+    changed * n as u64 <= FRONTIER_VISITS_PER_WORD * len.div_ceil(64)
+}
+
+/// What [`SafetyMap::compute_trace`] records.
+#[derive(Default)]
+struct Trace {
+    /// The levels before round 1 and after every active round.
+    levels: Vec<Vec<Level>>,
+    /// For every round after the first, the last (quiescent) one
+    /// included, whether it ran on the frontier rather than the planes.
+    frontier: Vec<bool>,
+}
+
+/// Where the rounds of [`SafetyMap::compute`] hold the levels between
+/// rounds.
+enum Rounds {
+    /// Every word is swept: `cur` holds the levels, `prev` the levels
+    /// one round before (then the next round's output buffer).
+    Planes { cur: PlaneView, prev: PlaneView },
+    /// Only the neighbours of `frontier`, the nodes the last round
+    /// changed, are visited, on the packed store.
+    Nodes { map: SafetyMap, frontier: Vec<u64> },
+}
+
+impl Rounds {
+    fn to_vec(&self) -> Vec<Level> {
+        match self {
+            Rounds::Planes { cur, .. } => cur.to_store().to_vec(),
+            Rounds::Nodes { map, .. } => map.to_vec(),
+        }
+    }
 }
 
 impl SafetyMap {
@@ -291,10 +386,17 @@ impl SafetyMap {
     /// ```
     /// Computes the unique fixed point for `cfg` by synchronous Jacobi
     /// iteration from the paper's initial state (faulty = 0, nonfaulty
-    /// = `n`), exactly the centralized shadow of `GLOBAL_STATUS` — run
-    /// on bit-planes, 64 nodes per word op. Byte-identical to
-    /// [`SafetyMap::compute_reference`] (same rounds, same levels) by
-    /// construction and by differential test.
+    /// = `n`), exactly the centralized shadow of `GLOBAL_STATUS`.
+    /// Byte-identical to [`SafetyMap::compute_reference`] (same rounds,
+    /// same levels) by construction and by differential test.
+    ///
+    /// Each round evaluates only nodes that can change (the module's
+    /// *Frontier rounds*): round 1 reads the fault bitmap alone, and
+    /// each later round evaluates the nodes next to two or more of the
+    /// round before's changes, on the packed store, or sweeps every
+    /// 64-node word on bit-planes when those changes are many. With
+    /// sparse faults the work after round 1 is proportional to the
+    /// nodes near the faults, not to `2ⁿ`.
     ///
     /// Node faults only; for node + link faults use
     /// [`crate::egs::ExtendedSafetyMap`].
@@ -305,14 +407,17 @@ impl SafetyMap {
     /// [`SafetyMap::compute`] that also snapshots the unpacked level
     /// vector after every active round (the differential-testing hook
     /// behind "round-by-round equality" in the proptests). The first
-    /// entry is the initial state, the last the fixed point.
+    /// entry is the initial state, the last the fixed point. A snapshot
+    /// is the whole level vector whether its round swept the planes or
+    /// evaluated a frontier, so it equals the scalar sweep's
+    /// ([`SafetyMap::compute_reference_trace`]) entry for entry.
     pub fn compute_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
-        let mut trace = Vec::new();
+        let mut trace = Trace::default();
         let map = Self::compute_inner(cfg, Some(&mut trace));
-        (map, trace)
+        (map, trace.levels)
     }
 
-    fn compute_inner(cfg: &FaultConfig, mut trace: Option<&mut Vec<Vec<Level>>>) -> Self {
+    fn compute_inner(cfg: &FaultConfig, mut trace: Option<&mut Trace>) -> Self {
         assert!(
             cfg.link_faults().is_empty(),
             "SafetyMap::compute handles node faults only; use egs for link faults"
@@ -321,27 +426,155 @@ impl SafetyMap {
         let n = cube.dim();
         let len = cube.num_nodes();
         let faulty = cfg.node_faults().words();
-        let mut cur = initial_planes(n, len, faulty);
-        let mut next = PlaneView::zeroed(n, len);
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(cur.to_store().to_vec());
-        }
-        let mut rounds = 0u32;
-        loop {
-            if !jacobi_round_planes(n, &cur, faulty, &mut next) {
-                break;
-            }
-            std::mem::swap(&mut cur, &mut next);
-            rounds += 1;
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(cur.to_store().to_vec());
-            }
-        }
-        SafetyMap {
+        let start = || SafetyMap {
             n,
-            levels: cur.to_store(),
-            rounds,
+            levels: LevelStore::ceiling_except(n, len, faulty),
+            rounds: 0,
+        };
+        if let Some(t) = trace.as_deref_mut() {
+            t.levels.push(start().to_vec());
         }
+        // The frontier buffers hold the largest frontier a frontier
+        // round starts from, so they rarely grow and every compute on a
+        // cube asks for the same two sizes. Grown round by round, they
+        // left small freed blocks that later large allocations could
+        // not reuse: fan-dense peaked 0.12 MB higher in 6 of 16 seeds.
+        let cap = (FRONTIER_VISITS_PER_WORD * len.div_ceil(64) / n as u64) as usize;
+        with_clear_marks(n, |marks| {
+            let ones = first_round(n, len, faulty, marks);
+            if ones == 0 {
+                return start();
+            }
+            let mut state = if frontier_is_sparse(ones, n, len) {
+                let mut map = start();
+                let mut frontier = Vec::with_capacity(cap);
+                for (w, m) in marks.iter_mut().enumerate() {
+                    for j in BitDims(std::mem::take(m)) {
+                        let a = w as u64 * 64 + j as u64;
+                        map.levels.set(a, 1);
+                        frontier.push(a);
+                    }
+                }
+                Rounds::Nodes { map, frontier }
+            } else {
+                Rounds::Planes {
+                    cur: first_round_planes(n, len, faulty, marks),
+                    prev: PlaneView::zeroed(n, len),
+                }
+            };
+            let mut changed = ones;
+            let mut active = 1u32;
+            let mut changes = Vec::with_capacity(cap);
+            loop {
+                if let Some(t) = trace.as_deref_mut() {
+                    t.levels.push(state.to_vec());
+                }
+                // Each round runs where the last one's changes make it
+                // cheaper; either kind changes exactly the nodes a full
+                // Jacobi round would.
+                let sparse = frontier_is_sparse(changed, n, len);
+                state = match state {
+                    Rounds::Planes { cur, prev } if sparse => {
+                        let mut frontier = Vec::with_capacity(cap);
+                        frontier.extend((0..cur.words()).flat_map(|w| {
+                            BitDims(plane_diff_word(&cur, &prev, w))
+                                .map(move |j| w as u64 * 64 + j as u64)
+                        }));
+                        Rounds::Nodes {
+                            frontier,
+                            map: SafetyMap {
+                                n,
+                                levels: cur.to_store(),
+                                rounds: 0,
+                            },
+                        }
+                    }
+                    Rounds::Nodes { map, .. } if !sparse => Rounds::Planes {
+                        cur: PlaneView::from_store(&map.levels),
+                        prev: PlaneView::zeroed(n, len),
+                    },
+                    r => r,
+                };
+                if let Some(t) = trace.as_deref_mut() {
+                    t.frontier.push(matches!(state, Rounds::Nodes { .. }));
+                }
+                changed = match &mut state {
+                    Rounds::Planes { cur, prev } => {
+                        let c = jacobi_round_planes(n, cur, faulty, prev);
+                        if c != 0 {
+                            std::mem::swap(cur, prev);
+                        }
+                        c
+                    }
+                    Rounds::Nodes { map, frontier } => {
+                        map.frontier_round(faulty, marks, frontier, &mut changes)
+                    }
+                };
+                if changed == 0 {
+                    break;
+                }
+                active += 1;
+            }
+            let levels = match state {
+                Rounds::Planes { cur, .. } => cur.to_store(),
+                Rounds::Nodes { map, .. } => map.levels,
+            };
+            SafetyMap {
+                n,
+                levels,
+                rounds: active,
+            }
+        })
+    }
+
+    /// One Jacobi round over the open neighbourhoods of `frontier`, the
+    /// nodes the last round changed: no other node has an input that
+    /// moved, so no other node can change. A node that changes in round
+    /// `r + 1 ≥ 2` has at least two neighbours that changed in round `r`
+    /// (DESIGN.md §13), so only nodes met twice are evaluated, against
+    /// the levels before the round, and the changes land after (Jacobi,
+    /// not Gauss–Seidel). `marks`, left clear, records the nodes met
+    /// once. On return `frontier` holds the nodes this round changed;
+    /// returns their number.
+    fn frontier_round(
+        &mut self,
+        faulty: &[u64],
+        marks: &mut [u64],
+        frontier: &mut Vec<u64>,
+        changes: &mut Vec<(u64, Level)>,
+    ) -> u64 {
+        let neighbours = |v: u64| (0..self.n).map(move |d| v ^ (1 << d));
+        changes.clear();
+        for c in frontier.iter().flat_map(|&v| neighbours(v)) {
+            let (w, bit) = ((c / 64) as usize, 1u64 << (c % 64));
+            if faulty[w] & bit != 0 {
+                continue;
+            }
+            if marks[w] & bit != 0 {
+                changes.push((c, 0));
+            }
+            marks[w] |= bit;
+        }
+        // A node met three times or more is listed more than once; its
+        // first entry evaluates it and clears its mark.
+        changes.retain_mut(|(c, level)| {
+            let (w, bit) = ((*c / 64) as usize, 1u64 << (*c % 64));
+            if marks[w] & bit == 0 {
+                return false;
+            }
+            marks[w] &= !bit;
+            *level = self.rule_level(NodeId::new(*c));
+            *level != self.levels.get(*c)
+        });
+        for c in frontier.iter().flat_map(|&v| neighbours(v)) {
+            marks[(c / 64) as usize] &= !(1u64 << (c % 64));
+        }
+        frontier.clear();
+        for &(c, level) in changes.iter() {
+            self.levels.set(c, level);
+            frontier.push(c);
+        }
+        changes.len() as u64
     }
 
     /// The historical byte-per-node Jacobi sweep, kept as the
@@ -427,6 +660,9 @@ impl SafetyMap {
     /// the proof of Theorem 1: at round `k`, every still-unassigned
     /// nonfaulty node with `k + 1` or more neighbors of level `≤ k − 1`
     /// receives level `k`; after round `n − 1`, survivors receive `n`.
+    /// The rounds stop early at the first one that assigns no node (no
+    /// later one could), but `rounds()` reports `n − 1`, the schedule's
+    /// length.
     ///
     /// On planes this is even simpler than the Jacobi round: "neighbor
     /// with level below `k`" is exactly "neighbor already assigned"
@@ -449,6 +685,7 @@ impl SafetyMap {
         let mut snapshot = vec![0u64; words];
         for k in 1..n as u32 {
             snapshot.copy_from_slice(&assigned);
+            let mut any = false;
             for (w, assigned_w) in assigned.iter_mut().enumerate() {
                 let mut cnt = [0u64; 5];
                 for d in 0..n {
@@ -456,6 +693,7 @@ impl SafetyMap {
                 }
                 let new = sliced_gt_const(&cnt, k) & !*assigned_w & res.valid_mask(w);
                 if new != 0 {
+                    any = true;
                     *assigned_w |= new;
                     for b in 0..bits {
                         if (k >> b) & 1 == 1 {
@@ -463,6 +701,12 @@ impl SafetyMap {
                         }
                     }
                 }
+            }
+            // A round that assigns nobody leaves the assigned set as it
+            // was, and the next round's threshold is higher, so no later
+            // round can assign anyone either.
+            if !any {
+                break;
             }
         }
         for (w, &assigned_w) in assigned.iter().enumerate().take(words) {
@@ -560,8 +804,9 @@ impl SafetyMap {
 
     /// Definition 1 at `a` over the packed store: the level the current
     /// levels of `a`'s neighbours give it (pinning a faulty `a` to 0 is
-    /// the caller's part). The delta worklist and
-    /// [`SafetyMap::check_fixed_point_since`] evaluate the rule here;
+    /// the caller's part). [`SafetyMap::compute`]'s frontier rounds, the
+    /// delta worklist and [`SafetyMap::check_fixed_point_since`]
+    /// evaluate the rule here;
     /// [`SafetyMap::compute_reference`] keeps its own histogram copy as
     /// the independent oracle.
     #[inline]
@@ -594,12 +839,11 @@ impl SafetyMap {
         );
         let cur = PlaneView::from_store(&self.levels);
         let mut next = PlaneView::zeroed(self.n, self.levels.len());
-        if !jacobi_round_planes(self.n, &cur, cfg.node_faults().words(), &mut next) {
+        if jacobi_round_planes(self.n, &cur, cfg.node_faults().words(), &mut next) == 0 {
             return None;
         }
         (0..cur.words()).find_map(|w| {
-            let diff = (0..cur.bits() as usize)
-                .fold(0u64, |acc, b| acc | (cur.plane(b)[w] ^ next.plane(b)[w]));
+            let diff = plane_diff_word(&cur, &next, w);
             (diff != 0).then(|| NodeId::new(w as u64 * 64 + diff.trailing_zeros() as u64))
         })
     }
@@ -859,29 +1103,136 @@ mod tests {
         assert_eq!(a.store(), b.store());
     }
 
+    /// `compute`'s trace equals the scalar oracle's round by round, so
+    /// rounds and fixed point match too, and each round ran where the
+    /// rule puts it given the round before's change count. Returns the
+    /// map and, for each round after the first, whether it ran on the
+    /// frontier.
+    fn assert_matches_reference(cfg: &FaultConfig, what: &str) -> (SafetyMap, Vec<bool>) {
+        let mut trace = Trace::default();
+        let map = SafetyMap::compute_inner(cfg, Some(&mut trace));
+        let (rmap, rtrace) = SafetyMap::compute_reference_trace(cfg);
+        assert_eq!(trace.levels, rtrace, "{what}");
+        assert_eq!(map, rmap, "{what}");
+        let (n, len) = (cfg.cube().dim(), cfg.cube().num_nodes());
+        let rule: Vec<bool> = rtrace
+            .windows(2)
+            .map(|w| {
+                let changed = w[0].iter().zip(&w[1]).filter(|(a, b)| a != b).count();
+                frontier_is_sparse(changed as u64, n, len)
+            })
+            .collect();
+        assert_eq!(trace.frontier, rule, "{what}");
+        (map, trace.frontier)
+    }
+
+    fn fault_set(cube: Hypercube, nodes: impl IntoIterator<Item = u64>) -> FaultConfig {
+        FaultConfig::with_node_faults(
+            cube,
+            FaultSet::from_nodes(cube, nodes.into_iter().map(NodeId::new)),
+        )
+    }
+
     #[test]
-    fn constructive_matches_iterative_exhaustive_q3() {
-        // All 2^8 fault subsets of Q_3: Theorem 1's two constructions
-        // agree everywhere — and both agree with the scalar oracle.
-        let cube = Hypercube::new(3);
-        for mask in 0u64..256 {
+    fn frontier_rounds_match_the_reference_on_every_fault_set_to_q4() {
+        // Every node-fault set of Q1–Q4 (65,536 on Q4): the trace equals
+        // the scalar oracle's round by round, Theorem 1's two
+        // constructions agree, the result is a fixed point, and it took
+        // at most n − 1 rounds (the Corollary).
+        for n in 1u8..=4 {
+            let cube = Hypercube::new(n);
+            for mask in 0u64..1 << cube.num_nodes() {
+                let cfg = fault_set(cube, (0..cube.num_nodes()).filter(|i| (mask >> i) & 1 == 1));
+                let what = format!("n={n} mask={mask:#b}");
+                let (a, _) = assert_matches_reference(&cfg, &what);
+                let b = SafetyMap::compute_constructive(&cfg);
+                assert_eq!(a.store(), b.store(), "{what}");
+                assert_eq!(b.rounds(), u32::from(n - 1), "{what}");
+                assert_eq!(a.check_fixed_point(&cfg), None, "{what}");
+                assert!(
+                    a.rounds() < u32::from(n),
+                    "Corollary: ≤ n − 1 rounds, {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_schedule_occurs() {
+        let fig1 = ["0011", "0100", "0110", "1001"].map(|s| n(s).raw());
+        // Fig. 1: four nodes change in round 1, above Q4's budget of
+        // three, so round 2 sweeps; two change in round 2, so the last
+        // round runs on the frontier.
+        let cfg = fault_set(Hypercube::new(4), fig1);
+        assert_eq!(
+            assert_matches_reference(&cfg, "fig1 on Q4").1,
+            [false, true]
+        );
+        // The same faults in Q12: the frontier stays small.
+        let cfg = fault_set(Hypercube::new(12), fig1);
+        assert_eq!(
+            assert_matches_reference(&cfg, "fig1 on Q12").1,
+            [true, true]
+        );
+        // Eight faults in Q5 keep every round above the budget.
+        let cfg = fault_set(Hypercube::new(5), [0, 5, 8, 12, 13, 18, 23, 27]);
+        let s = assert_matches_reference(&cfg, "eight faults on Q5").1;
+        assert_eq!(s, [false, false, false]);
+        // A faulty node and nine of its neighbours in Q12: the nodes at
+        // distance j drop to level j − 1 in round j − 1, shell by shell,
+        // C(9, j) of them, so the frontier grows past the budget and
+        // shrinks below it again.
+        let cfg = fault_set(Hypercube::new(12), (0..9).map(|d| 1 << d).chain([0]));
+        let s = assert_matches_reference(&cfg, "star on Q12").1;
+        assert!(s.windows(2).any(|w| w == [true, false]), "{s:?}");
+        assert!(s.windows(2).any(|w| w == [false, true]), "{s:?}");
+    }
+
+    /// A small deterministic generator for the proptest's placements.
+    fn splitmix(z: &mut u64) -> u64 {
+        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = *z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Q1–Q14 with uniform faults on up to 40% of the nodes, plus up to
+        /// three Hamming balls of radius up to 3 within random subcubes,
+        /// which keep the frontier dense for several rounds: the trace equals the
+        /// scalar oracle's round by round. Small cubes and low shares
+        /// run every round on the frontier, high shares sweep every
+        /// round, and balls switch between the two mid-run
+        /// ([`every_schedule_occurs`] pins one instance of each).
+        #[test]
+        fn frontier_rounds_match_the_reference_round_by_round(
+            n in 1u8..=14,
+            share in 0u64..=40,
+            balls in 0u32..=3,
+            radius in 1u32..=3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let cube = Hypercube::new(n);
+            let len = cube.num_nodes();
+            let mut z = seed;
             let mut f = FaultSet::new(cube);
-            for i in 0..8 {
-                if (mask >> i) & 1 == 1 {
-                    f.insert(NodeId::new(i));
+            // Quadratic in `share`, so half the cases have under 10%.
+            for _ in 0..len * share * share / 4000 {
+                f.insert(NodeId::new(splitmix(&mut z) % len));
+            }
+            // Each ball spans a random set of dimensions: spanning few,
+            // a radius-1 ball is a star whose shells grow round by round.
+            for _ in 0..balls {
+                let (c, dims) = (splitmix(&mut z) % len, splitmix(&mut z) % len);
+                for a in (0..len).filter(|a| (a ^ c) & !dims == 0 && (a ^ c).count_ones() <= radius) {
+                    f.insert(NodeId::new(a));
                 }
             }
             let cfg = FaultConfig::with_node_faults(cube, f);
-            let a = SafetyMap::compute(&cfg);
-            let b = SafetyMap::compute_constructive(&cfg);
-            assert_eq!(a.store(), b.store(), "mask {mask:#b}");
-            assert_eq!(
-                a.to_vec(),
-                SafetyMap::compute_reference_levels(&cfg),
-                "mask {mask:#b}"
-            );
-            assert_eq!(a.check_fixed_point(&cfg), None, "mask {mask:#b}");
-            assert!(a.rounds() <= 2, "Corollary: ≤ n−1 rounds, mask {mask:#b}");
+            assert_matches_reference(&cfg, &format!("n={n} share={share} balls={balls} r={radius} seed={seed}"));
         }
     }
 

@@ -217,7 +217,8 @@ fn assert_event(prev: &SafetyMap, cfg: &FaultConfig, event: ChurnEvent) {
 /// and reused by the next event without zeroing or allocating: the
 /// cost of an event stays proportional to the region it touches. FIFO
 /// order is carried entirely by the queue (determinism gate: churn.csv
-/// across thread counts).
+/// across thread counts). Between events, [`with_clear_marks`] lends the
+/// bits to [`SafetyMap::compute`]'s frontier rounds on the same thread.
 struct Worklist {
     /// The cube dimension the bits are sized for.
     n: u8,
@@ -230,6 +231,26 @@ thread_local! {
     /// same dimension and left drained by each. A call that panics
     /// takes it along, and the next call builds a fresh one.
     static WORKLIST: Cell<Option<Worklist>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on clear bits, one per node of an `n`-cube, which `f` must
+/// leave clear: this thread's queued bits when it holds a worklist for
+/// an `n`-cube, else a fresh array. [`SafetyMap::compute`]'s frontier
+/// rounds mark nodes in them, so a thread that maintains a map by
+/// delta keeps one `2ⁿ`-bit scratch for both computations, and a
+/// thread that only computes keeps none between calls.
+pub(crate) fn with_clear_marks<R>(n: u8, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    let mut work = WORKLIST.take();
+    let r = match work.as_mut().filter(|w| w.n == n) {
+        Some(w) => f(&mut w.queued),
+        None => f(&mut vec![0; (1usize << n).div_ceil(64)]),
+    };
+    debug_assert!(
+        work.iter().all(|w| w.queued.iter().all(|&m| m == 0)),
+        "marks left set"
+    );
+    WORKLIST.set(work);
+    r
 }
 
 impl Worklist {
