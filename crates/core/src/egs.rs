@@ -18,11 +18,12 @@
 //! Footnote 3's special-fault semantics: an `N2` node is never used as
 //! an intermediate, but a message destined *to* it is still delivered.
 
+use crate::gs::GsNode;
 use crate::level_store::LevelStore;
-use crate::safety::{level_from_neighbors, Level, SafetyMap};
+use crate::safety::{rule_level, Level, SafetyMap};
 use crate::unicast::{route_over, LevelView, Qn, RouteResult, TieBreak};
 use hypersafe_simkit::{HypercubeNet, SyncEngine, SyncNode, SyncStats, Trace};
-use hypersafe_topology::{FaultConfig, FaultSet, NodeId, MAX_DIM};
+use hypersafe_topology::{FaultConfig, FaultSet, NodeId};
 
 /// Safety state of a hypercube with node and link faults: the
 /// advertised (global) view plus each `N2` node's self view. Both
@@ -45,35 +46,23 @@ impl ExtendedSafetyMap {
     /// Runs EGS for `cfg`.
     pub fn compute(cfg: &FaultConfig) -> Self {
         let cube = cfg.cube();
-        let n = cube.dim();
 
         // Classify N2 and build the effective fault set F ∪ N2.
-        let mut in_n2 = vec![false; cube.num_nodes() as usize];
-        let mut effective = FaultSet::new(cube);
-        for a in cube.nodes() {
-            if cfg.node_faulty(a) {
-                effective.insert(a);
-            } else if cfg.link_faults().touches(cube, a) {
-                in_n2[a.raw() as usize] = true;
-                effective.insert(a);
-            }
-        }
-        let n1_cfg = FaultConfig::with_node_faults(cube, effective);
+        let touches = |a| cfg.link_faults().touches(cube, a);
+        let in_n2: Vec<bool> = cube
+            .nodes()
+            .map(|a| !cfg.node_faulty(a) && touches(a))
+            .collect();
+        let effective = cube.nodes().filter(|&a| cfg.node_faulty(a) || touches(a));
+        let n1_cfg = FaultConfig::with_node_faults(cube, FaultSet::from_nodes(cube, effective));
         let advertised = SafetyMap::compute(&n1_cfg);
 
         // Last round: each N2 node evaluates NODE_STATUS once over the
         // advertised levels (its faulty-link far ends are in N2 or F,
         // so they already advertise 0).
         let mut own = advertised.store().clone();
-        let mut scratch = [0 as Level; MAX_DIM as usize];
-        for a in cube.nodes() {
-            if !in_n2[a.raw() as usize] {
-                continue;
-            }
-            for (i, b) in cube.neighbors(a).enumerate() {
-                scratch[i] = advertised.level(b);
-            }
-            own.set(a.raw(), level_from_neighbors(n, &mut scratch[..n as usize]));
+        for a in cube.nodes().filter(|a| in_n2[a.raw() as usize]) {
+            own.set(a.raw(), rule_level(Qn(cube.dim()), advertised.store(), a));
         }
         ExtendedSafetyMap {
             advertised,
@@ -104,90 +93,31 @@ impl ExtendedSafetyMap {
     }
 }
 
-/// Per-node state of the *distributed* EGS protocol (the paper's
-/// `EXTENDED_GLOBAL_STATUS`): `N1` nodes run ordinary `NODE_STATUS`
-/// every round and broadcast their level; `N2` nodes broadcast 0
-/// throughout (they declare themselves faulty to the network) while
-/// privately running `NODE_STATUS` over what they hear. Faulty links
-/// never deliver, so their far ends read as level 0 without any
-/// special-casing.
-///
-/// The paper has `N2` evaluate once, in round `n − 1`; here `N2`
-/// re-evaluates every round (its broadcast is 0 either way, so the
-/// network is unaffected), which reaches the identical fixed point
-/// without depending on synchronized round counters — the natural
-/// translation to an engine with quiescence detection.
-#[derive(Clone, Debug)]
-pub struct EgsNode {
-    n: u8,
-    is_n2: bool,
-    level: Level,
-}
-
-impl EgsNode {
-    fn new(cfg: &FaultConfig, me: NodeId) -> Self {
-        let n = cfg.cube().dim();
-        let is_n2 = cfg.link_faults().touches(cfg.cube(), me);
-        EgsNode { n, is_n2, level: n }
-    }
-
-    /// The node's level: advertised for `N1`, private view for `N2`.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-}
-
-impl SyncNode for EgsNode {
-    type Msg = Level;
-
-    fn broadcast(&self) -> Level {
-        if self.is_n2 {
-            0
-        } else {
-            self.level
-        }
-    }
-
-    fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
-        // Faulty links never deliver, so absent dimensions read as 0 —
-        // a stack array keeps the per-round evaluation allocation-free
-        // even with a million simulated actors.
-        let mut levels = [0 as Level; MAX_DIM as usize];
-        for &(dim, lv) in inbox {
-            levels[dim] = lv;
-        }
-        let new = level_from_neighbors(self.n, &mut levels[..self.n as usize]);
-        let changed = new != self.level;
-        self.level = new;
-        changed
-    }
-}
-
-/// Runs the distributed EGS protocol to quiescence and returns the
-/// resulting map plus engine statistics.
+/// Runs the distributed EGS protocol (`EXTENDED_GLOBAL_STATUS`) to
+/// quiescence on the lock-step GS node and returns the resulting map
+/// plus engine statistics. Every node runs `NODE_STATUS` every round
+/// (faulty links never deliver, so their far ends read 0); `N2` nodes
+/// broadcast 0 throughout. The paper has `N2` evaluate once, in round
+/// `n − 1`; re-evaluating every round reaches the same fixed point
+/// without synchronized round counters.
 pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     let cube = cfg.cube();
     let n = cube.dim();
     let net = HypercubeNet::new(cfg);
-    let mut eng = SyncEngine::new(&net, |a| EgsNode::new(cfg, a));
+    let mut eng = SyncEngine::new(&net, |a| {
+        let mut node = GsNode::new(n);
+        node.n2 = cfg.link_faults().touches(cube, a);
+        node
+    });
     eng.run_until_stable(n as u32 + 1);
-    let mut advertised = Vec::with_capacity(cube.num_nodes() as usize);
-    let mut own = Vec::with_capacity(cube.num_nodes() as usize);
-    let mut in_n2 = Vec::with_capacity(cube.num_nodes() as usize);
-    for a in cube.nodes() {
-        match eng.node(a) {
-            Some(node) => {
-                advertised.push(if node.is_n2 { 0 } else { node.level });
-                own.push(node.level);
-                in_n2.push(node.is_n2);
-            }
-            None => {
-                advertised.push(0);
-                own.push(0);
-                in_n2.push(false);
-            }
-        }
-    }
+    // A faulty node reads 0 in both views; an N2 node advertises 0.
+    let view = |f: fn(&GsNode) -> Level| {
+        let levels = cube.nodes().map(|a| eng.node(a).map_or(0, f));
+        levels.collect::<Vec<_>>()
+    };
+    let (advertised, own) = (view(SyncNode::broadcast), view(GsNode::level));
+    let in_n2 = cube.nodes().map(|a| eng.node(a).is_some_and(|v| v.n2));
+    let in_n2 = in_n2.collect();
     let stats = eng.stats().clone();
     (
         ExtendedSafetyMap {

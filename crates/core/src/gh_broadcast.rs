@@ -11,6 +11,8 @@
 //! owns covers every nonfaulty node of its sub-GH.
 
 use crate::gh_safety::GhSafetyMap;
+use crate::safety::Level;
+use crate::unicast::PortSpace;
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
 
 /// Outcome of one GH broadcast.
@@ -95,13 +97,8 @@ fn descend(
     // Order dimensions by clique-minimum level descending (the
     // dimension-level of Definition 4), lowest dimension on ties.
     let mut ordered: Vec<u8> = dims.to_vec();
-    let dim_level = |i: u8| {
-        gh.neighbors_along(at, i)
-            .map(|b| map.level(b))
-            .min()
-            .expect("radix ≥ 2")
-    };
-    ordered.sort_by_key(|&i| (std::cmp::Reverse(dim_level(i)), i));
+    let dim_level: Vec<Level> = gh.readings(map.store(), at).collect();
+    ordered.sort_by_key(|&i| (std::cmp::Reverse(dim_level[i as usize]), i));
     for (rank, &dim) in ordered.iter().enumerate() {
         let rest = &ordered[rank + 1..];
         for peer in gh.neighbors_along(at, dim) {

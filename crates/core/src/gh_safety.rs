@@ -5,95 +5,133 @@
 //! **minimum** safety level over the `m_i − 1` other nodes of the
 //! node's dimension-`i` clique. Definition 1's rule is then applied to
 //! the sorted `n`-vector unchanged. With all radices 2 this reduces
-//! exactly to the binary Definition 1 (property-tested).
+//! exactly to the binary Definition 1 (tested against the cube's scalar
+//! oracle).
 //!
 //! Because the clique nodes are directly connected, one exchange step
 //! suffices to learn the dimension minimum, so the fixed point is still
-//! reached in `n − 1` rounds.
+//! reached in `n − 1` rounds. [`GhSafetyMap::compute`] reaches it with
+//! the cube's frontier rounds and Definition-1 rule ([`crate::safety`]).
 
+use crate::level_store::LevelStore;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation};
-use crate::safety::{level_from_neighbors, Level};
+use crate::safety::{frontier_round, level_from_low_counts, level_from_unsorted, Level};
+use crate::safety_delta::with_clear_marks;
 use hypersafe_simkit::{gh_port_dim, GhNet, SyncEngine, SyncNode, SyncStats};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
 use std::sync::Arc;
 
-/// Safety levels of every node of a faulty generalized hypercube.
+/// Safety levels of every node of a faulty generalized hypercube,
+/// packed like the cube's ([`LevelStore`] by mixed-radix node index,
+/// its ceiling `n`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GhSafetyMap {
-    levels: Vec<Level>,
-    n: u8,
+    levels: LevelStore,
     rounds: u32,
 }
 
+/// A node's place in its clique along one dimension: the members are
+/// the node plus `(v − own) · stride` for every digit `v < radix`.
+#[derive(Clone, Copy)]
+pub(crate) struct Clique {
+    stride: u64,
+    radix: u64,
+    own: u64,
+}
+
+impl Clique {
+    /// The other members of `a`'s clique, by ascending digit.
+    pub(crate) fn peers(self, a: GhNode) -> impl Iterator<Item = GhNode> {
+        let base = a.raw() - self.own * self.stride;
+        (0..self.radix)
+            .filter(move |&v| v != self.own)
+            .map(move |v| GhNode(base + v * self.stride))
+    }
+
+    /// Definition 4's reading of the dimension at `a`: the lowest level
+    /// among the other members.
+    pub(crate) fn min_level(self, levels: &LevelStore, a: GhNode) -> Level {
+        self.peers(a)
+            .map(|c| levels.get(c.raw()))
+            .min()
+            .expect("radix ≥ 2 gives ≥ 1 clique peer")
+    }
+}
+
+/// `a`'s place in its clique along each dimension, lowest first: one
+/// 32-bit division per dimension (a GH has at most 2³⁰ nodes).
+pub(crate) fn cliques(gh: &GeneralizedHypercube, a: GhNode) -> impl Iterator<Item = Clique> + '_ {
+    let (mut rest, mut stride) = (a.raw() as u32, 1);
+    (0..gh.dim()).map(move |i| {
+        let radix = gh.radix(i) as u32;
+        let own = (rest % radix) as u64;
+        let c = Clique {
+            stride,
+            radix: radix as u64,
+            own,
+        };
+        (rest, stride) = (rest / radix, stride * radix as u64);
+        c
+    })
+}
+
+/// A round runs on the frontier while the last round's changes times
+/// the degree (the peers it visits) stay at or below this many per
+/// node, else it sweeps. Measured per round on a 2-vCPU Xeon (best of
+/// three; GH(2¹⁴), GH(3⁹), GH(4⁸), GH(8⁵); 2–20% uniform faults), a
+/// sweep cost 150–190 ns per node still at `n` and 3–5 ns per other
+/// node, a visit 40–110 ns. Over those eight instances this bound came
+/// within 1% of the cheaper kind every round; ½, 2 and 4 cost 6%, 3%
+/// and 20% more.
+const SWEEP_VISITS_PER_NODE: u64 = 1;
+
 impl GhSafetyMap {
     /// Computes the fixed point of Definition 4 for `gh` with the given
-    /// faulty nodes, by synchronous Jacobi iteration from the all-`n`
-    /// start (faulty nodes 0).
-    ///
-    /// Each Jacobi round is data-parallel (every node reads only the
-    /// previous round's levels), so the per-round sweep fans out over
-    /// rayon workers; the result is bitwise-identical to sequential
-    /// execution regardless of thread count.
+    /// faulty nodes: the Jacobi rounds from the all-`n` start (faulty
+    /// nodes 0), each on the frontier of the last round's changes (the
+    /// faults first) or, when those are many, as a sweep (DESIGN.md
+    /// §13). Each changes what a full round would, so the levels and
+    /// `rounds()` are the full iteration's. Members of `faults` past
+    /// the last node are ignored.
     pub fn compute(gh: &GeneralizedHypercube, faults: &FaultSet) -> Self {
-        use rayon::prelude::*;
         let n = gh.dim();
-        let mut levels: Vec<Level> = gh
-            .nodes()
-            .map(|a| {
-                if faults.contains(NodeId::new(a.raw())) {
-                    0
-                } else {
-                    n
-                }
-            })
-            .collect();
+        let len = gh.num_nodes();
+        // The faults, set to 0 in round 0, seed the frontier; members
+        // past the last node are neither set nor seeded.
+        let faulty = faults.words();
+        let mut levels = LevelStore::ceiling_except(n, len, faulty);
+        let mut frontier: Vec<GhNode> = levels.iter_eq(0).map(GhNode).collect();
+        let mut changes = Vec::new();
         let mut rounds = 0u32;
-        loop {
-            let prev = &levels;
-            let next: Vec<Level> = (0..gh.num_nodes())
-                .into_par_iter()
-                .map(|raw| {
-                    let a = GhNode(raw);
-                    if faults.contains(NodeId::new(raw)) {
-                        return 0;
-                    }
-                    let mut scratch: Vec<Level> = (0..n)
-                        .map(|i| {
-                            // S_i = min level among the rest of the
-                            // dimension-i clique (m_i − 1 nodes, all
-                            // directly connected).
-                            gh.neighbors_along(a, i)
-                                .map(|b| prev[b.raw() as usize])
-                                .min()
-                                .expect("radix ≥ 2 gives ≥ 1 clique peer")
-                        })
-                        .collect();
-                    level_from_neighbors(n, &mut scratch)
-                })
-                .collect();
-            if next == levels {
+        with_clear_marks(len, |marks| loop {
+            let sparse = frontier.len() as u64 * gh.degree() as u64 <= SWEEP_VISITS_PER_NODE * len;
+            let changed = if sparse {
+                frontier_round(gh, &mut levels, faulty, marks, &mut frontier, &mut changes)
+            } else {
+                sweep(gh, &mut levels, &mut frontier)
+            };
+            if changed == 0 {
                 break;
             }
-            levels = next;
             rounds += 1;
-        }
-        GhSafetyMap { levels, n, rounds }
+        });
+        GhSafetyMap { levels, rounds }
     }
 
     /// Number of dimensions `n`.
     pub fn dim(&self) -> u8 {
-        self.n
+        self.levels.max_level()
     }
 
     /// Safety level of node `a`.
     #[inline]
     pub fn level(&self, a: GhNode) -> Level {
-        self.levels[a.raw() as usize]
+        self.levels.get(a.raw())
     }
 
     /// Whether `a` is safe (level `n`).
     pub fn is_safe(&self, a: GhNode) -> bool {
-        self.level(a) == self.n
+        self.level(a) == self.dim()
     }
 
     /// Active rounds used by the computation.
@@ -103,18 +141,48 @@ impl GhSafetyMap {
 
     /// All safe nodes, ascending by index.
     pub fn safe_nodes(&self) -> Vec<GhNode> {
-        self.levels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == self.n)
-            .map(|(i, _)| GhNode(i as u64))
-            .collect()
+        self.levels.iter_eq(self.dim()).map(GhNode).collect()
     }
 
-    /// Raw level array indexed by node index.
-    pub fn as_slice(&self) -> &[Level] {
+    /// The packed level store, indexed by node index — the same seam
+    /// as [`crate::SafetyMap::store`].
+    pub fn store(&self) -> &LevelStore {
         &self.levels
     }
+
+    /// Unpacks into a byte-per-level vector, indexed by node index.
+    pub fn to_vec(&self) -> Vec<Level> {
+        self.levels.to_vec()
+    }
+}
+
+/// One Jacobi round over every node still at `n` (no other can change,
+/// DESIGN.md §13), in index order, against the levels before the round;
+/// `frontier` ends up holding the changed nodes. Returns their number.
+/// The places in the cliques advance like an odometer: no division.
+fn sweep(gh: &GeneralizedHypercube, levels: &mut LevelStore, frontier: &mut Vec<GhNode>) -> u64 {
+    let n = gh.dim();
+    let mut at: Vec<Clique> = cliques(gh, GhNode(0)).collect();
+    let mut next = levels.clone();
+    frontier.clear();
+    for a in (0..levels.len()).map(GhNode) {
+        if levels.get(a.raw()) == n {
+            let level = level_from_low_counts(n, at.iter().map(|c| c.min_level(levels, a)));
+            if level != n {
+                next.set(a.raw(), level);
+                frontier.push(a);
+            }
+        }
+        for c in &mut at {
+            c.own += 1;
+            if c.own < c.radix {
+                break;
+            }
+            c.own = 0;
+        }
+    }
+    *levels = next;
+    frontier.len() as u64
 }
 
 /// Per-node state of the distributed GH `GLOBAL_STATUS`
@@ -155,7 +223,6 @@ impl SyncNode for GhGsNode {
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         // Per-dimension minimum over the clique; a dimension with any
         // silent (faulty) peer reads 0.
-        let n = self.n as usize;
         let mut mins = [self.n; MAX_DIM as usize];
         let mut heard = [0u16; MAX_DIM as usize];
         for &(port, lv) in inbox {
@@ -168,7 +235,7 @@ impl SyncNode for GhGsNode {
                 *min = 0;
             }
         }
-        let new = level_from_neighbors(self.n, &mut mins[..n]);
+        let new = level_from_unsorted(self.n, mins[..self.n as usize].iter().copied());
         let changed = new != self.level;
         self.level = new;
         changed
@@ -193,6 +260,12 @@ pub(crate) fn gh_gs_engine<'a, 'g>(net: &'a GhNet<'g>) -> SyncEngine<'a, GhNet<'
     })
 }
 
+/// The levels of the `len` nodes of a lock-step engine, faulty ones 0.
+fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>) -> Vec<Level> {
+    let node = |a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level);
+    (0..len).map(node).collect()
+}
+
 /// Runs the distributed GH `GLOBAL_STATUS` to quiescence on the
 /// lock-step engine and returns the converged map plus engine
 /// statistics. Agrees with [`GhSafetyMap::compute`] (tested).
@@ -201,11 +274,8 @@ pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, 
     let net = GhNet::new(gh, faults);
     let mut eng = gh_gs_engine(&net);
     let rounds = eng.run_until_stable(n as u32 + 1);
-    let levels = (0..gh.num_nodes())
-        .map(|a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level))
-        .collect();
-    let stats = eng.stats().clone();
-    (GhSafetyMap { levels, n, rounds }, stats)
+    let levels = LevelStore::from_levels(n, &engine_levels(gh.num_nodes(), &eng));
+    (GhSafetyMap { levels, rounds }, eng.stats().clone())
 }
 
 /// Checked runner for the distributed GH `GLOBAL_STATUS`: steps the
@@ -225,12 +295,7 @@ pub fn run_gh_gs_checked(
     let fixed = |a: NodeId| central.level(GhNode(a.raw()));
     let net = GhNet::new(gh, faults);
     let mut eng = gh_gs_engine(&net);
-    let levels = |eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>| -> Vec<Level> {
-        (0..gh.num_nodes())
-            .map(|a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level))
-            .collect()
-    };
-    let mut prev = levels(&eng);
+    let mut prev = engine_levels(gh.num_nodes(), &eng);
     let mut rounds = 0u32;
     while eng.run_round() != 0 {
         rounds += 1;
@@ -241,13 +306,13 @@ pub fn run_gh_gs_checked(
                 detail: format!("still active after {rounds} rounds on an n = {n} GH"),
             });
         }
-        let now = levels(&eng);
+        let now = engine_levels(gh.num_nodes(), &eng);
         let cut = now.iter().zip(&prev).enumerate();
         let cut = cut.map(|(a, (&lv, &was))| (NodeId::new(a as u64), lv, lv <= was));
         check_level_corridor(cut, |_| n, fixed, true)?;
         prev = now;
     }
-    let cut = levels(&eng).into_iter().enumerate();
+    let cut = engine_levels(gh.num_nodes(), &eng).into_iter().enumerate();
     check_levels_converged(cut.map(|(a, lv)| (NodeId::new(a as u64), lv)), fixed)?;
     Ok(central)
 }
@@ -256,7 +321,176 @@ pub fn run_gh_gs_checked(
 mod tests {
     use super::*;
     use crate::safety::SafetyMap;
-    use hypersafe_topology::{FaultConfig, Hypercube};
+    use hypersafe_topology::{BitDims, FaultConfig, Hypercube};
+
+    /// `compute` agrees with the lock-step protocol (the engine
+    /// [`run_gh_gs`] runs) in levels and `rounds()`, and on an
+    /// all-radix-2 GH with the cube's scalar oracle. Both oracles step
+    /// round by round as fact (a) of DESIGN.md §13 says: after round
+    /// `r` a node holds its final level if that is `r` or less, else
+    /// `n`. So round `r + 1` follows the nodes of final level `r` (the
+    /// faults for `r = 0`), and the returned schedule says, per round,
+    /// whether `compute` ran it on the frontier.
+    fn assert_matches_protocol(
+        gh: &GeneralizedHypercube,
+        faults: &FaultSet,
+        what: &str,
+    ) -> (GhSafetyMap, Vec<bool>) {
+        let map = GhSafetyMap::compute(gh, faults);
+        let n = gh.dim();
+        let after = |r: u32| -> Vec<Level> {
+            let cap = |l: Level| if u32::from(l) <= r { l } else { n };
+            map.to_vec().into_iter().map(cap).collect()
+        };
+        let net = GhNet::new(gh, faults);
+        let mut eng = gh_gs_engine(&net);
+        let mut rounds = 0;
+        assert_eq!(engine_levels(gh.num_nodes(), &eng), after(0), "{what}");
+        while eng.run_round() != 0 {
+            rounds += 1;
+            assert_eq!(
+                engine_levels(gh.num_nodes(), &eng),
+                after(rounds),
+                "{what} round {rounds}"
+            );
+        }
+        assert_eq!(map.rounds(), rounds, "{what}");
+        if (0..n).all(|i| gh.radix(i) == 2) {
+            let cube = Hypercube::new(n);
+            let cfg = FaultConfig::with_node_faults(cube, faults.clone());
+            let (_, trace) = SafetyMap::compute_reference_trace(&cfg);
+            assert_eq!(trace, (0..=rounds).map(after).collect::<Vec<_>>(), "{what}");
+        }
+        let schedule = (0..=rounds).map(|r| {
+            let changed = map.store().count_eq(r as Level);
+            changed * gh.degree() as u64 <= SWEEP_VISITS_PER_NODE * gh.num_nodes()
+        });
+        let schedule = schedule.collect();
+        (map, schedule)
+    }
+
+    /// Every node-fault set of `gh`.
+    fn every_fault_set(gh: &GeneralizedHypercube) -> impl Iterator<Item = FaultSet> + '_ {
+        let len = gh.num_nodes();
+        (0u64..1 << len).map(move |mask| {
+            let mut f = gh.fault_set();
+            for a in BitDims(mask) {
+                f.insert(NodeId::new(a as u64));
+            }
+            f
+        })
+    }
+
+    #[test]
+    fn matches_the_protocol_on_every_fault_set_of_gh_3_3() {
+        let gh = GeneralizedHypercube::new(&[3, 3]);
+        for (mask, f) in every_fault_set(&gh).enumerate() {
+            assert_matches_protocol(&gh, &f, &format!("GH(3,3) mask={mask:#b}"));
+        }
+    }
+
+    #[test]
+    fn matches_the_protocol_on_every_fault_set_of_gh_4_2_2() {
+        let gh = GeneralizedHypercube::from_product(&[4, 2, 2]);
+        for (mask, f) in every_fault_set(&gh).enumerate() {
+            assert_matches_protocol(&gh, &f, &format!("GH(4,2,2) mask={mask:#b}"));
+        }
+    }
+
+    #[test]
+    fn matches_the_protocol_and_the_cube_on_every_fault_set_of_gh_2_2_2_2() {
+        let gh = GeneralizedHypercube::new(&[2, 2, 2, 2]);
+        for (mask, f) in every_fault_set(&gh).enumerate() {
+            assert_matches_protocol(&gh, &f, &format!("GH(2,2,2,2) mask={mask:#b}"));
+        }
+    }
+
+    #[test]
+    fn faults_past_the_last_node_are_ignored() {
+        // A set sized for 200 nodes on the 36-node GH(3,3,4), with
+        // members past 36 in the GH's last word and in later words: the
+        // map is the one of the in-range members alone, and the
+        // frontier is seeded with those only (a member past the end
+        // would index the mark bits out of range).
+        let gh = GeneralizedHypercube::new(&[3, 3, 4]);
+        let mut wide = FaultSet::with_capacity(200);
+        let mut fitted = gh.fault_set();
+        for a in [0u64, 4, 13, 35] {
+            wide.insert(NodeId::new(a));
+            fitted.insert(NodeId::new(a));
+        }
+        for a in [36u64, 40, 63, 64, 130, 199] {
+            wide.insert(NodeId::new(a));
+        }
+        let (map, _) = assert_matches_protocol(&gh, &wide, "wide set");
+        assert_eq!(map, GhSafetyMap::compute(&gh, &fitted));
+    }
+
+    #[test]
+    fn every_schedule_occurs() {
+        let faults = |gh: &GeneralizedHypercube, nodes: &[u64]| {
+            let mut f = gh.fault_set();
+            for &a in nodes {
+                f.insert(NodeId::new(a));
+            }
+            f
+        };
+        // Fig. 1's faults on GH(2,2,2,2): four faults times degree four
+        // stay within the 16-node budget, and so do the rounds after.
+        let gh = GeneralizedHypercube::new(&[2, 2, 2, 2]);
+        let f = faults(&gh, &[0b0011, 0b0100, 0b0110, 0b1001]);
+        let (map, s) = assert_matches_protocol(&gh, &f, "fig1 on GH(2,2,2,2)");
+        assert_eq!((map.rounds(), s), (2, vec![true, true, true]));
+        // Ten faults in the 27-node GH(3,3,3), degree six (a budget of
+        // four changes per round): every round sweeps.
+        let gh = GeneralizedHypercube::new(&[3, 3, 3]);
+        let f = faults(&gh, &[0, 6, 7, 8, 9, 10, 11, 12, 16, 24]);
+        let (map, s) = assert_matches_protocol(&gh, &f, "ten faults on GH(3,3,3)");
+        assert_eq!((map.rounds(), s), (2, vec![false, false, false]));
+        // Four faults: round 1 runs on the frontier (24 visits) but
+        // changes more than four nodes, over the budget, so round 2
+        // sweeps; it changes four or fewer, so the quiet round 3 runs
+        // on the frontier again.
+        let f = faults(&gh, &[1, 8, 13, 14]);
+        let (map, s) = assert_matches_protocol(&gh, &f, "four faults on GH(3,3,3)");
+        assert_eq!((map.rounds(), s), (2, vec![true, false, true]));
+    }
+
+    /// A small deterministic generator for the proptest's draws.
+    fn splitmix(z: &mut u64) -> u64 {
+        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = *z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Radices 2–8 over 1–5 dimensions with uniform faults on up to
+        /// 60% of the nodes: the trace equals the lock-step protocol's
+        /// round by round. Low shares run every round on the frontier,
+        /// high shares and single cliques sweep every round, and the
+        /// shares in between switch mid-run ([`every_schedule_occurs`]
+        /// pins one instance of each).
+        #[test]
+        fn frontier_rounds_match_the_protocol_round_by_round(
+            dims in 1usize..=5,
+            share in 0u64..=60,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut z = seed;
+            let radices: Vec<u16> = (0..dims).map(|_| 2 + (splitmix(&mut z) % 7) as u16).collect();
+            let gh = GeneralizedHypercube::new(&radices);
+            let len = gh.num_nodes();
+            let mut f = gh.fault_set();
+            for _ in 0..len * share / 100 {
+                f.insert(NodeId::new(splitmix(&mut z) % len));
+            }
+            assert_matches_protocol(&gh, &f, &format!("GH{radices:?} share={share} seed={seed}"));
+        }
+    }
 
     #[test]
     fn binary_radices_reduce_to_definition1() {
@@ -267,7 +501,7 @@ mod tests {
         let ghmap = GhSafetyMap::compute(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
-        assert_eq!(ghmap.as_slice(), qmap.to_vec());
+        assert_eq!(ghmap.to_vec(), qmap.to_vec());
         assert_eq!(ghmap.rounds(), qmap.rounds());
     }
 
@@ -318,7 +552,7 @@ mod tests {
             }
             let central = GhSafetyMap::compute(&gh, &f);
             let (dist, stats) = run_gh_gs(&gh, &f);
-            assert_eq!(central.as_slice(), dist.as_slice(), "mask {mask:#b}");
+            assert_eq!(central.store(), dist.store(), "mask {mask:#b}");
             assert_eq!(central.rounds(), dist.rounds(), "mask {mask:#b}");
             if mask == 0 {
                 assert_eq!(stats.active_rounds, 0, "fault-free costs nothing");
@@ -335,7 +569,7 @@ mod tests {
         f.insert(NodeId::new(13));
         let central = GhSafetyMap::compute(&gh, &f);
         let (dist, _) = run_gh_gs(&gh, &f);
-        assert_eq!(central.as_slice(), dist.as_slice());
+        assert_eq!(central.store(), dist.store());
     }
 
     #[test]

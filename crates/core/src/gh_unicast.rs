@@ -9,7 +9,8 @@
 //! specific preferred neighbor is eligible iff its own level is at
 //! least the remaining distance minus one).
 
-use crate::gh_safety::GhSafetyMap;
+use crate::gh_safety::{cliques, GhSafetyMap};
+use crate::level_store::LevelStore;
 use crate::safety::Level;
 use crate::unicast::{
     rule_at_hop, rule_at_source, Condition, LevelView, PortSpace, SourceStep, TieBreak,
@@ -85,6 +86,14 @@ impl PortSpace for &GeneralizedHypercube {
 
     fn raw(a: GhNode) -> u64 {
         a.raw()
+    }
+
+    fn neighbours(self, a: GhNode) -> impl Iterator<Item = GhNode> {
+        cliques(self, a).flat_map(move |c| c.peers(a))
+    }
+
+    fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
+        cliques(self, a).map(move |c| c.min_level(levels, a))
     }
 }
 

@@ -19,27 +19,34 @@
 
 use crate::level_store::NeighborLevels;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
-use crate::safety::{level_from_neighbors, level_from_unsorted, Level, SafetyMap};
+use crate::safety::{level_from_unsorted, Level, SafetyMap};
 use hypersafe_simkit::{
     Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
     ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
 };
-use hypersafe_topology::{FaultConfig, NodeId, MAX_DIM};
+use hypersafe_topology::{FaultConfig, NodeId};
 
-/// Per-node state of the synchronous GS protocol.
+/// Per-node state of the synchronous GS protocol and of EGS
+/// ([`crate::egs::run_egs`]), where an `N2` node advertises 0.
 #[derive(Clone, Debug)]
 pub struct GsNode {
     n: u8,
     level: Level,
+    /// Whether the node is in EGS's `N2` and so advertises 0.
+    pub(crate) n2: bool,
 }
 
 impl GsNode {
     /// Fresh state for a node of an `n`-cube: initially `n`-safe.
     pub fn new(n: u8) -> Self {
-        GsNode { n, level: n }
+        GsNode {
+            n,
+            level: n,
+            n2: false,
+        }
     }
 
-    /// Current safety level.
+    /// Current safety level (for an `N2` node, its private view).
     pub fn level(&self) -> Level {
         self.level
     }
@@ -49,18 +56,20 @@ impl SyncNode for GsNode {
     type Msg = Level;
 
     fn broadcast(&self) -> Level {
-        self.level
+        if self.n2 {
+            0
+        } else {
+            self.level
+        }
     }
 
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
-        // Dimensions that delivered nothing (faulty neighbor or faulty
-        // link) read as level 0. Stack scratch: this runs once per node
-        // per round, so a heap allocation here dominates at n = 20.
-        let mut levels = [0 as Level; MAX_DIM as usize];
-        for &(dim, lv) in inbox {
-            levels[dim] = lv;
-        }
-        let new = level_from_neighbors(self.n, &mut levels[..self.n as usize]);
+        // One message per delivering dimension; the dimensions that
+        // delivered nothing (faulty neighbor or faulty link) read as
+        // level 0.
+        let silent = self.n as usize - inbox.len();
+        let heard = inbox.iter().map(|&(_, lv)| lv);
+        let new = level_from_unsorted(self.n, heard.chain(std::iter::repeat_n(0, silent)));
         let changed = new != self.level;
         self.level = new;
         changed

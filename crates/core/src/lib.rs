@@ -83,7 +83,7 @@ pub mod unicast_distributed;
 pub use broadcast::{broadcast, BroadcastResult};
 pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
-pub use egs::{route_egs, route_egs_traced, run_egs, EgsNode, ExtendedSafetyMap};
+pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
 pub use gh_broadcast::{gh_broadcast, GhBroadcastResult};
 pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhGsNode, GhSafetyMap};
@@ -109,7 +109,7 @@ pub use properties::{
 };
 pub use reroute::{route_dynamic, DynamicOutcome, DynamicRun, FaultEvent};
 pub use route_batch::{route_light, route_many, route_many_seq, route_many_tb, BatchOutcome};
-pub use safety::{level_from_neighbors, level_from_sorted, level_from_unsorted, Level, SafetyMap};
+pub use safety::{level_from_sorted, level_from_unsorted, Level, SafetyMap};
 pub use safety_delta::{
     run_delta_gs, ChurnEvent, DeltaGsDirected, DeltaGsNode, DeltaGsRun, DeltaStats,
 };

@@ -138,34 +138,9 @@ pub fn check_theorem2(cfg: &FaultConfig, map: &SafetyMap) -> Result<(), Violatio
 pub fn check_property1(cfg: &FaultConfig) -> Result<(), Violation> {
     let cube = cfg.cube();
     let n = cube.dim();
-    // Replay Jacobi iteration, recording each round's snapshot.
-    let mut snapshots: Vec<Vec<Level>> = Vec::new();
-    let mut levels: Vec<Level> = cube
-        .nodes()
-        .map(|a| if cfg.node_faulty(a) { 0 } else { n })
-        .collect();
-    snapshots.push(levels.clone());
-    let mut scratch = vec![0 as Level; n as usize];
-    loop {
-        let mut next = levels.clone();
-        let mut changed = false;
-        for a in cube.nodes() {
-            if cfg.node_faulty(a) {
-                continue;
-            }
-            for (i, b) in cube.neighbors(a).enumerate() {
-                scratch[i] = levels[b.raw() as usize];
-            }
-            let lv = crate::safety::level_from_neighbors(n, &mut scratch);
-            changed |= lv != levels[a.raw() as usize];
-            next[a.raw() as usize] = lv;
-        }
-        if !changed {
-            break;
-        }
-        levels = next;
-        snapshots.push(levels.clone());
-    }
+    // Replay the scalar Jacobi sweep on the node faults (not the links).
+    let nodes_only = FaultConfig::with_node_faults(cube, cfg.node_faults().clone());
+    let (_, snapshots) = SafetyMap::compute_reference_trace(&nodes_only);
     let active_rounds = snapshots.len() as u32 - 1;
     if active_rounds > (n - 1) as u32 {
         return Err(Violation::new(

@@ -41,16 +41,19 @@
 //! and one that does change has at least two neighbors that changed in
 //! the round before (DESIGN.md §13). So each round visits the
 //! neighbours of the last round's changes and evaluates those met
-//! twice, one `SafetyMap::rule_level` each on the packed store, against
-//! the old levels, applying the changes after. While the changes are
-//! many for the cube's size a round sweeps the planes instead. Either
-//! way a round changes exactly the nodes a full sweep would, so every
-//! round's levels and the round count are those of the full sweep.
+//! twice and still at `n`, one `rule_level` each on the packed store,
+//! against the old levels, applying the changes after. While the
+//! changes are many for the cube's size a round sweeps the planes
+//! instead. Either way a round changes exactly the nodes a full sweep
+//! would, so every round's levels and the round count are those of
+//! the full sweep. [`crate::GhSafetyMap::compute`] runs the same
+//! frontier rounds, generic over the topology's ports.
 
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
 use crate::safety_delta::with_clear_marks;
+use crate::unicast::{PortSpace, Qn};
 use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, MAX_DIM};
 
 /// Safety level of one node: `0..=n`. `n` means *safe*; anything less
@@ -82,20 +85,12 @@ pub fn level_from_sorted(n: u8, sorted: &[Level]) -> Level {
     n
 }
 
-/// Applies Definition 1 to an unsorted neighbor level sequence
-/// (sorts a scratch copy in place).
-#[inline]
-pub fn level_from_neighbors(n: u8, levels: &mut [Level]) -> Level {
-    levels.sort_unstable();
-    level_from_sorted(n, levels)
-}
-
 /// Applies Definition 1 to an unsorted neighbor level stream without
 /// sorting or allocating: builds a level histogram on the stack and
 /// returns the least `k` with more than `k` neighbors of level `< k`
-/// (else `n`). Equivalent to [`level_from_neighbors`] because, with the
-/// sequence sorted nondecreasingly, `S_k < k` holds iff at least
-/// `k + 1` entries are below `k`.
+/// (else `n`). Equivalent to [`level_from_sorted`] on the sorted
+/// sequence because, with the sequence sorted nondecreasingly,
+/// `S_k < k` holds iff at least `k + 1` entries are below `k`.
 ///
 /// # Examples
 ///
@@ -122,13 +117,13 @@ pub fn level_from_unsorted<I: IntoIterator<Item = Level>>(n: u8, levels: I) -> L
     n
 }
 
-/// [`level_from_unsorted`] with less work per call, for
-/// [`SafetyMap::rule_level`]: the histogram is 32 bytes (one store to
-/// clear), neighbours at the ceiling `n` are not counted (the scan never
-/// reads them), and the scan stops once `k` reaches the number `low` of
-/// neighbours below `n`, which bounds every "neighbours below `k`".
+/// [`level_from_unsorted`] with less work per call, for [`rule_level`]:
+/// the histogram is 32 bytes (one store to clear), neighbours at the
+/// ceiling `n` are not counted (the scan never reads them), and the
+/// scan stops once `k` reaches the number `low` of neighbours below
+/// `n`, which bounds every "neighbours below `k`".
 #[inline(always)]
-fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Level>) -> Level {
+pub(crate) fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Level>) -> Level {
     let mut counts = [0u8; 32];
     let mut low = 0u8;
     for l in levels {
@@ -303,7 +298,7 @@ fn first_round_planes(n: u8, len: u64, faulty: &[u64], ones: &mut [u64]) -> Plan
 /// at or below this many per word. Measured per round on a 2-vCPU
 /// Xeon from Q10 to Q20, a plane round costs 130–650 ns per word, more
 /// as the levels spread, and a visit 10–50 ns: a mark-bit test, plus
-/// one [`SafetyMap::rule_level`] for a node met twice. Where the
+/// one [`rule_level`] for a node met twice. Where the
 /// frontier is near this size, on uniform faults, a word cost 11–23
 /// visits; only the first rounds of one compact cluster, where nearly
 /// every node visited is met twice and few words hold any change, came
@@ -334,16 +329,85 @@ enum Rounds {
     Planes { cur: PlaneView, prev: PlaneView },
     /// Only the neighbours of `frontier`, the nodes the last round
     /// changed, are visited, on the packed store.
-    Nodes { map: SafetyMap, frontier: Vec<u64> },
+    Nodes {
+        levels: LevelStore,
+        frontier: Vec<NodeId>,
+    },
 }
 
 impl Rounds {
     fn to_vec(&self) -> Vec<Level> {
         match self {
             Rounds::Planes { cur, .. } => cur.to_store().to_vec(),
-            Rounds::Nodes { map, .. } => map.to_vec(),
+            Rounds::Nodes { levels, .. } => levels.to_vec(),
         }
     }
+}
+
+/// Definition 1 (Definition 4 in a generalized hypercube) at `a` over
+/// the packed store, from `a`'s readings; pinning a faulty `a` to 0 is
+/// the caller's part. Both topologies' frontier rounds, the delta and
+/// [`SafetyMap::check_fixed_point_since`] evaluate the rule here;
+/// [`SafetyMap::compute_reference`] keeps its own histogram copy as
+/// the independent oracle.
+#[inline(always)]
+pub(crate) fn rule_level<S: PortSpace>(space: S, levels: &LevelStore, a: S::Node) -> Level {
+    level_from_low_counts(space.ceiling(), space.readings(levels, a))
+}
+
+/// One Jacobi round over the open neighbourhoods of `frontier`, the
+/// nodes the last round changed (round 0 sets the faults to 0): no
+/// other node can change. By DESIGN.md §13, a node changes at most
+/// once, from `n`, and only if two of its neighbours changed in the
+/// round before, so only nodes at `n` met twice are evaluated, against
+/// the levels before the round; the changes land after. Faulty nodes
+/// are skipped as they are met, which keeps the list short. `marks`,
+/// left clear, records the healthy nodes met once. On return
+/// `frontier` holds the nodes this round changed; returns their number.
+pub(crate) fn frontier_round<S: PortSpace>(
+    space: S,
+    levels: &mut LevelStore,
+    faulty: &[u64],
+    marks: &mut [u64],
+    frontier: &mut Vec<S::Node>,
+    changes: &mut Vec<(S::Node, Level)>,
+) -> u64 {
+    let bit_of = |c: S::Node| ((S::raw(c) / 64) as usize, 1u64 << (S::raw(c) % 64));
+    changes.clear();
+    for c in frontier.iter().flat_map(|&v| space.neighbours(v)) {
+        let (w, bit) = bit_of(c);
+        if faulty[w] & bit != 0 {
+            continue;
+        }
+        if marks[w] & bit != 0 {
+            changes.push((c, 0));
+        }
+        marks[w] |= bit;
+    }
+    // A node met three times or more is listed more than once; its
+    // first entry evaluates it and clears its mark.
+    changes.retain_mut(|(c, level)| {
+        let (w, bit) = bit_of(*c);
+        if marks[w] & bit == 0 {
+            return false;
+        }
+        marks[w] &= !bit;
+        if levels.get(S::raw(*c)) != space.ceiling() {
+            return false;
+        }
+        *level = rule_level(space, levels, *c);
+        *level != space.ceiling()
+    });
+    for c in frontier.iter().flat_map(|&v| space.neighbours(v)) {
+        let (w, bit) = bit_of(c);
+        marks[w] &= !bit;
+    }
+    frontier.clear();
+    for &(c, level) in changes.iter() {
+        levels.set(S::raw(c), level);
+        frontier.push(c);
+    }
+    changes.len() as u64
 }
 
 impl SafetyMap {
@@ -440,22 +504,22 @@ impl SafetyMap {
         // left small freed blocks that later large allocations could
         // not reuse: fan-dense peaked 0.12 MB higher in 6 of 16 seeds.
         let cap = (FRONTIER_VISITS_PER_WORD * len.div_ceil(64) / n as u64) as usize;
-        with_clear_marks(n, |marks| {
+        with_clear_marks(len, |marks| {
             let ones = first_round(n, len, faulty, marks);
             if ones == 0 {
                 return start();
             }
             let mut state = if frontier_is_sparse(ones, n, len) {
-                let mut map = start();
+                let mut levels = start().levels;
                 let mut frontier = Vec::with_capacity(cap);
                 for (w, m) in marks.iter_mut().enumerate() {
                     for j in BitDims(std::mem::take(m)) {
                         let a = w as u64 * 64 + j as u64;
-                        map.levels.set(a, 1);
-                        frontier.push(a);
+                        levels.set(a, 1);
+                        frontier.push(NodeId::new(a));
                     }
                 }
-                Rounds::Nodes { map, frontier }
+                Rounds::Nodes { levels, frontier }
             } else {
                 Rounds::Planes {
                     cur: first_round_planes(n, len, faulty, marks),
@@ -478,19 +542,15 @@ impl SafetyMap {
                         let mut frontier = Vec::with_capacity(cap);
                         frontier.extend((0..cur.words()).flat_map(|w| {
                             BitDims(plane_diff_word(&cur, &prev, w))
-                                .map(move |j| w as u64 * 64 + j as u64)
+                                .map(move |j| NodeId::new(w as u64 * 64 + j as u64))
                         }));
                         Rounds::Nodes {
                             frontier,
-                            map: SafetyMap {
-                                n,
-                                levels: cur.to_store(),
-                                rounds: 0,
-                            },
+                            levels: cur.to_store(),
                         }
                     }
-                    Rounds::Nodes { map, .. } if !sparse => Rounds::Planes {
-                        cur: PlaneView::from_store(&map.levels),
+                    Rounds::Nodes { levels, .. } if !sparse => Rounds::Planes {
+                        cur: PlaneView::from_store(&levels),
                         prev: PlaneView::zeroed(n, len),
                     },
                     r => r,
@@ -506,8 +566,8 @@ impl SafetyMap {
                         }
                         c
                     }
-                    Rounds::Nodes { map, frontier } => {
-                        map.frontier_round(faulty, marks, frontier, &mut changes)
+                    Rounds::Nodes { levels, frontier } => {
+                        frontier_round(Qn(n), levels, faulty, marks, frontier, &mut changes)
                     }
                 };
                 if changed == 0 {
@@ -517,7 +577,7 @@ impl SafetyMap {
             }
             let levels = match state {
                 Rounds::Planes { cur, .. } => cur.to_store(),
-                Rounds::Nodes { map, .. } => map.levels,
+                Rounds::Nodes { levels, .. } => levels,
             };
             SafetyMap {
                 n,
@@ -525,56 +585,6 @@ impl SafetyMap {
                 rounds: active,
             }
         })
-    }
-
-    /// One Jacobi round over the open neighbourhoods of `frontier`, the
-    /// nodes the last round changed: no other node has an input that
-    /// moved, so no other node can change. A node that changes in round
-    /// `r + 1 ≥ 2` has at least two neighbours that changed in round `r`
-    /// (DESIGN.md §13), so only nodes met twice are evaluated, against
-    /// the levels before the round, and the changes land after (Jacobi,
-    /// not Gauss–Seidel). `marks`, left clear, records the nodes met
-    /// once. On return `frontier` holds the nodes this round changed;
-    /// returns their number.
-    fn frontier_round(
-        &mut self,
-        faulty: &[u64],
-        marks: &mut [u64],
-        frontier: &mut Vec<u64>,
-        changes: &mut Vec<(u64, Level)>,
-    ) -> u64 {
-        let neighbours = |v: u64| (0..self.n).map(move |d| v ^ (1 << d));
-        changes.clear();
-        for c in frontier.iter().flat_map(|&v| neighbours(v)) {
-            let (w, bit) = ((c / 64) as usize, 1u64 << (c % 64));
-            if faulty[w] & bit != 0 {
-                continue;
-            }
-            if marks[w] & bit != 0 {
-                changes.push((c, 0));
-            }
-            marks[w] |= bit;
-        }
-        // A node met three times or more is listed more than once; its
-        // first entry evaluates it and clears its mark.
-        changes.retain_mut(|(c, level)| {
-            let (w, bit) = ((*c / 64) as usize, 1u64 << (*c % 64));
-            if marks[w] & bit == 0 {
-                return false;
-            }
-            marks[w] &= !bit;
-            *level = self.rule_level(NodeId::new(*c));
-            *level != self.levels.get(*c)
-        });
-        for c in frontier.iter().flat_map(|&v| neighbours(v)) {
-            marks[(c / 64) as usize] &= !(1u64 << (c % 64));
-        }
-        frontier.clear();
-        for &(c, level) in changes.iter() {
-            self.levels.set(c, level);
-            frontier.push(c);
-        }
-        changes.len() as u64
     }
 
     /// The historical byte-per-node Jacobi sweep, kept as the
@@ -802,21 +812,6 @@ impl SafetyMap {
         self.rounds = rounds;
     }
 
-    /// Definition 1 at `a` over the packed store: the level the current
-    /// levels of `a`'s neighbours give it (pinning a faulty `a` to 0 is
-    /// the caller's part). [`SafetyMap::compute`]'s frontier rounds, the
-    /// delta worklist and [`SafetyMap::check_fixed_point_since`]
-    /// evaluate the rule here;
-    /// [`SafetyMap::compute_reference`] keeps its own histogram copy as
-    /// the independent oracle.
-    #[inline]
-    pub(crate) fn rule_level(&self, a: NodeId) -> Level {
-        level_from_low_counts(
-            self.n,
-            (0..self.n).map(|d| self.levels.get(a.raw() ^ (1 << d))),
-        )
-    }
-
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
     /// that it is *the* fixed point promised by Theorem 1. Returns the
     /// first (lowest-addressed) violating node, if any.
@@ -919,7 +914,7 @@ impl SafetyMap {
                 let want = if cfg.node_faulty(a) {
                     0
                 } else {
-                    self.rule_level(a)
+                    rule_level(Qn(self.n), &self.levels, a)
                 };
                 if self.level(a) != want {
                     first = c;

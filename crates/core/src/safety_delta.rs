@@ -21,7 +21,7 @@
 //! nodes in a dense bit per node, kept per thread and left clear by
 //! every drained event, so an event neither hashes nor allocates; each
 //! pop evaluates Definition 1 on the packed store with
-//! `SafetyMap::rule_level`, which the diff-driven fixed-point check
+//! `safety::rule_level`, which the diff-driven fixed-point check
 //! uses too.
 //!
 //! [`SafetyMap::apply_fault`] / [`SafetyMap::apply_recover`] are the
@@ -36,7 +36,8 @@ use std::collections::VecDeque;
 
 use crate::level_store::NeighborLevels;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
-use crate::safety::{level_from_unsorted, Level, SafetyMap};
+use crate::safety::{level_from_unsorted, rule_level, Level, SafetyMap};
+use crate::unicast::Qn;
 use hypersafe_simkit::{
     Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, InvariantViolation, RunOptions,
     RunReport,
@@ -165,7 +166,7 @@ impl SafetyMap {
                 continue;
             }
             stats.cells_touched += 1;
-            let new = self.rule_level(b);
+            let new = rule_level(Qn(self.dim()), self.store(), b);
             if new != self.level(b) {
                 self.set_level(b, new);
                 stats.cells_changed += 1;
@@ -233,17 +234,17 @@ thread_local! {
     static WORKLIST: Cell<Option<Worklist>> = const { Cell::new(None) };
 }
 
-/// Runs `f` on clear bits, one per node of an `n`-cube, which `f` must
-/// leave clear: this thread's queued bits when it holds a worklist for
-/// an `n`-cube, else a fresh array. [`SafetyMap::compute`]'s frontier
-/// rounds mark nodes in them, so a thread that maintains a map by
-/// delta keeps one `2ⁿ`-bit scratch for both computations, and a
-/// thread that only computes keeps none between calls.
-pub(crate) fn with_clear_marks<R>(n: u8, f: impl FnOnce(&mut [u64]) -> R) -> R {
+/// Runs `f` on `len` clear bits, which `f` must leave clear: the first
+/// of this thread's queued bits when its worklist holds enough, else a
+/// fresh array. The frontier rounds of both topologies mark nodes in
+/// them, so a thread that maintains a map by delta keeps one `2ⁿ`-bit
+/// scratch for all three, and one that only computes keeps none.
+pub(crate) fn with_clear_marks<R>(len: u64, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    let words = len.div_ceil(64) as usize;
     let mut work = WORKLIST.take();
-    let r = match work.as_mut().filter(|w| w.n == n) {
-        Some(w) => f(&mut w.queued),
-        None => f(&mut vec![0; (1usize << n).div_ceil(64)]),
+    let r = match work.as_mut().filter(|w| w.queued.len() >= words) {
+        Some(w) => f(&mut w.queued[..words]),
+        None => f(&mut vec![0; words]),
     };
     debug_assert!(
         work.iter().all(|w| w.queued.iter().all(|&m| m == 0)),

@@ -54,6 +54,7 @@
 //! * `gh_route` walks GH addresses, which the cube walk's navigation
 //!   vector cannot carry, over the same rule.
 
+use crate::level_store::LevelStore;
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
 use hypersafe_simkit::Trace;
@@ -130,7 +131,8 @@ pub enum TieBreak {
 }
 
 /// What the §3 rule needs from a topology: addresses, distance, and
-/// the preferred and spare ports of a node toward a destination.
+/// the preferred and spare ports of a node toward a destination; and
+/// what the safety-level fixed point needs: neighbors and readings.
 pub(crate) trait PortSpace: Copy {
     /// A node address.
     type Node: Copy + Eq;
@@ -149,6 +151,16 @@ pub(crate) trait PortSpace: Copy {
     fn spare(self, at: Self::Node, d: Self::Node) -> impl Iterator<Item = Self::Port> + Clone;
     /// The address as an integer, seeding [`TieBreak::Hashed`].
     fn raw(a: Self::Node) -> u64;
+    /// Every neighbor of `a`.
+    fn neighbours(self, a: Self::Node) -> impl Iterator<Item = Self::Node>;
+    /// The level each dimension of `a` reads from `levels`: by default
+    /// its neighbors' levels in order, one per dimension as in `Q_n`
+    /// (Definition 1); a generalized hypercube reads the lowest in the
+    /// rest of each clique (Definition 4).
+    #[inline(always)]
+    fn readings(self, levels: &LevelStore, a: Self::Node) -> impl Iterator<Item = Level> {
+        self.neighbours(a).map(move |b| levels.get(Self::raw(b)))
+    }
 }
 
 /// The binary cube `Q_n` as a [`PortSpace`]: a port is a dimension.
@@ -182,6 +194,11 @@ impl PortSpace for Qn {
     #[inline]
     fn raw(a: NodeId) -> u64 {
         a.raw()
+    }
+
+    #[inline(always)]
+    fn neighbours(self, a: NodeId) -> impl Iterator<Item = NodeId> {
+        (0..self.0).map(move |d| a.neighbor(d))
     }
 }
 

@@ -37,7 +37,7 @@ fn distributed_gs_matches_centralized_across_shapes() {
                 let f = random_faults(gh, m, rng);
                 let central = GhSafetyMap::compute(gh, &f);
                 let (dist, _) = run_gh_gs(gh, &f);
-                (central.as_slice() != dist.as_slice()) as u32
+                (central.store() != dist.store()) as u32
             })
             .iter()
             .sum();

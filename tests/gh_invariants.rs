@@ -37,7 +37,7 @@ fn gh333_checked_runner_descends_monotonically_and_converges() {
     for (k, f) in fault_sets_up_to_two(&gh).iter().enumerate() {
         let map = run_gh_gs_checked(&gh, f).unwrap_or_else(|v| panic!("fault set {k}: {v:?}"));
         let central = GhSafetyMap::compute(&gh, f);
-        assert_eq!(map.as_slice(), central.as_slice(), "fault set {k}");
+        assert_eq!(map.store(), central.store(), "fault set {k}");
     }
 }
 

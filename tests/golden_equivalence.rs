@@ -271,13 +271,13 @@ fn record_gh_scenario(
     let (map, stats) = run_gh_gs(gh, faults);
     out.push(format!(
         "{tag} gh_gs levels={} {}",
-        fmt_levels(map.as_slice()),
+        fmt_levels(&map.to_vec()),
         fmt_sync_stats(&stats)
     ));
     let central = GhSafetyMap::compute(gh, faults);
     assert_eq!(
-        map.as_slice(),
-        central.as_slice(),
+        map.store(),
+        central.store(),
         "{tag}: distributed GH GS must match the centralized fixed point"
     );
 

@@ -149,7 +149,7 @@ proptest! {
         let ghmap = GhSafetyMap::compute(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
-        prop_assert_eq!(ghmap.as_slice(), qmap.to_vec());
+        prop_assert_eq!(ghmap.to_vec(), qmap.to_vec());
     }
 
     /// BFS ground truth: the safety-level route is never shorter than
