@@ -17,13 +17,27 @@
 //! in `n` time steps with one message per receiving node; and by
 //! Property 2, with fewer than `n` faults an unsafe source can always
 //! relay through a safe neighbor at the cost of one extra step.
+//!
+//! **Generalized hypercubes** (§4.2) broadcast with the same tree. A
+//! dimension is a clique, so covering dimension `i` sends to all
+//! `m_i − 1` peers at once, each inheriting the remaining dimensions;
+//! a dimension's reading is its clique minimum (Definition 4), which
+//! with radix 2 is the one neighbor's level. The guarantee holds by
+//! the same argument. [`broadcast`] and [`gh_broadcast`] are typed
+//! entry points over one builder, and
+//! [`crate::broadcast_distributed::run_broadcast`] shares its child
+//! order and relay choice.
 
-use crate::safety::SafetyMap;
-use hypersafe_topology::{FaultConfig, NodeId};
+use crate::gh_safety::GhSafetyMap;
+use crate::level_store::LevelStore;
+use crate::safety::{Level, SafetyMap};
+use crate::unicast::{PortSpace, Qn};
+use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
 
-/// Outcome of one broadcast.
+/// Outcome of one broadcast, over `Q_n` ([`NodeId`]) or a generalized
+/// hypercube ([`GhNode`]).
 #[derive(Clone, Debug)]
-pub struct BroadcastResult {
+pub struct BroadcastResult<N = NodeId> {
     /// Whether each node (by raw address) received the message.
     received: Vec<bool>,
     /// Messages sent (every tree edge, including ones lost into faulty
@@ -33,17 +47,17 @@ pub struct BroadcastResult {
     pub steps: u32,
     /// The safe neighbor used as relay when the source itself was not
     /// safe enough (`None` when the source broadcast directly).
-    pub relayed_via: Option<NodeId>,
+    pub relayed_via: Option<N>,
 }
 
-impl BroadcastResult {
+impl<N> BroadcastResult<N> {
     /// Assembles a result from raw parts (used by the distributed
     /// implementation in [`crate::broadcast_distributed`]).
     pub fn from_parts(
         received: Vec<bool>,
         messages: u64,
         steps: u32,
-        relayed_via: Option<NodeId>,
+        relayed_via: Option<N>,
     ) -> Self {
         BroadcastResult {
             received,
@@ -53,29 +67,46 @@ impl BroadcastResult {
         }
     }
 
-    /// Whether node `a` received the message.
-    pub fn received(&self, a: NodeId) -> bool {
-        self.received[a.raw() as usize]
-    }
-
     /// Number of nodes that received the message.
     pub fn coverage(&self) -> u64 {
         self.received.iter().filter(|&&r| r).count() as u64
     }
 
-    /// Whether every nonfaulty node received the message.
-    pub fn complete(&self, cfg: &FaultConfig) -> bool {
-        cfg.healthy_nodes().all(|a| self.received(a))
+    /// Whether every node outside the node-fault set received the
+    /// message.
+    pub fn complete(&self, faults: &FaultSet) -> bool {
+        (self.received.iter().enumerate())
+            .all(|(i, &r)| r || faults.contains(NodeId::new(i as u64)))
+    }
+
+    fn received_raw(&self, raw: u64) -> bool {
+        self.received.get(raw as usize).copied().unwrap_or(false)
     }
 }
 
-/// Broadcasts from `source` over all `n` dimensions.
+impl BroadcastResult {
+    /// Whether node `a` received the message.
+    pub fn received(&self, a: NodeId) -> bool {
+        self.received_raw(a.raw())
+    }
+}
+
+impl BroadcastResult<GhNode> {
+    /// Whether node `a` received the message.
+    pub fn received(&self, a: GhNode) -> bool {
+        self.received_raw(a.raw())
+    }
+}
+
+/// Broadcasts from `source` over all `n` dimensions of the cube.
 ///
 /// If the source is safe it broadcasts directly; otherwise, if it has
 /// a safe neighbor, it relays through the one with the lowest
 /// dimension (Property 2 guarantees such a neighbor when faults `< n`);
 /// otherwise it broadcasts best-effort from itself (coverage may be
-/// partial — the result reports it honestly).
+/// partial — the result reports it honestly). Messages into faulty
+/// nodes or across faulty links are lost. A source outside the cube
+/// gets the empty result.
 ///
 /// # Examples
 ///
@@ -88,78 +119,124 @@ impl BroadcastResult {
 /// let cfg = FaultConfig::with_node_faults(cube, faults);
 /// let map = SafetyMap::compute(&cfg);
 /// let r = broadcast(&cfg, &map, NodeId::ZERO);
-/// assert!(r.complete(&cfg));
+/// assert!(r.complete(cfg.node_faults()));
 /// assert_eq!(r.messages, 15); // one per non-source node
 /// ```
 pub fn broadcast(cfg: &FaultConfig, map: &SafetyMap, source: NodeId) -> BroadcastResult {
-    let cube = cfg.cube();
-    let n = cube.dim();
-    let mut result = BroadcastResult {
-        received: vec![false; cube.num_nodes() as usize],
-        messages: 0,
-        steps: 0,
-        relayed_via: None,
-    };
-    if cfg.node_faulty(source) {
-        return result;
-    }
-    result.received[source.raw() as usize] = true;
+    let (space, links) = (Qn(cfg.cube().dim()), cfg.link_faults());
+    let link_down = |a, b| links.contains(a, b);
+    build(space, map.store(), cfg.node_faults(), link_down, source)
+}
 
-    let all_dims: Vec<u8> = (0..n).collect();
-    if map.is_safe(source) {
-        descend(cfg, map, source, &all_dims, 0, &mut result);
+/// Broadcasts from `source` over the whole generalized hypercube, with
+/// the tree, relay choice and empty result of [`broadcast`].
+pub fn gh_broadcast(
+    gh: &GeneralizedHypercube,
+    map: &GhSafetyMap,
+    faults: &FaultSet,
+    source: GhNode,
+) -> BroadcastResult<GhNode> {
+    build(gh, map.store(), faults, |_, _| false, source)
+}
+
+/// The neighbor an unsafe `source` hands the whole broadcast to: the
+/// first safe one in [`PortSpace::neighbours`] order. `None` when the
+/// source is safe itself or has no safe neighbor.
+pub(crate) fn relay<S: PortSpace>(
+    space: S,
+    levels: &LevelStore,
+    source: S::Node,
+) -> Option<S::Node> {
+    let safe = |a| levels.get(S::raw(a)) == space.ceiling();
+    if safe(source) {
+        return None;
+    }
+    space.neighbours(source).find(|&b| safe(b))
+}
+
+/// Orders a node's outstanding dimensions for its children: by the
+/// dimension's reading descending, lowest dimension first among ties,
+/// so the safest child gets the largest remaining subtree.
+pub(crate) fn order_children(dims: &mut [u8], reading: &[Level]) {
+    dims.sort_by_key(|&i| (std::cmp::Reverse(reading[i as usize]), i));
+}
+
+/// The one tree builder: `source` (or its relay) owns every dimension.
+/// A message is lost into a node of `faults` or across a link for which
+/// `link_down` holds.
+fn build<S: PortSpace>(
+    space: S,
+    levels: &LevelStore,
+    faults: &FaultSet,
+    link_down: impl Fn(S::Node, S::Node) -> bool,
+    source: S::Node,
+) -> BroadcastResult<S::Node> {
+    let mut result = BroadcastResult::from_parts(vec![false; levels.len() as usize], 0, 0, None);
+    let faulty = |a| faults.contains(NodeId::new(S::raw(a)));
+    if space.distance(source, source).is_none() || faulty(source) {
         return result;
     }
-    // Relay through a safe neighbor: it covers the entire cube
-    // (including this source, which already has the message).
-    if let Some(relay) = cube.neighbors(source).find(|&b| map.is_safe(b)) {
-        result.messages += 1;
-        result.relayed_via = Some(relay);
-        result.received[relay.raw() as usize] = true;
-        descend(cfg, map, relay, &all_dims, 1, &mut result);
-        return result;
-    }
-    // Best effort from an under-safe source.
-    descend(cfg, map, source, &all_dims, 0, &mut result);
+    result.received[S::raw(source) as usize] = true;
+    // A relay covers the entire topology, including this source, which
+    // already has the message.
+    let (at, depth) = match relay(space, levels, source) {
+        Some(relay) => {
+            result.messages += 1;
+            result.relayed_via = Some(relay);
+            result.received[S::raw(relay) as usize] = true;
+            (relay, 1)
+        }
+        None => (source, 0),
+    };
+    let lost = |a, b| faulty(b) || link_down(a, b);
+    let dims: Vec<u8> = (0..space.ceiling()).collect();
+    descend(space, levels, &lost, at, &dims, depth, &mut result);
     result
 }
 
-/// Recursive subtree delivery: `at` owns the subcube spanned by `dims`.
-fn descend(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    at: NodeId,
+/// Recursive subtree delivery: `at` owns the sub-topology spanned by
+/// `dims`.
+fn descend<S: PortSpace>(
+    space: S,
+    levels: &LevelStore,
+    lost: &impl Fn(S::Node, S::Node) -> bool,
+    at: S::Node,
     dims: &[u8],
     depth: u32,
-    result: &mut BroadcastResult,
+    result: &mut BroadcastResult<S::Node>,
 ) {
     result.steps = result.steps.max(depth);
     if dims.is_empty() {
         return;
     }
-    // Order children by safety level descending (ties: lower dimension
-    // first), so the safest child gets the largest remaining subtree.
-    let mut ordered: Vec<u8> = dims.to_vec();
-    ordered.sort_by_key(|&i| (std::cmp::Reverse(map.level(at.neighbor(i))), i));
-    for (rank, &dim) in ordered.iter().enumerate() {
-        let child = at.neighbor(dim);
-        let rest = &ordered[rank + 1..];
-        result.messages += 1;
-        if cfg.node_faulty(child) || cfg.link_faults().contains(at, child) {
-            // Fault-stop: the message (and, if `rest` is nonempty, its
-            // subtree) is lost here. Under the safety guarantee a
-            // faulty child is always assigned an empty subtree.
-            continue;
+    let mut ordered = dims.to_vec();
+    if ordered.len() > 1 {
+        let mut reading = [0; MAX_DIM as usize];
+        for (r, l) in reading.iter_mut().zip(space.readings(levels, at)) {
+            *r = l;
         }
-        result.received[child.raw() as usize] = true;
-        descend(cfg, map, child, rest, depth + 1, result);
+        order_children(&mut ordered, &reading);
+    }
+    for (rank, &dim) in ordered.iter().enumerate() {
+        let rest = &ordered[rank + 1..];
+        for child in space.along(at, dim) {
+            result.messages += 1;
+            if lost(at, child) {
+                // Fault-stop: the message (and, if `rest` is nonempty,
+                // its subtree) is lost here. Under the safety guarantee
+                // a faulty child is always assigned an empty subtree.
+                continue;
+            }
+            result.received[S::raw(child) as usize] = true;
+            descend(space, levels, lost, child, rest, depth + 1, result);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::{FaultSet, Hypercube};
+    use hypersafe_topology::Hypercube;
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()
@@ -171,7 +248,7 @@ mod tests {
         let cfg = FaultConfig::fault_free(cube);
         let map = SafetyMap::compute(&cfg);
         let r = broadcast(&cfg, &map, NodeId::ZERO);
-        assert!(r.complete(&cfg));
+        assert!(r.complete(cfg.node_faults()));
         assert_eq!(r.messages, 31, "one message per non-source node");
         assert_eq!(r.steps, 5);
         assert_eq!(r.relayed_via, None);
@@ -187,7 +264,7 @@ mod tests {
         let map = SafetyMap::compute(&cfg);
         for s in cfg.healthy_nodes().filter(|&a| map.is_safe(a)) {
             let r = broadcast(&cfg, &map, s);
-            assert!(r.complete(&cfg), "safe source {s}");
+            assert!(r.complete(cfg.node_faults()), "safe source {s}");
         }
     }
 
@@ -205,7 +282,7 @@ mod tests {
         assert!(!map.is_safe(s));
         let r = broadcast(&cfg, &map, s);
         assert!(r.relayed_via.is_some());
-        assert!(r.complete(&cfg));
+        assert!(r.complete(cfg.node_faults()));
         assert!(r.steps <= 5, "n + 1 with relay");
     }
 
@@ -228,7 +305,7 @@ mod tests {
             let map = SafetyMap::compute(&cfg);
             for s in cfg.healthy_nodes().filter(|&a| map.is_safe(a)) {
                 let r = broadcast(&cfg, &map, s);
-                assert!(r.complete(&cfg), "mask {mask:#x} source {s}");
+                assert!(r.complete(cfg.node_faults()), "mask {mask:#x} source {s}");
                 assert_eq!(r.messages, 15, "binomial edge count");
             }
         }
@@ -254,7 +331,188 @@ mod tests {
         );
         let map = SafetyMap::compute(&cfg);
         let r = broadcast(&cfg, &map, NodeId::ZERO);
-        assert!(!r.complete(&cfg));
+        assert!(!r.complete(cfg.node_faults()));
         assert_eq!(r.coverage(), 1, "only the source itself");
+    }
+
+    fn gh232() -> GeneralizedHypercube {
+        GeneralizedHypercube::from_product(&[2, 3, 2])
+    }
+
+    #[test]
+    fn fault_free_gh_broadcast_covers_all() {
+        let gh = gh232();
+        let f = gh.fault_set();
+        let map = GhSafetyMap::compute(&gh, &f);
+        let r = gh_broadcast(&gh, &map, &f, GhNode(0));
+        assert!(r.complete(&f));
+        assert_eq!(r.messages, gh.num_nodes() - 1, "spanning tree edge count");
+        assert_eq!(r.steps, 3, "one step per dimension");
+    }
+
+    #[test]
+    fn gh_safe_source_complete_exhaustive_small_fault_sets() {
+        let gh = gh232();
+        let total = gh.num_nodes();
+        for mask in 0u64..(1 << total) {
+            if mask.count_ones() > 4 {
+                continue;
+            }
+            let mut f = gh.fault_set();
+            for i in 0..total {
+                if (mask >> i) & 1 == 1 {
+                    f.insert(NodeId::new(i));
+                }
+            }
+            let map = GhSafetyMap::compute(&gh, &f);
+            for a in gh.nodes() {
+                if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
+                    continue;
+                }
+                let r = gh_broadcast(&gh, &map, &f, a);
+                assert!(r.complete(&f), "mask {mask:#b} source {}", gh.format(a));
+            }
+        }
+    }
+
+    #[test]
+    fn gh_fig5_instance_every_source_covers() {
+        // Every unsafe nonfaulty node has a safe neighbor here, so all
+        // healthy sources achieve full coverage (relayed or not).
+        let gh = gh232();
+        let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
+        let map = GhSafetyMap::compute(&gh, &f);
+        for a in gh.nodes() {
+            if f.contains(NodeId::new(a.raw())) {
+                continue;
+            }
+            let r = gh_broadcast(&gh, &map, &f, a);
+            assert!(r.complete(&f), "source {}", gh.format(a));
+            if !map.is_safe(a) {
+                assert!(
+                    r.relayed_via.is_some(),
+                    "unsafe {} must relay",
+                    gh.format(a)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gh_faulty_source_sends_nothing() {
+        let gh = gh232();
+        let f = gh.fault_set_from_strs(&["011"]);
+        let map = GhSafetyMap::compute(&gh, &f);
+        let r = gh_broadcast(&gh, &map, &f, gh.parse("011").unwrap());
+        assert_eq!(r.coverage(), 0);
+        assert_eq!(r.messages, 0);
+    }
+
+    /// `gh_broadcast` on GH(2, …, 2) equals `broadcast` on `Q_n` with
+    /// the same faults: received set, messages, steps and relay. With
+    /// radix 2 a clique minimum is the one neighbor's level, so the
+    /// trees are the same.
+    fn assert_gh_matches_cube(
+        cfg: &FaultConfig,
+        sources: impl Iterator<Item = NodeId>,
+        what: &str,
+    ) {
+        let cube = cfg.cube();
+        let gh = GeneralizedHypercube::new(&vec![2; cube.dim() as usize]);
+        let qmap = SafetyMap::compute(cfg);
+        let ghmap = GhSafetyMap::compute(&gh, cfg.node_faults());
+        for s in sources {
+            let q = broadcast(cfg, &qmap, s);
+            let g = gh_broadcast(&gh, &ghmap, cfg.node_faults(), GhNode(s.raw()));
+            let what = format!("{what} source {s}");
+            assert!(
+                cube.nodes()
+                    .all(|a| q.received(a) == g.received(GhNode(a.raw()))),
+                "{what}"
+            );
+            assert_eq!(q.messages, g.messages, "{what}");
+            assert_eq!(q.steps, g.steps, "{what}");
+            assert_eq!(
+                q.relayed_via.map(NodeId::raw),
+                g.relayed_via.map(GhNode::raw),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn binary_gh_equals_the_cube_exhaustive_q1_to_q4() {
+        for n in 1..=4u8 {
+            let cube = Hypercube::new(n);
+            for mask in 0u64..(1 << cube.num_nodes()) {
+                let f =
+                    FaultSet::from_nodes(cube, cube.nodes().filter(|a| mask >> a.raw() & 1 == 1));
+                let cfg = FaultConfig::with_node_faults(cube, f);
+                assert_gh_matches_cube(&cfg, cfg.healthy_nodes(), &format!("Q{n} mask {mask:#b}"));
+            }
+        }
+    }
+
+    /// A small deterministic generator for the tests' draws.
+    fn splitmix(z: &mut u64) -> u64 {
+        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = *z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Q1–Q10 with uniform faults on up to 40% of the nodes: GH(2,
+        /// …, 2) equals the cube from 32 drawn sources, faulty ones
+        /// included.
+        #[test]
+        fn binary_gh_equals_the_cube(
+            n in 1u8..=10,
+            share in 0u64..=40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let cube = Hypercube::new(n);
+            let len = cube.num_nodes();
+            let mut z = seed;
+            let mut f = FaultSet::new(cube);
+            for _ in 0..len * share / 100 {
+                f.insert(NodeId::new(splitmix(&mut z) % len));
+            }
+            let cfg = FaultConfig::with_node_faults(cube, f);
+            let sources: Vec<NodeId> = (0..32).map(|_| NodeId::new(splitmix(&mut z) % len)).collect();
+            assert_gh_matches_cube(&cfg, sources.into_iter(), &format!("Q{n} share={share} seed={seed}"));
+        }
+    }
+
+    #[test]
+    fn gh_relayed_sources_cover_every_healthy_node() {
+        // Mixed radices 2–4 over 2–4 dimensions with fewer than n
+        // faults: a relay is safe, so its tree covers every healthy
+        // node, the source's own sub-GH included.
+        let mut z = 27;
+        let mut relayed = 0;
+        for _ in 0..1000 {
+            let dims = 2 + (splitmix(&mut z) % 3) as usize;
+            let radices: Vec<u16> = (0..dims)
+                .map(|_| 2 + (splitmix(&mut z) % 3) as u16)
+                .collect();
+            let gh = GeneralizedHypercube::new(&radices);
+            let mut f = gh.fault_set();
+            for _ in 0..splitmix(&mut z) % dims as u64 {
+                f.insert(NodeId::new(splitmix(&mut z) % gh.num_nodes()));
+            }
+            let map = GhSafetyMap::compute(&gh, &f);
+            for a in gh.nodes().filter(|a| !f.contains(NodeId::new(a.raw()))) {
+                let r = gh_broadcast(&gh, &map, &f, a);
+                if r.relayed_via.is_some() {
+                    relayed += 1;
+                    assert!(r.complete(&f), "GH{radices:?} source {}", gh.format(a));
+                }
+            }
+        }
+        assert!(relayed > 0);
     }
 }

@@ -3,13 +3,15 @@
 //! [`crate::broadcast::broadcast`] evaluates the broadcast tree
 //! centrally; here each node is an actor that receives
 //! `(payload, responsibility set)` and forwards sub-ranges to its
-//! children ordered by their safety level — the same algorithm,
-//! executed hop by hop on the discrete-event engine. The test suite
-//! checks both implementations agree on coverage, message count, and
-//! completion time.
+//! children ordered by their safety level — the same algorithm, with
+//! the centralized builder's child order and relay choice, executed
+//! hop by hop on the discrete-event engine. The test suite checks both
+//! implementations agree on the received set, message count,
+//! completion time and relay.
 
-use crate::broadcast::BroadcastResult;
+use crate::broadcast::{order_children, relay, BroadcastResult};
 use crate::safety::{Level, SafetyMap};
+use crate::unicast::{PortSpace, Qn};
 use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, Time};
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -45,10 +47,8 @@ impl BcastNode {
     }
 
     fn fan_out(&self, ctx: &mut Ctx<BcastMsg>, dims: u64) {
-        // Children ordered by safety level descending (lowest dimension
-        // first among ties), largest remaining subtree to the safest.
         let mut order: Vec<u8> = hypersafe_topology::BitDims(dims).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(self.neighbor_levels[i as usize]), i));
+        order_children(&mut order, &self.neighbor_levels);
         let mut remaining = dims;
         for &i in &order {
             remaining &= !(1u64 << i);
@@ -86,6 +86,7 @@ impl Actor for BcastNode {
 /// (per-hop `latency`), assuming a converged safety map. Handles the
 /// safe-relay case exactly like the centralized version: an unsafe
 /// source with a safe neighbor hands the whole dimension set to it.
+/// A source outside the cube gets the empty result.
 pub fn run_broadcast(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -94,17 +95,18 @@ pub fn run_broadcast(
 ) -> BroadcastResult {
     let cube = cfg.cube();
     let n = cube.dim();
+    if Qn(n).distance(source, source).is_none() {
+        return BroadcastResult::from_parts(vec![false; cube.num_nodes() as usize], 0, 0, None);
+    }
     let latency = latency.max(1);
     let all_dims = (1u64 << n) - 1;
 
-    let mut relayed_via = None;
-    let mut origin = source;
-    if !cfg.node_faulty(source) && !map.is_safe(source) {
-        if let Some(relay) = cube.neighbors(source).find(|&b| map.is_safe(b)) {
-            relayed_via = Some(relay);
-            origin = relay;
-        }
-    }
+    let relayed_via = if cfg.node_faulty(source) {
+        None
+    } else {
+        relay(Qn(n), map.store(), source)
+    };
+    let origin = relayed_via.unwrap_or(source);
 
     let net = HypercubeNet::new(cfg);
     let mut eng = EventEngine::new(&net, |a| {
@@ -160,16 +162,28 @@ mod tests {
         (cfg, map)
     }
 
+    /// The two broadcasts agree on the received set, messages, steps
+    /// and relay.
+    fn assert_agree(cfg: &FaultConfig, map: &SafetyMap, s: NodeId, what: &str) {
+        let central = broadcast(cfg, map, s);
+        let dist = run_broadcast(cfg, map, s, 1);
+        let got = |r: &BroadcastResult| {
+            cfg.cube()
+                .nodes()
+                .filter(|&a| r.received(a))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(got(&central), got(&dist), "{what}");
+        assert_eq!(central.messages, dist.messages, "{what}");
+        assert_eq!(central.steps, dist.steps, "{what}");
+        assert_eq!(central.relayed_via, dist.relayed_via, "{what}");
+    }
+
     #[test]
     fn distributed_matches_centralized_on_fig1() {
         let (cfg, map) = fig1();
         for s in cfg.healthy_nodes() {
-            let central = broadcast(&cfg, &map, s);
-            let dist = run_broadcast(&cfg, &map, s, 1);
-            assert_eq!(central.coverage(), dist.coverage(), "source {s}");
-            assert_eq!(central.complete(&cfg), dist.complete(&cfg), "source {s}");
-            assert_eq!(central.messages, dist.messages, "source {s}");
-            assert_eq!(central.relayed_via, dist.relayed_via, "source {s}");
+            assert_agree(&cfg, &map, s, &format!("source {s}"));
         }
     }
 
@@ -186,14 +200,7 @@ mod tests {
             let cfg = FaultConfig::with_node_faults(cube, f);
             let map = SafetyMap::compute(&cfg);
             for s in cfg.healthy_nodes() {
-                let central = broadcast(&cfg, &map, s);
-                let dist = run_broadcast(&cfg, &map, s, 1);
-                assert_eq!(
-                    central.coverage(),
-                    dist.coverage(),
-                    "mask {mask:#b} source {s}"
-                );
-                assert_eq!(central.messages, dist.messages, "mask {mask:#b} source {s}");
+                assert_agree(&cfg, &map, s, &format!("mask {mask:#b} source {s}"));
             }
         }
     }
@@ -204,7 +211,7 @@ mod tests {
         let cfg = FaultConfig::fault_free(cube);
         let map = SafetyMap::compute(&cfg);
         let r = run_broadcast(&cfg, &map, n("00000"), 3);
-        assert!(r.complete(&cfg));
+        assert!(r.complete(cfg.node_faults()));
         assert_eq!(r.steps, 5, "binomial depth in latency units");
     }
 

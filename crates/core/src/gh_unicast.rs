@@ -13,29 +13,16 @@ use crate::gh_safety::{cliques, GhSafetyMap};
 use crate::level_store::LevelStore;
 use crate::safety::Level;
 use crate::unicast::{
-    rule_at_hop, rule_at_source, Condition, LevelView, PortSpace, SourceStep, TieBreak,
+    rule_at_hop, rule_at_source, Decision, LevelView, PortSpace, SourceStep, TieBreak,
 };
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
-
-/// Source decision for a GH unicast, mirroring [`crate::unicast::Decision`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GhDecision {
-    /// Optimal routing is feasible (source level or an eligible
-    /// preferred neighbor admits it).
-    Optimal,
-    /// Only the spare-detour route is feasible (length `H + 2`).
-    Suboptimal,
-    /// Neither condition holds; abort at the source.
-    Failure,
-    /// `s == d`.
-    AlreadyThere,
-}
 
 /// Result of routing one GH unicast.
 #[derive(Clone, Debug)]
 pub struct GhRouteResult {
-    /// The source decision.
-    pub decision: GhDecision,
+    /// The source decision; its `first_dim` is the dimension of the
+    /// first hop.
+    pub decision: Decision,
     /// Node sequence traversed (present unless `Failure`).
     pub nodes: Option<Vec<GhNode>>,
     /// Whether the message reached `d` without entering a faulty node
@@ -92,6 +79,10 @@ impl PortSpace for &GeneralizedHypercube {
         cliques(self, a).flat_map(move |c| c.peers(a))
     }
 
+    fn along(self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> {
+        self.neighbors_along(a, i)
+    }
+
     fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
         cliques(self, a).map(move |c| c.min_level(levels, a))
     }
@@ -119,26 +110,17 @@ impl<'a> LevelView for GhMapView<'a> {
     }
 }
 
-impl From<SourceStep<(u8, u16)>> for GhDecision {
-    fn from(step: SourceStep<(u8, u16)>) -> Self {
-        match step {
-            SourceStep::Leave(Condition::C3, _) => GhDecision::Suboptimal,
-            SourceStep::Leave(..) => GhDecision::Optimal,
-            SourceStep::Failure => GhDecision::Failure,
-            SourceStep::AlreadyThere => GhDecision::AlreadyThere,
-        }
-    }
-}
-
 /// Source feasibility for a GH unicast. An endpoint outside `gh` is a
-/// [`GhDecision::Failure`].
+/// [`Decision::Failure`].
 pub fn gh_source_decision(
     gh: &GeneralizedHypercube,
     map: &GhSafetyMap,
     s: GhNode,
     d: GhNode,
-) -> GhDecision {
-    rule_at_source(&GhMapView { gh, map }, s, d, TieBreak::LowestDim).into()
+) -> Decision {
+    rule_at_source(&GhMapView { gh, map }, s, d, TieBreak::LowestDim)
+        .by_dim(|(i, _)| i)
+        .decision()
 }
 
 /// Routes one GH unicast to completion, judging the physical outcome
@@ -152,7 +134,7 @@ pub fn gh_route(
 ) -> GhRouteResult {
     let view = GhMapView { gh, map };
     let step = rule_at_source(&view, s, d, TieBreak::LowestDim);
-    let decision = GhDecision::from(step);
+    let decision = step.by_dim(|(i, _)| i).decision();
     let mut port = match step {
         SourceStep::AlreadyThere => {
             return GhRouteResult {
@@ -244,7 +226,7 @@ mod tests {
         let d = gh.parse("101").unwrap();
         assert_eq!(gh.distance(s, d), 3);
         let res = gh_route(&gh, &map, &f, s, d);
-        assert_eq!(res.decision, GhDecision::Optimal);
+        assert!(matches!(res.decision, Decision::Optimal { .. }));
         assert!(res.delivered);
         assert_eq!(res.hops(), Some(3));
         // The realized route is exactly the paper's narrated walk:
@@ -286,7 +268,7 @@ mod tests {
         let s = gh.node_from_digits(&[0, 0]);
         let d = gh.node_from_digits(&[1, 1]);
         let res = gh_route(&gh, &map, &f, s, d);
-        assert_eq!(res.decision, GhDecision::Failure);
+        assert_eq!(res.decision, Decision::Failure);
         assert!(!res.delivered);
     }
 
@@ -295,7 +277,7 @@ mod tests {
         let (gh, f, map) = fig5_like();
         let s = gh.parse("000").unwrap();
         let res = gh_route(&gh, &map, &f, s, s);
-        assert_eq!(res.decision, GhDecision::AlreadyThere);
+        assert_eq!(res.decision, Decision::AlreadyThere);
         assert!(res.delivered);
         assert_eq!(res.hops(), Some(0));
     }

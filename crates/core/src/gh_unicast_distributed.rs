@@ -11,9 +11,9 @@
 //! measurement.
 
 use crate::gh_safety::GhSafetyMap;
-use crate::gh_unicast::{gh_source_decision, GhDecision};
+use crate::gh_unicast::gh_source_decision;
 use crate::safety::Level;
-use crate::unicast::{rule_at_hop, rule_at_source, LevelView, SourceStep, TieBreak};
+use crate::unicast::{rule_at_hop, rule_at_source, Decision, LevelView, SourceStep, TieBreak};
 use hypersafe_simkit::{Actor, Ctx, EventEngine, GhNet, Time};
 use hypersafe_topology::{GeneralizedHypercube, GhNode, NodeId};
 use std::sync::Arc;
@@ -143,7 +143,7 @@ impl Actor for GhUnicastNode {
 #[derive(Clone, Debug)]
 pub struct GhDistributedRun {
     /// The source's local decision (recomputed for reporting).
-    pub decision: GhDecision,
+    pub decision: Decision,
     /// Trail recorded at the destination, if delivered.
     pub trail: Option<Vec<GhNode>>,
     /// Messages delivered.
@@ -163,7 +163,7 @@ pub fn run_gh_unicast(
 ) -> GhDistributedRun {
     if !(gh.contains(s) && gh.contains(d)) {
         return GhDistributedRun {
-            decision: GhDecision::Failure,
+            decision: Decision::Failure,
             trail: None,
             messages: 0,
         };
@@ -267,7 +267,7 @@ mod tests {
         f.insert(NodeId::new(2));
         let map = GhSafetyMap::compute(&gh, &f);
         let run = run_gh_unicast(&gh, &map, &f, GhNode(0), GhNode(3), 1);
-        assert_eq!(run.decision, GhDecision::Failure);
+        assert_eq!(run.decision, Decision::Failure);
         assert_eq!(run.trail, None);
         assert_eq!(run.messages, 0);
     }

@@ -59,7 +59,6 @@ pub mod broadcast_distributed;
 pub mod diagnosis;
 pub mod egs;
 pub mod exact;
-pub mod gh_broadcast;
 pub mod gh_safety;
 pub mod gh_unicast;
 pub mod gh_unicast_distributed;
@@ -80,14 +79,13 @@ pub mod service;
 pub mod unicast;
 pub mod unicast_distributed;
 
-pub use broadcast::{broadcast, BroadcastResult};
+pub use broadcast::{broadcast, gh_broadcast, BroadcastResult};
 pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
 pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
-pub use gh_broadcast::{gh_broadcast, GhBroadcastResult};
 pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhGsNode, GhSafetyMap};
-pub use gh_unicast::{gh_route, gh_source_decision, GhDecision, GhRouteResult};
+pub use gh_unicast::{gh_route, gh_source_decision, GhRouteResult};
 pub use gh_unicast_distributed::{run_gh_unicast, GhDistributedRun, GhMsg, GhUnicastNode};
 pub use gs::{
     run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLevelsDescend, GsLossyRun, GsRun,

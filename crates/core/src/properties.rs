@@ -20,7 +20,6 @@
 //! [`crate::run_gh_gs_checked`]. Bad input — a node outside the cube, a
 //! trail that leaves it — is reported as a [`Violation`], not a panic.
 
-use crate::gh_unicast::GhDecision;
 use crate::gs::GsAsyncRun;
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
@@ -421,19 +420,21 @@ pub fn check_unicast_optimality(
 }
 
 /// The one Theorem 4 rule, over either topology's reachability oracle.
-/// `refused` is `None` for `AlreadyThere`, which promises nothing.
+/// `AlreadyThere` promises nothing.
 fn theorem4_rule(
     pair: [NodeId; 2],
-    refused: Option<bool>,
+    decision: Decision,
     reachable: bool,
     faults: usize,
     n: usize,
 ) -> Result<(), Violation> {
-    let detail = match refused {
-        Some(true) if reachable && faults < n => {
+    let detail = match decision {
+        Decision::Failure if reachable && faults < n => {
             format!("refused a connected pair with only {faults} fault(s) < n = {n}")
         }
-        Some(false) if !reachable => "accepted a pair the BFS oracle says is disconnected".into(),
+        Decision::Optimal { .. } | Decision::Suboptimal { .. } if !reachable => {
+            "accepted a pair the BFS oracle says is disconnected".into()
+        }
         _ => return Ok(()),
     };
     Err(Violation::new(THEOREM4_SOUNDNESS, pair.to_vec(), detail))
@@ -457,14 +458,9 @@ pub fn check_theorem4_soundness(
 ) -> Result<(), Violation> {
     let cube = cfg.cube();
     in_cube(THEOREM4_SOUNDNESS, cube, &[s, d])?;
-    let refused = match decision {
-        Decision::AlreadyThere => None,
-        Decision::Failure => Some(true),
-        Decision::Optimal { .. } | Decision::Suboptimal { .. } => Some(false),
-    };
     theorem4_rule(
         [s, d],
-        refused,
+        decision,
         connectivity::connected(cfg, s, d),
         cfg.node_faults().len() + cfg.link_faults().len(),
         cube.dim() as usize,
@@ -505,7 +501,7 @@ pub fn check_gh_theorem4_soundness(
     faults: &FaultSet,
     s: GhNode,
     d: GhNode,
-    decision: GhDecision,
+    decision: Decision,
 ) -> Result<(), Violation> {
     let pair = [NodeId::new(s.raw()), NodeId::new(d.raw())];
     if let Some(a) = [s, d].into_iter().find(|&a| !gh.contains(a)) {
@@ -519,14 +515,9 @@ pub fn check_gh_theorem4_soundness(
             ),
         ));
     }
-    let refused = match decision {
-        GhDecision::AlreadyThere => None,
-        GhDecision::Failure => Some(true),
-        GhDecision::Optimal | GhDecision::Suboptimal => Some(false),
-    };
     theorem4_rule(
         pair,
-        refused,
+        decision,
         gh_connected(gh, faults, s, d),
         faults.len(),
         gh.dim() as usize,
@@ -1038,8 +1029,7 @@ mod tests {
         assert_eq!(v.unwrap_err().claim, UNICAST_OUTCOME);
         let gh = GeneralizedHypercube::new(&[3, 3, 3]);
         let faults = gh.fault_set();
-        let v =
-            check_gh_theorem4_soundness(&gh, &faults, GhNode(0), GhNode(50), GhDecision::Failure);
+        let v = check_gh_theorem4_soundness(&gh, &faults, GhNode(0), GhNode(50), Decision::Failure);
         assert_eq!(v.unwrap_err().claim, THEOREM4_SOUNDNESS);
     }
 }

@@ -60,7 +60,8 @@ use crate::safety::{Level, SafetyMap};
 use hypersafe_simkit::Trace;
 use hypersafe_topology::{FaultConfig, NodeId, Path};
 
-/// The source-side routing decision.
+/// The source-side routing decision, in `Q_n` or a generalized
+/// hypercube (where `first_dim` is the dimension of the first port).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decision {
     /// `C1 ∨ C2` holds: an optimal (Hamming-length) path is guaranteed.
@@ -153,6 +154,9 @@ pub(crate) trait PortSpace: Copy {
     fn raw(a: Self::Node) -> u64;
     /// Every neighbor of `a`.
     fn neighbours(self, a: Self::Node) -> impl Iterator<Item = Self::Node>;
+    /// The neighbors of `a` along dimension `i`: one in `Q_n`, the rest
+    /// of the dimension-`i` clique in a generalized hypercube.
+    fn along(self, a: Self::Node, i: u8) -> impl Iterator<Item = Self::Node>;
     /// The level each dimension of `a` reads from `levels`: by default
     /// its neighbors' levels in order, one per dimension as in `Q_n`
     /// (Definition 1); a generalized hypercube reads the lowest in the
@@ -199,6 +203,10 @@ impl PortSpace for Qn {
     #[inline(always)]
     fn neighbours(self, a: NodeId) -> impl Iterator<Item = NodeId> {
         (0..self.0).map(move |d| a.neighbor(d))
+    }
+
+    fn along(self, a: NodeId, i: u8) -> impl Iterator<Item = NodeId> {
+        std::iter::once(a.neighbor(i))
     }
 }
 
@@ -254,8 +262,20 @@ pub(crate) enum SourceStep<P> {
     AlreadyThere,
 }
 
+impl<P> SourceStep<P> {
+    /// The verdict with its port named by the port's dimension,
+    /// `dim(port)`: the form [`SourceStep::decision`] reads.
+    pub(crate) fn by_dim(self, dim: impl FnOnce(P) -> u8) -> SourceStep<u8> {
+        match self {
+            SourceStep::Leave(condition, p) => SourceStep::Leave(condition, dim(p)),
+            SourceStep::Failure => SourceStep::Failure,
+            SourceStep::AlreadyThere => SourceStep::AlreadyThere,
+        }
+    }
+}
+
 impl SourceStep<u8> {
-    /// The cube's public form of the verdict.
+    /// The public form of the verdict, for both topologies.
     pub(crate) fn decision(self) -> Decision {
         match self {
             SourceStep::Leave(Condition::C3, first_dim) => Decision::Suboptimal { first_dim },

@@ -2,10 +2,10 @@
 //! broadcasting, EGS dual views, GH routing, dynamic rerouting.
 
 use hypersafe_core::gh_safety::GhSafetyMap;
-use hypersafe_core::gh_unicast::{gh_route, GhDecision};
+use hypersafe_core::gh_unicast::gh_route;
 use hypersafe_core::{
-    broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, DynamicOutcome,
-    ExtendedSafetyMap, FaultEvent, LossyOutcome, SafetyMap,
+    broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, Decision,
+    DynamicOutcome, ExtendedSafetyMap, FaultEvent, LossyOutcome, SafetyMap,
 };
 use hypersafe_simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe_topology::{
@@ -39,7 +39,7 @@ proptest! {
         let map = SafetyMap::compute(&cfg);
         for s in cfg.healthy_nodes().filter(|&a| map.is_safe(a)).take(4) {
             let r = broadcast(&cfg, &map, s);
-            prop_assert!(r.complete(&cfg), "source {}", s);
+            prop_assert!(r.complete(cfg.node_faults()), "source {}", s);
             prop_assert_eq!(r.messages, cfg.cube().num_nodes() - 1);
             prop_assert!(r.steps <= cfg.cube().dim() as u32);
         }
@@ -53,7 +53,7 @@ proptest! {
         let map = SafetyMap::compute(&cfg);
         for s in cfg.healthy_nodes().take(6) {
             let r = broadcast(&cfg, &map, s);
-            prop_assert!(r.complete(&cfg), "source {}", s);
+            prop_assert!(r.complete(cfg.node_faults()), "source {}", s);
         }
     }
 
@@ -118,16 +118,16 @@ proptest! {
             for &d in healthy.iter().rev().take(5) {
                 let res = gh_route(&gh, &map, &f, s, d);
                 match res.decision {
-                    GhDecision::Optimal => {
+                    Decision::Optimal { .. } => {
                         prop_assert!(res.delivered, "{} → {}", gh.format(s), gh.format(d));
                         prop_assert_eq!(res.hops(), Some(gh.distance(s, d)));
                     }
-                    GhDecision::Suboptimal => {
+                    Decision::Suboptimal { .. } => {
                         prop_assert!(res.delivered);
                         prop_assert_eq!(res.hops(), Some(gh.distance(s, d) + 2));
                     }
-                    GhDecision::Failure => prop_assert!(!res.delivered),
-                    GhDecision::AlreadyThere => prop_assert_eq!(res.hops(), Some(0)),
+                    Decision::Failure => prop_assert!(!res.delivered),
+                    Decision::AlreadyThere => prop_assert_eq!(res.hops(), Some(0)),
                 }
             }
         }

@@ -7,17 +7,20 @@
 //!
 //! The routing entry points are held to the same standard: an
 //! endpoint outside the topology is a typed `Failure`, never a panic
-//! or an alias of a node inside it.
+//! or an alias of a node inside it. A broadcast from a source outside
+//! the topology is the empty result: no coverage, no message, no
+//! relay.
 
 use hypersafe_core::{
-    check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence, check_level_corridor,
-    check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
-    check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
-    check_unicast_optimality, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb,
-    route, route_dynamic, route_egs, route_light, route_many_seq, run_gh_unicast, run_unicast,
-    run_unicast_lossy, source_decision, Condition, Decision, DynamicOutcome, ExtendedSafetyMap,
-    GhDecision, GhSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap,
-    TieBreak,
+    broadcast, check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence,
+    check_level_corridor, check_levels_converged, check_lossy_outcome,
+    check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
+    check_theorem2_at, check_theorem3, check_theorem4_soundness, check_unicast_optimality,
+    gh_broadcast, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb, route,
+    route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_unicast,
+    run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition, Decision,
+    DynamicOutcome, ExtendedSafetyMap, GhSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun,
+    NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
@@ -43,15 +46,6 @@ fn decision(k: u8, dim: u8) -> Decision {
         4 => Decision::Failure,
         _ => Decision::AlreadyThere,
     }
-}
-
-fn gh_decision(k: u8) -> GhDecision {
-    [
-        GhDecision::Optimal,
-        GhDecision::Suboptimal,
-        GhDecision::Failure,
-        GhDecision::AlreadyThere,
-    ][k as usize % 4]
 }
 
 /// An `n`-cube with the given node faults (taken modulo the cube) and
@@ -93,6 +87,12 @@ fn fails_outside<R: std::fmt::Debug>(
         "{what} outside the topology gave {res:?}"
     );
     Ok(())
+}
+
+/// A broadcast's coverage, messages and relay: `(0, 0, None)` is the
+/// empty result.
+fn sent<N: Copy>(r: BroadcastResult<N>) -> (u64, u64, Option<N>) {
+    (r.coverage(), r.messages, r.relayed_via)
 }
 
 /// An address drawn over four times the topology, or far outside it.
@@ -214,6 +214,11 @@ proptest! {
         fails_outside("route_dynamic", outside, || {
             route_dynamic(cube, node_cfg.node_faults(), &[], s, d).outcome
         }, |o| *o == DynamicOutcome::InfeasibleAtSource)?;
+        let empty = |r: &(u64, u64, Option<NodeId>)| *r == (0, 0, None);
+        fails_outside("broadcast", !cube.contains(s), || sent(broadcast(&cfg, &map, s)), empty)?;
+        fails_outside("run_broadcast", !cube.contains(s), || {
+            sent(run_broadcast(&node_cfg, &map, s, 1))
+        }, empty)?;
     }
 
     #[test]
@@ -231,7 +236,7 @@ proptest! {
         let nodes = gh.num_nodes();
         let (s, d) = (GhNode(endpoint(pair.0, nodes)), GhNode(endpoint(pair.1, nodes)));
         let outside = !(gh.contains(s) && gh.contains(d));
-        let failure = |dec: &GhDecision| *dec == GhDecision::Failure;
+        let failure = |dec: &Decision| *dec == Decision::Failure;
 
         fails_outside("gh_source_decision", outside, || {
             gh_source_decision(&gh, &map, s, d)
@@ -244,6 +249,9 @@ proptest! {
             let run = run_gh_unicast(&gh, &map, &set, s, d, 1);
             (run.decision, run.trail)
         }, |(dec, trail)| failure(dec) && trail.is_none())?;
+        fails_outside("gh_broadcast", !gh.contains(s), || {
+            sent(gh_broadcast(&gh, &map, &set, s))
+        }, |r| *r == (0, 0, None))?;
     }
 
     #[test]
@@ -252,7 +260,7 @@ proptest! {
         faults in proptest::collection::vec(0u64..64, 0..5),
         s in 0u64..128,
         d in 0u64..128,
-        k in 0u8..4,
+        k in 0u8..6,
     ) {
         let gh = GeneralizedHypercube::new(&radices);
         let mut set: FaultSet = gh.fault_set();
@@ -262,7 +270,7 @@ proptest! {
         let span = 2 * gh.num_nodes();
         let (s, d) = (GhNode(s % span), GhNode(d % span));
         total("check_gh_theorem4_soundness", || {
-            check_gh_theorem4_soundness(&gh, &set, s, d, gh_decision(k))
+            check_gh_theorem4_soundness(&gh, &set, s, d, decision(k, 0))
         })?;
     }
 }

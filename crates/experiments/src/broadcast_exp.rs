@@ -69,7 +69,7 @@ pub fn run(p: &BroadcastParams) -> Report {
             for _ in 0..p.sources_per_instance {
                 let s = random_healthy(&cfg, rng);
                 let r = broadcast(&cfg, &map, s);
-                let ok = r.complete(&cfg);
+                let ok = r.complete(cfg.node_faults());
                 complete += ok as u32;
                 relayed += r.relayed_via.is_some() as u32;
                 steps.push(r.steps as f64);

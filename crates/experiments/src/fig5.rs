@@ -20,7 +20,8 @@
 
 use crate::table::Report;
 use hypersafe_core::gh_safety::GhSafetyMap;
-use hypersafe_core::gh_unicast::{gh_route, GhDecision};
+use hypersafe_core::gh_unicast::gh_route;
+use hypersafe_core::Decision;
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
 
 /// The Fig. 5 topology.
@@ -45,7 +46,7 @@ pub fn consistent(gh: &GeneralizedHypercube, f: &FaultSet) -> bool {
     let s = gh.parse("010").unwrap();
     let d = gh.parse("101").unwrap();
     let res = gh_route(gh, &map, f, s, d);
-    res.decision == GhDecision::Optimal && res.delivered && res.hops() == Some(3)
+    matches!(res.decision, Decision::Optimal { .. }) && res.delivered && res.hops() == Some(3)
 }
 
 /// Exhaustively enumerates consistent 4-fault sets.

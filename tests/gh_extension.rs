@@ -2,9 +2,10 @@
 //! distributed GS ≡ centralized, routing contracts, broadcast
 //! coverage, binary-radix reduction — across radix shapes.
 
-use hypersafe::safety::gh_broadcast::gh_broadcast;
+use hypersafe::safety::broadcast::gh_broadcast;
 use hypersafe::safety::gh_safety::{run_gh_gs, GhSafetyMap};
-use hypersafe::safety::gh_unicast::{gh_route, GhDecision};
+use hypersafe::safety::gh_unicast::gh_route;
+use hypersafe::safety::Decision;
 use hypersafe::topology::{GeneralizedHypercube, GhNode, NodeId};
 use hypersafe::workloads::Sweep;
 use rand::Rng;
@@ -62,12 +63,12 @@ fn routing_contracts_on_random_gh_instances() {
                 for &d in healthy.iter().rev().take(8) {
                     let res = gh_route(&gh, &map, &f, s, d);
                     match res.decision {
-                        GhDecision::Optimal
+                        Decision::Optimal { .. }
                             if (!res.delivered || res.hops() != Some(gh.distance(s, d))) =>
                         {
                             bad += 1;
                         }
-                        GhDecision::Suboptimal
+                        Decision::Suboptimal { .. }
                             if (!res.delivered || res.hops() != Some(gh.distance(s, d) + 2)) =>
                         {
                             bad += 1;
@@ -96,7 +97,7 @@ fn gh_broadcast_safe_sources_cover_everything() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
                 }
-                if !gh_broadcast(&gh, &map, &f, a).complete(&gh, &f) {
+                if !gh_broadcast(&gh, &map, &f, a).complete(&f) {
                     bad += 1;
                 }
             }

@@ -60,7 +60,7 @@ fn gh333_theorem4_soundness_is_exhaustive_under_two_faults() {
                 check_gh_theorem4_soundness(&gh, f, s, d, decision)
                     .unwrap_or_else(|v| panic!("fault set {k} {s:?}→{d:?}: {v:?}"));
                 match decision {
-                    hypersafe::safety::GhDecision::Failure => failures += 1,
+                    hypersafe::safety::Decision::Failure => failures += 1,
                     _ => accepts += 1,
                 }
             }
@@ -86,7 +86,7 @@ fn gh_surrounded_node_fails_soundly() {
     let s = gh.node_from_digits(&[0, 0]);
     let d = gh.node_from_digits(&[1, 1]);
     let decision = gh_source_decision(&gh, &map, s, d);
-    assert_eq!(decision, hypersafe::safety::GhDecision::Failure);
+    assert_eq!(decision, hypersafe::safety::Decision::Failure);
     assert_eq!(check_gh_theorem4_soundness(&gh, &f, s, d, decision), Ok(()));
     // And the checked GS runner still converges on the isolated cube.
     run_gh_gs_checked(&gh, &f).expect("GS must still converge");

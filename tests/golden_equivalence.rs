@@ -300,9 +300,13 @@ fn record_gh_scenario(
                 .collect::<Vec<_>>()
                 .join(">"),
         };
+        // GH lines name the decision's variant only: they were recorded
+        // before a GH decision carried its condition and first dimension.
+        let decision = format!("{:?}", run.decision);
+        let variant = decision.split(' ').next().unwrap_or_default();
         out.push(format!(
-            "{tag} gh_unicast[{i}] {s}->{d} decision={:?} trail={trail} msgs={}",
-            run.decision, run.messages
+            "{tag} gh_unicast[{i}] {s}->{d} decision={variant} trail={trail} msgs={}",
+            run.messages
         ));
     }
 }
