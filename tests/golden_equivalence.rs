@@ -13,7 +13,11 @@
 //! every tie-break policy), recorded before the three walks were
 //! merged into one, then the observed reliable GS and lossy unicast
 //! runs (each metrics snapshot's JSON checksum and totals), recorded
-//! before the event-driven runners were folded into one per protocol.
+//! before the event-driven runners were folded into one per protocol,
+//! then whole routing-service runs (each run's request records, stats,
+//! violations and end time) under FIFO and adversarial same-tick
+//! orders, recorded before the loop stopped queueing the deadlines of
+//! requests that finish on their first attempt.
 //!
 //! Regenerate (only when intentionally changing observable behavior):
 //!
@@ -29,9 +33,15 @@ use hypersafe::safety::{
     run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, GhSafetyMap,
     SafetyMap, SafetyService, TieBreak,
 };
-use hypersafe::simkit::{ChannelModel, EventStats, Metrics, ReliableConfig, RunOptions, SyncStats};
+use hypersafe::simkit::{
+    AdversarialScheduler, AttemptOutcome, AttemptVerdict, ChannelModel, EventStats, FifoScheduler,
+    Metrics, ReliableConfig, RouteProvider, RoutingService, RunOptions, Scheduler, ServiceConfig,
+    SyncStats,
+};
 use hypersafe::topology::{FaultConfig, GeneralizedHypercube, GhNode, Hypercube, NodeId};
-use hypersafe::workloads::{random_pair, uniform_faults, Sweep};
+use hypersafe::workloads::{open_loop_mix, random_pair, uniform_faults, OpenLoop, Sweep};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
 
 /// SplitMix64: deterministic pair sampling without threading an RNG
@@ -518,6 +528,88 @@ fn record_obs_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
     }
 }
 
+/// Forwards churn and publication to `SafetyService` but answers every
+/// attempt `Stale`, so every admitted request retries and has its
+/// deadline queued.
+struct AlwaysStale(SafetyService);
+
+impl RouteProvider for AlwaysStale {
+    fn attempt(&mut self, _s: NodeId, _d: NodeId) -> AttemptOutcome {
+        AttemptOutcome {
+            epoch: self.0.current_epoch(),
+            verdict: AttemptVerdict::Stale,
+        }
+    }
+    fn apply_churn(&mut self, node: NodeId, fault: bool) -> bool {
+        self.0.apply_churn(node, fault)
+    }
+    fn publish_next(&mut self) -> Option<u64> {
+        self.0.publish_next()
+    }
+    fn current_epoch(&self) -> u64 {
+        self.0.current_epoch()
+    }
+    fn check_invariants(&mut self) -> Result<(), String> {
+        self.0.check_invariants()
+    }
+}
+
+/// FIFO, then three adversarial same-tick orders.
+fn service_schedulers() -> [(String, Box<dyn Scheduler>); 4] {
+    let adv = |seed: u64| -> (String, Box<dyn Scheduler>) {
+        (
+            format!("adv{seed:x}"),
+            Box::new(AdversarialScheduler::permute(seed)),
+        )
+    };
+    [
+        ("fifo".to_string(), Box::new(FifoScheduler)),
+        adv(0x5E1),
+        adv(0x5E2),
+        adv(0x5E3),
+    ]
+}
+
+/// Records whole routing-service runs over E26's open-loop mix on one
+/// cube: one line per scheduler with the FNV-1a checksum of the request
+/// records, the rendered stats, the violations and the end time.
+fn record_service_scenario<P: RouteProvider>(
+    out: &mut Vec<String>,
+    tag: &str,
+    n: u8,
+    churn_pct: u64,
+    cfg: ServiceConfig,
+    provider: impl Fn(FaultConfig) -> P,
+) {
+    let cube = Hypercube::new(n);
+    let wl = OpenLoop {
+        requests: 300,
+        churn_prob: churn_pct as f64 / 100.0,
+        max_live_faults: usize::from(n - 1),
+        cancel_prob: 0.05,
+        ..OpenLoop::default()
+    };
+    let seed = 0x5E4_71CE ^ (u64::from(n) << 8) ^ churn_pct;
+    let injections = open_loop_mix(cube, &wl, &mut ChaCha8Rng::seed_from_u64(seed));
+    for (name, sched) in service_schedulers() {
+        let mut svc =
+            RoutingService::with_scheduler(provider(FaultConfig::fault_free(cube)), cfg, sched);
+        svc.load(&injections);
+        svc.run();
+        let records = format!("{:?}", svc.request_records().collect::<Vec<_>>());
+        let fnv = records.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        out.push(format!(
+            "{tag} {name} records={fnv:016x} n={} now={} violations={:?} stats={}",
+            svc.num_requests(),
+            svc.now(),
+            svc.violations(),
+            svc.stats().render().trim_end().replace('\n', "; ")
+        ));
+    }
+}
+
 fn collect_goldens() -> Vec<String> {
     let mut out = Vec::new();
     for n in [4u8, 6, 8] {
@@ -568,6 +660,23 @@ fn collect_goldens() -> Vec<String> {
         }
         let cfg = add_link_faults(node_fault_cfg(n, n as usize / 2), n as usize);
         record_obs_scenario(&mut out, &format!("obs/n{n}/links{n}"), &cfg);
+    }
+
+    // Routing-service runs, appended after the observed runs.
+    for n in 4u8..=8 {
+        for pct in [0, 5, 20] {
+            let tag = format!("service/n{n}/churn{pct}");
+            let cfg = ServiceConfig::default();
+            record_service_scenario(&mut out, &tag, n, pct, cfg, SafetyService::new);
+        }
+        // Every attempt stale: every admitted request queues its
+        // deadline, and a long retry budget lets many of them fire.
+        let cfg = ServiceConfig {
+            retry_limit: 8,
+            ..ServiceConfig::default()
+        };
+        let stale = |f| AlwaysStale(SafetyService::new(f));
+        record_service_scenario(&mut out, &format!("service/n{n}/stale"), n, 5, cfg, stale);
     }
     out
 }
