@@ -199,6 +199,15 @@ pub trait SyncNode {
     fn receive(&mut self, inbox: &[(usize, Self::Msg)]) -> bool;
 }
 
+/// Fewest nodes in a chunk of a round's absorb. A round that fans out
+/// spawns its scoped workers afresh, which costs about 35–60 µs on a
+/// 2-vCPU Xeon, while one GS absorb costs 30–140 ns per node (more on
+/// larger cubes). Timed per `run_gs` round there, one thread against
+/// two: Q9 27 against 80 µs, Q11 124 against 142 µs, Q12 314 against
+/// 282 µs. So a round splits only into chunks of at least this many
+/// nodes, and smaller networks absorb in one chunk, inline.
+const MIN_CHUNK_NODES: usize = 2048;
+
 /// Synchronous round executor over the nonfaulty nodes of a
 /// [`Network`].
 ///
@@ -245,7 +254,8 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
     /// The absorb half is data-parallel by construction — every node
     /// reads only the immutable pre-round snapshot and writes only its
     /// own state — so it fans out across rayon workers in contiguous
-    /// node-id chunks. Results are bitwise-identical to sequential
+    /// node-id chunks of at least `MIN_CHUNK_NODES` nodes (one chunk,
+    /// run inline, below that). Results are bitwise-identical to sequential
     /// execution: per-chunk counters are committed in chunk order, and
     /// no node observes another's current-round update either way.
     pub fn run_round(&mut self) -> usize
@@ -264,7 +274,11 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
             .map(|n| n.as_ref().map(SyncNode::broadcast))
             .collect();
 
-        let chunk_len = self.nodes.len().div_ceil(rayon::num_threads()).max(1);
+        let chunk_len = self
+            .nodes
+            .len()
+            .div_ceil(rayon::num_threads())
+            .max(MIN_CHUNK_NODES);
         let per_chunk: Vec<(usize, u64)> = self
             .nodes
             .par_chunks_mut(chunk_len)
@@ -471,6 +485,49 @@ mod tests {
         let mut eng = min_engine(&net);
         eng.run_round();
         assert_eq!(eng.stats().messages, 12 * (2 + 3));
+    }
+
+    /// Q13 is large enough to absorb in several chunks when the pool
+    /// has threads; every round must match a plain sequential sweep.
+    #[test]
+    fn chunked_rounds_match_a_sequential_sweep() {
+        let cube = Hypercube::new(13);
+        let faulty = |a: u64| a.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 == 0;
+        let cfg = FaultConfig::with_node_faults(
+            cube,
+            FaultSet::from_nodes(
+                cube,
+                (0..cube.num_nodes())
+                    .filter(|&a| faulty(a))
+                    .map(NodeId::new),
+            ),
+        );
+        let net = HypercubeNet::new(&cfg);
+        let start = |a: u64| a.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 40;
+        let mut eng = SyncEngine::new(&net, |a| MinNode {
+            value: start(a.raw()),
+        });
+        let mut want: Vec<Option<u64>> = (0..cube.num_nodes())
+            .map(|a| (!faulty(a)).then(|| start(a)))
+            .collect();
+        loop {
+            let next: Vec<Option<u64>> = (0..cube.num_nodes())
+                .map(|a| {
+                    let own = want[a as usize]?;
+                    let best = (0..13).filter_map(|i| want[(a ^ 1 << i) as usize]).min();
+                    Some(best.map_or(own, |m| m.min(own)))
+                })
+                .collect();
+            let changed = next.iter().zip(&want).filter(|(x, y)| x != y).count();
+            assert_eq!(eng.run_round(), changed);
+            want = next;
+            if changed == 0 {
+                break;
+            }
+        }
+        for a in 0..cube.num_nodes() {
+            assert_eq!(eng.node(NodeId::new(a)).map(|n| n.value), want[a as usize]);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * **Ring.** `W` per-tick buckets cover the window `[cursor, horizon)`;
 //!   tick `t` lives in bucket `t % W`, sorted by `(key, seq)`. A push
 //!   whose `(key, seq)` is not below the bucket's tail appends — under the
-//!   FIFO scheduler (`key = seq`) that is every push — otherwise it does a
-//!   sorted insert into the (small) bucket.
+//!   FIFO scheduler (`key = seq`) that is nearly every push — otherwise it
+//!   does a sorted insert into the (small) bucket.
 //! * **Far run.** Events pushed at or past `horizon` wait in a run sorted by
 //!   `(time, key, seq)` and consumed from the front. A push that lands
 //!   near either end of the run is an append or a short shift; one that
@@ -52,7 +52,9 @@ impl<T> Far<T> {
     }
 }
 
-/// Exact `(time, key, seq)` min-queue. `seq` must grow with every push.
+/// Exact `(time, key, seq)` min-queue. `seq` must be unique per push; it
+/// need not grow. The routing service pushes a request's deadline with
+/// the `seq` it drew at admission, after younger events.
 pub(crate) struct EventQueue<T> {
     /// `W` buckets once the first pop has placed the window; empty
     /// before, so everything pushed up front goes to the far run.
@@ -241,19 +243,34 @@ mod tests {
 
     /// Runs `ops` against the queue and a reference ordered set of the
     /// (unique) `(time, key, seq)` triples, a min-priority queue in all
-    /// but name; every pop and peek must agree.
+    /// but name; every pop and peek must agree. With `late`, half the
+    /// pushes instead either draw a `(key, seq)` and hold it back, or
+    /// push a held-back one, older than later draws, strictly after the
+    /// last pop's time: a deadline the service queues only on a retry.
     fn check_against_reference(
         ops: &[(u8, u8, u64, u64)],
         fifo_keys: bool,
+        late: bool,
     ) -> Result<(), TestCaseError> {
         let mut q = EventQueue::default();
         let mut reference = BTreeSet::new();
+        let mut held = Vec::new();
         let (mut now, mut seq) = (0 as Time, 0u64);
         for &(op, kind, raw, key) in ops {
+            let key = if fifo_keys { seq } else { key % 8 };
             match op % 4 {
+                1 if late && held.is_empty() => {
+                    held.push((key, seq));
+                    seq += 1;
+                }
+                1 if late => {
+                    let (key, old) = held.swap_remove(raw as usize % held.len());
+                    let time = now.saturating_add(offset(kind, raw).max(1));
+                    q.push(time, key, old, old);
+                    reference.insert((time, key, old));
+                }
                 0 | 1 => {
                     let time = now.saturating_add(offset(kind, raw));
-                    let key = if fifo_keys { seq } else { key % 8 };
                     q.push(time, key, seq, seq);
                     reference.insert((time, key, seq));
                     seq += 1;
@@ -286,14 +303,22 @@ mod tests {
         fn pops_in_order_with_fifo_keys(
             ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..400),
         ) {
-            check_against_reference(&ops, true)?;
+            check_against_reference(&ops, true, false)?;
         }
 
         #[test]
         fn pops_in_order_with_random_keys(
             ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..400),
         ) {
-            check_against_reference(&ops, false)?;
+            check_against_reference(&ops, false, false)?;
+        }
+
+        #[test]
+        fn pops_in_order_with_late_pushes_of_older_seqs(
+            ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..400),
+        ) {
+            check_against_reference(&ops, true, true)?;
+            check_against_reference(&ops, false, true)?;
         }
     }
 

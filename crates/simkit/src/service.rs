@@ -581,11 +581,40 @@ struct Request {
     submit: Time,
     /// Absolute deadline; terminal no later than `deadline + 1`.
     deadline: Time,
-    state: ReqState,
+    phase: Phase,
     /// Epoch of the last attempt's snapshot.
     epoch: u64,
-    /// Time of the terminal transition.
-    done_at: Time,
+}
+
+// Requests are the service's largest table: keep one in a cache line.
+const _: () = assert!(std::mem::size_of::<Request>() <= 64);
+
+/// A request's [`ReqState`] plus what only that state needs.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Pending,
+    Routing {
+        attempts: u32,
+        /// Order key drawn at admission for the `Deadline` event, which
+        /// is queued only once the first attempt leaves the request
+        /// routing.
+        deadline_key: u64,
+    },
+    Done {
+        terminal: Terminal,
+        /// Time of the terminal transition.
+        at: Time,
+    },
+}
+
+impl Phase {
+    fn state(self) -> ReqState {
+        match self {
+            Phase::Pending => ReqState::Pending,
+            Phase::Routing { attempts, .. } => ReqState::Routing { attempts },
+            Phase::Done { terminal, .. } => ReqState::Done(terminal),
+        }
+    }
 }
 
 /// The resilient routing service: a deterministic discrete-event loop
@@ -599,6 +628,9 @@ pub struct RoutingService<P: RouteProvider> {
     queue: EventQueue<Ev>,
     requests: Vec<Request>,
     now: Time,
+    /// The latest `deadline + 1` of an admitted request: the end of the
+    /// run, had every deadline been queued.
+    latest_due: Time,
     seq: u64,
     in_flight: usize,
     stats: ServiceStats,
@@ -622,6 +654,7 @@ impl<P: RouteProvider> RoutingService<P> {
             queue: EventQueue::default(),
             requests: Vec::new(),
             now: 0,
+            latest_due: 0,
             seq: 0,
             in_flight: 0,
             stats: ServiceStats::default(),
@@ -648,9 +681,8 @@ impl<P: RouteProvider> RoutingService<P> {
                         dst,
                         submit: at,
                         deadline: at.saturating_add(deadline),
-                        state: ReqState::Pending,
+                        phase: Phase::Pending,
                         epoch: 0,
-                        done_at: 0,
                     });
                     self.push(at, Ev::Submit(id), dst.raw());
                 }
@@ -664,33 +696,46 @@ impl<P: RouteProvider> RoutingService<P> {
         }
     }
 
+    /// Queues `ev` at `at`, or at the clock if `at` is earlier.
     fn push(&mut self, at: Time, ev: Ev, dst_hint: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        let key = self.sched.order_key(seq, dst_hint);
-        self.queue.push(at, key, seq, ev);
+        let (seq, key) = self.draw(dst_hint);
+        // Between runs the clock can be ahead of the queue's last pop
+        // (see `run`). A later `load` then queues its past events at the
+        // clock, as it did when every deadline was queued.
+        self.queue.push(at.max(self.now), key, seq, ev);
     }
 
-    /// Runs the loop to quiescence (event queue empty), returning the
-    /// number of events processed. A final invariant check is recorded
-    /// before returning.
+    /// The next event's `seq` and its order key.
+    fn draw(&mut self, dst_hint: u64) -> (u64, u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        (seq, self.sched.order_key(seq, dst_hint))
+    }
+
+    /// Runs the loop to quiescence (event queue empty) and returns the
+    /// number of events dispatched. A final invariant check is recorded
+    /// before returning. [`now`](Self::now) is then the time of the last
+    /// event or, if later, the latest `deadline + 1` of an admitted
+    /// request: where the run would have ended had every deadline been
+    /// queued.
     pub fn run(&mut self) -> u64 {
         let mut processed = 0u64;
-        while let Some((at, _seq, ev)) = self.queue.pop() {
+        while let Some((at, seq, ev)) = self.queue.pop() {
             self.now = at;
-            self.dispatch(ev);
+            self.dispatch(seq, ev);
             processed += 1;
         }
+        self.now = self.now.max(self.latest_due);
         self.check_invariants();
         processed
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, seq: u64, ev: Ev) {
         match ev {
             Ev::Submit(id) => self.on_submit(id),
-            Ev::Attempt(id) => self.on_attempt(id),
+            Ev::Attempt(id) => self.on_attempt(id, seq),
             Ev::Deadline(id) => {
-                if !matches!(self.requests[id as usize].state, ReqState::Done(_)) {
+                if !matches!(self.requests[id as usize].phase, Phase::Done { .. }) {
                     self.finish(id, Terminal::TimedOut);
                 }
             }
@@ -718,13 +763,13 @@ impl<P: RouteProvider> RoutingService<P> {
 
     fn on_submit(&mut self, id: ReqId) {
         let r = &self.requests[id as usize];
-        if matches!(r.state, ReqState::Done(_)) {
+        if matches!(r.phase, Phase::Done { .. }) {
             // A same-tick cancel was ordered ahead of this submit by
             // the scheduler: the request is already terminal
             // (Cancelled) and must not be admitted.
             return;
         }
-        debug_assert_eq!(r.state, ReqState::Pending, "submit processed once");
+        debug_assert!(matches!(r.phase, Phase::Pending), "submit processed once");
         if self.in_flight >= self.cfg.max_in_flight {
             self.finish(
                 id,
@@ -737,18 +782,37 @@ impl<P: RouteProvider> RoutingService<P> {
         let (dst, deadline) = (r.dst, r.deadline);
         self.in_flight += 1;
         self.stats.max_in_flight_seen = self.stats.max_in_flight_seen.max(self.in_flight);
-        self.requests[id as usize].state = ReqState::Routing { attempts: 0 };
         self.push(self.now, Ev::Attempt(id), dst.raw());
         // The deadline event is the unique TimedOut source: it fires
         // one tick after the deadline, so no request is ever terminal
-        // later than deadline + 1.
-        self.push(deadline.saturating_add(1), Ev::Deadline(id), dst.raw());
+        // later than deadline + 1. Its `seq` (the first attempt's + 1)
+        // and key are drawn now, but it is queued only if the first
+        // attempt leaves the request routing (`on_attempt`): most
+        // requests end on that attempt and would pop it as a no-op.
+        let (seq, deadline_key) = self.draw(dst.raw());
+        let due = deadline.saturating_add(1);
+        if due <= self.now {
+            // A submit at `Time::MAX`, or one loaded past its deadline:
+            // the deadline shares the first attempt's tick, where the
+            // keys alone order the two, so it is queued now.
+            self.queue.push(due, deadline_key, seq, Ev::Deadline(id));
+        }
+        self.latest_due = self.latest_due.max(due);
+        self.requests[id as usize].phase = Phase::Routing {
+            attempts: 0,
+            deadline_key,
+        };
     }
 
-    fn on_attempt(&mut self, id: ReqId) {
-        let (src, dst, attempts) = {
+    /// One attempt; `seq` is the `Attempt` event's.
+    fn on_attempt(&mut self, id: ReqId, seq: u64) {
+        let (src, dst, deadline, attempts, deadline_key) = {
             let r = &self.requests[id as usize];
-            let ReqState::Routing { attempts } = r.state else {
+            let Phase::Routing {
+                attempts,
+                deadline_key,
+            } = r.phase
+            else {
                 return; // terminal (timed out / cancelled) — stale event
             };
             if self.now > r.deadline {
@@ -758,7 +822,7 @@ impl<P: RouteProvider> RoutingService<P> {
                 self.finish(id, Terminal::TimedOut);
                 return;
             }
-            (r.src, r.dst, attempts)
+            (r.src, r.dst, r.deadline, attempts, deadline_key)
         };
         let out = self.provider.attempt(src, dst);
         self.requests[id as usize].epoch = out.epoch;
@@ -811,7 +875,20 @@ impl<P: RouteProvider> RoutingService<P> {
                     );
                     return;
                 }
-                self.requests[id as usize].state = ReqState::Routing { attempts };
+                self.requests[id as usize].phase = Phase::Routing {
+                    attempts,
+                    deadline_key,
+                };
+                let due = deadline.saturating_add(1);
+                if attempts == 1 && due > self.now {
+                    // The first attempt ran in the submit's tick, so
+                    // the deadline is still ahead and not yet queued.
+                    // It goes in with the `(time, key, seq)` it would
+                    // have had at admission, so every event still pops
+                    // in the same order.
+                    self.queue
+                        .push(due, deadline_key, seq + 1, Ev::Deadline(id));
+                }
                 self.stats.retries += 1;
                 let delay = self.backoff(id, attempts);
                 self.push(self.now.saturating_add(delay), Ev::Attempt(id), dst.raw());
@@ -847,9 +924,9 @@ impl<P: RouteProvider> RoutingService<P> {
             self.stats.cancels_ignored += 1; // cancel for a never-submitted id
             return;
         };
-        match r.state {
-            ReqState::Done(_) => self.stats.cancels_ignored += 1,
-            ReqState::Pending | ReqState::Routing { .. } => {
+        match r.phase {
+            Phase::Done { .. } => self.stats.cancels_ignored += 1,
+            Phase::Pending | Phase::Routing { .. } => {
                 self.finish(
                     id,
                     Terminal::Rejected {
@@ -863,14 +940,16 @@ impl<P: RouteProvider> RoutingService<P> {
     fn finish(&mut self, id: ReqId, t: Terminal) {
         let r = &mut self.requests[id as usize];
         debug_assert!(
-            !matches!(r.state, ReqState::Done(_)),
+            !matches!(r.phase, Phase::Done { .. }),
             "terminal transition happens exactly once"
         );
-        if matches!(r.state, ReqState::Routing { .. }) {
+        if matches!(r.phase, Phase::Routing { .. }) {
             self.in_flight -= 1;
         }
-        r.state = ReqState::Done(t);
-        r.done_at = self.now;
+        r.phase = Phase::Done {
+            terminal: t,
+            at: self.now,
+        };
         let lat = self.now - r.submit;
         self.stats.terminal_transitions += 1;
         match t {
@@ -920,15 +999,20 @@ impl<P: RouteProvider> RoutingService<P> {
 
     /// Lifecycle state of request `id`.
     pub fn state(&self, id: ReqId) -> Option<ReqState> {
-        self.requests.get(id as usize).map(|r| r.state)
+        self.requests.get(id as usize).map(|r| r.phase.state())
     }
 
     /// `(state, submit, absolute deadline, terminal time, epoch of last
-    /// attempt)` for every request, in id order.
+    /// attempt)` for every request, in id order. The terminal time of a
+    /// request not yet terminal reads 0.
     pub fn request_records(&self) -> impl Iterator<Item = (ReqState, Time, Time, Time, u64)> + '_ {
-        self.requests
-            .iter()
-            .map(|r| (r.state, r.submit, r.deadline, r.done_at, r.epoch))
+        self.requests.iter().map(|r| {
+            let done_at = match r.phase {
+                Phase::Done { at, .. } => at,
+                _ => 0,
+            };
+            (r.phase.state(), r.submit, r.deadline, done_at, r.epoch)
+        })
     }
 
     /// Number of loaded requests.
@@ -946,7 +1030,9 @@ impl<P: RouteProvider> RoutingService<P> {
         &self.violations
     }
 
-    /// Virtual time of the last processed event.
+    /// Virtual time of the event being dispatched, or after
+    /// [`run`](Self::run) the end of the run: the last event's time or,
+    /// if later, the latest `deadline + 1` of an admitted request.
     pub fn now(&self) -> Time {
         self.now
     }
@@ -1274,11 +1360,38 @@ mod tests {
         assert_eq!(done_at, 0, "every retry ran at the submit tick");
     }
 
+    /// Delivers every request with an even destination on its first
+    /// attempt and answers `Stale` for the rest.
+    struct EvenDelivers(Scripted);
+
+    impl RouteProvider for EvenDelivers {
+        fn attempt(&mut self, _s: NodeId, d: NodeId) -> AttemptOutcome {
+            let verdict = if d.raw().is_multiple_of(2) {
+                AttemptVerdict::Delivered {
+                    rung: DeliveryRung::Optimal,
+                    hops: 1,
+                }
+            } else {
+                AttemptVerdict::Stale
+            };
+            AttemptOutcome { epoch: 0, verdict }
+        }
+        fn apply_churn(&mut self, node: NodeId, fault: bool) -> bool {
+            self.0.apply_churn(node, fault)
+        }
+        fn publish_next(&mut self) -> Option<u64> {
+            self.0.publish_next()
+        }
+        fn current_epoch(&self) -> u64 {
+            self.0.current_epoch()
+        }
+    }
+
     #[test]
     fn order_key_is_drawn_once_per_push() {
         let seqs = std::rc::Rc::default();
         let mut svc = RoutingService::with_scheduler(
-            Scripted::new(vec![AttemptVerdict::Stale; 64]),
+            EvenDelivers(Scripted::new(vec![])),
             ServiceConfig::default(),
             Box::new(crate::sim::Recording(std::rc::Rc::clone(&seqs))),
         );
@@ -1286,7 +1399,7 @@ mod tests {
             .map(|k| Injection::Submit {
                 at: k % 6,
                 src: NodeId::new(0),
-                dst: NodeId::new(1),
+                dst: NodeId::new(k % 3),
                 deadline: 10 + k * 20,
             })
             .collect();
@@ -1298,9 +1411,100 @@ mod tests {
         inj.push(Injection::Cancel { at: 2, req: 7 });
         svc.load(&inj);
         let processed = svc.run();
-        // Every push pops exactly once, so the pushes number the events
-        // processed, and their keys were drawn in push order.
-        assert_eq!(*seqs.borrow(), (0..processed).collect::<Vec<_>>());
+        // Keys are drawn once per event, queued or not, in `seq` order.
+        let draws = seqs.borrow().len() as u64;
+        assert_eq!(*seqs.borrow(), (0..draws).collect::<Vec<_>>());
+        // Each request delivered on its first attempt never queued its
+        // deadline; every other event popped exactly once.
+        let elided = (0..20).filter(|k| k % 3 != 1).count() as u64;
+        assert_eq!(svc.stats().delivered_optimal, elided);
+        assert_eq!(processed, draws - elided);
+    }
+
+    #[test]
+    fn a_run_ends_at_the_last_deadline_even_when_it_was_not_queued() {
+        let delivered = AttemptVerdict::Delivered {
+            rung: DeliveryRung::Optimal,
+            hops: 2,
+        };
+        let p = Scripted::new(vec![delivered; 2]);
+        let mut svc = RoutingService::new(p, ServiceConfig::default());
+        svc.load(&one_submit(10));
+        assert_eq!(svc.run(), 2, "a Submit and an Attempt: no Deadline");
+        let (_, _, _, done_at, _) = svc.request_records().next().unwrap();
+        assert_eq!(done_at, 0);
+        assert_eq!(svc.now(), 11, "deadline 10, + 1");
+        // A later load queues from there, as if the deadline had popped.
+        svc.load(&[Injection::Submit {
+            at: 5,
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            deadline: 100,
+        }]);
+        svc.run();
+        let (_, submit, _, done_at, _) = svc.request_records().nth(1).unwrap();
+        assert_eq!((submit, done_at), (5, 11));
+        assert_eq!(svc.now(), 106);
+    }
+
+    #[test]
+    fn a_submit_at_time_max_races_its_deadline_in_its_own_tick() {
+        // `deadline + 1` saturates onto the submit's tick, so the keys
+        // decide whether the deadline or the first attempt pops first:
+        // the deadline is queued at admission, not on a retry.
+        let delivered = AttemptVerdict::Delivered {
+            rung: DeliveryRung::Optimal,
+            hops: 1,
+        };
+        let mut seen = (false, false);
+        for seed in 0..32 {
+            let mut svc = RoutingService::with_scheduler(
+                Scripted::new(vec![delivered]),
+                ServiceConfig::default(),
+                Box::new(crate::sim::AdversarialScheduler::permute(seed)),
+            );
+            svc.load(&[Injection::Submit {
+                at: Time::MAX,
+                src: NodeId::new(0),
+                dst: NodeId::new(1),
+                deadline: 0,
+            }]);
+            assert_eq!(svc.run(), 3, "Submit, Attempt, Deadline");
+            match svc.state(0) {
+                Some(ReqState::Done(Terminal::TimedOut)) => seen.0 = true,
+                Some(ReqState::Done(Terminal::Delivered { .. })) => seen.1 = true,
+                other => panic!("seed {seed}: {other:?}"),
+            }
+        }
+        assert_eq!(seen, (true, true), "both orders occur");
+    }
+
+    #[test]
+    fn a_retry_in_the_deadline_tick_times_out_exactly_once() {
+        // The first backoff is exactly 11 ticks, so the retry and the
+        // deadline (queued by the first retry) share tick 11, where the
+        // adversary's keys decide which pops first.
+        let cfg = ServiceConfig {
+            backoff_base: 11,
+            jitter_max: 0,
+            retry_limit: 8,
+            ..Default::default()
+        };
+        for seed in 0..32 {
+            let mut svc = RoutingService::with_scheduler(
+                Scripted::new(vec![AttemptVerdict::Stale; 8]),
+                cfg,
+                Box::new(crate::sim::AdversarialScheduler::permute(seed)),
+            );
+            svc.load(&one_submit(10));
+            assert_eq!(svc.run(), 4, "Submit, Attempt, retry, Deadline");
+            let (state, _, deadline, done_at, _) = svc.request_records().next().unwrap();
+            assert_eq!(state, ReqState::Done(Terminal::TimedOut), "seed {seed}");
+            assert_eq!((deadline, done_at), (10, 11), "seed {seed}");
+            assert_eq!(svc.stats().timed_out, 1, "seed {seed}");
+            assert_eq!(svc.stats().terminal_transitions, 1, "seed {seed}");
+            assert_eq!(svc.stats().retries, 1, "seed {seed}");
+        }
     }
 
     #[test]
