@@ -12,7 +12,8 @@
 use crate::broadcast::{order_children, relay, BroadcastResult};
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{PortSpace, Qn};
-use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, Time};
+use crate::unicast_distributed::idle_report;
+use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, RunOptions, RunReport, Time};
 use hypersafe_topology::{FaultConfig, NodeId};
 
 /// A broadcast message: the dimension set the receiver becomes
@@ -83,20 +84,24 @@ impl Actor for BcastNode {
 }
 
 /// Runs the broadcast from `source` as a distributed protocol
-/// (per-hop `latency`), assuming a converged safety map. Handles the
-/// safe-relay case exactly like the centralized version: an unsafe
-/// source with a safe neighbor hands the whole dimension set to it.
-/// A source outside the cube gets the empty result.
+/// (per-hop `latency`) under `opts`, assuming a converged safety map.
+/// Handles the safe-relay case exactly like the centralized version:
+/// an unsafe source with a safe neighbor hands the whole dimension set
+/// to it. The protocol has no engine invariant, so `opts.check` has
+/// nothing to check. A source outside the cube gets the empty result,
+/// and no engine is built.
 pub fn run_broadcast(
     cfg: &FaultConfig,
     map: &SafetyMap,
     source: NodeId,
     latency: Time,
-) -> BroadcastResult {
+    opts: RunOptions,
+) -> (BroadcastResult, RunReport) {
     let cube = cfg.cube();
     let n = cube.dim();
     if Qn(n).distance(source, source).is_none() {
-        return BroadcastResult::from_parts(vec![false; cube.num_nodes() as usize], 0, 0, None);
+        let empty = BroadcastResult::from_parts(vec![false; cube.num_nodes() as usize], 0, 0, None);
+        return (empty, idle_report());
     }
     let latency = latency.max(1);
     let all_dims = (1u64 << n) - 1;
@@ -109,20 +114,22 @@ pub fn run_broadcast(
     let origin = relayed_via.unwrap_or(source);
 
     let net = HypercubeNet::new(cfg);
-    let mut eng = EventEngine::new(&net, |a| {
+    let init = |a| {
         let mut node = BcastNode::new(map, cfg, a, latency);
         if a == origin && !cfg.node_faulty(origin) {
             node.start = Some(all_dims);
         }
         node
-    });
-    if !cfg.node_faulty(origin) {
-        // The relay handoff costs one message/hop before the tree
-        // starts; model it as a delayed start.
-        let delay = if relayed_via.is_some() { latency } else { 0 };
-        eng.inject(origin, START_TAG, delay);
-    }
-    eng.run(u64::MAX);
+    };
+    let start = |eng: &mut EventEngine<'_, _, _>| {
+        if !cfg.node_faulty(origin) {
+            // The relay handoff costs one message/hop before the tree
+            // starts; model it as a delayed start.
+            let delay = if relayed_via.is_some() { latency } else { 0 };
+            eng.inject(origin, START_TAG, delay);
+        }
+    };
+    let (eng, report) = EventEngine::drive(&net, opts, init, start, None);
 
     let mut received = vec![false; cube.num_nodes() as usize];
     let mut steps = 0u32;
@@ -139,7 +146,8 @@ pub fn run_broadcast(
         received[source.raw() as usize] = true;
     }
     let messages = eng.stats().delivered + eng.stats().dropped + relayed_via.is_some() as u64;
-    BroadcastResult::from_parts(received, messages, steps, relayed_via)
+    let result = BroadcastResult::from_parts(received, messages, steps, relayed_via);
+    (result, report)
 }
 
 #[cfg(test)]
@@ -166,7 +174,7 @@ mod tests {
     /// and relay.
     fn assert_agree(cfg: &FaultConfig, map: &SafetyMap, s: NodeId, what: &str) {
         let central = broadcast(cfg, map, s);
-        let dist = run_broadcast(cfg, map, s, 1);
+        let dist = run_broadcast(cfg, map, s, 1, RunOptions::default()).0;
         let got = |r: &BroadcastResult| {
             cfg.cube()
                 .nodes()
@@ -210,7 +218,7 @@ mod tests {
         let cube = Hypercube::new(5);
         let cfg = FaultConfig::fault_free(cube);
         let map = SafetyMap::compute(&cfg);
-        let r = run_broadcast(&cfg, &map, n("00000"), 3);
+        let r = run_broadcast(&cfg, &map, n("00000"), 3, RunOptions::default()).0;
         assert!(r.complete(cfg.node_faults()));
         assert_eq!(r.steps, 5, "binomial depth in latency units");
     }
@@ -220,7 +228,7 @@ mod tests {
         let cube = Hypercube::new(3);
         let cfg = FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["000"]));
         let map = SafetyMap::compute(&cfg);
-        let r = run_broadcast(&cfg, &map, NodeId::ZERO, 1);
+        let r = run_broadcast(&cfg, &map, NodeId::ZERO, 1, RunOptions::default()).0;
         assert_eq!(r.coverage(), 0);
     }
 }

@@ -105,13 +105,13 @@ pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     let n = cube.dim();
     let net = HypercubeNet::new(cfg);
     let mut eng = SyncEngine::new(&net, |a| {
-        let mut node = GsNode::new(n);
+        let mut node = GsNode::new(n, None);
         node.n2 = cfg.link_faults().touches(cube, a);
         node
     });
     eng.run_until_stable(n as u32 + 1);
     // A faulty node reads 0 in both views; an N2 node advertises 0.
-    let view = |f: fn(&GsNode) -> Level| {
+    let view = |f: fn(&_) -> Level| {
         let levels = cube.nodes().map(|a| eng.node(a).map_or(0, f));
         levels.collect::<Vec<_>>()
     };

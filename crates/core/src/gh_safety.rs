@@ -13,13 +13,14 @@
 //! reached in `n − 1` rounds. [`GhSafetyMap::compute`] reaches it with
 //! the cube's frontier rounds and Definition-1 rule ([`crate::safety`]).
 
+use crate::gs::GsNode;
 use crate::level_store::LevelStore;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation};
-use crate::safety::{frontier_round, level_from_low_counts, level_from_unsorted, Level};
+use crate::safety::{frontier_round, level_from_low_counts, Level};
 use crate::safety_delta::with_clear_marks;
-use hypersafe_simkit::{gh_port_dim, GhNet, SyncEngine, SyncNode, SyncStats};
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
-use std::sync::Arc;
+use hypersafe_simkit::{GhNet, SyncEngine, SyncStats};
+use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use std::borrow::Cow;
 
 /// Safety levels of every node of a faulty generalized hypercube,
 /// packed like the cube's ([`LevelStore`] by mixed-radix node index,
@@ -92,13 +93,20 @@ impl GhSafetyMap {
     /// faults first) or, when those are many, as a sweep (DESIGN.md
     /// §13). Each changes what a full round would, so the levels and
     /// `rounds()` are the full iteration's. Members of `faults` past
-    /// the last node are ignored.
+    /// the last node are ignored, and a set narrower than `gh` leaves
+    /// the nodes past its capacity healthy.
     pub fn compute(gh: &GeneralizedHypercube, faults: &FaultSet) -> Self {
         let n = gh.dim();
         let len = gh.num_nodes();
         // The faults, set to 0 in round 0, seed the frontier; members
-        // past the last node are neither set nor seeded.
-        let faulty = faults.words();
+        // past the last node are neither set nor seeded. The rounds read
+        // a word per node, so a narrower set is padded with clear words.
+        let mut faulty = Cow::Borrowed(faults.words());
+        let words = len.div_ceil(64) as usize;
+        if faulty.len() < words {
+            faulty.to_mut().resize(words, 0);
+        }
+        let faulty = &*faulty;
         let mut levels = LevelStore::ceiling_except(n, len, faulty);
         let mut frontier: Vec<GhNode> = levels.iter_eq(0).map(GhNode).collect();
         let mut changes = Vec::new();
@@ -185,84 +193,16 @@ fn sweep(gh: &GeneralizedHypercube, levels: &mut LevelStore, frontier: &mut Vec<
     frontier.len() as u64
 }
 
-/// Per-node state of the distributed GH `GLOBAL_STATUS`
-/// (`EXTENDED_NODE_STATUS` of §4.2 run on the lock-step engine): each
-/// round the node hears every clique peer's level, takes the
-/// per-dimension minimum (`S_i = min{S(aⁱ)}`), and applies
-/// Definition 1's rule. Silent ports (faulty peers) read as level 0.
-#[derive(Clone, Debug)]
-pub struct GhGsNode {
-    ports: Arc<GhPorts>,
-    n: u8,
-    level: Level,
-}
-
-/// The port layout every node of one GH shares, computed once per run.
-#[derive(Debug)]
-struct GhPorts {
-    /// Dimension of each port.
-    dims: Box<[u8]>,
-    /// Clique peers per dimension (`m_i − 1`).
-    peers: Box<[u16]>,
-}
-
-impl GhGsNode {
-    /// Current safety level.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-}
-
-impl SyncNode for GhGsNode {
-    type Msg = Level;
-
-    fn broadcast(&self) -> Level {
-        self.level
-    }
-
-    fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
-        // Per-dimension minimum over the clique; a dimension with any
-        // silent (faulty) peer reads 0.
-        let mut mins = [self.n; MAX_DIM as usize];
-        let mut heard = [0u16; MAX_DIM as usize];
-        for &(port, lv) in inbox {
-            let d = self.ports.dims[port] as usize;
-            heard[d] += 1;
-            mins[d] = mins[d].min(lv);
-        }
-        for (min, (&h, &peers)) in mins.iter_mut().zip(heard.iter().zip(&*self.ports.peers)) {
-            if h < peers {
-                *min = 0;
-            }
-        }
-        let new = level_from_unsorted(self.n, mins[..self.n as usize].iter().copied());
-        let changed = new != self.level;
-        self.level = new;
-        changed
-    }
-}
-
-/// The lock-step engine running GH `GLOBAL_STATUS` over `net`, every
-/// healthy node starting `n`-safe.
-pub(crate) fn gh_gs_engine<'a, 'g>(net: &'a GhNet<'g>) -> SyncEngine<'a, GhNet<'g>, GhGsNode> {
-    let gh = net.gh();
-    let n = gh.dim();
-    let ports = Arc::new(GhPorts {
-        dims: (0..gh.degree() as usize)
-            .map(|p| gh_port_dim(gh, p))
-            .collect(),
-        peers: (0..n).map(|i| gh.radix(i) - 1).collect(),
-    });
-    SyncEngine::new(net, |_| GhGsNode {
-        ports: ports.clone(),
-        n,
-        level: n,
-    })
+/// The peers along each dimension of `gh` that a node hears in GH
+/// `GLOBAL_STATUS` (`EXTENDED_NODE_STATUS` of §4.2): the rest of its
+/// clique, whose minimum the lock-step [`GsNode`] reads.
+fn clique_peers(gh: &GeneralizedHypercube) -> Vec<u16> {
+    (0..gh.dim()).map(|i| gh.radix(i) - 1).collect()
 }
 
 /// The levels of the `len` nodes of a lock-step engine, faulty ones 0.
-fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>) -> Vec<Level> {
-    let node = |a| eng.node(NodeId::new(a)).map_or(0, GhGsNode::level);
+fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GsNode<'_>>) -> Vec<Level> {
+    let node = |a| eng.node(NodeId::new(a)).map_or(0, GsNode::level);
     (0..len).map(node).collect()
 }
 
@@ -272,7 +212,8 @@ fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GhGsNode>) -> Vec<Lev
 pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, SyncStats) {
     let n = gh.dim();
     let net = GhNet::new(gh, faults);
-    let mut eng = gh_gs_engine(&net);
+    let peers = clique_peers(gh);
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
     let rounds = eng.run_until_stable(n as u32 + 1);
     let levels = LevelStore::from_levels(n, &engine_levels(gh.num_nodes(), &eng));
     (GhSafetyMap { levels, rounds }, eng.stats().clone())
@@ -281,7 +222,7 @@ pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, 
 /// Checked runner for the distributed GH `GLOBAL_STATUS`: steps the
 /// lock-step engine round by round and, after every round, checks
 /// [`check_level_corridor`] from the all-`n` start down to the
-/// centralized Definition 4 fixed point (`GhGsNode` keeps no direction
+/// centralized Definition 4 fixed point (`GsNode` keeps no direction
 /// flag, so a node's direction bit is "no higher than last round"),
 /// that the round count stays within the paper's `n − 1` bound (`+1`
 /// for the final no-change confirmation round), and at quiescence
@@ -294,7 +235,8 @@ pub fn run_gh_gs_checked(
     let central = GhSafetyMap::compute(gh, faults);
     let fixed = |a: NodeId| central.level(GhNode(a.raw()));
     let net = GhNet::new(gh, faults);
-    let mut eng = gh_gs_engine(&net);
+    let peers = clique_peers(gh);
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
     let mut prev = engine_levels(gh.num_nodes(), &eng);
     let mut rounds = 0u32;
     while eng.run_round() != 0 {
@@ -343,7 +285,8 @@ mod tests {
             map.to_vec().into_iter().map(cap).collect()
         };
         let net = GhNet::new(gh, faults);
-        let mut eng = gh_gs_engine(&net);
+        let peers = clique_peers(gh);
+        let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
         let mut rounds = 0;
         assert_eq!(engine_levels(gh.num_nodes(), &eng), after(0), "{what}");
         while eng.run_round() != 0 {

@@ -71,6 +71,10 @@ impl PortSpace for &GeneralizedHypercube {
             })
     }
 
+    fn across(self, a: GhNode, (i, v): (u8, u16)) -> GhNode {
+        self.with_digit(a, i, v)
+    }
+
     fn raw(a: GhNode) -> u64 {
         a.raw()
     }
@@ -107,6 +111,50 @@ impl<'a> LevelView for GhMapView<'a> {
 
     fn level_across(&self, at: GhNode, (i, v): (u8, u16)) -> Level {
         self.map.level(self.gh.with_digit(at, i, v))
+    }
+}
+
+/// What a GH node knows after GS, as the unicast actor
+/// ([`crate::UnicastNode`]) reads it: its own level and the level of
+/// every clique peer, laid out dimension by dimension, each clique in
+/// digit order (the node's own slot in each clique holds its own
+/// level).
+#[derive(Clone)]
+pub(crate) struct PeerLevels<'a> {
+    gh: &'a GeneralizedHypercube,
+    own: Level,
+    by_port: Vec<Level>,
+}
+
+impl<'a> PeerLevels<'a> {
+    /// The table of `me` after GS converged to `map`.
+    pub(crate) fn new(gh: &'a GeneralizedHypercube, map: &GhSafetyMap, me: GhNode) -> Self {
+        let by_port = (0..gh.dim())
+            .flat_map(|i| (0..gh.radix(i)).map(move |v| (i, v)))
+            .map(|(i, v)| map.level(gh.with_digit(me, i, v)))
+            .collect();
+        PeerLevels {
+            gh,
+            own: map.level(me),
+            by_port,
+        }
+    }
+}
+
+impl<'a> LevelView for PeerLevels<'a> {
+    type Space = &'a GeneralizedHypercube;
+
+    fn space(&self) -> &'a GeneralizedHypercube {
+        self.gh
+    }
+
+    fn own_level(&self, _: GhNode) -> Level {
+        self.own
+    }
+
+    fn level_across(&self, _: GhNode, (i, v): (u8, u16)) -> Level {
+        let start: usize = (0..i).map(|j| self.gh.radix(j) as usize).sum();
+        self.by_port[start + v as usize]
     }
 }
 

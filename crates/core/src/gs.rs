@@ -26,22 +26,33 @@ use hypersafe_simkit::{
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
-/// Per-node state of the synchronous GS protocol and of EGS
-/// ([`crate::egs::run_egs`]), where an `N2` node advertises 0.
+/// Per-node state of the lock-step GS protocol on either topology:
+/// `GLOBAL_STATUS` in `Q_n`, its §4.2 form in a generalized hypercube
+/// ([`crate::run_gh_gs`]), and EGS ([`crate::egs::run_egs`]), where an
+/// `N2` node advertises 0. Each round a dimension reads the lowest level
+/// its peers sent (Definition 4), and a dimension with a silent peer (a
+/// faulty node or a faulty link) reads 0; the node then applies
+/// Definition 1.
 #[derive(Clone, Debug)]
-pub struct GsNode {
+pub struct GsNode<'a> {
     n: u8,
     level: Level,
+    /// The peers along each dimension, shared by every node of a GH
+    /// run: the rest of each clique, `m_i − 1`. `None` in `Q_n`, where
+    /// a dimension is one port.
+    cliques: Option<&'a [u16]>,
     /// Whether the node is in EGS's `N2` and so advertises 0.
     pub(crate) n2: bool,
 }
 
-impl GsNode {
-    /// Fresh state for a node of an `n`-cube: initially `n`-safe.
-    pub fn new(n: u8) -> Self {
+impl<'a> GsNode<'a> {
+    /// Fresh state for a node of an `n`-dimensional network with the
+    /// given cliques (`None` in `Q_n`): initially `n`-safe.
+    pub(crate) fn new(n: u8, cliques: Option<&'a [u16]>) -> Self {
         GsNode {
             n,
             level: n,
+            cliques,
             n2: false,
         }
     }
@@ -52,7 +63,7 @@ impl GsNode {
     }
 }
 
-impl SyncNode for GsNode {
+impl SyncNode for GsNode<'_> {
     type Msg = Level;
 
     fn broadcast(&self) -> Level {
@@ -64,12 +75,31 @@ impl SyncNode for GsNode {
     }
 
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
-        // One message per delivering dimension; the dimensions that
-        // delivered nothing (faulty neighbor or faulty link) read as
-        // level 0.
-        let silent = self.n as usize - inbox.len();
-        let heard = inbox.iter().map(|&(_, lv)| lv);
-        let new = level_from_unsorted(self.n, heard.chain(std::iter::repeat_n(0, silent)));
+        let n = self.n;
+        let new = match self.cliques {
+            // A dimension is one port: the silent ones read 0.
+            None => {
+                let silent = n as usize - inbox.len();
+                let heard = inbox.iter().map(|&(_, lv)| lv);
+                level_from_unsorted(n, heard.chain(std::iter::repeat_n(0, silent)))
+            }
+            // The inbox lists ports in order, and the network numbers
+            // them dimension-major, so each clique's ports come next; a
+            // silent one reads 0.
+            Some(cliques) => {
+                let (mut heard, mut port) = (inbox.iter().peekable(), 0);
+                let readings = cliques.iter().map(|&peers| {
+                    let mut min = n;
+                    for _ in 0..peers {
+                        let lv = heard.next_if(|&&(p, _)| p == port).map_or(0, |&(_, lv)| lv);
+                        min = min.min(lv);
+                        port += 1;
+                    }
+                    min
+                });
+                level_from_unsorted(n, readings)
+            }
+        };
         let changed = new != self.level;
         self.level = new;
         changed
@@ -106,7 +136,7 @@ pub struct GsRun {
 pub fn run_gs(cfg: &FaultConfig) -> GsRun {
     let n = cfg.cube().dim();
     let net = HypercubeNet::new(cfg);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(n));
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(n, None));
     eng.run_until_stable(n as u32);
     let stats = eng.stats().clone();
     let levels = cfg

@@ -92,21 +92,18 @@ impl LevelStore {
     /// Level `max_level` at every index except those set in `zero`
     /// (64 indices per word, ascending — a fault set's words), which
     /// get 0: the paper's Jacobi start, built word by word from the
-    /// bitmap with no transpose.
+    /// bitmap with no transpose. Words missing from a shorter `zero`
+    /// read as 0, and words past `len` are ignored.
     ///
     /// # Panics
     ///
-    /// If `max_level > MAX_DIM`, or `zero` has fewer than one word per
-    /// 64 indices.
+    /// If `max_level > MAX_DIM`.
     pub fn ceiling_except(max_level: u8, len: u64, zero: &[u64]) -> Self {
         let mut s = Self::zeroed(max_level, len);
         let fill = (max_level & 0xF) as u64;
-        for (pw, &z) in zero[..len.div_ceil(BITS_PER_WORD) as usize]
-            .iter()
-            .enumerate()
-        {
+        for pw in 0..len.div_ceil(BITS_PER_WORD) as usize {
             let base = pw as u64 * BITS_PER_WORD;
-            let keep = !z & tail_mask(len - base);
+            let keep = !zero.get(pw).copied().unwrap_or(0) & tail_mask(len - base);
             for (q, nib) in s.nibbles.iter_mut().skip(pw * 4).take(4).enumerate() {
                 // expand16 puts a 1 in each kept field; a level ≤ 15
                 // times it fills the field without carrying.
@@ -759,6 +756,15 @@ mod tests {
                 LevelStore::ceiling_except(max, len, &zero),
                 LevelStore::from_levels(max, &want),
                 "max={max} len={len}"
+            );
+            // A bitmap one word long reads as clear past that word.
+            let short: Vec<Level> = (0..len)
+                .map(|i| if i < 64 { want[i as usize] } else { max })
+                .collect();
+            assert_eq!(
+                LevelStore::ceiling_except(max, len, &zero[..1]),
+                LevelStore::from_levels(max, &short),
+                "max={max} len={len}, one word"
             );
         }
     }

@@ -4,17 +4,20 @@
 //! unicasting** in faulty hypercubes (Wu, ICPP'95 / IEEE TC Feb'97).
 //!
 //! * [`safety`] — Definition 1 and the unique fixed point (Theorem 1).
-//! * [`gs`] — the distributed `GLOBAL_STATUS` protocol, synchronous and
+//! * [`gs`] — the distributed `GLOBAL_STATUS` protocol, synchronous (one
+//!   lock-step node for `Q_n`, generalized hypercubes and EGS) and
 //!   asynchronous, executed message-by-message on `hypersafe-simkit`.
 //! * [`navigation`] + [`unicast`] — the optimal/suboptimal unicasting
 //!   algorithm with the `C1`/`C2`/`C3` source feasibility check.
 //! * [`unicast_distributed`] — the same algorithm as per-node actors
-//!   exchanging real messages; [`run_unicast_lossy`] and
-//!   [`run_gs_reliable`] run the protocols over lossy channels via
-//!   `hypersafe-simkit`'s reliable delivery layer.
+//!   exchanging real messages: one actor for `Q_n` and generalized
+//!   hypercubes; [`run_unicast_lossy`] and [`run_gs_reliable`] run the
+//!   protocols over lossy channels via `hypersafe-simkit`'s reliable
+//!   delivery layer.
 //! * Event-driven runners: [`run_gs_async`], [`run_gs_reliable`],
-//!   [`run_unicast`], [`run_unicast_lossy`] and [`run_delta_gs`], one
-//!   per protocol. Each takes the protocol's own parameters plus a
+//!   [`run_unicast`], [`run_gh_unicast`], [`run_unicast_lossy`],
+//!   [`run_broadcast`] and [`run_delta_gs`], one per protocol. Each
+//!   takes the protocol's own parameters plus a
 //!   [`hypersafe_simkit::RunOptions`] (scheduler, channel, event
 //!   budget, kill plan, and whether to observe, trace or check) and
 //!   returns its result with the engine's
@@ -61,7 +64,6 @@ pub mod egs;
 pub mod exact;
 pub mod gh_safety;
 pub mod gh_unicast;
-pub mod gh_unicast_distributed;
 pub mod gs;
 pub mod level_store;
 pub mod maintenance;
@@ -84,9 +86,8 @@ pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
 pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
-pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhGsNode, GhSafetyMap};
+pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhSafetyMap};
 pub use gh_unicast::{gh_route, gh_source_decision, GhRouteResult};
-pub use gh_unicast_distributed::{run_gh_unicast, GhDistributedRun, GhMsg, GhUnicastNode};
 pub use gs::{
     run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLevelsDescend, GsLossyRun, GsRun,
 };
@@ -118,6 +119,6 @@ pub use unicast::{
     source_decision, source_decision_tb, Condition, Decision, RouteResult, TieBreak,
 };
 pub use unicast_distributed::{
-    run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun, LossyOutcome, LossyRun,
-    UnicastMsg, UnicastNode,
+    run_gh_unicast, run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun,
+    LossyOutcome, LossyRun, UnicastMsg, UnicastNode,
 };

@@ -41,7 +41,7 @@ use crate::properties::{
 use crate::safety::SafetyMap;
 use crate::safety_delta::{ChurnEvent, DeltaGsDirected, DeltaGsNode};
 use crate::unicast::source_decision;
-use crate::unicast_distributed::{ArqSingleDelivery, LossyUnicastNode, START_TAG};
+use crate::unicast_distributed::{ArqSingleDelivery, LocalLevels, UnicastNode, START_TAG};
 use hypersafe_simkit::{
     engine_projection, explore, EventEngine, HypercubeNet, McCheck, McConfig, McReport, McSnapshot,
     Reliable, ReliableConfig, RunOptions, Scheduler,
@@ -172,7 +172,7 @@ pub fn mc_unicast_arq(
     let n = cfg.cube().dim();
     let decision = source_decision(map, s, d);
     let sound = check_theorem4_soundness(cfg, s, d, decision);
-    let outcome = |st: &McSnapshot<'_, Reliable<LossyUnicastNode>>| {
+    let outcome = |st: &McSnapshot<'_, Reliable<UnicastNode<LocalLevels>>>| {
         let delivered = st.actors[d.raw() as usize]
             .as_ref()
             .and_then(|a| a.inner.received.as_ref());
@@ -196,10 +196,8 @@ pub fn mc_unicast_arq(
     explore(
         &net,
         |a| {
-            let mut inner = LossyUnicastNode::new(map, cfg, a);
-            if a == s {
-                inner.start = Some(d);
-            }
+            let table = LocalLevels::new(map, cfg, a);
+            let inner = UnicastNode::new(table, a, (a == s).then_some(d), 1);
             Reliable::new(inner, a, n, 1, rcfg)
         },
         &[(s, START_TAG)],

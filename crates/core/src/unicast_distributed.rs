@@ -1,41 +1,45 @@
 //! The unicasting algorithm executed as an actual distributed protocol
-//! on the discrete-event engine.
+//! on the discrete-event engine, in `Q_n` and in generalized
+//! hypercubes.
 //!
-//! [`crate::unicast::route`] simulates the algorithm centrally (fast,
-//! used by the Monte-Carlo experiments); this module runs it for real:
-//! each node is an actor holding only its own safety level and its
-//! neighbors' levels (the paper's locality assumption), messages carry
-//! `(payload, navigation vector)`, and the destination raises a flag on
-//! arrival. The test suite checks the two implementations take the
-//! same path hop for hop — evidence that the centralized shortcut is
-//! faithful.
+//! [`crate::unicast::route`] and [`crate::gh_route`] simulate the
+//! algorithm centrally (fast, used by the Monte-Carlo experiments);
+//! this module runs it for real: each node is an actor holding only its
+//! own safety level and its neighbors' levels (the paper's locality
+//! assumption), messages carry `(destination, trail)`, and the
+//! destination keeps what arrives. Routing in `GH_n` "is exactly the
+//! same as in a regular hypercube" (§4.2), so one actor,
+//! [`UnicastNode`], serves both topologies; only its local table
+//! differs. The test suite checks the actor takes the centralized path
+//! hop for hop — evidence that the centralized shortcut is faithful.
 
+use crate::gh_safety::GhSafetyMap;
+use crate::gh_unicast::{gh_source_decision, PeerLevels};
 use crate::level_store::NeighborLevels;
-use crate::navigation::NavVector;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{
-    rule_at_hop, rule_at_source, source_decision, Decision, LevelView, Qn, SourceStep, TieBreak,
+    rule_at_hop, rule_at_source, source_decision, Decision, LevelView, NodeOf, PortSpace, Qn,
+    SourceStep, TieBreak,
 };
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
-    ReliableConfig, RunOptions, RunReport, Time,
+    Actor, Ctx, EventEngine, EventStats, GhNet, HypercubeNet, Invariant, Network, RelCtx, Reliable,
+    ReliableActor, ReliableConfig, RunOptions, RunReport, Time,
 };
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId};
 
 /// What a cube actor knows after GS (the paper's locality
 /// assumption): its own level and its `n` neighbors' levels, by
-/// dimension. Both actors apply the §3 rule over it, with the
-/// default [`TieBreak::LowestDim`].
+/// dimension.
 #[derive(Clone, Copy, Debug)]
-struct LocalLevels {
+pub(crate) struct LocalLevels {
     n: u8,
     own: Level,
     neighbors: NeighborLevels,
 }
 
 impl LocalLevels {
-    fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
+    pub(crate) fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
         let cube = cfg.cube();
         let mut neighbors = NeighborLevels::filled(cube.dim(), 0);
         for (i, b) in cube.neighbors(me).enumerate() {
@@ -46,11 +50,6 @@ impl LocalLevels {
             own: map.level(me),
             neighbors,
         }
-    }
-
-    /// `UNICASTING_AT_INTERMEDIATE_NODE` from local state.
-    fn next_dim(&self, at: NodeId, nav: NavVector) -> Option<u8> {
-        rule_at_hop(self, at, nav.destination(at), TieBreak::LowestDim)
     }
 }
 
@@ -70,9 +69,9 @@ impl LevelView for LocalLevels {
     }
 }
 
-/// The run of a unicast with an endpoint outside the cube: the source
-/// decision fails and no engine is built.
-fn idle_report() -> RunReport {
+/// The report of a run that built no engine: an endpoint outside the
+/// topology.
+pub(crate) fn idle_report() -> RunReport {
     RunReport {
         processed: 0,
         drained: true,
@@ -82,96 +81,194 @@ fn idle_report() -> RunReport {
     }
 }
 
-/// A unicast message in flight: the navigation vector plus the hop
-/// trail (the trail is measurement instrumentation, not protocol state
-/// — the algorithm itself reads only the vector).
+/// A unicast message in flight: the destination plus the hop trail (the
+/// trail is measurement instrumentation, not protocol state — the
+/// algorithm itself reads only the destination; in `Q_n` the paper's
+/// navigation vector is the trail's last node XOR the destination).
 #[derive(Clone, Debug)]
-pub struct UnicastMsg {
-    /// Navigation vector after the hop that delivered this message.
-    pub nav: NavVector,
+pub struct UnicastMsg<N = NodeId> {
+    /// Final destination.
+    pub dest: N,
     /// Nodes visited so far, including the source.
-    pub trail: Vec<NodeId>,
+    pub trail: Vec<N>,
 }
 
-/// Per-node actor: local safety knowledge plus delivery flag.
-pub struct UnicastNode {
-    /// Own level and the levels of the `n` neighbors, by dimension —
-    /// exactly the information the paper's algorithm requires a node
-    /// to hold after GS.
-    levels: LocalLevels,
-    /// Set when this node receives a message with a zero vector.
-    pub received: Option<UnicastMsg>,
-    /// Pending unicast to start from this node: `(destination)`.
-    start: Option<NodeId>,
+/// Per-node unicast actor over the node's local table `T`: its own
+/// level and its neighbors' levels, exactly the information the paper's
+/// algorithm requires a node to hold after GS. Every node applies the
+/// §3 rule with the default [`TieBreak::LowestDim`].
+///
+/// As a plain [`Actor`] it assumes reliable links: it forwards every
+/// copy it receives, and the destination keeps the last. Behind the
+/// reliable layer, as a [`ReliableActor`], the destination keeps the
+/// first copy, a node refuses to forward a duplicate, and the node
+/// counts what surfaced for the widened outcome taxonomy.
+#[derive(Clone)]
+pub struct UnicastNode<T: LevelView> {
+    levels: T,
+    me: NodeOf<T>,
+    /// The message kept on arrival at its destination.
+    pub received: Option<UnicastMsg<NodeOf<T>>>,
+    /// Virtual time of the kept arrival (reliable layer only).
+    pub(crate) received_at: Option<Time>,
+    /// Unicast payloads surfaced to this node behind the reliable layer
+    /// (≥ 2 would mean the layer leaked a duplicate).
+    pub(crate) receives: u64,
+    /// Set when the source found no feasible first hop (reliable layer
+    /// only).
+    pub(crate) aborted: bool,
+    /// The destination of a unicast to start from this node.
+    start: Option<NodeOf<T>>,
     latency: Time,
-}
-
-impl UnicastNode {
-    fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId, latency: Time) -> Self {
-        UnicastNode {
-            levels: LocalLevels::new(map, cfg, me),
-            received: None,
-            start: None,
-            latency,
-        }
-    }
-
-    fn forward(&self, ctx: &mut Ctx<UnicastMsg>, mut msg: UnicastMsg, dim: u8) {
-        let next = ctx.self_id().neighbor(dim);
-        msg.nav = msg.nav.after_hop(dim);
-        msg.trail.push(next);
-        ctx.send(next, msg, self.latency);
-    }
 }
 
 /// Timer tag used to kick off a unicast at the source.
 pub(crate) const START_TAG: u64 = 0xCAFE;
 
-impl Actor for UnicastNode {
-    type Msg = UnicastMsg;
+/// What a node does with a unicast it holds.
+enum Step<N> {
+    /// Send the message, its trail extended, to the engine's node.
+    Send(NodeId, UnicastMsg<N>),
+    /// The node is the destination.
+    Arrived(UnicastMsg<N>),
+    /// C1–C3 all fail at the source: nothing is sent.
+    Abort,
+}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<UnicastMsg>, tag: u64) {
-        if tag != START_TAG {
-            return;
-        }
-        let Some(d) = self.start.take() else { return };
-        let s = ctx.self_id();
-        let msg = UnicastMsg {
-            nav: NavVector::new(s, d),
-            trail: vec![s],
-        };
-        match rule_at_source(&self.levels, s, d, TieBreak::LowestDim) {
-            SourceStep::AlreadyThere => self.received = Some(msg),
-            SourceStep::Leave(_, dim) => self.forward(ctx, msg, dim),
-            // Failure is detected locally; nothing is sent.
-            SourceStep::Failure => {}
+impl<T: LevelView> UnicastNode<T> {
+    /// The actor of `me` over its table, starting a unicast to `start`
+    /// when that is set.
+    pub(crate) fn new(levels: T, me: NodeOf<T>, start: Option<NodeOf<T>>, latency: Time) -> Self {
+        UnicastNode {
+            levels,
+            me,
+            received: None,
+            received_at: None,
+            receives: 0,
+            aborted: false,
+            start,
+            latency,
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<UnicastMsg>, _from: NodeId, msg: UnicastMsg) {
-        if msg.nav.is_done() {
-            // UNICASTING_AT_INTERMEDIATE_NODE: N = 0 → we are the
-            // destination.
-            self.received = Some(msg);
-            return;
+    /// `UNICASTING_AT_SOURCE_NODE` once the start timer fires; `None`
+    /// when the timer is not the start or no unicast is pending.
+    fn begin(&mut self, tag: u64) -> Option<Step<NodeOf<T>>> {
+        if tag != START_TAG {
+            return None;
         }
-        if let Some(dim) = self.levels.next_dim(ctx.self_id(), msg.nav) {
-            self.forward(ctx, msg, dim);
+        let d = self.start.take()?;
+        let msg = UnicastMsg {
+            dest: d,
+            trail: vec![self.me],
+        };
+        Some(
+            match rule_at_source(&self.levels, self.me, d, TieBreak::LowestDim) {
+                SourceStep::AlreadyThere => Step::Arrived(msg),
+                SourceStep::Leave(_, port) => self.forward(msg, port),
+                SourceStep::Failure => Step::Abort,
+            },
+        )
+    }
+
+    /// `UNICASTING_AT_INTERMEDIATE_NODE`: on to the preferred neighbor
+    /// with the highest level, or arrival when none is left.
+    fn hop(&self, msg: UnicastMsg<NodeOf<T>>) -> Step<NodeOf<T>> {
+        match rule_at_hop(&self.levels, self.me, msg.dest, TieBreak::LowestDim) {
+            Some(port) => self.forward(msg, port),
+            None => Step::Arrived(msg),
+        }
+    }
+
+    fn forward(
+        &self,
+        mut msg: UnicastMsg<NodeOf<T>>,
+        port: <T::Space as PortSpace>::Port,
+    ) -> Step<NodeOf<T>> {
+        let next = self.levels.space().across(self.me, port);
+        msg.trail.push(next);
+        Step::Send(NodeId::new(<T::Space as PortSpace>::raw(next)), msg)
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx<UnicastMsg<NodeOf<T>>>, step: Step<NodeOf<T>>) {
+        match step {
+            Step::Send(next, msg) => ctx.send(next, msg, self.latency),
+            Step::Arrived(msg) => self.received = Some(msg),
+            Step::Abort => {}
+        }
+    }
+
+    fn apply_reliable(&mut self, ctx: &mut RelCtx<UnicastMsg<NodeOf<T>>>, step: Step<NodeOf<T>>) {
+        match step {
+            Step::Send(next, msg) => ctx.send_reliable(next, msg),
+            Step::Arrived(msg) => {
+                if self.received.is_none() {
+                    self.received_at = Some(ctx.now());
+                    self.received = Some(msg);
+                }
+            }
+            Step::Abort => self.aborted = true,
         }
     }
 }
 
-/// Outcome of a distributed unicast run.
+impl<T: LevelView> Actor for UnicastNode<T> {
+    type Msg = UnicastMsg<NodeOf<T>>;
+
+    fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, tag: u64) {
+        if let Some(step) = self.begin(tag) {
+            self.apply(ctx, step);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, _from: NodeId, msg: Self::Msg) {
+        let step = self.hop(msg);
+        self.apply(ctx, step);
+    }
+}
+
+/// Outcome of a distributed unicast run, in `Q_n` or (with `N` =
+/// [`GhNode`]) in a generalized hypercube.
 #[derive(Clone, Debug)]
-pub struct DistributedRun {
+pub struct DistributedRun<N = NodeId> {
     /// The source's (purely local) decision, recomputed for reporting.
     pub decision: Decision,
     /// Trail recorded at the destination, if the message arrived.
-    pub trail: Option<Vec<NodeId>>,
+    pub trail: Option<Vec<N>>,
     /// Virtual time of arrival (hops × latency).
     pub arrival_time: Option<Time>,
     /// Messages delivered in the run.
     pub messages: u64,
+}
+
+/// The run of a unicast with an endpoint outside the topology.
+fn not_run<N>() -> (DistributedRun<N>, RunReport) {
+    let run = DistributedRun {
+        decision: Decision::Failure,
+        trail: None,
+        arrival_time: None,
+        messages: 0,
+    };
+    (run, idle_report())
+}
+
+/// Reads a finished run off the engine: what the destination `d` kept,
+/// and when.
+fn collect<Net: Network, T: LevelView>(
+    eng: &EventEngine<'_, Net, UnicastNode<T>>,
+    d: NodeId,
+    decision: Decision,
+) -> DistributedRun<NodeOf<T>> {
+    let trail = eng
+        .actor(d)
+        .and_then(|n| n.received.as_ref())
+        .map(|m| m.trail.clone());
+    DistributedRun {
+        decision,
+        arrival_time: trail.as_ref().map(|_| eng.stats().end_time),
+        trail,
+        messages: eng.stats().delivered,
+    }
 }
 
 /// Runs one unicast `s → d` as a distributed protocol over `cfg`,
@@ -190,36 +287,56 @@ pub fn run_unicast(
     opts: RunOptions,
 ) -> (DistributedRun, RunReport) {
     if !(cfg.cube().contains(s) && cfg.cube().contains(d)) {
-        let run = DistributedRun {
-            decision: Decision::Failure,
-            trail: None,
-            arrival_time: None,
-            messages: 0,
-        };
-        return (run, idle_report());
+        return not_run();
     }
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
     let init = |a| {
-        let mut node = UnicastNode::new(map, cfg, a, latency);
-        if a == s {
-            node.start = Some(d);
-        }
-        node
+        UnicastNode::new(
+            LocalLevels::new(map, cfg, a),
+            a,
+            (a == s).then_some(d),
+            latency,
+        )
     };
     let (eng, report) = EventEngine::drive(&net, opts, init, |e| e.inject(s, START_TAG, 0), None);
-    let messages = eng.stats().delivered;
-    let arrival = eng.stats().end_time;
-    let received = eng
-        .actor(d)
-        .and_then(|n| n.received.as_ref())
-        .map(|m| m.trail.clone());
-    let run = DistributedRun {
-        decision: source_decision(map, s, d),
-        arrival_time: received.as_ref().map(|_| arrival),
-        trail: received,
-        messages,
+    (collect(&eng, d, source_decision(map, s, d)), report)
+}
+
+/// [`run_unicast`] in a generalized hypercube `gh` with faulty nodes
+/// `faults` and the converged GH map: the same actor over each node's
+/// clique-peer table, under `opts`. An endpoint outside `gh` gives a
+/// `Failure` run with no messages, and no engine is built.
+pub fn run_gh_unicast(
+    gh: &GeneralizedHypercube,
+    map: &GhSafetyMap,
+    faults: &FaultSet,
+    s: GhNode,
+    d: GhNode,
+    latency: Time,
+    opts: RunOptions,
+) -> (DistributedRun<GhNode>, RunReport) {
+    if !(gh.contains(s) && gh.contains(d)) {
+        return not_run();
+    }
+    let latency = latency.max(1);
+    let net = GhNet::new(gh, faults);
+    let init = |a: NodeId| {
+        let me = GhNode(a.raw());
+        UnicastNode::new(
+            PeerLevels::new(gh, map, me),
+            me,
+            (me == s).then_some(d),
+            latency,
+        )
     };
+    let start = |e: &mut EventEngine<'_, _, _>| e.inject(NodeId::new(s.raw()), START_TAG, 0);
+    let (eng, report) = EventEngine::drive(&net, opts, init, start, None);
+    let run = collect(
+        &eng,
+        NodeId::new(d.raw()),
+        gh_source_decision(gh, map, s, d),
+    );
     (run, report)
 }
 
@@ -264,45 +381,11 @@ pub struct LossyRun {
     pub duplicate_deliveries: u64,
 }
 
-/// [`UnicastNode`]'s logic behind the reliable layer, with the
-/// bookkeeping the widened outcome taxonomy needs. Crate-visible so
-/// the model checker ([`crate::mc_unicast_arq`]) can inspect it.
-#[derive(Clone)]
-pub(crate) struct LossyUnicastNode {
-    levels: LocalLevels,
-    pub(crate) received: Option<UnicastMsg>,
-    pub(crate) received_at: Option<Time>,
-    /// Unicast payloads surfaced to this node (≥ 2 would mean the
-    /// reliable layer leaked a duplicate).
-    pub(crate) receives: u64,
-    /// Set when this node found no feasible next hop.
-    pub(crate) aborted: bool,
-    pub(crate) start: Option<NodeId>,
-}
-
-impl LossyUnicastNode {
-    pub(crate) fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
-        LossyUnicastNode {
-            levels: LocalLevels::new(map, cfg, me),
-            received: None,
-            received_at: None,
-            receives: 0,
-            aborted: false,
-            start: None,
-        }
-    }
-
-    fn forward(&self, ctx: &mut RelCtx<UnicastMsg>, mut msg: UnicastMsg, dim: u8) {
-        let next = ctx.self_id().neighbor(dim);
-        msg.nav = msg.nav.after_hop(dim);
-        msg.trail.push(next);
-        ctx.send_reliable(next, msg);
-    }
-}
-
 impl hypersafe_simkit::StateHash for UnicastMsg {
     fn state_hash(&self, h: &mut hypersafe_simkit::McHasher) {
-        h.write_u64(self.nav.0);
+        // The navigation vector, `at ⊕ d`.
+        let at = self.trail.last().map_or(0, |a| a.raw());
+        h.write_u64(at ^ self.dest.raw());
         self.trail.state_hash(h);
     }
 }
@@ -311,7 +394,7 @@ impl hypersafe_simkit::StateHash for UnicastMsg {
 /// abort / pending-start flags and what was received. `received_at`
 /// is a timestamp (timing detail the untimed checker abstracts away)
 /// and the level tables are static per safety map — all excluded.
-impl hypersafe_simkit::StateHash for LossyUnicastNode {
+impl hypersafe_simkit::StateHash for UnicastNode<LocalLevels> {
     fn state_hash(&self, h: &mut hypersafe_simkit::McHasher) {
         self.received.state_hash(h);
         h.write_u64(self.receives);
@@ -320,47 +403,25 @@ impl hypersafe_simkit::StateHash for LossyUnicastNode {
     }
 }
 
-impl ReliableActor for LossyUnicastNode {
-    type Msg = UnicastMsg;
+/// The actor behind the reliable layer (see [`UnicastNode`]).
+impl<T: LevelView> ReliableActor for UnicastNode<T> {
+    type Msg = UnicastMsg<NodeOf<T>>;
 
-    fn on_timer(&mut self, ctx: &mut RelCtx<UnicastMsg>, tag: u64) {
-        if tag != START_TAG {
-            return;
-        }
-        let Some(d) = self.start.take() else { return };
-        let s = ctx.self_id();
-        let msg = UnicastMsg {
-            nav: NavVector::new(s, d),
-            trail: vec![s],
-        };
-        match rule_at_source(&self.levels, s, d, TieBreak::LowestDim) {
-            SourceStep::AlreadyThere => {
-                self.received = Some(msg);
-                self.received_at = Some(ctx.now());
-            }
-            SourceStep::Leave(_, dim) => self.forward(ctx, msg, dim),
-            SourceStep::Failure => self.aborted = true,
+    fn on_timer(&mut self, ctx: &mut RelCtx<Self::Msg>, tag: u64) {
+        if let Some(step) = self.begin(tag) {
+            self.apply_reliable(ctx, step);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut RelCtx<UnicastMsg>, _from: NodeId, msg: UnicastMsg) {
+    fn on_message(&mut self, ctx: &mut RelCtx<Self::Msg>, _from: NodeId, msg: Self::Msg) {
         self.receives += 1;
-        if msg.nav.is_done() {
-            if self.received.is_none() {
-                self.received_at = Some(ctx.now());
-                self.received = Some(msg);
-            }
-            return;
-        }
-        if self.receives > 1 {
+        let step = self.hop(msg);
+        if self.receives > 1 && matches!(step, Step::Send(..)) {
             // A duplicate surfaced (should never happen): forwarding it
             // again would fork the unicast, so refuse.
             return;
         }
-        match self.levels.next_dim(ctx.self_id(), msg.nav) {
-            Some(dim) => self.forward(ctx, msg, dim),
-            None => self.aborted = true,
-        }
+        self.apply_reliable(ctx, step);
     }
 }
 
@@ -374,20 +435,20 @@ pub struct ArqSingleDelivery;
 impl ArqSingleDelivery {
     /// [`check_exactly_once`] over the actors of one cut.
     pub(crate) fn check_actors<'x>(
-        actors: impl Iterator<Item = (NodeId, &'x Reliable<LossyUnicastNode>)>,
+        actors: impl Iterator<Item = (NodeId, &'x Reliable<UnicastNode<LocalLevels>>)>,
     ) -> Result<(), Violation> {
         check_exactly_once(actors.map(|(a, r)| (a, r.inner.receives.saturating_sub(1))))
     }
 }
 
-impl<'n> Invariant<HypercubeNet<'n>, Reliable<LossyUnicastNode>> for ArqSingleDelivery {
+impl<'n> Invariant<HypercubeNet<'n>, Reliable<UnicastNode<LocalLevels>>> for ArqSingleDelivery {
     fn name(&self) -> &'static str {
         ARQ_EXACTLY_ONCE
     }
 
     fn check(
         &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<LossyUnicastNode>>,
+        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<UnicastNode<LocalLevels>>>,
     ) -> Result<(), String> {
         Self::check_actors(eng.actors_iter()).map_err(|v| v.detail)
     }
@@ -435,10 +496,8 @@ pub fn run_unicast_lossy(
     let n = cfg.cube().dim();
     let net = HypercubeNet::new(cfg);
     let init = |a| {
-        let mut inner = LossyUnicastNode::new(map, cfg, a);
-        if a == s {
-            inner.start = Some(d);
-        }
+        let table = LocalLevels::new(map, cfg, a);
+        let inner = UnicastNode::new(table, a, (a == s).then_some(d), latency);
         Reliable::new(inner, a, n, latency, rcfg)
     };
     let mut once = opts.check.then_some(ArqSingleDelivery);
@@ -469,7 +528,7 @@ fn collect_lossy(
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
-    eng: &EventEngine<'_, HypercubeNet<'_>, Reliable<LossyUnicastNode>>,
+    eng: &EventEngine<'_, HypercubeNet<'_>, Reliable<UnicastNode<LocalLevels>>>,
     drained: bool,
 ) -> LossyRun {
     let stats = eng.stats().clone();
@@ -526,9 +585,12 @@ fn collect_lossy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gh_safety::run_gh_gs;
+    use crate::gh_unicast::gh_route;
+    use crate::gs::run_gs;
     use crate::unicast::route;
     use hypersafe_simkit::ChannelModel;
-    use hypersafe_topology::{FaultSet, Hypercube};
+    use hypersafe_topology::Hypercube;
 
     fn fig1() -> (FaultConfig, SafetyMap) {
         let cube = Hypercube::new(4);
@@ -587,6 +649,78 @@ mod tests {
         assert_eq!(run.decision, Decision::Failure);
         assert_eq!(run.trail, None);
         assert_eq!(run.messages, 0, "abort is local — zero network cost");
+    }
+
+    fn gh_fig5_like() -> (GeneralizedHypercube, FaultSet, GhSafetyMap) {
+        let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
+        let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
+        let map = GhSafetyMap::compute(&gh, &f);
+        (gh, f, map)
+    }
+
+    fn gh_run(
+        gh: &GeneralizedHypercube,
+        map: &GhSafetyMap,
+        f: &FaultSet,
+        s: GhNode,
+        d: GhNode,
+    ) -> DistributedRun<GhNode> {
+        run_gh_unicast(gh, map, f, s, d, 1, RunOptions::default()).0
+    }
+
+    #[test]
+    fn gh_distributed_matches_centralized_on_fig5_instance() {
+        let (gh, f, map) = gh_fig5_like();
+        let healthy: Vec<GhNode> = gh
+            .nodes()
+            .filter(|a| !f.contains(NodeId::new(a.raw())))
+            .collect();
+        for &s in &healthy {
+            for &d in &healthy {
+                let central = gh_route(&gh, &map, &f, s, d);
+                let dist = gh_run(&gh, &map, &f, s, d);
+                let pair = format!("{} → {}", gh.format(s), gh.format(d));
+                assert_eq!(central.decision, dist.decision, "{pair}");
+                match (central.delivered, &dist.trail) {
+                    (true, Some(trail)) => {
+                        let nodes = central.nodes.as_deref().unwrap();
+                        assert_eq!(nodes, trail.as_slice(), "{pair}: hop-for-hop agreement");
+                        let hops = trail.len() as u64 - 1;
+                        assert_eq!(dist.arrival_time, Some(hops), "{pair}");
+                    }
+                    (false, None) => assert_eq!(dist.arrival_time, None, "{pair}"),
+                    (c, t) => panic!("{pair}: centralized={c} distributed={t:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gh_mixed_radix_fault_free_optimal() {
+        let gh = GeneralizedHypercube::new(&[3, 4, 2]);
+        let f = gh.fault_set();
+        let map = GhSafetyMap::compute(&gh, &f);
+        let s = GhNode(0);
+        let d = GhNode(gh.num_nodes() - 1);
+        let run = gh_run(&gh, &map, &f, s, d);
+        let trail = run.trail.expect("delivered");
+        assert_eq!(trail.len() as u32 - 1, gh.distance(s, d));
+        assert_eq!(run.messages as u32, gh.distance(s, d));
+    }
+
+    #[test]
+    fn gh_failure_sends_nothing() {
+        // GH(2,2): fault both neighbors of node 0 → every unicast from
+        // it fails locally with zero traffic.
+        let gh = GeneralizedHypercube::new(&[2, 2]);
+        let mut f = gh.fault_set();
+        f.insert(NodeId::new(1));
+        f.insert(NodeId::new(2));
+        let map = GhSafetyMap::compute(&gh, &f);
+        let run = gh_run(&gh, &map, &f, GhNode(0), GhNode(3));
+        assert_eq!(run.decision, Decision::Failure);
+        assert_eq!(run.trail, None);
+        assert_eq!(run.messages, 0);
     }
 
     #[test]
@@ -724,5 +858,49 @@ mod tests {
             }
         ));
         assert_eq!(run.trail, Some(vec![n("0000")]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Q1–Q10 with uniform faults on up to 40% of the nodes: on
+        /// GH(2, …, 2) the lock-step GS equals the cube's in levels,
+        /// rounds and statistics, and the unicast actor equals the
+        /// cube's in decision, trail, messages and arrival time on 16
+        /// drawn pairs, faulty endpoints included.
+        #[test]
+        fn binary_gh_equals_the_cube(
+            n in 1u8..=10,
+            share in 0u64..=40,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 410),
+            pairs in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                16,
+            ),
+        ) {
+            let cube = Hypercube::new(n);
+            let len = cube.num_nodes();
+            let count = (len * share / 100) as usize;
+            let f = FaultSet::from_nodes(cube, picks[..count].iter().map(|&a| NodeId::new(a % len)));
+            let cfg = FaultConfig::with_node_faults(cube, f.clone());
+            let gh = GeneralizedHypercube::new(&vec![2; n as usize]);
+            let gs = run_gs(&cfg);
+            let (gh_map, gh_stats) = run_gh_gs(&gh, &f);
+            proptest::prop_assert_eq!(gh_map.to_vec(), gs.map.to_vec());
+            proptest::prop_assert_eq!(gh_map.rounds(), gs.map.rounds());
+            proptest::prop_assert_eq!(&gh_stats, &gs.stats);
+            for &(s, d) in &pairs {
+                let (s, d) = (s % len, d % len);
+                let opts = RunOptions::default;
+                let q = run_unicast(&cfg, &gs.map, NodeId::new(s), NodeId::new(d), 1, opts()).0;
+                let g = run_gh_unicast(&gh, &gh_map, &f, GhNode(s), GhNode(d), 1, opts()).0;
+                let trail = g.trail.map(|t| t.into_iter().map(|a| NodeId::new(a.raw())).collect());
+                proptest::prop_assert_eq!(
+                    (g.decision, trail, g.messages, g.arrival_time),
+                    (q.decision, q.trail, q.messages, q.arrival_time),
+                    "Q{} {} → {}", n, s, d
+                );
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@ use hypersafe_core::{
     gh_route, route_egs, route_traced, run_gh_unicast, ExtendedSafetyMap, GhSafetyMap, RouteResult,
     SafetyMap,
 };
-use hypersafe_simkit::Trace;
+use hypersafe_simkit::{RunOptions, Trace};
 use hypersafe_topology::{
     FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, LinkFaultSet, NodeId,
 };
@@ -59,7 +59,7 @@ proptest! {
             let s = healthy[(s % healthy.len() as u64) as usize];
             let d = healthy[(d % healthy.len() as u64) as usize];
             let central = gh_route(&gh, &map, &set, s, d);
-            let dist = run_gh_unicast(&gh, &map, &set, s, d, 1);
+            let dist = run_gh_unicast(&gh, &map, &set, s, d, 1, RunOptions::default()).0;
             let pair = format!("{radices:?} {} → {}", gh.format(s), gh.format(d));
             prop_assert_eq!(central.decision, dist.decision, "{}", pair);
             let central_trail = central.delivered.then_some(central.nodes).flatten();

@@ -1,23 +1,25 @@
 //! The recording settings of [`RunOptions`] are passive. For each of
-//! the five event-driven runners, on random faulty `Q_3`–`Q_6` under
-//! FIFO order and under seeded reorder/stretch adversaries, turning
-//! `observe`, `trace` and `check` on, alone and together, must leave
-//! every result field unchanged: statistics, levels, outcome, trail,
+//! the seven event-driven runners, on random faulty `Q_3`–`Q_6` and
+//! generalized hypercubes under FIFO order and under seeded
+//! reorder/stretch adversaries, turning `observe`, `trace` and `check`
+//! on, alone and together, must leave every result field unchanged:
+//! statistics, levels, outcome, trail, arrival time, coverage,
 //! `quiescent` and `monotone`, plus the driver's processed count and
 //! drained flag. Each setting must also deliver what it asks for: a
-//! registry, a trace, and no violation on a correct protocol.
+//! registry, a trace, and no violation on a correct protocol. A GH
+//! unicast's trail under any of these schedules is `gh_route`'s.
 
 use std::fmt::Debug;
 
 use hypersafe_core::{
-    run_delta_gs, run_gs_async, run_gs_reliable, run_unicast, run_unicast_lossy, ChurnEvent,
-    SafetyMap,
+    gh_route, run_broadcast, run_delta_gs, run_gh_unicast, run_gs_async, run_gs_reliable,
+    run_unicast, run_unicast_lossy, ChurnEvent, GhSafetyMap, SafetyMap,
 };
 use hypersafe_simkit::{
     AdversarialScheduler, ChannelModel, FifoScheduler, ReliableConfig, RunOptions, RunReport,
     Scheduler,
 };
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
 use proptest::prelude::*;
 
 /// FIFO, or a reorder/stretch adversary seeded with `seed`.
@@ -125,6 +127,16 @@ proptest! {
             },
         )?;
 
+        assert_passive(
+            "run_broadcast",
+            plain,
+            |opts| run_broadcast(&cfg, &map, s, 1, opts),
+            |r| {
+                let received: Vec<bool> = cube.nodes().map(|a| r.received(a)).collect();
+                (received, r.messages, r.steps, r.relayed_via)
+            },
+        )?;
+
         // One churn event at a node drawn from the pair's first seed: a
         // recovery if it is faulty, else a fault.
         let v = NodeId::new(pair.0 % (1 << n));
@@ -142,5 +154,40 @@ proptest! {
             |opts| run_delta_gs(&after, &map, event, 1, opts),
             |r| (r.map.to_vec(), r.stats.clone(), r.monotone),
         )?;
+    }
+
+    #[test]
+    fn observe_trace_and_check_leave_gh_unicast_unchanged(
+        radices in proptest::collection::vec(2u16..=4, 1..=4),
+        faults in proptest::collection::vec(any::<u64>(), 0..8),
+        pair in (any::<u64>(), any::<u64>()),
+        fifo in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let gh = GeneralizedHypercube::new(&radices);
+        let mut set = gh.fault_set();
+        for &f in &faults {
+            set.insert(NodeId::new(f % gh.num_nodes()));
+        }
+        let healthy: Vec<GhNode> =
+            gh.nodes().filter(|a| !set.contains(NodeId::new(a.raw()))).collect();
+        prop_assume!(!healthy.is_empty());
+        let map = GhSafetyMap::compute(&gh, &set);
+        let s = healthy[(pair.0 % healthy.len() as u64) as usize];
+        let d = healthy[(pair.1 % healthy.len() as u64) as usize];
+        let plain = || RunOptions {
+            sched: sched(fifo, seed),
+            ..RunOptions::default()
+        };
+        let run = |opts| run_gh_unicast(&gh, &map, &set, s, d, 1, opts);
+        assert_passive(
+            "run_gh_unicast",
+            plain,
+            run,
+            |r| (r.decision, r.trail.clone(), r.arrival_time, r.messages),
+        )?;
+        let central = gh_route(&gh, &map, &set, s, d);
+        let want = central.delivered.then_some(central.nodes).flatten();
+        prop_assert_eq!(run(plain()).0.trail, want);
     }
 }

@@ -17,10 +17,10 @@ use hypersafe_core::{
     check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
     check_theorem2_at, check_theorem3, check_theorem4_soundness, check_unicast_optimality,
     gh_broadcast, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb, route,
-    route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_unicast,
-    run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition, Decision,
-    DynamicOutcome, ExtendedSafetyMap, GhSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun,
-    NavVector, SafetyMap, TieBreak,
+    route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs,
+    run_gh_unicast, run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition,
+    Decision, DynamicOutcome, ExtendedSafetyMap, GhSafetyMap, GsAsyncRun, Level, LossyOutcome,
+    LossyRun, NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions};
 use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
@@ -217,23 +217,35 @@ proptest! {
         let empty = |r: &(u64, u64, Option<NodeId>)| *r == (0, 0, None);
         fails_outside("broadcast", !cube.contains(s), || sent(broadcast(&cfg, &map, s)), empty)?;
         fails_outside("run_broadcast", !cube.contains(s), || {
-            sent(run_broadcast(&node_cfg, &map, s, 1))
+            sent(run_broadcast(&node_cfg, &map, s, 1, RunOptions::default()).0)
         }, empty)?;
     }
 
+    /// The fault set's capacity is drawn below, at or above the node
+    /// count: a narrower set leaves the nodes past it healthy, and a
+    /// wider one's members past the last node are ignored.
     #[test]
     fn gh_routing_fails_outside_the_topology(
         radices in proptest::collection::vec(2u16..=4, 1..=3),
         faults in proptest::collection::vec(0u64..64, 0..5),
         pair in (0u64..1000, 0u64..1000),
+        width in 0u8..3,
     ) {
         let gh = GeneralizedHypercube::new(&radices);
-        let mut set: FaultSet = gh.fault_set();
-        for &f in &faults {
-            set.insert(NodeId::new(f % gh.num_nodes()));
-        }
-        let map = GhSafetyMap::compute(&gh, &set);
         let nodes = gh.num_nodes();
+        let capacity = match width {
+            0 => (nodes / 2).max(1),
+            1 => nodes,
+            _ => 2 * nodes + 64,
+        };
+        let mut set = FaultSet::with_capacity(capacity);
+        for &f in &faults {
+            set.insert(NodeId::new(f % capacity));
+        }
+        let mut map = None;
+        total("GhSafetyMap::compute", || map = Some(GhSafetyMap::compute(&gh, &set)))?;
+        let map = map.unwrap();
+        total("run_gh_gs", || run_gh_gs(&gh, &set))?;
         let (s, d) = (GhNode(endpoint(pair.0, nodes)), GhNode(endpoint(pair.1, nodes)));
         let outside = !(gh.contains(s) && gh.contains(d));
         let failure = |dec: &Decision| *dec == Decision::Failure;
@@ -246,7 +258,7 @@ proptest! {
             (res.decision, res.nodes)
         }, |(dec, nodes)| failure(dec) && nodes.is_none())?;
         fails_outside("run_gh_unicast", outside, || {
-            let run = run_gh_unicast(&gh, &map, &set, s, d, 1);
+            let run = run_gh_unicast(&gh, &map, &set, s, d, 1, RunOptions::default()).0;
             (run.decision, run.trail)
         }, |(dec, trail)| failure(dec) && trail.is_none())?;
         fails_outside("gh_broadcast", !gh.contains(s), || {

@@ -66,7 +66,7 @@ pub use mc::{
     engine_projection, explore, parse_artifact_path, projection_hash, render_artifact, replay,
     McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, McViolation, StateHash,
 };
-pub use network::{gh_port_dim, GhNet, HypercubeNet, Network, SyncEngine, SyncNode};
+pub use network::{GhNet, HypercubeNet, Network, SyncEngine, SyncNode};
 pub use obs::{
     parse_json, validate_json, DimStat, FlightRecorder, JsonValue, Metrics, MetricsSnapshot,
     NodeStat, QuantileHist, Quantiles, SnapshotTotals,

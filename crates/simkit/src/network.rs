@@ -144,7 +144,8 @@ impl Network for GhNet<'_> {
 
     /// Ports are numbered dimension-major: dimension 0's `m_0 − 1`
     /// clique peers first (by ascending digit, skipping the node's own
-    /// digit), then dimension 1's, and so on.
+    /// digit), then dimension 1's, and so on. Protocols that group an
+    /// inbox by dimension rely on this order.
     fn neighbor(&self, a: u64, p: usize) -> u64 {
         let mut p = p;
         let node = hypersafe_topology::GhNode(a);
@@ -168,20 +169,6 @@ impl Network for GhNet<'_> {
     fn node_faulty(&self, a: u64) -> bool {
         self.faults.contains(NodeId::new(a))
     }
-}
-
-/// The dimension a GH port belongs to, mirroring the port numbering of
-/// the [`Network`] impl. Protocol nodes use this to group inbox
-/// entries by dimension.
-pub fn gh_port_dim(gh: &GeneralizedHypercube, mut p: usize) -> u8 {
-    for i in 0..gh.dim() {
-        let peers = gh.radix(i) as usize - 1;
-        if p < peers {
-            return i;
-        }
-        p -= peers;
-    }
-    panic!("port out of range");
 }
 
 /// A per-node state machine driven by the synchronous engine.
@@ -405,10 +392,6 @@ mod tests {
         // Port 0: dim-0 peer; ports 1–2: dim-1 peers by ascending digit
         // (skipping own digit 1); port 3: dim-2 peer.
         assert_eq!(neighbors, vec!["011", "000", "020", "110"]);
-        assert_eq!(gh_port_dim(&gh, 0), 0);
-        assert_eq!(gh_port_dim(&gh, 1), 1);
-        assert_eq!(gh_port_dim(&gh, 2), 1);
-        assert_eq!(gh_port_dim(&gh, 3), 2);
     }
 
     #[test]

@@ -71,12 +71,14 @@ impl FaultSet {
         self.len == 0
     }
 
-    /// Whether node `a` is faulty.
+    /// Whether node `a` is faulty; `false` for an address past the
+    /// set's capacity, which the set cannot hold.
     #[inline]
     pub fn contains(&self, a: NodeId) -> bool {
         let i = a.raw();
-        debug_assert!(i < self.capacity, "address {i} out of range");
-        (self.bits[(i / 64) as usize] >> (i % 64)) & 1 == 1
+        self.bits
+            .get((i / 64) as usize)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
     /// Marks `a` faulty; returns `true` if it was previously nonfaulty.

@@ -65,7 +65,7 @@ fn main() {
         .healthy_nodes()
         .find(|&a| map.is_safe(a))
         .unwrap_or(NodeId::ZERO);
-    let b = run_broadcast(&cfg, &map, src, 1);
+    let b = run_broadcast(&cfg, &map, src, 1, RunOptions::default()).0;
     println!(
         "stage 3 · broadcast from safe {}: coverage {}/{} in {} steps, {} messages",
         src.to_binary(6),

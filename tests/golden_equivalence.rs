@@ -26,8 +26,9 @@
 //! ```
 
 use hypersafe::experiments::congestion_exp::{run_burst, simulate_burst};
-use hypersafe::safety::gh_unicast_distributed::run_gh_unicast;
-use hypersafe::safety::unicast_distributed::{run_unicast, run_unicast_lossy, LossyOutcome};
+use hypersafe::safety::unicast_distributed::{
+    run_gh_unicast, run_unicast, run_unicast_lossy, LossyOutcome,
+};
 use hypersafe::safety::{
     detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gh_gs, run_gs,
     run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, GhSafetyMap,
@@ -243,7 +244,7 @@ fn record_cube_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
 
     // Broadcast from the first healthy node.
     if let Some(source) = cfg.healthy_nodes().next() {
-        let b = run_broadcast(cfg, &map, source, 2);
+        let b = run_broadcast(cfg, &map, source, 2, RunOptions::default()).0;
         out.push(format!(
             "{tag} broadcast src={} coverage={} msgs={} steps={} relay={:?}",
             source.raw(),
@@ -301,7 +302,8 @@ fn record_gh_scenario(
         while d == s {
             d = healthy[(splitmix64(&mut state) % healthy.len() as u64) as usize];
         }
-        let run = run_gh_unicast(gh, &map, faults, GhNode(s), GhNode(d), 2);
+        let opts = RunOptions::default();
+        let run = run_gh_unicast(gh, &map, faults, GhNode(s), GhNode(d), 2, opts).0;
         let trail = match &run.trail {
             None => "-".to_string(),
             Some(t) => t
