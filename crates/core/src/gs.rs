@@ -15,14 +15,21 @@
 //! Theorem 1 both converge to the same unique fixed point, which the
 //! test suite cross-checks against the centralized computation.
 //! [`run_gs_reliable`] runs the same actor behind the ACK/retransmit
-//! layer, for lossy channels.
+//! layer, for lossy channels, and [`crate::run_delta_gs`] runs it from
+//! the fixed point before one churn event instead of from scratch
+//! ([`AsyncGsNode`] describes both starts). One adapter,
+//! [`GsCorridor`], checks all three.
 
 use crate::level_store::NeighborLevels;
-use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
+use crate::properties::{
+    check_level_corridor, check_levels_converged, gs_fixed_point, Violation, GS_CORRIDOR,
+};
 use crate::safety::{level_from_unsorted, Level, SafetyMap};
+use crate::safety_delta::ChurnEvent;
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, RelCtx, Reliable, ReliableActor,
-    ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
+    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, InvariantViolation, RelCtx,
+    Reliable, ReliableActor, ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode,
+    SyncStats,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
 
@@ -150,18 +157,51 @@ pub fn run_gs(cfg: &FaultConfig) -> GsRun {
     }
 }
 
+/// Where an event-driven GS run starts. Theorem 1's operator is
+/// monotone, so one relaxation reaches the fixed point from either
+/// start (DESIGN.md §10).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum GsStart<'p> {
+    /// From scratch: the top element, every node `n`-safe.
+    Scratch,
+    /// From `prev`, the fixed point before one churn event: a
+    /// pre-fixed point of the new operator after a fault, a post-fixed
+    /// point after a recovery.
+    After(&'p SafetyMap, ChurnEvent),
+}
+
+impl GsStart<'_> {
+    /// Whether levels descend from this start (they ascend only after
+    /// a recovery).
+    fn descending(self) -> bool {
+        !matches!(self, GsStart::After(_, ChurnEvent::Recover(_)))
+    }
+}
+
 /// Asynchronous GS actor: re-evaluates on every received level and
 /// gossips its own level whenever it changes (state-change-driven,
-/// §2.2 item 3).
+/// §2.2 item 3). [`run_gs_async`] and [`run_gs_reliable`] start it from
+/// scratch, [`crate::run_delta_gs`] from the fixed point before one
+/// churn event; the start is fixed at construction.
 ///
 /// Initial knowledge follows the paper's assumption 2 ("each node knows
 /// exactly the safety status of all its neighbors" via local fault
-/// detection): a healthy neighbor is presumed `n`-safe until it says
-/// otherwise, a faulty neighbor (or one behind a faulty link) reads 0
-/// permanently. Starting from this top element, Definition 1's operator
-/// is monotone, so every update strictly *decreases* some level —
-/// termination is guaranteed after at most `n · 2ⁿ` announcements and
-/// the quiescent state is Theorem 1's unique fixed point.
+/// detection): a faulty neighbor (or one behind a faulty link) reads 0
+/// permanently, a usable one reads its start level until it says
+/// otherwise. From scratch that start is the top element, every node
+/// `n`-safe, and every node evaluates Definition 1 once: those whose
+/// adjacent faults alone lower their level kick off the wave (zero cost
+/// when fault-free, §2.2). After an event it is the previous fixed
+/// point, and only the event node's neighborhood speaks at start (the
+/// `evaluate` and `tell` fields): a fault that demotes nobody costs
+/// zero messages.
+///
+/// Knowledge merges in the run's direction, by `min` while levels
+/// descend and by `max` while they ascend, so a stale reordered
+/// announcement is a no-op and every change moves one way through a
+/// finite lattice: the run terminates after at most `n · 2ⁿ`
+/// announcements, and the quiescent state is Theorem 1's unique fixed
+/// point.
 #[derive(Clone, Debug)]
 pub struct AsyncGsNode {
     n: u8,
@@ -174,31 +214,63 @@ pub struct AsyncGsNode {
     /// set means the dimension-`d` neighbor is usable.
     usable: u32,
     latency: u64,
-    /// Whether every level change so far was a decrease. Starting from
-    /// the top element this must stay `true` (the Definition 1 operator
-    /// is monotone); [`GsLevelsDescend`] checks it at every quiescent
-    /// point instead of a `debug_assert` so adversarial runs report a
-    /// violation rather than abort.
+    /// `true` from scratch and after a fault (descend, merge by `min`),
+    /// `false` after a recovery (ascend, merge by `max`).
+    descending: bool,
+    /// Whether the node evaluates Definition 1 at start and announces
+    /// if its level changed: from scratch, and next to a fault.
+    evaluate: bool,
+    /// The dimensions the node tells its level unconditionally at
+    /// start: every one for a revived node, the revived neighbor's for
+    /// that node's neighbors.
+    tell: u32,
+    /// Whether every level change so far moved in the run's direction
+    /// (the Definition 1 operator is monotone); [`GsCorridor`] checks it
+    /// at every quiescent point instead of a `debug_assert` so
+    /// adversarial runs report a violation rather than abort.
     monotone: bool,
 }
 
 impl AsyncGsNode {
-    pub(crate) fn new(cfg: &FaultConfig, me: NodeId, latency: u64) -> Self {
+    pub(crate) fn new(cfg: &FaultConfig, start: GsStart, me: NodeId, latency: u64) -> Self {
         let n = cfg.cube().dim();
-        let mut usable = 0u32;
+        let revived = matches!(start, GsStart::After(_, ChurnEvent::Recover(a)) if a == me);
+        let (mut usable, mut edge) = (0u32, 0u32);
         let mut heard = NeighborLevels::filled(n, 0);
         for (d, b) in cfg.cube().neighbors_with_dims(me) {
+            // The bit of the edge to the event node, if it is adjacent.
+            if matches!(start, GsStart::After(_, event) if event.node() == b) {
+                edge = 1 << d;
+            }
             if !cfg.node_faulty(b) && !cfg.link_faults().contains(me, b) {
                 usable |= 1 << d;
-                heard.set(d, n);
+                let known = match start {
+                    GsStart::Scratch => n,
+                    // The revived node has no memory: its neighbors
+                    // read 0 until they tell it their levels.
+                    GsStart::After(..) if revived => 0,
+                    GsStart::After(prev, _) => prev.level(b),
+                };
+                heard.set(d, known);
             }
         }
+        let (level, evaluate, tell) = match start {
+            GsStart::Scratch => (n, true, 0),
+            GsStart::After(..) if revived => {
+                (level_from_unsorted(n, heard.iter(n)), false, u32::MAX)
+            }
+            GsStart::After(prev, ChurnEvent::Fault(_)) => (prev.level(me), edge != 0, 0),
+            GsStart::After(prev, ChurnEvent::Recover(_)) => (prev.level(me), false, edge),
+        };
         AsyncGsNode {
             n,
-            level: n,
+            level,
             heard,
             usable,
             latency,
+            descending: start.descending(),
+            evaluate,
+            tell,
             monotone: true,
         }
     }
@@ -208,8 +280,9 @@ impl AsyncGsNode {
         self.level
     }
 
-    /// `true` while every level change has been a strict decrease (the
-    /// lattice-descent property termination rests on).
+    /// `true` while every level change has moved in the run's direction
+    /// (down from scratch and after a fault, up after a recovery): the
+    /// lattice-monotonicity property termination rests on.
     pub fn monotone(&self) -> bool {
         self.monotone
     }
@@ -219,7 +292,11 @@ impl AsyncGsNode {
         // every received announcement).
         let new = level_from_unsorted(self.n, self.heard.iter(self.n));
         if new != self.level {
-            self.monotone &= new < self.level;
+            self.monotone &= if self.descending {
+                new < self.level
+            } else {
+                new > self.level
+            };
             self.level = new;
             true
         } else {
@@ -227,18 +304,48 @@ impl AsyncGsNode {
         }
     }
 
-    fn announce(&self, ctx: &mut Ctx<Level>) {
-        for i in 0..self.n {
-            ctx.send(ctx.self_id().neighbor(i), self.level, self.latency);
+    /// The dimensions the node tells at start: every one when its
+    /// opening evaluation moves its level, else those it tells
+    /// unconditionally.
+    fn opening(&mut self) -> u32 {
+        if self.evaluate && self.reevaluate() {
+            u32::MAX
+        } else {
+            self.tell
         }
+    }
+
+    /// Merges `msg` from neighbor `from` in the run's direction and
+    /// re-evaluates; `true` when the level moved. A value against the
+    /// direction is a stale reordered announcement and is ignored: with
+    /// plain overwrite a late-arriving one could resurrect knowledge
+    /// under an adversarial schedule, while the directed merge makes
+    /// the run monotone unconditionally, which is what [`GsCorridor`]
+    /// checks.
+    fn hear(&mut self, me: NodeId, from: NodeId, msg: Level) -> bool {
+        let dim = me.xor(from).set_dims().next().expect("neighbor");
+        let h = self.heard.get(dim);
+        let merged = if self.descending {
+            h.min(msg)
+        } else {
+            h.max(msg)
+        };
+        self.heard.set(dim, merged);
+        self.reevaluate()
+    }
+
+    /// The dimensions among `dims` below `n`, in order.
+    fn dims(&self, dims: u32) -> impl Iterator<Item = u8> {
+        (0..self.n).filter(move |&i| dims >> i & 1 == 1)
     }
 }
 
 /// Canonical protocol state for the model checker: own level, per-dim
-/// neighbor knowledge, and the descent flag. `n`/`usable` are static
-/// per fault configuration and `latency` is timing, so all three are
-/// excluded — which is exactly what lets the untimed checker merge
-/// engine states that differ only in clock detail.
+/// neighbor knowledge, and the `monotone` flag. `n`, `usable`,
+/// `descending`, `evaluate` and `tell` are static per run and `latency`
+/// is timing, so all of them are excluded — which is exactly what lets
+/// the untimed checker merge engine states that differ only in clock
+/// detail.
 impl hypersafe_simkit::StateHash for AsyncGsNode {
     fn state_hash(&self, h: &mut hypersafe_simkit::McHasher) {
         h.write_u64(self.level as u64);
@@ -253,46 +360,79 @@ impl Actor for AsyncGsNode {
     type Msg = Level;
 
     fn on_start(&mut self, ctx: &mut Ctx<Level>) {
-        // Nodes whose adjacent faults alone lower their level kick off
-        // the wave; everyone else stays silent (zero cost when
-        // fault-free, §2.2).
-        if self.reevaluate() {
-            self.announce(ctx);
+        let dims = self.opening();
+        for i in self.dims(dims) {
+            ctx.send(ctx.self_id().neighbor(i), self.level, self.latency);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Level>, from: NodeId, msg: Level) {
-        let dim = ctx.self_id().xor(from).set_dims().next().expect("neighbor");
-        // Monotone merge: a neighbor's true level only ever decreases,
-        // so a value above current knowledge is a stale reordered
-        // announcement — ignore it. With plain overwrite a late-arriving
-        // high level could resurrect knowledge under an adversarial
-        // schedule; the min() makes descent unconditional, which is what
-        // the `GsLevelsDescend` corridor checks.
-        self.heard.set(dim, self.heard.get(dim).min(msg));
-        if self.reevaluate() {
-            self.announce(ctx);
+        if self.hear(ctx.self_id(), from, msg) {
+            for i in self.dims(u32::MAX) {
+                ctx.send(ctx.self_id().neighbor(i), self.level, self.latency);
+            }
         }
     }
 }
 
-/// Engine invariant for asynchronous GS, plain or behind the reliable
-/// layer: the [`check_level_corridor`] adapter, from the all-`n` start
-/// down to Theorem 1's fixed point, checked at every quiescent point.
-/// Its violation under message reordering motivated the monotone merge
-/// in [`AsyncGsNode`]. The model checker ([`crate::mc_gs`]) runs the
-/// same two predicates over every reached state.
-pub struct GsLevelsDescend {
-    fixed: SafetyMap,
+/// The same state-change-driven protocol, but every announcement goes
+/// through the reliable layer — the shape GS must take when links lose
+/// messages. Announcements are only sent to locally-usable neighbors
+/// (assumption 2), so no retransmission budget is wasted on peers that
+/// are known dead. The ARQ layer delivers in order per link, so the
+/// directed merge is belt-and-suspenders there, but it keeps the two
+/// forms' semantics identical.
+impl ReliableActor for AsyncGsNode {
+    type Msg = Level;
+
+    fn on_start(&mut self, ctx: &mut RelCtx<Level>) {
+        let dims = self.opening() & self.usable;
+        for i in self.dims(dims) {
+            ctx.send_reliable(ctx.self_id().neighbor(i), self.level);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut RelCtx<Level>, from: NodeId, msg: Level) {
+        if self.hear(ctx.self_id(), from, msg) {
+            for i in self.dims(self.usable) {
+                ctx.send_reliable(ctx.self_id().neighbor(i), self.level);
+            }
+        }
+    }
 }
 
-impl GsLevelsDescend {
-    /// Invariant state for a run over `cfg` (computes the Theorem 1
-    /// fixed point once).
-    pub fn new(cfg: &FaultConfig) -> Self {
-        GsLevelsDescend {
-            fixed: SafetyMap::compute(cfg),
-        }
+/// Engine invariant for asynchronous GS from either start, plain or
+/// behind the reliable layer: the [`check_level_corridor`] adapter.
+/// Every node's level moves only in the run's direction, pinned between
+/// the level its actor starts from and Theorem 1's fixed point of the
+/// run's configuration, checked at every quiescent point. Its violation
+/// under message reordering motivated the directed merge in
+/// [`AsyncGsNode`]; after a churn event, a run that leaves the corridor
+/// means incremental maintenance is not exact. The model checker
+/// ([`crate::mc_gs`], [`crate::mc_delta_gs`]) runs the same two
+/// predicates over every reached state.
+pub struct GsCorridor {
+    /// Each node's start level, by node.
+    start: Vec<Level>,
+    target: SafetyMap,
+    descending: bool,
+}
+
+impl GsCorridor {
+    /// The corridor of a run from `start` over `cfg` (computes the
+    /// Theorem 1 fixed point once), or the
+    /// [`crate::properties::GS_CONVERGENCE`] violation that `cfg` has
+    /// none: the fixed point is defined for node faults only.
+    pub(crate) fn new(cfg: &FaultConfig, start: GsStart) -> Result<Self, Violation> {
+        Ok(GsCorridor {
+            target: gs_fixed_point(cfg, cfg.cube().dim())?,
+            start: cfg
+                .cube()
+                .nodes()
+                .map(|a| AsyncGsNode::new(cfg, start, a, 1).level)
+                .collect(),
+            descending: start.descending(),
+        })
     }
 
     /// [`check_level_corridor`] over the actors of one cut.
@@ -300,9 +440,12 @@ impl GsLevelsDescend {
         &self,
         actors: impl Iterator<Item = (NodeId, &'x AsyncGsNode)>,
     ) -> Result<(), Violation> {
-        let n = self.fixed.dim();
-        let levels = actors.map(|(a, g)| (a, g.level, g.monotone));
-        check_level_corridor(levels, |_| n, |a| self.fixed.level(a), true)
+        check_level_corridor(
+            actors.map(|(a, g)| (a, g.level, g.monotone)),
+            |a| self.start[a.raw() as usize],
+            |a| self.target.level(a),
+            self.descending,
+        )
     }
 
     /// [`check_levels_converged`] over the actors of a quiescent cut.
@@ -310,11 +453,11 @@ impl GsLevelsDescend {
         &self,
         actors: impl Iterator<Item = (NodeId, &'x AsyncGsNode)>,
     ) -> Result<(), Violation> {
-        check_levels_converged(actors.map(|(a, g)| (a, g.level)), |a| self.fixed.level(a))
+        check_levels_converged(actors.map(|(a, g)| (a, g.level)), |a| self.target.level(a))
     }
 }
 
-impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
+impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsCorridor {
     fn name(&self) -> &'static str {
         GS_CORRIDOR
     }
@@ -328,8 +471,8 @@ impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsLevelsDescend {
 }
 
 /// The same corridor under the reliable layer: ARQ changes how levels
-/// travel, not the lattice they descend.
-impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsLevelsDescend {
+/// travel, not the lattice they move through.
+impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsCorridor {
     fn name(&self) -> &'static str {
         GS_CORRIDOR
     }
@@ -343,38 +486,74 @@ impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsLevelsDescend 
     }
 }
 
-/// Outcome of an asynchronous GS run.
+/// Drives `init`'s actors on `net` from `start` under `opts`. With
+/// `opts.check`, [`GsCorridor`] is checked at every quiescent point
+/// and, when `inner` names the GS actor inside an `A` and the queue
+/// drained, the final cut must sit on the fixed point. A run cut by
+/// `opts.max_events` is not a convergence failure, nor is one under a
+/// kill plan, whose dead nodes stop the waves that cross them. A cube
+/// with link faults has no fixed point to check against, so a checked
+/// run on one reports [`crate::properties::GS_CONVERGENCE`] at its end.
+fn drive<'n, 'c, A: Actor>(
+    net: &'n HypercubeNet<'c>,
+    start: GsStart,
+    opts: RunOptions,
+    init: impl FnMut(NodeId) -> A,
+    inner: Option<fn(&A) -> &AsyncGsNode>,
+) -> (EventEngine<'n, HypercubeNet<'c>, A>, RunReport)
+where
+    GsCorridor: Invariant<HypercubeNet<'c>, A>,
+{
+    let mut corridor = opts.check.then(|| GsCorridor::new(net.config(), start));
+    let invariant = corridor.as_mut().and_then(|c| c.as_mut().ok());
+    let settled = opts.kills.is_empty();
+    let (eng, mut report) = EventEngine::drive(net, opts, init, |_| {}, invariant.map(|c| c as _));
+    let settled = settled && report.drained && report.violation.is_none();
+    let end = match (corridor, inner) {
+        (Some(Err(v)), _) => Some(v),
+        (Some(Ok(c)), Some(inner)) if settled => c
+            .converged(eng.actors_iter().map(|(a, x)| (a, inner(x))))
+            .err(),
+        _ => None,
+    };
+    if let Some(v) = end {
+        report.violation = Some(InvariantViolation {
+            invariant: v.claim.into(),
+            time: eng.stats().end_time,
+            events_processed: report.processed,
+            detail: v.detail,
+        });
+    }
+    (eng, report)
+}
+
+/// Outcome of an asynchronous GS run, from scratch or after one churn
+/// event.
 #[derive(Clone, Debug)]
 pub struct GsAsyncRun {
     /// The levels when the run stopped.
     pub map: SafetyMap,
-    /// Engine statistics.
+    /// Engine statistics — after a churn event, `messages` is the
+    /// O(affected region) cost to compare against a full GS run's
+    /// O(n·2ⁿ).
     pub stats: EventStats,
-    /// Whether every node's level descended monotonically
-    /// (see [`AsyncGsNode::monotone`]).
+    /// Whether every node's level moved monotonically in the run's
+    /// direction (see [`AsyncGsNode::monotone`]).
     pub monotone: bool,
 }
 
-/// Runs the asynchronous GS protocol with the given per-hop message
-/// latency under `opts`, checking
-/// [`GsLevelsDescend`] when `opts.check` is set.
-///
-/// Theorem 1's fixed point is schedule-free, so the returned map must
-/// equal the centralized computation under *any* scheduler that only
-/// reorders and delays (e.g.
-/// [`hypersafe_simkit::AdversarialScheduler::permute`]; the protocol
-/// assumes reliable links, so lossy channels and loss-bursting
-/// adversaries belong with [`run_gs_reliable`]).
-pub fn run_gs_async(cfg: &FaultConfig, latency: u64, opts: RunOptions) -> (GsAsyncRun, RunReport) {
+/// The plain actor from `start` with per-hop `latency` under `opts`:
+/// the body of [`run_gs_async`] and [`crate::run_delta_gs`].
+pub(crate) fn run_gs_from(
+    cfg: &FaultConfig,
+    start: GsStart,
+    latency: u64,
+    opts: RunOptions,
+) -> (GsAsyncRun, RunReport) {
+    let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let mut descend = opts.check.then(|| GsLevelsDescend::new(cfg));
-    let (eng, report) = EventEngine::drive(
-        &net,
-        opts,
-        |a| AsyncGsNode::new(cfg, a, latency.max(1)),
-        |_| {},
-        descend.as_mut().map(|d| d as _),
-    );
+    let init = |a| AsyncGsNode::new(cfg, start, a, latency);
+    let (eng, report) = drive(&net, start, opts, init, Some(|g| g));
     let levels = cfg
         .cube()
         .nodes()
@@ -393,38 +572,22 @@ pub fn run_gs_async(cfg: &FaultConfig, latency: u64, opts: RunOptions) -> (GsAsy
     (run, report)
 }
 
-/// The same state-change-driven protocol, but every announcement goes
-/// through the reliable layer — the shape GS must take when links lose
-/// messages. Announcements are only sent to locally-usable neighbors
-/// (assumption 2), so no retransmission budget is wasted on peers that
-/// are known dead.
-impl ReliableActor for AsyncGsNode {
-    type Msg = Level;
-
-    fn on_start(&mut self, ctx: &mut RelCtx<Level>) {
-        if self.reevaluate() {
-            for i in 0..self.n {
-                if self.usable >> i & 1 == 1 {
-                    ctx.send_reliable(ctx.self_id().neighbor(i), self.level);
-                }
-            }
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut RelCtx<Level>, from: NodeId, msg: Level) {
-        let dim = ctx.self_id().xor(from).set_dims().next().expect("neighbor");
-        // Same monotone merge as the unreliable actor; the ARQ layer
-        // delivers in order per link, so this is belt-and-suspenders
-        // there, but it keeps the two actors' semantics identical.
-        self.heard.set(dim, self.heard.get(dim).min(msg));
-        if self.reevaluate() {
-            for i in 0..self.n {
-                if self.usable >> i & 1 == 1 {
-                    ctx.send_reliable(ctx.self_id().neighbor(i), self.level);
-                }
-            }
-        }
-    }
+/// Runs the asynchronous GS protocol from scratch with the given
+/// per-hop message latency under `opts`, checking [`GsCorridor`] when
+/// `opts.check` is set and, once the queue drains, that the run ended
+/// on Theorem 1's fixed point.
+///
+/// Theorem 1's fixed point is schedule-free, so the returned map must
+/// equal the centralized computation under *any* scheduler that only
+/// reorders and delays (e.g.
+/// [`hypersafe_simkit::AdversarialScheduler::permute`]; the protocol
+/// assumes reliable links, so lossy channels and loss-bursting
+/// adversaries belong with [`run_gs_reliable`]). Link faults are
+/// accepted; a checked run on them reports a
+/// [`crate::properties::GS_CONVERGENCE`] violation, since the fixed
+/// point it checks against is defined for node faults only.
+pub fn run_gs_async(cfg: &FaultConfig, latency: u64, opts: RunOptions) -> (GsAsyncRun, RunReport) {
+    run_gs_from(cfg, GsStart::Scratch, latency, opts)
 }
 
 /// Outcome of a GS run over a lossy channel.
@@ -448,8 +611,10 @@ pub struct GsLossyRun {
 
 /// Runs GS with per-hop `latency` and reliable delivery per `rcfg`
 /// under `opts` (typically a lossy `opts.channel` and an event budget
-/// `opts.max_events`), checking
-/// [`GsLevelsDescend`] when `opts.check` is set.
+/// `opts.max_events`), checking [`GsCorridor`] when `opts.check` is
+/// set. Link faults are accepted; a checked run on them reports a
+/// [`crate::properties::GS_CONVERGENCE`] violation, as
+/// [`run_gs_async`] does.
 ///
 /// Convergence: each reliable link delivers every announcement with
 /// probability `1 − p^(max_retries+1)` (loss rate `p < 1`), and the
@@ -471,14 +636,17 @@ pub fn run_gs_reliable(
     let n = cfg.cube().dim();
     let latency = latency.max(1);
     let net = HypercubeNet::new(cfg);
-    let mut descend = opts.check.then(|| GsLevelsDescend::new(cfg));
-    let (eng, mut report) = EventEngine::drive(
-        &net,
-        opts,
-        |a| Reliable::new(AsyncGsNode::new(cfg, a, latency), a, n, latency, rcfg),
-        |_| {},
-        descend.as_mut().map(|d| d as _),
-    );
+    let start = GsStart::Scratch;
+    let init = |a| {
+        Reliable::new(
+            AsyncGsNode::new(cfg, start, a, latency),
+            a,
+            n,
+            latency,
+            rcfg,
+        )
+    };
+    let (eng, mut report) = drive(&net, start, opts, init, None);
     let levels = cfg
         .cube()
         .nodes()
@@ -624,6 +792,23 @@ mod tests {
         assert_eq!(tight.map.store(), full.map.store());
         let (cut, _) = run_gs_reliable(&cfg, rcfg, 1, lossy(ChannelModel::new(7), 41));
         assert!(!cut.quiescent, "one event short of draining");
+    }
+
+    #[test]
+    fn a_kill_plan_is_not_a_convergence_failure() {
+        // Killing 0000 at start freezes it before its wave moves on,
+        // so the drained run ends off the fixed point of the cube it
+        // started on: the corridor holds, and convergence is not owed.
+        let cfg = cfg4(&["0011", "0100", "0110", "1001"]);
+        let opts = RunOptions {
+            check: true,
+            kills: vec![(NodeId::ZERO, 0)],
+            ..RunOptions::default()
+        };
+        let (run, report) = run_gs_async(&cfg, 1, opts);
+        assert!(report.drained);
+        assert_eq!(report.violation, None);
+        assert_ne!(run.map.store(), SafetyMap::compute(&cfg).store());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`safety`] — Definition 1 and the unique fixed point (Theorem 1).
 //! * [`gs`] — the distributed `GLOBAL_STATUS` protocol, synchronous (one
 //!   lock-step node for `Q_n`, generalized hypercubes and EGS) and
-//!   asynchronous, executed message-by-message on `hypersafe-simkit`.
+//!   asynchronous (one actor, started from scratch or, for
+//!   [`run_delta_gs`], from the fixed point before one churn event),
+//!   executed message-by-message on `hypersafe-simkit`.
 //! * [`navigation`] + [`unicast`] — the optimal/suboptimal unicasting
 //!   algorithm with the `C1`/`C2`/`C3` source feasibility check.
 //! * [`unicast_distributed`] — the same algorithm as per-node actors
@@ -88,9 +90,7 @@ pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
 pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhSafetyMap};
 pub use gh_unicast::{gh_route, gh_source_decision, GhRouteResult};
-pub use gs::{
-    run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsLevelsDescend, GsLossyRun, GsRun,
-};
+pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsCorridor, GsLossyRun, GsRun};
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};
 pub use maintenance::{replay, MaintenanceReport, Strategy, Timeline, TimelineEvent};
 pub use mc::{gs_engine_projections, mc_delta_gs, mc_gs, mc_unicast_arq};
@@ -109,9 +109,7 @@ pub use properties::{
 pub use reroute::{route_dynamic, DynamicOutcome, DynamicRun, FaultEvent};
 pub use route_batch::{route_light, route_many, route_many_seq, route_many_tb, BatchOutcome};
 pub use safety::{level_from_sorted, level_from_unsorted, Level, SafetyMap};
-pub use safety_delta::{
-    run_delta_gs, ChurnEvent, DeltaGsDirected, DeltaGsNode, DeltaGsRun, DeltaStats,
-};
+pub use safety_delta::{run_delta_gs, ChurnEvent, DeltaStats};
 pub use safety_vector::{vector_dominates_level, SafetyVectorMap};
 pub use service::{SafetyService, SafetyState};
 pub use unicast::{

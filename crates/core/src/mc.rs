@@ -33,13 +33,13 @@
 //! out-of-order segment makes a later redelivery ack-effectful, which
 //! breaks the stability requirement).
 
-use crate::gs::{AsyncGsNode, GsLevelsDescend};
+use crate::gs::{AsyncGsNode, GsCorridor, GsStart};
 use crate::properties::{
     check_theorem4_soundness, check_unicast_optimality, Violation, ARQ_EXACTLY_ONCE,
     GS_CONVERGENCE, GS_CORRIDOR, THEOREM4_SOUNDNESS, UNICAST_OUTCOME,
 };
 use crate::safety::SafetyMap;
-use crate::safety_delta::{ChurnEvent, DeltaGsDirected, DeltaGsNode};
+use crate::safety_delta::ChurnEvent;
 use crate::unicast::source_decision;
 use crate::unicast_distributed::{ArqSingleDelivery, LocalLevels, UnicastNode, START_TAG};
 use hypersafe_simkit::{
@@ -61,7 +61,8 @@ pub fn gs_engine_projections(cfg: &FaultConfig, sched: Box<dyn Scheduler>) -> Ve
         sched,
         ..RunOptions::default()
     };
-    let mut eng = EventEngine::with_options(&net, opts, |a| AsyncGsNode::new(cfg, a, 1));
+    let init = |a| AsyncGsNode::new(cfg, GsStart::Scratch, a, 1);
+    let mut eng = EventEngine::with_options(&net, opts, init);
     let mut seen = vec![engine_projection(&eng)];
     while eng.step() {
         seen.push(engine_projection(&eng));
@@ -97,17 +98,8 @@ fn check<'p, A>(
 
 /// Exhaustively checks asynchronous GS on `cfg`: the level corridor at
 /// every reachable state, exact convergence at every quiescent one.
-/// Forces no-op closure on (sound for GS's min-merge; see module docs).
 pub fn mc_gs(cfg: &FaultConfig, mcfg: &McConfig) -> McReport {
-    let mut mcfg = mcfg.clone();
-    mcfg.closure = true;
-    let net = HypercubeNet::new(cfg);
-    let descend = GsLevelsDescend::new(cfg);
-    let checks = [
-        check(GS_CORRIDOR, false, |s| descend.corridor(live(s))),
-        check(GS_CONVERGENCE, true, |s| descend.converged(live(s))),
-    ];
-    explore(&net, |a| AsyncGsNode::new(cfg, a, 1), &[], &mcfg, &checks)
+    mc_gs_from(cfg, GsStart::Scratch, mcfg)
 }
 
 /// Exhaustively checks distributed delta-GS for one churn `event`:
@@ -115,28 +107,36 @@ pub fn mc_gs(cfg: &FaultConfig, mcfg: &McConfig) -> McReport {
 /// between its start level and the post-event fixed point, and every
 /// quiescent state equals the centralized recompute exactly. `cfg` is
 /// the post-event configuration, `prev` the pre-event fixed point.
-/// Forces no-op closure on (the direction-fixed merge is monotone).
 pub fn mc_delta_gs(
     cfg: &FaultConfig,
     prev: &SafetyMap,
     event: ChurnEvent,
     mcfg: &McConfig,
 ) -> McReport {
+    mc_gs_from(cfg, GsStart::After(prev, event), mcfg)
+}
+
+/// The GS actor and its corridor from `start`, explored with no-op
+/// closure forced on (the directed merge is monotone; see module
+/// docs). A cube with link faults has no fixed point to check
+/// against: its first quiescent state reports [`GS_CONVERGENCE`].
+fn mc_gs_from(cfg: &FaultConfig, start: GsStart, mcfg: &McConfig) -> McReport {
     let mut mcfg = mcfg.clone();
     mcfg.closure = true;
     let net = HypercubeNet::new(cfg);
-    let directed = DeltaGsDirected::new(cfg, prev, event);
+    let corridor = GsCorridor::new(cfg, start);
     let checks = [
-        check(GS_CORRIDOR, false, |s| directed.corridor(live(s))),
-        check(GS_CONVERGENCE, true, |s| directed.converged(live(s))),
+        check(GS_CORRIDOR, false, |s| match &corridor {
+            Ok(c) => c.corridor(live(s)),
+            Err(_) => Ok(()),
+        }),
+        check(GS_CONVERGENCE, true, |s| match &corridor {
+            Ok(c) => c.converged(live(s)),
+            Err(v) => Err(v.clone()),
+        }),
     ];
-    explore(
-        &net,
-        |a| DeltaGsNode::new(cfg, prev, event, a, 1),
-        &[],
-        &mcfg,
-        &checks,
-    )
+    let init = |a| AsyncGsNode::new(cfg, start, a, 1);
+    explore(&net, init, &[], &mcfg, &checks)
 }
 
 /// Exhaustively checks one reliable unicast `s → d` over `map` (which
@@ -241,6 +241,16 @@ mod tests {
         // Nobody's level drops, nobody announces: one state, terminal.
         assert_eq!(rep.states, 1);
         assert_eq!(rep.terminals, 1);
+    }
+
+    #[test]
+    fn gs_with_a_link_fault_reports_instead_of_panicking() {
+        // Theorem 1's fixed point is defined for node faults only, so
+        // the first quiescent state has nothing to converge to.
+        let mut cfg = q3(&[]);
+        cfg.link_faults_mut().insert(NodeId::new(0), NodeId::new(1));
+        let rep = mc_gs(&cfg, &McConfig::default());
+        assert_eq!(rep.violation.expect("violation").property, GS_CONVERGENCE);
     }
 
     #[test]

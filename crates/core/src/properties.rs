@@ -13,12 +13,12 @@
 //!
 //! Everything else that checks these claims is a thin adapter that
 //! loops over actors, rounds or runs and calls a predicate here under
-//! its one name: the engine invariants ([`crate::GsLevelsDescend`],
-//! [`crate::DeltaGsDirected`], [`crate::ArqSingleDelivery`]), the model
-//! checker ([`crate::mc`]), the DST post-run checks
-//! ([`check_gs_convergence`], [`check_lossy_outcome`]) and
-//! [`crate::run_gh_gs_checked`]. Bad input — a node outside the cube, a
-//! trail that leaves it — is reported as a [`Violation`], not a panic.
+//! its one name: the engine invariants ([`crate::GsCorridor`] for GS
+//! from either start, [`crate::ArqSingleDelivery`]), the model checker
+//! ([`crate::mc`]), the DST post-run checks ([`check_gs_convergence`],
+//! [`check_lossy_outcome`]) and [`crate::run_gh_gs_checked`]. Bad
+//! input — a node outside the cube, a trail that leaves it — is
+//! reported as a [`Violation`], not a panic.
 
 use crate::gs::GsAsyncRun;
 use crate::navigation::NavVector;
@@ -528,19 +528,26 @@ pub fn check_gh_theorem4_soundness(
 // Post-run adapters for the DST sweep.
 // ---------------------------------------------------------------------
 
-/// **GS convergence, end of run.** A quiescent asynchronous GS run
-/// stayed in its corridor (the run-wide `monotone` flag is every
-/// node's direction bit) and sits exactly on Theorem 1's fixed point,
-/// which is defined for node faults only.
-pub fn check_gs_convergence(cfg: &FaultConfig, run: &GsAsyncRun) -> Result<(), Violation> {
-    if !cfg.link_faults().is_empty() || run.map.dim() != cfg.cube().dim() {
+/// Theorem 1's fixed point of `cfg`, for a run over an `n`-cube. It is
+/// defined for node faults only, so link faults, or a cube of another
+/// size, are a [`GS_CONVERGENCE`] violation.
+pub(crate) fn gs_fixed_point(cfg: &FaultConfig, n: u8) -> Result<SafetyMap, Violation> {
+    if !cfg.link_faults().is_empty() || n != cfg.cube().dim() {
         return Err(Violation::new(
             GS_CONVERGENCE,
             vec![],
             "Theorem 1's fixed point needs a node-fault-only cube of the run's size".into(),
         ));
     }
-    let fixed = SafetyMap::compute(cfg);
+    Ok(SafetyMap::compute(cfg))
+}
+
+/// **GS convergence, end of run.** A quiescent asynchronous GS run
+/// stayed in its corridor (the run-wide `monotone` flag is every
+/// node's direction bit) and sits exactly on Theorem 1's fixed point,
+/// which is defined for node faults only.
+pub fn check_gs_convergence(cfg: &FaultConfig, run: &GsAsyncRun) -> Result<(), Violation> {
+    let fixed = gs_fixed_point(cfg, run.map.dim())?;
     let n = cfg.cube().dim();
     let levels = || cfg.cube().nodes().map(|a| (a, run.map.level(a)));
     check_level_corridor(

@@ -25,23 +25,20 @@
 //! uses too.
 //!
 //! [`SafetyMap::apply_fault`] / [`SafetyMap::apply_recover`] are the
-//! centralized form; [`run_delta_gs`] is the distributed form (a
-//! delta-GS actor on the unified event engine, where only nodes whose
-//! level changed re-broadcast). Both are *exact*: the test suite and
-//! the checked runs ([`DeltaGsDirected`]) enforce byte-identity against
+//! centralized form; [`run_delta_gs`] is the distributed form: the
+//! asynchronous GS actor ([`crate::gs::AsyncGsNode`]) started from the
+//! previous fixed point instead of from scratch, so only nodes whose
+//! level changed re-broadcast. Both are *exact*: the test suite and the
+//! checked runs ([`crate::GsCorridor`]) enforce byte-identity against
 //! [`SafetyMap::compute`] after every event.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use crate::level_store::NeighborLevels;
-use crate::properties::{check_level_corridor, check_levels_converged, Violation, GS_CORRIDOR};
-use crate::safety::{level_from_unsorted, rule_level, Level, SafetyMap};
+use crate::gs::{run_gs_from, GsAsyncRun, GsStart};
+use crate::safety::{rule_level, SafetyMap};
 use crate::unicast::Qn;
-use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, InvariantViolation, RunOptions,
-    RunReport,
-};
+use hypersafe_simkit::{RunOptions, RunReport};
 use hypersafe_topology::{FaultConfig, NodeId};
 
 /// One topology churn event: a node dies or comes back.
@@ -280,276 +277,23 @@ impl Worklist {
     }
 }
 
-/// Delta-GS actor: the distributed form of the incremental update.
-///
-/// Nodes keep the levels they learned before the event (the previous
-/// fixed point); after the event only the affected region speaks:
-///
-/// * **Fault** — the dead node's neighbors detect the fault locally
-///   (assumption 2), drop that dimension's knowledge to 0, re-evaluate
-///   and announce *only if their own level changed*. Unaffected nodes
-///   never send. Knowledge merges by `min` (levels only descend after
-///   a fault), which makes the descent immune to adversarial
-///   reordering.
-/// * **Recovery** — the revived node knows which neighbors are healthy
-///   but not their levels; it starts from all-zero knowledge and
-///   announces its (conservatively low) level unconditionally, while
-///   its neighbors courtesy-announce their current levels to it.
-///   Knowledge merges by `max` (levels only ascend after a recovery).
-///
-/// Message count is therefore O(affected region) instead of the full
-/// protocol's O(n·2ⁿ); in particular a fault that demotes nobody costs
-/// **zero** messages.
-#[derive(Clone, Debug)]
-pub struct DeltaGsNode {
-    n: u8,
-    level: Level,
-    /// Best current knowledge of each neighbor's level, by dimension —
-    /// packed 5 bits per dimension, so actor state stays heap-free
-    /// even with a million simulated nodes.
-    heard: NeighborLevels,
-    latency: u64,
-    /// `true` after a fault event (descend / min-merge), `false` after
-    /// a recovery (ascend / max-merge).
-    descending: bool,
-    /// Role flags: the recovered node itself, or a neighbor of the
-    /// event node.
-    is_event_node: bool,
-    event_dim: Option<u8>,
-    /// Whether every level change so far moved in the event's
-    /// direction; checked by the DST invariant suite rather than
-    /// asserted, so adversarial runs report instead of abort.
-    monotone: bool,
-}
-
-impl DeltaGsNode {
-    /// Builds the post-event state of node `me`. `cfg` is the
-    /// post-event configuration, `prev` the pre-event fixed point.
-    pub fn new(
-        cfg: &FaultConfig,
-        prev: &SafetyMap,
-        event: ChurnEvent,
-        me: NodeId,
-        latency: u64,
-    ) -> Self {
-        let n = cfg.cube().dim();
-        let is_event_node = me == event.node();
-        let event_dim = cfg
-            .cube()
-            .neighbors_with_dims(me)
-            .find(|&(_, b)| b == event.node())
-            .map(|(d, _)| d);
-        // Retained knowledge: the previous fixed point, overridden by
-        // local fault detection (a currently-faulty neighbor reads 0).
-        // The revived node has no memory: healthy neighbors read 0 too
-        // until they courtesy-announce.
-        let mut heard = NeighborLevels::filled(n, 0);
-        for (d, b) in cfg.cube().neighbors_with_dims(me) {
-            if !cfg.node_faulty(b) && !is_event_node {
-                heard.set(d, prev.level(b));
-            }
-        }
-        let level = if is_event_node {
-            level_from_unsorted(n, heard.iter(n))
-        } else {
-            prev.level(me)
-        };
-        DeltaGsNode {
-            n,
-            level,
-            heard,
-            latency,
-            descending: matches!(event, ChurnEvent::Fault(_)),
-            is_event_node,
-            event_dim,
-            monotone: true,
-        }
-    }
-
-    /// Current safety level.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-
-    /// `true` while every level change has moved in the event's
-    /// direction (down for fault, up for recovery).
-    pub fn monotone(&self) -> bool {
-        self.monotone
-    }
-
-    fn reevaluate(&mut self) -> bool {
-        let new = level_from_unsorted(self.n, self.heard.iter(self.n));
-        if new != self.level {
-            self.monotone &= if self.descending {
-                new < self.level
-            } else {
-                new > self.level
-            };
-            self.level = new;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn announce(&self, ctx: &mut Ctx<Level>) {
-        for i in 0..self.n {
-            ctx.send(ctx.self_id().neighbor(i), self.level, self.latency);
-        }
-    }
-}
-
-/// Canonical protocol state for the model checker: level, neighbor
-/// knowledge, and the direction-monotonicity flag. The event role
-/// flags (`descending`, `is_event_node`, `event_dim`) are static per
-/// run and `latency` is timing — all excluded.
-impl hypersafe_simkit::StateHash for DeltaGsNode {
-    fn state_hash(&self, h: &mut hypersafe_simkit::McHasher) {
-        h.write_u64(self.level as u64);
-        for d in 0..self.n {
-            h.write_u64(self.heard.get(d) as u64);
-        }
-        h.write_bytes(&[self.monotone as u8]);
-    }
-}
-
-impl Actor for DeltaGsNode {
-    type Msg = Level;
-
-    fn on_start(&mut self, ctx: &mut Ctx<Level>) {
-        if self.is_event_node {
-            // Revived node: its level is conservative (built from zero
-            // knowledge), so it must speak even if nothing "changed" —
-            // neighbors still hold 0 for its dimension.
-            self.announce(ctx);
-        } else if let Some(dim) = self.event_dim {
-            if self.descending {
-                // Local fault detection: that dimension now reads 0.
-                self.heard.set(dim, 0);
-                if self.reevaluate() {
-                    self.announce(ctx);
-                }
-            } else {
-                // Courtesy announcement to the revived neighbor only.
-                ctx.send(ctx.self_id().neighbor(dim), self.level, self.latency);
-            }
-        }
-        // Every other node: silent. This is the whole point.
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<Level>, from: NodeId, msg: Level) {
-        let dim = ctx.self_id().xor(from).set_dims().next().expect("neighbor");
-        let h = self.heard.get(dim);
-        // Direction-aware monotone merge: after a fault true levels
-        // only descend, so min(); after a recovery only ascend, so
-        // max(). Either way stale reordered announcements are ignored.
-        self.heard.set(
-            dim,
-            if self.descending {
-                h.min(msg)
-            } else {
-                h.max(msg)
-            },
-        );
-        if self.reevaluate() {
-            self.announce(ctx);
-        }
-    }
-}
-
-/// Engine invariant for delta-GS runs: the [`check_level_corridor`]
-/// adapter. Every node's level moves only in the event's direction
-/// (down after a fault, up after a recovery), pinned between the level
-/// its actor starts from and the post-event Theorem 1 fixed point —
-/// if the delta protocol ever leaves that corridor, incremental
-/// maintenance is not exact and the run fails. The model checker
-/// ([`crate::mc_delta_gs`]) runs the same two predicates over every
-/// reached state.
-pub struct DeltaGsDirected {
-    start: Vec<Level>,
-    target: SafetyMap,
-    descending: bool,
-}
-
-impl DeltaGsDirected {
-    /// Invariant state for a delta-GS run: `cfg` is the post-event
-    /// configuration, `prev_map` the pre-event fixed point. Computes
-    /// the post-event fixed point once as the far bound; the near bound
-    /// is each actor's start level (the pre-event level, except that a
-    /// revived node starts from zero knowledge, which Definition 1
-    /// evaluates to level 1).
-    pub fn new(cfg: &FaultConfig, prev_map: &SafetyMap, event: ChurnEvent) -> Self {
-        DeltaGsDirected {
-            start: cfg
-                .cube()
-                .nodes()
-                .map(|a| DeltaGsNode::new(cfg, prev_map, event, a, 1).level)
-                .collect(),
-            target: SafetyMap::compute(cfg),
-            descending: matches!(event, ChurnEvent::Fault(_)),
-        }
-    }
-
-    /// [`check_level_corridor`] over the actors of one cut.
-    pub fn corridor<'x>(
-        &self,
-        actors: impl Iterator<Item = (NodeId, &'x DeltaGsNode)>,
-    ) -> Result<(), Violation> {
-        check_level_corridor(
-            actors.map(|(a, x)| (a, x.level, x.monotone)),
-            |a| self.start[a.raw() as usize],
-            |a| self.target.level(a),
-            self.descending,
-        )
-    }
-
-    /// [`check_levels_converged`] over the actors of a quiescent cut.
-    pub fn converged<'x>(
-        &self,
-        actors: impl Iterator<Item = (NodeId, &'x DeltaGsNode)>,
-    ) -> Result<(), Violation> {
-        check_levels_converged(actors.map(|(a, x)| (a, x.level)), |a| self.target.level(a))
-    }
-}
-
-impl<'n> Invariant<HypercubeNet<'n>, DeltaGsNode> for DeltaGsDirected {
-    fn name(&self) -> &'static str {
-        GS_CORRIDOR
-    }
-
-    fn check(
-        &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, DeltaGsNode>,
-    ) -> Result<(), String> {
-        self.corridor(eng.actors_iter()).map_err(|v| v.detail)
-    }
-}
-
-/// Outcome of a distributed delta-GS run.
-#[derive(Clone, Debug)]
-pub struct DeltaGsRun {
-    /// The post-event safety levels.
-    pub map: SafetyMap,
-    /// Engine statistics — `messages` here is the O(affected region)
-    /// cost to compare against a full GS run's O(n·2ⁿ).
-    pub stats: EventStats,
-    /// Whether every node's level moved monotonically in the event's
-    /// direction (see [`DeltaGsNode::monotone`]).
-    pub monotone: bool,
-}
-
-/// Runs the delta-GS protocol for one churn event under `opts`. `cfg`
-/// is the post-event configuration, `prev` the pre-event fixed point.
-/// The fixed point is schedule-free, so the returned map equals
+/// Runs the delta-GS protocol for one churn event under `opts`: the
+/// asynchronous GS actor ([`crate::gs::AsyncGsNode`]) started from
+/// `prev`, the pre-event fixed point, on `cfg`, the post-event
+/// configuration. Only the affected region speaks, so the message
+/// count is O(affected region) instead of the full protocol's
+/// O(n·2ⁿ); a fault that demotes nobody costs zero messages. The fixed
+/// point is schedule-free, so the returned map equals
 /// [`SafetyMap::compute`] on `cfg` under any reordering adversary —
 /// enforced by tests, goldens and the DST suite. The protocol assumes
 /// reliable links (reorder/stretch adversaries only).
 ///
-/// With `opts.check` set, [`DeltaGsDirected`] is checked at every
-/// quiescent point, and a run that ends off the post-event fixed point
-/// reports a [`crate::properties::GS_CONVERGENCE`] violation:
+/// With `opts.check` set, [`crate::GsCorridor`] is checked at every
+/// quiescent point, and a run that drains off the post-event fixed
+/// point reports a [`crate::properties::GS_CONVERGENCE`] violation:
 /// incremental exactness as a machine-checked property of a running
-/// simulation.
+/// simulation. A run cut by `opts.max_events` is not checked for
+/// convergence.
 ///
 /// # Panics
 ///
@@ -584,49 +328,15 @@ pub fn run_delta_gs(
     event: ChurnEvent,
     latency: u64,
     opts: RunOptions,
-) -> (DeltaGsRun, RunReport) {
+) -> (GsAsyncRun, RunReport) {
     assert_event(prev, cfg, event);
-    let latency = latency.max(1);
-    let net = HypercubeNet::new(cfg);
-    let mut directed = opts.check.then(|| DeltaGsDirected::new(cfg, prev, event));
-    let (eng, mut report) = EventEngine::drive(
-        &net,
-        opts,
-        |a| DeltaGsNode::new(cfg, prev, event, a, latency),
-        |_| {},
-        directed.as_mut().map(|d| d as _),
-    );
-    if let (Some(directed), None) = (&directed, &report.violation) {
-        if let Err(v) = directed.converged(eng.actors_iter()) {
-            report.violation = Some(InvariantViolation {
-                invariant: v.claim.into(),
-                time: eng.stats().end_time,
-                events_processed: eng.stats().delivered,
-                detail: v.detail,
-            });
-        }
-    }
-    let levels: Vec<Level> = cfg
-        .cube()
-        .nodes()
-        .map(|a| eng.actor(a).map_or(0, DeltaGsNode::level))
-        .collect();
-    let monotone = cfg
-        .cube()
-        .nodes()
-        .filter_map(|a| eng.actor(a))
-        .all(DeltaGsNode::monotone);
-    let run = DeltaGsRun {
-        map: SafetyMap::from_levels(cfg.cube(), levels),
-        stats: eng.stats().clone(),
-        monotone,
-    };
-    (run, report)
+    run_gs_from(cfg, GsStart::After(prev, event), latency, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::level_from_unsorted;
     use hypersafe_simkit::AdversarialScheduler;
     use hypersafe_topology::{FaultSet, Hypercube};
     use proptest::prelude::*;
@@ -885,6 +595,37 @@ mod tests {
         assert_eq!(delta.map.store(), full.map.store());
         assert_eq!(delta.stats.delivered, 0, "nobody demoted → nobody speaks");
         assert!(full.stats.messages > 1000, "full GS floods the cube");
+    }
+
+    #[test]
+    fn a_budget_cut_is_not_a_convergence_failure() {
+        // The fault of 1001 next to three faults of Q4 settles in ten
+        // events. Cut after one, the checked run must report nothing
+        // and equal the unchecked cut.
+        let mut cfg = cfg4(&["0011", "0100", "0110"]);
+        let prev = SafetyMap::compute(&cfg);
+        let a = n("1001");
+        cfg.node_faults_mut().insert(a);
+        let run = |check, max_events| {
+            let opts = RunOptions {
+                check,
+                max_events,
+                ..RunOptions::default()
+            };
+            run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1, opts)
+        };
+        let (full, report) = run(true, u64::MAX);
+        assert_eq!((report.processed, report.drained), (10, true));
+        assert_eq!(report.violation, None);
+        assert_eq!(full.map.store(), SafetyMap::compute(&cfg).store());
+        let (plain, plain_report) = run(false, 1);
+        let (cut, report) = run(true, 1);
+        assert_eq!(report.violation, None, "a cut run is not unconverged");
+        assert!(!report.drained);
+        assert_eq!(report.processed, plain_report.processed);
+        assert_eq!(cut.map.store(), plain.map.store());
+        assert_eq!(cut.stats, plain.stats);
+        assert_ne!(cut.map.store(), full.map.store(), "the cut stops short");
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! statistics, levels, outcome, trail, arrival time, coverage,
 //! `quiescent` and `monotone`, plus the driver's processed count and
 //! drained flag. Each setting must also deliver what it asks for: a
-//! registry, a trace, and no violation on a correct protocol. A GH
-//! unicast's trail under any of these schedules is `gh_route`'s.
+//! registry, a trace, and no violation on a correct protocol. The same
+//! holds for the asynchronous GS runs from either start cut by an event
+//! budget below their full run's count: a cut run is not a convergence
+//! failure. A GH unicast's trail under any of these schedules is
+//! `gh_route`'s.
 
 use std::fmt::Debug;
 
 use hypersafe_core::{
     gh_route, run_broadcast, run_delta_gs, run_gh_unicast, run_gs_async, run_gs_reliable,
-    run_unicast, run_unicast_lossy, ChurnEvent, GhSafetyMap, SafetyMap,
+    run_unicast, run_unicast_lossy, ChurnEvent, GhSafetyMap, GsAsyncRun, SafetyMap,
 };
 use hypersafe_simkit::{
     AdversarialScheduler, ChannelModel, FifoScheduler, ReliableConfig, RunOptions, RunReport,
@@ -68,6 +71,32 @@ fn assert_passive<R, K: PartialEq + Debug>(
     Ok(())
 }
 
+/// `run` cut by an event budget below its full run's count under
+/// `base`, drawn from `seed`: the cut must not drain, and checking it
+/// must report no violation (a cut is not a convergence failure) and
+/// leave every field equal to the unchecked cut's. A run with no event
+/// to cut passes.
+fn assert_cut_passive<R, K: PartialEq + Debug>(
+    name: &str,
+    base: impl Fn() -> RunOptions,
+    run: impl Fn(RunOptions) -> (R, RunReport),
+    key: impl Fn(&R) -> K,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let full = run(base()).1.processed;
+    if full == 0 {
+        return Ok(());
+    }
+    let budget = seed % full;
+    let cut = || RunOptions {
+        max_events: budget,
+        ..base()
+    };
+    let name = format!("{name} cut at {budget} of {full} events");
+    prop_assert!(!run(cut()).1.drained, "{}", name);
+    assert_passive(&name, cut, run, key)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -99,12 +128,9 @@ proptest! {
             ..RunOptions::default()
         };
 
-        assert_passive(
-            "run_gs_async",
-            plain,
-            |opts| run_gs_async(&cfg, 2, opts),
-            |r| (r.map.to_vec(), r.stats.clone(), r.monotone),
-        )?;
+        let gs_key = |r: &GsAsyncRun| (r.map.to_vec(), r.stats.clone(), r.monotone);
+        assert_passive("run_gs_async", plain, |opts| run_gs_async(&cfg, 2, opts), gs_key)?;
+        assert_cut_passive("run_gs_async", plain, |opts| run_gs_async(&cfg, 2, opts), gs_key, seed)?;
         assert_passive(
             "run_gs_reliable",
             lossy,
@@ -148,12 +174,9 @@ proptest! {
             after.node_faults_mut().insert(v);
             ChurnEvent::Fault(v)
         };
-        assert_passive(
-            "run_delta_gs",
-            plain,
-            |opts| run_delta_gs(&after, &map, event, 1, opts),
-            |r| (r.map.to_vec(), r.stats.clone(), r.monotone),
-        )?;
+        let delta = |opts| run_delta_gs(&after, &map, event, 1, opts);
+        assert_passive("run_delta_gs", plain, delta, gs_key)?;
+        assert_cut_passive("run_delta_gs", plain, delta, gs_key, seed)?;
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! would turn a counterexample into an abort, so each call here runs
 //! under `catch_unwind`.
 //!
+//! The checked GS runners are held to it too: on a cube with link
+//! faults they report a typed violation.
+//!
 //! The routing entry points are held to the same standard: an
 //! endpoint outside the topology is a typed `Failure`, never a panic
 //! or an alias of a node inside it. A broadcast from a source outside
 //! the topology is the empty result: no coverage, no message, no
 //! relay.
 
+use hypersafe_core::properties::GS_CONVERGENCE;
 use hypersafe_core::{
     broadcast, check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence,
     check_level_corridor, check_levels_converged, check_lossy_outcome,
@@ -18,11 +22,11 @@ use hypersafe_core::{
     check_theorem2_at, check_theorem3, check_theorem4_soundness, check_unicast_optimality,
     gh_broadcast, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb, route,
     route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs,
-    run_gh_unicast, run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition,
-    Decision, DynamicOutcome, ExtendedSafetyMap, GhSafetyMap, GsAsyncRun, Level, LossyOutcome,
-    LossyRun, NavVector, SafetyMap, TieBreak,
+    run_gh_unicast, run_gs_async, run_gs_reliable, run_unicast, run_unicast_lossy, source_decision,
+    BroadcastResult, Condition, Decision, DynamicOutcome, ExtendedSafetyMap, GhSafetyMap,
+    GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, TieBreak,
 };
-use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions};
+use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
 use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -284,5 +288,33 @@ proptest! {
         total("check_gh_theorem4_soundness", || {
             check_gh_theorem4_soundness(&gh, &set, s, d, decision(k, 0))
         })?;
+    }
+
+    /// Unchecked, the GS runners accept link faults. Theorem 1's fixed
+    /// point, which a checked run converges to, is defined for node
+    /// faults only, so a checked run on a cube with a link fault reports
+    /// a `GS_CONVERGENCE` violation instead of panicking, and one
+    /// without reports nothing.
+    #[test]
+    fn checked_gs_runs_report_link_faults_instead_of_panicking(
+        cube in (
+            1u8..=5,
+            proptest::collection::vec(0u64..64, 0..6),
+            proptest::collection::vec(0u64..64, 0..3),
+        ),
+    ) {
+        let (n, node_faults, link_faults) = cube;
+        let cfg = faulty_cube(n, &node_faults, &link_faults);
+        let want = (!cfg.link_faults().is_empty()).then(|| GS_CONVERGENCE.to_string());
+        let checked = || RunOptions { check: true, ..RunOptions::default() };
+        let claim = |r: RunReport| r.violation.map(|v| v.invariant);
+        let res = catch_unwind(AssertUnwindSafe(|| claim(run_gs_async(&cfg, 1, checked()).1)));
+        prop_assert!(res.is_ok(), "run_gs_async panicked");
+        prop_assert_eq!(res.unwrap(), want.clone(), "run_gs_async");
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            claim(run_gs_reliable(&cfg, ReliableConfig::default(), 1, checked()).1)
+        }));
+        prop_assert!(res.is_ok(), "run_gs_reliable panicked");
+        prop_assert_eq!(res.unwrap(), want, "run_gs_reliable");
     }
 }

@@ -168,8 +168,8 @@ impl Actor for BrokenNode {
     }
 }
 
-/// Levels must never rise — the same shape as `GsLevelsDescend`, over
-/// the broken actor.
+/// Levels must never rise — the same shape as `GsCorridor` from
+/// scratch, over the broken actor.
 struct NeverRises {
     prev: Vec<u64>,
 }
