@@ -9,7 +9,7 @@
 //! the message and of unbounded path length (the paper's critique:
 //! "the length of a routing path is unpredictable in general").
 
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// Outcome of a DFS routing attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,8 +52,8 @@ pub fn dfs_route(cfg: &FaultConfig, s: NodeId, d: NodeId) -> Option<DfsRoute> {
         // Preferred dimensions first (sorted toward the destination),
         // then spare dimensions — both filtered to usable, unvisited.
         let next = cube
-            .preferred_dims(at, d)
-            .chain(cube.spare_dims(at, d))
+            .preferred(at, d)
+            .chain(cube.spare(at, d))
             .map(|i| at.neighbor(i))
             .find(|&b| !cfg.node_faulty(b) && !visited[b.raw() as usize] && cfg.link_usable(at, b));
         match next {

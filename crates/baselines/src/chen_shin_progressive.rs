@@ -11,7 +11,7 @@
 //! can live-lock around fault clusters, so a hop budget (TTL) bounds
 //! the attempt.
 
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, NodeId, Path, Topology};
 
 /// Routes `s → d` progressively with hop budget `ttl`.
 ///
@@ -35,11 +35,11 @@ pub fn progressive_route(
             return Some((path, false));
         }
         let pick = cube
-            .preferred_dims(at, d)
+            .preferred(at, d)
             .map(|i| (i, at.neighbor(i)))
             .find(|&(_, b)| !cfg.node_faulty(b) && cfg.link_usable(at, b))
             .or_else(|| {
-                cube.spare_dims(at, d)
+                cube.spare(at, d)
                     .filter(|&i| Some(i) != last_dim)
                     .map(|i| (i, at.neighbor(i)))
                     .find(|&(_, b)| !cfg.node_faulty(b) && cfg.link_usable(at, b))

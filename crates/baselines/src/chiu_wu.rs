@@ -11,7 +11,7 @@
 //! DESIGN.md §5 item 3.
 
 use crate::wu_fernandez::WuFernandezStatus;
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, NodeId, Path, Topology};
 
 /// Routes `s → d` over WF status: prefer safe preferred neighbors,
 /// then any nonfaulty preferred neighbor, then a safe spare detour;
@@ -42,15 +42,15 @@ pub fn cw_route(
             break;
         }
         let safe_pref = cube
-            .preferred_dims(at, d)
+            .preferred(at, d)
             .map(|i| (i, at.neighbor(i)))
             .find(|&(_, b)| !cfg.node_faulty(b) && status.is_safe(b));
         let any_pref = cube
-            .preferred_dims(at, d)
+            .preferred(at, d)
             .map(|i| (i, at.neighbor(i)))
             .find(|&(_, b)| !cfg.node_faulty(b));
         let safe_spare = cube
-            .spare_dims(at, d)
+            .spare(at, d)
             .filter(|&i| Some(i) != last_dim)
             .map(|i| (i, at.neighbor(i)))
             .find(|&(_, b)| !cfg.node_faulty(b) && status.is_safe(b));

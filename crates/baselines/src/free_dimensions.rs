@@ -12,7 +12,7 @@
 //! back to greedy-with-detour when no free preferred dimension helps.
 //! It serves as an E9 comparison point, not a line-by-line port of \[8\].
 
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, NodeId, Path, Topology};
 
 /// The dimensions of `cfg`'s cube along which no two faults are
 /// adjacent, ascending.
@@ -61,23 +61,19 @@ pub fn fd_route(cfg: &FaultConfig, s: NodeId, d: NodeId, ttl: u32) -> Option<(Pa
             (!cfg.node_faulty(b) && cfg.link_usable(at, b)).then_some((i, b))
         };
         let pick = cube
-            .preferred_dims(at, d)
+            .preferred(at, d)
             .filter(|&i| is_free(i))
             .filter_map(|i| usable(at, i))
             .next()
+            .or_else(|| cube.preferred(at, d).filter_map(|i| usable(at, i)).next())
             .or_else(|| {
-                cube.preferred_dims(at, d)
-                    .filter_map(|i| usable(at, i))
-                    .next()
-            })
-            .or_else(|| {
-                cube.spare_dims(at, d)
+                cube.spare(at, d)
                     .filter(|&i| is_free(i) && Some(i) != last_dim)
                     .filter_map(|i| usable(at, i))
                     .next()
             })
             .or_else(|| {
-                cube.spare_dims(at, d)
+                cube.spare(at, d)
                     .filter(|&i| Some(i) != last_dim)
                     .filter_map(|i| usable(at, i))
                     .next()

@@ -11,7 +11,7 @@
 //! safe set of the three definitions — both facts are measured by the
 //! E3/E11 experiments.
 
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, NodeId, Path, Topology};
 
 /// Boolean safe/unsafe status for every node, Lee–Hayes style.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl LeeHayesStatus {
                     continue;
                 }
                 let bad = cube
-                    .neighbors(a)
+                    .neighbours(a)
                     .filter(|&b| cfg.node_faulty(b) || !prev[b.raw() as usize])
                     .count();
                 if bad >= 2 {
@@ -126,18 +126,18 @@ pub fn lh_route(cfg: &FaultConfig, status: &LeeHayesStatus, s: NodeId, d: NodeId
         }
         // Safe preferred neighbor > nonfaulty preferred > safe spare.
         let pick = cube
-            .preferred_dims(at, d)
+            .preferred(at, d)
             .map(|i| (i, at.neighbor(i)))
             .filter(|&(_, b)| !cfg.node_faulty(b))
             .max_by_key(|&(i, b)| (status.is_safe(b), std::cmp::Reverse(i)))
             .filter(|&(_, b)| status.is_safe(b))
             .or_else(|| {
-                cube.preferred_dims(at, d)
+                cube.preferred(at, d)
                     .map(|i| (i, at.neighbor(i)))
                     .find(|&(_, b)| !cfg.node_faulty(b))
             })
             .or_else(|| {
-                cube.spare_dims(at, d)
+                cube.spare(at, d)
                     .filter(|&i| Some(i) != last_dim)
                     .map(|i| (i, at.neighbor(i)))
                     .find(|&(_, b)| !cfg.node_faulty(b) && status.is_safe(b))

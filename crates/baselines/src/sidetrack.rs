@@ -6,7 +6,7 @@
 //! information at all, so the path length is unpredictable and the walk
 //! can live-lock — a TTL bounds it.
 
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, NodeId, Path, Topology};
 use rand::Rng;
 
 /// Routes `s → d` by random sidetracking with hop budget `ttl`,
@@ -35,14 +35,14 @@ pub fn sidetrack_route<R: Rng + ?Sized>(
         }
         preferred.clear();
         spare.clear();
-        for i in cube.preferred_dims(at, d) {
+        for i in cube.preferred(at, d) {
             let b = at.neighbor(i);
             if !cfg.node_faulty(b) && cfg.link_usable(at, b) {
                 preferred.push(b);
             }
         }
         if preferred.is_empty() {
-            for i in cube.spare_dims(at, d) {
+            for i in cube.spare(at, d) {
                 let b = at.neighbor(i);
                 if !cfg.node_faulty(b) && cfg.link_usable(at, b) {
                     spare.push(b);

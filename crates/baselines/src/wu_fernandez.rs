@@ -8,7 +8,7 @@
 //! level-`n` nodes — property-tested in this crate) while the status
 //! identification still needs `O(n²)` rounds in the worst case.
 
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// Boolean safe/unsafe status for every node, Wu–Fernandez style.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,9 +36,9 @@ impl WuFernandezStatus {
                 if cfg.node_faulty(a) || !prev[idx] {
                     continue;
                 }
-                let faulty = cube.neighbors(a).filter(|&b| cfg.node_faulty(b)).count();
+                let faulty = cube.neighbours(a).filter(|&b| cfg.node_faulty(b)).count();
                 let bad = cube
-                    .neighbors(a)
+                    .neighbours(a)
                     .filter(|&b| cfg.node_faulty(b) || !prev[b.raw() as usize])
                     .count();
                 if faulty >= 2 || bad >= 3 {

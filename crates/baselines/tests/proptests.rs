@@ -6,7 +6,7 @@ use hypersafe_baselines::{
     cw_route, default_ttl, dfs_route, fd_route, free_dimensions, lh_route, progressive_route,
     sidetrack_route, LeeHayesStatus, WuFernandezStatus,
 };
-use hypersafe_topology::{connectivity, FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe_topology::{connectivity, FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

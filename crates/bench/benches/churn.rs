@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::{route_many, route_many_seq, SafetyMap};
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 use rand::Rng;
 use std::hint::black_box;

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::gh_safety::GhSafetyMap;
 use hypersafe_core::gh_unicast::gh_route;
-use hypersafe_topology::{GeneralizedHypercube, GhNode, NodeId};
+use hypersafe_topology::{GeneralizedHypercube, GhNode, NodeId, Topology};
 use hypersafe_workloads::Sweep;
 use rand::Rng;
 use std::hint::black_box;

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypersafe_core::{run_gs, SafetyMap};
-use hypersafe_topology::{FaultConfig, Hypercube};
+use hypersafe_topology::{FaultConfig, Hypercube, Topology};
 use hypersafe_workloads::{uniform_faults, Sweep};
 use std::hint::black_box;
 

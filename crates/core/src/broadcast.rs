@@ -30,9 +30,10 @@
 
 use crate::gh_safety::GhSafetyMap;
 use crate::level_store::LevelStore;
-use crate::safety::{Level, SafetyMap};
-use crate::unicast::{PortSpace, Qn};
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId, MAX_DIM};
+use crate::safety::{Level, Readings, SafetyMap};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology, MAX_DIM,
+};
 
 /// Outcome of one broadcast, over `Q_n` ([`NodeId`]) or a generalized
 /// hypercube ([`GhNode`]).
@@ -123,7 +124,7 @@ impl BroadcastResult<GhNode> {
 /// assert_eq!(r.messages, 15); // one per non-source node
 /// ```
 pub fn broadcast(cfg: &FaultConfig, map: &SafetyMap, source: NodeId) -> BroadcastResult {
-    let (space, links) = (Qn(cfg.cube().dim()), cfg.link_faults());
+    let (space, links) = (cfg.cube(), cfg.link_faults());
     let link_down = |a, b| links.contains(a, b);
     build(space, map.store(), cfg.node_faults(), link_down, source)
 }
@@ -140,14 +141,14 @@ pub fn gh_broadcast(
 }
 
 /// The neighbor an unsafe `source` hands the whole broadcast to: the
-/// first safe one in [`PortSpace::neighbours`] order. `None` when the
+/// first safe one in [`Topology::neighbours`] order. `None` when the
 /// source is safe itself or has no safe neighbor.
-pub(crate) fn relay<S: PortSpace>(
+pub(crate) fn relay<S: Topology>(
     space: S,
     levels: &LevelStore,
     source: S::Node,
 ) -> Option<S::Node> {
-    let safe = |a| levels.get(S::raw(a)) == space.ceiling();
+    let safe = |a| levels.get(S::raw(a)) == space.dim();
     if safe(source) {
         return None;
     }
@@ -164,7 +165,7 @@ pub(crate) fn order_children(dims: &mut [u8], reading: &[Level]) {
 /// The one tree builder: `source` (or its relay) owns every dimension.
 /// A message is lost into a node of `faults` or across a link for which
 /// `link_down` holds.
-fn build<S: PortSpace>(
+fn build<S: Readings>(
     space: S,
     levels: &LevelStore,
     faults: &FaultSet,
@@ -189,14 +190,14 @@ fn build<S: PortSpace>(
         None => (source, 0),
     };
     let lost = |a, b| faulty(b) || link_down(a, b);
-    let dims: Vec<u8> = (0..space.ceiling()).collect();
+    let dims: Vec<u8> = (0..space.dim()).collect();
     descend(space, levels, &lost, at, &dims, depth, &mut result);
     result
 }
 
 /// Recursive subtree delivery: `at` owns the sub-topology spanned by
 /// `dims`.
-fn descend<S: PortSpace>(
+fn descend<S: Readings>(
     space: S,
     levels: &LevelStore,
     lost: &impl Fn(S::Node, S::Node) -> bool,

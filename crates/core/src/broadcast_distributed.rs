@@ -11,10 +11,9 @@
 
 use crate::broadcast::{order_children, relay, BroadcastResult};
 use crate::safety::{Level, SafetyMap};
-use crate::unicast::{PortSpace, Qn};
 use crate::unicast_distributed::idle_report;
-use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, RunOptions, RunReport, Time};
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_simkit::{Actor, Ctx, EventEngine, Net, RunOptions, RunReport, Time};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// A broadcast message: the dimension set the receiver becomes
 /// responsible for (as a bitmask).
@@ -40,7 +39,7 @@ const START_TAG: u64 = 0xB0;
 impl BcastNode {
     fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId, latency: Time) -> Self {
         BcastNode {
-            neighbor_levels: cfg.cube().neighbors(me).map(|b| map.level(b)).collect(),
+            neighbor_levels: cfg.cube().neighbours(me).map(|b| map.level(b)).collect(),
             received_at: None,
             start: None,
             latency,
@@ -99,7 +98,7 @@ pub fn run_broadcast(
 ) -> (BroadcastResult, RunReport) {
     let cube = cfg.cube();
     let n = cube.dim();
-    if Qn(n).distance(source, source).is_none() {
+    if !cube.contains(source) {
         let empty = BroadcastResult::from_parts(vec![false; cube.num_nodes() as usize], 0, 0, None);
         return (empty, idle_report());
     }
@@ -109,11 +108,11 @@ pub fn run_broadcast(
     let relayed_via = if cfg.node_faulty(source) {
         None
     } else {
-        relay(Qn(n), map.store(), source)
+        relay(cube, map.store(), source)
     };
     let origin = relayed_via.unwrap_or(source);
 
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let init = |a| {
         let mut node = BcastNode::new(map, cfg, a, latency);
         if a == origin && !cfg.node_faulty(origin) {

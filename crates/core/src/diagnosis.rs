@@ -14,8 +14,8 @@
 //! maintenance-strategy experiments a physically grounded detection
 //! delay instead of an oracle.
 
-use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, Time};
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_simkit::{Actor, Ctx, EventEngine, Net, Time};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// Heartbeat message: a ping or its echo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,7 +160,7 @@ impl DetectionResult {
             let Some(view) = &self.views[a.raw() as usize] else {
                 continue;
             };
-            for (i, b) in cube.neighbors(a).enumerate() {
+            for (i, b) in cube.neighbours(a).enumerate() {
                 let truly_bad = cfg.node_faulty(b) || cfg.link_faults().contains(a, b);
                 match (truly_bad, view[i]) {
                     (true, false) => fneg += 1,
@@ -188,7 +188,7 @@ pub fn detect(cfg: &FaultConfig, params: DetectorParams) -> DetectionResult {
         params.rounds > params.misses_allowed,
         "not enough rounds to convict"
     );
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let mut eng = EventEngine::new(&net, |_| DetectorNode::new(n, params));
     eng.run(u64::MAX);
     let views = cfg
@@ -291,7 +291,7 @@ mod tests {
         );
         let r = detect(&cfg, DetectorParams::default());
         for a in cfg.healthy_nodes() {
-            for (i, b) in cube.neighbors(a).enumerate() {
+            for (i, b) in cube.neighbours(a).enumerate() {
                 assert_eq!(
                     r.suspects(a, i as u8),
                     Some(cfg.node_faulty(b)),

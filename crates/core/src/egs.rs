@@ -21,9 +21,9 @@
 use crate::gs::GsNode;
 use crate::level_store::LevelStore;
 use crate::safety::{rule_level, Level, SafetyMap};
-use crate::unicast::{route_over, LevelView, Qn, RouteResult, TieBreak};
-use hypersafe_simkit::{HypercubeNet, SyncEngine, SyncNode, SyncStats, Trace};
-use hypersafe_topology::{FaultConfig, FaultSet, NodeId};
+use crate::unicast::{route_over, LevelView, RouteResult, TieBreak};
+use hypersafe_simkit::{Net, SyncEngine, SyncNode, SyncStats, Trace};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 
 /// Safety state of a hypercube with node and link faults: the
 /// advertised (global) view plus each `N2` node's self view. Both
@@ -62,7 +62,7 @@ impl ExtendedSafetyMap {
         // so they already advertise 0).
         let mut own = advertised.store().clone();
         for a in cube.nodes().filter(|a| in_n2[a.raw() as usize]) {
-            own.set(a.raw(), rule_level(Qn(cube.dim()), advertised.store(), a));
+            own.set(a.raw(), rule_level(cube, advertised.store(), a));
         }
         ExtendedSafetyMap {
             advertised,
@@ -103,7 +103,7 @@ impl ExtendedSafetyMap {
 pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     let cube = cfg.cube();
     let n = cube.dim();
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let mut eng = SyncEngine::new(&net, |a| {
         let mut node = GsNode::new(n, None);
         node.n2 = cfg.link_faults().touches(cube, a);
@@ -166,10 +166,10 @@ struct SourceOverlay<'a> {
 }
 
 impl LevelView for SourceOverlay<'_> {
-    type Space = Qn;
+    type Space = Hypercube;
 
     #[inline]
-    fn space(&self) -> Qn {
+    fn space(&self) -> Hypercube {
         self.emap.advertised.space()
     }
 

@@ -21,7 +21,7 @@
 //! builds, and exactly why the paper's cheap approximation matters.
 
 use crate::safety::{Level, SafetyMap};
-use hypersafe_topology::{e, BitDims, FaultConfig, NodeId};
+use hypersafe_topology::{e, BitDims, FaultConfig, NodeId, Topology};
 
 /// The exact reachability table for one faulty-cube instance.
 pub struct ExactReach {

@@ -16,10 +16,10 @@
 use crate::gs::GsNode;
 use crate::level_store::LevelStore;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation};
-use crate::safety::{frontier_round, level_from_low_counts, Level};
+use crate::safety::{frontier_round, rule_level, Level, Readings};
 use crate::safety_delta::with_clear_marks;
-use hypersafe_simkit::{GhNet, SyncEngine, SyncStats};
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use hypersafe_simkit::{Net, SyncEngine, SyncStats};
+use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 use std::borrow::Cow;
 
 /// Safety levels of every node of a faulty generalized hypercube,
@@ -31,49 +31,15 @@ pub struct GhSafetyMap {
     rounds: u32,
 }
 
-/// A node's place in its clique along one dimension: the members are
-/// the node plus `(v − own) · stride` for every digit `v < radix`.
-#[derive(Clone, Copy)]
-pub(crate) struct Clique {
-    stride: u64,
-    radix: u64,
-    own: u64,
-}
-
-impl Clique {
-    /// The other members of `a`'s clique, by ascending digit.
-    pub(crate) fn peers(self, a: GhNode) -> impl Iterator<Item = GhNode> {
-        let base = a.raw() - self.own * self.stride;
-        (0..self.radix)
-            .filter(move |&v| v != self.own)
-            .map(move |v| GhNode(base + v * self.stride))
+/// Definition 4's readings: dimension `i` of `a` reads the lowest
+/// level among the other members of `a`'s dimension-`i` clique.
+impl Readings for &GeneralizedHypercube {
+    fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
+        (0..self.dim()).map(move |i| {
+            let peers = self.along(a, i).map(|c| levels.get(c.raw()));
+            peers.min().expect("radix ≥ 2 gives ≥ 1 clique peer")
+        })
     }
-
-    /// Definition 4's reading of the dimension at `a`: the lowest level
-    /// among the other members.
-    pub(crate) fn min_level(self, levels: &LevelStore, a: GhNode) -> Level {
-        self.peers(a)
-            .map(|c| levels.get(c.raw()))
-            .min()
-            .expect("radix ≥ 2 gives ≥ 1 clique peer")
-    }
-}
-
-/// `a`'s place in its clique along each dimension, lowest first: one
-/// 32-bit division per dimension (a GH has at most 2³⁰ nodes).
-pub(crate) fn cliques(gh: &GeneralizedHypercube, a: GhNode) -> impl Iterator<Item = Clique> + '_ {
-    let (mut rest, mut stride) = (a.raw() as u32, 1);
-    (0..gh.dim()).map(move |i| {
-        let radix = gh.radix(i) as u32;
-        let own = (rest % radix) as u64;
-        let c = Clique {
-            stride,
-            radix: radix as u64,
-            own,
-        };
-        (rest, stride) = (rest / radix, stride * radix as u64);
-        c
-    })
 }
 
 /// A round runs on the frontier while the last round's changes times
@@ -167,41 +133,25 @@ impl GhSafetyMap {
 /// One Jacobi round over every node still at `n` (no other can change,
 /// DESIGN.md §13), in index order, against the levels before the round;
 /// `frontier` ends up holding the changed nodes. Returns their number.
-/// The places in the cliques advance like an odometer: no division.
 fn sweep(gh: &GeneralizedHypercube, levels: &mut LevelStore, frontier: &mut Vec<GhNode>) -> u64 {
     let n = gh.dim();
-    let mut at: Vec<Clique> = cliques(gh, GhNode(0)).collect();
     let mut next = levels.clone();
     frontier.clear();
     for a in (0..levels.len()).map(GhNode) {
         if levels.get(a.raw()) == n {
-            let level = level_from_low_counts(n, at.iter().map(|c| c.min_level(levels, a)));
+            let level = rule_level(gh, levels, a);
             if level != n {
                 next.set(a.raw(), level);
                 frontier.push(a);
             }
-        }
-        for c in &mut at {
-            c.own += 1;
-            if c.own < c.radix {
-                break;
-            }
-            c.own = 0;
         }
     }
     *levels = next;
     frontier.len() as u64
 }
 
-/// The peers along each dimension of `gh` that a node hears in GH
-/// `GLOBAL_STATUS` (`EXTENDED_NODE_STATUS` of §4.2): the rest of its
-/// clique, whose minimum the lock-step [`GsNode`] reads.
-fn clique_peers(gh: &GeneralizedHypercube) -> Vec<u16> {
-    (0..gh.dim()).map(|i| gh.radix(i) - 1).collect()
-}
-
 /// The levels of the `len` nodes of a lock-step engine, faulty ones 0.
-fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GsNode<'_>>) -> Vec<Level> {
+fn engine_levels(len: u64, eng: &SyncEngine<'_, &GeneralizedHypercube, GsNode<'_>>) -> Vec<Level> {
     let node = |a| eng.node(NodeId::new(a)).map_or(0, GsNode::level);
     (0..len).map(node).collect()
 }
@@ -211,9 +161,8 @@ fn engine_levels(len: u64, eng: &SyncEngine<'_, GhNet<'_>, GsNode<'_>>) -> Vec<L
 /// statistics. Agrees with [`GhSafetyMap::compute`] (tested).
 pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, SyncStats) {
     let n = gh.dim();
-    let net = GhNet::new(gh, faults);
-    let peers = clique_peers(gh);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
+    let net = Net::new(gh, faults);
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
     let rounds = eng.run_until_stable(n as u32 + 1);
     let levels = LevelStore::from_levels(n, &engine_levels(gh.num_nodes(), &eng));
     (GhSafetyMap { levels, rounds }, eng.stats().clone())
@@ -234,9 +183,8 @@ pub fn run_gh_gs_checked(
     let n = gh.dim();
     let central = GhSafetyMap::compute(gh, faults);
     let fixed = |a: NodeId| central.level(GhNode(a.raw()));
-    let net = GhNet::new(gh, faults);
-    let peers = clique_peers(gh);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
+    let net = Net::new(gh, faults);
+    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
     let mut prev = engine_levels(gh.num_nodes(), &eng);
     let mut rounds = 0u32;
     while eng.run_round() != 0 {
@@ -284,9 +232,8 @@ mod tests {
             let cap = |l: Level| if u32::from(l) <= r { l } else { n };
             map.to_vec().into_iter().map(cap).collect()
         };
-        let net = GhNet::new(gh, faults);
-        let peers = clique_peers(gh);
-        let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(&peers)));
+        let net = Net::new(gh, faults);
+        let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
         let mut rounds = 0;
         assert_eq!(engine_levels(gh.num_nodes(), &eng), after(0), "{what}");
         while eng.run_round() != 0 {

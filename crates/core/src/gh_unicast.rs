@@ -9,13 +9,10 @@
 //! specific preferred neighbor is eligible iff its own level is at
 //! least the remaining distance minus one).
 
-use crate::gh_safety::{cliques, GhSafetyMap};
-use crate::level_store::LevelStore;
+use crate::gh_safety::GhSafetyMap;
 use crate::safety::Level;
-use crate::unicast::{
-    rule_at_hop, rule_at_source, Decision, LevelView, PortSpace, SourceStep, TieBreak,
-};
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use crate::unicast::{rule_at_hop, rule_at_source, Decision, LevelView, SourceStep, TieBreak};
+use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 
 /// Result of routing one GH unicast.
 #[derive(Clone, Debug)]
@@ -37,65 +34,15 @@ impl GhRouteResult {
     }
 }
 
-/// A generalized hypercube as a [`PortSpace`]: a port is a
-/// `(dimension, digit)` pair, naming the clique peer that carries
-/// `digit` in that dimension. The preferred port along a differing
-/// dimension is the peer with the destination's digit; the spare ports
-/// are every peer along an agreeing dimension.
-impl PortSpace for &GeneralizedHypercube {
-    type Node = GhNode;
-    type Port = (u8, u16);
-
-    fn ceiling(self) -> Level {
-        self.dim()
-    }
-
-    fn distance(self, at: GhNode, d: GhNode) -> Option<u32> {
-        (self.contains(at) && self.contains(d)).then(|| GeneralizedHypercube::distance(self, at, d))
-    }
-
-    fn preferred(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
-        (0..self.dim())
-            .map(move |i| (i, self.digit(d, i)))
-            .filter(move |&(i, v)| self.digit(at, i) != v)
-    }
-
-    fn spare(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
-        (0..self.dim())
-            .filter(move |&i| self.digit(at, i) == self.digit(d, i))
-            .flat_map(move |i| {
-                let own = self.digit(at, i);
-                (0..self.radix(i))
-                    .filter(move |&v| v != own)
-                    .map(move |v| (i, v))
-            })
-    }
-
-    fn across(self, a: GhNode, (i, v): (u8, u16)) -> GhNode {
-        self.with_digit(a, i, v)
-    }
-
-    fn raw(a: GhNode) -> u64 {
-        a.raw()
-    }
-
-    fn neighbours(self, a: GhNode) -> impl Iterator<Item = GhNode> {
-        cliques(self, a).flat_map(move |c| c.peers(a))
-    }
-
-    fn along(self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> {
-        self.neighbors_along(a, i)
-    }
-
-    fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
-        cliques(self, a).map(move |c| c.min_level(levels, a))
-    }
-}
-
-/// The centralized GH map as the §3 rule reads it.
-struct GhMapView<'a> {
-    gh: &'a GeneralizedHypercube,
-    map: &'a GhSafetyMap,
+/// The GH map as the §3 rule reads it at a node: its own level and its
+/// clique peers' levels. [`gh_route`] reads it at every hop; each GH
+/// unicast actor ([`crate::unicast_distributed`]) holds one and reads
+/// it only at its own node, so it learns no level beyond its clique
+/// peers', the paper's locality assumption.
+#[derive(Clone, Copy)]
+pub(crate) struct GhMapView<'a> {
+    pub(crate) gh: &'a GeneralizedHypercube,
+    pub(crate) map: &'a GhSafetyMap,
 }
 
 impl<'a> LevelView for GhMapView<'a> {
@@ -109,52 +56,8 @@ impl<'a> LevelView for GhMapView<'a> {
         self.map.level(at)
     }
 
-    fn level_across(&self, at: GhNode, (i, v): (u8, u16)) -> Level {
-        self.map.level(self.gh.with_digit(at, i, v))
-    }
-}
-
-/// What a GH node knows after GS, as the unicast actor
-/// ([`crate::UnicastNode`]) reads it: its own level and the level of
-/// every clique peer, laid out dimension by dimension, each clique in
-/// digit order (the node's own slot in each clique holds its own
-/// level).
-#[derive(Clone)]
-pub(crate) struct PeerLevels<'a> {
-    gh: &'a GeneralizedHypercube,
-    own: Level,
-    by_port: Vec<Level>,
-}
-
-impl<'a> PeerLevels<'a> {
-    /// The table of `me` after GS converged to `map`.
-    pub(crate) fn new(gh: &'a GeneralizedHypercube, map: &GhSafetyMap, me: GhNode) -> Self {
-        let by_port = (0..gh.dim())
-            .flat_map(|i| (0..gh.radix(i)).map(move |v| (i, v)))
-            .map(|(i, v)| map.level(gh.with_digit(me, i, v)))
-            .collect();
-        PeerLevels {
-            gh,
-            own: map.level(me),
-            by_port,
-        }
-    }
-}
-
-impl<'a> LevelView for PeerLevels<'a> {
-    type Space = &'a GeneralizedHypercube;
-
-    fn space(&self) -> &'a GeneralizedHypercube {
-        self.gh
-    }
-
-    fn own_level(&self, _: GhNode) -> Level {
-        self.own
-    }
-
-    fn level_across(&self, _: GhNode, (i, v): (u8, u16)) -> Level {
-        let start: usize = (0..i).map(|j| self.gh.radix(j) as usize).sum();
-        self.by_port[start + v as usize]
+    fn level_across(&self, at: GhNode, p: (u8, u16)) -> Level {
+        self.map.level(self.gh.across(at, p))
     }
 }
 
@@ -203,7 +106,7 @@ pub fn gh_route(
     let mut at = s;
     let mut nodes = vec![s];
     let delivered = loop {
-        at = gh.with_digit(at, port.0, port.1);
+        at = gh.across(at, port);
         nodes.push(at);
         if faults.contains(NodeId::new(at.raw())) {
             break at == d;
@@ -258,7 +161,7 @@ mod tests {
                 assert!(res.delivered);
                 assert_eq!(
                     res.hops(),
-                    Some(gh.distance(s, d)),
+                    gh.distance(s, d),
                     "{} → {}",
                     gh.format(s),
                     gh.format(d)
@@ -272,7 +175,7 @@ mod tests {
         let (gh, f, map) = fig5_like();
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
-        assert_eq!(gh.distance(s, d), 3);
+        assert_eq!(gh.distance(s, d), Some(3));
         let res = gh_route(&gh, &map, &f, s, d);
         assert!(matches!(res.decision, Decision::Optimal { .. }));
         assert!(res.delivered);
@@ -298,7 +201,7 @@ mod tests {
                 continue;
             }
             assert!(
-                gh.neighbors(a).any(|b| map.is_safe(b)),
+                gh.neighbours(a).any(|b| map.is_safe(b)),
                 "{} lacks a safe neighbor",
                 gh.format(a)
             );

@@ -27,11 +27,10 @@ use crate::properties::{
 use crate::safety::{level_from_unsorted, Level, SafetyMap};
 use crate::safety_delta::ChurnEvent;
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, HypercubeNet, Invariant, InvariantViolation, RelCtx,
-    Reliable, ReliableActor, ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode,
-    SyncStats,
+    Actor, Ctx, EventEngine, EventStats, Invariant, InvariantViolation, Net, RelCtx, Reliable,
+    ReliableActor, ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
 };
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, GeneralizedHypercube, Hypercube, NodeId, Topology};
 
 /// Per-node state of the lock-step GS protocol on either topology:
 /// `GLOBAL_STATUS` in `Q_n`, its §4.2 form in a generalized hypercube
@@ -44,22 +43,22 @@ use hypersafe_topology::{FaultConfig, NodeId};
 pub struct GsNode<'a> {
     n: u8,
     level: Level,
-    /// The peers along each dimension, shared by every node of a GH
-    /// run: the rest of each clique, `m_i − 1`. `None` in `Q_n`, where
-    /// a dimension is one port.
-    cliques: Option<&'a [u16]>,
+    /// The generalized hypercube of a GH run, whose dimension `i` has
+    /// `m_i − 1` ports, one per clique peer. `None` in `Q_n`, where a
+    /// dimension is one port.
+    gh: Option<&'a GeneralizedHypercube>,
     /// Whether the node is in EGS's `N2` and so advertises 0.
     pub(crate) n2: bool,
 }
 
 impl<'a> GsNode<'a> {
-    /// Fresh state for a node of an `n`-dimensional network with the
-    /// given cliques (`None` in `Q_n`): initially `n`-safe.
-    pub(crate) fn new(n: u8, cliques: Option<&'a [u16]>) -> Self {
+    /// Fresh state for a node of an `n`-dimensional network, `Q_n` or
+    /// the generalized hypercube `gh`: initially `n`-safe.
+    pub(crate) fn new(n: u8, gh: Option<&'a GeneralizedHypercube>) -> Self {
         GsNode {
             n,
             level: n,
-            cliques,
+            gh,
             n2: false,
         }
     }
@@ -83,21 +82,21 @@ impl SyncNode for GsNode<'_> {
 
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         let n = self.n;
-        let new = match self.cliques {
+        let new = match self.gh {
             // A dimension is one port: the silent ones read 0.
             None => {
                 let silent = n as usize - inbox.len();
                 let heard = inbox.iter().map(|&(_, lv)| lv);
                 level_from_unsorted(n, heard.chain(std::iter::repeat_n(0, silent)))
             }
-            // The inbox lists ports in order, and the network numbers
+            // The inbox lists ports in order, and the topology numbers
             // them dimension-major, so each clique's ports come next; a
             // silent one reads 0.
-            Some(cliques) => {
+            Some(gh) => {
                 let (mut heard, mut port) = (inbox.iter().peekable(), 0);
-                let readings = cliques.iter().map(|&peers| {
+                let readings = (0..n).map(|i| {
                     let mut min = n;
-                    for _ in 0..peers {
+                    for _ in 1..gh.radix(i) {
                         let lv = heard.next_if(|&&(p, _)| p == port).map_or(0, |&(_, lv)| lv);
                         min = min.min(lv);
                         port += 1;
@@ -142,7 +141,7 @@ pub struct GsRun {
 /// ```
 pub fn run_gs(cfg: &FaultConfig) -> GsRun {
     let n = cfg.cube().dim();
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let mut eng = SyncEngine::new(&net, |_| GsNode::new(n, None));
     eng.run_until_stable(n as u32);
     let stats = eng.stats().clone();
@@ -237,7 +236,7 @@ impl AsyncGsNode {
         let revived = matches!(start, GsStart::After(_, ChurnEvent::Recover(a)) if a == me);
         let (mut usable, mut edge) = (0u32, 0u32);
         let mut heard = NeighborLevels::filled(n, 0);
-        for (d, b) in cfg.cube().neighbors_with_dims(me) {
+        for (b, d) in cfg.cube().neighbours(me).zip(0..) {
             // The bit of the edge to the event node, if it is adjacent.
             if matches!(start, GsStart::After(_, event) if event.node() == b) {
                 edge = 1 << d;
@@ -457,54 +456,52 @@ impl GsCorridor {
     }
 }
 
-impl<'n> Invariant<HypercubeNet<'n>, AsyncGsNode> for GsCorridor {
+impl Invariant<Hypercube, AsyncGsNode> for GsCorridor {
     fn name(&self) -> &'static str {
         GS_CORRIDOR
     }
 
-    fn check(
-        &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, AsyncGsNode>,
-    ) -> Result<(), String> {
+    fn check(&mut self, eng: &EventEngine<'_, Hypercube, AsyncGsNode>) -> Result<(), String> {
         self.corridor(eng.actors_iter()).map_err(|v| v.detail)
     }
 }
 
 /// The same corridor under the reliable layer: ARQ changes how levels
 /// travel, not the lattice they move through.
-impl<'n> Invariant<HypercubeNet<'n>, Reliable<AsyncGsNode>> for GsCorridor {
+impl Invariant<Hypercube, Reliable<AsyncGsNode>> for GsCorridor {
     fn name(&self) -> &'static str {
         GS_CORRIDOR
     }
 
     fn check(
         &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<AsyncGsNode>>,
+        eng: &EventEngine<'_, Hypercube, Reliable<AsyncGsNode>>,
     ) -> Result<(), String> {
         let actors = eng.actors_iter().map(|(a, r)| (a, &r.inner));
         self.corridor(actors).map_err(|v| v.detail)
     }
 }
 
-/// Drives `init`'s actors on `net` from `start` under `opts`. With
-/// `opts.check`, [`GsCorridor`] is checked at every quiescent point
-/// and, when `inner` names the GS actor inside an `A` and the queue
-/// drained, the final cut must sit on the fixed point. A run cut by
+/// Drives `init`'s actors on `net`, the overlay of `cfg`, from `start`
+/// under `opts`. With `opts.check`, [`GsCorridor`] is checked at every
+/// quiescent point and, when `inner` names the GS actor inside an `A`
+/// and the queue drained, the final cut must sit on the fixed point. A run cut by
 /// `opts.max_events` is not a convergence failure, nor is one under a
 /// kill plan, whose dead nodes stop the waves that cross them. A cube
 /// with link faults has no fixed point to check against, so a checked
 /// run on one reports [`crate::properties::GS_CONVERGENCE`] at its end.
-fn drive<'n, 'c, A: Actor>(
-    net: &'n HypercubeNet<'c>,
+fn drive<'n, A: Actor>(
+    cfg: &FaultConfig,
+    net: &'n Net<'n, Hypercube>,
     start: GsStart,
     opts: RunOptions,
     init: impl FnMut(NodeId) -> A,
     inner: Option<fn(&A) -> &AsyncGsNode>,
-) -> (EventEngine<'n, HypercubeNet<'c>, A>, RunReport)
+) -> (EventEngine<'n, Hypercube, A>, RunReport)
 where
-    GsCorridor: Invariant<HypercubeNet<'c>, A>,
+    GsCorridor: Invariant<Hypercube, A>,
 {
-    let mut corridor = opts.check.then(|| GsCorridor::new(net.config(), start));
+    let mut corridor = opts.check.then(|| GsCorridor::new(cfg, start));
     let invariant = corridor.as_mut().and_then(|c| c.as_mut().ok());
     let settled = opts.kills.is_empty();
     let (eng, mut report) = EventEngine::drive(net, opts, init, |_| {}, invariant.map(|c| c as _));
@@ -551,9 +548,9 @@ pub(crate) fn run_gs_from(
     opts: RunOptions,
 ) -> (GsAsyncRun, RunReport) {
     let latency = latency.max(1);
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let init = |a| AsyncGsNode::new(cfg, start, a, latency);
-    let (eng, report) = drive(&net, start, opts, init, Some(|g| g));
+    let (eng, report) = drive(cfg, &net, start, opts, init, Some(|g| g));
     let levels = cfg
         .cube()
         .nodes()
@@ -633,20 +630,19 @@ pub fn run_gs_reliable(
     latency: u64,
     opts: RunOptions,
 ) -> (GsLossyRun, RunReport) {
-    let n = cfg.cube().dim();
     let latency = latency.max(1);
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let start = GsStart::Scratch;
     let init = |a| {
         Reliable::new(
             AsyncGsNode::new(cfg, start, a, latency),
+            cfg.cube(),
             a,
-            n,
             latency,
             rcfg,
         )
     };
-    let (eng, mut report) = drive(&net, start, opts, init, None);
+    let (eng, mut report) = drive(cfg, &net, start, opts, init, None);
     let levels = cfg
         .cube()
         .nodes()

@@ -118,5 +118,5 @@ pub use unicast::{
 };
 pub use unicast_distributed::{
     run_gh_unicast, run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun,
-    LossyOutcome, LossyRun, UnicastMsg, UnicastNode,
+    LossyOutcome, LossyRun, UnicastMsg,
 };

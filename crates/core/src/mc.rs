@@ -43,7 +43,7 @@ use crate::safety_delta::ChurnEvent;
 use crate::unicast::source_decision;
 use crate::unicast_distributed::{ArqSingleDelivery, LocalLevels, UnicastNode, START_TAG};
 use hypersafe_simkit::{
-    engine_projection, explore, EventEngine, HypercubeNet, McCheck, McConfig, McReport, McSnapshot,
+    engine_projection, explore, EventEngine, McCheck, McConfig, McReport, McSnapshot, Net,
     Reliable, ReliableConfig, RunOptions, Scheduler,
 };
 use hypersafe_topology::{FaultConfig, NodeId};
@@ -56,7 +56,7 @@ use hypersafe_topology::{FaultConfig, NodeId};
 /// ([`mc_gs`] with [`McConfig::collect_projections`]): any timed
 /// engine schedule is one interleaving of the untimed model.
 pub fn gs_engine_projections(cfg: &FaultConfig, sched: Box<dyn Scheduler>) -> Vec<u128> {
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let opts = RunOptions {
         sched,
         ..RunOptions::default()
@@ -123,7 +123,7 @@ pub fn mc_delta_gs(
 fn mc_gs_from(cfg: &FaultConfig, start: GsStart, mcfg: &McConfig) -> McReport {
     let mut mcfg = mcfg.clone();
     mcfg.closure = true;
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let corridor = GsCorridor::new(cfg, start);
     let checks = [
         check(GS_CORRIDOR, false, |s| match &corridor {
@@ -168,8 +168,7 @@ pub fn mc_unicast_arq(
 ) -> McReport {
     let mut mcfg = mcfg.clone();
     mcfg.closure = false;
-    let net = HypercubeNet::new(cfg);
-    let n = cfg.cube().dim();
+    let net = Net::cube(cfg);
     let decision = source_decision(map, s, d);
     let sound = check_theorem4_soundness(cfg, s, d, decision);
     let outcome = |st: &McSnapshot<'_, Reliable<UnicastNode<LocalLevels>>>| {
@@ -198,7 +197,7 @@ pub fn mc_unicast_arq(
         |a| {
             let table = LocalLevels::new(map, cfg, a);
             let inner = UnicastNode::new(table, a, (a == s).then_some(d), 1);
-            Reliable::new(inner, a, n, 1, rcfg)
+            Reliable::new(inner, cfg.cube(), a, 1, rcfg)
         },
         &[(s, START_TAG)],
         &mcfg,

@@ -80,7 +80,7 @@ pub fn multicast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::{FaultSet, Hypercube};
+    use hypersafe_topology::{FaultSet, Hypercube, Topology};
 
     fn fig1() -> (FaultConfig, SafetyMap) {
         let cube = Hypercube::new(4);

@@ -81,7 +81,7 @@
 
 use crate::level_store::delta_swap;
 use crate::safety::SafetyMap;
-use hypersafe_topology::{e, FaultConfig, NodeId, Path, MAX_DIM};
+use hypersafe_topology::{e, FaultConfig, NodeId, Path, Topology, MAX_DIM};
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -274,7 +274,7 @@ pub fn route_disjoint_ranked(
         return MultipathResult::empty(k);
     }
 
-    let dims: Vec<u8> = cube.preferred_dims(s, d).collect();
+    let dims: Vec<u8> = cube.preferred(s, d).collect();
     let h = dims.len();
 
     // Safety-guided candidate order: optimal rotations first (by
@@ -282,7 +282,7 @@ pub fn route_disjoint_ranked(
     // level). All keys are deterministic, so so is the whole route.
     let mut rot_order: Vec<usize> = (0..h).collect();
     rot_order.sort_by_key(|&i| (std::cmp::Reverse(map.level(s.neighbor(dims[i]))), dims[i]));
-    let mut spare_order: Vec<u8> = cube.spare_dims(s, d).collect();
+    let mut spare_order: Vec<u8> = cube.spare(s, d).collect();
     spare_order.sort_by_key(|&j| {
         (
             spare_cost(s, j),
@@ -1319,11 +1319,11 @@ mod tests {
     /// which (unlike a max-flow prefix) often blocks the maximum and
     /// needs cancelling.
     fn fan_survivors(cfg: &FaultConfig, s: NodeId, d: NodeId, k: u8) -> Vec<Vec<NodeId>> {
-        let dims: Vec<u8> = cfg.cube().preferred_dims(s, d).collect();
+        let dims: Vec<u8> = cfg.cube().preferred(s, d).collect();
         let rotations = (0..dims.len()).map(|i| optimal_candidate(s, &dims, i));
         let detours = cfg
             .cube()
-            .spare_dims(s, d)
+            .spare(s, d)
             .map(|j| detour_candidate(s, d, &dims, j));
         rotations
             .chain(detours)

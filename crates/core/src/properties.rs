@@ -27,6 +27,7 @@ use crate::unicast::{intermediate_dim, route, Decision};
 use crate::unicast_distributed::{LossyOutcome, LossyRun};
 use hypersafe_topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Path,
+    Topology,
 };
 
 /// A counterexample to one of the paper's claims.
@@ -187,7 +188,7 @@ pub fn check_property2(cfg: &FaultConfig, map: &SafetyMap) -> Result<(), Violati
         if map.is_safe(a) {
             continue;
         }
-        if !cube.neighbors(a).any(|b| map.is_safe(b)) {
+        if !cube.neighbours(a).any(|b| map.is_safe(b)) {
             return Err(Violation::new(
                 "Property 2",
                 vec![a],
@@ -480,7 +481,7 @@ fn gh_connected(gh: &GeneralizedHypercube, faults: &FaultSet, s: GhNode, d: GhNo
     seen[s.raw() as usize] = true;
     let mut stack = vec![s];
     while let Some(a) = stack.pop() {
-        for b in gh.neighbors(a) {
+        for b in gh.neighbours(a) {
             if seen[b.raw() as usize] || faults.contains(NodeId::new(b.raw())) {
                 continue;
             }

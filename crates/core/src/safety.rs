@@ -53,8 +53,7 @@ use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
 use crate::safety_delta::with_clear_marks;
-use crate::unicast::{PortSpace, Qn};
-use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, MAX_DIM};
+use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, Topology, MAX_DIM};
 
 /// Safety level of one node: `0..=n`. `n` means *safe*; anything less
 /// is *unsafe*; `0` is the level of a faulty node.
@@ -149,7 +148,7 @@ pub(crate) fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Leve
 /// per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyMap {
-    n: u8,
+    cube: Hypercube,
     levels: LevelStore,
     /// Active rounds the computation needed (Fig. 2's metric); 0 for a
     /// map built directly from levels.
@@ -351,8 +350,25 @@ impl Rounds {
 /// [`SafetyMap::compute_reference`] keeps its own histogram copy as
 /// the independent oracle.
 #[inline(always)]
-pub(crate) fn rule_level<S: PortSpace>(space: S, levels: &LevelStore, a: S::Node) -> Level {
-    level_from_low_counts(space.ceiling(), space.readings(levels, a))
+pub(crate) fn rule_level<S: Readings>(space: S, levels: &LevelStore, a: S::Node) -> Level {
+    level_from_low_counts(space.dim(), space.readings(levels, a))
+}
+
+/// What Definition 1 reads at a node over a topology, one level per
+/// dimension: in `Q_n` the neighbour's level (Definition 1); in a
+/// generalized hypercube the lowest level in the rest of the clique
+/// (Definition 4, implemented in [`crate::gh_safety`]).
+pub(crate) trait Readings: Topology {
+    /// The level each dimension of `a` reads from `levels`, by
+    /// ascending dimension.
+    fn readings(self, levels: &LevelStore, a: Self::Node) -> impl Iterator<Item = Level>;
+}
+
+impl Readings for Hypercube {
+    #[inline(always)]
+    fn readings(self, levels: &LevelStore, a: NodeId) -> impl Iterator<Item = Level> {
+        self.neighbours(a).map(move |b| levels.get(b.raw()))
+    }
 }
 
 /// One Jacobi round over the open neighbourhoods of `frontier`, the
@@ -364,7 +380,7 @@ pub(crate) fn rule_level<S: PortSpace>(space: S, levels: &LevelStore, a: S::Node
 /// are skipped as they are met, which keeps the list short. `marks`,
 /// left clear, records the healthy nodes met once. On return
 /// `frontier` holds the nodes this round changed; returns their number.
-pub(crate) fn frontier_round<S: PortSpace>(
+pub(crate) fn frontier_round<S: Readings>(
     space: S,
     levels: &mut LevelStore,
     faulty: &[u64],
@@ -392,11 +408,11 @@ pub(crate) fn frontier_round<S: PortSpace>(
             return false;
         }
         marks[w] &= !bit;
-        if levels.get(S::raw(*c)) != space.ceiling() {
+        if levels.get(S::raw(*c)) != space.dim() {
             return false;
         }
         *level = rule_level(space, levels, *c);
-        *level != space.ceiling()
+        *level != space.dim()
     });
     for c in frontier.iter().flat_map(|&v| space.neighbours(v)) {
         let (w, bit) = bit_of(c);
@@ -415,7 +431,7 @@ impl SafetyMap {
     pub fn from_levels(cube: Hypercube, levels: Vec<Level>) -> Self {
         assert_eq!(levels.len() as u64, cube.num_nodes());
         SafetyMap {
-            n: cube.dim(),
+            cube,
             levels: LevelStore::from_levels(cube.dim(), &levels),
             rounds: 0,
         }
@@ -428,7 +444,7 @@ impl SafetyMap {
         assert_eq!(store.len(), cube.num_nodes());
         assert_eq!(store.max_level(), cube.dim());
         SafetyMap {
-            n: cube.dim(),
+            cube,
             levels: store,
             rounds: 0,
         }
@@ -487,12 +503,11 @@ impl SafetyMap {
             "SafetyMap::compute handles node faults only; use egs for link faults"
         );
         let cube = cfg.cube();
-        let n = cube.dim();
         let len = cube.num_nodes();
         let faulty = cfg.node_faults().words();
         let start = || SafetyMap {
-            n,
-            levels: LevelStore::ceiling_except(n, len, faulty),
+            cube,
+            levels: LevelStore::ceiling_except(cube.dim(), len, faulty),
             rounds: 0,
         };
         if let Some(t) = trace.as_deref_mut() {
@@ -503,8 +518,9 @@ impl SafetyMap {
         // cube asks for the same two sizes. Grown round by round, they
         // left small freed blocks that later large allocations could
         // not reuse: fan-dense peaked 0.12 MB higher in 6 of 16 seeds.
-        let cap = (FRONTIER_VISITS_PER_WORD * len.div_ceil(64) / n as u64) as usize;
+        let cap = (FRONTIER_VISITS_PER_WORD * len.div_ceil(64) / cube.dim() as u64) as usize;
         with_clear_marks(len, |marks| {
+            let n = cube.dim();
             let ones = first_round(n, len, faulty, marks);
             if ones == 0 {
                 return start();
@@ -567,7 +583,7 @@ impl SafetyMap {
                         c
                     }
                     Rounds::Nodes { levels, frontier } => {
-                        frontier_round(Qn(n), levels, faulty, marks, frontier, &mut changes)
+                        frontier_round(cube, levels, faulty, marks, frontier, &mut changes)
                     }
                 };
                 if changed == 0 {
@@ -580,7 +596,7 @@ impl SafetyMap {
                 Rounds::Nodes { levels, .. } => levels,
             };
             SafetyMap {
-                n,
+                cube,
                 levels,
                 rounds: active,
             }
@@ -600,10 +616,10 @@ impl SafetyMap {
     pub fn compute_reference_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
         let mut trace = Vec::new();
         let (levels, rounds) = Self::reference_inner(cfg, Some(&mut trace));
-        let n = cfg.cube().dim();
+        let (cube, n) = (cfg.cube(), cfg.cube().dim());
         (
             SafetyMap {
-                n,
+                cube,
                 levels: LevelStore::from_levels(n, &levels),
                 rounds,
             },
@@ -615,9 +631,9 @@ impl SafetyMap {
     /// (packs the result; `rounds()` matches [`SafetyMap::compute`]).
     pub fn compute_reference(cfg: &FaultConfig) -> Self {
         let (levels, rounds) = Self::reference_inner(cfg, None);
-        let n = cfg.cube().dim();
+        let (cube, n) = (cfg.cube(), cfg.cube().dim());
         SafetyMap {
-            n,
+            cube,
             levels: LevelStore::from_levels(n, &levels),
             rounds,
         }
@@ -650,7 +666,7 @@ impl SafetyMap {
                     continue;
                 }
                 let lv =
-                    level_from_unsorted(n, cube.neighbors(a).map(|b| levels[b.raw() as usize]));
+                    level_from_unsorted(n, cube.neighbours(a).map(|b| levels[b.raw() as usize]));
                 next[idx] = lv;
                 changed |= lv != levels[idx];
             }
@@ -728,7 +744,7 @@ impl SafetyMap {
             }
         }
         SafetyMap {
-            n,
+            cube,
             levels: res.to_store(),
             rounds: (n - 1) as u32,
         }
@@ -737,7 +753,13 @@ impl SafetyMap {
     /// Dimension of the underlying cube.
     #[inline]
     pub fn dim(&self) -> u8 {
-        self.n
+        self.cube.dim()
+    }
+
+    /// The underlying cube.
+    #[inline]
+    pub(crate) fn cube(&self) -> Hypercube {
+        self.cube
     }
 
     /// Safety level of node `a`.
@@ -749,7 +771,7 @@ impl SafetyMap {
     /// Whether `a` is *safe* (level `n`).
     #[inline]
     pub fn is_safe(&self, a: NodeId) -> bool {
-        self.level(a) == self.n
+        self.level(a) == self.dim()
     }
 
     /// Active rounds the producing computation used.
@@ -774,12 +796,12 @@ impl SafetyMap {
     /// form of [`SafetyMap::safe_nodes`] for hot paths that only scan
     /// or count (one packed equality mask per 64 nodes).
     pub fn safe_nodes_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.levels.iter_eq(self.n).map(NodeId::new)
+        self.levels.iter_eq(self.dim()).map(NodeId::new)
     }
 
     /// Number of safe nodes (no allocation — popcount over the store).
     pub fn safe_count(&self) -> usize {
-        self.levels.count_eq(self.n) as usize
+        self.levels.count_eq(self.dim()) as usize
     }
 
     /// The packed level store — the seam every consumer reads levels
@@ -829,12 +851,12 @@ impl SafetyMap {
     pub fn check_fixed_point(&self, cfg: &FaultConfig) -> Option<NodeId> {
         assert_eq!(
             cfg.cube().dim(),
-            self.n,
+            self.dim(),
             "map and config of different cubes"
         );
         let cur = PlaneView::from_store(&self.levels);
-        let mut next = PlaneView::zeroed(self.n, self.levels.len());
-        if jacobi_round_planes(self.n, &cur, cfg.node_faults().words(), &mut next) == 0 {
+        let mut next = PlaneView::zeroed(self.dim(), self.levels.len());
+        if jacobi_round_planes(self.dim(), &cur, cfg.node_faults().words(), &mut next) == 0 {
             return None;
         }
         (0..cur.words()).find_map(|w| {
@@ -875,10 +897,10 @@ impl SafetyMap {
     ) -> Option<NodeId> {
         assert_eq!(
             cfg.cube().dim(),
-            self.n,
+            self.dim(),
             "map and config of different cubes"
         );
-        if verified_map.n != self.n || verified_cfg.cube().dim() != self.n {
+        if verified_map.dim() != self.dim() || verified_cfg.cube().dim() != self.dim() {
             return self.check_fixed_point(cfg);
         }
         // One mask per 64 nodes: a level or a fault bit differs. A node
@@ -906,7 +928,7 @@ impl SafetyMap {
             if k == budget {
                 return self.check_fixed_point(cfg);
             }
-            for c in std::iter::once(i).chain((0..self.n).map(|d| i ^ (1 << d))) {
+            for c in std::iter::once(i).chain((0..self.dim()).map(|d| i ^ (1 << d))) {
                 if c >= first {
                     continue;
                 }
@@ -914,7 +936,7 @@ impl SafetyMap {
                 let want = if cfg.node_faulty(a) {
                     0
                 } else {
-                    rule_level(Qn(self.n), &self.levels, a)
+                    rule_level(self.cube, &self.levels, a)
                 };
                 if self.level(a) != want {
                     first = c;

@@ -37,9 +37,8 @@ use std::collections::VecDeque;
 
 use crate::gs::{run_gs_from, GsAsyncRun, GsStart};
 use crate::safety::{rule_level, SafetyMap};
-use crate::unicast::Qn;
 use hypersafe_simkit::{RunOptions, RunReport};
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// One topology churn event: a node dies or comes back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +111,7 @@ impl SafetyMap {
             ..DeltaStats::default()
         };
         self.set_level(a, 0);
-        self.propagate(cfg, cfg.cube().neighbors(a).map(|b| (b, 1)), &mut stats);
+        self.propagate(cfg, cfg.cube().neighbours(a).map(|b| (b, 1)), &mut stats);
         self.set_rounds(stats.waves);
         stats.rounds_saved = u32::from(n.saturating_sub(1)).saturating_sub(stats.waves);
         stats
@@ -163,12 +162,12 @@ impl SafetyMap {
                 continue;
             }
             stats.cells_touched += 1;
-            let new = rule_level(Qn(self.dim()), self.store(), b);
+            let new = rule_level(self.cube(), self.store(), b);
             if new != self.level(b) {
                 self.set_level(b, new);
                 stats.cells_changed += 1;
                 stats.waves = stats.waves.max(depth);
-                for c in cfg.cube().neighbors(b) {
+                for c in cfg.cube().neighbours(b) {
                     work.push(c, depth + 1);
                 }
             }
@@ -377,7 +376,7 @@ mod tests {
             ChurnEvent::Fault(a) => {
                 stats.cells_changed = 1;
                 map.set_level(a, 0);
-                for b in cube.neighbors(a) {
+                for b in cube.neighbours(a) {
                     work.push(b, 1);
                 }
             }
@@ -388,12 +387,12 @@ mod tests {
                 continue;
             }
             stats.cells_touched += 1;
-            let new = level_from_unsorted(n, cube.neighbors(b).map(|c| map.level(c)));
+            let new = level_from_unsorted(n, cube.neighbours(b).map(|c| map.level(c)));
             if new != map.level(b) {
                 map.set_level(b, new);
                 stats.cells_changed += 1;
                 stats.waves = stats.waves.max(depth);
-                for c in cube.neighbors(b) {
+                for c in cube.neighbours(b) {
                     work.push(c, depth + 1);
                 }
             }

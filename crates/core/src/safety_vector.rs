@@ -26,7 +26,7 @@
 //! the scalar GS.
 
 use crate::safety::SafetyMap;
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 
 /// Safety vectors of every node: bit `k − 1` of `vectors[a]` is
 /// `u_k(a)`.
@@ -55,7 +55,7 @@ impl SafetyVectorMap {
                 .healthy_nodes()
                 .map(|a| {
                     let good = cube
-                        .neighbors(a)
+                        .neighbours(a)
                         .filter(|&b| vectors[b.raw() as usize] & bit_prev != 0)
                         .count();
                     (a.raw() as usize, good >= need)
@@ -108,7 +108,8 @@ impl SafetyVectorMap {
             return true;
         }
         cfg.cube()
-            .preferred_neighbors(s, d)
+            .preferred(s, d)
+            .map(|i| s.neighbor(i))
             .any(|b| !cfg.node_faulty(b) && self.covers(b, h - 1))
     }
 
@@ -133,7 +134,8 @@ impl SafetyVectorMap {
             let next = if j == 1 {
                 Some(d)
             } else {
-                cube.preferred_neighbors(at, d)
+                cube.preferred(at, d)
+                    .map(|i| at.neighbor(i))
                     .find(|&b| !cfg.node_faulty(b) && self.covers(b, j - 1))
             };
             let next = next?;

@@ -32,12 +32,14 @@
 //! The rule itself — the source decision and the hop choice — is
 //! written once, over a level view: what one node reads of its own
 //! level and its neighbors' levels. The packed [`SafetyMap`], the
-//! unicast actor's local tables (a cube node's neighbor levels, a GH
-//! node's clique-peer levels), the GH map and EGS's source overlay
+//! unicast actor's local tables (a cube node's neighbor levels; a GH
+//! node reads the GH map), the GH map and EGS's source overlay
 //! (§4.1) are its views; §4.2's GH routing "is exactly the same as in
-//! a regular hypercube", so the rule is generic over the topology's
-//! ports as well. An endpoint outside the topology fails at the
-//! source, before any level is read.
+//! a regular hypercube", so the rule is generic over the topology as
+//! well: it reads distances and preferred and spare ports through
+//! [`Topology`], which `Q_n` and the generalized hypercube implement.
+//! An endpoint outside the topology fails at the source, before any
+//! level is read.
 //!
 //! One walk runs the hops for [`route`] and its variants,
 //! [`crate::route_light`] / [`crate::route_many`], EGS routing and the
@@ -49,11 +51,10 @@
 //! * `reroute::route_dynamic` re-decides at the source whenever a
 //!   fault arrives mid-flight, which one walk over a fixed map cannot;
 //! * the distributed unicast takes one hop per delivered message: one
-//!   actor, [`crate::UnicastNode`], for both topologies, generic over
-//!   the node's local table, forwarding across a port with
-//!   `PortSpace::across`; `congestion_exp` takes one hop per
-//!   simulated event with queueing between hops; both apply the rule
-//!   at each hop;
+//!   actor, `UnicastNode`, for both topologies, generic over the node's
+//!   local table, forwarding across a port with [`Topology::across`];
+//!   `congestion_exp` takes one hop per simulated event with queueing
+//!   between hops; both apply the rule at each hop;
 //! * `gh_route` walks GH addresses, which the cube walk's navigation
 //!   vector cannot carry, over the same rule. A walk generic over the
 //!   topology, with node and link judges and `at == d` as its exit,
@@ -66,7 +67,7 @@
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
 use hypersafe_simkit::Trace;
-use hypersafe_topology::{FaultConfig, NodeId, Path};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Path, Topology};
 
 /// The source-side routing decision, in `Q_n` or a generalized
 /// hypercube (where `first_dim` is the dimension of the first port).
@@ -139,135 +140,33 @@ pub enum TieBreak {
     },
 }
 
-pub(crate) use ports::{LevelView, NodeOf, PortOf, PortSpace, Qn};
-
-/// The rule's two abstractions, over any topology, and `Q_n` as a
-/// topology. They are public in this private module only so that the
-/// public [`crate::UnicastNode`] can name them in its bounds; outside
-/// the crate they stay unnameable.
-mod ports {
-    use crate::level_store::LevelStore;
-    use crate::safety::Level;
-
-    /// What the §3 rule needs from a topology: addresses, distance, and
-    /// the preferred and spare ports of a node toward a destination; and
-    /// what the safety-level fixed point needs: neighbors and readings.
-    pub trait PortSpace: Copy {
-        /// A node address.
-        type Node: Copy + Eq;
-        /// A neighbor of a node, named relative to it: a dimension in
-        /// `Q_n`, a `(dimension, digit)` pair in a generalized hypercube.
-        type Port: Copy;
-        /// The highest level any node can hold, `n`.
-        fn ceiling(self) -> Level;
-        /// The distance `H(at, d)`, or `None` when either node lies
-        /// outside the topology.
-        fn distance(self, at: Self::Node, d: Self::Node) -> Option<u32>;
-        /// The ports of `at` that resolve a coordinate toward `d`, by
-        /// ascending dimension.
-        fn preferred(
-            self,
-            at: Self::Node,
-            d: Self::Node,
-        ) -> impl Iterator<Item = Self::Port> + Clone;
-        /// The other ports of `at` (the spare ones), by ascending dimension.
-        fn spare(self, at: Self::Node, d: Self::Node) -> impl Iterator<Item = Self::Port> + Clone;
-        /// The neighbor of `a` across port `p`.
-        fn across(self, a: Self::Node, p: Self::Port) -> Self::Node;
-        /// The address as an integer: the engine's node id, and the seed
-        /// of [`crate::TieBreak::Hashed`].
-        fn raw(a: Self::Node) -> u64;
-        /// Every neighbor of `a`.
-        fn neighbours(self, a: Self::Node) -> impl Iterator<Item = Self::Node>;
-        /// The neighbors of `a` along dimension `i`: one in `Q_n`, the rest
-        /// of the dimension-`i` clique in a generalized hypercube.
-        fn along(self, a: Self::Node, i: u8) -> impl Iterator<Item = Self::Node>;
-        /// The level each dimension of `a` reads from `levels`: by default
-        /// its neighbors' levels in order, one per dimension as in `Q_n`
-        /// (Definition 1); a generalized hypercube reads the lowest in the
-        /// rest of each clique (Definition 4).
-        #[inline(always)]
-        fn readings(self, levels: &LevelStore, a: Self::Node) -> impl Iterator<Item = Level> {
-            self.neighbours(a).map(move |b| levels.get(Self::raw(b)))
-        }
-    }
-
-    /// The levels one node reads when it applies the §3 rule: its own and
-    /// its neighbors' across each port. The packed [`crate::SafetyMap`],
-    /// the unicast actor's local tables (cube and GH), the GH map and
-    /// EGS's source overlay each implement it, so the rule is written
-    /// once for all of them.
-    pub trait LevelView {
-        /// The topology the levels live on.
-        type Space: PortSpace;
-        /// The topology.
-        fn space(&self) -> Self::Space;
-        /// The level of `at` itself.
-        fn own_level(&self, at: NodeOf<Self>) -> Level;
-        /// The level of `at`'s neighbor across `p`.
-        fn level_across(&self, at: NodeOf<Self>, p: PortOf<Self>) -> Level;
-    }
-
-    /// A view's node address type.
-    pub type NodeOf<V> = <<V as LevelView>::Space as PortSpace>::Node;
-    /// A view's port type.
-    pub type PortOf<V> = <<V as LevelView>::Space as PortSpace>::Port;
-
-    /// The binary cube `Q_n` as a [`PortSpace`]: a port is a dimension.
-    #[derive(Clone, Copy)]
-    pub struct Qn(pub u8);
+/// The levels one node reads when it applies the §3 rule: its own and
+/// its neighbors' across each port of its topology. The packed
+/// [`SafetyMap`], the cube unicast actor's local table, the GH map and
+/// EGS's source overlay each implement it, so the rule is written once
+/// for all of them.
+pub(crate) trait LevelView {
+    /// The topology the levels live on.
+    type Space: Topology;
+    /// The topology.
+    fn space(&self) -> Self::Space;
+    /// The level of `at` itself.
+    fn own_level(&self, at: NodeOf<Self>) -> Level;
+    /// The level of `at`'s neighbor across `p`.
+    fn level_across(&self, at: NodeOf<Self>, p: PortOf<Self>) -> Level;
 }
 
-impl PortSpace for Qn {
-    type Node = NodeId;
-    type Port = u8;
-
-    #[inline]
-    fn ceiling(self) -> Level {
-        self.0
-    }
-
-    #[inline]
-    fn distance(self, at: NodeId, d: NodeId) -> Option<u32> {
-        ((at.raw() | d.raw()) >> self.0 == 0).then(|| at.distance(d))
-    }
-
-    #[inline]
-    fn preferred(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
-        NavVector::new(at, d).preferred_dims()
-    }
-
-    #[inline]
-    fn spare(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
-        NavVector::new(at, d).spare_dims(self.0)
-    }
-
-    #[inline]
-    fn across(self, a: NodeId, i: u8) -> NodeId {
-        a.neighbor(i)
-    }
-
-    #[inline]
-    fn raw(a: NodeId) -> u64 {
-        a.raw()
-    }
-
-    #[inline(always)]
-    fn neighbours(self, a: NodeId) -> impl Iterator<Item = NodeId> {
-        (0..self.0).map(move |d| a.neighbor(d))
-    }
-
-    fn along(self, a: NodeId, i: u8) -> impl Iterator<Item = NodeId> {
-        std::iter::once(a.neighbor(i))
-    }
-}
+/// A view's node address type.
+pub(crate) type NodeOf<V> = <<V as LevelView>::Space as Topology>::Node;
+/// A view's port type.
+pub(crate) type PortOf<V> = <<V as LevelView>::Space as Topology>::Port;
 
 impl LevelView for SafetyMap {
-    type Space = Qn;
+    type Space = Hypercube;
 
     #[inline]
-    fn space(&self) -> Qn {
-        Qn(self.dim())
+    fn space(&self) -> Hypercube {
+        self.cube()
     }
 
     #[inline]
@@ -380,7 +279,7 @@ fn best_port<V: LevelView>(
     ports: impl Iterator<Item = PortOf<V>> + Clone,
     tb: TieBreak,
 ) -> Option<(PortOf<V>, Level)> {
-    let ceiling = v.space().ceiling();
+    let ceiling = v.space().dim();
     // (first port at the best level, last port at it, tie count, level)
     let mut best: Option<(PortOf<V>, PortOf<V>, u64, Level)> = None;
     for p in ports.clone() {
@@ -403,7 +302,7 @@ fn best_port<V: LevelView>(
         TieBreak::HighestDim => last,
         TieBreak::Hashed { salt } => {
             // SplitMix64 over (node, salt): cheap, stateless, uniform.
-            let mut z = <V::Space as PortSpace>::raw(at) ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
+            let mut z = <V::Space as Topology>::raw(at) ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^= z >> 31;
@@ -513,7 +412,7 @@ pub fn route_traced_tb(
 
 /// [`route_traced_tb`] over any cube level view (EGS routes over its
 /// source overlay).
-pub(crate) fn route_over<V: LevelView<Space = Qn>>(
+pub(crate) fn route_over<V: LevelView<Space = Hypercube>>(
     cfg: &FaultConfig,
     view: &V,
     s: NodeId,
@@ -607,7 +506,7 @@ impl HopSink for PathSink<'_> {
 /// outcome. Called out of line, the walk cost the service about 3 ns
 /// of a 70 ns attempt on Q12 (2-vCPU Xeon under KVM).
 #[inline(always)]
-pub(crate) fn walk<V: LevelView<Space = Qn>, S: HopSink>(
+pub(crate) fn walk<V: LevelView<Space = Hypercube>, S: HopSink>(
     judge: &FaultConfig,
     map: &V,
     s: NodeId,
@@ -669,7 +568,7 @@ pub(crate) fn walk<V: LevelView<Space = Qn>, S: HopSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::{FaultSet, Hypercube};
+    use hypersafe_topology::FaultSet;
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()

@@ -9,31 +9,33 @@
 //! assumption), messages carry `(destination, trail)`, and the
 //! destination keeps what arrives. Routing in `GH_n` "is exactly the
 //! same as in a regular hypercube" (§4.2), so one actor,
-//! [`UnicastNode`], serves both topologies; only its local table
+//! `UnicastNode`, serves both topologies; only its local table
 //! differs. The test suite checks the actor takes the centralized path
 //! hop for hop — evidence that the centralized shortcut is faithful.
 
 use crate::gh_safety::GhSafetyMap;
-use crate::gh_unicast::{gh_source_decision, PeerLevels};
+use crate::gh_unicast::{gh_source_decision, GhMapView};
 use crate::level_store::NeighborLevels;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{
-    rule_at_hop, rule_at_source, source_decision, Decision, LevelView, NodeOf, PortSpace, Qn,
-    SourceStep, TieBreak,
+    rule_at_hop, rule_at_source, source_decision, Decision, LevelView, NodeOf, PortOf, SourceStep,
+    TieBreak,
 };
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, EventStats, GhNet, HypercubeNet, Invariant, Network, RelCtx, Reliable,
-    ReliableActor, ReliableConfig, RunOptions, RunReport, Time,
+    Actor, Ctx, EventEngine, EventStats, Invariant, Net, RelCtx, Reliable, ReliableActor,
+    ReliableConfig, RunOptions, RunReport, Time,
 };
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology,
+};
 
 /// What a cube actor knows after GS (the paper's locality
 /// assumption): its own level and its `n` neighbors' levels, by
 /// dimension.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LocalLevels {
-    n: u8,
+    cube: Hypercube,
     own: Level,
     neighbors: NeighborLevels,
 }
@@ -42,11 +44,11 @@ impl LocalLevels {
     pub(crate) fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
         let cube = cfg.cube();
         let mut neighbors = NeighborLevels::filled(cube.dim(), 0);
-        for (i, b) in cube.neighbors(me).enumerate() {
+        for (i, b) in cube.neighbours(me).enumerate() {
             neighbors.set(i as u8, map.level(b));
         }
         LocalLevels {
-            n: cube.dim(),
+            cube,
             own: map.level(me),
             neighbors,
         }
@@ -54,10 +56,10 @@ impl LocalLevels {
 }
 
 impl LevelView for LocalLevels {
-    type Space = Qn;
+    type Space = Hypercube;
 
-    fn space(&self) -> Qn {
-        Qn(self.n)
+    fn space(&self) -> Hypercube {
+        self.cube
     }
 
     fn own_level(&self, _: NodeId) -> Level {
@@ -104,7 +106,7 @@ pub struct UnicastMsg<N = NodeId> {
 /// first copy, a node refuses to forward a duplicate, and the node
 /// counts what surfaced for the widened outcome taxonomy.
 #[derive(Clone)]
-pub struct UnicastNode<T: LevelView> {
+pub(crate) struct UnicastNode<T: LevelView> {
     levels: T,
     me: NodeOf<T>,
     /// The message kept on arrival at its destination.
@@ -180,14 +182,10 @@ impl<T: LevelView> UnicastNode<T> {
         }
     }
 
-    fn forward(
-        &self,
-        mut msg: UnicastMsg<NodeOf<T>>,
-        port: <T::Space as PortSpace>::Port,
-    ) -> Step<NodeOf<T>> {
+    fn forward(&self, mut msg: UnicastMsg<NodeOf<T>>, port: PortOf<T>) -> Step<NodeOf<T>> {
         let next = self.levels.space().across(self.me, port);
         msg.trail.push(next);
-        Step::Send(NodeId::new(<T::Space as PortSpace>::raw(next)), msg)
+        Step::Send(NodeId::new(<T::Space as Topology>::raw(next)), msg)
     }
 
     fn apply(&mut self, ctx: &mut Ctx<UnicastMsg<NodeOf<T>>>, step: Step<NodeOf<T>>) {
@@ -254,8 +252,8 @@ fn not_run<N>() -> (DistributedRun<N>, RunReport) {
 
 /// Reads a finished run off the engine: what the destination `d` kept,
 /// and when.
-fn collect<Net: Network, T: LevelView>(
-    eng: &EventEngine<'_, Net, UnicastNode<T>>,
+fn collect<S: Topology, T: LevelView>(
+    eng: &EventEngine<'_, S, UnicastNode<T>>,
     d: NodeId,
     decision: Decision,
 ) -> DistributedRun<NodeOf<T>> {
@@ -290,7 +288,7 @@ pub fn run_unicast(
         return not_run();
     }
     let latency = latency.max(1);
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let init = |a| {
         UnicastNode::new(
             LocalLevels::new(map, cfg, a),
@@ -304,8 +302,8 @@ pub fn run_unicast(
 }
 
 /// [`run_unicast`] in a generalized hypercube `gh` with faulty nodes
-/// `faults` and the converged GH map: the same actor over each node's
-/// clique-peer table, under `opts`. An endpoint outside `gh` gives a
+/// `faults` and the converged GH map: the same actor, each node reading
+/// its own and its clique peers' levels off the map, under `opts`. An endpoint outside `gh` gives a
 /// `Failure` run with no messages, and no engine is built.
 pub fn run_gh_unicast(
     gh: &GeneralizedHypercube,
@@ -320,15 +318,10 @@ pub fn run_gh_unicast(
         return not_run();
     }
     let latency = latency.max(1);
-    let net = GhNet::new(gh, faults);
+    let net = Net::new(gh, faults);
     let init = |a: NodeId| {
         let me = GhNode(a.raw());
-        UnicastNode::new(
-            PeerLevels::new(gh, map, me),
-            me,
-            (me == s).then_some(d),
-            latency,
-        )
+        UnicastNode::new(GhMapView { gh, map }, me, (me == s).then_some(d), latency)
     };
     let start = |e: &mut EventEngine<'_, _, _>| e.inject(NodeId::new(s.raw()), START_TAG, 0);
     let (eng, report) = EventEngine::drive(&net, opts, init, start, None);
@@ -441,14 +434,14 @@ impl ArqSingleDelivery {
     }
 }
 
-impl<'n> Invariant<HypercubeNet<'n>, Reliable<UnicastNode<LocalLevels>>> for ArqSingleDelivery {
+impl Invariant<Hypercube, Reliable<UnicastNode<LocalLevels>>> for ArqSingleDelivery {
     fn name(&self) -> &'static str {
         ARQ_EXACTLY_ONCE
     }
 
     fn check(
         &mut self,
-        eng: &EventEngine<'_, HypercubeNet<'n>, Reliable<UnicastNode<LocalLevels>>>,
+        eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<LocalLevels>>>,
     ) -> Result<(), String> {
         Self::check_actors(eng.actors_iter()).map_err(|v| v.detail)
     }
@@ -493,12 +486,11 @@ pub fn run_unicast_lossy(
         return (run, idle_report());
     }
     let latency = latency.max(1);
-    let n = cfg.cube().dim();
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let init = |a| {
         let table = LocalLevels::new(map, cfg, a);
         let inner = UnicastNode::new(table, a, (a == s).then_some(d), latency);
-        Reliable::new(inner, a, n, latency, rcfg)
+        Reliable::new(inner, cfg.cube(), a, latency, rcfg)
     };
     let mut once = opts.check.then_some(ArqSingleDelivery);
     let (eng, mut report) = EventEngine::drive(
@@ -528,7 +520,7 @@ fn collect_lossy(
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
-    eng: &EventEngine<'_, HypercubeNet<'_>, Reliable<UnicastNode<LocalLevels>>>,
+    eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<LocalLevels>>>,
     drained: bool,
 ) -> LossyRun {
     let stats = eng.stats().clone();
@@ -704,8 +696,8 @@ mod tests {
         let d = GhNode(gh.num_nodes() - 1);
         let run = gh_run(&gh, &map, &f, s, d);
         let trail = run.trail.expect("delivered");
-        assert_eq!(trail.len() as u32 - 1, gh.distance(s, d));
-        assert_eq!(run.messages as u32, gh.distance(s, d));
+        assert_eq!(Some(trail.len() as u32 - 1), gh.distance(s, d));
+        assert_eq!(Some(run.messages as u32), gh.distance(s, d));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use hypersafe_core::service::{SafetyService, SafetyState};
 use hypersafe_core::{level_from_unsorted, route, SafetyMap};
 use hypersafe_simkit::service::{AttemptVerdict, DeliveryRung, RouteProvider};
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 
 /// The reference: Definition 1 evaluated node by node in ascending
@@ -22,7 +22,7 @@ fn scalar_first_violation(map: &SafetyMap, cfg: &FaultConfig) -> Option<NodeId> 
         let want = if cfg.node_faulty(a) {
             0
         } else {
-            level_from_unsorted(n, cube.neighbors(a).map(|b| map.level(b)))
+            level_from_unsorted(n, cube.neighbours(a).map(|b| map.level(b)))
         };
         map.level(a) != want
     })
@@ -229,7 +229,7 @@ fn the_lowest_of_two_violators_around_a_changed_node_is_reported() {
             let want = if cfg.node_faulty(a) {
                 0
             } else {
-                level_from_unsorted(8, cube.neighbors(a).map(|b| stalled.level(b)))
+                level_from_unsorted(8, cube.neighbours(a).map(|b| stalled.level(b)))
             };
             stalled.level(a) != want
         })

@@ -4,7 +4,7 @@
 //! round through the bit-plane safety kernels.
 
 use hypersafe_core::{Level, LevelStore, PlaneView, SafetyMap};
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

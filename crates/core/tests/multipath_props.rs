@@ -13,7 +13,7 @@
 //! path; a faulty `d` gets no disjoint path at all).
 
 use hypersafe_core::{check_disjoint_delivery, route, route_disjoint, SafetyMap};
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Topology};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

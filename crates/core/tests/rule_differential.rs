@@ -2,9 +2,9 @@
 //! own tests do not reach.
 //!
 //! * GH: the distributed protocol (`run_gh_unicast`, each actor
-//!   reading its peer table) must take the centralized `gh_route`'s
-//!   path hop for hop, on random generalized hypercubes with radices
-//!   2–4, up to four dimensions and random node faults.
+//!   reading its clique peers' levels) must take the centralized
+//!   `gh_route`'s path hop for hop, on random generalized hypercubes
+//!   with radices 2–4, up to four dimensions and random node faults.
 //! * EGS: `route_egs` reads the advertised map through a source
 //!   overlay. The reference below is the earlier implementation, which
 //!   cloned the packed map and wrote the source's own level into the
@@ -19,7 +19,7 @@ use hypersafe_core::{
 };
 use hypersafe_simkit::{RunOptions, Trace};
 use hypersafe_topology::{
-    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, LinkFaultSet, NodeId,
+    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, LinkFaultSet, NodeId, Topology,
 };
 use proptest::prelude::*;
 

@@ -22,7 +22,9 @@ use hypersafe_simkit::{
     AdversarialScheduler, ChannelModel, FifoScheduler, ReliableConfig, RunOptions, RunReport,
     Scheduler,
 };
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology,
+};
 use proptest::prelude::*;
 
 /// FIFO, or a reorder/stretch adversary seeded with `seed`.

@@ -27,7 +27,9 @@ use hypersafe_core::{
     GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology,
+};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -15,7 +15,7 @@ use hypersafe_core::{
     intermediate_dim_tb, route_light, route_tb, source_decision_tb, Condition, Decision, Level,
     NavVector, SafetyMap, TieBreak,
 };
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

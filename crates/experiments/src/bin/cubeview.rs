@@ -10,7 +10,9 @@
 use hypersafe_core::{route_egs_traced, run_egs, Condition, Decision, ExtendedSafetyMap};
 use hypersafe_experiments::table::Report;
 use hypersafe_simkit::Trace;
-use hypersafe_topology::{connectivity, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
+use hypersafe_topology::{
+    connectivity, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Topology,
+};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 
 struct Opts {

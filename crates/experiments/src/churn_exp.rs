@@ -13,7 +13,7 @@ use crate::gate::{batch_outcome_word, export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::{f2, Report};
 use hypersafe_core::{route_many, route_many_seq, DeltaStats, SafetyMap};
 use hypersafe_simkit::Metrics;
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, Sweep};
 use rand::Rng;
 use std::path::PathBuf;

@@ -10,7 +10,7 @@ use crate::table::{f2, Report};
 use hypersafe_core::{
     intermediate_dim_tb, source_decision_tb, Decision, NavVector, SafetyMap, TieBreak,
 };
-use hypersafe_simkit::{Actor, Ctx, EventEngine, HypercubeNet, Time};
+use hypersafe_simkit::{Actor, Ctx, EventEngine, Net, Time};
 use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, Sweep};
 
@@ -141,7 +141,7 @@ pub fn run_burst(
     pairs: &[(NodeId, NodeId)],
     tb: TieBreak,
 ) -> Vec<(u32, Time, Time)> {
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let mut eng = EventEngine::new(&net, |_| QueueNode {
         map,
         tb,

@@ -19,7 +19,7 @@ use hypersafe_core::{
 use hypersafe_simkit::{
     shrink_injections, AdversarialScheduler, Metrics, ReliableConfig, RunOptions, RunReport, Time,
 };
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep, STANDARD_PROFILES};
 use rand::Rng;
 use std::path::PathBuf;

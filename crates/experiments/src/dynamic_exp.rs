@@ -5,7 +5,7 @@
 
 use crate::table::{f2, pct, Report};
 use hypersafe_core::{route_dynamic, DynamicOutcome, FaultEvent};
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, Sweep};
 use rand::Rng;
 

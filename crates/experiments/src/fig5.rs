@@ -22,7 +22,7 @@ use crate::table::Report;
 use hypersafe_core::gh_safety::GhSafetyMap;
 use hypersafe_core::gh_unicast::gh_route;
 use hypersafe_core::Decision;
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId};
+use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 
 /// The Fig. 5 topology.
 pub fn gh232() -> GeneralizedHypercube {
@@ -156,7 +156,7 @@ pub fn run() -> Report {
         if f.contains(NodeId::new(a.raw())) || map.is_safe(a) {
             continue;
         }
-        assert!(gh.neighbors(a).any(|b| map.is_safe(b)), "{}", gh.format(a));
+        assert!(gh.neighbours(a).any(|b| map.is_safe(b)), "{}", gh.format(a));
     }
     rep.note(
         "every unsafe nonfaulty node has a safe neighbor — suboptimality guaranteed".to_string(),

@@ -5,7 +5,7 @@
 
 use crate::table::{f2, pct, Report};
 use hypersafe_core::{route_egs, run_egs, Decision};
-use hypersafe_topology::{FaultConfig, Hypercube};
+use hypersafe_topology::{FaultConfig, Hypercube, Topology};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, uniform_link_faults, Sweep};
 
 /// Parameters for the link-fault sweep.

@@ -4,7 +4,7 @@
 
 use crate::table::{pct, Report};
 use hypersafe_core::{replay, Strategy, Timeline, TimelineEvent};
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, Sweep};
 use rand::Rng;
 

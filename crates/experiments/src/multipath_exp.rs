@@ -39,7 +39,7 @@ use hypersafe_core::{
     route_disjoint_ranked, route_light, MultiOutcome, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::Metrics;
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{
     bernoulli_link_faults, bernoulli_node_faults, giant_component_pairs, giant_fraction_bp,
     incast_pairs, link_threshold_bp, uniform_faults, LinkLoad, Sweep,

@@ -13,10 +13,10 @@ use crate::gate::{export, GateRun};
 use crate::table::{f2, Report};
 use hypersafe_core::{route, run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe_simkit::{
-    Actor, Ctx, EventEngine, FlightRecorder, HypercubeNet, Metrics, MetricsSnapshot, Network,
-    Quantiles, ReliableConfig, RunOptions, Severity,
+    Actor, Ctx, EventEngine, FlightRecorder, Metrics, MetricsSnapshot, Net, Quantiles,
+    ReliableConfig, RunOptions, Severity,
 };
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep, STANDARD_PROFILES};
 use rand::Rng;
 use std::path::PathBuf;
@@ -92,9 +92,9 @@ impl Actor for Flood {
 fn flight_recorder_demo(n: u8, cap: usize) -> FlightRecorder {
     let cube = Hypercube::new(n);
     let cfg = FaultConfig::fault_free(cube);
-    let net = HypercubeNet::new(&cfg);
+    let net = Net::cube(&cfg);
     let mut eng = EventEngine::new(&net, |a| Flood {
-        neighbors: (0..net.degree(a.raw()))
+        neighbors: (0..net.degree())
             .map(|p| NodeId::new(net.neighbor(a.raw(), p)))
             .collect(),
         seen: false,

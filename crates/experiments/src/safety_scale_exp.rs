@@ -25,7 +25,7 @@ use crate::gate::{batch_outcome_word, export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::Report;
 use hypersafe_core::{route_many, route_many_seq, SafetyMap};
 use hypersafe_simkit::Metrics;
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 use rand::Rng;
 use std::hint::black_box;

@@ -9,7 +9,7 @@
 use crate::table::{f2, Report};
 use hypersafe_baselines::{dfs_route, sidetrack_route};
 use hypersafe_core::{route_tb, SafetyMap, TieBreak};
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 use std::collections::HashMap;
 

@@ -1,14 +1,13 @@
 //! The discrete-event engine: asynchronous protocol execution over any
-//! [`Network`].
+//! topology's fault overlay, a [`Net`].
 //!
 //! The paper remarks that `GLOBAL_STATUS` "can be implemented
 //! asynchronously" and that the demand-driven / state-change-driven
 //! maintenance modes are naturally asynchronous (§2.2). This engine
 //! provides the substrate: virtual-time message delivery between
 //! adjacent nodes with per-message latency, plus node-local timers —
-//! on binary cubes ([`crate::network::HypercubeNet`], with link
-//! faults) and generalized hypercubes ([`crate::network::GhNet`],
-//! §4.2) alike, so one actor implementation serves every topology the
+//! on binary cubes (with link faults) and generalized hypercubes
+//! (§4.2) alike, so one actor implementation serves every topology the
 //! workspace models.
 //!
 //! Determinism: events at equal virtual times are processed in the
@@ -21,13 +20,13 @@
 //! seeded, keeping lossy runs reproducible.
 
 use crate::channel::ChannelModel;
-use crate::network::Network;
+use crate::network::Net;
 use crate::obs::Metrics;
 use crate::queue::EventQueue;
 use crate::sim::{FifoScheduler, Invariant, InvariantViolation, Scheduler};
 use crate::stats::EventStats;
 use crate::trace::{Trace, TraceEvent, TraceSink};
-use hypersafe_topology::NodeId;
+use hypersafe_topology::{NodeId, Topology};
 
 /// Virtual time, in abstract ticks.
 pub type Time = u64;
@@ -203,9 +202,9 @@ enum Payload<M> {
     Kill,
 }
 
-/// The discrete-event executor over any [`Network`].
-pub struct EventEngine<'a, N: Network, A: Actor> {
-    net: &'a N,
+/// The discrete-event executor over any topology's [`Net`].
+pub struct EventEngine<'a, T: Topology, A: Actor> {
+    net: &'a Net<'a, T>,
     actors: Vec<Option<A>>,
     /// `dead[i]` marks a node fault-stopped *mid-run* via
     /// [`EventEngine::inject_kill`]: it processes no further events, but
@@ -288,10 +287,10 @@ pub struct RunReport {
     pub metrics: Option<Metrics>,
 }
 
-impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
+impl<'a, T: Topology, A: Actor> EventEngine<'a, T, A> {
     /// Builds the engine with one actor per nonfaulty node and runs
     /// every actor's `on_start`, over perfect links in FIFO order.
-    pub fn new(net: &'a N, init: impl FnMut(NodeId) -> A) -> Self {
+    pub fn new(net: &'a Net<'a, T>, init: impl FnMut(NodeId) -> A) -> Self {
         Self::with_options(net, RunOptions::default(), init)
     }
 
@@ -300,7 +299,11 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     /// the actors' `on_start` runs, so they order, shape and count the
     /// start-up sends too. The other fields describe a run, not an
     /// engine: [`EventEngine::drive`] applies them.
-    pub fn with_options(net: &'a N, opts: RunOptions, mut init: impl FnMut(NodeId) -> A) -> Self {
+    pub fn with_options(
+        net: &'a Net<'a, T>,
+        opts: RunOptions,
+        mut init: impl FnMut(NodeId) -> A,
+    ) -> Self {
         let actors: Vec<Option<A>> = (0..net.num_nodes())
             .map(|a| (!net.node_faulty(a)).then(|| init(NodeId::new(a))))
             .collect();
@@ -319,10 +322,9 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             trace: None,
             // Sized for the network: engine, channel and ARQ layers
             // report per-node / per-dimension counters into it.
-            metrics: opts.observe.then(|| {
-                let max_degree = (0..net.num_nodes()).map(|a| net.degree(a)).max();
-                Metrics::new(net.num_nodes() as usize, max_degree.unwrap_or(0))
-            }),
+            metrics: opts
+                .observe
+                .then(|| Metrics::new(net.num_nodes() as usize, net.degree())),
         };
         for a in 0..eng.net.num_nodes() {
             if eng.actors[a as usize].is_some() {
@@ -345,11 +347,11 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     /// `invariant` at every quiescent point when `opts.check` is set.
     /// Returns the engine in its final state and the [`RunReport`].
     pub fn drive(
-        net: &'a N,
+        net: &'a Net<'a, T>,
         mut opts: RunOptions,
         init: impl FnMut(NodeId) -> A,
         start: impl FnOnce(&mut Self),
-        invariant: Option<&mut dyn Invariant<N, A>>,
+        invariant: Option<&mut dyn Invariant<T, A>>,
     ) -> (Self, RunReport) {
         let (max_events, trace, check) = (opts.max_events, opts.trace, opts.check);
         let kills = std::mem::take(&mut opts.kills);
@@ -362,7 +364,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
             eng.inject_kill(node, delay);
         }
         let (processed, violation) = if check {
-            let mut invariants: Vec<&mut dyn Invariant<N, A>> = invariant.into_iter().collect();
+            let mut invariants: Vec<&mut dyn Invariant<T, A>> = invariant.into_iter().collect();
             match eng.run_checked(max_events, &mut invariants) {
                 Ok(n) => (n, None),
                 Err(v) => (v.events_processed, Some(v)),
@@ -505,7 +507,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     }
 
     /// The network this engine runs over.
-    pub fn network(&self) -> &'a N {
+    pub fn network(&self) -> &'a Net<'a, T> {
         self.net
     }
 
@@ -660,7 +662,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
     pub fn run_checked(
         &mut self,
         max_events: u64,
-        invariants: &mut [&mut dyn Invariant<N, A>],
+        invariants: &mut [&mut dyn Invariant<T, A>],
     ) -> Result<u64, InvariantViolation> {
         let mut n = 0;
         let mut check = |eng: &Self, n: u64| -> Result<(), InvariantViolation> {
@@ -736,7 +738,7 @@ impl<'a, N: Network, A: Actor> EventEngine<'a, N, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{GhNet, HypercubeNet};
+    use crate::network::Net;
     use crate::trace::Trace;
     use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube};
 
@@ -750,9 +752,9 @@ mod tests {
     }
 
     impl Flood {
-        fn new<N: Network>(net: &N, a: NodeId, origin: NodeId) -> Self {
+        fn new<T: Topology>(net: &Net<'_, T>, a: NodeId, origin: NodeId) -> Self {
             Flood {
-                neighbors: (0..net.degree(a.raw()))
+                neighbors: (0..net.degree())
                     .map(|p| NodeId::new(net.neighbor(a.raw(), p)))
                     .collect(),
                 seen_at: None,
@@ -789,7 +791,7 @@ mod tests {
     fn flood_reaches_everyone_at_hamming_time() {
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.run(u64::MAX);
         for a in cube.nodes() {
@@ -809,7 +811,7 @@ mod tests {
         // 2-cube path: 00 - 01/10 - 11. Make 01 and 10 faulty → 11 unreachable.
         let cfg =
             FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["01", "10"]));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.run(u64::MAX);
         assert_eq!(eng.actor(NodeId::new(0b11)).unwrap().seen_at, None);
@@ -822,7 +824,7 @@ mod tests {
         let mut cfg = FaultConfig::fault_free(cube);
         cfg.link_faults_mut()
             .insert(NodeId::new(0b00), NodeId::new(0b01));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.run(u64::MAX);
         // 01 still hears the flood via the 00→10→11→01 detour.
@@ -834,14 +836,14 @@ mod tests {
     fn flood_arrival_equals_gh_distance() {
         let gh = GeneralizedHypercube::from_product(&[3, 4]);
         let faults = gh.fault_set();
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.run(u64::MAX);
         for a in 0..net.num_nodes() {
             let d = gh.distance(GhNode(0), GhNode(a));
             assert_eq!(
                 eng.actor(NodeId::new(a)).unwrap().seen_at,
-                Some(d as u64),
+                d.map(u64::from),
                 "node {a}"
             );
         }
@@ -853,7 +855,7 @@ mod tests {
         let mut faults = gh.fault_set();
         faults.insert(NodeId::new(1));
         faults.insert(NodeId::new(2));
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.run(u64::MAX);
         assert_eq!(
@@ -885,7 +887,7 @@ mod tests {
         let mut faults = FaultSet::new(cube);
         faults.insert(NodeId::new(1));
         let cfg = FaultConfig::with_node_faults(cube, faults);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| T { fired: vec![] });
         eng.run(u64::MAX);
         assert_eq!(eng.actor(NodeId::new(0)).unwrap().fired, vec![1, 3, 5]);
@@ -913,7 +915,7 @@ mod tests {
         let mut faults = FaultSet::new(cube);
         faults.insert(NodeId::new(1));
         let cfg = FaultConfig::with_node_faults(cube, faults);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| H);
         eng.run(u64::MAX);
         assert_eq!(eng.stats().timers, 1, "second timer never fires");
@@ -933,7 +935,7 @@ mod tests {
         }
         let cube = Hypercube::new(2);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| I { tags: vec![] });
         eng.inject(NodeId::new(2), 42, 0);
         eng.inject(NodeId::new(2), 7, 5);
@@ -968,7 +970,7 @@ mod tests {
         }
         let cube = Hypercube::new(1);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| S { fired: vec![] });
         eng.run(3);
         assert_eq!(eng.now(), 6);
@@ -985,7 +987,7 @@ mod tests {
     fn order_key_is_drawn_once_per_push() {
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let seqs = std::rc::Rc::default();
         let opts = RunOptions {
             sched: Box::new(crate::sim::Recording(std::rc::Rc::clone(&seqs))),
@@ -1004,7 +1006,7 @@ mod tests {
     fn trace_sink_records_hops() {
         let cube = Hypercube::new(2);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         eng.set_trace(Box::new(Trace::enabled()));
         eng.run(u64::MAX);
@@ -1023,7 +1025,7 @@ mod tests {
         use crate::sim::AdversarialScheduler;
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         for seed in 0..8 {
             let opts = RunOptions {
                 sched: Box::new(AdversarialScheduler::permute(seed)),
@@ -1046,7 +1048,7 @@ mod tests {
         use crate::sim::AdversarialScheduler;
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let run = |seed| {
             let opts = RunOptions {
                 sched: Box::new(AdversarialScheduler::from_seed(seed)),
@@ -1071,7 +1073,7 @@ mod tests {
     fn inject_kill_fault_stops_a_node() {
         let cube = Hypercube::new(3);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         // Kill node 001 before the tick-1 deliveries reach it.
         eng.inject_kill(NodeId::new(0b001), 0);
@@ -1095,7 +1097,7 @@ mod tests {
         // counted as a dropped *message*.
         let cube = Hypercube::new(2);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| Idle);
         eng.inject_kill(NodeId::new(0b01), 0);
         eng.inject_kill(NodeId::new(0b01), 1);
@@ -1112,7 +1114,7 @@ mod tests {
         // the message-drop counter.
         let cube = Hypercube::new(2);
         let cfg = FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["10"]));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| Idle);
         eng.inject_kill(NodeId::new(0b10), 0);
         eng.run(u64::MAX);
@@ -1140,7 +1142,7 @@ mod tests {
         }
         let cube = Hypercube::new(1);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |_| Arm);
         // Both nodes arm a t=10 timer; node 1 dies at t=5.
         eng.inject_kill(NodeId::new(1), 5);
@@ -1154,7 +1156,7 @@ mod tests {
     fn sends_counter_balances_fates() {
         let cube = Hypercube::new(3);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let channel = crate::channel::ChannelModel::new(11)
             .with_loss(0.2)
             .with_jitter(3)
@@ -1179,7 +1181,7 @@ mod tests {
     fn metrics_do_not_perturb_the_run_and_agree_with_stats() {
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let channel = crate::channel::ChannelModel::new(9)
             .with_loss(0.1)
             .with_jitter(2)
@@ -1227,14 +1229,11 @@ mod tests {
     fn run_checked_reports_violations_at_quiescence() {
         use crate::sim::Invariant;
         struct NobodyAtDistanceThree;
-        impl Invariant<HypercubeNet<'_>, Flood> for NobodyAtDistanceThree {
+        impl Invariant<Hypercube, Flood> for NobodyAtDistanceThree {
             fn name(&self) -> &'static str {
                 "nobody-at-distance-3"
             }
-            fn check(
-                &mut self,
-                eng: &EventEngine<'_, HypercubeNet<'_>, Flood>,
-            ) -> Result<(), String> {
+            fn check(&mut self, eng: &EventEngine<'_, Hypercube, Flood>) -> Result<(), String> {
                 for (a, f) in eng.actors_iter() {
                     if a.weight() == 3 && f.seen_at.is_some() {
                         return Err(format!("{a} saw the flood"));
@@ -1245,7 +1244,7 @@ mod tests {
         }
         let cube = Hypercube::new(3);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         let mut inv = NobodyAtDistanceThree;
         let err = eng
@@ -1259,14 +1258,11 @@ mod tests {
     fn run_checked_passes_clean_invariants() {
         use crate::sim::Invariant;
         struct SeenAtMostOnce;
-        impl Invariant<HypercubeNet<'_>, Flood> for SeenAtMostOnce {
+        impl Invariant<Hypercube, Flood> for SeenAtMostOnce {
             fn name(&self) -> &'static str {
                 "seen-at-most-once"
             }
-            fn check(
-                &mut self,
-                eng: &EventEngine<'_, HypercubeNet<'_>, Flood>,
-            ) -> Result<(), String> {
+            fn check(&mut self, eng: &EventEngine<'_, Hypercube, Flood>) -> Result<(), String> {
                 // seen_at is monotone: once set it never changes.
                 for (a, f) in eng.actors_iter() {
                     if let Some(t) = f.seen_at {
@@ -1280,7 +1276,7 @@ mod tests {
         }
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| Flood::new(&net, a, NodeId::ZERO));
         let mut inv = SeenAtMostOnce;
         let n = eng.run_checked(u64::MAX, &mut [&mut inv]).unwrap();
@@ -1302,7 +1298,27 @@ mod tests {
         }
         let cube = Hypercube::new(2);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
+        let _ = EventEngine::new(&net, |_| Bad);
+    }
+
+    /// Node 8 lies outside Q3: a send to it is a send to a non-neighbor,
+    /// not a send across a fourth port.
+    #[test]
+    #[should_panic(expected = "may only message neighbors")]
+    fn sending_outside_the_cube_panics() {
+        struct Bad;
+        impl Actor for Bad {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<()>) {
+                if ctx.self_id() == NodeId::ZERO {
+                    ctx.send(NodeId::new(8), (), 1);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<()>, _: NodeId, _: ()) {}
+        }
+        let cfg = FaultConfig::fault_free(Hypercube::new(3));
+        let net = Net::cube(&cfg);
         let _ = EventEngine::new(&net, |_| Bad);
     }
 }

@@ -7,14 +7,15 @@
 //! tracing.
 //!
 //! Both engines are generic over per-node state machines and the
-//! [`network::Network`] topology they run over — binary cubes with
-//! node and link faults ([`network::HypercubeNet`]) and generalized
-//! hypercubes with node faults ([`network::GhNet`]) share one lock-step
-//! engine ([`network::SyncEngine`]), one event engine, one actor trait,
-//! and one reliability layer. The network is the engines' only source
-//! of fault knowledge, and they enforce the paper's system model:
-//! fault-stop nodes (faulty nodes neither run nor send), neighbor-only
-//! communication, and silent loss across faulty links.
+//! [`hypersafe_topology::Topology`] they run over. One fault overlay,
+//! [`network::Net`], puts node faults on any topology and link faults
+//! on a binary cube, so binary cubes and generalized hypercubes share
+//! one lock-step engine ([`network::SyncEngine`]), one event engine,
+//! one actor trait, and one reliability layer. The overlay is the
+//! engines' only source of fault knowledge, and they enforce the
+//! paper's system model: fault-stop nodes (faulty nodes neither run
+//! nor send), neighbor-only communication, and silent loss across
+//! faulty links.
 //!
 //! The event engine and the routing service ([`service`]) share one
 //! crate-private event queue: a timing wheel of per-tick buckets over a
@@ -66,7 +67,7 @@ pub use mc::{
     engine_projection, explore, parse_artifact_path, projection_hash, render_artifact, replay,
     McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, McViolation, StateHash,
 };
-pub use network::{GhNet, HypercubeNet, Network, SyncEngine, SyncNode};
+pub use network::{Net, SyncEngine, SyncNode};
 pub use obs::{
     parse_json, validate_json, DimStat, FlightRecorder, JsonValue, Metrics, MetricsSnapshot,
     NodeStat, QuantileHist, Quantiles, SnapshotTotals,

@@ -39,8 +39,8 @@
 //! byte-identically) by [`replay`] — no seeds, no clocks.
 
 use crate::event::{Actor, Ctx, Time, TimerTag};
-use crate::network::Network;
-use hypersafe_topology::NodeId;
+use crate::network::Net;
+use hypersafe_topology::{NodeId, Topology};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 // ---------------------------------------------------------------------------
@@ -309,8 +309,8 @@ pub fn projection_hash<A: StateHash>(actors: &[Option<A>], dead: &[bool]) -> u12
 /// hashable against a checker run's [`McReport::projections`] set:
 /// cross-validation asserts every projection an engine schedule passes
 /// through is one the exhaustive search also reached.
-pub fn engine_projection<N: Network, A: Actor + StateHash>(
-    eng: &crate::event::EventEngine<'_, N, A>,
+pub fn engine_projection<T: Topology, A: Actor + StateHash>(
+    eng: &crate::event::EventEngine<'_, T, A>,
 ) -> u128 {
     let n = eng.network().num_nodes();
     let mut h = McHasher::new();
@@ -536,16 +536,16 @@ pub struct McReplay {
 // The checker
 // ---------------------------------------------------------------------------
 
-struct Mc<'a, N: Network, A: Actor> {
-    net: &'a N,
+struct Mc<'a, T: Topology, A: Actor> {
+    net: &'a Net<'a, T>,
     cfg: &'a McConfig,
     report: McReport,
     _ph: std::marker::PhantomData<A>,
 }
 
-impl<'a, N, A> Mc<'a, N, A>
+impl<'a, T, A> Mc<'a, T, A>
 where
-    N: Network,
+    T: Topology,
     A: Actor + Clone + StateHash,
     A::Msg: Clone + StateHash + std::fmt::Debug,
 {
@@ -886,19 +886,19 @@ fn sleep_intersect(a: &[TMeta], b: &[TMeta]) -> Vec<TMeta> {
 /// On violation the search stops and [`McReport::violation`] carries a
 /// canonical choice-index path from the initial state plus its
 /// rendering; [`replay`] re-executes it deterministically.
-pub fn explore<N, A>(
-    net: &N,
+pub fn explore<T, A>(
+    net: &Net<'_, T>,
     init: impl FnMut(NodeId) -> A,
     injections: &[(NodeId, u64)],
     cfg: &McConfig,
     checks: &[McCheck<'_, A>],
 ) -> McReport
 where
-    N: Network,
+    T: Topology,
     A: Actor + Clone + StateHash,
     A::Msg: Clone + StateHash + std::fmt::Debug,
 {
-    let mut mc = Mc::<'_, N, A> {
+    let mut mc = Mc::<'_, T, A> {
         net,
         cfg,
         report: McReport::default(),
@@ -1057,8 +1057,8 @@ where
 /// way. Two replays of the same path produce byte-identical
 /// [`McReplay::rendered`] text — the artifact format counterexamples
 /// are pinned in.
-pub fn replay<N, A>(
-    net: &N,
+pub fn replay<T, A>(
+    net: &Net<'_, T>,
     init: impl FnMut(NodeId) -> A,
     injections: &[(NodeId, u64)],
     cfg: &McConfig,
@@ -1066,11 +1066,11 @@ pub fn replay<N, A>(
     path: &[u32],
 ) -> McReplay
 where
-    N: Network,
+    T: Topology,
     A: Actor + Clone + StateHash,
     A::Msg: Clone + StateHash + std::fmt::Debug,
 {
-    let mut mc = Mc::<'_, N, A> {
+    let mut mc = Mc::<'_, T, A> {
         net,
         cfg,
         report: McReport::default(),
@@ -1080,7 +1080,7 @@ where
     let mut rendered = String::new();
     let mut hashes = vec![st.hash()];
     let mut violation = None;
-    let check_here = |mc: &Mc<'_, N, A>, st: &St<A>| {
+    let check_here = |mc: &Mc<'_, T, A>, st: &St<A>| {
         let quiescent = st.inflight.is_empty() && st.timers.is_empty();
         mc.check_state(st, checks, quiescent, quiescent || st.halted)
     };
@@ -1147,7 +1147,7 @@ pub fn parse_artifact_path(text: &str) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::HypercubeNet;
+    use crate::network::Net;
     use hypersafe_topology::{FaultConfig, Hypercube};
 
     /// A toy flood: node 0 holds a token and announces it; every node
@@ -1222,7 +1222,7 @@ mod tests {
     #[test]
     fn gossip_on_q2_converges_everywhere() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mcfg = McConfig {
             closure: true,
             ..McConfig::default()
@@ -1237,7 +1237,7 @@ mod tests {
     #[test]
     fn sleep_sets_preserve_the_reachable_state_set() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let base = McConfig {
             collect_projections: true,
             sleep_sets: false,
@@ -1258,7 +1258,7 @@ mod tests {
     #[test]
     fn closure_collapses_noop_deliveries_without_changing_projections() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let open = McConfig {
             collect_projections: true,
             closure: false,
@@ -1285,7 +1285,7 @@ mod tests {
         // Plant a violation: the all-ones state is reported as an
         // error, so the checker must find a path to convergence.
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let trap = McCheck {
             name: "trap",
             terminal_only: false,
@@ -1312,7 +1312,7 @@ mod tests {
     #[test]
     fn loss_budget_reaches_partially_informed_terminals() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let lossy = McConfig {
             loss_budget: 4,
             ..McConfig::default()
@@ -1334,7 +1334,7 @@ mod tests {
     #[test]
     fn kill_choices_purge_and_are_bounded() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mcfg = McConfig {
             kill_budget: 1,
             kill_victims: vec![3],
@@ -1364,12 +1364,26 @@ mod tests {
     #[test]
     fn injections_race_with_protocol_traffic() {
         let cfg = q2();
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mcfg = McConfig::default();
         // An injected timer on node 0 (ignored by Gossip::on_timer
         // default) must still appear as an explorable choice.
         let rep = explore(&net, gossip_init, &[(NodeId::new(0), 7)], &mcfg, &[]);
         assert!(rep.violation.is_none());
         assert!(rep.states > 1);
+    }
+
+    /// Node 0 of Q2 announcing along a third dimension sends to node 4,
+    /// outside the cube: the checker rejects it as a non-neighbor send.
+    #[test]
+    #[should_panic(expected = "may only message neighbors")]
+    fn sending_outside_the_cube_panics() {
+        let cfg = q2();
+        let net = Net::cube(&cfg);
+        let init = |v: NodeId| Flood {
+            n: 3,
+            ..gossip_init(v)
+        };
+        explore(&net, init, &[], &McConfig::default(), &[]);
     }
 }

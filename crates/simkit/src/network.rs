@@ -1,12 +1,13 @@
-//! Topologies and the lock-step synchronous round engine.
+//! The fault overlay the engines run over, and the lock-step
+//! synchronous round engine.
 //!
-//! A [`Network`] is a port-labeled topology with a fault overlay. It
-//! has two implementations: [`HypercubeNet`] (a binary cube, where a
-//! port is a dimension, with node and link faults) and [`GhNet`] (a
-//! generalized hypercube of §4.2, where a node has `Σ (m_i − 1)`
-//! neighbors grouped by dimension, with node faults). Both engines —
+//! A [`Net`] is a [`Topology`] — a binary cube, where a port is a
+//! dimension, or a generalized hypercube of §4.2, where a node has
+//! `Σ (m_i − 1)` neighbours grouped by dimension — with its faulty
+//! nodes and, on a cube, its faulty links. Both engines —
 //! [`crate::event::EventEngine`] and the [`SyncEngine`] here — learn
-//! about faults from the network and nowhere else.
+//! about faults from the overlay and nowhere else, and number a node's
+//! ports by the topology's linear port index.
 //!
 //! The paper's `GLOBAL_STATUS` algorithm (§2.2) is a synchronous
 //! iteration: in each round every nonfaulty node sends its current
@@ -14,160 +15,92 @@
 //! received values (`parbegin NODE_STATUS(a) ∀a parend`). [`SyncEngine`]
 //! reproduces that execution model exactly for any protocol
 //! expressible as "broadcast my state, absorb neighbor states", on
-//! either network: deliveries are strictly round-synchronous, and a
+//! either topology: deliveries are strictly round-synchronous, and a
 //! node never observes a neighbor's *current*-round update, only last
 //! round's value.
 
 use crate::stats::SyncStats;
-use hypersafe_topology::{FaultConfig, FaultSet, GeneralizedHypercube, NodeId};
+use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Topology};
 
-/// A static point-to-point topology: `num_nodes` endpoints, each with
-/// `degree(a)` numbered ports; `neighbor(a, p)` is the node at the far
-/// end of port `p`.
-///
-/// Port numbering is *local to each node* and stable; protocols that
-/// need structure (e.g. the GH dimension grouping) receive it at node
-/// construction time.
-///
-/// A network also carries the fault model the engines consult
-/// ([`Network::node_faulty`], [`Network::link_faulty`]): its two
-/// implementations, [`HypercubeNet`] and [`GhNet`], overlay a concrete
-/// fault configuration on the pure topologies.
-pub trait Network {
+/// A topology with a fault overlay: the network both engines run over.
+/// Nodes are named by their linear index (a [`NodeId`] or its raw
+/// value) and ports by the topology's linear port index, so
+/// [`Net::neighbor`] and [`Net::port_of`] are the topology's
+/// [`Topology::across`] and [`Topology::port_of`] in the engines' terms.
+pub struct Net<'a, T> {
+    topo: T,
+    nodes: &'a FaultSet,
+    /// A cube's faulty links; §4.2's generalized hypercube takes none.
+    links: Option<&'a LinkFaultSet>,
+}
+
+impl<'a> Net<'a, Hypercube> {
+    /// A binary cube with the node and link faults of `cfg`.
+    pub fn cube(cfg: &'a FaultConfig) -> Self {
+        Net {
+            topo: cfg.cube(),
+            nodes: cfg.node_faults(),
+            links: Some(cfg.link_faults()),
+        }
+    }
+}
+
+impl<'a, T: Topology> Net<'a, T> {
+    /// `topo` with the faulty nodes `faults` and no faulty link.
+    pub fn new(topo: T, faults: &'a FaultSet) -> Self {
+        Net {
+            topo,
+            nodes: faults,
+            links: None,
+        }
+    }
+
+    /// The topology.
+    #[inline]
+    pub fn topology(&self) -> T {
+        self.topo
+    }
+
     /// Number of nodes; addresses are `0..num_nodes`.
-    fn num_nodes(&self) -> u64;
+    #[inline]
+    pub fn num_nodes(&self) -> u64 {
+        self.topo.num_nodes()
+    }
 
-    /// Number of ports of node `a`.
-    fn degree(&self, a: u64) -> usize;
+    /// Number of ports of every node.
+    #[inline]
+    pub fn degree(&self) -> usize {
+        self.topo.degree()
+    }
 
-    /// The node reached from `a` through port `p` (`p < degree(a)`).
-    fn neighbor(&self, a: u64, p: usize) -> u64;
+    /// The node reached from `a` through the port with linear index
+    /// `k < degree`.
+    #[inline]
+    pub fn neighbor(&self, a: u64, k: usize) -> u64 {
+        let a = T::from_raw(a);
+        T::raw(self.topo.across(a, self.topo.port_at(a, k)))
+    }
 
-    /// The port of `a` that reaches `b`, or `None` when they are not
-    /// adjacent. The default scans `a`'s ports; implementations with
-    /// structure (e.g. binary cubes) override it with O(1) lookups.
-    fn port_of(&self, a: u64, b: u64) -> Option<usize> {
-        (0..self.degree(a)).find(|&p| self.neighbor(a, p) == b)
+    /// The linear index of the port of `a` that reaches `b`, or `None`
+    /// when they are not adjacent or either lies outside the topology.
+    #[inline]
+    pub fn port_of(&self, a: u64, b: u64) -> Option<usize> {
+        let a = T::from_raw(a);
+        let p = self.topo.port_of(a, T::from_raw(b))?;
+        Some(self.topo.port_index(a, p))
     }
 
     /// Whether node `a` is fault-stop dead (no actor, drops arrivals).
-    fn node_faulty(&self, a: u64) -> bool;
+    #[inline]
+    pub fn node_faulty(&self, a: u64) -> bool {
+        self.nodes.contains(NodeId::new(a))
+    }
 
     /// Whether the link `a ↔ b` is faulty (messages across it vanish).
-    /// The default models no link faults.
-    fn link_faulty(&self, _a: u64, _b: u64) -> bool {
-        false
-    }
-}
-
-/// A binary hypercube with its fault configuration: the [`Network`]
-/// the cube-specific protocols hand to the event engine. Ports are
-/// dimensions, so `port_of` is a single XOR.
-pub struct HypercubeNet<'a> {
-    cfg: &'a FaultConfig,
-}
-
-impl<'a> HypercubeNet<'a> {
-    /// Wraps a fault configuration as an engine-ready network.
-    pub fn new(cfg: &'a FaultConfig) -> Self {
-        HypercubeNet { cfg }
-    }
-
-    /// The underlying fault configuration.
-    pub fn config(&self) -> &'a FaultConfig {
-        self.cfg
-    }
-}
-
-impl Network for HypercubeNet<'_> {
     #[inline]
-    fn num_nodes(&self) -> u64 {
-        self.cfg.cube().num_nodes()
-    }
-
-    #[inline]
-    fn degree(&self, _a: u64) -> usize {
-        self.cfg.cube().dim() as usize
-    }
-
-    #[inline]
-    fn neighbor(&self, a: u64, p: usize) -> u64 {
-        a ^ (1 << p)
-    }
-
-    #[inline]
-    fn port_of(&self, a: u64, b: u64) -> Option<usize> {
-        let x = a ^ b;
-        (x.count_ones() == 1).then(|| x.trailing_zeros() as usize)
-    }
-
-    #[inline]
-    fn node_faulty(&self, a: u64) -> bool {
-        self.cfg.node_faulty(NodeId::new(a))
-    }
-
-    #[inline]
-    fn link_faulty(&self, a: u64, b: u64) -> bool {
-        self.cfg
-            .link_faults()
-            .contains(NodeId::new(a), NodeId::new(b))
-    }
-}
-
-/// A generalized hypercube with a node-fault overlay (the GH extension
-/// models no link faults, matching §4.2).
-pub struct GhNet<'a> {
-    gh: &'a GeneralizedHypercube,
-    faults: &'a FaultSet,
-}
-
-impl<'a> GhNet<'a> {
-    /// Wraps a GH and its faulty-node set as an engine-ready network.
-    pub fn new(gh: &'a GeneralizedHypercube, faults: &'a FaultSet) -> Self {
-        GhNet { gh, faults }
-    }
-
-    /// The underlying topology.
-    pub fn gh(&self) -> &'a GeneralizedHypercube {
-        self.gh
-    }
-}
-
-impl Network for GhNet<'_> {
-    fn num_nodes(&self) -> u64 {
-        self.gh.num_nodes()
-    }
-
-    fn degree(&self, _a: u64) -> usize {
-        self.gh.degree() as usize
-    }
-
-    /// Ports are numbered dimension-major: dimension 0's `m_0 − 1`
-    /// clique peers first (by ascending digit, skipping the node's own
-    /// digit), then dimension 1's, and so on. Protocols that group an
-    /// inbox by dimension rely on this order.
-    fn neighbor(&self, a: u64, p: usize) -> u64 {
-        let mut p = p;
-        let node = hypersafe_topology::GhNode(a);
-        for i in 0..self.gh.dim() {
-            let peers = self.gh.radix(i) as usize - 1;
-            if p < peers {
-                let own = self.gh.digit(node, i);
-                // The p-th peer digit, skipping `own`.
-                let digit = if (p as u16) < own {
-                    p as u16
-                } else {
-                    p as u16 + 1
-                };
-                return self.gh.with_digit(node, i, digit).raw();
-            }
-            p -= peers;
-        }
-        panic!("port out of range");
-    }
-
-    fn node_faulty(&self, a: u64) -> bool {
-        self.faults.contains(NodeId::new(a))
+    pub fn link_faulty(&self, a: u64, b: u64) -> bool {
+        self.links
+            .is_some_and(|l| l.contains(NodeId::new(a), NodeId::new(b)))
     }
 }
 
@@ -195,25 +128,24 @@ pub trait SyncNode {
 /// nodes, and smaller networks absorb in one chunk, inline.
 const MIN_CHUNK_NODES: usize = 2048;
 
-/// Synchronous round executor over the nonfaulty nodes of a
-/// [`Network`].
+/// Synchronous round executor over the nonfaulty nodes of a [`Net`].
 ///
-/// Faulty nodes ([`Network::node_faulty`], read once at construction)
+/// Faulty nodes ([`Net::node_faulty`], read once at construction)
 /// do not execute and do not send; messages across faulty links
-/// ([`Network::link_faulty`], read on every edge) are not delivered.
+/// ([`Net::link_faulty`], read on every edge) are not delivered.
 /// Protocols that must still *account for* faulty neighbors (like GS,
 /// where a faulty neighbor reads as safety level 0) read silence as
 /// that value.
-pub struct SyncEngine<'a, N: Network, S: SyncNode> {
-    net: &'a N,
+pub struct SyncEngine<'a, T: Topology, S: SyncNode> {
+    net: &'a Net<'a, T>,
     nodes: Vec<Option<S>>,
     stats: SyncStats,
 }
 
-impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
+impl<'a, T: Topology, S: SyncNode> SyncEngine<'a, T, S> {
     /// Builds the engine, instantiating a state machine for every
     /// nonfaulty node via `init`.
-    pub fn new(net: &'a N, mut init: impl FnMut(NodeId) -> S) -> Self {
+    pub fn new(net: &'a Net<'a, T>, mut init: impl FnMut(NodeId) -> S) -> Self {
         let nodes = (0..net.num_nodes())
             .map(|a| (!net.node_faulty(a)).then(|| init(NodeId::new(a))))
             .collect();
@@ -247,7 +179,7 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
     /// no node observes another's current-round update either way.
     pub fn run_round(&mut self) -> usize
     where
-        N: Sync,
+        T: Sync,
         S: Send,
         S::Msg: Sync,
     {
@@ -281,8 +213,8 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
                     };
                     let a = (base + off) as u64;
                     inbox.clear();
-                    for p in 0..net.degree(a) {
-                        let b = net.neighbor(a, p);
+                    let topo = net.topology();
+                    for (p, b) in topo.neighbours(T::from_raw(a)).map(T::raw).enumerate() {
                         if net.link_faulty(a, b) {
                             continue;
                         }
@@ -317,7 +249,7 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
     /// which some node changed) — the paper's Fig. 2 metric.
     pub fn run_until_stable(&mut self, max_rounds: u32) -> u32
     where
-        N: Sync,
+        T: Sync,
         S: Send,
         S::Msg: Sync,
     {
@@ -333,7 +265,7 @@ impl<'a, N: Network, S: SyncNode> SyncEngine<'a, N, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::{GhNode, Hypercube};
+    use hypersafe_topology::{GeneralizedHypercube, GhNode};
 
     /// Toy protocol: every node computes min(own, neighbors) each round
     /// — converges to the global minimum in diameter rounds.
@@ -359,32 +291,33 @@ mod tests {
         }
     }
 
-    fn min_engine<N: Network>(net: &N) -> SyncEngine<'_, N, MinNode> {
+    fn min_engine<'a, T: Topology>(net: &'a Net<'a, T>) -> SyncEngine<'a, T, MinNode> {
         SyncEngine::new(net, |a| MinNode { value: a.raw() })
     }
 
-    fn value<N: Network>(eng: &SyncEngine<'_, N, MinNode>, a: u64) -> u64 {
+    fn value<T: Topology>(eng: &SyncEngine<'_, T, MinNode>, a: u64) -> u64 {
         eng.node(NodeId::new(a)).expect("healthy").value
     }
 
     #[test]
     fn hypercube_net_ports_are_dimensions() {
         let cfg = FaultConfig::fault_free(Hypercube::new(4));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         assert_eq!(net.num_nodes(), 16);
-        assert_eq!(net.degree(3), 4);
+        assert_eq!(net.degree(), 4);
         assert_eq!(net.neighbor(0b0101, 1), 0b0111);
         assert_eq!(net.port_of(0b0101, 0b0111), Some(1));
         assert_eq!(net.port_of(0b0101, 0b0110), None);
+        assert_eq!(net.port_of(0, 16), None, "16 lies outside Q4");
     }
 
     #[test]
     fn gh_net_port_enumeration() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
         let faults = gh.fault_set();
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         // degree = 1 + 2 + 1 = 4 ports.
-        assert_eq!(net.degree(0), 4);
+        assert_eq!(net.degree(), 4);
         let a = gh.parse("010").unwrap().raw();
         let neighbors: Vec<String> = (0..4)
             .map(|p| gh.format(GhNode(net.neighbor(a, p))))
@@ -392,13 +325,16 @@ mod tests {
         // Port 0: dim-0 peer; ports 1–2: dim-1 peers by ascending digit
         // (skipping own digit 1); port 3: dim-2 peer.
         assert_eq!(neighbors, vec!["011", "000", "020", "110"]);
+        for (p, b) in (0..4).map(|p| (p, net.neighbor(a, p))) {
+            assert_eq!(net.port_of(a, b), Some(p));
+        }
     }
 
     #[test]
     fn min_converges_in_diameter_rounds() {
         let cube = Hypercube::new(5);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = min_engine(&net);
         let rounds = eng.run_until_stable(32);
         assert!(rounds <= 5, "diameter bound, got {rounds}");
@@ -412,7 +348,7 @@ mod tests {
 
         let gh = GeneralizedHypercube::from_product(&[3, 4]);
         let faults = gh.fault_set();
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = min_engine(&net);
         let rounds = eng.run_until_stable(16);
         assert!(rounds <= 2, "GH diameter = #dims, got {rounds}");
@@ -425,7 +361,7 @@ mod tests {
         // among the healthy nodes is 1.
         let cube = Hypercube::new(3);
         let cfg = FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["000"]));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = min_engine(&net);
         eng.run_until_stable(16);
         assert!(eng.node(NodeId::new(0)).is_none());
@@ -434,7 +370,7 @@ mod tests {
         let gh = GeneralizedHypercube::from_product(&[3, 4]);
         let mut faults = gh.fault_set();
         faults.insert(NodeId::new(0));
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = min_engine(&net);
         eng.run_until_stable(16);
         assert!(eng.node(NodeId::new(0)).is_none());
@@ -446,7 +382,7 @@ mod tests {
         let cube = Hypercube::new(1);
         let mut cfg = FaultConfig::fault_free(cube);
         cfg.link_faults_mut().insert(NodeId::new(0), NodeId::new(1));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = min_engine(&net);
         eng.run_until_stable(8);
         // With the only link down, node 1 never learns of value 0.
@@ -457,14 +393,14 @@ mod tests {
     #[test]
     fn one_round_is_a_full_exchange() {
         let cfg = FaultConfig::fault_free(Hypercube::new(3));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = min_engine(&net);
         eng.run_round();
         assert_eq!(eng.stats().messages, 8 * 3);
 
         let gh = GeneralizedHypercube::from_product(&[3, 4]);
         let faults = gh.fault_set();
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = min_engine(&net);
         eng.run_round();
         assert_eq!(eng.stats().messages, 12 * (2 + 3));
@@ -485,7 +421,7 @@ mod tests {
                     .map(NodeId::new),
             ),
         );
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let start = |a: u64| a.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 40;
         let mut eng = SyncEngine::new(&net, |a| MinNode {
             value: start(a.raw()),
@@ -516,14 +452,14 @@ mod tests {
     #[test]
     fn quiescent_start_reports_zero_active_rounds() {
         let cfg = FaultConfig::fault_free(Hypercube::new(4));
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = SyncEngine::new(&net, |_| MinNode { value: 7 });
         assert_eq!(eng.run_until_stable(10), 0);
         assert_eq!(eng.stats().rounds_run, 1, "one probe round");
 
         let gh = GeneralizedHypercube::from_product(&[2, 3]);
         let faults = gh.fault_set();
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let mut eng = SyncEngine::new(&net, |_| MinNode { value: 7 });
         assert_eq!(eng.run_until_stable(10), 0);
         assert_eq!(eng.stats().rounds_run, 1, "one probe round");

@@ -48,7 +48,7 @@
 use crate::channel::{mix, uniform_inclusive};
 use crate::event::{Actor, Ctx, Time, TimerTag};
 use crate::mc::{McHasher, StateHash};
-use hypersafe_topology::NodeId;
+use hypersafe_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the retransmission machinery.
@@ -152,17 +152,16 @@ pub struct ReliableEndpoint<M> {
 }
 
 impl<M: Clone> ReliableEndpoint<M> {
-    /// Fresh endpoint for node `me` of an `n`-cube (port `p` reaches
-    /// the dimension-`p` neighbor); `latency` is the per-hop send
-    /// latency used for both data and ACKs.
-    pub fn new(me: NodeId, n: u8, latency: Time, cfg: ReliableConfig) -> Self {
-        Self::with_neighbors((0..n).map(|d| me.neighbor(d)).collect(), latency, cfg)
-    }
-
-    /// Fresh endpoint with an explicit port → neighbor table, for
-    /// topologies where ports are not cube dimensions.
-    pub fn with_neighbors(neighbors: Vec<NodeId>, latency: Time, cfg: ReliableConfig) -> Self {
+    /// Fresh endpoint for node `me` of `topo`: port `p` reaches the
+    /// neighbour across the port with linear index `p` (on a cube, the
+    /// dimension-`p` neighbour). `latency` is the per-hop send latency
+    /// used for both data and ACKs.
+    pub fn new<T: Topology>(topo: T, me: NodeId, latency: Time, cfg: ReliableConfig) -> Self {
         assert!(cfg.rto > 0, "rto must be positive");
+        let neighbors: Vec<NodeId> = topo
+            .neighbours(T::from_raw(me.raw()))
+            .map(|b| NodeId::new(T::raw(b)))
+            .collect();
         let ports = neighbors.len();
         ReliableEndpoint {
             neighbors,
@@ -390,25 +389,17 @@ pub struct Reliable<A: ReliableActor> {
 }
 
 impl<A: ReliableActor> Reliable<A> {
-    /// Wraps `inner` for node `me` of an `n`-cube.
-    pub fn new(inner: A, me: NodeId, n: u8, latency: Time, cfg: ReliableConfig) -> Self {
-        Reliable {
-            inner,
-            endpoint: ReliableEndpoint::new(me, n, latency, cfg),
-        }
-    }
-
-    /// Wraps `inner` with an explicit port → neighbor table (for
-    /// non-cube topologies driven through the generic engine).
-    pub fn with_neighbors(
+    /// Wraps `inner` for node `me` of `topo`.
+    pub fn new<T: Topology>(
         inner: A,
-        neighbors: Vec<NodeId>,
+        topo: T,
+        me: NodeId,
         latency: Time,
         cfg: ReliableConfig,
     ) -> Self {
         Reliable {
             inner,
-            endpoint: ReliableEndpoint::with_neighbors(neighbors, latency, cfg),
+            endpoint: ReliableEndpoint::new(topo, me, latency, cfg),
         }
     }
 }
@@ -521,7 +512,7 @@ mod tests {
     use super::*;
     use crate::channel::ChannelModel;
     use crate::event::EventEngine;
-    use crate::network::HypercubeNet;
+    use crate::network::Net;
     use hypersafe_topology::{FaultConfig, FaultSet, Hypercube};
 
     /// Node 0 streams `count` numbered messages to node 1; node 1 logs
@@ -553,12 +544,12 @@ mod tests {
     ) -> (Vec<u64>, crate::stats::EventStats) {
         let cube = Hypercube::new(1);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let init = |a: NodeId| {
             Reliable::new(
                 Stream { count, log: vec![] },
+                net.topology(),
                 a,
-                1,
                 1,
                 ReliableConfig::default(),
             )
@@ -619,15 +610,15 @@ mod tests {
             jitter_max: 0,
             jitter_seed: 0,
         };
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| {
             Reliable::new(
                 Stream {
                     count: if a == NodeId::ZERO { 1 } else { 0 },
                     log: vec![],
                 },
+                net.topology(),
                 a,
-                2,
                 1,
                 rcfg,
             )
@@ -655,15 +646,15 @@ mod tests {
             jitter_max: 0,
             jitter_seed: 0,
         };
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| {
             Reliable::new(
                 Stream {
                     count: 1,
                     log: vec![],
                 },
+                net.topology(),
                 a,
-                1,
                 1,
                 rcfg,
             )
@@ -691,15 +682,15 @@ mod tests {
                 jitter_max: 3,
                 jitter_seed,
             };
-            let net = HypercubeNet::new(&cfg);
+            let net = Net::cube(&cfg);
             let mut eng = EventEngine::new(&net, |a| {
                 Reliable::new(
                     Stream {
                         count: 1,
                         log: vec![],
                     },
+                    net.topology(),
                     a,
-                    1,
                     1,
                     rcfg,
                 )
@@ -732,7 +723,8 @@ mod tests {
             jitter_max: 0,
             jitter_seed: 0,
         };
-        let mut ep: ReliableEndpoint<u64> = ReliableEndpoint::new(NodeId::ZERO, 1, 1, rcfg);
+        let mut ep: ReliableEndpoint<u64> =
+            ReliableEndpoint::new(Hypercube::new(1), NodeId::ZERO, 1, rcfg);
         // Two messages mid-ladder on port 0: both backed off to 16.
         ep.out[0].next_seq = 3;
         ep.out[0].unacked.insert(1, (10, 3, 16));
@@ -771,12 +763,12 @@ mod tests {
         }
         let cube = Hypercube::new(1);
         let cfg = FaultConfig::fault_free(cube);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let mut eng = EventEngine::new(&net, |a| {
             Reliable::new(
                 EdgeTags { fired: vec![] },
+                net.topology(),
                 a,
-                1,
                 1,
                 ReliableConfig::default(),
             )

@@ -23,7 +23,7 @@
 
 use crate::channel::{mix, uniform_inclusive, unit, LinkFate};
 use crate::event::{Actor, EventEngine, Time};
-use crate::network::Network;
+use hypersafe_topology::Topology;
 use std::fmt;
 
 /// Decides same-tick delivery order and per-message adversarial
@@ -192,13 +192,13 @@ impl Scheduler for AdversarialScheduler {
 /// [`crate::event::EventEngine::run_checked`]. Implementations may
 /// keep state across checks — e.g. remembering each node's previous
 /// safety level to assert monotone convergence.
-pub trait Invariant<N: Network, A: Actor> {
+pub trait Invariant<T: Topology, A: Actor> {
     /// Short stable name, quoted in violation reports.
     fn name(&self) -> &'static str;
 
     /// Inspects the engine at a consistent cut. Returns `Err(detail)`
     /// to abort the run with an [`InvariantViolation`].
-    fn check(&mut self, eng: &EventEngine<'_, N, A>) -> Result<(), String>;
+    fn check(&mut self, eng: &EventEngine<'_, T, A>) -> Result<(), String>;
 }
 
 /// A failed [`Invariant`] check: which invariant, when, and why.

@@ -8,6 +8,7 @@
 
 use crate::addr::NodeId;
 use crate::faults::FaultConfig;
+use crate::ports::Topology;
 use std::collections::VecDeque;
 
 /// Sentinel for "not reached" in distance arrays.
@@ -32,7 +33,7 @@ pub fn bfs_distances(cfg: &FaultConfig, src: NodeId) -> Vec<u32> {
         // enqueued; if the sentinel ever leaked in here, `da + 1` would
         // silently wrap a poisoned distance into the array.
         debug_assert_ne!(da, UNREACHED, "sentinel distance dequeued for {a}");
-        for b in cube.neighbors(a) {
+        for b in cube.neighbours(a) {
             if cfg.link_usable(a, b) && dist[b.raw() as usize] == UNREACHED {
                 dist[b.raw() as usize] = da + 1;
                 queue.push_back(b);
@@ -67,7 +68,7 @@ pub fn shortest_path(cfg: &FaultConfig, s: NodeId, d: NodeId) -> Option<Vec<Node
         // closer reached nodes, so `dc - 1` never touches the sentinel.
         debug_assert_ne!(dc, UNREACHED, "sentinel distance on backwalk at {cur}");
         let prev = cube
-            .neighbors(cur)
+            .neighbours(cur)
             .find(|&b| dist[b.raw() as usize] == dc - 1 && cfg.link_usable(cur, b))
             .expect("BFS predecessor must exist");
         path.push(prev);
@@ -100,7 +101,7 @@ pub fn components(cfg: &FaultConfig) -> Vec<Vec<NodeId>> {
         queue.push_back(start);
         while let Some(a) = queue.pop_front() {
             comp.push(a);
-            for b in cube.neighbors(a) {
+            for b in cube.neighbours(a) {
                 if cfg.link_usable(a, b) && !seen[b.raw() as usize] {
                     seen[b.raw() as usize] = true;
                     queue.push_back(b);

@@ -1,6 +1,7 @@
 //! The binary hypercube topology `Q_n`.
 
 use crate::addr::{BitDims, NodeId, MAX_DIM};
+use crate::ports::Topology;
 
 /// The `n`-dimensional binary hypercube `Q_n`: `2ⁿ` nodes, each adjacent
 /// to the `n` nodes whose addresses differ from it in exactly one bit.
@@ -26,43 +27,15 @@ impl Hypercube {
         Hypercube { n }
     }
 
-    /// The dimension `n`.
-    #[inline]
-    pub const fn dim(self) -> u8 {
-        self.n
-    }
-
-    /// Number of nodes, `2ⁿ`.
-    #[inline]
-    pub const fn num_nodes(self) -> u64 {
-        1 << self.n
-    }
-
     /// Number of (undirected) links, `n · 2ⁿ⁻¹`.
     #[inline]
     pub const fn num_links(self) -> u64 {
         (self.n as u64) << (self.n - 1)
     }
 
-    /// Whether `a` is a valid address of this cube.
-    #[inline]
-    pub const fn contains(self, a: NodeId) -> bool {
-        a.raw() < self.num_nodes()
-    }
-
     /// Iterator over all node addresses, ascending.
     pub fn nodes(self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes()).map(NodeId::new)
-    }
-
-    /// Iterator over the `n` neighbors of `a`, by ascending dimension.
-    pub fn neighbors(self, a: NodeId) -> impl Iterator<Item = NodeId> {
-        (0..self.n).map(move |i| a.neighbor(i))
-    }
-
-    /// Iterator over `(dimension, neighbor)` pairs of `a`.
-    pub fn neighbors_with_dims(self, a: NodeId) -> impl Iterator<Item = (u8, NodeId)> {
-        (0..self.n).map(move |i| (i, a.neighbor(i)))
     }
 
     /// Iterator over all undirected links as `(low, high)` node pairs,
@@ -76,37 +49,95 @@ impl Hypercube {
             })
         })
     }
+}
 
-    /// Hamming distance between two nodes of this cube.
+/// `Q_n` as a [`Topology`]: a port is a dimension, and its linear
+/// index is the dimension itself. The preferred ports of `(s, d)` are
+/// the dimensions in which `s` and `d` differ, which any optimal path
+/// crosses exactly once (paper, §2.1); the spare ones are the other
+/// `n − H(s, d)`.
+///
+/// Every method is inlined: the routing rule and the safety-level
+/// rounds in `hypersafe-core` call them per hop and per node.
+impl Topology for Hypercube {
+    type Node = NodeId;
+    type Port = u8;
+
     #[inline]
-    pub fn distance(self, a: NodeId, b: NodeId) -> u32 {
-        a.distance(b)
+    fn num_nodes(self) -> u64 {
+        1 << self.n
     }
 
-    /// The *preferred dimensions* of the pair `(s, d)`: dimensions in
-    /// which `s` and `d` differ. Any optimal (Hamming-distance) path
-    /// from `s` to `d` crosses each of them exactly once (paper, §2.1).
     #[inline]
-    pub fn preferred_dims(self, s: NodeId, d: NodeId) -> BitDims {
-        s.differing_dims(d)
+    fn degree(self) -> usize {
+        self.n as usize
     }
 
-    /// The *spare dimensions* of `(s, d)`: the remaining
-    /// `n − H(s, d)` dimensions.
     #[inline]
-    pub fn spare_dims(self, s: NodeId, d: NodeId) -> BitDims {
-        BitDims(!s.xor(d).raw() & (self.num_nodes() - 1))
+    fn dim(self) -> u8 {
+        self.n
     }
 
-    /// Preferred neighbors of `s` w.r.t. destination `d`
-    /// (paper, §2.1): neighbors along preferred dimensions.
-    pub fn preferred_neighbors(self, s: NodeId, d: NodeId) -> impl Iterator<Item = NodeId> {
-        self.preferred_dims(s, d).map(move |i| s.neighbor(i))
+    #[inline]
+    fn contains(self, a: NodeId) -> bool {
+        a.raw() >> self.n == 0
     }
 
-    /// Spare neighbors of `s` w.r.t. destination `d`.
-    pub fn spare_neighbors(self, s: NodeId, d: NodeId) -> impl Iterator<Item = NodeId> {
-        self.spare_dims(s, d).map(move |i| s.neighbor(i))
+    #[inline]
+    fn distance(self, a: NodeId, b: NodeId) -> Option<u32> {
+        ((a.raw() | b.raw()) >> self.n == 0).then(|| a.distance(b))
+    }
+
+    #[inline]
+    fn across(self, a: NodeId, i: u8) -> NodeId {
+        a.neighbor(i)
+    }
+
+    #[inline]
+    fn port_of(self, a: NodeId, b: NodeId) -> Option<u8> {
+        let x = a.raw() ^ b.raw();
+        ((a.raw() | b.raw()) >> self.n == 0 && x.count_ones() == 1)
+            .then(|| x.trailing_zeros() as u8)
+    }
+
+    #[inline]
+    fn along(self, a: NodeId, i: u8) -> impl Iterator<Item = NodeId> {
+        std::iter::once(a.neighbor(i))
+    }
+
+    #[inline(always)]
+    fn neighbours(self, a: NodeId) -> impl Iterator<Item = NodeId> {
+        (0..self.n).map(move |i| a.neighbor(i))
+    }
+
+    #[inline]
+    fn preferred(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
+        at.differing_dims(d)
+    }
+
+    #[inline]
+    fn spare(self, at: NodeId, d: NodeId) -> impl Iterator<Item = u8> + Clone {
+        BitDims(!at.xor(d).raw() & ((1u64 << self.n) - 1))
+    }
+
+    #[inline]
+    fn port_index(self, _: NodeId, i: u8) -> usize {
+        i as usize
+    }
+
+    #[inline]
+    fn port_at(self, _: NodeId, k: usize) -> u8 {
+        k as u8
+    }
+
+    #[inline]
+    fn raw(a: NodeId) -> u64 {
+        a.raw()
+    }
+
+    #[inline]
+    fn from_raw(i: u64) -> NodeId {
+        NodeId::new(i)
     }
 }
 
@@ -133,7 +164,7 @@ mod tests {
     fn neighbors_are_distance_one() {
         let q = Hypercube::new(5);
         let a = NodeId::new(0b10110);
-        let ns: Vec<NodeId> = q.neighbors(a).collect();
+        let ns: Vec<NodeId> = q.neighbours(a).collect();
         assert_eq!(ns.len(), 5);
         for b in &ns {
             assert_eq!(a.distance(*b), 1);
@@ -151,10 +182,10 @@ mod tests {
         let q = Hypercube::new(6);
         let s = NodeId::new(0b101010);
         let d = NodeId::new(0b011010);
-        let mut dims: Vec<u8> = q.preferred_dims(s, d).chain(q.spare_dims(s, d)).collect();
+        let mut dims: Vec<u8> = q.preferred(s, d).chain(q.spare(s, d)).collect();
         dims.sort();
         assert_eq!(dims, (0..6).collect::<Vec<u8>>());
-        assert_eq!(q.preferred_dims(s, d).count() as u32, q.distance(s, d));
+        assert_eq!(Some(q.preferred(s, d).count() as u32), q.distance(s, d));
     }
 
     #[test]
@@ -162,10 +193,10 @@ mod tests {
         let q = Hypercube::new(7);
         let s = NodeId::new(0b1010101);
         let d = NodeId::new(0b0110011);
-        for p in q.preferred_neighbors(s, d) {
+        for p in q.preferred(s, d).map(|i| q.across(s, i)) {
             assert_eq!(p.distance(d) + 1, s.distance(d));
         }
-        for sp in q.spare_neighbors(s, d) {
+        for sp in q.spare(s, d).map(|i| q.across(s, i)) {
             assert_eq!(sp.distance(d), s.distance(d) + 1);
         }
     }
@@ -180,11 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_with_dims_matches_neighbor_fn() {
-        let q = Hypercube::new(4);
-        let a = NodeId::new(0b0110);
-        for (i, b) in q.neighbors_with_dims(a) {
-            assert_eq!(b, a.neighbor(i));
-        }
+    fn port_of_names_no_port_outside_the_cube() {
+        let q = Hypercube::new(3);
+        assert_eq!(q.port_of(NodeId::new(0b101), NodeId::new(0b111)), Some(1));
+        assert_eq!(q.port_of(NodeId::new(0b101), NodeId::new(0b110)), None);
+        assert_eq!(q.port_of(NodeId::new(0), NodeId::new(8)), None);
+        assert_eq!(q.port_of(NodeId::new(8), NodeId::new(0)), None);
     }
 }

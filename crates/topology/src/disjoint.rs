@@ -10,6 +10,7 @@
 use crate::addr::{e, NodeId};
 use crate::cube::Hypercube;
 use crate::paths::Path;
+use crate::ports::Topology;
 
 /// The `h = H(s, d)` pairwise node-disjoint *optimal* paths between `s`
 /// and `d`: path `i` crosses the preferred dimensions in cyclic order
@@ -18,7 +19,7 @@ use crate::paths::Path;
 /// Returns an empty vector when `s == d`.
 pub fn disjoint_optimal_paths(cube: Hypercube, s: NodeId, d: NodeId) -> Vec<Path> {
     debug_assert!(cube.contains(s) && cube.contains(d));
-    let dims: Vec<u8> = cube.preferred_dims(s, d).collect();
+    let dims: Vec<u8> = cube.preferred(s, d).collect();
     let h = dims.len();
     let mut paths = Vec::with_capacity(h);
     for start in 0..h {
@@ -48,8 +49,8 @@ pub fn disjoint_paths(cube: Hypercube, s: NodeId, d: NodeId) -> Vec<Path> {
         return Vec::new();
     }
     let mut paths = disjoint_optimal_paths(cube, s, d);
-    let dims: Vec<u8> = cube.preferred_dims(s, d).collect();
-    for j in cube.spare_dims(s, d) {
+    let dims: Vec<u8> = cube.preferred(s, d).collect();
+    for j in cube.spare(s, d) {
         let mut nodes = Vec::with_capacity(dims.len() + 3);
         let mut cur = s.neighbor(j);
         nodes.push(s);

@@ -9,6 +9,7 @@
 
 use crate::addr::NodeId;
 use crate::cube::Hypercube;
+use crate::ports::Topology;
 
 /// A set of faulty nodes of a hypercube, stored as a dense bitset over
 /// the `2ⁿ` addresses.
@@ -126,7 +127,7 @@ impl FaultSet {
 
     /// Number of faulty neighbors of `a` in `cube`.
     pub fn faulty_neighbor_count(&self, cube: Hypercube, a: NodeId) -> usize {
-        cube.neighbors(a).filter(|&b| self.contains(b)).count()
+        cube.neighbours(a).filter(|&b| self.contains(b)).count()
     }
 }
 
@@ -222,7 +223,7 @@ impl LinkFaultSet {
     /// Whether node `a` has at least one adjacent faulty link — i.e.
     /// whether `a` belongs to the paper's set `N2` (§4.1).
     pub fn touches(&self, cube: Hypercube, a: NodeId) -> bool {
-        cube.neighbors(a).any(|b| self.contains(a, b))
+        cube.neighbours(a).any(|b| self.contains(a, b))
     }
 
     /// Iterator over the far endpoints of `a`'s adjacent faulty links.
@@ -231,7 +232,7 @@ impl LinkFaultSet {
         cube: Hypercube,
         a: NodeId,
     ) -> impl Iterator<Item = NodeId> + 'a {
-        cube.neighbors(a).filter(move |&b| self.contains(a, b))
+        cube.neighbours(a).filter(move |&b| self.contains(a, b))
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::addr::NodeId;
 use crate::faults::FaultSet;
+use crate::ports::Topology;
 
 /// Node of a generalized hypercube: a linear mixed-radix index. The
 /// owning [`GeneralizedHypercube`] decodes it into digits.
@@ -30,6 +31,10 @@ pub struct GeneralizedHypercube {
     radices: Vec<u16>,
     /// Mixed-radix strides: `strides[i] = m_0 · … · m_{i-1}`.
     strides: Vec<u64>,
+    /// Port `k` of every node as `(dimension, rank)`: the port reaches
+    /// the `rank`-th digit of that dimension other than the node's own.
+    /// Dimension-major, ranks ascending.
+    ports: Vec<(u8, u16)>,
     num_nodes: u64,
 }
 
@@ -50,9 +55,14 @@ impl GeneralizedHypercube {
             total = total.checked_mul(m as u64).expect("node count overflow");
             assert!(total <= 1 << 30, "node count too large");
         }
+        let ports = (0u8..)
+            .zip(radices)
+            .flat_map(|(i, &m)| (0..m - 1).map(move |rank| (i, rank)))
+            .collect();
         GeneralizedHypercube {
             radices: radices.to_vec(),
             strides,
+            ports,
             num_nodes: total,
         }
     }
@@ -65,28 +75,10 @@ impl GeneralizedHypercube {
         Self::new(&lsb)
     }
 
-    /// Number of dimensions `n`.
-    #[inline]
-    pub fn dim(&self) -> u8 {
-        self.radices.len() as u8
-    }
-
     /// Radix `m_i` of dimension `i`.
     #[inline]
     pub fn radix(&self, i: u8) -> u16 {
         self.radices[i as usize]
-    }
-
-    /// Total number of nodes `∏ m_i`.
-    #[inline]
-    pub fn num_nodes(&self) -> u64 {
-        self.num_nodes
-    }
-
-    /// Whether `a` is a valid node index.
-    #[inline]
-    pub fn contains(&self, a: GhNode) -> bool {
-        a.0 < self.num_nodes
     }
 
     /// Iterator over all nodes, ascending by index.
@@ -105,12 +97,32 @@ impl GeneralizedHypercube {
     ///
     /// # Panics
     /// Panics if `v ≥ m_i`.
+    #[inline]
     pub fn with_digit(&self, a: GhNode, i: u8, v: u16) -> GhNode {
         let m = self.radices[i as usize] as u64;
         assert!((v as u64) < m, "digit {v} out of range for radix {m}");
         let stride = self.strides[i as usize];
         let old = (a.0 / stride) % m;
         GhNode(a.0 - old * stride + v as u64 * stride)
+    }
+
+    /// The members of `a`'s dimension-`i` clique other than `a`, by
+    /// ascending digit: one digit read for the whole clique.
+    #[inline]
+    fn peers(&self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> {
+        let (stride, own) = (self.strides[i as usize], self.digit(a, i) as u64);
+        let base = a.0 - own * stride;
+        let digit = move |rank| rank + u64::from(rank >= own);
+        (0..self.radix(i) as u64 - 1).map(move |rank| GhNode(base + digit(rank) * stride))
+    }
+
+    /// The neighbour of `a` across port `k`, from the port table.
+    #[inline]
+    fn peer(&self, a: GhNode, k: usize) -> GhNode {
+        let (i, rank) = self.ports[k];
+        let (stride, own) = (self.strides[i as usize], self.digit(a, i));
+        let v = rank + u16::from(rank >= own);
+        GhNode(a.0 - own as u64 * stride + v as u64 * stride)
     }
 
     /// Builds a node from its digit vector, least-significant first.
@@ -155,32 +167,6 @@ impl GeneralizedHypercube {
             .collect()
     }
 
-    /// Number of differing coordinates — the GH distance.
-    pub fn distance(&self, a: GhNode, b: GhNode) -> u32 {
-        (0..self.dim())
-            .filter(|&i| self.digit(a, i) != self.digit(b, i))
-            .count() as u32
-    }
-
-    /// The `m_i − 1` neighbors of `a` along dimension `i` (the rest of
-    /// its dimension-`i` clique).
-    pub fn neighbors_along<'a>(&'a self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> + 'a {
-        let cur = self.digit(a, i);
-        (0..self.radix(i))
-            .filter(move |&v| v != cur)
-            .map(move |v| self.with_digit(a, i, v))
-    }
-
-    /// All neighbors of `a`: `Σ (m_i − 1)` nodes.
-    pub fn neighbors<'a>(&'a self, a: GhNode) -> impl Iterator<Item = GhNode> + 'a {
-        (0..self.dim()).flat_map(move |i| self.neighbors_along(a, i))
-    }
-
-    /// Node degree `Σ (m_i − 1)`.
-    pub fn degree(&self) -> u32 {
-        self.radices.iter().map(|&m| m as u32 - 1).sum()
-    }
-
     /// An empty fault set sized for this topology. GH nodes share the
     /// dense-bitset [`FaultSet`] with binary cubes via their linear
     /// index.
@@ -198,6 +184,112 @@ impl GeneralizedHypercube {
             f.insert(NodeId::new(node.0));
         }
         f
+    }
+}
+
+/// A generalized hypercube as a [`Topology`]: a port is a
+/// `(dimension, digit)` pair, naming the clique peer that carries
+/// `digit` in that dimension. The preferred port along a differing
+/// dimension is the peer with the destination's digit, which resolves
+/// the coordinate in one hop; the spare ports are every peer along an
+/// agreeing dimension. Port `k` is the `ports[k]` entry of the table
+/// built in [`GeneralizedHypercube::new`].
+impl Topology for &GeneralizedHypercube {
+    type Node = GhNode;
+    type Port = (u8, u16);
+
+    #[inline]
+    fn num_nodes(self) -> u64 {
+        self.num_nodes
+    }
+
+    #[inline]
+    fn degree(self) -> usize {
+        self.ports.len()
+    }
+
+    #[inline]
+    fn dim(self) -> u8 {
+        self.radices.len() as u8
+    }
+
+    #[inline]
+    fn contains(self, a: GhNode) -> bool {
+        a.0 < self.num_nodes
+    }
+
+    fn distance(self, a: GhNode, b: GhNode) -> Option<u32> {
+        let differ = (0..self.dim()).filter(|&i| self.digit(a, i) != self.digit(b, i));
+        (self.contains(a) && self.contains(b)).then(|| differ.count() as u32)
+    }
+
+    #[inline]
+    fn across(self, a: GhNode, (i, v): (u8, u16)) -> GhNode {
+        self.with_digit(a, i, v)
+    }
+
+    fn port_of(self, a: GhNode, b: GhNode) -> Option<(u8, u16)> {
+        if !(self.contains(a) && self.contains(b)) {
+            return None;
+        }
+        let mut port = None;
+        for i in 0..self.dim() {
+            let v = self.digit(b, i);
+            if self.digit(a, i) != v {
+                if port.is_some() {
+                    return None;
+                }
+                port = Some((i, v));
+            }
+        }
+        port
+    }
+
+    #[inline]
+    fn along(self, a: GhNode, i: u8) -> impl Iterator<Item = GhNode> {
+        self.peers(a, i)
+    }
+
+    #[inline]
+    fn neighbours(self, a: GhNode) -> impl Iterator<Item = GhNode> {
+        (0..self.ports.len()).map(move |k| self.peer(a, k))
+    }
+
+    fn preferred(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
+        (0..self.dim())
+            .map(move |i| (i, self.digit(d, i)))
+            .filter(move |&(i, v)| self.digit(at, i) != v)
+    }
+
+    fn spare(self, at: GhNode, d: GhNode) -> impl Iterator<Item = (u8, u16)> + Clone {
+        (0..self.dim())
+            .filter(move |&i| self.digit(at, i) == self.digit(d, i))
+            .flat_map(move |i| {
+                let own = self.digit(at, i);
+                (0..self.radix(i))
+                    .filter(move |&v| v != own)
+                    .map(move |v| (i, v))
+            })
+    }
+
+    fn port_index(self, a: GhNode, (i, v): (u8, u16)) -> usize {
+        let first = self.ports.partition_point(|&(j, _)| j < i);
+        first + v as usize - usize::from(v > self.digit(a, i))
+    }
+
+    fn port_at(self, a: GhNode, k: usize) -> (u8, u16) {
+        let (i, rank) = self.ports[k];
+        (i, rank + u16::from(rank >= self.digit(a, i)))
+    }
+
+    #[inline]
+    fn raw(a: GhNode) -> u64 {
+        a.0
+    }
+
+    #[inline]
+    fn from_raw(i: u64) -> GhNode {
+        GhNode(i)
     }
 }
 
@@ -237,25 +329,21 @@ mod tests {
     fn neighbors_differ_in_one_coordinate() {
         let gh = gh232();
         let a = gh.parse("010").unwrap();
-        let ns: Vec<GhNode> = gh.neighbors(a).collect();
-        assert_eq!(ns.len() as u32, gh.degree());
+        let ns: Vec<GhNode> = gh.neighbours(a).collect();
+        assert_eq!(ns.len(), gh.degree());
         for b in &ns {
-            assert_eq!(gh.distance(a, *b), 1);
+            assert_eq!(gh.distance(a, *b), Some(1));
         }
         // Fig. 5 walk: 010's neighbors along dimension 1 are 000 and 020.
-        let along1: Vec<String> = gh.neighbors_along(a, 1).map(|b| gh.format(b)).collect();
+        let along1: Vec<String> = gh.along(a, 1).map(|b| gh.format(b)).collect();
         assert_eq!(along1, vec!["000", "020"]);
         // Neighbor along dimension 0 is 011; along dimension 2 is 110.
         assert_eq!(
-            gh.neighbors_along(a, 0)
-                .map(|b| gh.format(b))
-                .collect::<Vec<_>>(),
+            gh.along(a, 0).map(|b| gh.format(b)).collect::<Vec<_>>(),
             vec!["011"]
         );
         assert_eq!(
-            gh.neighbors_along(a, 2)
-                .map(|b| gh.format(b))
-                .collect::<Vec<_>>(),
+            gh.along(a, 2).map(|b| gh.format(b)).collect::<Vec<_>>(),
             vec!["110"]
         );
     }
@@ -265,7 +353,11 @@ mod tests {
         let gh = gh232();
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
-        assert_eq!(gh.distance(s, d), 3, "differ in all three coordinates");
+        assert_eq!(
+            gh.distance(s, d),
+            Some(3),
+            "differ in all three coordinates"
+        );
     }
 
     #[test]
@@ -296,7 +388,7 @@ mod tests {
             for b in gh.nodes() {
                 let qa = NodeId::new(a.0);
                 let qb = NodeId::new(b.0);
-                assert_eq!(gh.distance(a, b), qa.distance(qb));
+                assert_eq!(gh.distance(a, b), Some(qa.distance(qb)));
             }
         }
     }

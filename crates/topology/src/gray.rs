@@ -7,6 +7,7 @@
 
 use crate::addr::NodeId;
 use crate::cube::Hypercube;
+use crate::ports::Topology;
 
 /// The `i`th codeword of the reflected binary Gray code: consecutive
 /// indices map to adjacent hypercube nodes.

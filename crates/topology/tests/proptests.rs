@@ -3,7 +3,7 @@
 //! invariants.
 
 use hypersafe_topology::{
-    connectivity, e, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Subcube,
+    connectivity, e, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Subcube, Topology,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;

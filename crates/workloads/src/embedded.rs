@@ -8,7 +8,7 @@
 //! bit-reversal pairs. These generators give the traffic and multicast
 //! experiments workloads with realistic locality.
 
-use hypersafe_topology::{gray, FaultConfig, NodeId};
+use hypersafe_topology::{gray, FaultConfig, NodeId, Topology};
 
 /// `(source, destination)` pairs of the Gray-code ring embedding:
 /// every healthy node to its nearest healthy ring successor.

@@ -7,7 +7,7 @@
 //! `k`-dimensional subcube dies, e.g. a failed board). Link-fault
 //! injection supports the §4.1 experiments.
 
-use hypersafe_topology::{gray, FaultSet, Hypercube, LinkFaultSet, NodeId, Subcube};
+use hypersafe_topology::{gray, FaultSet, Hypercube, LinkFaultSet, NodeId, Subcube, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
 

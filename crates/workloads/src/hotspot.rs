@@ -16,7 +16,7 @@
 //!   router can prefer the least-loaded healthy spare dimension when
 //!   picking detours.
 
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Path};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Path, Topology};
 use rand::Rng;
 
 use crate::pairs::random_healthy;

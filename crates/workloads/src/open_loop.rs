@@ -18,7 +18,7 @@
 
 use hypersafe_simkit::event::Time;
 use hypersafe_simkit::service::Injection;
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use rand::Rng;
 
 use crate::pairs::random_pair;

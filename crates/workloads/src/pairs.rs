@@ -1,6 +1,6 @@
 //! Source/destination pair sampling for unicast experiments.
 
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, NodeId, Topology};
 use rand::Rng;
 
 /// A uniformly random *healthy* node.

@@ -5,14 +5,16 @@
 //! The minimum cut of `Q_n` is `n`, achieved by cutting off a single
 //! corner; richer patterns isolate a `k`-subcube.
 
-use hypersafe_topology::{connectivity, FaultConfig, FaultSet, Hypercube, NodeId, Subcube};
+use hypersafe_topology::{
+    connectivity, FaultConfig, FaultSet, Hypercube, NodeId, Subcube, Topology,
+};
 use rand::Rng;
 
 /// Faults all `n` neighbors of `corner`, isolating it: the canonical
 /// minimal disconnection (Fig. 3 is a rotated instance of this shape
 /// plus one fault moved outward).
 pub fn corner_cut(cube: Hypercube, corner: NodeId) -> FaultSet {
-    FaultSet::from_nodes(cube, cube.neighbors(corner))
+    FaultSet::from_nodes(cube, cube.neighbours(corner))
 }
 
 /// Faults the boundary of the `k`-dimensional subcube containing
@@ -28,7 +30,7 @@ pub fn subcube_cut(cube: Hypercube, seed: NodeId, k: u8) -> FaultSet {
     };
     let mut f = FaultSet::new(cube);
     for a in sc.nodes() {
-        for (dim, b) in cube.neighbors_with_dims(a) {
+        for (b, dim) in cube.neighbours(a).zip(0..) {
             if dim >= k {
                 f.insert(b);
             }

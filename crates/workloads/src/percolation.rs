@@ -16,7 +16,9 @@
 //! are expressed in basis points (1 bp = 0.01%) so experiment params
 //! stay integer and CSV-stable.
 
-use hypersafe_topology::{connectivity, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
+use hypersafe_topology::{
+    connectivity, FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Topology,
+};
 use rand::Rng;
 
 /// The (asymptotic) link-percolation threshold of `Q_n`: failing each

@@ -9,7 +9,7 @@
 use hypersafe::safety::gh_safety::GhSafetyMap;
 use hypersafe::safety::gh_unicast::gh_route;
 use hypersafe::safety::Decision;
-use hypersafe::topology::{GeneralizedHypercube, NodeId};
+use hypersafe::topology::{GeneralizedHypercube, NodeId, Topology};
 
 fn main() {
     // The Fig.-5 reconstruction pinned by `repro fig5`.
@@ -37,7 +37,10 @@ fn main() {
     // The paper's walk: 010 → 101 differ in all three coordinates.
     let s = gh.parse("010").unwrap();
     let d = gh.parse("101").unwrap();
-    println!("\nunicast 010 → 101 (distance {}):", gh.distance(s, d));
+    println!(
+        "\nunicast 010 → 101 (distance {}):",
+        gh.distance(s, d).expect("both nodes lie in the GH")
+    );
     let res = gh_route(&gh, &map, &faults, s, d);
     assert!(matches!(res.decision, Decision::Optimal { .. }));
     let walk: Vec<String> = res
@@ -54,7 +57,7 @@ fn main() {
     // carries the message.
     println!("\nsource's neighbor eligibility (need level ≥ H − 1 = 2):");
     for i in 0..gh.dim() {
-        for b in gh.neighbors_along(s, i) {
+        for b in gh.along(s, i) {
             println!(
                 "  dim {}: {} level {}{}",
                 i,

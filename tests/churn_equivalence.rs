@@ -6,7 +6,7 @@
 
 use hypersafe::safety::{run_delta_gs, ChurnEvent, SafetyMap};
 use hypersafe::simkit::RunOptions;
-use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe::topology::{FaultConfig, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
 
 /// Decodes one raw word into the next churn event for the current

@@ -8,11 +8,11 @@ use hypersafe::safety::properties::{check_gs_convergence, check_lossy_outcome};
 use hypersafe::safety::{run_gs_async, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     explore as mc_explore, parse_artifact_path, render_artifact, replay as mc_replay,
-    shrink_injections, Actor, AdversarialScheduler, Ctx, EventEngine, HypercubeNet, Invariant,
-    McCheck, McConfig, McHasher, McReplay, McReport, McSnapshot, ReliableConfig, RunOptions,
-    StateHash, Time, Trace,
+    shrink_injections, Actor, AdversarialScheduler, Ctx, EventEngine, Invariant, McCheck, McConfig,
+    McHasher, McReplay, McReport, McSnapshot, Net, ReliableConfig, RunOptions, StateHash, Time,
+    Trace,
 };
-use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
+use hypersafe::topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe::workloads::{random_pair, uniform_faults, Sweep, STANDARD_PROFILES};
 use rand::Rng;
 
@@ -174,12 +174,12 @@ struct NeverRises {
     prev: Vec<u64>,
 }
 
-impl<'n> Invariant<HypercubeNet<'n>, BrokenNode> for NeverRises {
+impl Invariant<Hypercube, BrokenNode> for NeverRises {
     fn name(&self) -> &'static str {
         "never-rises"
     }
 
-    fn check(&mut self, eng: &EventEngine<'_, HypercubeNet<'n>, BrokenNode>) -> Result<(), String> {
+    fn check(&mut self, eng: &EventEngine<'_, Hypercube, BrokenNode>) -> Result<(), String> {
         for (a, node) in eng.actors_iter() {
             let prev = self.prev[a.raw() as usize];
             if node.level > prev {
@@ -199,7 +199,7 @@ fn broken_run(
     seed: u64,
     injections: &[(NodeId, u64, Time)],
 ) -> (Option<String>, Trace) {
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     let opts = RunOptions {
         sched: Box::new(AdversarialScheduler::permute(seed)),
         ..RunOptions::default()
@@ -289,7 +289,7 @@ fn mc_broken_checks<'a>() -> [McCheck<'a, BrokenNode>; 1] {
 }
 
 fn mc_broken(cfg: &FaultConfig, injections: &[(NodeId, u64)]) -> McReport {
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     mc_explore(
         &net,
         |_| BrokenNode { level: 100 },
@@ -300,7 +300,7 @@ fn mc_broken(cfg: &FaultConfig, injections: &[(NodeId, u64)]) -> McReport {
 }
 
 fn mc_broken_replay(cfg: &FaultConfig, injections: &[(NodeId, u64)], path: &[u32]) -> McReplay {
-    let net = HypercubeNet::new(cfg);
+    let net = Net::cube(cfg);
     mc_replay(
         &net,
         |_| BrokenNode { level: 100 },

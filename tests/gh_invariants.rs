@@ -7,7 +7,7 @@
 
 use hypersafe::safety::gh_safety::GhSafetyMap;
 use hypersafe::safety::{check_gh_theorem4_soundness, gh_source_decision, run_gh_gs_checked};
-use hypersafe::topology::{FaultSet, GeneralizedHypercube, NodeId};
+use hypersafe::topology::{FaultSet, GeneralizedHypercube, NodeId, Topology};
 
 fn gh333() -> GeneralizedHypercube {
     GeneralizedHypercube::new(&[3, 3, 3])

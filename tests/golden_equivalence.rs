@@ -39,7 +39,7 @@ use hypersafe::simkit::{
     Metrics, ReliableConfig, RouteProvider, RoutingService, RunOptions, Scheduler, ServiceConfig,
     SyncStats,
 };
-use hypersafe::topology::{FaultConfig, GeneralizedHypercube, GhNode, Hypercube, NodeId};
+use hypersafe::topology::{FaultConfig, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology};
 use hypersafe::workloads::{open_loop_mix, random_pair, uniform_faults, OpenLoop, Sweep};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

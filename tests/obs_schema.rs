@@ -9,7 +9,7 @@ use hypersafe::safety::{run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
     parse_json, validate_json, ChannelModel, JsonValue, Metrics, ReliableConfig, RunOptions,
 };
-use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId};
+use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use hypersafe::workloads::STANDARD_PROFILES;
 
 const SCHEMA: &str = include_str!("goldens/obs_schema.json");

@@ -8,6 +8,7 @@ use hypersafe::safety::{
 };
 use hypersafe::topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, LinkFaultSet, NodeId,
+    Topology,
 };
 
 fn n(s: &str) -> NodeId {

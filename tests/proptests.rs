@@ -10,6 +10,7 @@ use hypersafe::safety::{
 use hypersafe::simkit::RunOptions;
 use hypersafe::topology::{
     connectivity, disjoint, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId,
+    Topology,
 };
 use proptest::prelude::*;
 

@@ -23,10 +23,12 @@
 
 use hypersafe::safety::{run_gs_reliable, run_unicast_lossy, SafetyMap};
 use hypersafe::simkit::{
-    Actor, AdversarialScheduler, ChannelModel, Ctx, EventEngine, EventStats, GhNet, HypercubeNet,
-    Network, ReliableConfig, RunOptions, SyncEngine, SyncNode,
+    Actor, AdversarialScheduler, ChannelModel, Ctx, EventEngine, EventStats, Net, ReliableConfig,
+    RunOptions, SyncEngine, SyncNode,
 };
-use hypersafe::topology::{FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId};
+use hypersafe::topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId, Topology,
+};
 use proptest::prelude::*;
 
 fn assert_conserved(stats: &EventStats, kills_injected: u64) -> Result<(), TestCaseError> {
@@ -55,9 +57,9 @@ struct Flood {
 }
 
 impl Flood {
-    fn new<N: Network>(net: &N, a: NodeId, origin: NodeId) -> Self {
+    fn new<T: Topology>(net: &Net<'_, T>, a: NodeId, origin: NodeId) -> Self {
         Flood {
-            neighbors: (0..net.degree(a.raw()))
+            neighbors: (0..net.degree())
                 .map(|p| NodeId::new(net.neighbor(a.raw(), p)))
                 .collect(),
             origin: a == origin,
@@ -92,8 +94,8 @@ impl Actor for Flood {
 /// Floods `net` from its lowest live node under the given channel,
 /// an adversarial (reorder + stretch) scheduler, and a kill plan;
 /// returns the final stats and the number of kills injected.
-fn flood_stats<N: Network>(
-    net: &N,
+fn flood_stats<T: Topology>(
+    net: &Net<'_, T>,
     live: impl Fn(u64) -> bool,
     channel: ChannelModel,
     sched_seed: u64,
@@ -148,8 +150,8 @@ impl SyncNode for MinNode {
 /// Runs min-propagation on `net` for at most `max_rounds` lock-step
 /// rounds and checks the engine's accounting against the network's
 /// usable edges, counted independently of the engine.
-fn check_lockstep<N: Network + Sync>(
-    net: &N,
+fn check_lockstep<T: Topology + Sync>(
+    net: &Net<'_, T>,
     seed: u64,
     max_rounds: u32,
 ) -> Result<(), TestCaseError> {
@@ -166,7 +168,7 @@ fn check_lockstep<N: Network + Sync>(
     let usable: u64 = (0..net.num_nodes())
         .filter(|&a| !net.node_faulty(a))
         .map(|a| {
-            (0..net.degree(a))
+            (0..net.degree())
                 .map(|p| net.neighbor(a, p))
                 .filter(|&b| !net.node_faulty(b) && !net.link_faulty(a, b))
                 .count() as u64
@@ -214,7 +216,7 @@ proptest! {
             fault_picks.iter().map(|&a| NodeId::new(1 + a % (total - 1))),
         );
         let cfg = FaultConfig::with_node_faults(cube, faults);
-        let net = HypercubeNet::new(&cfg);
+        let net = Net::cube(&cfg);
         let channel = ChannelModel::new(seed)
             .with_loss(loss_pct as f64 / 100.0)
             .with_jitter(jitter)
@@ -244,7 +246,7 @@ proptest! {
         for &a in &fault_picks {
             faults.insert(NodeId::new(1 + a % (total - 1)));
         }
-        let net = GhNet::new(&gh, &faults);
+        let net = Net::new(&gh, &faults);
         let channel = ChannelModel::new(seed)
             .with_loss(loss_pct as f64 / 100.0)
             .with_duplication(dup_pct as f64 / 100.0);
@@ -316,7 +318,7 @@ proptest! {
             let a = NodeId::new(a % total);
             cfg.link_faults_mut().insert(a, a.neighbor(dim % n));
         }
-        check_lockstep(&HypercubeNet::new(&cfg), seed, max_rounds)?;
+        check_lockstep(&Net::cube(&cfg), seed, max_rounds)?;
     }
 
     /// The same engine on mixed-radix generalized hypercubes.
@@ -333,6 +335,6 @@ proptest! {
         for &a in &fault_picks {
             faults.insert(NodeId::new(a % total));
         }
-        check_lockstep(&GhNet::new(&gh, &faults), seed, max_rounds)?;
+        check_lockstep(&Net::new(&gh, &faults), seed, max_rounds)?;
     }
 }
