@@ -41,7 +41,7 @@ use crate::properties::{
 use crate::safety::SafetyMap;
 use crate::safety_delta::ChurnEvent;
 use crate::unicast::source_decision;
-use crate::unicast_distributed::{ArqSingleDelivery, LocalLevels, UnicastNode, START_TAG};
+use crate::unicast_distributed::{ArqSingleDelivery, UnicastNode, START_TAG};
 use hypersafe_simkit::{
     engine_projection, explore, EventEngine, McCheck, McConfig, McReport, McSnapshot, Net,
     Reliable, ReliableConfig, RunOptions, Scheduler,
@@ -171,7 +171,7 @@ pub fn mc_unicast_arq(
     let net = Net::cube(cfg);
     let decision = source_decision(map, s, d);
     let sound = check_theorem4_soundness(cfg, s, d, decision);
-    let outcome = |st: &McSnapshot<'_, Reliable<UnicastNode<LocalLevels>>>| {
+    let outcome = |st: &McSnapshot<'_, Reliable<UnicastNode<&SafetyMap>>>| {
         let delivered = st.actors[d.raw() as usize]
             .as_ref()
             .and_then(|a| a.inner.received.as_ref());
@@ -195,8 +195,7 @@ pub fn mc_unicast_arq(
     explore(
         &net,
         |a| {
-            let table = LocalLevels::new(map, cfg, a);
-            let inner = UnicastNode::new(table, a, (a == s).then_some(d), 1);
+            let inner = UnicastNode::new(map, a, (a == s).then_some(d), 1);
             Reliable::new(inner, cfg.cube(), a, 1, rcfg)
         },
         &[(s, START_TAG)],

@@ -31,13 +31,13 @@
 //!
 //! The rule itself — the source decision and the hop choice — is
 //! written once, over a level view: what one node reads of its own
-//! level and its neighbors' levels. The packed [`SafetyMap`], the
-//! unicast actor's local tables (a cube node's neighbor levels; a GH
-//! node reads the GH map), the GH map and EGS's source overlay
-//! (§4.1) are its views; §4.2's GH routing "is exactly the same as in
-//! a regular hypercube", so the rule is generic over the topology as
-//! well: it reads distances and preferred and spare ports through
-//! [`Topology`], which `Q_n` and the generalized hypercube implement.
+//! level and its neighbors' levels. The packed [`SafetyMap`] (also
+//! what a cube unicast actor reads), the GH map (also what a GH actor
+//! reads) and EGS's source overlay (§4.1) are its views; §4.2's GH
+//! routing "is exactly the same as in a regular hypercube", so the
+//! rule is generic over the topology as well: it reads distances and
+//! preferred and spare ports through [`Topology`], which `Q_n` and the
+//! generalized hypercube implement.
 //! An endpoint outside the topology fails at the source, before any
 //! level is read.
 //!
@@ -51,8 +51,8 @@
 //! * `reroute::route_dynamic` re-decides at the source whenever a
 //!   fault arrives mid-flight, which one walk over a fixed map cannot;
 //! * the distributed unicast takes one hop per delivered message: one
-//!   actor, `UnicastNode`, for both topologies, generic over the node's
-//!   local table, forwarding across a port with [`Topology::across`];
+//!   actor, `UnicastNode`, for both topologies, generic over the level
+//!   view it reads, forwarding across a port with [`Topology::across`];
 //!   `congestion_exp` takes one hop per simulated event with queueing
 //!   between hops; both apply the rule at each hop;
 //! * `gh_route` walks GH addresses, which the cube walk's navigation
@@ -142,8 +142,8 @@ pub enum TieBreak {
 
 /// The levels one node reads when it applies the §3 rule: its own and
 /// its neighbors' across each port of its topology. The packed
-/// [`SafetyMap`], the cube unicast actor's local table, the GH map and
-/// EGS's source overlay each implement it, so the rule is written once
+/// [`SafetyMap`], the GH map and EGS's source overlay each implement
+/// it, and so does a reference to any view, so the rule is written once
 /// for all of them.
 pub(crate) trait LevelView {
     /// The topology the levels live on.
@@ -160,6 +160,25 @@ pub(crate) trait LevelView {
 pub(crate) type NodeOf<V> = <<V as LevelView>::Space as Topology>::Node;
 /// A view's port type.
 pub(crate) type PortOf<V> = <<V as LevelView>::Space as Topology>::Port;
+
+impl<V: LevelView> LevelView for &V {
+    type Space = V::Space;
+
+    #[inline]
+    fn space(&self) -> V::Space {
+        (**self).space()
+    }
+
+    #[inline]
+    fn own_level(&self, at: NodeOf<V>) -> Level {
+        (**self).own_level(at)
+    }
+
+    #[inline]
+    fn level_across(&self, at: NodeOf<V>, p: PortOf<V>) -> Level {
+        (**self).level_across(at, p)
+    }
+}
 
 impl LevelView for SafetyMap {
     type Space = Hypercube;

@@ -4,20 +4,20 @@
 //!
 //! [`crate::unicast::route`] and [`crate::gh_route`] simulate the
 //! algorithm centrally (fast, used by the Monte-Carlo experiments);
-//! this module runs it for real: each node is an actor holding only its
-//! own safety level and its neighbors' levels (the paper's locality
-//! assumption), messages carry `(destination, trail)`, and the
-//! destination keeps what arrives. Routing in `GH_n` "is exactly the
-//! same as in a regular hypercube" (§4.2), so one actor,
-//! `UnicastNode`, serves both topologies; only its local table
-//! differs. The test suite checks the actor takes the centralized path
-//! hop for hop — evidence that the centralized shortcut is faithful.
+//! this module runs it for real: each node is an actor that reads only
+//! its own safety level and its neighbors' levels (the paper's locality
+//! assumption) through a view of the converged map, messages carry
+//! `(destination, trail)`, and the destination keeps what arrives.
+//! Routing in `GH_n` "is exactly the same as in a regular hypercube"
+//! (§4.2), so one actor, `UnicastNode`, serves both topologies; only
+//! its view differs (the cube's [`SafetyMap`] or the GH map). The test
+//! suite checks the actor takes the centralized path hop for hop —
+//! evidence that the centralized shortcut is faithful.
 
 use crate::gh_safety::GhSafetyMap;
 use crate::gh_unicast::{gh_source_decision, GhMapView};
-use crate::level_store::NeighborLevels;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
-use crate::safety::{Level, SafetyMap};
+use crate::safety::SafetyMap;
 use crate::unicast::{
     rule_at_hop, rule_at_source, source_decision, Decision, LevelView, NodeOf, PortOf, SourceStep,
     TieBreak,
@@ -29,47 +29,6 @@ use hypersafe_simkit::{
 use hypersafe_topology::{
     FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology,
 };
-
-/// What a cube actor knows after GS (the paper's locality
-/// assumption): its own level and its `n` neighbors' levels, by
-/// dimension.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LocalLevels {
-    cube: Hypercube,
-    own: Level,
-    neighbors: NeighborLevels,
-}
-
-impl LocalLevels {
-    pub(crate) fn new(map: &SafetyMap, cfg: &FaultConfig, me: NodeId) -> Self {
-        let cube = cfg.cube();
-        let mut neighbors = NeighborLevels::filled(cube.dim(), 0);
-        for (i, b) in cube.neighbours(me).enumerate() {
-            neighbors.set(i as u8, map.level(b));
-        }
-        LocalLevels {
-            cube,
-            own: map.level(me),
-            neighbors,
-        }
-    }
-}
-
-impl LevelView for LocalLevels {
-    type Space = Hypercube;
-
-    fn space(&self) -> Hypercube {
-        self.cube
-    }
-
-    fn own_level(&self, _: NodeId) -> Level {
-        self.own
-    }
-
-    fn level_across(&self, _: NodeId, i: u8) -> Level {
-        self.neighbors.get(i)
-    }
-}
 
 /// The report of a run that built no engine: an endpoint outside the
 /// topology.
@@ -95,10 +54,11 @@ pub struct UnicastMsg<N = NodeId> {
     pub trail: Vec<N>,
 }
 
-/// Per-node unicast actor over the node's local table `T`: its own
-/// level and its neighbors' levels, exactly the information the paper's
-/// algorithm requires a node to hold after GS. Every node applies the
-/// §3 rule with the default [`TieBreak::LowestDim`].
+/// Per-node unicast actor over a view `T` of the converged map, of
+/// which the node reads only its own level and its neighbors' levels,
+/// exactly the information the paper's algorithm requires a node to
+/// hold after GS. Every node applies the §3 rule with the default
+/// [`TieBreak::LowestDim`].
 ///
 /// As a plain [`Actor`] it assumes reliable links: it forwards every
 /// copy it receives, and the destination keeps the last. Behind the
@@ -138,8 +98,8 @@ enum Step<N> {
 }
 
 impl<T: LevelView> UnicastNode<T> {
-    /// The actor of `me` over its table, starting a unicast to `start`
-    /// when that is set.
+    /// The actor of `me` over the view `levels`, starting a unicast to
+    /// `start` when that is set.
     pub(crate) fn new(levels: T, me: NodeOf<T>, start: Option<NodeOf<T>>, latency: Time) -> Self {
         UnicastNode {
             levels,
@@ -289,14 +249,7 @@ pub fn run_unicast(
     }
     let latency = latency.max(1);
     let net = Net::cube(cfg);
-    let init = |a| {
-        UnicastNode::new(
-            LocalLevels::new(map, cfg, a),
-            a,
-            (a == s).then_some(d),
-            latency,
-        )
-    };
+    let init = |a| UnicastNode::new(map, a, (a == s).then_some(d), latency);
     let (eng, report) = EventEngine::drive(&net, opts, init, |e| e.inject(s, START_TAG, 0), None);
     (collect(&eng, d, source_decision(map, s, d)), report)
 }
@@ -386,8 +339,8 @@ impl hypersafe_simkit::StateHash for UnicastMsg {
 /// Canonical protocol state for the model checker: the delivery /
 /// abort / pending-start flags and what was received. `received_at`
 /// is a timestamp (timing detail the untimed checker abstracts away)
-/// and the level tables are static per safety map — all excluded.
-impl hypersafe_simkit::StateHash for UnicastNode<LocalLevels> {
+/// and the map is static per run — both excluded.
+impl hypersafe_simkit::StateHash for UnicastNode<&SafetyMap> {
     fn state_hash(&self, h: &mut hypersafe_simkit::McHasher) {
         self.received.state_hash(h);
         h.write_u64(self.receives);
@@ -427,21 +380,21 @@ pub struct ArqSingleDelivery;
 
 impl ArqSingleDelivery {
     /// [`check_exactly_once`] over the actors of one cut.
-    pub(crate) fn check_actors<'x>(
-        actors: impl Iterator<Item = (NodeId, &'x Reliable<UnicastNode<LocalLevels>>)>,
+    pub(crate) fn check_actors<'x, 'm: 'x>(
+        actors: impl Iterator<Item = (NodeId, &'x Reliable<UnicastNode<&'m SafetyMap>>)>,
     ) -> Result<(), Violation> {
         check_exactly_once(actors.map(|(a, r)| (a, r.inner.receives.saturating_sub(1))))
     }
 }
 
-impl Invariant<Hypercube, Reliable<UnicastNode<LocalLevels>>> for ArqSingleDelivery {
+impl<'m> Invariant<Hypercube, Reliable<UnicastNode<&'m SafetyMap>>> for ArqSingleDelivery {
     fn name(&self) -> &'static str {
         ARQ_EXACTLY_ONCE
     }
 
     fn check(
         &mut self,
-        eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<LocalLevels>>>,
+        eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<&'m SafetyMap>>>,
     ) -> Result<(), String> {
         Self::check_actors(eng.actors_iter()).map_err(|v| v.detail)
     }
@@ -488,8 +441,7 @@ pub fn run_unicast_lossy(
     let latency = latency.max(1);
     let net = Net::cube(cfg);
     let init = |a| {
-        let table = LocalLevels::new(map, cfg, a);
-        let inner = UnicastNode::new(table, a, (a == s).then_some(d), latency);
+        let inner = UnicastNode::new(map, a, (a == s).then_some(d), latency);
         Reliable::new(inner, cfg.cube(), a, latency, rcfg)
     };
     let mut once = opts.check.then_some(ArqSingleDelivery);
@@ -520,7 +472,7 @@ fn collect_lossy(
     map: &SafetyMap,
     s: NodeId,
     d: NodeId,
-    eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<LocalLevels>>>,
+    eng: &EventEngine<'_, Hypercube, Reliable<UnicastNode<&SafetyMap>>>,
     drained: bool,
 ) -> LossyRun {
     let stats = eng.stats().clone();

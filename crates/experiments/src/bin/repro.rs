@@ -370,7 +370,7 @@ const COMMANDS: &[Command] = &[
         },
     },
     // E26: the epoch-snapshot routing service under an open-loop
-    // request + churn mix; also writes `BENCH_service.json`.
+    // request + churn mix.
     Command {
         name: "service",
         in_all: false,
@@ -391,7 +391,7 @@ const COMMANDS: &[Command] = &[
     },
     // E27: packed bit-plane safety kernels up to 2^20 nodes (--quick
     // stops at 2^16) against the scalar reference, under the 1
-    // byte/node ceiling; wall-clock numbers merge into BENCH_*.json.
+    // byte/node ceiling; wall-clock numbers go to the report notes.
     Command {
         name: "safety-scale",
         in_all: false,

@@ -93,3 +93,15 @@ pub fn export(rep: &mut Report, dir: &Path, snap: Option<(&MetricsSnapshot, &str
     }
     failures
 }
+
+/// The sorted names of the files in `dir`, for tests that pin what a
+/// gate writes.
+#[cfg(test)]
+pub(crate) fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}

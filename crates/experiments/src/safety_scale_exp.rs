@@ -2,8 +2,9 @@
 //! the bit-plane safety kernels on million-node cubes and hold them to
 //! the paper's semantics byte-for-byte.
 //!
-//! For each dimension the experiment times a full `n − 1`-round
-//! [`SafetyMap::compute`] (plane Jacobi) and
+//! For each dimension the experiment times [`SafetyMap::compute`]
+//! (Jacobi rounds over the fault frontier, sweeping the bit-planes when
+//! a round's changes are many) and
 //! [`SafetyMap::compute_constructive`], cross-checks the two stores
 //! against each other, and — up to `reference_max_dim` — against the
 //! scalar [`SafetyMap::compute_reference_levels`] oracle. It then
@@ -17,9 +18,7 @@
 //!
 //! The CSV contains only deterministic columns (counts, rounds,
 //! bytes/node, checksums) so reruns diff clean at any thread count;
-//! wall-clock numbers go to `results/BENCH_safety_compute.json`,
-//! `BENCH_churn.json`, and `BENCH_routing.json` via an id-preserving
-//! merge, and to the report notes.
+//! wall-clock numbers go only to the report notes.
 
 use crate::gate::{batch_outcome_word, export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::Report;
@@ -29,7 +28,7 @@ use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Topology};
 use hypersafe_workloads::{random_pair, uniform_faults, Sweep};
 use rand::Rng;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Parameters for the scale run.
@@ -51,7 +50,7 @@ pub struct SafetyScaleParams {
     pub route_pairs: usize,
     /// Master seed.
     pub seed: u64,
-    /// Where the CSV, obs snapshot, and BENCH merges land.
+    /// Where the CSV and obs snapshot land.
     pub out_dir: PathBuf,
 }
 
@@ -219,50 +218,9 @@ fn run_route<R: Rng + ?Sized>(p: &SafetyScaleParams, rng: &mut R) -> RouteOutcom
     out
 }
 
-/// Replace-by-id merge into a `BENCH_*.json` file: existing ids keep
-/// their position with the new number; new ids append in order. The
-/// format is the two-line-per-entry shape every `results/BENCH_*.json`
-/// in this repo uses, so a hand-rolled parser beats a serde
-/// dependency (DESIGN.md §6).
-pub fn merge_bench_json(path: &Path, entries: &[(String, f64)]) -> std::io::Result<()> {
-    let mut rows: Vec<(String, f64)> = Vec::new();
-    if let Ok(doc) = std::fs::read_to_string(path) {
-        for line in doc.lines() {
-            let Some(rest) = line.trim().strip_prefix("{\"id\": \"") else {
-                continue;
-            };
-            let Some((id, rest)) = rest.split_once("\", \"ns_per_iter\": ") else {
-                continue;
-            };
-            let num = rest.trim_end_matches(['}', ',', ' ']);
-            if let Ok(v) = num.parse::<f64>() {
-                rows.push((id.to_string(), v));
-            }
-        }
-    }
-    for (id, v) in entries {
-        match rows.iter_mut().find(|(i, _)| i == id) {
-            Some(row) => row.1 = *v,
-            None => rows.push((id.clone(), *v)),
-        }
-    }
-    let mut doc = String::from("{\n  \"results\": [\n");
-    let body: Vec<String> = rows
-        .iter()
-        .map(|(id, v)| format!("    {{\"id\": \"{id}\", \"ns_per_iter\": {v:.1}}}"))
-        .collect();
-    doc.push_str(&body.join(",\n"));
-    doc.push_str("\n  ]\n}\n");
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, doc)
-}
-
-/// Runs the scale experiment; writes `safety_scale.csv`, the obs
-/// snapshot, and the BENCH merges into `p.out_dir`. Any
-/// packed-vs-reference mismatch, and a store above 1 byte/node, is a
-/// failure.
+/// Runs the scale experiment; writes `safety_scale.csv` and the obs
+/// snapshot into `p.out_dir`. Any packed-vs-reference mismatch, and a
+/// store above 1 byte/node, is a failure.
 pub fn run(p: &SafetyScaleParams) -> GateRun {
     let mut rep = Report::new(
         "safety_scale",
@@ -285,8 +243,6 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
     let mut mismatches = 0u64;
     let mut max_bpn = 0f64;
     let mut obs = Metrics::new(0, 0);
-    let mut bench_compute: Vec<(String, f64)> = Vec::new();
-    let mut bench_churn: Vec<(String, f64)> = Vec::new();
 
     for &n in &p.dims {
         // Enough reps to steady the small dims without letting the
@@ -327,25 +283,6 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
                 None => String::new(),
             },
         ));
-        bench_compute.push((format!("safety_scale_full/jacobi_plane/{n}"), o.jacobi_ns));
-        bench_compute.push((
-            format!("safety_scale_full/constructive_plane/{n}"),
-            o.constructive_ns,
-        ));
-        if let Some(r) = o.reference_ns {
-            bench_compute.push((format!("safety_scale_full/reference_scalar/{n}"), r));
-        }
-        bench_compute.push((
-            format!("safety_scale_per_node/jacobi_plane/{n}"),
-            o.jacobi_ns / nodes as f64,
-        ));
-        if n >= 16 {
-            bench_churn.push((
-                format!("churn_single_fault/incremental/{n}"),
-                o.incr_fault_ns,
-            ));
-            bench_churn.push((format!("churn_single_fault/scratch_plane/{n}"), o.jacobi_ns));
-        }
     }
 
     let sweep = Sweep::new(1, p.seed ^ 0xB007);
@@ -363,20 +300,6 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
         r.delivered,
         r.checksum,
     ));
-    let route_bench = vec![
-        (
-            format!("route_many_n{}/seq", p.route_dim),
-            r.seq_ns_per_route,
-        ),
-        (
-            format!(
-                "route_many_n{}/chunked_t{}",
-                p.route_dim,
-                rayon::num_threads()
-            ),
-            r.chunked_ns_per_route,
-        ),
-    ];
 
     rep.note(
         "every dimension cross-checks constructive vs Jacobi plane stores, the \
@@ -388,11 +311,7 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
         "bytes/node ceiling across the sweep: {max_bpn:.4} (gate: <= 1.0; the \
          packed store is 4 bits/node up to n = 15 plus a fifth plane above)"
     ));
-    rep.note(
-        "csv columns are counts and checksums only; timings live in the notes and \
-         in results/BENCH_safety_compute.json / BENCH_churn.json / BENCH_routing.json"
-            .to_string(),
-    );
+    rep.note("csv columns are counts and checksums only; timings live in these notes".to_string());
     let mut failures = Vec::new();
     if mismatches > 0 {
         failures.push(format!(
@@ -403,22 +322,6 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
         failures.push(format!(
             "safety-scale: store exceeds 1 byte/node ({max_bpn:.4})"
         ));
-    }
-    for (file, entries) in [
-        ("BENCH_safety_compute.json", &bench_compute),
-        ("BENCH_churn.json", &bench_churn),
-        ("BENCH_routing.json", &route_bench),
-    ] {
-        if entries.is_empty() {
-            continue;
-        }
-        let path = p.out_dir.join(file);
-        match merge_bench_json(&path, entries) {
-            Ok(()) => {
-                rep.note(format!("bench merge: {}", path.display()));
-            }
-            Err(e) => failures.push(format!("safety-scale: bench merge into {file} failed: {e}")),
-        }
     }
     let about = "compute-round histogram";
     failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
@@ -431,8 +334,9 @@ pub fn run(p: &SafetyScaleParams) -> GateRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::files_in;
 
-    fn tiny() -> SafetyScaleParams {
+    fn tiny(dir: &str) -> SafetyScaleParams {
         SafetyScaleParams {
             dims: vec![6, 8],
             fault_factor: 2,
@@ -441,52 +345,34 @@ mod tests {
             route_dim: 6,
             route_pairs: 500,
             seed: 11,
-            out_dir: std::env::temp_dir().join("hypersafe_safety_scale_test"),
+            out_dir: std::env::temp_dir().join(dir),
         }
     }
 
     #[test]
     fn tiny_run_is_clean() {
-        let run = run(&tiny());
+        let p = tiny("hypersafe_safety_scale_test");
+        let _ = std::fs::remove_dir_all(&p.out_dir);
+        let run = run(&p);
         assert!(run.failures.is_empty(), "{:?}", run.failures);
-        let _ = std::fs::remove_dir_all(tiny().out_dir);
+        assert_eq!(
+            files_in(&p.out_dir),
+            [
+                "safety_scale.csv",
+                "safety_scale_obs.csv",
+                "safety_scale_obs.json"
+            ],
+            "the gate writes its CSV and snapshot and nothing else"
+        );
+        let _ = std::fs::remove_dir_all(p.out_dir);
     }
 
     #[test]
     fn csv_rows_are_deterministic() {
-        let a = run(&tiny());
-        let b = run(&tiny());
+        let p = tiny("hypersafe_safety_scale_determinism_test");
+        let a = run(&p);
+        let b = run(&p);
         assert_eq!(a.report.rows, b.report.rows);
-        let _ = std::fs::remove_dir_all(tiny().out_dir);
-    }
-
-    #[test]
-    fn bench_merge_replaces_by_id_and_appends() {
-        let dir = std::env::temp_dir().join("hypersafe_bench_merge_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("BENCH_x.json");
-        std::fs::write(
-            &path,
-            "{\n  \"results\": [\n    {\"id\": \"a/1\", \"ns_per_iter\": 10.0},\n    \
-             {\"id\": \"b/2\", \"ns_per_iter\": 20.0}\n  ]\n}\n",
-        )
-        .unwrap();
-        merge_bench_json(
-            &path,
-            &[("b/2".to_string(), 25.0), ("c/3".to_string(), 30.0)],
-        )
-        .unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        let ids: Vec<&str> = doc
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix("{\"id\": \""))
-            .filter_map(|r| r.split_once('"').map(|(id, _)| id))
-            .collect();
-        assert_eq!(ids, ["a/1", "b/2", "c/3"], "{doc}");
-        assert!(
-            doc.contains("\"id\": \"b/2\", \"ns_per_iter\": 25.0"),
-            "{doc}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(p.out_dir);
     }
 }

@@ -8,14 +8,13 @@
 //! tick past its deadline.
 //!
 //! Exports per-rung ladder counts + latency p50/p95/p99 to
-//! `service.csv`, a deterministic quantile summary to
-//! `BENCH_service.json`, and a `hypersafe.obs.v1` metrics snapshot to
+//! `service.csv` and a `hypersafe.obs.v1` metrics snapshot to
 //! `service_obs.json` / `.csv`. Every number is a count or a virtual
 //! tick — never wall-clock — so the whole export is byte-identical
 //! across `RAYON_NUM_THREADS` settings and across reruns of the same
 //! seed (CI's replay gate).
 
-use crate::gate::{export, fnv1a, write, GateRun, FNV_OFFSET};
+use crate::gate::{export, fnv1a, GateRun, FNV_OFFSET};
 use crate::table::Report;
 use hypersafe_core::SafetyService;
 use hypersafe_simkit::service::{DegradeReason, ReqState, RoutingService, ServiceConfig, Terminal};
@@ -171,9 +170,9 @@ fn q_cells(h: &QuantileHist) -> [String; 4] {
     ]
 }
 
-/// Runs the soak; writes `service.csv`, `BENCH_service.json`, and the
-/// obs snapshot pair into `p.out_dir`. Any invariant violation,
-/// unterminated request or deadline overrun is a failure.
+/// Runs the soak; writes `service.csv` and the obs snapshot pair into
+/// `p.out_dir`. Any invariant violation, unterminated request or
+/// deadline overrun is a failure.
 pub fn run(p: &ServiceParams) -> GateRun {
     let mut rep = Report::new(
         "service",
@@ -185,8 +184,6 @@ pub fn run(p: &ServiceParams) -> GateRun {
         &["n", "rung", "count", "p50", "p95", "p99", "max", "detail"],
     );
     let mut failed = 0u64;
-    let mut bench = String::from("{\n  \"results\": [\n");
-    let mut bench_rows: Vec<String> = Vec::new();
     let mut obs = Metrics::new(0, 0);
 
     for &n in &p.dims {
@@ -239,24 +236,12 @@ pub fn run(p: &ServiceParams) -> GateRun {
                 n.to_string(),
                 (*rung).to_string(),
                 count.to_string(),
-                p50.clone(),
-                p95.clone(),
-                p99.clone(),
+                p50,
+                p95,
+                p99,
                 max,
                 detail.clone(),
             ]);
-            bench_rows.push(format!(
-                "    {{\"id\": \"service/n{n}/{rung}/count\", \"value\": {count}}}"
-            ));
-            bench_rows.push(format!(
-                "    {{\"id\": \"service/n{n}/{rung}/p50_ticks\", \"value\": {p50}}}"
-            ));
-            bench_rows.push(format!(
-                "    {{\"id\": \"service/n{n}/{rung}/p95_ticks\", \"value\": {p95}}}"
-            ));
-            bench_rows.push(format!(
-                "    {{\"id\": \"service/n{n}/{rung}/p99_ticks\", \"value\": {p99}}}"
-            ));
         }
         rep.row(vec![
             n.to_string(),
@@ -295,9 +280,6 @@ pub fn run(p: &ServiceParams) -> GateRun {
         obs.rounds.merge(&o.attempts_hist);
     }
 
-    bench.push_str(&bench_rows.join(",\n"));
-    bench.push_str("\n  ]\n}\n");
-
     rep.note(
         "rungs are the graceful-degradation ladder: optimal -> suboptimal -> detour \
          (live-state reroute) -> retry (stale snapshot, fresher epoch) -> typed \
@@ -322,13 +304,6 @@ pub fn run(p: &ServiceParams) -> GateRun {
             "service: {failed} failure(s) (invariant violations / unterminated requests / \
              deadline overruns) — see the `all` rows"
         ));
-    }
-    let bench_path = p.out_dir.join("BENCH_service.json");
-    match write(&bench_path, &bench) {
-        Ok(()) => {
-            rep.note(format!("bench summary: {}", bench_path.display()));
-        }
-        Err(e) => failures.push(format!("service: {e}")),
     }
     let about = "delivered latency / hops / attempts histograms";
     failures.extend(export(&mut rep, &p.out_dir, Some((&obs.snapshot(), about))));
@@ -355,10 +330,16 @@ mod tests {
 
     #[test]
     fn tiny_soak_is_clean_and_deterministic() {
+        let _ = std::fs::remove_dir_all(tiny().out_dir);
         let a = run(&tiny());
         let b = run(&tiny());
         assert!(a.failures.is_empty(), "{:?}", a.failures);
         assert_eq!(a.report.rows, b.report.rows, "same seed, same bytes");
+        assert_eq!(
+            crate::gate::files_in(&tiny().out_dir),
+            ["service.csv", "service_obs.csv", "service_obs.json"],
+            "the gate writes its CSV and snapshot and nothing else"
+        );
         let _ = std::fs::remove_dir_all(tiny().out_dir);
     }
 

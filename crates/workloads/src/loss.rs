@@ -3,8 +3,8 @@
 //! The paper assumes reliable links; the loss-robustness experiments
 //! (E22) relax that. A [`LossProfile`] names a point in the
 //! (loss, jitter, duplication) space and builds the matching seeded
-//! [`ChannelModel`], so experiments, benches, and tests sweep the same
-//! ladder instead of hand-rolling channel parameters.
+//! [`ChannelModel`], so experiments and tests sweep the same ladder
+//! instead of hand-rolling channel parameters.
 
 use hypersafe_simkit::ChannelModel;
 use rand::Rng;

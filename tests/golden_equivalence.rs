@@ -66,8 +66,8 @@ fn node_fault_cfg(n: u8, m: usize) -> FaultConfig {
         .expect("one instance")
 }
 
-/// Deterministic link-fault injection by fixed stride (mirrors the
-/// bench helper so before/after comparisons see identical instances).
+/// Deterministic link-fault injection by fixed stride, so before/after
+/// comparisons see identical instances.
 fn add_link_faults(mut cfg: FaultConfig, count: usize) -> FaultConfig {
     let cube = cfg.cube();
     let nodes = cube.num_nodes();
