@@ -28,7 +28,6 @@
 //! [`crate::broadcast_distributed::run_broadcast`] shares its child
 //! order and relay choice.
 
-use crate::gh_safety::GhSafetyMap;
 use crate::level_store::LevelStore;
 use crate::safety::{Level, Readings, SafetyMap};
 use hypersafe_topology::{
@@ -129,15 +128,15 @@ pub fn broadcast(cfg: &FaultConfig, map: &SafetyMap, source: NodeId) -> Broadcas
     build(space, map.store(), cfg.node_faults(), link_down, source)
 }
 
-/// Broadcasts from `source` over the whole generalized hypercube, with
-/// the tree, relay choice and empty result of [`broadcast`].
+/// Broadcasts from `source` over the whole generalized hypercube `map`
+/// describes, with the tree, relay choice and empty result of
+/// [`broadcast`].
 pub fn gh_broadcast(
-    gh: &GeneralizedHypercube,
-    map: &GhSafetyMap,
+    map: &SafetyMap<&GeneralizedHypercube>,
     faults: &FaultSet,
     source: GhNode,
 ) -> BroadcastResult<GhNode> {
-    build(gh, map.store(), faults, |_, _| false, source)
+    build(map.space(), map.store(), faults, |_, _| false, source)
 }
 
 /// The neighbor an unsafe `source` hands the whole broadcast to: the
@@ -344,8 +343,8 @@ mod tests {
     fn fault_free_gh_broadcast_covers_all() {
         let gh = gh232();
         let f = gh.fault_set();
-        let map = GhSafetyMap::compute(&gh, &f);
-        let r = gh_broadcast(&gh, &map, &f, GhNode(0));
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let r = gh_broadcast(&map, &f, GhNode(0));
         assert!(r.complete(&f));
         assert_eq!(r.messages, gh.num_nodes() - 1, "spanning tree edge count");
         assert_eq!(r.steps, 3, "one step per dimension");
@@ -365,12 +364,12 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let map = GhSafetyMap::compute(&gh, &f);
+            let map = SafetyMap::compute_gh(&gh, &f);
             for a in gh.nodes() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
                 }
-                let r = gh_broadcast(&gh, &map, &f, a);
+                let r = gh_broadcast(&map, &f, a);
                 assert!(r.complete(&f), "mask {mask:#b} source {}", gh.format(a));
             }
         }
@@ -382,12 +381,12 @@ mod tests {
         // healthy sources achieve full coverage (relayed or not).
         let gh = gh232();
         let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         for a in gh.nodes() {
             if f.contains(NodeId::new(a.raw())) {
                 continue;
             }
-            let r = gh_broadcast(&gh, &map, &f, a);
+            let r = gh_broadcast(&map, &f, a);
             assert!(r.complete(&f), "source {}", gh.format(a));
             if !map.is_safe(a) {
                 assert!(
@@ -403,8 +402,8 @@ mod tests {
     fn gh_faulty_source_sends_nothing() {
         let gh = gh232();
         let f = gh.fault_set_from_strs(&["011"]);
-        let map = GhSafetyMap::compute(&gh, &f);
-        let r = gh_broadcast(&gh, &map, &f, gh.parse("011").unwrap());
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let r = gh_broadcast(&map, &f, gh.parse("011").unwrap());
         assert_eq!(r.coverage(), 0);
         assert_eq!(r.messages, 0);
     }
@@ -421,10 +420,10 @@ mod tests {
         let cube = cfg.cube();
         let gh = GeneralizedHypercube::new(&vec![2; cube.dim() as usize]);
         let qmap = SafetyMap::compute(cfg);
-        let ghmap = GhSafetyMap::compute(&gh, cfg.node_faults());
+        let ghmap = SafetyMap::compute_gh(&gh, cfg.node_faults());
         for s in sources {
             let q = broadcast(cfg, &qmap, s);
-            let g = gh_broadcast(&gh, &ghmap, cfg.node_faults(), GhNode(s.raw()));
+            let g = gh_broadcast(&ghmap, cfg.node_faults(), GhNode(s.raw()));
             let what = format!("{what} source {s}");
             assert!(
                 cube.nodes()
@@ -505,9 +504,9 @@ mod tests {
             for _ in 0..splitmix(&mut z) % dims as u64 {
                 f.insert(NodeId::new(splitmix(&mut z) % gh.num_nodes()));
             }
-            let map = GhSafetyMap::compute(&gh, &f);
+            let map = SafetyMap::compute_gh(&gh, &f);
             for a in gh.nodes().filter(|a| !f.contains(NodeId::new(a.raw()))) {
-                let r = gh_broadcast(&gh, &map, &f, a);
+                let r = gh_broadcast(&map, &f, a);
                 if r.relayed_via.is_some() {
                     relayed += 1;
                     assert!(r.complete(&f), "GH{radices:?} source {}", gh.format(a));

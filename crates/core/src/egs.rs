@@ -18,28 +18,25 @@
 //! Footnote 3's special-fault semantics: an `N2` node is never used as
 //! an intermediate, but a message destined *to* it is still delivered.
 
-use crate::gs::GsNode;
-use crate::level_store::LevelStore;
+use crate::gs::{engine_map, GsNode};
 use crate::safety::{rule_level, Level, SafetyMap};
 use crate::unicast::{route_over, LevelView, RouteResult, TieBreak};
 use hypersafe_simkit::{Net, SyncEngine, SyncNode, SyncStats, Trace};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 
 /// Safety state of a hypercube with node and link faults: the
-/// advertised (global) view plus each `N2` node's self view. Both
-/// views share the packed [`LevelStore`] representation — the self
-/// view starts as a clone of the advertised store and diverges only
-/// on `N2` nodes, so the extension costs the same ~0.5 bytes/node as
-/// the node-fault-only map.
+/// advertised (global) view plus each `N2` node's self view. The
+/// advertised view is a packed [`SafetyMap`], ~0.5 bytes/node; the self
+/// views, which differ from it only on `N2` nodes, are a sorted list of
+/// the `N2` nodes' own levels, 16 bytes per `N2` node.
 #[derive(Clone, Debug)]
 pub struct ExtendedSafetyMap {
     /// Advertised levels: the fixed point over `N1` with `F ∪ N2`
     /// treated as faulty. This is what every *other* node sees.
     advertised: SafetyMap,
-    /// Self-view levels: differs from `advertised` only on `N2` nodes.
-    own: LevelStore,
-    /// Membership of `N2`, by raw address.
-    in_n2: Vec<bool>,
+    /// Each `N2` node's own level, ascending by node: `N2` is exactly
+    /// the keys. Every other node's own level is its advertised one.
+    n2: Vec<(NodeId, Level)>,
 }
 
 impl ExtendedSafetyMap {
@@ -49,10 +46,6 @@ impl ExtendedSafetyMap {
 
         // Classify N2 and build the effective fault set F ∪ N2.
         let touches = |a| cfg.link_faults().touches(cube, a);
-        let in_n2: Vec<bool> = cube
-            .nodes()
-            .map(|a| !cfg.node_faulty(a) && touches(a))
-            .collect();
         let effective = cube.nodes().filter(|&a| cfg.node_faulty(a) || touches(a));
         let n1_cfg = FaultConfig::with_node_faults(cube, FaultSet::from_nodes(cube, effective));
         let advertised = SafetyMap::compute(&n1_cfg);
@@ -60,14 +53,11 @@ impl ExtendedSafetyMap {
         // Last round: each N2 node evaluates NODE_STATUS once over the
         // advertised levels (its faulty-link far ends are in N2 or F,
         // so they already advertise 0).
-        let mut own = advertised.store().clone();
-        for a in cube.nodes().filter(|a| in_n2[a.raw() as usize]) {
-            own.set(a.raw(), rule_level(cube, advertised.store(), a));
-        }
+        let n2 = cube.nodes().filter(|&a| !cfg.node_faulty(a) && touches(a));
+        let n2 = n2.map(|a| (a, rule_level(cube, advertised.store(), a)));
         ExtendedSafetyMap {
+            n2: n2.collect(),
             advertised,
-            own,
-            in_n2,
         }
     }
 
@@ -84,12 +74,15 @@ impl ExtendedSafetyMap {
     /// Level of `a` in its own view (differs from advertised only for
     /// `N2` nodes).
     pub fn own_level(&self, a: NodeId) -> Level {
-        self.own.get(a.raw())
+        match self.n2.binary_search_by_key(&a, |&(b, _)| b) {
+            Ok(i) => self.n2[i].1,
+            Err(_) => self.advertised.level(a),
+        }
     }
 
     /// Whether `a` is a nonfaulty node with an adjacent faulty link.
     pub fn is_n2(&self, a: NodeId) -> bool {
-        self.in_n2[a.raw() as usize]
+        self.n2.binary_search_by_key(&a, |&(b, _)| b).is_ok()
     }
 }
 
@@ -111,22 +104,14 @@ pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     });
     eng.run_until_stable(n as u32 + 1);
     // A faulty node reads 0 in both views; an N2 node advertises 0.
-    let view = |f: fn(&_) -> Level| {
-        let levels = cube.nodes().map(|a| eng.node(a).map_or(0, f));
-        levels.collect::<Vec<_>>()
+    let n2 = cube
+        .nodes()
+        .filter_map(|a| eng.node(a).filter(|v| v.n2).map(|v| (a, v.level())));
+    let emap = ExtendedSafetyMap {
+        advertised: engine_map(cube, &eng, SyncNode::broadcast),
+        n2: n2.collect(),
     };
-    let (advertised, own) = (view(SyncNode::broadcast), view(GsNode::level));
-    let in_n2 = cube.nodes().map(|a| eng.node(a).is_some_and(|v| v.n2));
-    let in_n2 = in_n2.collect();
-    let stats = eng.stats().clone();
-    (
-        ExtendedSafetyMap {
-            advertised: SafetyMap::from_levels(cube, advertised),
-            own: LevelStore::from_levels(n, &own),
-            in_n2,
-        },
-        stats,
-    )
+    (emap, eng.stats().clone())
 }
 
 /// Routes a unicast in a cube with node and link faults, using the EGS
@@ -265,8 +250,7 @@ mod tests {
         let central = ExtendedSafetyMap::compute(&cfg);
         let (dist, stats) = run_egs(&cfg);
         assert_eq!(central.advertised.store(), dist.advertised.store());
-        assert_eq!(central.own, dist.own);
-        assert_eq!(central.in_n2, dist.in_n2);
+        assert_eq!(central.n2, dist.n2);
         assert!(stats.messages > 0);
 
         // Randomized mixes: every pair of (node-mask, one faulty link).
@@ -293,7 +277,7 @@ mod tests {
                 dist.advertised.store(),
                 "seed {seed}"
             );
-            assert_eq!(central.own, dist.own, "seed {seed}");
+            assert_eq!(central.n2, dist.n2, "seed {seed}");
         }
     }
 

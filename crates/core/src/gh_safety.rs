@@ -10,26 +10,20 @@
 //!
 //! Because the clique nodes are directly connected, one exchange step
 //! suffices to learn the dimension minimum, so the fixed point is still
-//! reached in `n − 1` rounds. [`GhSafetyMap::compute`] reaches it with
+//! reached in `n − 1` rounds. [`SafetyMap::compute_gh`] reaches it with
 //! the cube's frontier rounds and Definition-1 rule ([`crate::safety`]).
+//! The map is the cube's [`SafetyMap`] over `&GeneralizedHypercube`: it
+//! carries the GH it describes, so the routing entry points take the map
+//! alone.
 
-use crate::gs::GsNode;
+use crate::gs::{engine_map, GsNode};
 use crate::level_store::LevelStore;
 use crate::properties::{check_level_corridor, check_levels_converged, Violation};
-use crate::safety::{frontier_round, rule_level, Level, Readings};
+use crate::safety::{frontier_round, rule_level, Level, Readings, SafetyMap};
 use crate::safety_delta::with_clear_marks;
 use hypersafe_simkit::{Net, SyncEngine, SyncStats};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 use std::borrow::Cow;
-
-/// Safety levels of every node of a faulty generalized hypercube,
-/// packed like the cube's ([`LevelStore`] by mixed-radix node index,
-/// its ceiling `n`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GhSafetyMap {
-    levels: LevelStore,
-    rounds: u32,
-}
 
 /// Definition 4's readings: dimension `i` of `a` reads the lowest
 /// level among the other members of `a`'s dimension-`i` clique.
@@ -52,7 +46,7 @@ impl Readings for &GeneralizedHypercube {
 /// and 20% more.
 const SWEEP_VISITS_PER_NODE: u64 = 1;
 
-impl GhSafetyMap {
+impl<'a> SafetyMap<&'a GeneralizedHypercube> {
     /// Computes the fixed point of Definition 4 for `gh` with the given
     /// faulty nodes: the Jacobi rounds from the all-`n` start (faulty
     /// nodes 0), each on the frontier of the last round's changes (the
@@ -61,7 +55,7 @@ impl GhSafetyMap {
     /// `rounds()` are the full iteration's. Members of `faults` past
     /// the last node are ignored, and a set narrower than `gh` leaves
     /// the nodes past its capacity healthy.
-    pub fn compute(gh: &GeneralizedHypercube, faults: &FaultSet) -> Self {
+    pub fn compute_gh(gh: &'a GeneralizedHypercube, faults: &FaultSet) -> Self {
         let n = gh.dim();
         let len = gh.num_nodes();
         // The faults, set to 0 in round 0, seed the frontier; members
@@ -89,44 +83,7 @@ impl GhSafetyMap {
             }
             rounds += 1;
         });
-        GhSafetyMap { levels, rounds }
-    }
-
-    /// Number of dimensions `n`.
-    pub fn dim(&self) -> u8 {
-        self.levels.max_level()
-    }
-
-    /// Safety level of node `a`.
-    #[inline]
-    pub fn level(&self, a: GhNode) -> Level {
-        self.levels.get(a.raw())
-    }
-
-    /// Whether `a` is safe (level `n`).
-    pub fn is_safe(&self, a: GhNode) -> bool {
-        self.level(a) == self.dim()
-    }
-
-    /// Active rounds used by the computation.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// All safe nodes, ascending by index.
-    pub fn safe_nodes(&self) -> Vec<GhNode> {
-        self.levels.iter_eq(self.dim()).map(GhNode).collect()
-    }
-
-    /// The packed level store, indexed by node index — the same seam
-    /// as [`crate::SafetyMap::store`].
-    pub fn store(&self) -> &LevelStore {
-        &self.levels
-    }
-
-    /// Unpacks into a byte-per-level vector, indexed by node index.
-    pub fn to_vec(&self) -> Vec<Level> {
-        self.levels.to_vec()
+        SafetyMap::from_store(gh, levels).with_rounds(rounds)
     }
 }
 
@@ -150,22 +107,17 @@ fn sweep(gh: &GeneralizedHypercube, levels: &mut LevelStore, frontier: &mut Vec<
     frontier.len() as u64
 }
 
-/// The levels of the `len` nodes of a lock-step engine, faulty ones 0.
-fn engine_levels(len: u64, eng: &SyncEngine<'_, &GeneralizedHypercube, GsNode<'_>>) -> Vec<Level> {
-    let node = |a| eng.node(NodeId::new(a)).map_or(0, GsNode::level);
-    (0..len).map(node).collect()
-}
-
 /// Runs the distributed GH `GLOBAL_STATUS` to quiescence on the
 /// lock-step engine and returns the converged map plus engine
-/// statistics. Agrees with [`GhSafetyMap::compute`] (tested).
-pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, SyncStats) {
-    let n = gh.dim();
+/// statistics. Agrees with [`SafetyMap::compute_gh`] (tested).
+pub fn run_gh_gs<'a>(
+    gh: &'a GeneralizedHypercube,
+    faults: &FaultSet,
+) -> (SafetyMap<&'a GeneralizedHypercube>, SyncStats) {
     let net = Net::new(gh, faults);
     let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
-    let rounds = eng.run_until_stable(n as u32 + 1);
-    let levels = LevelStore::from_levels(n, &engine_levels(gh.num_nodes(), &eng));
-    (GhSafetyMap { levels, rounds }, eng.stats().clone())
+    eng.run_until_stable(gh.dim() as u32 + 1);
+    (engine_map(gh, &eng, GsNode::level), eng.stats().clone())
 }
 
 /// Checked runner for the distributed GH `GLOBAL_STATUS`: steps the
@@ -175,17 +127,17 @@ pub fn run_gh_gs(gh: &GeneralizedHypercube, faults: &FaultSet) -> (GhSafetyMap, 
 /// flag, so a node's direction bit is "no higher than last round"),
 /// that the round count stays within the paper's `n − 1` bound (`+1`
 /// for the final no-change confirmation round), and at quiescence
-/// [`check_levels_converged`] against [`GhSafetyMap::compute`].
-pub fn run_gh_gs_checked(
-    gh: &GeneralizedHypercube,
+/// [`check_levels_converged`] against [`SafetyMap::compute_gh`].
+pub fn run_gh_gs_checked<'a>(
+    gh: &'a GeneralizedHypercube,
     faults: &FaultSet,
-) -> Result<GhSafetyMap, Violation> {
+) -> Result<SafetyMap<&'a GeneralizedHypercube>, Violation> {
     let n = gh.dim();
-    let central = GhSafetyMap::compute(gh, faults);
+    let central = SafetyMap::compute_gh(gh, faults);
     let fixed = |a: NodeId| central.level(GhNode(a.raw()));
     let net = Net::new(gh, faults);
     let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
-    let mut prev = engine_levels(gh.num_nodes(), &eng);
+    let mut prev = engine_map(gh, &eng, GsNode::level);
     let mut rounds = 0u32;
     while eng.run_round() != 0 {
         rounds += 1;
@@ -196,21 +148,23 @@ pub fn run_gh_gs_checked(
                 detail: format!("still active after {rounds} rounds on an n = {n} GH"),
             });
         }
-        let now = engine_levels(gh.num_nodes(), &eng);
-        let cut = now.iter().zip(&prev).enumerate();
-        let cut = cut.map(|(a, (&lv, &was))| (NodeId::new(a as u64), lv, lv <= was));
-        check_level_corridor(cut, |_| n, fixed, true)?;
+        let now = engine_map(gh, &eng, GsNode::level);
+        let step = gh.nodes().map(|a| {
+            let lv = now.level(a);
+            (NodeId::new(a.raw()), lv, lv <= prev.level(a))
+        });
+        check_level_corridor(step, |_| n, fixed, true)?;
         prev = now;
     }
-    let cut = engine_levels(gh.num_nodes(), &eng).into_iter().enumerate();
-    check_levels_converged(cut.map(|(a, lv)| (NodeId::new(a as u64), lv)), fixed)?;
+    // The quiet round changed nothing, so `prev` holds the final levels.
+    let last = gh.nodes().map(|a| (NodeId::new(a.raw()), prev.level(a)));
+    check_levels_converged(last, fixed)?;
     Ok(central)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safety::SafetyMap;
     use hypersafe_topology::{BitDims, FaultConfig, Hypercube};
 
     /// `compute` agrees with the lock-step protocol (the engine
@@ -221,12 +175,12 @@ mod tests {
     /// `n`. So round `r + 1` follows the nodes of final level `r` (the
     /// faults for `r = 0`), and the returned schedule says, per round,
     /// whether `compute` ran it on the frontier.
-    fn assert_matches_protocol(
-        gh: &GeneralizedHypercube,
+    fn assert_matches_protocol<'a>(
+        gh: &'a GeneralizedHypercube,
         faults: &FaultSet,
         what: &str,
-    ) -> (GhSafetyMap, Vec<bool>) {
-        let map = GhSafetyMap::compute(gh, faults);
+    ) -> (SafetyMap<&'a GeneralizedHypercube>, Vec<bool>) {
+        let map = SafetyMap::compute_gh(gh, faults);
         let n = gh.dim();
         let after = |r: u32| -> Vec<Level> {
             let cap = |l: Level| if u32::from(l) <= r { l } else { n };
@@ -235,14 +189,11 @@ mod tests {
         let net = Net::new(gh, faults);
         let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
         let mut rounds = 0;
-        assert_eq!(engine_levels(gh.num_nodes(), &eng), after(0), "{what}");
+        let levels = |eng: &SyncEngine<'_, _, _>| engine_map(gh, eng, GsNode::level).to_vec();
+        assert_eq!(levels(&eng), after(0), "{what}");
         while eng.run_round() != 0 {
             rounds += 1;
-            assert_eq!(
-                engine_levels(gh.num_nodes(), &eng),
-                after(rounds),
-                "{what} round {rounds}"
-            );
+            assert_eq!(levels(&eng), after(rounds), "{what} round {rounds}");
         }
         assert_eq!(map.rounds(), rounds, "{what}");
         if (0..n).all(|i| gh.radix(i) == 2) {
@@ -313,7 +264,7 @@ mod tests {
             wide.insert(NodeId::new(a));
         }
         let (map, _) = assert_matches_protocol(&gh, &wide, "wide set");
-        assert_eq!(map, GhSafetyMap::compute(&gh, &fitted));
+        assert_eq!(map, SafetyMap::compute_gh(&gh, &fitted));
     }
 
     #[test]
@@ -388,7 +339,7 @@ mod tests {
         let gh = GeneralizedHypercube::new(&[2, 2, 2, 2]);
         let cube = Hypercube::new(4);
         let faults = FaultSet::from_binary_strs(cube, &["0011", "0100", "0110", "1001"]);
-        let ghmap = GhSafetyMap::compute(&gh, &faults);
+        let ghmap = SafetyMap::compute_gh(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
         assert_eq!(ghmap.to_vec(), qmap.to_vec());
@@ -398,9 +349,22 @@ mod tests {
     #[test]
     fn fault_free_gh_is_all_safe() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
-        let map = GhSafetyMap::compute(&gh, &gh.fault_set());
+        let map = SafetyMap::compute_gh(&gh, &gh.fault_set());
         assert_eq!(map.rounds(), 0);
         assert!(gh.nodes().all(|a| map.is_safe(a)));
+        // GH(2,6) and GH(3,4) both have 12 nodes, n = 2, every level 2
+        // and no round: the same levels, but each map is tied to its GH.
+        let (g26, g34) = (
+            GeneralizedHypercube::new(&[2, 6]),
+            GeneralizedHypercube::new(&[3, 4]),
+        );
+        let (m26, m34) = (
+            SafetyMap::compute_gh(&g26, &g26.fault_set()),
+            SafetyMap::compute_gh(&g34, &g34.fault_set()),
+        );
+        assert_eq!((m26.store(), m26.rounds()), (m34.store(), m34.rounds()));
+        assert_ne!(m26, m34);
+        assert_eq!((m26.space(), m34.space()), (&g26, &g34));
     }
 
     #[test]
@@ -418,7 +382,7 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let map = GhSafetyMap::compute(&gh, &f);
+            let map = SafetyMap::compute_gh(&gh, &f);
             assert!(map.rounds() <= 2, "mask {mask:#b}: rounds {}", map.rounds());
         }
     }
@@ -440,7 +404,7 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let central = GhSafetyMap::compute(&gh, &f);
+            let central = SafetyMap::compute_gh(&gh, &f);
             let (dist, stats) = run_gh_gs(&gh, &f);
             assert_eq!(central.store(), dist.store(), "mask {mask:#b}");
             assert_eq!(central.rounds(), dist.rounds(), "mask {mask:#b}");
@@ -457,7 +421,7 @@ mod tests {
         f.insert(NodeId::new(0));
         f.insert(NodeId::new(7));
         f.insert(NodeId::new(13));
-        let central = GhSafetyMap::compute(&gh, &f);
+        let central = SafetyMap::compute_gh(&gh, &f);
         let (dist, _) = run_gh_gs(&gh, &f);
         assert_eq!(central.store(), dist.store());
     }
@@ -469,7 +433,7 @@ mod tests {
         let gh = GeneralizedHypercube::new(&[4, 4]);
         let mut f = gh.fault_set();
         f.insert(NodeId::new(0));
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         for a in gh.nodes() {
             if a.raw() == 0 {
                 assert_eq!(map.level(a), 0);
@@ -492,7 +456,7 @@ mod tests {
         // with x ≥ 1, which Definition 1 tolerates → still safe.
         let mut f1 = gh.fault_set();
         f1.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-        let m1 = GhSafetyMap::compute(&gh, &f1);
+        let m1 = SafetyMap::compute_gh(&gh, &f1);
         assert_eq!(m1.level(a00), 2);
 
         // Faulty clique peer in dim 1 *and* faulty dim-0 peer: both
@@ -500,7 +464,7 @@ mod tests {
         let mut f2 = gh.fault_set();
         f2.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
         f2.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
-        let m2 = GhSafetyMap::compute(&gh, &f2);
+        let m2 = SafetyMap::compute_gh(&gh, &f2);
         assert_eq!(m2.level(a00), 1);
 
         // The min is over the whole clique: faulting the *other* dim-1
@@ -508,7 +472,7 @@ mod tests {
         let mut f3 = gh.fault_set();
         f3.insert(NodeId::new(gh.node_from_digits(&[0, 2]).raw()));
         f3.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
-        let m3 = GhSafetyMap::compute(&gh, &f3);
+        let m3 = SafetyMap::compute_gh(&gh, &f3);
         assert_eq!(m3.level(a00), 1);
     }
 }

@@ -8,10 +8,14 @@
 //! with the per-neighbor eligibility the paper's Fig. 5 walk uses (a
 //! specific preferred neighbor is eligible iff its own level is at
 //! least the remaining distance minus one).
+//!
+//! The rule is [`crate::unicast`]'s one copy, reading the GH's
+//! [`SafetyMap`] through the same level view as the cube's map. The map
+//! carries its GH, so the entry points take no separate topology and a
+//! map cannot be read over a GH it does not describe.
 
-use crate::gh_safety::GhSafetyMap;
-use crate::safety::Level;
-use crate::unicast::{rule_at_hop, rule_at_source, Decision, LevelView, SourceStep, TieBreak};
+use crate::safety::SafetyMap;
+use crate::unicast::{rule_at_hop, rule_at_source, Decision, SourceStep, TieBreak};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 
 /// Result of routing one GH unicast.
@@ -34,57 +38,28 @@ impl GhRouteResult {
     }
 }
 
-/// The GH map as the §3 rule reads it at a node: its own level and its
-/// clique peers' levels. [`gh_route`] reads it at every hop; each GH
-/// unicast actor ([`crate::unicast_distributed`]) holds one and reads
-/// it only at its own node, so it learns no level beyond its clique
-/// peers', the paper's locality assumption.
-#[derive(Clone, Copy)]
-pub(crate) struct GhMapView<'a> {
-    pub(crate) gh: &'a GeneralizedHypercube,
-    pub(crate) map: &'a GhSafetyMap,
-}
-
-impl<'a> LevelView for GhMapView<'a> {
-    type Space = &'a GeneralizedHypercube;
-
-    fn space(&self) -> &'a GeneralizedHypercube {
-        self.gh
-    }
-
-    fn own_level(&self, at: GhNode) -> Level {
-        self.map.level(at)
-    }
-
-    fn level_across(&self, at: GhNode, p: (u8, u16)) -> Level {
-        self.map.level(self.gh.across(at, p))
-    }
-}
-
-/// Source feasibility for a GH unicast. An endpoint outside `gh` is a
-/// [`Decision::Failure`].
+/// Source feasibility for a GH unicast over the GH `map` describes. An
+/// endpoint outside that GH is a [`Decision::Failure`].
 pub fn gh_source_decision(
-    gh: &GeneralizedHypercube,
-    map: &GhSafetyMap,
+    map: &SafetyMap<&GeneralizedHypercube>,
     s: GhNode,
     d: GhNode,
 ) -> Decision {
-    rule_at_source(&GhMapView { gh, map }, s, d, TieBreak::LowestDim)
+    rule_at_source(map, s, d, TieBreak::LowestDim)
         .by_dim(|(i, _)| i)
         .decision()
 }
 
-/// Routes one GH unicast to completion, judging the physical outcome
-/// against `faults` while steering purely by safety levels.
+/// Routes one GH unicast to completion over the GH `map` describes,
+/// judging the physical outcome against `faults` while steering purely
+/// by safety levels.
 pub fn gh_route(
-    gh: &GeneralizedHypercube,
-    map: &GhSafetyMap,
+    map: &SafetyMap<&GeneralizedHypercube>,
     faults: &FaultSet,
     s: GhNode,
     d: GhNode,
 ) -> GhRouteResult {
-    let view = GhMapView { gh, map };
-    let step = rule_at_source(&view, s, d, TieBreak::LowestDim);
+    let step = rule_at_source(map, s, d, TieBreak::LowestDim);
     let decision = step.by_dim(|(i, _)| i).decision();
     let mut port = match step {
         SourceStep::AlreadyThere => {
@@ -106,12 +81,12 @@ pub fn gh_route(
     let mut at = s;
     let mut nodes = vec![s];
     let delivered = loop {
-        at = gh.across(at, port);
+        at = map.space().across(at, port);
         nodes.push(at);
         if faults.contains(NodeId::new(at.raw())) {
             break at == d;
         }
-        match rule_at_hop(&view, at, d, TieBreak::LowestDim) {
+        match rule_at_hop(map, at, d, TieBreak::LowestDim) {
             Some(p) => port = p,
             None => break true,
         }
@@ -133,11 +108,10 @@ mod tests {
     /// it): exactly four 3-safe nodes, 011 and 100 faulty, the dim-2
     /// neighbor 110 of the source at level 1 (ineligible), and the
     /// narrated optimal route 010 → 000 → 001 → 101.
-    fn fig5_like() -> (GeneralizedHypercube, FaultSet, GhSafetyMap) {
+    fn fig5_like() -> (GeneralizedHypercube, FaultSet) {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
         let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-        let map = GhSafetyMap::compute(&gh, &f);
-        (gh, f, map)
+        (gh, f)
     }
 
     #[test]
@@ -154,10 +128,10 @@ mod tests {
     fn route_in_fault_free_gh_is_optimal() {
         let gh = GeneralizedHypercube::from_product(&[3, 4, 2]);
         let f = gh.fault_set();
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         for s in gh.nodes() {
             for d in gh.nodes() {
-                let res = gh_route(&gh, &map, &f, s, d);
+                let res = gh_route(&map, &f, s, d);
                 assert!(res.delivered);
                 assert_eq!(
                     res.hops(),
@@ -172,11 +146,12 @@ mod tests {
 
     #[test]
     fn fig5_like_walk_010_to_101() {
-        let (gh, f, map) = fig5_like();
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
         assert_eq!(gh.distance(s, d), Some(3));
-        let res = gh_route(&gh, &map, &f, s, d);
+        let res = gh_route(&map, &f, s, d);
         assert!(matches!(res.decision, Decision::Optimal { .. }));
         assert!(res.delivered);
         assert_eq!(res.hops(), Some(3));
@@ -195,7 +170,8 @@ mod tests {
     fn unsafe_nonfaulty_nodes_have_safe_neighbor_fig5() {
         // §4.2: "each unsafe but nonfaulty node has a safe neighbor" in
         // the Fig. 5 instance.
-        let (gh, f, map) = fig5_like();
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
         for a in gh.nodes() {
             if f.contains(NodeId::new(a.raw())) || map.is_safe(a) {
                 continue;
@@ -215,19 +191,20 @@ mod tests {
         let mut f = gh.fault_set();
         f.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
         f.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         let s = gh.node_from_digits(&[0, 0]);
         let d = gh.node_from_digits(&[1, 1]);
-        let res = gh_route(&gh, &map, &f, s, d);
+        let res = gh_route(&map, &f, s, d);
         assert_eq!(res.decision, Decision::Failure);
         assert!(!res.delivered);
     }
 
     #[test]
     fn already_there() {
-        let (gh, f, map) = fig5_like();
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
         let s = gh.parse("000").unwrap();
-        let res = gh_route(&gh, &map, &f, s, s);
+        let res = gh_route(&map, &f, s, s);
         assert_eq!(res.decision, Decision::AlreadyThere);
         assert!(res.delivered);
         assert_eq!(res.hops(), Some(0));

@@ -144,16 +144,24 @@ pub fn run_gs(cfg: &FaultConfig) -> GsRun {
     let net = Net::cube(cfg);
     let mut eng = SyncEngine::new(&net, |_| GsNode::new(n, None));
     eng.run_until_stable(n as u32);
-    let stats = eng.stats().clone();
-    let levels = cfg
-        .cube()
-        .nodes()
-        .map(|a| eng.node(a).map_or(0, GsNode::level))
-        .collect();
     GsRun {
-        map: SafetyMap::from_levels(cfg.cube(), levels).with_rounds(stats.active_rounds),
-        stats,
+        map: engine_map(cfg.cube(), &eng, GsNode::level),
+        stats: eng.stats().clone(),
     }
+}
+
+/// The map a lock-step GS engine over `space` holds: every node's level
+/// as `read` takes it off the node (a faulty node, which has none,
+/// reads 0), and the engine's active rounds so far. The one reader for
+/// [`run_gs`], [`crate::run_gh_gs`], its checked runner and
+/// [`crate::egs::run_egs`].
+pub(crate) fn engine_map<'g, T: Topology>(
+    space: T,
+    eng: &SyncEngine<'_, T, GsNode<'g>>,
+    read: impl Fn(&GsNode<'g>) -> Level,
+) -> SafetyMap<T> {
+    let levels = (0..space.num_nodes()).map(|a| eng.node(NodeId::new(a)).map_or(0, &read));
+    SafetyMap::from_levels(space, levels.collect()).with_rounds(eng.stats().active_rounds)
 }
 
 /// Where an event-driven GS run starts. Theorem 1's operator is

@@ -3,7 +3,9 @@
 //! The paper's primary contribution: **safety levels** and **reliable
 //! unicasting** in faulty hypercubes (Wu, ICPP'95 / IEEE TC Feb'97).
 //!
-//! * [`safety`] — Definition 1 and the unique fixed point (Theorem 1).
+//! * [`safety`] — Definition 1 and the unique fixed point (Theorem 1),
+//!   held in one map type, [`SafetyMap`], over `Q_n` or a generalized
+//!   hypercube; the map carries its topology.
 //! * [`gs`] — the distributed `GLOBAL_STATUS` protocol, synchronous (one
 //!   lock-step node for `Q_n`, generalized hypercubes and EGS) and
 //!   asynchronous (one actor, started from scratch or, for
@@ -26,7 +28,9 @@
 //!   [`hypersafe_simkit::RunReport`].
 //! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views).
 //! * [`gh_safety`] + [`gh_unicast`] — the §4.2 extension to
-//!   generalized hypercubes.
+//!   generalized hypercubes: Definition 4's [`SafetyMap::compute_gh`],
+//!   the GH runs of the lock-step GS node, and routing over the GH's
+//!   map.
 //! * [`properties`] — the spec: Theorems 1–4 and Properties 1–2, each
 //!   written once as a predicate. The runners' checked mode (engine
 //!   invariants), the DST post-run checkers and the model checker
@@ -88,7 +92,7 @@ pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
 pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
-pub use gh_safety::{run_gh_gs, run_gh_gs_checked, GhSafetyMap};
+pub use gh_safety::{run_gh_gs, run_gh_gs_checked};
 pub use gh_unicast::{gh_route, gh_source_decision, GhRouteResult};
 pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsCorridor, GsLossyRun, GsRun};
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};

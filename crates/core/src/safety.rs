@@ -46,8 +46,9 @@
 //! changes are many for the cube's size a round sweeps the planes
 //! instead. Either way a round changes exactly the nodes a full sweep
 //! would, so every round's levels and the round count are those of
-//! the full sweep. [`crate::GhSafetyMap::compute`] runs the same
-//! frontier rounds, generic over the topology's ports.
+//! the full sweep. [`SafetyMap::compute_gh`], the generalized
+//! hypercube's map, runs the same frontier rounds, generic over the
+//! topology's ports.
 
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
@@ -141,14 +142,17 @@ pub(crate) fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Leve
     n
 }
 
-/// The safety level of every node of one faulty hypercube instance,
-/// indexed by raw address. Levels are held packed (0.5–0.625
-/// bytes/node, [`LevelStore`]) — an n=20 cube's map is 640 KiB instead
-/// of 1 MiB, and the compute kernels below never materialize a byte
-/// per node.
+/// The safety level of every node of one faulty topology instance,
+/// indexed by the node's linear index: a binary cube (the default) or,
+/// with `T = &GeneralizedHypercube`, a generalized hypercube. The map
+/// carries its topology, so a map of one topology cannot be read as
+/// another's, and two maps are equal only over the same topology.
+/// Levels are held packed (0.5–0.625 bytes/node, [`LevelStore`]) — an
+/// n=20 cube's map is 640 KiB instead of 1 MiB, and the compute kernels
+/// below never materialize a byte per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SafetyMap {
-    cube: Hypercube,
+pub struct SafetyMap<T: Topology = Hypercube> {
+    space: T,
     levels: LevelStore,
     /// Active rounds the computation needed (Fig. 2's metric); 0 for a
     /// map built directly from levels.
@@ -426,13 +430,18 @@ pub(crate) fn frontier_round<S: Readings>(
     changes.len() as u64
 }
 
-impl SafetyMap {
-    /// Wraps precomputed levels (packs them into the [`LevelStore`]).
-    pub fn from_levels(cube: Hypercube, levels: Vec<Level>) -> Self {
-        assert_eq!(levels.len() as u64, cube.num_nodes());
+impl<T: Topology> SafetyMap<T> {
+    /// Wraps precomputed levels, one per node by linear index (packs
+    /// them into the [`LevelStore`]).
+    ///
+    /// # Panics
+    ///
+    /// If `levels` does not hold exactly one level per node of `space`.
+    pub fn from_levels(space: T, levels: Vec<Level>) -> Self {
+        assert_eq!(levels.len() as u64, space.num_nodes());
         SafetyMap {
-            cube,
-            levels: LevelStore::from_levels(cube.dim(), &levels),
+            space,
+            levels: LevelStore::from_levels(space.dim(), &levels),
             rounds: 0,
         }
     }
@@ -440,16 +449,107 @@ impl SafetyMap {
     /// Wraps an already-packed store (the zero-copy counterpart of
     /// [`SafetyMap::from_levels`], used by consumers that edit a
     /// cloned store — e.g. the §4.1 router substituting one level).
-    pub fn from_store(cube: Hypercube, store: LevelStore) -> Self {
-        assert_eq!(store.len(), cube.num_nodes());
-        assert_eq!(store.max_level(), cube.dim());
+    ///
+    /// # Panics
+    ///
+    /// If `store` does not hold one level per node of `space`, or its
+    /// ceiling is not `space`'s dimension.
+    pub fn from_store(space: T, store: LevelStore) -> Self {
+        assert_eq!(store.len(), space.num_nodes());
+        assert_eq!(store.max_level(), space.dim());
         SafetyMap {
-            cube,
+            space,
             levels: store,
             rounds: 0,
         }
     }
 
+    /// Number of dimensions `n`, also the safe level.
+    #[inline]
+    pub fn dim(&self) -> u8 {
+        self.space.dim()
+    }
+
+    /// The topology the levels describe.
+    #[inline]
+    pub fn space(&self) -> T {
+        self.space
+    }
+
+    /// Safety level of node `a`.
+    #[inline]
+    pub fn level(&self, a: T::Node) -> Level {
+        self.levels.get(T::raw(a))
+    }
+
+    /// Whether `a` is *safe* (level `n`).
+    #[inline]
+    pub fn is_safe(&self, a: T::Node) -> bool {
+        self.level(a) == self.dim()
+    }
+
+    /// Active rounds the producing computation used.
+    #[inline]
+    pub fn rounds(&self) -> u32 {
+        self.rounds
+    }
+
+    /// Overrides the recorded round count (used by the distributed
+    /// engines that measure rounds themselves).
+    pub fn with_rounds(mut self, rounds: u32) -> Self {
+        self.rounds = rounds;
+        self
+    }
+
+    /// All safe nodes, ascending.
+    pub fn safe_nodes(&self) -> Vec<T::Node> {
+        self.safe_nodes_iter().collect()
+    }
+
+    /// Iterator over the safe nodes, ascending — the allocation-free
+    /// form of [`SafetyMap::safe_nodes`] for hot paths that only scan
+    /// or count (one packed equality mask per 64 nodes).
+    pub fn safe_nodes_iter(&self) -> impl Iterator<Item = T::Node> + '_ {
+        self.levels.iter_eq(self.dim()).map(T::from_raw)
+    }
+
+    /// Number of safe nodes (no allocation — popcount over the store).
+    pub fn safe_count(&self) -> usize {
+        self.levels.count_eq(self.dim()) as usize
+    }
+
+    /// The packed level store — the seam every consumer reads levels
+    /// through. Clone it to edit a what-if copy and rewrap with
+    /// [`SafetyMap::from_store`]; to change how a single route reads a
+    /// few levels, wrap the map in a view instead, as
+    /// [`crate::egs::route_egs`] does for the source's own level.
+    #[inline]
+    pub fn store(&self) -> &LevelStore {
+        &self.levels
+    }
+
+    /// Unpacks into a byte-per-level vector, indexed by node (the
+    /// bridge for code that wants plain bytes; prefer
+    /// [`SafetyMap::store`] or [`SafetyMap::level`] on hot paths).
+    pub fn to_vec(&self) -> Vec<Level> {
+        self.levels.to_vec()
+    }
+
+    /// Overwrites one level (incremental maintenance only — see
+    /// `safety_delta`).
+    #[inline]
+    pub(crate) fn set_level(&mut self, a: T::Node, l: Level) {
+        self.levels.set(T::raw(a), l);
+    }
+
+    /// Overwrites the recorded round count in place.
+    #[inline]
+    pub(crate) fn set_rounds(&mut self, rounds: u32) {
+        self.rounds = rounds;
+    }
+}
+
+impl SafetyMap {
     /// # Examples
     ///
     /// ```
@@ -480,6 +580,10 @@ impl SafetyMap {
     ///
     /// Node faults only; for node + link faults use
     /// [`crate::egs::ExtendedSafetyMap`].
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute(cfg: &FaultConfig) -> Self {
         Self::compute_inner(cfg, None)
     }
@@ -491,6 +595,10 @@ impl SafetyMap {
     /// is the whole level vector whether its round swept the planes or
     /// evaluated a frontier, so it equals the scalar sweep's
     /// ([`SafetyMap::compute_reference_trace`]) entry for entry.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
         let mut trace = Trace::default();
         let map = Self::compute_inner(cfg, Some(&mut trace));
@@ -506,7 +614,7 @@ impl SafetyMap {
         let len = cube.num_nodes();
         let faulty = cfg.node_faults().words();
         let start = || SafetyMap {
-            cube,
+            space: cube,
             levels: LevelStore::ceiling_except(cube.dim(), len, faulty),
             rounds: 0,
         };
@@ -596,7 +704,7 @@ impl SafetyMap {
                 Rounds::Nodes { levels, .. } => levels,
             };
             SafetyMap {
-                cube,
+                space: cube,
                 levels,
                 rounds: active,
             }
@@ -607,36 +715,36 @@ impl SafetyMap {
     /// differential oracle for the plane kernels (and as the honest
     /// scalar baseline E27 times them against). Returns the raw level
     /// vector; [`SafetyMap::compute_reference`] wraps it.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute_reference_levels(cfg: &FaultConfig) -> Vec<Level> {
         Self::reference_inner(cfg, None).0
     }
 
     /// Scalar counterpart of [`SafetyMap::compute_trace`] — snapshots
     /// the level vector after every active round.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute_reference_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
         let mut trace = Vec::new();
         let (levels, rounds) = Self::reference_inner(cfg, Some(&mut trace));
-        let (cube, n) = (cfg.cube(), cfg.cube().dim());
-        (
-            SafetyMap {
-                cube,
-                levels: LevelStore::from_levels(n, &levels),
-                rounds,
-            },
-            trace,
-        )
+        let map = SafetyMap::from_levels(cfg.cube(), levels).with_rounds(rounds);
+        (map, trace)
     }
 
     /// [`SafetyMap::compute_reference_levels`] packaged as a map
     /// (packs the result; `rounds()` matches [`SafetyMap::compute`]).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute_reference(cfg: &FaultConfig) -> Self {
         let (levels, rounds) = Self::reference_inner(cfg, None);
-        let (cube, n) = (cfg.cube(), cfg.cube().dim());
-        SafetyMap {
-            cube,
-            levels: LevelStore::from_levels(n, &levels),
-            rounds,
-        }
+        SafetyMap::from_levels(cfg.cube(), levels).with_rounds(rounds)
     }
 
     fn reference_inner(
@@ -696,6 +804,10 @@ impl SafetyMap {
     /// gather-and-count over the single `assigned` plane — no per-level
     /// equality masks at all. Cost over all `n − 1` rounds is
     /// `O(n² / 64)` word ops per node.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn compute_constructive(cfg: &FaultConfig) -> Self {
         assert!(cfg.link_faults().is_empty(), "node faults only");
         let cube = cfg.cube();
@@ -743,95 +855,7 @@ impl SafetyMap {
                 }
             }
         }
-        SafetyMap {
-            cube,
-            levels: res.to_store(),
-            rounds: (n - 1) as u32,
-        }
-    }
-
-    /// Dimension of the underlying cube.
-    #[inline]
-    pub fn dim(&self) -> u8 {
-        self.cube.dim()
-    }
-
-    /// The underlying cube.
-    #[inline]
-    pub(crate) fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    /// Safety level of node `a`.
-    #[inline]
-    pub fn level(&self, a: NodeId) -> Level {
-        self.levels.get(a.raw())
-    }
-
-    /// Whether `a` is *safe* (level `n`).
-    #[inline]
-    pub fn is_safe(&self, a: NodeId) -> bool {
-        self.level(a) == self.dim()
-    }
-
-    /// Active rounds the producing computation used.
-    #[inline]
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Overrides the recorded round count (used by the distributed
-    /// engines that measure rounds themselves).
-    pub fn with_rounds(mut self, rounds: u32) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// All safe nodes, ascending.
-    pub fn safe_nodes(&self) -> Vec<NodeId> {
-        self.safe_nodes_iter().collect()
-    }
-
-    /// Iterator over the safe nodes, ascending — the allocation-free
-    /// form of [`SafetyMap::safe_nodes`] for hot paths that only scan
-    /// or count (one packed equality mask per 64 nodes).
-    pub fn safe_nodes_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.levels.iter_eq(self.dim()).map(NodeId::new)
-    }
-
-    /// Number of safe nodes (no allocation — popcount over the store).
-    pub fn safe_count(&self) -> usize {
-        self.levels.count_eq(self.dim()) as usize
-    }
-
-    /// The packed level store — the seam every consumer reads levels
-    /// through. Clone it to edit a what-if copy and rewrap with
-    /// [`SafetyMap::from_store`]; to change how a single route reads a
-    /// few levels, wrap the map in a view instead, as
-    /// [`crate::egs::route_egs`] does for the source's own level.
-    #[inline]
-    pub fn store(&self) -> &LevelStore {
-        &self.levels
-    }
-
-    /// Unpacks into a byte-per-level vector, indexed by address (the
-    /// bridge for code that wants plain bytes; prefer
-    /// [`SafetyMap::store`] or [`SafetyMap::level`] on hot paths).
-    pub fn to_vec(&self) -> Vec<Level> {
-        self.levels.to_vec()
-    }
-
-    /// Overwrites one level (incremental maintenance only — see
-    /// `safety_delta`).
-    #[inline]
-    pub(crate) fn set_level(&mut self, a: NodeId, l: Level) {
-        self.levels.set(a.raw(), l);
-    }
-
-    /// Overwrites the recorded round count in place.
-    #[inline]
-    pub(crate) fn set_rounds(&mut self, rounds: u32) {
-        self.rounds = rounds;
+        SafetyMap::from_store(cube, res.to_store()).with_rounds((n - 1) as u32)
     }
 
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
@@ -936,7 +960,7 @@ impl SafetyMap {
                 let want = if cfg.node_faulty(a) {
                     0
                 } else {
-                    rule_level(self.cube, &self.levels, a)
+                    rule_level(self.space, &self.levels, a)
                 };
                 if self.level(a) != want {
                     first = c;

@@ -162,7 +162,7 @@ impl SafetyMap {
                 continue;
             }
             stats.cells_touched += 1;
-            let new = rule_level(self.cube(), self.store(), b);
+            let new = rule_level(self.space(), self.store(), b);
             if new != self.level(b) {
                 self.set_level(b, new);
                 stats.cells_changed += 1;

@@ -31,9 +31,9 @@
 //!
 //! The rule itself — the source decision and the hop choice — is
 //! written once, over a level view: what one node reads of its own
-//! level and its neighbors' levels. The packed [`SafetyMap`] (also
-//! what a cube unicast actor reads), the GH map (also what a GH actor
-//! reads) and EGS's source overlay (§4.1) are its views; §4.2's GH
+//! level and its neighbors' levels. The packed [`SafetyMap`], over
+//! `Q_n` or a generalized hypercube (also what a unicast actor reads),
+//! and EGS's source overlay (§4.1) are its views; §4.2's GH
 //! routing "is exactly the same as in a regular hypercube", so the
 //! rule is generic over the topology as well: it reads distances and
 //! preferred and spare ports through [`Topology`], which `Q_n` and the
@@ -142,9 +142,9 @@ pub enum TieBreak {
 
 /// The levels one node reads when it applies the §3 rule: its own and
 /// its neighbors' across each port of its topology. The packed
-/// [`SafetyMap`], the GH map and EGS's source overlay each implement
-/// it, and so does a reference to any view, so the rule is written once
-/// for all of them.
+/// [`SafetyMap`] of either topology and EGS's source overlay each
+/// implement it, and so does a reference to any view, so the rule is
+/// written once for all of them.
 pub(crate) trait LevelView {
     /// The topology the levels live on.
     type Space: Topology;
@@ -180,22 +180,22 @@ impl<V: LevelView> LevelView for &V {
     }
 }
 
-impl LevelView for SafetyMap {
-    type Space = Hypercube;
+impl<T: Topology> LevelView for SafetyMap<T> {
+    type Space = T;
 
     #[inline]
-    fn space(&self) -> Hypercube {
-        self.cube()
+    fn space(&self) -> T {
+        SafetyMap::space(self)
     }
 
     #[inline]
-    fn own_level(&self, at: NodeId) -> Level {
+    fn own_level(&self, at: T::Node) -> Level {
         self.level(at)
     }
 
     #[inline]
-    fn level_across(&self, at: NodeId, i: u8) -> Level {
-        self.level(at.neighbor(i))
+    fn level_across(&self, at: T::Node, p: T::Port) -> Level {
+        self.level(SafetyMap::space(self).across(at, p))
     }
 }
 

@@ -9,13 +9,12 @@
 //! assumption) through a view of the converged map, messages carry
 //! `(destination, trail)`, and the destination keeps what arrives.
 //! Routing in `GH_n` "is exactly the same as in a regular hypercube"
-//! (§4.2), so one actor, `UnicastNode`, serves both topologies; only
-//! its view differs (the cube's [`SafetyMap`] or the GH map). The test
+//! (§4.2), so one actor, `UnicastNode`, serves both topologies, reading
+//! a [`SafetyMap`] over `Q_n` or over the GH. The test
 //! suite checks the actor takes the centralized path hop for hop —
 //! evidence that the centralized shortcut is faithful.
 
-use crate::gh_safety::GhSafetyMap;
-use crate::gh_unicast::{gh_source_decision, GhMapView};
+use crate::gh_unicast::gh_source_decision;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::SafetyMap;
 use crate::unicast::{
@@ -254,19 +253,20 @@ pub fn run_unicast(
     (collect(&eng, d, source_decision(map, s, d)), report)
 }
 
-/// [`run_unicast`] in a generalized hypercube `gh` with faulty nodes
-/// `faults` and the converged GH map: the same actor, each node reading
-/// its own and its clique peers' levels off the map, under `opts`. An endpoint outside `gh` gives a
-/// `Failure` run with no messages, and no engine is built.
+/// [`run_unicast`] in the generalized hypercube the converged `map`
+/// describes, with faulty nodes `faults`: the same actor, each node
+/// reading its own and its clique peers' levels off the map, under
+/// `opts`. An endpoint outside the GH gives a `Failure` run with no
+/// messages, and no engine is built.
 pub fn run_gh_unicast(
-    gh: &GeneralizedHypercube,
-    map: &GhSafetyMap,
+    map: &SafetyMap<&GeneralizedHypercube>,
     faults: &FaultSet,
     s: GhNode,
     d: GhNode,
     latency: Time,
     opts: RunOptions,
 ) -> (DistributedRun<GhNode>, RunReport) {
+    let gh = map.space();
     if !(gh.contains(s) && gh.contains(d)) {
         return not_run();
     }
@@ -274,15 +274,11 @@ pub fn run_gh_unicast(
     let net = Net::new(gh, faults);
     let init = |a: NodeId| {
         let me = GhNode(a.raw());
-        UnicastNode::new(GhMapView { gh, map }, me, (me == s).then_some(d), latency)
+        UnicastNode::new(map, me, (me == s).then_some(d), latency)
     };
     let start = |e: &mut EventEngine<'_, _, _>| e.inject(NodeId::new(s.raw()), START_TAG, 0);
     let (eng, report) = EventEngine::drive(&net, opts, init, start, None);
-    let run = collect(
-        &eng,
-        NodeId::new(d.raw()),
-        gh_source_decision(gh, map, s, d),
-    );
+    let run = collect(&eng, NodeId::new(d.raw()), gh_source_decision(map, s, d));
     (run, report)
 }
 
@@ -595,34 +591,28 @@ mod tests {
         assert_eq!(run.messages, 0, "abort is local — zero network cost");
     }
 
-    fn gh_fig5_like() -> (GeneralizedHypercube, FaultSet, GhSafetyMap) {
-        let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
-        let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-        let map = GhSafetyMap::compute(&gh, &f);
-        (gh, f, map)
-    }
-
     fn gh_run(
-        gh: &GeneralizedHypercube,
-        map: &GhSafetyMap,
+        map: &SafetyMap<&GeneralizedHypercube>,
         f: &FaultSet,
         s: GhNode,
         d: GhNode,
     ) -> DistributedRun<GhNode> {
-        run_gh_unicast(gh, map, f, s, d, 1, RunOptions::default()).0
+        run_gh_unicast(map, f, s, d, 1, RunOptions::default()).0
     }
 
     #[test]
     fn gh_distributed_matches_centralized_on_fig5_instance() {
-        let (gh, f, map) = gh_fig5_like();
+        let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
+        let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
+        let map = SafetyMap::compute_gh(&gh, &f);
         let healthy: Vec<GhNode> = gh
             .nodes()
             .filter(|a| !f.contains(NodeId::new(a.raw())))
             .collect();
         for &s in &healthy {
             for &d in &healthy {
-                let central = gh_route(&gh, &map, &f, s, d);
-                let dist = gh_run(&gh, &map, &f, s, d);
+                let central = gh_route(&map, &f, s, d);
+                let dist = gh_run(&map, &f, s, d);
                 let pair = format!("{} → {}", gh.format(s), gh.format(d));
                 assert_eq!(central.decision, dist.decision, "{pair}");
                 match (central.delivered, &dist.trail) {
@@ -643,10 +633,10 @@ mod tests {
     fn gh_mixed_radix_fault_free_optimal() {
         let gh = GeneralizedHypercube::new(&[3, 4, 2]);
         let f = gh.fault_set();
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         let s = GhNode(0);
         let d = GhNode(gh.num_nodes() - 1);
-        let run = gh_run(&gh, &map, &f, s, d);
+        let run = gh_run(&map, &f, s, d);
         let trail = run.trail.expect("delivered");
         assert_eq!(Some(trail.len() as u32 - 1), gh.distance(s, d));
         assert_eq!(Some(run.messages as u32), gh.distance(s, d));
@@ -660,8 +650,8 @@ mod tests {
         let mut f = gh.fault_set();
         f.insert(NodeId::new(1));
         f.insert(NodeId::new(2));
-        let map = GhSafetyMap::compute(&gh, &f);
-        let run = gh_run(&gh, &map, &f, GhNode(0), GhNode(3));
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let run = gh_run(&map, &f, GhNode(0), GhNode(3));
         assert_eq!(run.decision, Decision::Failure);
         assert_eq!(run.trail, None);
         assert_eq!(run.messages, 0);
@@ -837,7 +827,7 @@ mod tests {
                 let (s, d) = (s % len, d % len);
                 let opts = RunOptions::default;
                 let q = run_unicast(&cfg, &gs.map, NodeId::new(s), NodeId::new(d), 1, opts()).0;
-                let g = run_gh_unicast(&gh, &gh_map, &f, GhNode(s), GhNode(d), 1, opts()).0;
+                let g = run_gh_unicast(&gh_map, &f, GhNode(s), GhNode(d), 1, opts()).0;
                 let trail = g.trail.map(|t| t.into_iter().map(|a| NodeId::new(a.raw())).collect());
                 proptest::prop_assert_eq!(
                     (g.decision, trail, g.messages, g.arrival_time),

@@ -1,7 +1,6 @@
 //! Property tests for hypersafe-core beyond the workspace-level suite:
 //! broadcasting, EGS dual views, GH routing, dynamic rerouting.
 
-use hypersafe_core::gh_safety::GhSafetyMap;
 use hypersafe_core::gh_unicast::gh_route;
 use hypersafe_core::{
     broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, Decision,
@@ -109,14 +108,14 @@ proptest! {
         for v in fault_picks {
             f.insert(NodeId::new(v % gh.num_nodes()));
         }
-        let map = GhSafetyMap::compute(&gh, &f);
+        let map = SafetyMap::compute_gh(&gh, &f);
         let healthy: Vec<GhNode> = gh
             .nodes()
             .filter(|a| !f.contains(NodeId::new(a.raw())))
             .collect();
         for &s in healthy.iter().take(5) {
             for &d in healthy.iter().rev().take(5) {
-                let res = gh_route(&gh, &map, &f, s, d);
+                let res = gh_route(&map, &f, s, d);
                 match res.decision {
                     Decision::Optimal { .. } => {
                         prop_assert!(res.delivered, "{} → {}", gh.format(s), gh.format(d));

@@ -14,8 +14,7 @@
 //! `PROPTEST_SEED` widens the reach (CI runs seeds 1–8 in release).
 
 use hypersafe_core::{
-    gh_route, route_egs, route_traced, run_gh_unicast, ExtendedSafetyMap, GhSafetyMap, RouteResult,
-    SafetyMap,
+    gh_route, route_egs, route_traced, run_gh_unicast, ExtendedSafetyMap, RouteResult, SafetyMap,
 };
 use hypersafe_simkit::{RunOptions, Trace};
 use hypersafe_topology::{
@@ -54,12 +53,12 @@ proptest! {
         let healthy: Vec<GhNode> =
             gh.nodes().filter(|a| !set.contains(NodeId::new(a.raw()))).collect();
         prop_assume!(!healthy.is_empty());
-        let map = GhSafetyMap::compute(&gh, &set);
+        let map = SafetyMap::compute_gh(&gh, &set);
         for &(s, d) in &pairs {
             let s = healthy[(s % healthy.len() as u64) as usize];
             let d = healthy[(d % healthy.len() as u64) as usize];
-            let central = gh_route(&gh, &map, &set, s, d);
-            let dist = run_gh_unicast(&gh, &map, &set, s, d, 1, RunOptions::default()).0;
+            let central = gh_route(&map, &set, s, d);
+            let dist = run_gh_unicast(&map, &set, s, d, 1, RunOptions::default()).0;
             let pair = format!("{radices:?} {} → {}", gh.format(s), gh.format(d));
             prop_assert_eq!(central.decision, dist.decision, "{}", pair);
             let central_trail = central.delivered.then_some(central.nodes).flatten();

@@ -16,7 +16,7 @@ use std::fmt::Debug;
 
 use hypersafe_core::{
     gh_route, run_broadcast, run_delta_gs, run_gh_unicast, run_gs_async, run_gs_reliable,
-    run_unicast, run_unicast_lossy, ChurnEvent, GhSafetyMap, GsAsyncRun, SafetyMap,
+    run_unicast, run_unicast_lossy, ChurnEvent, GsAsyncRun, SafetyMap,
 };
 use hypersafe_simkit::{
     AdversarialScheduler, ChannelModel, FifoScheduler, ReliableConfig, RunOptions, RunReport,
@@ -197,21 +197,21 @@ proptest! {
         let healthy: Vec<GhNode> =
             gh.nodes().filter(|a| !set.contains(NodeId::new(a.raw()))).collect();
         prop_assume!(!healthy.is_empty());
-        let map = GhSafetyMap::compute(&gh, &set);
+        let map = SafetyMap::compute_gh(&gh, &set);
         let s = healthy[(pair.0 % healthy.len() as u64) as usize];
         let d = healthy[(pair.1 % healthy.len() as u64) as usize];
         let plain = || RunOptions {
             sched: sched(fifo, seed),
             ..RunOptions::default()
         };
-        let run = |opts| run_gh_unicast(&gh, &map, &set, s, d, 1, opts);
+        let run = |opts| run_gh_unicast(&map, &set, s, d, 1, opts);
         assert_passive(
             "run_gh_unicast",
             plain,
             run,
             |r| (r.decision, r.trail.clone(), r.arrival_time, r.messages),
         )?;
-        let central = gh_route(&gh, &map, &set, s, d);
+        let central = gh_route(&map, &set, s, d);
         let want = central.delivered.then_some(central.nodes).flatten();
         prop_assert_eq!(run(plain()).0.trail, want);
     }

@@ -23,8 +23,8 @@ use hypersafe_core::{
     gh_broadcast, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb, route,
     route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs,
     run_gh_unicast, run_gs_async, run_gs_reliable, run_unicast, run_unicast_lossy, source_decision,
-    BroadcastResult, Condition, Decision, DynamicOutcome, ExtendedSafetyMap, GhSafetyMap,
-    GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, TieBreak,
+    BroadcastResult, Condition, Decision, DynamicOutcome, ExtendedSafetyMap, GsAsyncRun, Level,
+    LossyOutcome, LossyRun, NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
 use hypersafe_topology::{
@@ -249,7 +249,7 @@ proptest! {
             set.insert(NodeId::new(f % capacity));
         }
         let mut map = None;
-        total("GhSafetyMap::compute", || map = Some(GhSafetyMap::compute(&gh, &set)))?;
+        total("SafetyMap::compute_gh", || map = Some(SafetyMap::compute_gh(&gh, &set)))?;
         let map = map.unwrap();
         total("run_gh_gs", || run_gh_gs(&gh, &set))?;
         let (s, d) = (GhNode(endpoint(pair.0, nodes)), GhNode(endpoint(pair.1, nodes)));
@@ -257,18 +257,18 @@ proptest! {
         let failure = |dec: &Decision| *dec == Decision::Failure;
 
         fails_outside("gh_source_decision", outside, || {
-            gh_source_decision(&gh, &map, s, d)
+            gh_source_decision(&map, s, d)
         }, failure)?;
         fails_outside("gh_route", outside, || {
-            let res = gh_route(&gh, &map, &set, s, d);
+            let res = gh_route(&map, &set, s, d);
             (res.decision, res.nodes)
         }, |(dec, nodes)| failure(dec) && nodes.is_none())?;
         fails_outside("run_gh_unicast", outside, || {
-            let run = run_gh_unicast(&gh, &map, &set, s, d, 1, RunOptions::default()).0;
+            let run = run_gh_unicast(&map, &set, s, d, 1, RunOptions::default()).0;
             (run.decision, run.trail)
         }, |(dec, trail)| failure(dec) && trail.is_none())?;
         fails_outside("gh_broadcast", !gh.contains(s), || {
-            sent(gh_broadcast(&gh, &map, &set, s))
+            sent(gh_broadcast(&map, &set, s))
         }, |r| *r == (0, 0, None))?;
     }
 

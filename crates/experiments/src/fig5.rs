@@ -19,9 +19,8 @@
 //! machine-checked, not hand-waved.
 
 use crate::table::Report;
-use hypersafe_core::gh_safety::GhSafetyMap;
 use hypersafe_core::gh_unicast::gh_route;
-use hypersafe_core::Decision;
+use hypersafe_core::{Decision, SafetyMap};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 
 /// The Fig. 5 topology.
@@ -35,7 +34,7 @@ pub fn consistent(gh: &GeneralizedHypercube, f: &FaultSet) -> bool {
     if !is_faulty("011") || is_faulty("010") || is_faulty("101") {
         return false;
     }
-    let map = GhSafetyMap::compute(gh, f);
+    let map = SafetyMap::compute_gh(gh, f);
     if map.safe_nodes().len() != 4 {
         return false;
     }
@@ -45,7 +44,7 @@ pub fn consistent(gh: &GeneralizedHypercube, f: &FaultSet) -> bool {
     }
     let s = gh.parse("010").unwrap();
     let d = gh.parse("101").unwrap();
-    let res = gh_route(gh, &map, f, s, d);
+    let res = gh_route(&map, f, s, d);
     matches!(res.decision, Decision::Optimal { .. }) && res.delivered && res.hops() == Some(3)
 }
 
@@ -90,14 +89,8 @@ pub fn run() -> Report {
             for a in faults.iter() {
                 f.insert(NodeId::new(a.raw()));
             }
-            let map = GhSafetyMap::compute(&gh, &f);
-            let res = gh_route(
-                &gh,
-                &map,
-                &f,
-                gh.parse("010").unwrap(),
-                gh.parse("101").unwrap(),
-            );
+            let map = SafetyMap::compute_gh(&gh, &f);
+            let res = gh_route(&map, &f, gh.parse("010").unwrap(), gh.parse("101").unwrap());
             res.nodes.is_some_and(|walk| {
                 walk.iter().map(|&a| gh.format(a)).collect::<Vec<_>>()
                     == ["010", "000", "001", "101"]
@@ -110,7 +103,7 @@ pub fn run() -> Report {
     for a in &pinned {
         f.insert(NodeId::new(a.raw()));
     }
-    let map = GhSafetyMap::compute(&gh, &f);
+    let map = SafetyMap::compute_gh(&gh, &f);
     let mut rep = Report::new(
         "fig5",
         "Fig. 5 — GH(2,3,2) with four faulty nodes, safety levels (Definition 4)",
@@ -131,13 +124,7 @@ pub fn run() -> Report {
         found.len(),
         pinned.iter().map(|&a| gh.format(a)).collect::<Vec<_>>()
     ));
-    let res = gh_route(
-        &gh,
-        &map,
-        &f,
-        gh.parse("010").unwrap(),
-        gh.parse("101").unwrap(),
-    );
+    let res = gh_route(&map, &f, gh.parse("010").unwrap(), gh.parse("101").unwrap());
     rep.note(format!(
         "unicast 010 → 101 (3 coordinates differ): optimal walk {:?}",
         res.nodes

@@ -6,16 +6,15 @@
 //! cargo run --example generalized_hypercube
 //! ```
 
-use hypersafe::safety::gh_safety::GhSafetyMap;
 use hypersafe::safety::gh_unicast::gh_route;
-use hypersafe::safety::Decision;
+use hypersafe::safety::{Decision, SafetyMap};
 use hypersafe::topology::{GeneralizedHypercube, NodeId, Topology};
 
 fn main() {
     // The Fig.-5 reconstruction pinned by `repro fig5`.
     let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
     let faults = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-    let map = GhSafetyMap::compute(&gh, &faults);
+    let map = SafetyMap::compute_gh(&gh, &faults);
 
     println!(
         "GH(2,3,2): {} nodes, degree {}",
@@ -41,7 +40,7 @@ fn main() {
         "\nunicast 010 → 101 (distance {}):",
         gh.distance(s, d).expect("both nodes lie in the GH")
     );
-    let res = gh_route(&gh, &map, &faults, s, d);
+    let res = gh_route(&map, &faults, s, d);
     assert!(matches!(res.decision, Decision::Optimal { .. }));
     let walk: Vec<String> = res
         .nodes

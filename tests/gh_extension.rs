@@ -3,9 +3,9 @@
 //! coverage, binary-radix reduction — across radix shapes.
 
 use hypersafe::safety::broadcast::gh_broadcast;
-use hypersafe::safety::gh_safety::{run_gh_gs, GhSafetyMap};
+use hypersafe::safety::gh_safety::run_gh_gs;
 use hypersafe::safety::gh_unicast::gh_route;
-use hypersafe::safety::Decision;
+use hypersafe::safety::{Decision, SafetyMap};
 use hypersafe::topology::{GeneralizedHypercube, GhNode, NodeId, Topology};
 use hypersafe::workloads::Sweep;
 use rand::Rng;
@@ -36,7 +36,7 @@ fn distributed_gs_matches_centralized_across_shapes() {
             .run_seq(|i, rng| {
                 let m = (i as usize) % (gh.num_nodes() as usize / 4).max(2);
                 let f = random_faults(gh, m, rng);
-                let central = GhSafetyMap::compute(gh, &f);
+                let central = SafetyMap::compute_gh(gh, &f);
                 let (dist, _) = run_gh_gs(gh, &f);
                 (central.store() != dist.store()) as u32
             })
@@ -53,7 +53,7 @@ fn routing_contracts_on_random_gh_instances() {
     let violations: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (i % 6) as usize, rng);
-            let map = GhSafetyMap::compute(&gh, &f);
+            let map = SafetyMap::compute_gh(&gh, &f);
             let healthy: Vec<GhNode> = gh
                 .nodes()
                 .filter(|a| !f.contains(NodeId::new(a.raw())))
@@ -61,7 +61,7 @@ fn routing_contracts_on_random_gh_instances() {
             let mut bad = 0u32;
             for &s in healthy.iter().take(8) {
                 for &d in healthy.iter().rev().take(8) {
-                    let res = gh_route(&gh, &map, &f, s, d);
+                    let res = gh_route(&map, &f, s, d);
                     match res.decision {
                         Decision::Optimal { .. }
                             if (!res.delivered || res.hops() != gh.distance(s, d)) =>
@@ -92,13 +92,13 @@ fn gh_broadcast_safe_sources_cover_everything() {
     let failures: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (i % 5) as usize, rng);
-            let map = GhSafetyMap::compute(&gh, &f);
+            let map = SafetyMap::compute_gh(&gh, &f);
             let mut bad = 0u32;
             for a in gh.nodes() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
                 }
-                if !gh_broadcast(&gh, &map, &f, a).complete(&f) {
+                if !gh_broadcast(&map, &f, a).complete(&f) {
                     bad += 1;
                 }
             }
@@ -116,7 +116,7 @@ fn gh_rounds_never_exceed_dims_minus_one() {
     let worst: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (3 * i % 20) as usize, rng);
-            GhSafetyMap::compute(&gh, &f).rounds()
+            SafetyMap::compute_gh(&gh, &f).rounds()
         })
         .into_iter()
         .max()

@@ -5,8 +5,9 @@
 //! against the BFS connectivity oracle — exhaustively over every
 //! fault set of size ≤ 2 and every ordered (s, d) pair.
 
-use hypersafe::safety::gh_safety::GhSafetyMap;
-use hypersafe::safety::{check_gh_theorem4_soundness, gh_source_decision, run_gh_gs_checked};
+use hypersafe::safety::{
+    check_gh_theorem4_soundness, gh_source_decision, run_gh_gs_checked, SafetyMap,
+};
 use hypersafe::topology::{FaultSet, GeneralizedHypercube, NodeId, Topology};
 
 fn gh333() -> GeneralizedHypercube {
@@ -36,7 +37,7 @@ fn gh333_checked_runner_descends_monotonically_and_converges() {
     let gh = gh333();
     for (k, f) in fault_sets_up_to_two(&gh).iter().enumerate() {
         let map = run_gh_gs_checked(&gh, f).unwrap_or_else(|v| panic!("fault set {k}: {v:?}"));
-        let central = GhSafetyMap::compute(&gh, f);
+        let central = SafetyMap::compute_gh(&gh, f);
         assert_eq!(map.store(), central.store(), "fault set {k}");
     }
 }
@@ -47,7 +48,7 @@ fn gh333_theorem4_soundness_is_exhaustive_under_two_faults() {
     let mut failures = 0u64;
     let mut accepts = 0u64;
     for (k, f) in fault_sets_up_to_two(&gh).iter().enumerate() {
-        let map = GhSafetyMap::compute(&gh, f);
+        let map = SafetyMap::compute_gh(&gh, f);
         for s in gh.nodes() {
             if f.contains(NodeId::new(s.raw())) {
                 continue;
@@ -56,7 +57,7 @@ fn gh333_theorem4_soundness_is_exhaustive_under_two_faults() {
                 if s == d || f.contains(NodeId::new(d.raw())) {
                     continue;
                 }
-                let decision = gh_source_decision(&gh, &map, s, d);
+                let decision = gh_source_decision(&map, s, d);
                 check_gh_theorem4_soundness(&gh, f, s, d, decision)
                     .unwrap_or_else(|v| panic!("fault set {k} {s:?}→{d:?}: {v:?}"));
                 match decision {
@@ -82,10 +83,10 @@ fn gh_surrounded_node_fails_soundly() {
     let mut f = gh.fault_set();
     f.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
     f.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-    let map = GhSafetyMap::compute(&gh, &f);
+    let map = SafetyMap::compute_gh(&gh, &f);
     let s = gh.node_from_digits(&[0, 0]);
     let d = gh.node_from_digits(&[1, 1]);
-    let decision = gh_source_decision(&gh, &map, s, d);
+    let decision = gh_source_decision(&map, s, d);
     assert_eq!(decision, hypersafe::safety::Decision::Failure);
     assert_eq!(check_gh_theorem4_soundness(&gh, &f, s, d, decision), Ok(()));
     // And the checked GS runner still converges on the isolated cube.

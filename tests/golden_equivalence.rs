@@ -31,8 +31,8 @@ use hypersafe::safety::unicast_distributed::{
 };
 use hypersafe::safety::{
     detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gh_gs, run_gs,
-    run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, GhSafetyMap,
-    SafetyMap, SafetyService, TieBreak,
+    run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, SafetyMap,
+    SafetyService, TieBreak,
 };
 use hypersafe::simkit::{
     AdversarialScheduler, AttemptOutcome, AttemptVerdict, ChannelModel, EventStats, FifoScheduler,
@@ -285,7 +285,7 @@ fn record_gh_scenario(
         fmt_levels(&map.to_vec()),
         fmt_sync_stats(&stats)
     ));
-    let central = GhSafetyMap::compute(gh, faults);
+    let central = SafetyMap::compute_gh(gh, faults);
     assert_eq!(
         map.store(),
         central.store(),
@@ -303,7 +303,7 @@ fn record_gh_scenario(
             d = healthy[(splitmix64(&mut state) % healthy.len() as u64) as usize];
         }
         let opts = RunOptions::default();
-        let run = run_gh_unicast(gh, &map, faults, GhNode(s), GhNode(d), 2, opts).0;
+        let run = run_gh_unicast(&map, faults, GhNode(s), GhNode(d), 2, opts).0;
         let trail = match &run.trail {
             None => "-".to_string(),
             Some(t) => t

@@ -4,7 +4,7 @@
 use hypersafe::experiments::{fig1, fig2, fig3, fig4, fig5, safesets};
 use hypersafe::safety::{
     gh_route, route, route_egs, run_egs, run_gh_gs, Condition, Decision, ExtendedSafetyMap,
-    GhSafetyMap, SafetyMap,
+    SafetyMap,
 };
 use hypersafe::topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, LinkFaultSet, NodeId,
@@ -185,7 +185,7 @@ fn section42_gh333_worked_example() {
     assert_eq!(gh.degree(), 6, "each node has (3-1)·3 neighbors");
 
     let faults = gh.fault_set_from_strs(&["011", "101", "110"]);
-    let map = GhSafetyMap::compute(&gh, &faults);
+    let map = SafetyMap::compute_gh(&gh, &faults);
 
     // The dented nodes, by Def. 4's digit counting: 000 sees two
     // faulty neighbors in *every* pair of dimensions (level 2), while
@@ -205,7 +205,6 @@ fn section42_gh333_worked_example() {
 
     // A safe source routes optimally straight through the dent.
     let r = gh_route(
-        &gh,
         &map,
         &faults,
         gh.parse("222").unwrap(),

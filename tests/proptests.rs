@@ -2,7 +2,6 @@
 //! paper's theorems as invariants, plus representation round-trips.
 
 use hypersafe::baselines::{LeeHayesStatus, WuFernandezStatus};
-use hypersafe::safety::gh_safety::GhSafetyMap;
 use hypersafe::safety::{
     check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
     check_theorem3, run_gs, run_gs_async, NavVector, SafetyMap,
@@ -147,7 +146,7 @@ proptest! {
     fn gh_binary_reduction((cube, faults) in faulty_cube(0.25)) {
         let n = cube.dim();
         let gh = GeneralizedHypercube::new(&vec![2u16; n as usize]);
-        let ghmap = GhSafetyMap::compute(&gh, &faults);
+        let ghmap = SafetyMap::compute_gh(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
         prop_assert_eq!(ghmap.to_vec(), qmap.to_vec());
