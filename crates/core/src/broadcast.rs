@@ -23,16 +23,13 @@
 //! `m_i − 1` peers at once, each inheriting the remaining dimensions;
 //! a dimension's reading is its clique minimum (Definition 4), which
 //! with radix 2 is the one neighbor's level. The guarantee holds by
-//! the same argument. [`broadcast`] and [`gh_broadcast`] are typed
-//! entry points over one builder, and
+//! the same argument. [`broadcast`] takes either topology's map, and
 //! [`crate::broadcast_distributed::run_broadcast`] shares its child
 //! order and relay choice.
 
 use crate::level_store::LevelStore;
 use crate::safety::{Level, Readings, SafetyMap};
-use hypersafe_topology::{
-    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology, MAX_DIM,
-};
+use hypersafe_topology::{FaultSet, Faults, GhNode, NodeId, Topology, MAX_DIM};
 
 /// Outcome of one broadcast, over `Q_n` ([`NodeId`]) or a generalized
 /// hypercube ([`GhNode`]).
@@ -98,15 +95,17 @@ impl BroadcastResult<GhNode> {
     }
 }
 
-/// Broadcasts from `source` over all `n` dimensions of the cube.
+/// Broadcasts from `source` over every dimension of the topology `map`
+/// carries, `Q_n` or a generalized hypercube.
 ///
 /// If the source is safe it broadcasts directly; otherwise, if it has
-/// a safe neighbor, it relays through the one with the lowest
-/// dimension (Property 2 guarantees such a neighbor when faults `< n`);
-/// otherwise it broadcasts best-effort from itself (coverage may be
-/// partial — the result reports it honestly). Messages into faulty
-/// nodes or across faulty links are lost. A source outside the cube
-/// gets the empty result.
+/// a safe neighbor, it relays through the first one in
+/// [`Topology::neighbours`] order (in `Q_n` the lowest dimension;
+/// Property 2 guarantees such a neighbor when faults `< n`); otherwise
+/// it broadcasts best-effort from itself (coverage may be partial — the
+/// result reports it honestly). Messages into faulty nodes or across
+/// faulty links are lost. A source outside the topology gets the empty
+/// result.
 ///
 /// # Examples
 ///
@@ -122,21 +121,35 @@ impl BroadcastResult<GhNode> {
 /// assert!(r.complete(cfg.node_faults()));
 /// assert_eq!(r.messages, 15); // one per non-source node
 /// ```
-pub fn broadcast(cfg: &FaultConfig, map: &SafetyMap, source: NodeId) -> BroadcastResult {
-    let (space, links) = (cfg.cube(), cfg.link_faults());
-    let link_down = |a, b| links.contains(a, b);
-    build(space, map.store(), cfg.node_faults(), link_down, source)
-}
-
-/// Broadcasts from `source` over the whole generalized hypercube `map`
-/// describes, with the tree, relay choice and empty result of
-/// [`broadcast`].
-pub fn gh_broadcast(
-    map: &SafetyMap<&GeneralizedHypercube>,
-    faults: &FaultSet,
-    source: GhNode,
-) -> BroadcastResult<GhNode> {
-    build(map.space(), map.store(), faults, |_, _| false, source)
+pub fn broadcast<T: Readings, F: Faults<T>>(
+    faults: &F,
+    map: &SafetyMap<T>,
+    source: T::Node,
+) -> BroadcastResult<T::Node> {
+    let (space, levels) = (map.space(), map.store());
+    let mut result = BroadcastResult::from_parts(vec![false; levels.len() as usize], 0, 0, None);
+    let id = |a| NodeId::new(T::raw(a));
+    let faulty = |a| faults.node_faults().contains(id(a));
+    if !space.contains(source) || faulty(source) {
+        return result;
+    }
+    result.received[T::raw(source) as usize] = true;
+    // A relay covers the entire topology, including this source, which
+    // already has the message.
+    let (at, depth) = match relay(space, levels, source) {
+        Some(relay) => {
+            result.messages += 1;
+            result.relayed_via = Some(relay);
+            result.received[T::raw(relay) as usize] = true;
+            (relay, 1)
+        }
+        None => (source, 0),
+    };
+    // A message is lost into a faulty node or across a faulty link.
+    let lost = |a, b| faulty(b) || faults.link_faults().contains(id(a), id(b));
+    let dims: Vec<u8> = (0..space.dim()).collect();
+    descend(space, levels, &lost, at, &dims, depth, &mut result);
+    result
 }
 
 /// The neighbor an unsafe `source` hands the whole broadcast to: the
@@ -159,39 +172,6 @@ pub(crate) fn relay<S: Topology>(
 /// so the safest child gets the largest remaining subtree.
 pub(crate) fn order_children(dims: &mut [u8], reading: &[Level]) {
     dims.sort_by_key(|&i| (std::cmp::Reverse(reading[i as usize]), i));
-}
-
-/// The one tree builder: `source` (or its relay) owns every dimension.
-/// A message is lost into a node of `faults` or across a link for which
-/// `link_down` holds.
-fn build<S: Readings>(
-    space: S,
-    levels: &LevelStore,
-    faults: &FaultSet,
-    link_down: impl Fn(S::Node, S::Node) -> bool,
-    source: S::Node,
-) -> BroadcastResult<S::Node> {
-    let mut result = BroadcastResult::from_parts(vec![false; levels.len() as usize], 0, 0, None);
-    let faulty = |a| faults.contains(NodeId::new(S::raw(a)));
-    if space.distance(source, source).is_none() || faulty(source) {
-        return result;
-    }
-    result.received[S::raw(source) as usize] = true;
-    // A relay covers the entire topology, including this source, which
-    // already has the message.
-    let (at, depth) = match relay(space, levels, source) {
-        Some(relay) => {
-            result.messages += 1;
-            result.relayed_via = Some(relay);
-            result.received[S::raw(relay) as usize] = true;
-            (relay, 1)
-        }
-        None => (source, 0),
-    };
-    let lost = |a, b| faulty(b) || link_down(a, b);
-    let dims: Vec<u8> = (0..space.dim()).collect();
-    descend(space, levels, &lost, at, &dims, depth, &mut result);
-    result
 }
 
 /// Recursive subtree delivery: `at` owns the sub-topology spanned by
@@ -236,7 +216,7 @@ fn descend<S: Readings>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::Hypercube;
+    use hypersafe_topology::{FaultConfig, GeneralizedHypercube, Hypercube};
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()
@@ -340,11 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_gh_broadcast_covers_all() {
+    fn fault_free_gh_is_covered_by_one_broadcast() {
         let gh = gh232();
         let f = gh.fault_set();
         let map = SafetyMap::compute_gh(&gh, &f);
-        let r = gh_broadcast(&map, &f, GhNode(0));
+        let r = broadcast(&f, &map, GhNode(0));
         assert!(r.complete(&f));
         assert_eq!(r.messages, gh.num_nodes() - 1, "spanning tree edge count");
         assert_eq!(r.steps, 3, "one step per dimension");
@@ -369,7 +349,7 @@ mod tests {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
                 }
-                let r = gh_broadcast(&map, &f, a);
+                let r = broadcast(&f, &map, a);
                 assert!(r.complete(&f), "mask {mask:#b} source {}", gh.format(a));
             }
         }
@@ -386,7 +366,7 @@ mod tests {
             if f.contains(NodeId::new(a.raw())) {
                 continue;
             }
-            let r = gh_broadcast(&map, &f, a);
+            let r = broadcast(&f, &map, a);
             assert!(r.complete(&f), "source {}", gh.format(a));
             if !map.is_safe(a) {
                 assert!(
@@ -403,12 +383,12 @@ mod tests {
         let gh = gh232();
         let f = gh.fault_set_from_strs(&["011"]);
         let map = SafetyMap::compute_gh(&gh, &f);
-        let r = gh_broadcast(&map, &f, gh.parse("011").unwrap());
+        let r = broadcast(&f, &map, gh.parse("011").unwrap());
         assert_eq!(r.coverage(), 0);
         assert_eq!(r.messages, 0);
     }
 
-    /// `gh_broadcast` on GH(2, …, 2) equals `broadcast` on `Q_n` with
+    /// `broadcast` on GH(2, …, 2) equals `broadcast` on `Q_n` with
     /// the same faults: received set, messages, steps and relay. With
     /// radix 2 a clique minimum is the one neighbor's level, so the
     /// trees are the same.
@@ -423,7 +403,7 @@ mod tests {
         let ghmap = SafetyMap::compute_gh(&gh, cfg.node_faults());
         for s in sources {
             let q = broadcast(cfg, &qmap, s);
-            let g = gh_broadcast(&ghmap, cfg.node_faults(), GhNode(s.raw()));
+            let g = broadcast(cfg.node_faults(), &ghmap, GhNode(s.raw()));
             let what = format!("{what} source {s}");
             assert!(
                 cube.nodes()
@@ -506,7 +486,7 @@ mod tests {
             }
             let map = SafetyMap::compute_gh(&gh, &f);
             for a in gh.nodes().filter(|a| !f.contains(NodeId::new(a.raw()))) {
-                let r = gh_broadcast(&map, &f, a);
+                let r = broadcast(&f, &map, a);
                 if r.relayed_via.is_some() {
                     relayed += 1;
                     assert!(r.complete(&f), "GH{radices:?} source {}", gh.format(a));

@@ -12,14 +12,17 @@
 //!   [`run_delta_gs`], from the fixed point before one churn event),
 //!   executed message-by-message on `hypersafe-simkit`.
 //! * [`navigation`] + [`unicast`] — the optimal/suboptimal unicasting
-//!   algorithm with the `C1`/`C2`/`C3` source feasibility check.
+//!   algorithm with the `C1`/`C2`/`C3` source feasibility check, one
+//!   API over `Q_n` and generalized hypercubes: [`route`],
+//!   [`source_decision`], [`broadcast()`], [`run_unicast`] and
+//!   [`check_theorem4_soundness`] take either topology's map.
 //! * [`unicast_distributed`] — the same algorithm as per-node actors
 //!   exchanging real messages: one actor for `Q_n` and generalized
 //!   hypercubes; [`run_unicast_lossy`] and [`run_gs_reliable`] run the
 //!   protocols over lossy channels via `hypersafe-simkit`'s reliable
 //!   delivery layer.
 //! * Event-driven runners: [`run_gs_async`], [`run_gs_reliable`],
-//!   [`run_unicast`], [`run_gh_unicast`], [`run_unicast_lossy`],
+//!   [`run_unicast`], [`run_unicast_lossy`],
 //!   [`run_broadcast`] and [`run_delta_gs`], one per protocol. Each
 //!   takes the protocol's own parameters plus a
 //!   [`hypersafe_simkit::RunOptions`] (scheduler, channel, event
@@ -27,10 +30,9 @@
 //!   returns its result with the engine's
 //!   [`hypersafe_simkit::RunReport`].
 //! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views).
-//! * [`gh_safety`] + [`gh_unicast`] — the §4.2 extension to
-//!   generalized hypercubes: Definition 4's [`SafetyMap::compute_gh`],
-//!   the GH runs of the lock-step GS node, and routing over the GH's
-//!   map.
+//! * [`gh_safety`] — the §4.2 extension to generalized hypercubes:
+//!   Definition 4's [`SafetyMap::compute_gh`] and the GH runs of the
+//!   lock-step GS node; routing over the GH's map is [`unicast`]'s.
 //! * [`properties`] — the spec: Theorems 1–4 and Properties 1–2, each
 //!   written once as a predicate. The runners' checked mode (engine
 //!   invariants), the DST post-run checkers and the model checker
@@ -69,7 +71,6 @@ pub mod diagnosis;
 pub mod egs;
 pub mod exact;
 pub mod gh_safety;
-pub mod gh_unicast;
 pub mod gs;
 pub mod level_store;
 pub mod maintenance;
@@ -87,13 +88,12 @@ pub mod service;
 pub mod unicast;
 pub mod unicast_distributed;
 
-pub use broadcast::{broadcast, gh_broadcast, BroadcastResult};
+pub use broadcast::{broadcast, BroadcastResult};
 pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
 pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
 pub use exact::{tightness, ExactReach, TightnessSummary};
 pub use gh_safety::{run_gh_gs, run_gh_gs_checked};
-pub use gh_unicast::{gh_route, gh_source_decision, GhRouteResult};
 pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsCorridor, GsLossyRun, GsRun};
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};
 pub use maintenance::{replay, MaintenanceReport, Strategy, Timeline, TimelineEvent};
@@ -105,9 +105,9 @@ pub use multipath::{
 };
 pub use navigation::NavVector;
 pub use properties::{
-    check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence, check_level_corridor,
-    check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
-    check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
+    check_exactly_once, check_gs_convergence, check_level_corridor, check_levels_converged,
+    check_lossy_outcome, check_never_fails_under_n_faults, check_property1, check_property2,
+    check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
     check_unicast_optimality, Violation,
 };
 pub use reroute::{route_dynamic, DynamicOutcome, DynamicRun, FaultEvent};
@@ -121,6 +121,6 @@ pub use unicast::{
     source_decision, source_decision_tb, Condition, Decision, RouteResult, TieBreak,
 };
 pub use unicast_distributed::{
-    run_gh_unicast, run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun,
-    LossyOutcome, LossyRun, UnicastMsg,
+    run_unicast, run_unicast_lossy, ArqSingleDelivery, DistributedRun, LossyOutcome, LossyRun,
+    UnicastMsg,
 };

@@ -170,7 +170,7 @@ pub fn mc_unicast_arq(
     mcfg.closure = false;
     let net = Net::cube(cfg);
     let decision = source_decision(map, s, d);
-    let sound = check_theorem4_soundness(cfg, s, d, decision);
+    let sound = check_theorem4_soundness(cfg.cube(), cfg, s, d, decision);
     let outcome = |st: &McSnapshot<'_, Reliable<UnicastNode<&SafetyMap>>>| {
         let delivered = st.actors[d.raw() as usize]
             .as_ref()

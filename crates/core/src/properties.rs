@@ -7,9 +7,8 @@
 //! * One cut of a distributed run: [`check_level_corridor`],
 //!   [`check_levels_converged`], [`check_exactly_once`].
 //! * Outcomes: [`check_unicast_optimality`] (the decision implies the
-//!   delivered trail) and Theorem 4 soundness, one rule over two
-//!   reachability oracles ([`check_theorem4_soundness`],
-//!   [`check_gh_theorem4_soundness`]).
+//!   delivered trail) and [`check_theorem4_soundness`], over `Q_n` or
+//!   a generalized hypercube.
 //!
 //! Everything else that checks these claims is a thin adapter that
 //! loops over actors, rounds or runs and calls a predicate here under
@@ -25,10 +24,7 @@ use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
 use crate::unicast::{intermediate_dim, route, Decision};
 use crate::unicast_distributed::{LossyOutcome, LossyRun};
-use hypersafe_topology::{
-    connectivity, FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Path,
-    Topology,
-};
+use hypersafe_topology::{connectivity, FaultConfig, Faults, Hypercube, NodeId, Path, Topology};
 
 /// A counterexample to one of the paper's claims.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,8 +55,7 @@ pub const GS_CONVERGENCE: &str = "gs-convergence";
 pub const ARQ_EXACTLY_ONCE: &str = "arq-exactly-once";
 /// Name of [`check_unicast_optimality`] in every checker.
 pub const UNICAST_OUTCOME: &str = "unicast-outcome";
-/// Name of [`check_theorem4_soundness`] and
-/// [`check_gh_theorem4_soundness`] in every checker.
+/// Name of [`check_theorem4_soundness`] in every checker.
 pub const THEOREM4_SOUNDNESS: &str = "theorem4-soundness";
 
 /// `Err` under `claim` for the first of `nodes` outside `cube`.
@@ -420,29 +415,9 @@ pub fn check_unicast_optimality(
     }
 }
 
-/// The one Theorem 4 rule, over either topology's reachability oracle.
-/// `AlreadyThere` promises nothing.
-fn theorem4_rule(
-    pair: [NodeId; 2],
-    decision: Decision,
-    reachable: bool,
-    faults: usize,
-    n: usize,
-) -> Result<(), Violation> {
-    let detail = match decision {
-        Decision::Failure if reachable && faults < n => {
-            format!("refused a connected pair with only {faults} fault(s) < n = {n}")
-        }
-        Decision::Optimal { .. } | Decision::Suboptimal { .. } if !reachable => {
-            "accepted a pair the BFS oracle says is disconnected".into()
-        }
-        _ => return Ok(()),
-    };
-    Err(Violation::new(THEOREM4_SOUNDNESS, pair.to_vec(), detail))
-}
-
-/// **Theorem 4 soundness.** The infeasibility verdict, checked against
-/// the BFS connectivity oracle:
+/// **Theorem 4 soundness.** The infeasibility verdict for `s → d` in
+/// `space` (`Q_n` or a generalized hypercube) under `faults`, checked
+/// against the connectivity oracle:
 ///
 /// * a disconnected healthy pair **must** be refused (an accept would
 ///   promise a delivery that cannot happen — Theorems 2/3 make accepts
@@ -451,78 +426,47 @@ fn theorem4_rule(
 ///   disconnected **or** the fault count reaches `n` (below that,
 ///   Theorem 3 guarantees feasibility, so refusing a connected pair
 ///   would be a false negative).
-pub fn check_theorem4_soundness(
-    cfg: &FaultConfig,
-    s: NodeId,
-    d: NodeId,
+///
+/// Only faults inside `space` count: a faulty node or link past its
+/// last node cannot make a pair infeasible. `AlreadyThere` promises
+/// nothing.
+pub fn check_theorem4_soundness<T: Topology, F: Faults<T>>(
+    space: T,
+    faults: &F,
+    s: T::Node,
+    d: T::Node,
     decision: Decision,
 ) -> Result<(), Violation> {
-    let cube = cfg.cube();
-    in_cube(THEOREM4_SOUNDNESS, cube, &[s, d])?;
-    theorem4_rule(
-        [s, d],
-        decision,
-        connectivity::connected(cfg, s, d),
-        cfg.node_faults().len() + cfg.link_faults().len(),
-        cube.dim() as usize,
-    )
-}
-
-/// BFS connectivity over the healthy part of a generalized hypercube —
-/// the GH analogue of [`hypersafe_topology::connectivity::connected`].
-fn gh_connected(gh: &GeneralizedHypercube, faults: &FaultSet, s: GhNode, d: GhNode) -> bool {
-    if faults.contains(NodeId::new(s.raw())) || faults.contains(NodeId::new(d.raw())) {
-        return false;
+    let id = |a| NodeId::new(T::raw(a));
+    if let Some(a) = [s, d].into_iter().find(|&a| !space.contains(a)) {
+        let detail = format!(
+            "{} is not a node of the {}-node topology",
+            T::raw(a),
+            space.num_nodes()
+        );
+        return Err(Violation::new(THEOREM4_SOUNDNESS, vec![id(a)], detail));
     }
-    if s == d {
-        return true;
-    }
-    let mut seen = vec![false; gh.num_nodes() as usize];
-    seen[s.raw() as usize] = true;
-    let mut stack = vec![s];
-    while let Some(a) = stack.pop() {
-        for b in gh.neighbours(a) {
-            if seen[b.raw() as usize] || faults.contains(NodeId::new(b.raw())) {
-                continue;
-            }
-            if b == d {
-                return true;
-            }
-            seen[b.raw() as usize] = true;
-            stack.push(b);
+    // A faulty link lists as (low, high) and lies inside when `high` does.
+    let inside = |a: NodeId| a.raw() < space.num_nodes();
+    let nodes = faults.node_faults().iter().filter(|&a| inside(a));
+    let links = faults.link_faults().iter().filter(|&(_, hi)| inside(hi));
+    let count = nodes.count() + links.count();
+    let n = space.dim() as usize;
+    let reachable = connectivity::reachable(space, faults, s, d);
+    let detail = match decision {
+        Decision::Failure if reachable && count < n => {
+            format!("refused a connected pair with only {count} fault(s) < n = {n}")
         }
-    }
-    false
-}
-
-/// **Theorem 4 soundness on GH topologies.** The rule of
-/// [`check_theorem4_soundness`], against the GH BFS oracle.
-pub fn check_gh_theorem4_soundness(
-    gh: &GeneralizedHypercube,
-    faults: &FaultSet,
-    s: GhNode,
-    d: GhNode,
-    decision: Decision,
-) -> Result<(), Violation> {
-    let pair = [NodeId::new(s.raw()), NodeId::new(d.raw())];
-    if let Some(a) = [s, d].into_iter().find(|&a| !gh.contains(a)) {
-        return Err(Violation::new(
-            THEOREM4_SOUNDNESS,
-            pair.to_vec(),
-            format!(
-                "{} is not a node of the {}-node GH",
-                a.raw(),
-                gh.num_nodes()
-            ),
-        ));
-    }
-    theorem4_rule(
-        pair,
-        decision,
-        gh_connected(gh, faults, s, d),
-        faults.len(),
-        gh.dim() as usize,
-    )
+        Decision::Optimal { .. } | Decision::Suboptimal { .. } if !reachable => {
+            "accepted a pair the BFS oracle says is disconnected".into()
+        }
+        _ => return Ok(()),
+    };
+    Err(Violation::new(
+        THEOREM4_SOUNDNESS,
+        vec![id(s), id(d)],
+        detail,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -581,7 +525,7 @@ pub fn check_lossy_outcome(
         run.trail.as_deref(),
         delivery_guaranteed,
     )?;
-    check_theorem4_soundness(cfg, s, d, run.decision)
+    check_theorem4_soundness(cfg.cube(), cfg, s, d, run.decision)
 }
 
 #[cfg(test)]
@@ -594,6 +538,7 @@ mod tests {
         AdversarialScheduler, ChannelModel, FifoScheduler, InvariantViolation, McConfig,
         ReliableConfig, RunOptions, RunReport, Scheduler,
     };
+    use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode};
 
     fn cfg_n(n: u8, faults: &[&str]) -> FaultConfig {
         let cube = Hypercube::new(n);
@@ -854,22 +799,46 @@ mod tests {
         assert!(!connectivity::connected(&cfg, s, d));
         let res = route(&cfg, &map, s, d);
         // The real algorithm refuses; soundness accepts the refusal.
-        check_theorem4_soundness(&cfg, s, d, res.decision).unwrap();
+        check_theorem4_soundness(cube, &cfg, s, d, res.decision).unwrap();
         // A hypothetical accept on the same pair must be flagged.
         let bogus = Decision::Optimal {
             condition: crate::unicast::Condition::C1,
             first_dim: 0,
         };
-        assert!(check_theorem4_soundness(&cfg, s, d, bogus).is_err());
+        assert!(check_theorem4_soundness(cube, &cfg, s, d, bogus).is_err());
     }
 
     #[test]
     fn theorem4_rejects_refusing_easy_pairs() {
         let cube = Hypercube::new(4);
         let cfg = FaultConfig::with_node_faults(cube, FaultSet::from_binary_strs(cube, &["0011"]));
-        let err = check_theorem4_soundness(&cfg, n("0000"), n("1111"), Decision::Failure)
+        let err = check_theorem4_soundness(cube, &cfg, n("0000"), n("1111"), Decision::Failure)
             .expect_err("one fault cannot justify a refusal");
         assert_eq!(err.claim, "theorem4-soundness");
+    }
+
+    /// Faulty links past the cube's last node cannot justify refusing
+    /// a connected pair: only faults inside the topology count.
+    #[test]
+    fn theorem4_ignores_link_faults_outside_the_cube() {
+        let cube = Hypercube::new(2);
+        let mut cfg = FaultConfig::fault_free(cube);
+        cfg.link_faults_mut().insert(NodeId::new(4), NodeId::new(5));
+        cfg.link_faults_mut().insert(NodeId::new(6), NodeId::new(7));
+        let v = check_theorem4_soundness(cube, &cfg, n("00"), n("11"), Decision::Failure);
+        assert_eq!(v.unwrap_err().claim, THEOREM4_SOUNDNESS);
+    }
+
+    /// The GH case of the same rule: a node set sized past the GH holds
+    /// members that are not nodes of it.
+    #[test]
+    fn theorem4_ignores_node_faults_outside_the_gh() {
+        let gh = GeneralizedHypercube::new(&[3, 3]);
+        let mut faults = FaultSet::with_capacity(64);
+        faults.insert(NodeId::new(20));
+        faults.insert(NodeId::new(30));
+        let v = check_theorem4_soundness(&gh, &faults, GhNode(0), GhNode(1), Decision::Failure);
+        assert_eq!(v.unwrap_err().claim, THEOREM4_SOUNDNESS);
     }
 
     #[test]
@@ -1025,7 +994,7 @@ mod tests {
         let cfg = FaultConfig::fault_free(cube);
         let map = SafetyMap::compute(&cfg);
         let far = NodeId::new(9);
-        let v = check_theorem4_soundness(&cfg, NodeId::new(0), far, Decision::Failure);
+        let v = check_theorem4_soundness(cube, &cfg, NodeId::new(0), far, Decision::Failure);
         assert_eq!(v.unwrap_err().witness, vec![far]);
         assert!(check_theorem2_at(&cfg, &map, far).is_err());
         let opt = Decision::Optimal {
@@ -1037,7 +1006,7 @@ mod tests {
         assert_eq!(v.unwrap_err().claim, UNICAST_OUTCOME);
         let gh = GeneralizedHypercube::new(&[3, 3, 3]);
         let faults = gh.fault_set();
-        let v = check_gh_theorem4_soundness(&gh, &faults, GhNode(0), GhNode(50), Decision::Failure);
+        let v = check_theorem4_soundness(&gh, &faults, GhNode(0), GhNode(50), Decision::Failure);
         assert_eq!(v.unwrap_err().claim, THEOREM4_SOUNDNESS);
     }
 }

@@ -361,8 +361,9 @@ pub(crate) fn rule_level<S: Readings>(space: S, levels: &LevelStore, a: S::Node)
 /// What Definition 1 reads at a node over a topology, one level per
 /// dimension: in `Q_n` the neighbour's level (Definition 1); in a
 /// generalized hypercube the lowest level in the rest of the clique
-/// (Definition 4, implemented in [`crate::gh_safety`]).
-pub(crate) trait Readings: Topology {
+/// (Definition 4, implemented in [`crate::gh_safety`]). The topologies
+/// a safety map is computed and broadcast over.
+pub trait Readings: Topology {
     /// The level each dimension of `a` reads from `levels`, by
     /// ascending dimension.
     fn readings(self, levels: &LevelStore, a: Self::Node) -> impl Iterator<Item = Level>;

@@ -47,7 +47,7 @@ use hypersafe_simkit::service::{
     AttemptOutcome, AttemptVerdict, DeliveryRung, Epoch, EpochHandle, RedundantOutcome,
     RouteProvider,
 };
-use hypersafe_topology::{FaultConfig, NodeId};
+use hypersafe_topology::{FaultConfig, Hypercube, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -185,7 +185,12 @@ impl SafetyService {
     /// node that died after the snapshot, or hit a dead end that
     /// Theorem 2 rules out on a consistent snapshot. Either way the
     /// snapshot is stale: retry against a fresher epoch.
-    fn attempt_with<S: HopSink>(&mut self, s: NodeId, d: NodeId, sink: &mut S) -> AttemptOutcome {
+    fn attempt_with<S: HopSink<Hypercube>>(
+        &mut self,
+        s: NodeId,
+        d: NodeId,
+        sink: &mut S,
+    ) -> AttemptOutcome {
         self.attempts += 1;
         let epoch = self.refresh().epoch;
         let verdict = if self.live.node_faulty(s) {

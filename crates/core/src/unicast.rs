@@ -33,18 +33,32 @@
 //! written once, over a level view: what one node reads of its own
 //! level and its neighbors' levels. The packed [`SafetyMap`], over
 //! `Q_n` or a generalized hypercube (also what a unicast actor reads),
-//! and EGS's source overlay (§4.1) are its views; §4.2's GH
-//! routing "is exactly the same as in a regular hypercube", so the
-//! rule is generic over the topology as well: it reads distances and
-//! preferred and spare ports through [`Topology`], which `Q_n` and the
-//! generalized hypercube implement.
-//! An endpoint outside the topology fails at the source, before any
-//! level is read.
+//! and EGS's source overlay (§4.1) are its views. The rule reads
+//! distances and preferred and spare ports through [`Topology`], which
+//! `Q_n` and the generalized hypercube implement. [`route`],
+//! [`route_tb`], [`source_decision`] and [`source_decision_tb`] take
+//! either topology's map; the traced and navigation-vector entry points
+//! are the cube's. An endpoint outside the topology fails at the
+//! source, before any level is read.
 //!
-//! One walk runs the hops for [`route`] and its variants,
-//! [`crate::route_light`] / [`crate::route_many`], EGS routing and the
-//! routing service's attempt; each caller only chooses what to record
-//! per hop. Other hop loops stay separate on purpose:
+//! **Generalized hypercubes** (§4.2, Theorem 2′). "Routing in `GH_n`
+//! is exactly the same as in a regular hypercube, because all the
+//! nodes are directly connected along the same dimension": a preferred
+//! hop jumps straight to the node carrying the destination's digit in
+//! that dimension, resolving the coordinate in one step. The source
+//! feasibility conditions mirror `C1`/`C2`/`C3` with the per-neighbor
+//! eligibility the paper's Fig. 5 walk uses (a specific preferred
+//! neighbor is eligible iff its own level is at least the remaining
+//! distance minus one). The map carries its GH, so the entry points
+//! take no separate topology and a map cannot be read over a GH it does
+//! not describe; a bare [`hypersafe_topology::FaultSet`] judges the
+//! walk, as a GH has no faulty link.
+//!
+//! One walk, `walk`, runs the hops for [`route`] and its variants
+//! over either topology, [`crate::route_light`] /
+//! [`crate::route_many`], EGS routing and the routing service's
+//! attempt; each caller only chooses what to record per hop. Other hop
+//! loops stay separate on purpose:
 //!
 //! * `properties::check_theorem2_at` states Theorem 2 itself, as an
 //!   independent greedy walk for the checker to compare against;
@@ -54,20 +68,12 @@
 //!   actor, `UnicastNode`, for both topologies, generic over the level
 //!   view it reads, forwarding across a port with [`Topology::across`];
 //!   `congestion_exp` takes one hop per simulated event with queueing
-//!   between hops; both apply the rule at each hop;
-//! * `gh_route` walks GH addresses, which the cube walk's navigation
-//!   vector cannot carry, over the same rule. A walk generic over the
-//!   topology, with node and link judges and `at == d` as its exit,
-//!   passed every test and golden in a prototype, but it added 41
-//!   lines to delete a 25-line loop, and over six alternating 8 s
-//!   benchmark pairs on a 2-vCPU host its request rate read 1.00, 0.99
-//!   and 1.00 of the loop's (batch routing, the quiet and the churning
-//!   service), so the loop stays.
+//!   between hops; both apply the rule at each hop.
 
 use crate::navigation::NavVector;
 use crate::safety::{Level, SafetyMap};
 use hypersafe_simkit::Trace;
-use hypersafe_topology::{FaultConfig, Hypercube, NodeId, Path, Topology};
+use hypersafe_topology::{FaultConfig, Faults, NodeId, Path, Topology};
 
 /// The source-side routing decision, in `Q_n` or a generalized
 /// hypercube (where `first_dim` is the dimension of the first port).
@@ -103,14 +109,16 @@ pub enum Condition {
     C3,
 }
 
-/// Full outcome of routing one unicast to completion.
+/// Full outcome of routing one unicast to completion, in `Q_n` or
+/// (with `N` = [`hypersafe_topology::GhNode`]) in a generalized
+/// hypercube.
 #[derive(Clone, Debug)]
-pub struct RouteResult {
+pub struct RouteResult<N = NodeId> {
     /// The source decision taken.
     pub decision: Decision,
     /// The realized path (present unless the decision was `Failure`;
     /// for `AlreadyThere` it is the zero-length path).
-    pub path: Option<Path>,
+    pub path: Option<Path<N>>,
     /// Whether the message reached `d` over nonfaulty intermediate
     /// nodes and usable links. (`true` even if `d` itself is faulty —
     /// footnote 3: delivery to a faulty destination is still delivery.)
@@ -212,25 +220,16 @@ pub(crate) enum SourceStep<P> {
 }
 
 impl<P> SourceStep<P> {
-    /// The verdict with its port named by the port's dimension,
-    /// `dim(port)`: the form [`SourceStep::decision`] reads.
-    pub(crate) fn by_dim(self, dim: impl FnOnce(P) -> u8) -> SourceStep<u8> {
+    /// The public form of the verdict, for both topologies: the port
+    /// named by the dimension it crosses in `space`.
+    pub(crate) fn decision<T: Topology<Port = P>>(self, space: T) -> Decision {
         match self {
-            SourceStep::Leave(condition, p) => SourceStep::Leave(condition, dim(p)),
-            SourceStep::Failure => SourceStep::Failure,
-            SourceStep::AlreadyThere => SourceStep::AlreadyThere,
-        }
-    }
-}
-
-impl SourceStep<u8> {
-    /// The public form of the verdict, for both topologies.
-    pub(crate) fn decision(self) -> Decision {
-        match self {
-            SourceStep::Leave(Condition::C3, first_dim) => Decision::Suboptimal { first_dim },
-            SourceStep::Leave(condition, first_dim) => Decision::Optimal {
+            SourceStep::Leave(Condition::C3, p) => Decision::Suboptimal {
+                first_dim: space.port_dim(p),
+            },
+            SourceStep::Leave(condition, p) => Decision::Optimal {
                 condition,
-                first_dim,
+                first_dim: space.port_dim(p),
             },
             SourceStep::Failure => Decision::Failure,
             SourceStep::AlreadyThere => Decision::AlreadyThere,
@@ -335,15 +334,20 @@ fn best_port<V: LevelView>(
 }
 
 /// `UNICASTING_AT_SOURCE_NODE`: evaluates `C1`/`C2`/`C3` and returns
-/// the decision, without forwarding. An endpoint outside the cube is
-/// a [`Decision::Failure`].
-pub fn source_decision(map: &SafetyMap, s: NodeId, d: NodeId) -> Decision {
+/// the decision, without forwarding, over the topology `map` carries.
+/// An endpoint outside that topology is a [`Decision::Failure`].
+pub fn source_decision<T: Topology>(map: &SafetyMap<T>, s: T::Node, d: T::Node) -> Decision {
     source_decision_tb(map, s, d, TieBreak::LowestDim)
 }
 
 /// [`source_decision`] with an explicit tie-break policy.
-pub fn source_decision_tb(map: &SafetyMap, s: NodeId, d: NodeId, tb: TieBreak) -> Decision {
-    rule_at_source(map, s, d, tb).decision()
+pub fn source_decision_tb<T: Topology>(
+    map: &SafetyMap<T>,
+    s: T::Node,
+    d: T::Node,
+    tb: TieBreak,
+) -> Decision {
+    rule_at_source(map, s, d, tb).decision(map.space())
 }
 
 /// `UNICASTING_AT_INTERMEDIATE_NODE`: the forwarding dimension chosen
@@ -361,17 +365,18 @@ pub fn intermediate_dim_tb(map: &SafetyMap, at: NodeId, nv: NavVector, tb: TieBr
     rule_at_hop(map, at, d, tb)
 }
 
-/// Routes one unicast from `s` to `d` to completion, simulating every
-/// hop, with an optional trace of the hops taken.
+/// Routes one unicast from `s` to `d` to completion over the topology
+/// `map` carries, `Q_n` or a generalized hypercube, simulating every
+/// hop.
 ///
 /// The route is driven purely by safety levels, exactly as the
-/// distributed algorithm would run; `cfg` is consulted only to *judge*
-/// the outcome (was a faulty node entered?), never to steer. If the
-/// message enters a faulty node before the navigation vector empties,
-/// the unicast is recorded as undelivered (fault-stop nodes drop
-/// traffic) — with a correct safety map this can only happen when the
-/// source decision was already `Failure` and the caller forced routing
-/// anyway, or when `d` itself is faulty.
+/// distributed algorithm would run; `faults` is consulted only to
+/// *judge* the outcome (was a faulty node entered?), never to steer. If
+/// the message enters a faulty node other than `d`, the unicast is
+/// recorded as undelivered (fault-stop nodes drop traffic) — with a
+/// correct safety map this can only happen when the source decision
+/// was already `Failure` and the caller forced routing anyway. A cube
+/// is judged by its [`FaultConfig`], a GH by its faulty-node set.
 ///
 /// # Examples
 ///
@@ -389,24 +394,29 @@ pub fn intermediate_dim_tb(map: &SafetyMap, at: NodeId, nv: NavVector, tb: TieBr
 /// assert!(res.delivered);
 /// assert!(res.path.unwrap().is_optimal());
 /// ```
-pub fn route(cfg: &FaultConfig, map: &SafetyMap, s: NodeId, d: NodeId) -> RouteResult {
-    route_traced(cfg, map, s, d, &mut Trace::disabled())
+pub fn route<T: Topology, F: Faults<T>>(
+    faults: &F,
+    map: &SafetyMap<T>,
+    s: T::Node,
+    d: T::Node,
+) -> RouteResult<T::Node> {
+    route_tb(faults, map, s, d, TieBreak::LowestDim)
 }
 
 /// [`route`] with an explicit tie-break policy (default routing uses
 /// [`TieBreak::LowestDim`]). Feasibility and path length are policy-
 /// independent; only the choice among equally-guaranteed routes moves.
-pub fn route_tb(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
+pub fn route_tb<T: Topology, F: Faults<T>>(
+    faults: &F,
+    map: &SafetyMap<T>,
+    s: T::Node,
+    d: T::Node,
     tb: TieBreak,
-) -> RouteResult {
-    route_traced_tb(cfg, map, s, d, tb, &mut Trace::disabled())
+) -> RouteResult<T::Node> {
+    route_over(faults, map, s, d, tb, &mut Trace::disabled())
 }
 
-/// [`route`] with hop tracing.
+/// [`route`] in a cube, with hop tracing.
 pub fn route_traced(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -417,7 +427,7 @@ pub fn route_traced(
     route_traced_tb(cfg, map, s, d, TieBreak::LowestDim, trace)
 }
 
-/// [`route_tb`] with hop tracing.
+/// [`route_tb`] in a cube, with hop tracing.
 pub fn route_traced_tb(
     cfg: &FaultConfig,
     map: &SafetyMap,
@@ -429,21 +439,23 @@ pub fn route_traced_tb(
     route_over(cfg, map, s, d, tb, trace)
 }
 
-/// [`route_traced_tb`] over any cube level view (EGS routes over its
-/// source overlay).
-pub(crate) fn route_over<V: LevelView<Space = Hypercube>>(
-    cfg: &FaultConfig,
+/// [`route_tb`] over any level view (EGS routes over its source
+/// overlay), recording the hops into `trace`.
+pub(crate) fn route_over<V: LevelView, F: Faults<V::Space>>(
+    faults: &F,
     view: &V,
-    s: NodeId,
-    d: NodeId,
+    s: NodeOf<V>,
+    d: NodeOf<V>,
     tb: TieBreak,
     trace: &mut Trace,
-) -> RouteResult {
+) -> RouteResult<NodeOf<V>> {
     let mut sink = PathSink {
+        space: view.space(),
+        d,
         path: Path::starting_at(s),
         trace,
     };
-    let out = walk(cfg, view, s, d, tb, &mut sink);
+    let out = walk(faults, view, s, d, tb, &mut sink);
     RouteResult {
         decision: out.decision,
         path: (out.decision != Decision::Failure).then_some(sink.path),
@@ -466,21 +478,21 @@ pub struct BatchOutcome {
 }
 
 /// What a caller of [`walk`] records per hop. The no-op sink is `()`.
-pub(crate) trait HopSink {
-    /// The message crossed the usable link `at → next` along `dim`,
-    /// leaving navigation vector `nv`. Called before `next` is judged.
-    fn hop(&mut self, at: NodeId, next: NodeId, dim: u8, nv: NavVector);
+pub(crate) trait HopSink<T: Topology> {
+    /// The message crossed the usable link `at → next` across `at`'s
+    /// port `port`. Called before `next` is judged.
+    fn hop(&mut self, at: T::Node, next: T::Node, port: T::Port);
 }
 
-impl HopSink for () {
+impl<T: Topology> HopSink<T> for () {
     #[inline(always)]
-    fn hop(&mut self, _: NodeId, _: NodeId, _: u8, _: NavVector) {}
+    fn hop(&mut self, _: T::Node, _: T::Node, _: T::Port) {}
 }
 
 /// Records the walked trail, `s` first; stays empty when no hop is
 /// taken.
-impl HopSink for Vec<NodeId> {
-    fn hop(&mut self, at: NodeId, next: NodeId, _: u8, _: NavVector) {
+impl<T: Topology> HopSink<T> for Vec<T::Node> {
+    fn hop(&mut self, at: T::Node, next: T::Node, _: T::Port) {
         if self.is_empty() {
             self.push(at);
         }
@@ -488,32 +500,40 @@ impl HopSink for Vec<NodeId> {
     }
 }
 
-/// [`route_traced_tb`]'s sink: the realized path and the hop trace.
-struct PathSink<'a> {
-    path: Path,
+/// [`route_over`]'s sink: the realized path and the hop trace. A hop's
+/// trace word is the XOR of the next node's and `d`'s linear indices:
+/// in `Q_n`, the one topology traced, the navigation vector left after
+/// the hop.
+struct PathSink<'a, T: Topology> {
+    space: T,
+    d: T::Node,
+    path: Path<T::Node>,
     trace: &'a mut Trace,
 }
 
-impl HopSink for PathSink<'_> {
-    fn hop(&mut self, at: NodeId, next: NodeId, dim: u8, nv: NavVector) {
-        self.trace.hop(at, next, dim, nv.0);
-        self.path.push(next);
+impl<T: Topology> HopSink<T> for PathSink<'_, T> {
+    fn hop(&mut self, at: T::Node, next: T::Node, port: T::Port) {
+        let id = |a| NodeId::new(T::raw(a));
+        let nv = T::raw(next) ^ T::raw(self.d);
+        let dim = self.space.port_dim(port);
+        self.trace.hop(id(at), id(next), dim, nv);
+        self.path.push_in(self.space, next);
     }
 }
 
-/// The §3 hop walk, the one loop behind [`route`] and its variants,
-/// [`crate::route_light`] / [`crate::route_many`] and the routing
-/// service's attempt.
+/// The §3 hop walk, the one loop behind [`route`] and its variants in
+/// either topology, [`crate::route_light`] / [`crate::route_many`] and
+/// the routing service's attempt.
 ///
 /// The route is planned purely on `map`, exactly as the distributed
 /// algorithm would run; `judge` is consulted only to judge each hop,
 /// never to steer:
 ///
 /// * a faulty link drops the message (undelivered, the hop not taken);
-/// * entering a faulty node ends the walk — delivered if that node is
-///   `d` (footnote 3: the physical link delivered it to the dead
-///   node's doorstep), lost otherwise (fault-stop nodes drop traffic);
-/// * entering a healthy `d` delivers.
+/// * entering `d` delivers, even a faulty `d` (footnote 3: the physical
+///   link delivered it to the dead node's doorstep);
+/// * entering any other faulty node ends the walk undelivered
+///   (fault-stop nodes drop traffic).
 ///
 /// With a map that is the fixed point of `judge`, a faulty
 /// intermediate can only be entered when the source decision was
@@ -525,55 +545,57 @@ impl HopSink for PathSink<'_> {
 /// outcome. Called out of line, the walk cost the service about 3 ns
 /// of a 70 ns attempt on Q12 (2-vCPU Xeon under KVM).
 #[inline(always)]
-pub(crate) fn walk<V: LevelView<Space = Hypercube>, S: HopSink>(
-    judge: &FaultConfig,
+pub(crate) fn walk<V: LevelView, F: Faults<V::Space>, S: HopSink<V::Space>>(
+    judge: &F,
     map: &V,
-    s: NodeId,
-    d: NodeId,
+    s: NodeOf<V>,
+    d: NodeOf<V>,
     tb: TieBreak,
     sink: &mut S,
 ) -> BatchOutcome {
-    let decision = rule_at_source(map, s, d, tb).decision();
-    let mut dim = match decision {
-        Decision::AlreadyThere => {
+    let space = map.space();
+    let id = |a| NodeId::new(<V::Space as Topology>::raw(a));
+    let nodes = judge.node_faults();
+    let step = rule_at_source(map, s, d, tb);
+    let decision = step.decision(space);
+    let mut port = match step {
+        SourceStep::Leave(_, port) => port,
+        SourceStep::AlreadyThere => {
             return BatchOutcome {
                 decision,
                 hops: 0,
-                delivered: !judge.node_faulty(s),
+                delivered: !nodes.contains(id(s)),
             }
         }
-        Decision::Failure => {
+        SourceStep::Failure => {
             return BatchOutcome {
                 decision,
                 hops: 0,
                 delivered: false,
             }
         }
-        Decision::Optimal { first_dim, .. } | Decision::Suboptimal { first_dim } => first_dim,
     };
     // Most fault sets have no link faults: test that once, not per hop.
     let links = judge.link_faults();
     let check_links = !links.is_empty();
-    let mut nv = NavVector::new(s, d);
     let mut at = s;
     let mut hops = 0u32;
     let delivered = loop {
-        let next = at.neighbor(dim);
-        if check_links && links.contains(at, next) {
+        let next = space.across(at, port);
+        if check_links && links.contains(id(at), id(next)) {
             break false;
         }
-        nv = nv.after_hop(dim);
         hops += 1;
-        sink.hop(at, next, dim, nv);
+        sink.hop(at, next, port);
         at = next;
-        if judge.node_faulty(at) {
-            break nv.is_done();
-        }
-        if nv.is_done() {
+        if at == d {
             break true;
         }
+        if nodes.contains(id(at)) {
+            break false;
+        }
         match rule_at_hop(map, at, d, tb) {
-            Some(i) => dim = i,
+            Some(p) => port = p,
             None => break false,
         }
     };
@@ -587,7 +609,7 @@ pub(crate) fn walk<V: LevelView<Space = Hypercube>, S: HopSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::FaultSet;
+    use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, Hypercube};
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()
@@ -792,5 +814,118 @@ mod tests {
             assert_eq!(res.decision, Decision::Failure, "→ {d}");
             assert!(!res.delivered);
         }
+    }
+
+    /// A Fig.-5-shaped instance of GH(2, 3, 2) with four faulty nodes,
+    /// found by exhaustive search over all C(12, 4) fault sets for the
+    /// one consistent with the paper's narration (`repro fig5` rederives
+    /// it): exactly four 3-safe nodes, 011 and 100 faulty, the dim-2
+    /// neighbor 110 of the source at level 1 (ineligible), and the
+    /// narrated optimal route 010 → 000 → 001 → 101.
+    fn fig5_like() -> (GeneralizedHypercube, FaultSet) {
+        let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
+        let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
+        (gh, f)
+    }
+
+    fn hops(res: &RouteResult<GhNode>) -> Option<u32> {
+        res.path.as_ref().map(|p| p.len())
+    }
+
+    #[test]
+    fn gh_preferred_port_resolves_digit() {
+        let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
+        let s = gh.parse("010").unwrap();
+        let d = gh.parse("101").unwrap();
+        let ports: Vec<(u8, u16)> = (&gh).preferred(s, d).collect();
+        assert_eq!(ports, vec![(0, 1), (1, 0), (2, 1)]);
+        assert_eq!(gh.format(gh.with_digit(s, 1, 0)), "000");
+    }
+
+    #[test]
+    fn routes_in_a_fault_free_gh_are_optimal() {
+        let gh = GeneralizedHypercube::from_product(&[3, 4, 2]);
+        let f = gh.fault_set();
+        let map = SafetyMap::compute_gh(&gh, &f);
+        for s in gh.nodes() {
+            for d in gh.nodes() {
+                let res = route(&f, &map, s, d);
+                assert!(res.delivered);
+                let (hs, hd) = (gh.format(s), gh.format(d));
+                assert_eq!(hops(&res), gh.distance(s, d), "{hs} → {hd}");
+            }
+        }
+    }
+
+    #[test]
+    fn fig5_like_walk_010_to_101() {
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let s = gh.parse("010").unwrap();
+        let d = gh.parse("101").unwrap();
+        assert_eq!(gh.distance(s, d), Some(3));
+        let res = route(&f, &map, s, d);
+        assert!(matches!(res.decision, Decision::Optimal { .. }));
+        assert!(res.delivered);
+        assert_eq!(hops(&res), Some(3));
+        // The realized route is exactly the paper's narrated walk:
+        // 010 → 000 (dim 1, ring/clique hop) → 001 (dim 0) → 101 (dim 2).
+        let walk: Vec<String> = res
+            .path
+            .unwrap()
+            .nodes()
+            .iter()
+            .map(|&a| gh.format(a))
+            .collect();
+        assert_eq!(walk, vec!["010", "000", "001", "101"]);
+        // Exactly four safe nodes, as the paper states.
+        assert_eq!(map.safe_nodes().len(), 4);
+        // The dim-2 neighbor of the source is at level 1 — "less than
+        // 3 − 1 = 2 and again is not eligible".
+        assert_eq!(map.level(gh.parse("110").unwrap()), 1);
+    }
+
+    #[test]
+    fn unsafe_nonfaulty_nodes_have_safe_neighbor_fig5() {
+        // §4.2: "each unsafe but nonfaulty node has a safe neighbor" in
+        // the Fig. 5 instance.
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
+        for a in gh.nodes() {
+            if f.contains(NodeId::new(a.raw())) || map.is_safe(a) {
+                continue;
+            }
+            assert!(
+                gh.neighbours(a).any(|b| map.is_safe(b)),
+                "{} lacks a safe neighbor",
+                gh.format(a)
+            );
+        }
+    }
+
+    #[test]
+    fn gh_failure_reported_when_surrounded() {
+        // GH(2,2): a 4-cycle. Fault both neighbors of node (0,0).
+        let gh = GeneralizedHypercube::new(&[2, 2]);
+        let mut f = gh.fault_set();
+        f.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
+        f.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let s = gh.node_from_digits(&[0, 0]);
+        let d = gh.node_from_digits(&[1, 1]);
+        let res = route(&f, &map, s, d);
+        assert_eq!(res.decision, Decision::Failure);
+        assert!(!res.delivered);
+    }
+
+    #[test]
+    fn gh_already_there() {
+        let (gh, f) = fig5_like();
+        let map = SafetyMap::compute_gh(&gh, &f);
+        let s = gh.parse("000").unwrap();
+        let res = route(&f, &map, s, s);
+        assert_eq!(res.decision, Decision::AlreadyThere);
+        assert!(res.delivered);
+        assert_eq!(hops(&res), Some(0));
     }
 }

@@ -2,19 +2,18 @@
 //! on the discrete-event engine, in `Q_n` and in generalized
 //! hypercubes.
 //!
-//! [`crate::unicast::route`] and [`crate::gh_route`] simulate the
-//! algorithm centrally (fast, used by the Monte-Carlo experiments);
-//! this module runs it for real: each node is an actor that reads only
-//! its own safety level and its neighbors' levels (the paper's locality
-//! assumption) through a view of the converged map, messages carry
-//! `(destination, trail)`, and the destination keeps what arrives.
+//! [`crate::unicast::route`] simulates the algorithm centrally (fast,
+//! used by the Monte-Carlo experiments); this module runs it for real:
+//! each node is an actor that reads only its own safety level and its
+//! neighbors' levels (the paper's locality assumption) through a view
+//! of the converged map, messages carry `(destination, trail)`, and the
+//! destination keeps what arrives.
 //! Routing in `GH_n` "is exactly the same as in a regular hypercube"
 //! (§4.2), so one actor, `UnicastNode`, serves both topologies, reading
 //! a [`SafetyMap`] over `Q_n` or over the GH. The test
 //! suite checks the actor takes the centralized path hop for hop —
 //! evidence that the centralized shortcut is faithful.
 
-use crate::gh_unicast::gh_source_decision;
 use crate::properties::{check_exactly_once, Violation, ARQ_EXACTLY_ONCE};
 use crate::safety::SafetyMap;
 use crate::unicast::{
@@ -25,9 +24,7 @@ use hypersafe_simkit::{
     Actor, Ctx, EventEngine, EventStats, Invariant, Net, RelCtx, Reliable, ReliableActor,
     ReliableConfig, RunOptions, RunReport, Time,
 };
-use hypersafe_topology::{
-    FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, NodeId, Topology,
-};
+use hypersafe_topology::{FaultConfig, Faults, Hypercube, NodeId, Topology};
 
 /// The report of a run that built no engine: an endpoint outside the
 /// topology.
@@ -185,7 +182,7 @@ impl<T: LevelView> Actor for UnicastNode<T> {
 }
 
 /// Outcome of a distributed unicast run, in `Q_n` or (with `N` =
-/// [`GhNode`]) in a generalized hypercube.
+/// [`hypersafe_topology::GhNode`]) in a generalized hypercube.
 #[derive(Clone, Debug)]
 pub struct DistributedRun<N = NodeId> {
     /// The source's (purely local) decision, recomputed for reporting.
@@ -228,57 +225,36 @@ fn collect<S: Topology, T: LevelView>(
     }
 }
 
-/// Runs one unicast `s → d` as a distributed protocol over `cfg`,
-/// with per-hop `latency`, under `opts`. The safety map must already be
-/// converged (run GS first). The actor assumes reliable links:
-/// reorder/stretch adversaries only, and lossy channels belong with
-/// [`run_unicast_lossy`]. The protocol has no engine invariant, so
-/// `opts.check` has nothing to check. An endpoint outside the cube
+/// Runs one unicast `s → d` as a distributed protocol over the topology
+/// the converged `map` carries, `Q_n` or a generalized hypercube, with
+/// the faults `faults` and per-hop `latency`, under `opts`: each node
+/// reads its own and its neighbors' levels off the map. The safety map
+/// must already be converged (run GS first). The actor assumes reliable
+/// links: reorder/stretch adversaries only, and lossy channels belong
+/// with [`run_unicast_lossy`]. The protocol has no engine invariant, so
+/// `opts.check` has nothing to check. An endpoint outside the topology
 /// gives a `Failure` run with no messages, and no engine is built.
-pub fn run_unicast(
-    cfg: &FaultConfig,
-    map: &SafetyMap,
-    s: NodeId,
-    d: NodeId,
+pub fn run_unicast<T: Topology, F: Faults<T>>(
+    faults: &F,
+    map: &SafetyMap<T>,
+    s: T::Node,
+    d: T::Node,
     latency: Time,
     opts: RunOptions,
-) -> (DistributedRun, RunReport) {
-    if !(cfg.cube().contains(s) && cfg.cube().contains(d)) {
+) -> (DistributedRun<T::Node>, RunReport) {
+    let space = map.space();
+    if !(space.contains(s) && space.contains(d)) {
         return not_run();
     }
     let latency = latency.max(1);
-    let net = Net::cube(cfg);
-    let init = |a| UnicastNode::new(map, a, (a == s).then_some(d), latency);
-    let (eng, report) = EventEngine::drive(&net, opts, init, |e| e.inject(s, START_TAG, 0), None);
-    (collect(&eng, d, source_decision(map, s, d)), report)
-}
-
-/// [`run_unicast`] in the generalized hypercube the converged `map`
-/// describes, with faulty nodes `faults`: the same actor, each node
-/// reading its own and its clique peers' levels off the map, under
-/// `opts`. An endpoint outside the GH gives a `Failure` run with no
-/// messages, and no engine is built.
-pub fn run_gh_unicast(
-    map: &SafetyMap<&GeneralizedHypercube>,
-    faults: &FaultSet,
-    s: GhNode,
-    d: GhNode,
-    latency: Time,
-    opts: RunOptions,
-) -> (DistributedRun<GhNode>, RunReport) {
-    let gh = map.space();
-    if !(gh.contains(s) && gh.contains(d)) {
-        return not_run();
-    }
-    let latency = latency.max(1);
-    let net = Net::new(gh, faults);
+    let net = Net::new(space, faults);
     let init = |a: NodeId| {
-        let me = GhNode(a.raw());
+        let me = T::from_raw(a.raw());
         UnicastNode::new(map, me, (me == s).then_some(d), latency)
     };
-    let start = |e: &mut EventEngine<'_, _, _>| e.inject(NodeId::new(s.raw()), START_TAG, 0);
+    let start = |e: &mut EventEngine<'_, _, _>| e.inject(NodeId::new(T::raw(s)), START_TAG, 0);
     let (eng, report) = EventEngine::drive(&net, opts, init, start, None);
-    let run = collect(&eng, NodeId::new(d.raw()), gh_source_decision(map, s, d));
+    let run = collect(&eng, NodeId::new(T::raw(d)), source_decision(map, s, d));
     (run, report)
 }
 
@@ -526,11 +502,10 @@ fn collect_lossy(
 mod tests {
     use super::*;
     use crate::gh_safety::run_gh_gs;
-    use crate::gh_unicast::gh_route;
     use crate::gs::run_gs;
     use crate::unicast::route;
     use hypersafe_simkit::ChannelModel;
-    use hypersafe_topology::Hypercube;
+    use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, Hypercube};
 
     fn fig1() -> (FaultConfig, SafetyMap) {
         let cube = Hypercube::new(4);
@@ -597,7 +572,7 @@ mod tests {
         s: GhNode,
         d: GhNode,
     ) -> DistributedRun<GhNode> {
-        run_gh_unicast(map, f, s, d, 1, RunOptions::default()).0
+        run_unicast(f, map, s, d, 1, RunOptions::default()).0
     }
 
     #[test]
@@ -611,13 +586,13 @@ mod tests {
             .collect();
         for &s in &healthy {
             for &d in &healthy {
-                let central = gh_route(&map, &f, s, d);
+                let central = route(&f, &map, s, d);
                 let dist = gh_run(&map, &f, s, d);
                 let pair = format!("{} → {}", gh.format(s), gh.format(d));
                 assert_eq!(central.decision, dist.decision, "{pair}");
                 match (central.delivered, &dist.trail) {
                     (true, Some(trail)) => {
-                        let nodes = central.nodes.as_deref().unwrap();
+                        let nodes = central.path.as_ref().unwrap().nodes();
                         assert_eq!(nodes, trail.as_slice(), "{pair}: hop-for-hop agreement");
                         let hops = trail.len() as u64 - 1;
                         assert_eq!(dist.arrival_time, Some(hops), "{pair}");
@@ -799,9 +774,10 @@ mod tests {
 
         /// Q1–Q10 with uniform faults on up to 40% of the nodes: on
         /// GH(2, …, 2) the lock-step GS equals the cube's in levels,
-        /// rounds and statistics, and the unicast actor equals the
-        /// cube's in decision, trail, messages and arrival time on 16
-        /// drawn pairs, faulty endpoints included.
+        /// rounds and statistics; on 16 drawn pairs, faulty endpoints
+        /// included, the unicast actor equals the cube's in decision,
+        /// trail, messages and arrival time, and the centralized walk
+        /// equals the cube's in decision, trail and delivery.
         #[test]
         fn binary_gh_equals_the_cube(
             n in 1u8..=10,
@@ -827,12 +803,19 @@ mod tests {
                 let (s, d) = (s % len, d % len);
                 let opts = RunOptions::default;
                 let q = run_unicast(&cfg, &gs.map, NodeId::new(s), NodeId::new(d), 1, opts()).0;
-                let g = run_gh_unicast(&gh_map, &f, GhNode(s), GhNode(d), 1, opts()).0;
-                let trail = g.trail.map(|t| t.into_iter().map(|a| NodeId::new(a.raw())).collect());
+                let g = run_unicast(&f, &gh_map, GhNode(s), GhNode(d), 1, opts()).0;
+                let as_cube = |t: &[GhNode]| t.iter().map(|a| NodeId::new(a.raw())).collect::<Vec<_>>();
                 proptest::prop_assert_eq!(
-                    (g.decision, trail, g.messages, g.arrival_time),
+                    (g.decision, g.trail.as_deref().map(as_cube), g.messages, g.arrival_time),
                     (q.decision, q.trail, q.messages, q.arrival_time),
                     "Q{} {} → {}", n, s, d
+                );
+                let qc = route(&cfg, &gs.map, NodeId::new(s), NodeId::new(d));
+                let gc = route(&f, &gh_map, GhNode(s), GhNode(d));
+                proptest::prop_assert_eq!(
+                    (gc.decision, gc.path.map(|p| as_cube(p.nodes())), gc.delivered),
+                    (qc.decision, qc.path.map(|p| p.nodes().to_vec()), qc.delivered),
+                    "centralized Q{} {} → {}", n, s, d
                 );
             }
         }

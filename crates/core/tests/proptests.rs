@@ -1,7 +1,6 @@
 //! Property tests for hypersafe-core beyond the workspace-level suite:
 //! broadcasting, EGS dual views, GH routing, dynamic rerouting.
 
-use hypersafe_core::gh_unicast::gh_route;
 use hypersafe_core::{
     broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, Decision,
     DynamicOutcome, ExtendedSafetyMap, FaultEvent, LossyOutcome, SafetyMap,
@@ -99,7 +98,7 @@ proptest! {
     /// GH routing: an Optimal decision delivers in exactly H hops over
     /// nonfaulty nodes; a Suboptimal one in H + 2.
     #[test]
-    fn gh_route_contracts(
+    fn gh_routing_contracts(
         radices in proptest::collection::vec(2u16..=4, 2..=4),
         fault_picks in proptest::collection::btree_set(0u64..256, 0..6),
     ) {
@@ -115,18 +114,19 @@ proptest! {
             .collect();
         for &s in healthy.iter().take(5) {
             for &d in healthy.iter().rev().take(5) {
-                let res = gh_route(&map, &f, s, d);
+                let res = route(&f, &map, s, d);
+                let hops = res.path.as_ref().map(|p| p.len());
                 match res.decision {
                     Decision::Optimal { .. } => {
                         prop_assert!(res.delivered, "{} → {}", gh.format(s), gh.format(d));
-                        prop_assert_eq!(res.hops(), gh.distance(s, d));
+                        prop_assert_eq!(hops, gh.distance(s, d));
                     }
                     Decision::Suboptimal { .. } => {
                         prop_assert!(res.delivered);
-                        prop_assert_eq!(res.hops(), gh.distance(s, d).map(|h| h + 2));
+                        prop_assert_eq!(hops, gh.distance(s, d).map(|h| h + 2));
                     }
                     Decision::Failure => prop_assert!(!res.delivered),
-                    Decision::AlreadyThere => prop_assert_eq!(res.hops(), Some(0)),
+                    Decision::AlreadyThere => prop_assert_eq!(hops, Some(0)),
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Differential tests for the §3 routing rule's views that the walk's
 //! own tests do not reach.
 //!
-//! * GH: the distributed protocol (`run_gh_unicast`, each actor
-//!   reading its clique peers' levels) must take the centralized
-//!   `gh_route`'s path hop for hop, on random generalized hypercubes
-//!   with radices 2–4, up to four dimensions and random node faults.
+//! * GH: the distributed protocol (`run_unicast` over a GH map, each
+//!   actor reading its clique peers' levels) must take the centralized
+//!   `route`'s path hop for hop, on random generalized hypercubes with
+//!   radices 2–4, up to four dimensions and random node faults.
 //! * EGS: `route_egs` reads the advertised map through a source
 //!   overlay. The reference below is the earlier implementation, which
 //!   cloned the packed map and wrote the source's own level into the
@@ -14,7 +14,7 @@
 //! `PROPTEST_SEED` widens the reach (CI runs seeds 1–8 in release).
 
 use hypersafe_core::{
-    gh_route, route_egs, route_traced, run_gh_unicast, ExtendedSafetyMap, RouteResult, SafetyMap,
+    route, route_egs, route_traced, run_unicast, ExtendedSafetyMap, RouteResult, SafetyMap,
 };
 use hypersafe_simkit::{RunOptions, Trace};
 use hypersafe_topology::{
@@ -57,11 +57,12 @@ proptest! {
         for &(s, d) in &pairs {
             let s = healthy[(s % healthy.len() as u64) as usize];
             let d = healthy[(d % healthy.len() as u64) as usize];
-            let central = gh_route(&map, &set, s, d);
-            let dist = run_gh_unicast(&map, &set, s, d, 1, RunOptions::default()).0;
+            let central = route(&set, &map, s, d);
+            let dist = run_unicast(&set, &map, s, d, 1, RunOptions::default()).0;
             let pair = format!("{radices:?} {} → {}", gh.format(s), gh.format(d));
             prop_assert_eq!(central.decision, dist.decision, "{}", pair);
-            let central_trail = central.delivered.then_some(central.nodes).flatten();
+            let central_trail = central.path.filter(|_| central.delivered);
+            let central_trail = central_trail.map(|p| p.nodes().to_vec());
             prop_assert_eq!(central_trail, dist.trail, "{}", pair);
         }
     }

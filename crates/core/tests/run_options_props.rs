@@ -9,14 +9,14 @@
 //! registry, a trace, and no violation on a correct protocol. The same
 //! holds for the asynchronous GS runs from either start cut by an event
 //! budget below their full run's count: a cut run is not a convergence
-//! failure. A GH unicast's trail under any of these schedules is
-//! `gh_route`'s.
+//! failure. A GH unicast's trail under any of these schedules is the
+//! centralized `route`'s.
 
 use std::fmt::Debug;
 
 use hypersafe_core::{
-    gh_route, run_broadcast, run_delta_gs, run_gh_unicast, run_gs_async, run_gs_reliable,
-    run_unicast, run_unicast_lossy, ChurnEvent, GsAsyncRun, SafetyMap,
+    route, run_broadcast, run_delta_gs, run_gs_async, run_gs_reliable, run_unicast,
+    run_unicast_lossy, ChurnEvent, GsAsyncRun, SafetyMap,
 };
 use hypersafe_simkit::{
     AdversarialScheduler, ChannelModel, FifoScheduler, ReliableConfig, RunOptions, RunReport,
@@ -204,15 +204,15 @@ proptest! {
             sched: sched(fifo, seed),
             ..RunOptions::default()
         };
-        let run = |opts| run_gh_unicast(&map, &set, s, d, 1, opts);
+        let run = |opts| run_unicast(&set, &map, s, d, 1, opts);
         assert_passive(
-            "run_gh_unicast",
+            "run_unicast (GH)",
             plain,
             run,
             |r| (r.decision, r.trail.clone(), r.arrival_time, r.messages),
         )?;
-        let central = gh_route(&map, &set, s, d);
-        let want = central.delivered.then_some(central.nodes).flatten();
+        let central = route(&set, &map, s, d);
+        let want = central.path.filter(|_| central.delivered).map(|p| p.nodes().to_vec());
         prop_assert_eq!(run(plain()).0.trail, want);
     }
 }

@@ -16,15 +16,14 @@
 
 use hypersafe_core::properties::GS_CONVERGENCE;
 use hypersafe_core::{
-    broadcast, check_exactly_once, check_gh_theorem4_soundness, check_gs_convergence,
-    check_level_corridor, check_levels_converged, check_lossy_outcome,
-    check_never_fails_under_n_faults, check_property1, check_property2, check_theorem2,
-    check_theorem2_at, check_theorem3, check_theorem4_soundness, check_unicast_optimality,
-    gh_broadcast, gh_route, gh_source_decision, intermediate_dim, intermediate_dim_tb, route,
-    route_dynamic, route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs,
-    run_gh_unicast, run_gs_async, run_gs_reliable, run_unicast, run_unicast_lossy, source_decision,
-    BroadcastResult, Condition, Decision, DynamicOutcome, ExtendedSafetyMap, GsAsyncRun, Level,
-    LossyOutcome, LossyRun, NavVector, SafetyMap, TieBreak,
+    broadcast, check_exactly_once, check_gs_convergence, check_level_corridor,
+    check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
+    check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
+    check_unicast_optimality, intermediate_dim, intermediate_dim_tb, route, route_dynamic,
+    route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs, run_gs_async,
+    run_gs_reliable, run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition,
+    Decision, DynamicOutcome, ExtendedSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun,
+    NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
 use hypersafe_topology::{
@@ -150,7 +149,9 @@ proptest! {
         total("check_unicast_optimality", || {
             check_unicast_optimality(&cfg, s, d, decision, sent, guaranteed)
         })?;
-        total("check_theorem4_soundness", || check_theorem4_soundness(&cfg, s, d, decision))?;
+        total("check_theorem4_soundness", || {
+            check_theorem4_soundness(cfg.cube(), &cfg, s, d, decision)
+        })?;
         let run = LossyRun {
             outcome: if delivered { LossyOutcome::TimedOut } else { LossyOutcome::AbortedAt(s) },
             decision,
@@ -256,19 +257,17 @@ proptest! {
         let outside = !(gh.contains(s) && gh.contains(d));
         let failure = |dec: &Decision| *dec == Decision::Failure;
 
-        fails_outside("gh_source_decision", outside, || {
-            gh_source_decision(&map, s, d)
-        }, failure)?;
-        fails_outside("gh_route", outside, || {
-            let res = gh_route(&map, &set, s, d);
-            (res.decision, res.nodes)
-        }, |(dec, nodes)| failure(dec) && nodes.is_none())?;
-        fails_outside("run_gh_unicast", outside, || {
-            let run = run_gh_unicast(&map, &set, s, d, 1, RunOptions::default()).0;
+        fails_outside("source_decision", outside, || source_decision(&map, s, d), failure)?;
+        fails_outside("route", outside, || {
+            let res = route(&set, &map, s, d);
+            (res.decision, res.path)
+        }, |(dec, path)| failure(dec) && path.is_none())?;
+        fails_outside("run_unicast", outside, || {
+            let run = run_unicast(&set, &map, s, d, 1, RunOptions::default()).0;
             (run.decision, run.trail)
         }, |(dec, trail)| failure(dec) && trail.is_none())?;
-        fails_outside("gh_broadcast", !gh.contains(s), || {
-            sent(gh_broadcast(&map, &set, s))
+        fails_outside("broadcast", !gh.contains(s), || {
+            sent(broadcast(&set, &map, s))
         }, |r| *r == (0, 0, None))?;
     }
 
@@ -287,8 +286,8 @@ proptest! {
         }
         let span = 2 * gh.num_nodes();
         let (s, d) = (GhNode(s % span), GhNode(d % span));
-        total("check_gh_theorem4_soundness", || {
-            check_gh_theorem4_soundness(&gh, &set, s, d, decision(k, 0))
+        total("check_theorem4_soundness", || {
+            check_theorem4_soundness(&gh, &set, s, d, decision(k, 0))
         })?;
     }
 

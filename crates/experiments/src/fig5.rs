@@ -19,8 +19,7 @@
 //! machine-checked, not hand-waved.
 
 use crate::table::Report;
-use hypersafe_core::gh_unicast::gh_route;
-use hypersafe_core::{Decision, SafetyMap};
+use hypersafe_core::{route, Decision, SafetyMap};
 use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
 
 /// The Fig. 5 topology.
@@ -44,8 +43,9 @@ pub fn consistent(gh: &GeneralizedHypercube, f: &FaultSet) -> bool {
     }
     let s = gh.parse("010").unwrap();
     let d = gh.parse("101").unwrap();
-    let res = gh_route(&map, f, s, d);
-    matches!(res.decision, Decision::Optimal { .. }) && res.delivered && res.hops() == Some(3)
+    let res = route(f, &map, s, d);
+    let hops = res.path.map(|p| p.len());
+    matches!(res.decision, Decision::Optimal { .. }) && res.delivered && hops == Some(3)
 }
 
 /// Exhaustively enumerates consistent 4-fault sets.
@@ -90,9 +90,12 @@ pub fn run() -> Report {
                 f.insert(NodeId::new(a.raw()));
             }
             let map = SafetyMap::compute_gh(&gh, &f);
-            let res = gh_route(&map, &f, gh.parse("010").unwrap(), gh.parse("101").unwrap());
-            res.nodes.is_some_and(|walk| {
-                walk.iter().map(|&a| gh.format(a)).collect::<Vec<_>>()
+            let res = route(&f, &map, gh.parse("010").unwrap(), gh.parse("101").unwrap());
+            res.path.is_some_and(|walk| {
+                walk.nodes()
+                    .iter()
+                    .map(|&a| gh.format(a))
+                    .collect::<Vec<_>>()
                     == ["010", "000", "001", "101"]
             })
         })
@@ -124,11 +127,12 @@ pub fn run() -> Report {
         found.len(),
         pinned.iter().map(|&a| gh.format(a)).collect::<Vec<_>>()
     ));
-    let res = gh_route(&map, &f, gh.parse("010").unwrap(), gh.parse("101").unwrap());
+    let res = route(&f, &map, gh.parse("010").unwrap(), gh.parse("101").unwrap());
     rep.note(format!(
         "unicast 010 → 101 (3 coordinates differ): optimal walk {:?}",
-        res.nodes
+        res.path
             .unwrap()
+            .nodes()
             .iter()
             .map(|&a| gh.format(a))
             .collect::<Vec<_>>()

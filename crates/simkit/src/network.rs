@@ -20,7 +20,9 @@
 //! round's value.
 
 use crate::stats::SyncStats;
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Topology};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, Faults, Hypercube, LinkFaultSet, NodeId, Topology,
+};
 
 /// A topology with a fault overlay: the network both engines run over.
 /// Nodes are named by their linear index (a [`NodeId`] or its raw
@@ -31,27 +33,24 @@ pub struct Net<'a, T> {
     topo: T,
     nodes: &'a FaultSet,
     /// A cube's faulty links; §4.2's generalized hypercube takes none.
-    links: Option<&'a LinkFaultSet>,
+    links: &'a LinkFaultSet,
 }
 
 impl<'a> Net<'a, Hypercube> {
     /// A binary cube with the node and link faults of `cfg`.
     pub fn cube(cfg: &'a FaultConfig) -> Self {
-        Net {
-            topo: cfg.cube(),
-            nodes: cfg.node_faults(),
-            links: Some(cfg.link_faults()),
-        }
+        Net::new(cfg.cube(), cfg)
     }
 }
 
 impl<'a, T: Topology> Net<'a, T> {
-    /// `topo` with the faulty nodes `faults` and no faulty link.
-    pub fn new(topo: T, faults: &'a FaultSet) -> Self {
+    /// `topo` with the faulty nodes and links of `faults` (a bare
+    /// [`FaultSet`] has no faulty link).
+    pub fn new(topo: T, faults: &'a impl Faults<T>) -> Self {
         Net {
             topo,
-            nodes: faults,
-            links: None,
+            nodes: faults.node_faults(),
+            links: faults.link_faults(),
         }
     }
 
@@ -99,8 +98,7 @@ impl<'a, T: Topology> Net<'a, T> {
     /// Whether the link `a ↔ b` is faulty (messages across it vanish).
     #[inline]
     pub fn link_faulty(&self, a: u64, b: u64) -> bool {
-        self.links
-            .is_some_and(|l| l.contains(NodeId::new(a), NodeId::new(b)))
+        self.links.contains(NodeId::new(a), NodeId::new(b))
     }
 }
 

@@ -7,7 +7,7 @@
 //! judging routing outcomes.
 
 use crate::addr::NodeId;
-use crate::faults::FaultConfig;
+use crate::faults::{FaultConfig, Faults};
 use crate::ports::Topology;
 use std::collections::VecDeque;
 
@@ -80,7 +80,35 @@ pub fn shortest_path(cfg: &FaultConfig, s: NodeId, d: NodeId) -> Option<Vec<Node
 
 /// Whether `s` and `d` are connected in the faulty cube.
 pub fn connected(cfg: &FaultConfig, s: NodeId, d: NodeId) -> bool {
-    shortest_path_len(cfg, s, d).is_some()
+    reachable(cfg.cube(), cfg, s, d)
+}
+
+/// Whether `s` and `d` are connected over the healthy nodes and usable
+/// links of `topo` under `faults`, in either topology: a depth-first
+/// search from `s`. Both endpoints must lie in `topo`; a faulty one is
+/// connected to nothing.
+pub fn reachable<T: Topology, F: Faults<T>>(topo: T, faults: &F, s: T::Node, d: T::Node) -> bool {
+    let (nodes, links) = (faults.node_faults(), faults.link_faults());
+    let id = |a| NodeId::new(T::raw(a));
+    if nodes.contains(id(s)) || nodes.contains(id(d)) {
+        return false;
+    }
+    let mut seen = vec![false; topo.num_nodes() as usize];
+    seen[T::raw(s) as usize] = true;
+    let mut stack = vec![s];
+    while let Some(a) = stack.pop() {
+        if a == d {
+            return true;
+        }
+        for b in topo.neighbours(a) {
+            let fresh = !seen[T::raw(b) as usize];
+            if fresh && !nodes.contains(id(b)) && !links.contains(id(a), id(b)) {
+                seen[T::raw(b) as usize] = true;
+                stack.push(b);
+            }
+        }
+    }
+    false
 }
 
 /// Partition of the nonfaulty nodes into connected components.

@@ -121,6 +121,11 @@ impl Topology for Hypercube {
     }
 
     #[inline]
+    fn port_dim(self, i: u8) -> u8 {
+        i
+    }
+
+    #[inline]
     fn port_index(self, _: NodeId, i: u8) -> usize {
         i as usize
     }

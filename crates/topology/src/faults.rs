@@ -5,7 +5,9 @@
 //! faulty node addresses; [`LinkFaultSet`] packs faulty undirected links
 //! into one bit per (lower endpoint, dimension) pair so the per-hop
 //! usability test stays branch-cheap; [`FaultConfig`] combines both and
-//! is what algorithms consume.
+//! is what algorithms consume. [`Faults`] is what a unicast over either
+//! topology is judged against: a cube's [`FaultConfig`], or a bare
+//! [`FaultSet`] with no faulty link.
 
 use crate::addr::NodeId;
 use crate::cube::Hypercube;
@@ -149,8 +151,11 @@ pub struct LinkFaultSet {
 
 impl LinkFaultSet {
     /// Empty link-fault set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        LinkFaultSet {
+            bits: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Canonical form of the undirected link `a`–`b`: the lower
@@ -341,6 +346,42 @@ impl FaultConfig {
     /// Number of nonfaulty nodes.
     pub fn healthy_count(&self) -> u64 {
         self.cube.num_nodes() - self.nodes.len() as u64
+    }
+}
+
+/// The faults of one instance of topology `T`: its faulty nodes, by
+/// linear index, and its faulty links. A cube's [`FaultConfig`] holds
+/// both; a bare [`FaultSet`] serves either topology and has no faulty
+/// link, as §4.2's generalized hypercube takes none.
+pub trait Faults<T: Topology> {
+    /// The faulty nodes.
+    fn node_faults(&self) -> &FaultSet;
+    /// The faulty links.
+    fn link_faults(&self) -> &LinkFaultSet;
+}
+
+impl Faults<Hypercube> for FaultConfig {
+    #[inline]
+    fn node_faults(&self) -> &FaultSet {
+        &self.nodes
+    }
+
+    #[inline]
+    fn link_faults(&self) -> &LinkFaultSet {
+        &self.links
+    }
+}
+
+impl<T: Topology> Faults<T> for FaultSet {
+    #[inline]
+    fn node_faults(&self) -> &FaultSet {
+        self
+    }
+
+    #[inline]
+    fn link_faults(&self) -> &LinkFaultSet {
+        static NONE: LinkFaultSet = LinkFaultSet::new();
+        &NONE
     }
 }
 

@@ -272,6 +272,11 @@ impl Topology for &GeneralizedHypercube {
             })
     }
 
+    #[inline]
+    fn port_dim(self, (i, _): (u8, u16)) -> u8 {
+        i
+    }
+
     fn port_index(self, a: GhNode, (i, v): (u8, u16)) -> usize {
         let first = self.ports.partition_point(|&(j, _)| j < i);
         first + v as usize - usize::from(v > self.digit(a, i))

@@ -50,7 +50,7 @@ mod ports;
 
 pub use addr::{e, BitDims, NodeId, MAX_DIM};
 pub use cube::Hypercube;
-pub use faults::{FaultConfig, FaultSet, LinkFaultSet};
+pub use faults::{FaultConfig, FaultSet, Faults, LinkFaultSet};
 pub use ghn::{GeneralizedHypercube, GhNode};
 pub use gray::Subcube;
 pub use paths::Path;

@@ -1,28 +1,72 @@
 //! Path representation and validation.
 //!
-//! Routing algorithms in this workspace return a [`Path`]; the checks
-//! here are the single source of truth for what "optimal" (Hamming
-//! distance, paper §2.1) and "suboptimal" (Hamming distance plus two,
-//! paper footnote 2) mean, and for verifying that a produced path is
-//! actually traversable in a given faulty cube.
+//! Routing algorithms in this workspace return a [`Path`], over `Q_n`
+//! or (with `N` = [`crate::GhNode`]) a generalized hypercube; the cube
+//! checks here are the single source of truth for what "optimal"
+//! (Hamming distance, paper §2.1) and "suboptimal" (Hamming distance
+//! plus two, paper footnote 2) mean, and for verifying that a produced
+//! path is actually traversable in a given faulty cube.
 
 use crate::addr::NodeId;
 use crate::faults::FaultConfig;
+use crate::ports::Topology;
 use std::fmt;
 
-/// A walk through the hypercube: the visited node sequence, inclusive
-/// of source and destination. A single node is a valid zero-length path.
+/// A walk through a topology: the visited node sequence, inclusive of
+/// source and destination. A single node is a valid zero-length path.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Path {
-    nodes: Vec<NodeId>,
+pub struct Path<N = NodeId> {
+    nodes: Vec<N>,
 }
 
-impl Path {
+impl<N: Copy> Path<N> {
     /// A path starting (and so far ending) at `src`.
-    pub fn starting_at(src: NodeId) -> Self {
+    pub fn starting_at(src: N) -> Self {
         Path { nodes: vec![src] }
     }
 
+    /// Extends the path by one hop of `topo` to `next`.
+    ///
+    /// # Panics
+    /// Panics if `next` is not a neighbour of the current endpoint in
+    /// `topo`.
+    pub fn push_in<T: Topology<Node = N>>(&mut self, topo: T, next: N) {
+        assert_eq!(topo.distance(self.end(), next), Some(1), "non-adjacent hop");
+        self.nodes.push(next);
+    }
+
+    /// The source node.
+    #[inline]
+    pub fn start(&self) -> N {
+        self.nodes[0]
+    }
+
+    /// The current endpoint.
+    #[inline]
+    pub fn end(&self) -> N {
+        *self.nodes.last().expect("non-empty")
+    }
+
+    /// Number of hops (links traversed), i.e. `nodes − 1`.
+    #[inline]
+    pub fn len(&self) -> u32 {
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Whether the path has zero hops.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.len() == 1
+    }
+
+    /// The visited node sequence.
+    #[inline]
+    pub fn nodes(&self) -> &[N] {
+        &self.nodes
+    }
+}
+
+impl Path {
     /// Builds a path from a node sequence.
     ///
     /// # Panics
@@ -49,36 +93,6 @@ impl Path {
     pub fn push(&mut self, next: NodeId) {
         assert_eq!(self.end().distance(next), 1, "non-adjacent hop");
         self.nodes.push(next);
-    }
-
-    /// The source node.
-    #[inline]
-    pub fn start(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// The current endpoint.
-    #[inline]
-    pub fn end(&self) -> NodeId {
-        *self.nodes.last().expect("non-empty")
-    }
-
-    /// Number of hops (links traversed), i.e. `nodes − 1`.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// Whether the path has zero hops.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// The visited node sequence.
-    #[inline]
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
     }
 
     /// Whether this is an *optimal path* for its endpoints: length equal
@@ -135,7 +149,14 @@ impl Path {
     }
 }
 
-impl fmt::Debug for Path {
+impl<N: fmt::Debug> fmt::Debug for Path<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Path")?;
+        f.debug_list().entries(&self.nodes).finish()
+    }
+}
+
+impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Path[")?;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -145,12 +166,6 @@ impl fmt::Debug for Path {
             write!(f, "{n}")?;
         }
         write!(f, "]")
-    }
-}
-
-impl fmt::Display for Path {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
     }
 }
 

@@ -64,6 +64,10 @@ pub trait Topology: Copy {
     /// The other ports of `at` (the spare ones), by ascending dimension.
     fn spare(self, at: Self::Node, d: Self::Node) -> impl Iterator<Item = Self::Port> + Clone;
 
+    /// The dimension port `p` crosses: the port itself in `Q_n`, the
+    /// first of the pair in a generalized hypercube.
+    fn port_dim(self, p: Self::Port) -> u8;
+
     /// The linear index of port `p` of `a`, in `0..degree`.
     fn port_index(self, a: Self::Node, p: Self::Port) -> usize;
 

@@ -4,7 +4,8 @@
 //! the topology, neighbours come in the port order the engines and the
 //! goldens rely on (a cube's port is its dimension; a GH numbers its
 //! ports dimension-major, each clique by ascending digit, skipping the
-//! node's own), `along` is the rest of a clique, the preferred and spare
+//! node's own), a port's `port_dim` is the one dimension its neighbour
+//! differs in, `along` is the rest of a clique, the preferred and spare
 //! ports are the ones §3 and §4.2 name (a partition of the ports in
 //! `Q_n`), and `distance` counts differing digits.
 
@@ -120,6 +121,7 @@ where
         let i = (0..d.len())
             .find(|&i| d[i] != da[i])
             .expect("a neighbour differs");
+        prop_assert_eq!(t.port_dim(*p) as usize, i, "port {:?}", p);
         let is_preferred = d[i] == db[i];
         let is_spare = da[i] == db[i];
         prop_assert_eq!(preferred.contains(p), is_preferred, "port {:?}", p);

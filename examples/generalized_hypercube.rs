@@ -6,8 +6,7 @@
 //! cargo run --example generalized_hypercube
 //! ```
 
-use hypersafe::safety::gh_unicast::gh_route;
-use hypersafe::safety::{Decision, SafetyMap};
+use hypersafe::safety::{route, Decision, SafetyMap};
 use hypersafe::topology::{GeneralizedHypercube, NodeId, Topology};
 
 fn main() {
@@ -40,11 +39,13 @@ fn main() {
         "\nunicast 010 → 101 (distance {}):",
         gh.distance(s, d).expect("both nodes lie in the GH")
     );
-    let res = gh_route(&map, &faults, s, d);
+    // The same `route` as in a binary cube: the map carries its GH.
+    let res = route(&faults, &map, s, d);
     assert!(matches!(res.decision, Decision::Optimal { .. }));
     let walk: Vec<String> = res
-        .nodes
+        .path
         .expect("routed")
+        .nodes()
         .iter()
         .map(|&a| gh.format(a))
         .collect();

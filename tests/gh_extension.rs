@@ -2,10 +2,8 @@
 //! distributed GS ≡ centralized, routing contracts, broadcast
 //! coverage, binary-radix reduction — across radix shapes.
 
-use hypersafe::safety::broadcast::gh_broadcast;
 use hypersafe::safety::gh_safety::run_gh_gs;
-use hypersafe::safety::gh_unicast::gh_route;
-use hypersafe::safety::{Decision, SafetyMap};
+use hypersafe::safety::{broadcast, route, Decision, SafetyMap};
 use hypersafe::topology::{GeneralizedHypercube, GhNode, NodeId, Topology};
 use hypersafe::workloads::Sweep;
 use rand::Rng;
@@ -61,16 +59,16 @@ fn routing_contracts_on_random_gh_instances() {
             let mut bad = 0u32;
             for &s in healthy.iter().take(8) {
                 for &d in healthy.iter().rev().take(8) {
-                    let res = gh_route(&map, &f, s, d);
+                    let res = route(&f, &map, s, d);
+                    let hops = res.path.as_ref().map(|p| p.len());
                     match res.decision {
                         Decision::Optimal { .. }
-                            if (!res.delivered || res.hops() != gh.distance(s, d)) =>
+                            if (!res.delivered || hops != gh.distance(s, d)) =>
                         {
                             bad += 1;
                         }
                         Decision::Suboptimal { .. }
-                            if (!res.delivered
-                                || res.hops() != gh.distance(s, d).map(|h| h + 2)) =>
+                            if (!res.delivered || hops != gh.distance(s, d).map(|h| h + 2)) =>
                         {
                             bad += 1;
                         }
@@ -86,7 +84,7 @@ fn routing_contracts_on_random_gh_instances() {
 }
 
 #[test]
-fn gh_broadcast_safe_sources_cover_everything() {
+fn gh_safe_sources_broadcast_to_everything() {
     let gh = GeneralizedHypercube::from_product(&[2, 4, 3]);
     let sweep = Sweep::new(15, 0x64F0);
     let failures: u32 = sweep
@@ -98,7 +96,7 @@ fn gh_broadcast_safe_sources_cover_everything() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
                 }
-                if !gh_broadcast(&map, &f, a).complete(&f) {
+                if !broadcast(&f, &map, a).complete(&f) {
                     bad += 1;
                 }
             }

@@ -5,9 +5,7 @@
 //! against the BFS connectivity oracle — exhaustively over every
 //! fault set of size ≤ 2 and every ordered (s, d) pair.
 
-use hypersafe::safety::{
-    check_gh_theorem4_soundness, gh_source_decision, run_gh_gs_checked, SafetyMap,
-};
+use hypersafe::safety::{check_theorem4_soundness, run_gh_gs_checked, source_decision, SafetyMap};
 use hypersafe::topology::{FaultSet, GeneralizedHypercube, NodeId, Topology};
 
 fn gh333() -> GeneralizedHypercube {
@@ -57,8 +55,8 @@ fn gh333_theorem4_soundness_is_exhaustive_under_two_faults() {
                 if s == d || f.contains(NodeId::new(d.raw())) {
                     continue;
                 }
-                let decision = gh_source_decision(&map, s, d);
-                check_gh_theorem4_soundness(&gh, f, s, d, decision)
+                let decision = source_decision(&map, s, d);
+                check_theorem4_soundness(&gh, f, s, d, decision)
                     .unwrap_or_else(|v| panic!("fault set {k} {s:?}→{d:?}: {v:?}"));
                 match decision {
                     hypersafe::safety::Decision::Failure => failures += 1,
@@ -86,9 +84,9 @@ fn gh_surrounded_node_fails_soundly() {
     let map = SafetyMap::compute_gh(&gh, &f);
     let s = gh.node_from_digits(&[0, 0]);
     let d = gh.node_from_digits(&[1, 1]);
-    let decision = gh_source_decision(&map, s, d);
+    let decision = source_decision(&map, s, d);
     assert_eq!(decision, hypersafe::safety::Decision::Failure);
-    assert_eq!(check_gh_theorem4_soundness(&gh, &f, s, d, decision), Ok(()));
+    assert_eq!(check_theorem4_soundness(&gh, &f, s, d, decision), Ok(()));
     // And the checked GS runner still converges on the isolated cube.
     run_gh_gs_checked(&gh, &f).expect("GS must still converge");
 }

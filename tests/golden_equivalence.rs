@@ -26,9 +26,7 @@
 //! ```
 
 use hypersafe::experiments::congestion_exp::{run_burst, simulate_burst};
-use hypersafe::safety::unicast_distributed::{
-    run_gh_unicast, run_unicast, run_unicast_lossy, LossyOutcome,
-};
+use hypersafe::safety::unicast_distributed::{run_unicast, run_unicast_lossy, LossyOutcome};
 use hypersafe::safety::{
     detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gh_gs, run_gs,
     run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, SafetyMap,
@@ -303,7 +301,7 @@ fn record_gh_scenario(
             d = healthy[(splitmix64(&mut state) % healthy.len() as u64) as usize];
         }
         let opts = RunOptions::default();
-        let run = run_gh_unicast(&map, faults, GhNode(s), GhNode(d), 2, opts).0;
+        let run = run_unicast(faults, &map, GhNode(s), GhNode(d), 2, opts).0;
         let trail = match &run.trail {
             None => "-".to_string(),
             Some(t) => t

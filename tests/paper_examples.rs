@@ -3,8 +3,7 @@
 
 use hypersafe::experiments::{fig1, fig2, fig3, fig4, fig5, safesets};
 use hypersafe::safety::{
-    gh_route, route, route_egs, run_egs, run_gh_gs, Condition, Decision, ExtendedSafetyMap,
-    SafetyMap,
+    route, route_egs, run_egs, run_gh_gs, Condition, Decision, ExtendedSafetyMap, SafetyMap,
 };
 use hypersafe::topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, LinkFaultSet, NodeId,
@@ -204,15 +203,21 @@ fn section42_gh333_worked_example() {
     }
 
     // A safe source routes optimally straight through the dent.
-    let r = gh_route(
-        &map,
+    let r = route(
         &faults,
+        &map,
         gh.parse("222").unwrap(),
         gh.parse("000").unwrap(),
     );
     assert!(matches!(r.decision, Decision::Optimal { .. }));
     assert!(r.delivered);
-    let walk: Vec<String> = r.nodes.unwrap().iter().map(|&a| gh.format(a)).collect();
+    let walk: Vec<String> = r
+        .path
+        .unwrap()
+        .nodes()
+        .iter()
+        .map(|&a| gh.format(a))
+        .collect();
     assert_eq!(walk, ["222", "220", "200", "000"], "H = 3 hops, no detour");
 
     // Distributed GH-GS reaches the same fixed point.
