@@ -15,75 +15,59 @@
 //! `NODE_STATUS` once over its neighbors' advertised levels (the far
 //! ends of faulty links are themselves in `N2`, hence advertised 0).
 //!
+//! Both views live in the one map type. [`SafetyMap::compute`] takes
+//! faulty links: [`SafetyMap::level`] is the advertised level, and
+//! [`SafetyMap::own_level`] / [`SafetyMap::is_n2`] read a sorted list of
+//! the `N2` nodes' own levels. This module classifies `N2` for it and
+//! evaluates the last round; [`run_egs`] runs the distributed protocol,
+//! which reaches the same map. The §3 rule reads the source's own level
+//! at `C1` and advertised levels everywhere else, so [`crate::route`]
+//! and every other unicast entry point route §4.1's way on such a map.
+//!
 //! Footnote 3's special-fault semantics: an `N2` node is never used as
 //! an intermediate, but a message destined *to* it is still delivered.
+//! An `N2` destination advertises 0 and so, like a faulty one, is only
+//! reachable as the final hop; the walk treats entry into it as
+//! ordinary arrival because it is not in the node fault set, and a
+//! final hop across a faulty link is marked undelivered there.
 
 use crate::gs::{engine_map, GsNode};
 use crate::safety::{rule_level, Level, SafetyMap};
-use crate::unicast::{route_over, LevelView, RouteResult, TieBreak};
-use hypersafe_simkit::{Net, SyncEngine, SyncNode, SyncStats, Trace};
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
+use hypersafe_simkit::{Net, SyncEngine, SyncNode, SyncStats};
+use hypersafe_topology::{FaultConfig, FaultSet, NodeId, Topology};
 
-/// Safety state of a hypercube with node and link faults: the
-/// advertised (global) view plus each `N2` node's self view. The
-/// advertised view is a packed [`SafetyMap`], ~0.5 bytes/node; the self
-/// views, which differ from it only on `N2` nodes, are a sorted list of
-/// the `N2` nodes' own levels, 16 bytes per `N2` node.
-#[derive(Clone, Debug)]
-pub struct ExtendedSafetyMap {
-    /// Advertised levels: the fixed point over `N1` with `F ∪ N2`
-    /// treated as faulty. This is what every *other* node sees.
-    advertised: SafetyMap,
-    /// Each `N2` node's own level, ascending by node: `N2` is exactly
-    /// the keys. Every other node's own level is its advertised one.
-    n2: Vec<(NodeId, Level)>,
+/// `cfg`'s `N2`, ascending, and `F ∪ N2`, the faulty set the advertised
+/// levels are Definition 1's fixed point over. `None` when `N2` is
+/// empty, as it is without faulty links: the advertised levels are then
+/// GS's over `F`.
+pub(crate) fn split(cfg: &FaultConfig) -> Option<(Vec<NodeId>, FaultSet)> {
+    let cube = cfg.cube();
+    let mut n2: Vec<NodeId> = cfg
+        .link_faults()
+        .iter()
+        .filter(|&(_, hi)| cube.contains(hi))
+        .flat_map(|(lo, hi)| [lo, hi])
+        .filter(|&a| !cfg.node_faulty(a))
+        .collect();
+    if n2.is_empty() {
+        return None;
+    }
+    n2.sort_unstable();
+    n2.dedup();
+    let mut effective = cfg.node_faults().clone();
+    for &a in &n2 {
+        effective.insert(a);
+    }
+    Some((n2, effective))
 }
 
-impl ExtendedSafetyMap {
-    /// Runs EGS for `cfg`.
-    pub fn compute(cfg: &FaultConfig) -> Self {
-        let cube = cfg.cube();
-
-        // Classify N2 and build the effective fault set F ∪ N2.
-        let touches = |a| cfg.link_faults().touches(cube, a);
-        let effective = cube.nodes().filter(|&a| cfg.node_faulty(a) || touches(a));
-        let n1_cfg = FaultConfig::with_node_faults(cube, FaultSet::from_nodes(cube, effective));
-        let advertised = SafetyMap::compute(&n1_cfg);
-
-        // Last round: each N2 node evaluates NODE_STATUS once over the
-        // advertised levels (its faulty-link far ends are in N2 or F,
-        // so they already advertise 0).
-        let n2 = cube.nodes().filter(|&a| !cfg.node_faulty(a) && touches(a));
-        let n2 = n2.map(|a| (a, rule_level(cube, advertised.store(), a)));
-        ExtendedSafetyMap {
-            n2: n2.collect(),
-            advertised,
-        }
-    }
-
-    /// The advertised (everyone-else's) view.
-    pub fn advertised(&self) -> &SafetyMap {
-        &self.advertised
-    }
-
-    /// Level of `a` as the rest of the network sees it.
-    pub fn advertised_level(&self, a: NodeId) -> Level {
-        self.advertised.level(a)
-    }
-
-    /// Level of `a` in its own view (differs from advertised only for
-    /// `N2` nodes).
-    pub fn own_level(&self, a: NodeId) -> Level {
-        match self.n2.binary_search_by_key(&a, |&(b, _)| b) {
-            Ok(i) => self.n2[i].1,
-            Err(_) => self.advertised.level(a),
-        }
-    }
-
-    /// Whether `a` is a nonfaulty node with an adjacent faulty link.
-    pub fn is_n2(&self, a: NodeId) -> bool {
-        self.n2.binary_search_by_key(&a, |&(b, _)| b).is_ok()
-    }
+/// EGS's last round: each node of `n2` evaluates `NODE_STATUS` once
+/// over `map`'s advertised levels (its faulty-link far ends are in `N2`
+/// or `F`, so they advertise 0).
+pub(crate) fn own_levels(map: &SafetyMap, n2: &[NodeId]) -> Vec<(NodeId, Level)> {
+    n2.iter()
+        .map(|&a| (a, rule_level(map.space(), map.store(), a)))
+        .collect()
 }
 
 /// Runs the distributed EGS protocol (`EXTENDED_GLOBAL_STATUS`) to
@@ -93,7 +77,7 @@ impl ExtendedSafetyMap {
 /// broadcast 0 throughout. The paper has `N2` evaluate once, in round
 /// `n − 1`; re-evaluating every round reaches the same fixed point
 /// without synchronized round counters.
-pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
+pub fn run_egs(cfg: &FaultConfig) -> (SafetyMap, SyncStats) {
     let cube = cfg.cube();
     let n = cube.dim();
     let net = Net::cube(cfg);
@@ -107,75 +91,14 @@ pub fn run_egs(cfg: &FaultConfig) -> (ExtendedSafetyMap, SyncStats) {
     let n2 = cube
         .nodes()
         .filter_map(|a| eng.node(a).filter(|v| v.n2).map(|v| (a, v.level())));
-    let emap = ExtendedSafetyMap {
-        advertised: engine_map(cube, &eng, SyncNode::broadcast),
-        n2: n2.collect(),
-    };
-    (emap, eng.stats().clone())
-}
-
-/// Routes a unicast in a cube with node and link faults, using the EGS
-/// views: the source applies `C1` with its *own* level, every neighbor
-/// comparison uses *advertised* levels, and the physical simulation
-/// accounts for message loss on faulty links (paper, §4.1).
-pub fn route_egs(cfg: &FaultConfig, emap: &ExtendedSafetyMap, s: NodeId, d: NodeId) -> RouteResult {
-    route_egs_traced(cfg, emap, s, d, &mut Trace::disabled())
-}
-
-/// [`route_egs`] with hop tracing.
-pub fn route_egs_traced(
-    cfg: &FaultConfig,
-    emap: &ExtendedSafetyMap,
-    s: NodeId,
-    d: NodeId,
-    trace: &mut Trace,
-) -> RouteResult {
-    // The routing rule is the node-fault one, over a view in which
-    // only the source reads differently: wherever the walk reads `s`'s
-    // level (its C1 test, or a later hop looking back at `s`), it gets
-    // `s`'s own level. An N2 destination advertises 0 and so, like a
-    // faulty one, is only reachable as the final hop; the walk treats
-    // message entry into it as ordinary arrival because it is not in
-    // the node fault set, and a final hop across a faulty link is
-    // already marked undelivered there.
-    let view = SourceOverlay { emap, s };
-    route_over(cfg, &view, s, d, TieBreak::LowestDim, trace)
-}
-
-/// The advertised map as seen by a route from `s`: `s`'s own level at
-/// `s`, the advertised level everywhere else. Reads through, with no
-/// copy of the map.
-struct SourceOverlay<'a> {
-    emap: &'a ExtendedSafetyMap,
-    s: NodeId,
-}
-
-impl LevelView for SourceOverlay<'_> {
-    type Space = Hypercube;
-
-    #[inline]
-    fn space(&self) -> Hypercube {
-        self.emap.advertised.space()
-    }
-
-    #[inline]
-    fn own_level(&self, a: NodeId) -> Level {
-        if a == self.s {
-            self.emap.own_level(a)
-        } else {
-            self.emap.advertised.level(a)
-        }
-    }
-
-    #[inline]
-    fn level_across(&self, at: NodeId, i: u8) -> Level {
-        self.own_level(at.neighbor(i))
-    }
+    let map = engine_map(cube, &eng, SyncNode::broadcast).with_n2(n2.collect());
+    (map, eng.stats().clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unicast::route;
     use hypersafe_topology::{Hypercube, LinkFaultSet};
 
     fn n(s: &str) -> NodeId {
@@ -195,26 +118,42 @@ mod tests {
         FaultConfig::with_faults(cube, nodes, links)
     }
 
+    /// Asserts that two maps agree in both views: advertised levels,
+    /// the `N2` set and the own levels.
+    fn assert_same_views(a: &SafetyMap, b: &SafetyMap, what: &str) {
+        assert_eq!(a.store(), b.store(), "{what}");
+        for v in a.space().nodes() {
+            assert_eq!(a.is_n2(v), b.is_n2(v), "{what}: N2 at {v}");
+            assert_eq!(a.own_level(v), b.own_level(v), "{what}: own level of {v}");
+        }
+    }
+
+    /// `map`'s `N2` nodes with their own levels, ascending.
+    fn overlay(map: &SafetyMap) -> Vec<(NodeId, Level)> {
+        let n2 = map.space().nodes().filter(|&v| map.is_n2(v));
+        n2.map(|v| (v, map.own_level(v))).collect()
+    }
+
     #[test]
     fn n2_classification() {
         let cfg = fig4_like();
-        let emap = ExtendedSafetyMap::compute(&cfg);
-        assert!(emap.is_n2(n("1000")));
-        assert!(emap.is_n2(n("1001")));
-        assert!(!emap.is_n2(n("1111")));
+        let map = SafetyMap::compute(&cfg);
+        assert!(map.is_n2(n("1000")));
+        assert!(map.is_n2(n("1001")));
+        assert!(!map.is_n2(n("1111")));
         // N2 nodes advertise 0 but hold their own nonzero view.
-        assert_eq!(emap.advertised_level(n("1000")), 0);
-        assert_eq!(emap.advertised_level(n("1001")), 0);
-        assert!(emap.own_level(n("1000")) > 0);
+        assert_eq!(map.level(n("1000")), 0);
+        assert_eq!(map.level(n("1001")), 0);
+        assert!(map.own_level(n("1000")) > 0);
     }
 
     #[test]
     fn own_view_equals_advertised_for_n1() {
         let cfg = fig4_like();
-        let emap = ExtendedSafetyMap::compute(&cfg);
+        let map = SafetyMap::compute(&cfg);
         for a in cfg.cube().nodes() {
-            if !emap.is_n2(a) {
-                assert_eq!(emap.own_level(a), emap.advertised_level(a), "{a}");
+            if !map.is_n2(a) {
+                assert_eq!(map.own_level(a), map.level(a), "{a}");
             }
         }
     }
@@ -224,10 +163,9 @@ mod tests {
         let cube = Hypercube::new(4);
         let nodes = FaultSet::from_binary_strs(cube, &["0011", "0100", "0110", "1001"]);
         let cfg = FaultConfig::with_node_faults(cube, nodes);
-        let emap = ExtendedSafetyMap::compute(&cfg);
-        let plain = SafetyMap::compute(&cfg);
-        assert_eq!(emap.advertised.store(), plain.store());
-        assert!(cfg.cube().nodes().all(|a| !emap.is_n2(a)));
+        let (dist, _) = run_egs(&cfg);
+        assert_same_views(&dist, &SafetyMap::compute(&cfg), "no links");
+        assert!(cfg.cube().nodes().all(|a| !dist.is_n2(a)));
     }
 
     #[test]
@@ -235,8 +173,8 @@ mod tests {
         // Deliver to 1001 (an N2 node) from a node whose route's final
         // hop does not cross the faulty link.
         let cfg = fig4_like();
-        let emap = ExtendedSafetyMap::compute(&cfg);
-        let res = route_egs(&cfg, &emap, n("1011"), n("1001"));
+        let map = SafetyMap::compute(&cfg);
+        let res = route(&cfg, &map, n("1011"), n("1001"));
         assert!(res.delivered, "{:?}", res);
         assert!(res.path.unwrap().is_optimal());
     }
@@ -247,10 +185,8 @@ mod tests {
         // agree on the fig4-like instance and on random node+link fault
         // mixes over Q_4.
         let cfg = fig4_like();
-        let central = ExtendedSafetyMap::compute(&cfg);
         let (dist, stats) = run_egs(&cfg);
-        assert_eq!(central.advertised.store(), dist.advertised.store());
-        assert_eq!(central.n2, dist.n2);
+        assert_same_views(&SafetyMap::compute(&cfg), &dist, "fig4-like");
         assert!(stats.messages > 0);
 
         // Randomized mixes: every pair of (node-mask, one faulty link).
@@ -270,23 +206,69 @@ mod tests {
             let mut links = LinkFaultSet::new();
             links.insert(a, b);
             let cfg = FaultConfig::with_faults(cube, nodes, links);
-            let central = ExtendedSafetyMap::compute(&cfg);
             let (dist, _) = run_egs(&cfg);
-            assert_eq!(
-                central.advertised.store(),
-                dist.advertised.store(),
-                "seed {seed}"
-            );
-            assert_eq!(central.n2, dist.n2, "seed {seed}");
+            assert_same_views(&SafetyMap::compute(&cfg), &dist, &format!("seed {seed}"));
         }
+    }
+
+    #[test]
+    fn every_single_link_fault_of_small_cubes() {
+        // Every node-fault set of Q1–Q3 and every Q4 node-fault set of
+        // size ≤ 2, each with every single faulty link: the centralized
+        // map equals the distributed protocol's in both views, passes
+        // the fixed-point check, and a planted wrong advertised level
+        // or own level is reported.
+        let mut cases = 0u32;
+        for n in 1u8..=4 {
+            let cube = Hypercube::new(n);
+            let links: Vec<(NodeId, NodeId)> = cube
+                .nodes()
+                .flat_map(|a| (0..n).map(move |d| (a, a.neighbor(d))))
+                .filter(|(a, b)| a < b)
+                .collect();
+            let masks = (0u64..1 << cube.num_nodes()).filter(|m| n < 4 || m.count_ones() <= 2);
+            for mask in masks {
+                let nodes = cube.nodes().filter(|a| (mask >> a.raw()) & 1 == 1);
+                let nodes = FaultSet::from_nodes(cube, nodes);
+                for &(a, b) in &links {
+                    let mut link = LinkFaultSet::new();
+                    link.insert(a, b);
+                    let cfg = FaultConfig::with_faults(cube, nodes.clone(), link);
+                    let what = format!("Q{n} mask {mask:#b} link {a}-{b}");
+                    let map = SafetyMap::compute(&cfg);
+                    assert_same_views(&map, &run_egs(&cfg).0, &what);
+                    assert_eq!(map.check_fixed_point(&cfg), None, "{what}");
+
+                    // A wrong advertised level makes its node violate,
+                    // so the first violator is at or below it.
+                    let v = NodeId::new(mask % cube.num_nodes());
+                    let mut store = map.store().clone();
+                    store.set(v.raw(), (map.level(v) + 1) % (n + 1));
+                    let bad = SafetyMap::from_store(cube, store).with_n2(overlay(&map));
+                    let first = bad.check_fixed_point(&cfg);
+                    assert!(first.is_some_and(|f| f <= v), "{what}: planted at {v}");
+                    // A wrong own level leaves the advertised levels
+                    // right, so its node is the only violator.
+                    for (i, &(v, l)) in overlay(&map).iter().enumerate() {
+                        let mut n2 = overlay(&map);
+                        n2[i].1 = (l + 1) % (n + 1);
+                        let bad = SafetyMap::from_store(cube, map.store().clone()).with_n2(n2);
+                        assert_eq!(bad.check_fixed_point(&cfg), Some(v), "{what}: own at {v}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        // 1·4 + 4·16 + 12·256 on Q1–Q3, 32·137 on Q4.
+        assert_eq!(cases, 4 + 64 + 3072 + 4384);
     }
 
     #[test]
     fn n2_source_routes_with_own_level() {
         let cfg = fig4_like();
-        let emap = ExtendedSafetyMap::compute(&cfg);
+        let map = SafetyMap::compute(&cfg);
         let s = n("1001");
-        let own = emap.own_level(s);
+        let own = map.own_level(s);
         assert!(own >= 1);
         // Any destination within own-level distance routes optimally.
         for d in cfg.cube().nodes() {
@@ -294,10 +276,10 @@ mod tests {
             if h == 0 || h > own as u32 {
                 continue;
             }
-            if cfg.node_faulty(d) || emap.is_n2(d) && d != s {
+            if cfg.node_faulty(d) || map.is_n2(d) && d != s {
                 continue; // own-view guarantee excludes special faults
             }
-            let res = route_egs(&cfg, &emap, s, d);
+            let res = route(&cfg, &map, s, d);
             assert!(res.delivered, "{s} → {d}: {res:?}");
         }
     }

@@ -34,10 +34,11 @@ use hypersafe_topology::{FaultConfig, GeneralizedHypercube, Hypercube, NodeId, T
 
 /// Per-node state of the lock-step GS protocol on either topology:
 /// `GLOBAL_STATUS` in `Q_n`, its §4.2 form in a generalized hypercube
-/// ([`crate::run_gh_gs`]), and EGS ([`crate::egs::run_egs`]), where an
-/// `N2` node advertises 0. Each round a dimension reads the lowest level
-/// its peers sent (Definition 4), and a dimension with a silent peer (a
-/// faulty node or a faulty link) reads 0; the node then applies
+/// ([`crate::run_gh_gs`]), and EGS ([`crate::run_egs`]), where an
+/// `N2` node advertises 0 and keeps its own level
+/// ([`SafetyMap::own_level`]). Each round a dimension reads the lowest
+/// level its peers sent (Definition 4), and a dimension with a silent
+/// peer (a faulty node or a faulty link) reads 0; the node then applies
 /// Definition 1.
 #[derive(Clone, Debug)]
 pub struct GsNode<'a> {
@@ -154,7 +155,7 @@ pub fn run_gs(cfg: &FaultConfig) -> GsRun {
 /// as `read` takes it off the node (a faulty node, which has none,
 /// reads 0), and the engine's active rounds so far. The one reader for
 /// [`run_gs`], [`crate::run_gh_gs`], its checked runner and
-/// [`crate::egs::run_egs`].
+/// [`crate::run_egs`], which adds the `N2` nodes' own levels.
 pub(crate) fn engine_map<'g, T: Topology>(
     space: T,
     eng: &SyncEngine<'_, T, GsNode<'g>>,

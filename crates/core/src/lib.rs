@@ -29,7 +29,8 @@
 //!   budget, kill plan, and whether to observe, trace or check) and
 //!   returns its result with the engine's
 //!   [`hypersafe_simkit::RunReport`].
-//! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views).
+//! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views):
+//!   the `N2` classification and the distributed `run_egs`.
 //! * [`gh_safety`] — the §4.2 extension to generalized hypercubes:
 //!   Definition 4's [`SafetyMap::compute_gh`] and the GH runs of the
 //!   lock-step GS node; routing over the GH's map is [`unicast`]'s.
@@ -91,7 +92,7 @@ pub mod unicast_distributed;
 pub use broadcast::{broadcast, BroadcastResult};
 pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
-pub use egs::{route_egs, route_egs_traced, run_egs, ExtendedSafetyMap};
+pub use egs::run_egs;
 pub use exact::{tightness, ExactReach, TightnessSummary};
 pub use gh_safety::{run_gh_gs, run_gh_gs_checked};
 pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsCorridor, GsLossyRun, GsRun};

@@ -49,7 +49,16 @@
 //! the full sweep. [`SafetyMap::compute_gh`], the generalized
 //! hypercube's map, runs the same frontier rounds, generic over the
 //! topology's ports.
+//!
+//! ## Faulty links
+//!
+//! [`SafetyMap::compute`] takes faulty links (§4.1, [`crate::egs`]): the
+//! levels are then the *advertised* ones, the fixed point over `F ∪ N2`,
+//! and the map keeps a sorted list of each `N2` node's *own* level
+//! ([`SafetyMap::own_level`]). The list is empty without faulty links,
+//! for a generalized hypercube and for a map built from levels.
 
+use crate::egs;
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
@@ -153,7 +162,12 @@ pub(crate) fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Leve
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyMap<T: Topology = Hypercube> {
     space: T,
+    /// Advertised levels: what every other node reads.
     levels: LevelStore,
+    /// Each `N2` node's own level (§4.1), ascending by node: `N2` is
+    /// exactly the keys. Every other node's own level is its advertised
+    /// one.
+    n2: Vec<(T::Node, Level)>,
     /// Active rounds the computation needed (Fig. 2's metric); 0 for a
     /// map built directly from levels.
     rounds: u32,
@@ -439,17 +453,12 @@ impl<T: Topology> SafetyMap<T> {
     ///
     /// If `levels` does not hold exactly one level per node of `space`.
     pub fn from_levels(space: T, levels: Vec<Level>) -> Self {
-        assert_eq!(levels.len() as u64, space.num_nodes());
-        SafetyMap {
-            space,
-            levels: LevelStore::from_levels(space.dim(), &levels),
-            rounds: 0,
-        }
+        Self::from_store(space, LevelStore::from_levels(space.dim(), &levels))
     }
 
     /// Wraps an already-packed store (the zero-copy counterpart of
     /// [`SafetyMap::from_levels`], used by consumers that edit a
-    /// cloned store — e.g. the §4.1 router substituting one level).
+    /// cloned store).
     ///
     /// # Panics
     ///
@@ -461,6 +470,7 @@ impl<T: Topology> SafetyMap<T> {
         SafetyMap {
             space,
             levels: store,
+            n2: Vec::new(),
             rounds: 0,
         }
     }
@@ -477,10 +487,40 @@ impl<T: Topology> SafetyMap<T> {
         self.space
     }
 
-    /// Safety level of node `a`.
+    /// Safety level of node `a`: in a cube with faulty links, the
+    /// level `a` advertises to the rest of the network (§4.1).
     #[inline]
     pub fn level(&self, a: T::Node) -> Level {
         self.levels.get(T::raw(a))
+    }
+
+    /// Safety level of `a` in its own view: its advertised level,
+    /// except at an `N2` node (§4.1), which advertises 0 but evaluates
+    /// Definition 1 once over its neighbours' advertised levels. The
+    /// source applies `C1` with it.
+    #[inline(always)]
+    pub fn own_level(&self, a: T::Node) -> Level {
+        // Maps without faulty links pay this one branch. The search
+        // stays out of line: inlined, it kept the walks from inlining
+        // this, and batch-route's routes took a call each.
+        if self.n2.is_empty() {
+            return self.level(a);
+        }
+        self.n2_level(a).unwrap_or(self.level(a))
+    }
+
+    /// Whether `a` is a nonfaulty node with an adjacent faulty link.
+    pub fn is_n2(&self, a: T::Node) -> bool {
+        self.n2_level(a).is_some()
+    }
+
+    /// `a`'s own level if `a` is an `N2` node.
+    #[cold]
+    fn n2_level(&self, a: T::Node) -> Option<Level> {
+        let i = self
+            .n2
+            .binary_search_by_key(&T::raw(a), |&(b, _)| T::raw(b));
+        Some(self.n2[i.ok()?].1)
     }
 
     /// Whether `a` is *safe* (level `n`).
@@ -519,11 +559,10 @@ impl<T: Topology> SafetyMap<T> {
         self.levels.count_eq(self.dim()) as usize
     }
 
-    /// The packed level store — the seam every consumer reads levels
-    /// through. Clone it to edit a what-if copy and rewrap with
-    /// [`SafetyMap::from_store`]; to change how a single route reads a
-    /// few levels, wrap the map in a view instead, as
-    /// [`crate::egs::route_egs`] does for the source's own level.
+    /// The packed store of the advertised levels — the seam every
+    /// consumer reads levels through. Clone it to edit a what-if copy
+    /// and rewrap with [`SafetyMap::from_store`]. The `N2` nodes' own
+    /// levels are not in it ([`SafetyMap::own_level`]).
     #[inline]
     pub fn store(&self) -> &LevelStore {
         &self.levels
@@ -579,12 +618,10 @@ impl SafetyMap {
     /// sparse faults the work after round 1 is proportional to the
     /// nodes near the faults, not to `2ⁿ`.
     ///
-    /// Node faults only; for node + link faults use
-    /// [`crate::egs::ExtendedSafetyMap`].
-    ///
-    /// # Panics
-    ///
-    /// If `cfg` holds a faulty link.
+    /// With faulty links this is EGS (§4.1): the rounds run over
+    /// `F ∪ N2`, and each `N2` node then evaluates its own level once
+    /// (the module's *Faulty links*). The distributed protocol,
+    /// [`crate::run_egs`], reaches the same map.
     pub fn compute(cfg: &FaultConfig) -> Self {
         Self::compute_inner(cfg, None)
     }
@@ -595,30 +632,36 @@ impl SafetyMap {
     /// entry is the initial state, the last the fixed point. A snapshot
     /// is the whole level vector whether its round swept the planes or
     /// evaluated a frontier, so it equals the scalar sweep's
-    /// ([`SafetyMap::compute_reference_trace`]) entry for entry.
-    ///
-    /// # Panics
-    ///
-    /// If `cfg` holds a faulty link.
+    /// ([`SafetyMap::compute_reference_trace`]) entry for entry. With
+    /// faulty links the snapshots are of the advertised levels.
     pub fn compute_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
         let mut trace = Trace::default();
         let map = Self::compute_inner(cfg, Some(&mut trace));
         (map, trace.levels)
     }
 
-    fn compute_inner(cfg: &FaultConfig, mut trace: Option<&mut Trace>) -> Self {
-        assert!(
-            cfg.link_faults().is_empty(),
-            "SafetyMap::compute handles node faults only; use egs for link faults"
-        );
-        let cube = cfg.cube();
-        let len = cube.num_nodes();
-        let faulty = cfg.node_faults().words();
-        let start = || SafetyMap {
-            space: cube,
-            levels: LevelStore::ceiling_except(cube.dim(), len, faulty),
-            rounds: 0,
+    fn compute_inner(cfg: &FaultConfig, trace: Option<&mut Trace>) -> Self {
+        let Some((n2, effective)) = egs::split(cfg) else {
+            return Self::fixed_point(cfg.cube(), cfg.node_faults().words(), trace);
         };
+        let map = Self::fixed_point(cfg.cube(), effective.words(), trace);
+        let own = egs::own_levels(&map, &n2);
+        map.with_n2(own)
+    }
+
+    /// Sets the `N2` nodes' own levels, ascending by node.
+    pub(crate) fn with_n2(mut self, n2: Vec<(NodeId, Level)>) -> Self {
+        debug_assert!(n2.windows(2).all(|w| w[0].0 < w[1].0));
+        self.n2 = n2;
+        self
+    }
+
+    /// The Jacobi rounds of [`SafetyMap::compute`] over the faulty
+    /// nodes `faulty`, one bit per node.
+    fn fixed_point(cube: Hypercube, faulty: &[u64], mut trace: Option<&mut Trace>) -> Self {
+        let len = cube.num_nodes();
+        let start =
+            || SafetyMap::from_store(cube, LevelStore::ceiling_except(cube.dim(), len, faulty));
         if let Some(t) = trace.as_deref_mut() {
             t.levels.push(start().to_vec());
         }
@@ -704,11 +747,7 @@ impl SafetyMap {
                 Rounds::Planes { cur, .. } => cur.to_store(),
                 Rounds::Nodes { levels, .. } => levels,
             };
-            SafetyMap {
-                space: cube,
-                levels,
-                rounds: active,
-            }
+            SafetyMap::from_store(cube, levels).with_rounds(active)
         })
     }
 
@@ -754,7 +793,7 @@ impl SafetyMap {
     ) -> (Vec<Level>, u32) {
         assert!(
             cfg.link_faults().is_empty(),
-            "SafetyMap::compute handles node faults only; use egs for link faults"
+            "the reference handles node faults only; SafetyMap::compute takes link faults"
         );
         let cube = cfg.cube();
         let n = cube.dim();
@@ -861,7 +900,10 @@ impl SafetyMap {
 
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
     /// that it is *the* fixed point promised by Theorem 1. Returns the
-    /// first (lowest-addressed) violating node, if any.
+    /// first (lowest-addressed) violating node, if any. With faulty
+    /// links the advertised levels are judged over `F ∪ N2`, and the
+    /// map's `N2` nodes must be `cfg`'s, each holding the own level
+    /// Definition 1 gives it over the advertised levels (§4.1).
     ///
     /// Word-parallel: the store is transposed to planes and one plane
     /// Jacobi round is run from it. The map is a fixed point iff that
@@ -879,15 +921,25 @@ impl SafetyMap {
             self.dim(),
             "map and config of different cubes"
         );
+        let split = egs::split(cfg);
+        let faulty = split
+            .as_ref()
+            .map_or(cfg.node_faults().words(), |(_, f)| f.words());
         let cur = PlaneView::from_store(&self.levels);
         let mut next = PlaneView::zeroed(self.dim(), self.levels.len());
-        if jacobi_round_planes(self.dim(), &cur, cfg.node_faults().words(), &mut next) == 0 {
-            return None;
-        }
-        (0..cur.words()).find_map(|w| {
-            let diff = plane_diff_word(&cur, &next, w);
-            (diff != 0).then(|| NodeId::new(w as u64 * 64 + diff.trailing_zeros() as u64))
-        })
+        let advertised = if jacobi_round_planes(self.dim(), &cur, faulty, &mut next) == 0 {
+            None
+        } else {
+            (0..cur.words()).find_map(|w| {
+                let diff = plane_diff_word(&cur, &next, w);
+                (diff != 0).then(|| NodeId::new(w as u64 * 64 + diff.trailing_zeros() as u64))
+            })
+        };
+        // A node is right iff its entry, if any, is in both lists.
+        let want = split.map_or(Vec::new(), |(n2, _)| egs::own_levels(self, &n2));
+        let both = |e| want.binary_search(e).is_ok() && self.n2.binary_search(e).is_ok();
+        let overlay = want.iter().chain(&self.n2).filter(|e| !both(e));
+        advertised.into_iter().chain(overlay.map(|e| e.0)).min()
     }
 
     /// [`SafetyMap::check_fixed_point`] in time proportional to what
@@ -909,7 +961,8 @@ impl SafetyMap {
     ///
     /// Falls back to the full word-parallel scan when the verified
     /// epoch is of another cube, or differs in so many nodes that
-    /// scanning every word is cheaper.
+    /// scanning every word is cheaper, or when either configuration
+    /// has a faulty link or this map an `N2` node.
     ///
     /// # Panics
     ///
@@ -925,7 +978,10 @@ impl SafetyMap {
             self.dim(),
             "map and config of different cubes"
         );
-        if verified_map.dim() != self.dim() || verified_cfg.cube().dim() != self.dim() {
+        let other_cube =
+            verified_map.dim() != self.dim() || verified_cfg.cube().dim() != self.dim();
+        let links = !cfg.link_faults().is_empty() || !verified_cfg.link_faults().is_empty();
+        if other_cube || links || !self.n2.is_empty() {
             return self.check_fixed_point(cfg);
         }
         // One mask per 64 nodes: a level or a fault bit differs. A node
@@ -1395,14 +1451,5 @@ mod tests {
         levels[0] = 1; // corrupt node 0000
         let bad = SafetyMap::from_levels(cfg.cube(), levels);
         assert_eq!(bad.check_fixed_point(&cfg), Some(NodeId::ZERO));
-    }
-
-    #[test]
-    #[should_panic]
-    fn compute_rejects_link_faults() {
-        let cube = Hypercube::new(3);
-        let mut cfg = FaultConfig::fault_free(cube);
-        cfg.link_faults_mut().insert(NodeId::new(0), NodeId::new(1));
-        SafetyMap::compute(&cfg);
     }
 }

@@ -184,7 +184,7 @@ impl SafetyMap {
 fn assert_event(prev: &SafetyMap, cfg: &FaultConfig, event: ChurnEvent) {
     assert!(
         cfg.link_faults().is_empty(),
-        "delta updates handle node faults only; use egs for link faults"
+        "delta updates handle node faults only; recompute with SafetyMap::compute for link faults"
     );
     assert_eq!(prev.dim(), cfg.cube().dim(), "cube dimension mismatch");
     let a = event.node();

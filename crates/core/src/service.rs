@@ -92,12 +92,22 @@ impl SafetyService {
     /// A service over `cfg` with the default (paper) tie-break. Epoch
     /// 0 is the full fixed-point computation; all later epochs are
     /// incremental deltas.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link: the churn deltas handle node
+    /// faults only.
     pub fn new(cfg: FaultConfig) -> Self {
         Self::with_tiebreak(cfg, TieBreak::LowestDim)
     }
 
     /// [`SafetyService::new`] with an explicit tie-break policy.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` holds a faulty link.
     pub fn with_tiebreak(cfg: FaultConfig, tb: TieBreak) -> Self {
+        assert!(cfg.link_faults().is_empty(), "node faults only");
         let map = SafetyMap::compute(&cfg);
         let epochs = EpochHandle::new(SafetyState {
             cfg: cfg.clone(),

@@ -32,14 +32,17 @@
 //! The rule itself — the source decision and the hop choice — is
 //! written once, over a level view: what one node reads of its own
 //! level and its neighbors' levels. The packed [`SafetyMap`], over
-//! `Q_n` or a generalized hypercube (also what a unicast actor reads),
-//! and EGS's source overlay (§4.1) are its views. The rule reads
-//! distances and preferred and spare ports through [`Topology`], which
-//! `Q_n` and the generalized hypercube implement. [`route`],
-//! [`route_tb`], [`source_decision`] and [`source_decision_tb`] take
-//! either topology's map; the traced and navigation-vector entry points
-//! are the cube's. An endpoint outside the topology fails at the
-//! source, before any level is read.
+//! `Q_n` or a generalized hypercube, is the view, read directly or
+//! through a reference (as a unicast actor does). In a cube with
+//! faulty links the source reads its own level, which differs from the
+//! advertised one at an `N2` node (§4.1), and every neighbor's
+//! advertised level, so every entry point below routes §4.1's way.
+//! The rule reads distances and preferred and spare ports through
+//! [`Topology`], which `Q_n` and the generalized hypercube implement.
+//! [`route`], [`route_tb`], [`source_decision`] and
+//! [`source_decision_tb`] take either topology's map; the traced and
+//! navigation-vector entry points are the cube's. An endpoint outside
+//! the topology fails at the source, before any level is read.
 //!
 //! **Generalized hypercubes** (§4.2, Theorem 2′). "Routing in `GH_n`
 //! is exactly the same as in a regular hypercube, because all the
@@ -56,9 +59,9 @@
 //!
 //! One walk, `walk`, runs the hops for [`route`] and its variants
 //! over either topology, [`crate::route_light`] /
-//! [`crate::route_many`], EGS routing and the routing service's
-//! attempt; each caller only chooses what to record per hop. Other hop
-//! loops stay separate on purpose:
+//! [`crate::route_many`] and the routing service's attempt; each
+//! caller only chooses what to record per hop. Other hop loops stay
+//! separate on purpose:
 //!
 //! * `properties::check_theorem2_at` states Theorem 2 itself, as an
 //!   independent greedy walk for the checker to compare against;
@@ -150,9 +153,8 @@ pub enum TieBreak {
 
 /// The levels one node reads when it applies the §3 rule: its own and
 /// its neighbors' across each port of its topology. The packed
-/// [`SafetyMap`] of either topology and EGS's source overlay each
-/// implement it, and so does a reference to any view, so the rule is
-/// written once for all of them.
+/// [`SafetyMap`] of either topology implements it, and so does a
+/// reference to any view, so the rule is written once for all of them.
 pub(crate) trait LevelView {
     /// The topology the levels live on.
     type Space: Topology;
@@ -196,9 +198,9 @@ impl<T: Topology> LevelView for SafetyMap<T> {
         SafetyMap::space(self)
     }
 
-    #[inline]
+    #[inline(always)]
     fn own_level(&self, at: T::Node) -> Level {
-        self.level(at)
+        SafetyMap::own_level(self, at)
     }
 
     #[inline]
@@ -439,23 +441,23 @@ pub fn route_traced_tb(
     route_over(cfg, map, s, d, tb, trace)
 }
 
-/// [`route_tb`] over any level view (EGS routes over its source
-/// overlay), recording the hops into `trace`.
-pub(crate) fn route_over<V: LevelView, F: Faults<V::Space>>(
+/// [`route_tb`] recording the hops into `trace`: the one body of
+/// [`route_tb`] (either topology) and [`route_traced_tb`] (the cube's).
+fn route_over<T: Topology, F: Faults<T>>(
     faults: &F,
-    view: &V,
-    s: NodeOf<V>,
-    d: NodeOf<V>,
+    map: &SafetyMap<T>,
+    s: T::Node,
+    d: T::Node,
     tb: TieBreak,
     trace: &mut Trace,
-) -> RouteResult<NodeOf<V>> {
+) -> RouteResult<T::Node> {
     let mut sink = PathSink {
-        space: view.space(),
+        space: map.space(),
         d,
         path: Path::starting_at(s),
         trace,
     };
-    let out = walk(faults, view, s, d, tb, &mut sink);
+    let out = walk(faults, map, s, d, tb, &mut sink);
     RouteResult {
         decision: out.decision,
         path: (out.decision != Decision::Failure).then_some(sink.path),

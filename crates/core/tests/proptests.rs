@@ -2,8 +2,8 @@
 //! broadcasting, EGS dual views, GH routing, dynamic rerouting.
 
 use hypersafe_core::{
-    broadcast, route, route_dynamic, route_egs, run_gs_reliable, run_unicast_lossy, Decision,
-    DynamicOutcome, ExtendedSafetyMap, FaultEvent, LossyOutcome, SafetyMap,
+    broadcast, route, route_dynamic, run_gs_reliable, run_unicast_lossy, Decision, DynamicOutcome,
+    FaultEvent, LossyOutcome, SafetyMap,
 };
 use hypersafe_simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe_topology::{
@@ -71,13 +71,13 @@ proptest! {
             links.insert(a, a.neighbor(d % cube.dim()));
         }
         let cfg = FaultConfig::with_faults(cube, cfg.node_faults().clone(), links);
-        let emap = ExtendedSafetyMap::compute(&cfg);
+        let map = SafetyMap::compute(&cfg);
         for a in cube.nodes() {
-            if emap.is_n2(a) {
+            if map.is_n2(a) {
                 prop_assert!(!cfg.node_faulty(a));
-                prop_assert_eq!(emap.advertised_level(a), 0);
+                prop_assert_eq!(map.level(a), 0);
             } else {
-                prop_assert_eq!(emap.own_level(a), emap.advertised_level(a));
+                prop_assert_eq!(map.own_level(a), map.level(a));
             }
         }
         // Routing spot-check.
@@ -85,7 +85,7 @@ proptest! {
         for &s in healthy.iter().take(4) {
             for &d in healthy.iter().rev().take(4) {
                 if s == d { continue; }
-                let res = route_egs(&cfg, &emap, s, d);
+                let res = route(&cfg, &map, s, d);
                 if let Some(p) = &res.path {
                     if res.delivered {
                         prop_assert!(p.traversable(&cfg, true), "{} → {}", s, d);

@@ -5,17 +5,18 @@
 //!   actor reading its clique peers' levels) must take the centralized
 //!   `route`'s path hop for hop, on random generalized hypercubes with
 //!   radices 2–4, up to four dimensions and random node faults.
-//! * EGS: `route_egs` reads the advertised map through a source
-//!   overlay. The reference below is the earlier implementation, which
-//!   cloned the packed map and wrote the source's own level into the
-//!   copy; the two must agree decision for decision and path for path
-//!   on Q1–Q10 with mixed node and link faults.
+//! * EGS: on a map of a cube with faulty links, `route` reads the
+//!   source's own level from the map's list of `N2` own levels. The
+//!   reference below is the earlier implementation, which cloned the
+//!   packed map and wrote the source's own level into the copy; the two
+//!   must agree decision for decision and path for path on Q1–Q10 with
+//!   mixed node and link faults. The distributed protocol
+//!   (`run_unicast`) takes the same map and must deliver along
+//!   `route`'s trail between healthy endpoints.
 //!
 //! `PROPTEST_SEED` widens the reach (CI runs seeds 1–8 in release).
 
-use hypersafe_core::{
-    route, route_egs, route_traced, run_unicast, ExtendedSafetyMap, RouteResult, SafetyMap,
-};
+use hypersafe_core::{route, route_traced, run_unicast, RouteResult, SafetyMap};
 use hypersafe_simkit::{RunOptions, Trace};
 use hypersafe_topology::{
     FaultConfig, FaultSet, GeneralizedHypercube, GhNode, Hypercube, LinkFaultSet, NodeId, Topology,
@@ -24,14 +25,9 @@ use proptest::prelude::*;
 
 /// The clone-based EGS router: a copy of the advertised store with the
 /// source's own level written in, routed by the node-fault walk.
-fn route_egs_by_clone(
-    cfg: &FaultConfig,
-    emap: &ExtendedSafetyMap,
-    s: NodeId,
-    d: NodeId,
-) -> RouteResult {
-    let mut view = emap.advertised().store().clone();
-    view.set(s.raw(), emap.own_level(s));
+fn route_egs_by_clone(cfg: &FaultConfig, map: &SafetyMap, s: NodeId, d: NodeId) -> RouteResult {
+    let mut view = map.store().clone();
+    view.set(s.raw(), map.own_level(s));
     let view = SafetyMap::from_store(cfg.cube(), view);
     route_traced(cfg, &view, s, d, &mut Trace::disabled())
 }
@@ -86,12 +82,12 @@ proptest! {
         }
         let set = FaultSet::from_nodes(cube, node_faults.iter().map(|&a| NodeId::new(a % nodes)));
         let cfg = FaultConfig::with_faults(cube, set, links);
-        let emap = ExtendedSafetyMap::compute(&cfg);
+        let map = SafetyMap::compute(&cfg);
         sources.extend(pairs.iter().map(|&(s, _)| NodeId::new(s % nodes)));
         for (&s, &(_, d)) in sources.iter().zip(pairs.iter().cycle()) {
             let d = NodeId::new(d % nodes);
-            let got = route_egs(&cfg, &emap, s, d);
-            let want = route_egs_by_clone(&cfg, &emap, s, d);
+            let got = route(&cfg, &map, s, d);
+            let want = route_egs_by_clone(&cfg, &map, s, d);
             prop_assert_eq!(got.decision, want.decision, "Q{} {} → {}", n, s, d);
             prop_assert_eq!(got.delivered, want.delivered, "Q{} {} → {}", n, s, d);
             prop_assert_eq!(
@@ -99,6 +95,15 @@ proptest! {
                 want.path.as_ref().map(|p| p.nodes().to_vec()),
                 "Q{} {} → {}", n, s, d
             );
+            // A faulty endpoint has no actor, so the protocol is only
+            // comparable between healthy ones.
+            if cfg.node_faulty(s) || cfg.node_faulty(d) {
+                continue;
+            }
+            let dist = run_unicast(&cfg, &map, s, d, 1, RunOptions::default()).0;
+            prop_assert_eq!(got.decision, dist.decision, "Q{} {} → {}", n, s, d);
+            let trail = got.path.filter(|_| got.delivered).map(|p| p.nodes().to_vec());
+            prop_assert_eq!(trail, dist.trail, "Q{} {} → {}", n, s, d);
         }
     }
 }

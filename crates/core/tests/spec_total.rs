@@ -6,7 +6,10 @@
 //! under `catch_unwind`.
 //!
 //! The checked GS runners are held to it too: on a cube with link
-//! faults they report a typed violation.
+//! faults they report a typed violation. `SafetyMap::compute` and
+//! `check_fixed_point` take link faults; `SafetyService`, whose churn
+//! deltas take node faults only, refuses them at construction, its
+//! documented panic.
 //!
 //! The routing entry points are held to the same standard: an
 //! endpoint outside the topology is a typed `Failure`, never a panic
@@ -20,10 +23,10 @@ use hypersafe_core::{
     check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
     check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
     check_unicast_optimality, intermediate_dim, intermediate_dim_tb, route, route_dynamic,
-    route_egs, route_light, route_many_seq, run_broadcast, run_gh_gs, run_gs_async,
-    run_gs_reliable, run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition,
-    Decision, DynamicOutcome, ExtendedSafetyMap, GsAsyncRun, Level, LossyOutcome, LossyRun,
-    NavVector, SafetyMap, TieBreak,
+    route_light, route_many_seq, run_broadcast, run_gh_gs, run_gs_async, run_gs_reliable,
+    run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition, Decision,
+    DynamicOutcome, GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, SafetyService,
+    TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
 use hypersafe_topology::{
@@ -187,7 +190,9 @@ proptest! {
         let cfg = faulty_cube(n, &node_faults, &link_faults);
         let node_cfg = faulty_cube(n, &node_faults, &[]);
         let map = SafetyMap::compute(&node_cfg);
-        let emap = ExtendedSafetyMap::compute(&cfg);
+        total("SafetyMap::compute", || SafetyMap::compute(&cfg))?;
+        let link_map = SafetyMap::compute(&cfg);
+        total("check_fixed_point", || link_map.check_fixed_point(&cfg))?;
         let cube = cfg.cube();
         let nodes = cube.num_nodes();
         let (s, d) = (NodeId::new(endpoint(s, nodes)), NodeId::new(endpoint(d, nodes)));
@@ -202,7 +207,9 @@ proptest! {
         fails_outside("route_many_seq", outside, || {
             route_many_seq(&cfg, &map, &[(s, d)])[0].decision
         }, failure)?;
-        fails_outside("route_egs", outside, || route_egs(&cfg, &emap, s, d).decision, failure)?;
+        fails_outside("route over link faults", outside, || {
+            route(&cfg, &link_map, s, d).decision
+        }, failure)?;
         fails_outside("intermediate_dim", outside, || {
             intermediate_dim(&map, s, NavVector::new(s, d))
         }, Option::is_none)?;
@@ -318,4 +325,14 @@ proptest! {
         prop_assert!(res.is_ok(), "run_gs_reliable panicked");
         prop_assert_eq!(res.unwrap(), want, "run_gs_reliable");
     }
+}
+
+/// The service's churn deltas take node faults only, so a link-fault
+/// configuration is refused when the service is built, not on its first
+/// churn event.
+#[test]
+fn safety_service_refuses_link_faults_at_construction() {
+    let cfg = faulty_cube(3, &[], &[2]);
+    let res = catch_unwind(|| SafetyService::new(cfg));
+    assert!(res.is_err());
 }

@@ -7,7 +7,7 @@
 //! cubeview --n 7 --random-faults 6 --seed 42 --route-random 3
 //! ```
 
-use hypersafe_core::{route_egs_traced, run_egs, Condition, Decision, ExtendedSafetyMap};
+use hypersafe_core::{route_traced, run_egs, Condition, Decision, SafetyMap};
 use hypersafe_experiments::table::Report;
 use hypersafe_simkit::Trace;
 use hypersafe_topology::{
@@ -112,7 +112,7 @@ fn main() {
     let cfg = FaultConfig::with_faults(cube, faults, links);
 
     // Safety state: EGS handles the link-free case identically to GS.
-    let (emap, stats) = run_egs(&cfg);
+    let (map, stats) = run_egs(&cfg);
     let mut rep = Report::new(
         "cubeview",
         format!(
@@ -127,17 +127,17 @@ fn main() {
     for a in cube.nodes() {
         let class = if cfg.node_faulty(a) {
             "faulty"
-        } else if emap.is_n2(a) {
+        } else if map.is_n2(a) {
             "N2"
-        } else if emap.advertised_level(a) == o.n {
+        } else if map.level(a) == o.n {
             "safe"
         } else {
             "unsafe"
         };
         rep.row(vec![
             a.to_binary(o.n),
-            emap.advertised_level(a).to_string(),
-            emap.own_level(a).to_string(),
+            map.level(a).to_string(),
+            map.own_level(a).to_string(),
             class.to_string(),
         ]);
     }
@@ -158,7 +158,7 @@ fn main() {
             if cfg.node_faulty(a) {
                 format!("{}=X", a.to_binary(o.n))
             } else {
-                format!("{}={}", a.to_binary(o.n), emap.advertised_level(a))
+                format!("{}={}", a.to_binary(o.n), map.level(a))
             }
         };
         let art = if o.n == 3 {
@@ -180,21 +180,21 @@ fn main() {
         routes.push(random_pair(&cfg, &mut rng));
     }
     for (s, d) in routes {
-        narrate(&cfg, &emap, s, d);
+        narrate(&cfg, &map, s, d);
     }
 }
 
-fn narrate(cfg: &FaultConfig, emap: &ExtendedSafetyMap, s: NodeId, d: NodeId) {
+fn narrate(cfg: &FaultConfig, map: &SafetyMap, s: NodeId, d: NodeId) {
     let n = cfg.cube().dim();
     let h = s.distance(d);
     println!(
         "unicast {} → {}: H = {h}, S(s) = {}",
         s.to_binary(n),
         d.to_binary(n),
-        emap.own_level(s)
+        map.own_level(s)
     );
     let mut trace = Trace::enabled();
-    let res = route_egs_traced(cfg, emap, s, d, &mut trace);
+    let res = route_traced(cfg, map, s, d, &mut trace);
     match res.decision {
         Decision::Optimal { condition, .. } => {
             let cond = match condition {

@@ -16,7 +16,7 @@
 //!   physically traversable.
 
 use crate::table::Report;
-use hypersafe_core::{route_egs, Decision, ExtendedSafetyMap};
+use hypersafe_core::{route, Decision, SafetyMap};
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId, Path};
 
 fn n(s: &str) -> NodeId {
@@ -38,12 +38,12 @@ pub fn instance(faulty: &[NodeId]) -> FaultConfig {
 
 /// Whether `cfg` satisfies every fact the paper states about Fig. 4.
 pub fn consistent(cfg: &FaultConfig) -> bool {
-    let emap = ExtendedSafetyMap::compute(cfg);
+    let map = SafetyMap::compute(cfg);
     // Stated safety levels in the nodes' own views.
-    if emap.own_level(n("1000")) != 1 || emap.own_level(n("1001")) != 2 {
+    if map.own_level(n("1000")) != 1 || map.own_level(n("1001")) != 2 {
         return false;
     }
-    if emap.advertised_level(n("1000")) != 0 || emap.advertised_level(n("1001")) != 0 {
+    if map.level(n("1000")) != 0 || map.level(n("1001")) != 0 {
         return false;
     }
     // The 1101 → 1000 walk: both preferred neighbors (1100, 1001) read
@@ -51,10 +51,10 @@ pub fn consistent(cfg: &FaultConfig) -> bool {
     if !cfg.node_faulty(n("1100")) {
         return false; // 1001 reads faulty via N2 automatically
     }
-    if emap.advertised_level(n("1111")) != 4 {
+    if map.level(n("1111")) != 4 {
         return false;
     }
-    let res = route_egs(cfg, &emap, n("1101"), n("1000"));
+    let res = route(cfg, &map, n("1101"), n("1000"));
     if !matches!(res.decision, Decision::Suboptimal { .. }) || !res.delivered {
         return false;
     }
@@ -107,19 +107,19 @@ pub fn run() -> Report {
     );
     let pinned = &found[0];
     let cfg = instance(pinned);
-    let emap = ExtendedSafetyMap::compute(&cfg);
+    let map = SafetyMap::compute(&cfg);
     for a in cfg.cube().nodes() {
         let class = if cfg.node_faulty(a) {
             "faulty"
-        } else if emap.is_n2(a) {
+        } else if map.is_n2(a) {
             "N2"
         } else {
             "N1"
         };
         rep.row(vec![
             a.to_binary(4),
-            emap.advertised_level(a).to_string(),
-            emap.own_level(a).to_string(),
+            map.level(a).to_string(),
+            map.own_level(a).to_string(),
             class.into(),
         ]);
     }
@@ -128,7 +128,7 @@ pub fn run() -> Report {
         found.len(),
         pinned.iter().map(|a| a.to_binary(4)).collect::<Vec<_>>()
     ));
-    let res = route_egs(&cfg, &emap, n("1101"), n("1000"));
+    let res = route(&cfg, &map, n("1101"), n("1000"));
     rep.note(format!(
         "unicast 1101 → 1000 (H = 2): suboptimal via spare 1111, {}",
         res.path.as_ref().expect("delivered").render(4)

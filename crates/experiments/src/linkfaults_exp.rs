@@ -4,7 +4,7 @@
 //! do EGS unicasts fare.
 
 use crate::table::{f2, pct, Report};
-use hypersafe_core::{route_egs, run_egs, Decision};
+use hypersafe_core::{route, run_egs, Decision};
 use hypersafe_topology::{FaultConfig, Hypercube, Topology};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, uniform_link_faults, Sweep};
 
@@ -66,12 +66,12 @@ pub fn run(p: &LinkFaultParams) -> Report {
             let nodes = uniform_faults(cube, p.node_faults, rng);
             let links = uniform_link_faults(cube, l, rng);
             let cfg = FaultConfig::with_faults(cube, nodes, links);
-            let (emap, _) = run_egs(&cfg);
-            let n2 = cube.nodes().filter(|&a| emap.is_n2(a)).count() as f64;
+            let (map, _) = run_egs(&cfg);
+            let n2 = cube.nodes().filter(|&a| map.is_n2(a)).count() as f64;
             let healthy = cfg.healthy_count() as f64;
             let adv_safe = cfg
                 .healthy_nodes()
-                .filter(|&a| emap.advertised_level(a) == cube.dim())
+                .filter(|&a| map.level(a) == cube.dim())
                 .count() as f64
                 / healthy;
             let mut delivered = 0u32;
@@ -79,7 +79,7 @@ pub fn run(p: &LinkFaultParams) -> Report {
             let mut lost = 0u32;
             for _ in 0..p.pairs_per_instance {
                 let (s, d) = random_pair(&cfg, rng);
-                let res = route_egs(&cfg, &emap, s, d);
+                let res = route(&cfg, &map, s, d);
                 if matches!(res.decision, Decision::Failure) {
                     aborted += 1;
                 } else if res.delivered {

@@ -8,7 +8,7 @@
 //! cargo run --example faulty_links
 //! ```
 
-use hypersafe::safety::{route_egs, Decision, ExtendedSafetyMap};
+use hypersafe::safety::{route, Decision, SafetyMap};
 use hypersafe::topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
 
 fn n(s: &str) -> NodeId {
@@ -25,12 +25,12 @@ fn main() {
     links.insert(n("1000"), n("1001"));
     let cfg = FaultConfig::with_faults(cube, nodes, links);
 
-    let emap = ExtendedSafetyMap::compute(&cfg);
+    let map = SafetyMap::compute(&cfg);
     println!("node  advertised  own  class");
     for a in cube.nodes() {
         let class = if cfg.node_faulty(a) {
             "faulty"
-        } else if emap.is_n2(a) {
+        } else if map.is_n2(a) {
             "N2 (touches faulty link)"
         } else {
             "N1"
@@ -38,8 +38,8 @@ fn main() {
         println!(
             "{}        {}      {}  {}",
             a.to_binary(4),
-            emap.advertised_level(a),
-            emap.own_level(a),
+            map.level(a),
+            map.own_level(a),
             class
         );
     }
@@ -47,7 +47,7 @@ fn main() {
     // The paper's walk: 1101 → 1000 has both preferred neighbors
     // reading as faulty; the spare neighbor 1111 (level 4 ≥ H + 1)
     // admits a suboptimal route of length H + 2 = 4.
-    let res = route_egs(&cfg, &emap, n("1101"), n("1000"));
+    let res = route(&cfg, &map, n("1101"), n("1000"));
     println!("\nunicast 1101 → 1000 (H = 2):");
     match res.decision {
         Decision::Suboptimal { .. } => println!("  suboptimal via a spare neighbor (C3)"),
@@ -58,10 +58,10 @@ fn main() {
     println!("  delivered: {}", res.delivered);
 
     // An N2 node still originates unicasts using its own view.
-    let res = route_egs(&cfg, &emap, n("1001"), n("1011"));
+    let res = route(&cfg, &map, n("1001"), n("1011"));
     println!(
         "\nunicast 1001 → 1011 from the N2 node (own level {}): delivered = {}, path {}",
-        emap.own_level(n("1001")),
+        map.own_level(n("1001")),
         res.delivered,
         res.path.expect("routed").render(4)
     );

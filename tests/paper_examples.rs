@@ -2,9 +2,7 @@
 //! through the public API exactly as a downstream user would.
 
 use hypersafe::experiments::{fig1, fig2, fig3, fig4, fig5, safesets};
-use hypersafe::safety::{
-    route, route_egs, run_egs, run_gh_gs, Condition, Decision, ExtendedSafetyMap, SafetyMap,
-};
+use hypersafe::safety::{route, run_egs, run_gh_gs, Condition, Decision, SafetyMap};
 use hypersafe::topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, LinkFaultSet, NodeId,
     Topology,
@@ -127,20 +125,20 @@ fn section41_egs_faulty_link_worked_example() {
     links.insert(n("0101"), n("0111"));
     let cfg = FaultConfig::with_faults(cube, nodes, links);
 
-    let emap = ExtendedSafetyMap::compute(&cfg);
+    let map = SafetyMap::compute(&cfg);
     for a in [n("0101"), n("0111")] {
-        assert!(emap.is_n2(a), "{a} touches the faulty link");
-        assert_eq!(emap.advertised_level(a), 0, "N2 advertises 0 to N1");
-        assert_eq!(emap.own_level(a), 1, "its self view stays healthier");
+        assert!(map.is_n2(a), "{a} touches the faulty link");
+        assert_eq!(map.level(a), 0, "N2 advertises 0 to N1");
+        assert_eq!(map.own_level(a), 1, "its self view stays healthier");
     }
     // The fully safe corner of Fig. 1 is untouched by the link fault.
     for a in ["1000", "1010", "1100", "1110"].map(n) {
-        assert!(!emap.is_n2(a));
-        assert_eq!(emap.advertised_level(a), 4);
+        assert!(!map.is_n2(a));
+        assert_eq!(map.level(a), 4);
     }
 
     // The §3.2 walk detours around 0101 yet keeps its optimality class.
-    let r = route_egs(&cfg, &emap, n("1110"), n("0001"));
+    let r = route(&cfg, &map, n("1110"), n("0001"));
     assert!(matches!(
         r.decision,
         Decision::Optimal {
@@ -151,13 +149,13 @@ fn section41_egs_faulty_link_worked_example() {
     let path = r.path.expect("delivered");
     assert_eq!(path.render(4), "1110 → 1100 → 1000 → 0000 → 0001");
     assert!(
-        !path.nodes().iter().any(|&a| emap.is_n2(a)),
+        !path.nodes().iter().any(|&a| map.is_n2(a)),
         "N2 nodes are never intermediates"
     );
 
     // Footnote 3: 0101 is unusable as an intermediate but reachable as
     // a destination.
-    let to_n2 = route_egs(&cfg, &emap, n("1101"), n("0101"));
+    let to_n2 = route(&cfg, &map, n("1101"), n("0101"));
     assert!(to_n2.delivered);
     assert_eq!(to_n2.path.unwrap().render(4), "1101 → 0101");
 
@@ -165,8 +163,8 @@ fn section41_egs_faulty_link_worked_example() {
     // point as the centralized construction.
     let (dmap, stats) = run_egs(&cfg);
     for a in cube.nodes() {
-        assert_eq!(dmap.advertised_level(a), emap.advertised_level(a), "{a}");
-        assert_eq!(dmap.own_level(a), emap.own_level(a), "{a}");
+        assert_eq!(dmap.level(a), map.level(a), "{a}");
+        assert_eq!(dmap.own_level(a), map.own_level(a), "{a}");
     }
     assert_eq!(stats.rounds_run, 3, "n - 1 rounds, as for plain GS");
 }
