@@ -323,7 +323,7 @@ mod tests {
     fn fault_free_gh_is_covered_by_one_broadcast() {
         let gh = gh232();
         let f = gh.fault_set();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let r = broadcast(&f, &map, GhNode(0));
         assert!(r.complete(&f));
         assert_eq!(r.messages, gh.num_nodes() - 1, "spanning tree edge count");
@@ -344,7 +344,7 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             for a in gh.nodes() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
                     continue;
@@ -361,7 +361,7 @@ mod tests {
         // healthy sources achieve full coverage (relayed or not).
         let gh = gh232();
         let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         for a in gh.nodes() {
             if f.contains(NodeId::new(a.raw())) {
                 continue;
@@ -382,7 +382,7 @@ mod tests {
     fn gh_faulty_source_sends_nothing() {
         let gh = gh232();
         let f = gh.fault_set_from_strs(&["011"]);
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let r = broadcast(&f, &map, gh.parse("011").unwrap());
         assert_eq!(r.coverage(), 0);
         assert_eq!(r.messages, 0);
@@ -400,7 +400,7 @@ mod tests {
         let cube = cfg.cube();
         let gh = GeneralizedHypercube::new(&vec![2; cube.dim() as usize]);
         let qmap = SafetyMap::compute(cfg);
-        let ghmap = SafetyMap::compute_gh(&gh, cfg.node_faults());
+        let ghmap = SafetyMap::compute_in(&gh, cfg.node_faults());
         for s in sources {
             let q = broadcast(cfg, &qmap, s);
             let g = broadcast(cfg.node_faults(), &ghmap, GhNode(s.raw()));
@@ -484,7 +484,7 @@ mod tests {
             for _ in 0..splitmix(&mut z) % dims as u64 {
                 f.insert(NodeId::new(splitmix(&mut z) % gh.num_nodes()));
             }
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             for a in gh.nodes().filter(|a| !f.contains(NodeId::new(a.raw()))) {
                 let r = broadcast(&f, &map, a);
                 if r.relayed_via.is_some() {

@@ -15,12 +15,16 @@
 //! `NODE_STATUS` once over its neighbors' advertised levels (the far
 //! ends of faulty links are themselves in `N2`, hence advertised 0).
 //!
-//! Both views live in the one map type. [`SafetyMap::compute`] takes
+//! Both views live in the one map type. [`SafetyMap::compute_in`] takes
 //! faulty links: [`SafetyMap::level`] is the advertised level, and
 //! [`SafetyMap::own_level`] / [`SafetyMap::is_n2`] read a sorted list of
 //! the `N2` nodes' own levels. This module classifies `N2` for it and
-//! evaluates the last round; [`run_egs`] runs the distributed protocol,
-//! which reaches the same map. The §3 rule reads the source's own level
+//! evaluates the last round. [`crate::run_gs`] runs EGS whenever its
+//! faults include links: every node runs `NODE_STATUS` every round
+//! (faulty links never deliver, so their far ends read 0), and an `N2`
+//! node broadcasts 0 throughout. The paper has `N2` evaluate once, in
+//! round `n − 1`; re-evaluating every round reaches the same map without
+//! synchronized round counters. The §3 rule reads the source's own level
 //! at `C1` and advertised levels everywhere else, so [`crate::route`]
 //! and every other unicast entry point route §4.1's way on such a map.
 //!
@@ -31,75 +35,60 @@
 //! ordinary arrival because it is not in the node fault set, and a
 //! final hop across a faulty link is marked undelivered there.
 
-use crate::gs::{engine_map, GsNode};
-use crate::safety::{rule_level, Level, SafetyMap};
-use hypersafe_simkit::{Net, SyncEngine, SyncNode, SyncStats};
-use hypersafe_topology::{FaultConfig, FaultSet, NodeId, Topology};
+use crate::safety::{rule_level, Level, Readings, SafetyMap};
+use hypersafe_topology::{BitDims, Faults, Topology};
 
-/// `cfg`'s `N2`, ascending, and `F ∪ N2`, the faulty set the advertised
-/// levels are Definition 1's fixed point over. `None` when `N2` is
-/// empty, as it is without faulty links: the advertised levels are then
-/// GS's over `F`.
-pub(crate) fn split(cfg: &FaultConfig) -> Option<(Vec<NodeId>, FaultSet)> {
-    let cube = cfg.cube();
-    let mut n2: Vec<NodeId> = cfg
-        .link_faults()
-        .iter()
-        .filter(|&(_, hi)| cube.contains(hi))
-        .flat_map(|(lo, hi)| [lo, hi])
-        .filter(|&a| !cfg.node_faulty(a))
-        .collect();
-    if n2.is_empty() {
+/// The `N2` of `faults` over `space`, ascending, and `F ∪ N2` as fault
+/// words, the faulty set the advertised levels are Definition 1's fixed
+/// point over; `faulty` is `F`, fitted to `space`. `None` when `N2` is
+/// empty, as it is without faulty links (one emptiness test, all a
+/// generalized hypercube pays): the advertised levels are then GS's
+/// over `F`.
+pub(crate) fn split<T: Topology>(
+    space: T,
+    faults: &impl Faults<T>,
+    faulty: &[u64],
+) -> Option<(Vec<T::Node>, Vec<u64>)> {
+    let links = faults.link_faults();
+    if links.is_empty() {
         return None;
     }
-    n2.sort_unstable();
-    n2.dedup();
-    let mut effective = cfg.node_faults().clone();
-    for &a in &n2 {
-        effective.insert(a);
+    let mut effective = faulty.to_vec();
+    for (lo, hi) in links
+        .iter()
+        .filter(|&(_, hi)| space.contains(T::from_raw(hi.raw())))
+    {
+        for a in [lo.raw(), hi.raw()] {
+            effective[(a / 64) as usize] |= 1 << (a % 64);
+        }
     }
-    Some((n2, effective))
+    // N2 is the healthy ends: the bits the links added.
+    let added = effective
+        .iter()
+        .zip(faulty)
+        .map(|(e, f)| e & !f)
+        .enumerate();
+    let n2 =
+        added.flat_map(|(w, m)| BitDims(m).map(move |j| T::from_raw(w as u64 * 64 + j as u64)));
+    let n2: Vec<T::Node> = n2.collect();
+    (!n2.is_empty()).then_some((n2, effective))
 }
 
 /// EGS's last round: each node of `n2` evaluates `NODE_STATUS` once
 /// over `map`'s advertised levels (its faulty-link far ends are in `N2`
 /// or `F`, so they advertise 0).
-pub(crate) fn own_levels(map: &SafetyMap, n2: &[NodeId]) -> Vec<(NodeId, Level)> {
+pub(crate) fn own_levels<T: Readings>(map: &SafetyMap<T>, n2: &[T::Node]) -> Vec<(T::Node, Level)> {
     n2.iter()
         .map(|&a| (a, rule_level(map.space(), map.store(), a)))
         .collect()
 }
 
-/// Runs the distributed EGS protocol (`EXTENDED_GLOBAL_STATUS`) to
-/// quiescence on the lock-step GS node and returns the resulting map
-/// plus engine statistics. Every node runs `NODE_STATUS` every round
-/// (faulty links never deliver, so their far ends read 0); `N2` nodes
-/// broadcast 0 throughout. The paper has `N2` evaluate once, in round
-/// `n − 1`; re-evaluating every round reaches the same fixed point
-/// without synchronized round counters.
-pub fn run_egs(cfg: &FaultConfig) -> (SafetyMap, SyncStats) {
-    let cube = cfg.cube();
-    let n = cube.dim();
-    let net = Net::cube(cfg);
-    let mut eng = SyncEngine::new(&net, |a| {
-        let mut node = GsNode::new(n, None);
-        node.n2 = cfg.link_faults().touches(cube, a);
-        node
-    });
-    eng.run_until_stable(n as u32 + 1);
-    // A faulty node reads 0 in both views; an N2 node advertises 0.
-    let n2 = cube
-        .nodes()
-        .filter_map(|a| eng.node(a).filter(|v| v.n2).map(|v| (a, v.level())));
-    let map = engine_map(cube, &eng, SyncNode::broadcast).with_n2(n2.collect());
-    (map, eng.stats().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gs::run_gs;
     use crate::unicast::route;
-    use hypersafe_topology::{Hypercube, LinkFaultSet};
+    use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, LinkFaultSet, NodeId};
 
     fn n(s: &str) -> NodeId {
         NodeId::from_binary(s).unwrap()
@@ -163,7 +152,7 @@ mod tests {
         let cube = Hypercube::new(4);
         let nodes = FaultSet::from_binary_strs(cube, &["0011", "0100", "0110", "1001"]);
         let cfg = FaultConfig::with_node_faults(cube, nodes);
-        let (dist, _) = run_egs(&cfg);
+        let dist = run_gs(cube, &cfg).map;
         assert_same_views(&dist, &SafetyMap::compute(&cfg), "no links");
         assert!(cfg.cube().nodes().all(|a| !dist.is_n2(a)));
     }
@@ -185,9 +174,9 @@ mod tests {
         // agree on the fig4-like instance and on random node+link fault
         // mixes over Q_4.
         let cfg = fig4_like();
-        let (dist, stats) = run_egs(&cfg);
-        assert_same_views(&SafetyMap::compute(&cfg), &dist, "fig4-like");
-        assert!(stats.messages > 0);
+        let run = run_gs(cfg.cube(), &cfg);
+        assert_same_views(&SafetyMap::compute(&cfg), &run.map, "fig4-like");
+        assert!(run.stats.messages > 0);
 
         // Randomized mixes: every pair of (node-mask, one faulty link).
         let cube = Hypercube::new(4);
@@ -206,7 +195,7 @@ mod tests {
             let mut links = LinkFaultSet::new();
             links.insert(a, b);
             let cfg = FaultConfig::with_faults(cube, nodes, links);
-            let (dist, _) = run_egs(&cfg);
+            let dist = run_gs(cube, &cfg).map;
             assert_same_views(&SafetyMap::compute(&cfg), &dist, &format!("seed {seed}"));
         }
     }
@@ -215,9 +204,10 @@ mod tests {
     fn every_single_link_fault_of_small_cubes() {
         // Every node-fault set of Q1–Q3 and every Q4 node-fault set of
         // size ≤ 2, each with every single faulty link: the centralized
-        // map equals the distributed protocol's in both views, passes
-        // the fixed-point check, and a planted wrong advertised level
-        // or own level is reported.
+        // map equals the lock-step protocol's in both views, the
+        // protocol passes its own checks, the map passes the fixed-point
+        // check, and a planted wrong advertised level or own level is
+        // reported.
         let mut cases = 0u32;
         for n in 1u8..=4 {
             let cube = Hypercube::new(n);
@@ -235,8 +225,10 @@ mod tests {
                     link.insert(a, b);
                     let cfg = FaultConfig::with_faults(cube, nodes.clone(), link);
                     let what = format!("Q{n} mask {mask:#b} link {a}-{b}");
-                    let map = SafetyMap::compute(&cfg);
-                    assert_same_views(&map, &run_egs(&cfg).0, &what);
+                    let map = SafetyMap::compute_in(cube, &cfg);
+                    let run = run_gs(cube, &cfg);
+                    assert_eq!(run.check, Ok(()), "{what}");
+                    assert_same_views(&map, &run.map, &what);
                     assert_eq!(map.check_fixed_point(&cfg), None, "{what}");
 
                     // A wrong advertised level makes its node violate,

@@ -10,31 +10,19 @@
 //!
 //! Because the clique nodes are directly connected, one exchange step
 //! suffices to learn the dimension minimum, so the fixed point is still
-//! reached in `n − 1` rounds. [`SafetyMap::compute_gh`] reaches it with
-//! the cube's frontier rounds and Definition-1 rule ([`crate::safety`]).
-//! The map is the cube's [`SafetyMap`] over `&GeneralizedHypercube`: it
-//! carries the GH it describes, so the routing entry points take the map
-//! alone.
+//! reached in `n − 1` rounds. This module gives `&GeneralizedHypercube`
+//! its [`Readings`]: Definition 4's readings and the round kernel that
+//! [`SafetyMap::compute_in`] runs on it, the cube's frontier rounds and
+//! Definition-1 rule ([`crate::safety`]) with a sweep in place of the
+//! planes. The lock-step protocol is [`crate::run_gs`], over either
+//! topology. The map is the cube's [`SafetyMap`] over
+//! `&GeneralizedHypercube`: it carries the GH it describes, so the
+//! routing entry points take the map alone.
 
-use crate::gs::{engine_map, GsNode};
 use crate::level_store::LevelStore;
-use crate::properties::{check_level_corridor, check_levels_converged, Violation};
-use crate::safety::{frontier_round, rule_level, Level, Readings, SafetyMap};
+use crate::safety::{frontier_round, rule_level, Kernel, Level, Readings, SafetyMap};
 use crate::safety_delta::with_clear_marks;
-use hypersafe_simkit::{Net, SyncEngine, SyncStats};
-use hypersafe_topology::{FaultSet, GeneralizedHypercube, GhNode, NodeId, Topology};
-use std::borrow::Cow;
-
-/// Definition 4's readings: dimension `i` of `a` reads the lowest
-/// level among the other members of `a`'s dimension-`i` clique.
-impl Readings for &GeneralizedHypercube {
-    fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
-        (0..self.dim()).map(move |i| {
-            let peers = self.along(a, i).map(|c| levels.get(c.raw()));
-            peers.min().expect("radix ≥ 2 gives ≥ 1 clique peer")
-        })
-    }
-}
+use hypersafe_topology::{GeneralizedHypercube, GhNode, Topology};
 
 /// A round runs on the frontier while the last round's changes times
 /// the degree (the peers it visits) stay at or below this many per
@@ -46,44 +34,47 @@ impl Readings for &GeneralizedHypercube {
 /// and 20% more.
 const SWEEP_VISITS_PER_NODE: u64 = 1;
 
-impl<'a> SafetyMap<&'a GeneralizedHypercube> {
-    /// Computes the fixed point of Definition 4 for `gh` with the given
-    /// faulty nodes: the Jacobi rounds from the all-`n` start (faulty
-    /// nodes 0), each on the frontier of the last round's changes (the
-    /// faults first) or, when those are many, as a sweep (DESIGN.md
-    /// §13). Each changes what a full round would, so the levels and
-    /// `rounds()` are the full iteration's. Members of `faults` past
-    /// the last node are ignored, and a set narrower than `gh` leaves
-    /// the nodes past its capacity healthy.
-    pub fn compute_gh(gh: &'a GeneralizedHypercube, faults: &FaultSet) -> Self {
-        let n = gh.dim();
-        let len = gh.num_nodes();
-        // The faults, set to 0 in round 0, seed the frontier; members
-        // past the last node are neither set nor seeded. The rounds read
-        // a word per node, so a narrower set is padded with clear words.
-        let mut faulty = Cow::Borrowed(faults.words());
-        let words = len.div_ceil(64) as usize;
-        if faulty.len() < words {
-            faulty.to_mut().resize(words, 0);
-        }
-        let faulty = &*faulty;
-        let mut levels = LevelStore::ceiling_except(n, len, faulty);
+/// Definition 4's readings: dimension `i` of `a` reads the lowest
+/// level among the other members of `a`'s dimension-`i` clique.
+impl Readings for &GeneralizedHypercube {
+    fn readings(self, levels: &LevelStore, a: GhNode) -> impl Iterator<Item = Level> {
+        (0..self.dim()).map(move |i| {
+            let peers = self.along(a, i).map(|c| levels.get(c.raw()));
+            peers.min().expect("radix ≥ 2 gives ≥ 1 clique peer")
+        })
+    }
+
+    /// The Jacobi rounds from the all-`n` start (faulty nodes 0), each
+    /// on the frontier of the last round's changes (the faults first)
+    /// or, when those are many, as a sweep (DESIGN.md §13). Members of
+    /// `faulty` past the last node are neither set nor seeded.
+    fn fixed_point(self, faulty: &[u64], _: Kernel) -> SafetyMap<Self> {
+        let len = self.num_nodes();
+        let mut levels = LevelStore::ceiling_except(self.dim(), len, faulty);
         let mut frontier: Vec<GhNode> = levels.iter_eq(0).map(GhNode).collect();
         let mut changes = Vec::new();
         let mut rounds = 0u32;
         with_clear_marks(len, |marks| loop {
-            let sparse = frontier.len() as u64 * gh.degree() as u64 <= SWEEP_VISITS_PER_NODE * len;
+            let sparse =
+                frontier.len() as u64 * self.degree() as u64 <= SWEEP_VISITS_PER_NODE * len;
             let changed = if sparse {
-                frontier_round(gh, &mut levels, faulty, marks, &mut frontier, &mut changes)
+                frontier_round(
+                    self,
+                    &mut levels,
+                    faulty,
+                    marks,
+                    &mut frontier,
+                    &mut changes,
+                )
             } else {
-                sweep(gh, &mut levels, &mut frontier)
+                sweep(self, &mut levels, &mut frontier)
             };
             if changed == 0 {
                 break;
             }
             rounds += 1;
         });
-        SafetyMap::from_store(gh, levels).with_rounds(rounds)
+        SafetyMap::from_store(self, levels).with_rounds(rounds)
     }
 }
 
@@ -107,68 +98,15 @@ fn sweep(gh: &GeneralizedHypercube, levels: &mut LevelStore, frontier: &mut Vec<
     frontier.len() as u64
 }
 
-/// Runs the distributed GH `GLOBAL_STATUS` to quiescence on the
-/// lock-step engine and returns the converged map plus engine
-/// statistics. Agrees with [`SafetyMap::compute_gh`] (tested).
-pub fn run_gh_gs<'a>(
-    gh: &'a GeneralizedHypercube,
-    faults: &FaultSet,
-) -> (SafetyMap<&'a GeneralizedHypercube>, SyncStats) {
-    let net = Net::new(gh, faults);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
-    eng.run_until_stable(gh.dim() as u32 + 1);
-    (engine_map(gh, &eng, GsNode::level), eng.stats().clone())
-}
-
-/// Checked runner for the distributed GH `GLOBAL_STATUS`: steps the
-/// lock-step engine round by round and, after every round, checks
-/// [`check_level_corridor`] from the all-`n` start down to the
-/// centralized Definition 4 fixed point (`GsNode` keeps no direction
-/// flag, so a node's direction bit is "no higher than last round"),
-/// that the round count stays within the paper's `n − 1` bound (`+1`
-/// for the final no-change confirmation round), and at quiescence
-/// [`check_levels_converged`] against [`SafetyMap::compute_gh`].
-pub fn run_gh_gs_checked<'a>(
-    gh: &'a GeneralizedHypercube,
-    faults: &FaultSet,
-) -> Result<SafetyMap<&'a GeneralizedHypercube>, Violation> {
-    let n = gh.dim();
-    let central = SafetyMap::compute_gh(gh, faults);
-    let fixed = |a: NodeId| central.level(GhNode(a.raw()));
-    let net = Net::new(gh, faults);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
-    let mut prev = engine_map(gh, &eng, GsNode::level);
-    let mut rounds = 0u32;
-    while eng.run_round() != 0 {
-        rounds += 1;
-        if rounds > n as u32 {
-            return Err(Violation {
-                claim: "gh-gs-round-bound",
-                witness: Vec::new(),
-                detail: format!("still active after {rounds} rounds on an n = {n} GH"),
-            });
-        }
-        let now = engine_map(gh, &eng, GsNode::level);
-        let step = gh.nodes().map(|a| {
-            let lv = now.level(a);
-            (NodeId::new(a.raw()), lv, lv <= prev.level(a))
-        });
-        check_level_corridor(step, |_| n, fixed, true)?;
-        prev = now;
-    }
-    // The quiet round changed nothing, so `prev` holds the final levels.
-    let last = gh.nodes().map(|a| (NodeId::new(a.raw()), prev.level(a)));
-    check_levels_converged(last, fixed)?;
-    Ok(central)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypersafe_topology::{BitDims, FaultConfig, Hypercube};
+    use crate::gs::{run_gs, GsNode};
+    use hypersafe_simkit::{Net, SyncEngine};
+    use hypersafe_topology::{BitDims, FaultConfig, FaultSet, Hypercube, NodeId};
 
-    /// `compute` agrees with the lock-step protocol (the engine
-    /// [`run_gh_gs`] runs) in levels and `rounds()`, and on an
+    /// `compute_in` agrees with the lock-step protocol (the engine
+    /// [`run_gs`] runs) in levels and `rounds()`, and on an
     /// all-radix-2 GH with the cube's scalar oracle. Both oracles step
     /// round by round as fact (a) of DESIGN.md §13 says: after round
     /// `r` a node holds its final level if that is `r` or less, else
@@ -180,16 +118,24 @@ mod tests {
         faults: &FaultSet,
         what: &str,
     ) -> (SafetyMap<&'a GeneralizedHypercube>, Vec<bool>) {
-        let map = SafetyMap::compute_gh(gh, faults);
+        let map = SafetyMap::compute_in(gh, faults);
         let n = gh.dim();
         let after = |r: u32| -> Vec<Level> {
             let cap = |l: Level| if u32::from(l) <= r { l } else { n };
             map.to_vec().into_iter().map(cap).collect()
         };
         let net = Net::new(gh, faults);
-        let mut eng = SyncEngine::new(&net, |_| GsNode::new(gh.dim(), Some(gh)));
+        let dims: Vec<u8> = (0..gh.degree())
+            .map(|k| gh.port_at(GhNode(0), k).0)
+            .collect();
+        let mut eng = SyncEngine::new(&net, |_| GsNode::new(n, &dims, false));
         let mut rounds = 0;
-        let levels = |eng: &SyncEngine<'_, _, _>| engine_map(gh, eng, GsNode::level).to_vec();
+        let levels = |eng: &SyncEngine<'_, _, GsNode<'_>>| {
+            let nodes = gh.nodes().map(|a| eng.node(NodeId::new(a.raw())));
+            nodes
+                .map(|v| v.map_or(0, GsNode::level))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(levels(&eng), after(0), "{what}");
         while eng.run_round() != 0 {
             rounds += 1;
@@ -253,6 +199,34 @@ mod tests {
         // map is the one of the in-range members alone, and the
         // frontier is seeded with those only (a member past the end
         // would index the mark bits out of range).
+        //
+        // On Q8, one fitting rule for both: a set sized for Q6 (one
+        // word where the rounds read four; the nodes past it are
+        // healthy) and one sized for Q10, each handed in bare and
+        // swapped into a configuration, give the map of the fitted set,
+        // and the lock-step run agrees and passes its checks.
+        let cube = Hypercube::new(8);
+        let members = [3u64, 5, 63].map(NodeId::new);
+        let want = SafetyMap::compute_in(cube, &FaultSet::from_nodes(cube, members));
+        for capacity in [64, 1 << 10] {
+            let mut set = FaultSet::with_capacity(capacity);
+            for a in members {
+                set.insert(a);
+            }
+            if capacity > cube.num_nodes() {
+                for a in [256u64, 300, 700] {
+                    set.insert(NodeId::new(a));
+                }
+            }
+            let mut cfg = FaultConfig::fault_free(cube);
+            *cfg.node_faults_mut() = set.clone();
+            let what = format!("Q8, a set of capacity {capacity}");
+            assert_eq!(SafetyMap::compute_in(cube, &set), want, "{what}");
+            assert_eq!(SafetyMap::compute(&cfg), want, "{what}");
+            let run = run_gs(cube, &set);
+            assert_eq!((run.check, run.map), (Ok(()), want.clone()), "{what}");
+        }
+
         let gh = GeneralizedHypercube::new(&[3, 3, 4]);
         let mut wide = FaultSet::with_capacity(200);
         let mut fitted = gh.fault_set();
@@ -264,7 +238,7 @@ mod tests {
             wide.insert(NodeId::new(a));
         }
         let (map, _) = assert_matches_protocol(&gh, &wide, "wide set");
-        assert_eq!(map, SafetyMap::compute_gh(&gh, &fitted));
+        assert_eq!(map, SafetyMap::compute_in(&gh, &fitted));
     }
 
     #[test]
@@ -339,7 +313,7 @@ mod tests {
         let gh = GeneralizedHypercube::new(&[2, 2, 2, 2]);
         let cube = Hypercube::new(4);
         let faults = FaultSet::from_binary_strs(cube, &["0011", "0100", "0110", "1001"]);
-        let ghmap = SafetyMap::compute_gh(&gh, &faults);
+        let ghmap = SafetyMap::compute_in(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
         assert_eq!(ghmap.to_vec(), qmap.to_vec());
@@ -349,7 +323,7 @@ mod tests {
     #[test]
     fn fault_free_gh_is_all_safe() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
-        let map = SafetyMap::compute_gh(&gh, &gh.fault_set());
+        let map = SafetyMap::compute_in(&gh, &gh.fault_set());
         assert_eq!(map.rounds(), 0);
         assert!(gh.nodes().all(|a| map.is_safe(a)));
         // GH(2,6) and GH(3,4) both have 12 nodes, n = 2, every level 2
@@ -359,8 +333,8 @@ mod tests {
             GeneralizedHypercube::new(&[3, 4]),
         );
         let (m26, m34) = (
-            SafetyMap::compute_gh(&g26, &g26.fault_set()),
-            SafetyMap::compute_gh(&g34, &g34.fault_set()),
+            SafetyMap::compute_in(&g26, &g26.fault_set()),
+            SafetyMap::compute_in(&g34, &g34.fault_set()),
         );
         assert_eq!((m26.store(), m26.rounds()), (m34.store(), m34.rounds()));
         assert_ne!(m26, m34);
@@ -382,7 +356,7 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             assert!(map.rounds() <= 2, "mask {mask:#b}: rounds {}", map.rounds());
         }
     }
@@ -404,12 +378,13 @@ mod tests {
                     f.insert(NodeId::new(i));
                 }
             }
-            let central = SafetyMap::compute_gh(&gh, &f);
-            let (dist, stats) = run_gh_gs(&gh, &f);
-            assert_eq!(central.store(), dist.store(), "mask {mask:#b}");
-            assert_eq!(central.rounds(), dist.rounds(), "mask {mask:#b}");
+            let central = SafetyMap::compute_in(&gh, &f);
+            let run = run_gs(&gh, &f);
+            assert_eq!(run.check, Ok(()), "mask {mask:#b}");
+            assert_eq!(central.store(), run.map.store(), "mask {mask:#b}");
+            assert_eq!(central.rounds(), run.map.rounds(), "mask {mask:#b}");
             if mask == 0 {
-                assert_eq!(stats.active_rounds, 0, "fault-free costs nothing");
+                assert_eq!(run.stats.active_rounds, 0, "fault-free costs nothing");
             }
         }
     }
@@ -421,9 +396,9 @@ mod tests {
         f.insert(NodeId::new(0));
         f.insert(NodeId::new(7));
         f.insert(NodeId::new(13));
-        let central = SafetyMap::compute_gh(&gh, &f);
-        let (dist, _) = run_gh_gs(&gh, &f);
-        assert_eq!(central.store(), dist.store());
+        let central = SafetyMap::compute_in(&gh, &f);
+        let run = run_gs(&gh, &f);
+        assert_eq!(central.store(), run.map.store());
     }
 
     #[test]
@@ -433,7 +408,7 @@ mod tests {
         let gh = GeneralizedHypercube::new(&[4, 4]);
         let mut f = gh.fault_set();
         f.insert(NodeId::new(0));
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         for a in gh.nodes() {
             if a.raw() == 0 {
                 assert_eq!(map.level(a), 0);
@@ -456,7 +431,7 @@ mod tests {
         // with x ≥ 1, which Definition 1 tolerates → still safe.
         let mut f1 = gh.fault_set();
         f1.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-        let m1 = SafetyMap::compute_gh(&gh, &f1);
+        let m1 = SafetyMap::compute_in(&gh, &f1);
         assert_eq!(m1.level(a00), 2);
 
         // Faulty clique peer in dim 1 *and* faulty dim-0 peer: both
@@ -464,7 +439,7 @@ mod tests {
         let mut f2 = gh.fault_set();
         f2.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
         f2.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
-        let m2 = SafetyMap::compute_gh(&gh, &f2);
+        let m2 = SafetyMap::compute_in(&gh, &f2);
         assert_eq!(m2.level(a00), 1);
 
         // The min is over the whole clique: faulting the *other* dim-1
@@ -472,7 +447,7 @@ mod tests {
         let mut f3 = gh.fault_set();
         f3.insert(NodeId::new(gh.node_from_digits(&[0, 2]).raw()));
         f3.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
-        let m3 = SafetyMap::compute_gh(&gh, &f3);
+        let m3 = SafetyMap::compute_in(&gh, &f3);
         assert_eq!(m3.level(a00), 1);
     }
 }

@@ -9,11 +9,13 @@
 //! convention.
 //!
 //! [`run_gs`] executes the synchronous version on the lock-step engine
-//! and returns the resulting [`SafetyMap`] plus round/message
-//! statistics. [`run_gs_async`] executes the asynchronous variant on
-//! the discrete-event engine with arbitrary per-link latencies; by
-//! Theorem 1 both converge to the same unique fixed point, which the
-//! test suite cross-checks against the centralized computation.
+//! over either topology (EGS when the faults include links) and returns
+//! the resulting [`SafetyMap`], round/message statistics and the
+//! verdict of its own checks. [`run_gs_async`] executes the
+//! asynchronous variant on the discrete-event engine with arbitrary
+//! per-link latencies; by Theorem 1 both converge to the same unique
+//! fixed point, which the test suite cross-checks against the
+//! centralized computation.
 //! [`run_gs_reliable`] runs the same actor behind the ACK/retransmit
 //! layer, for lossy channels, and [`crate::run_delta_gs`] runs it from
 //! the fixed point before one churn event instead of from scratch
@@ -23,44 +25,43 @@
 use crate::level_store::NeighborLevels;
 use crate::properties::{
     check_level_corridor, check_levels_converged, gs_fixed_point, Violation, GS_CORRIDOR,
+    GS_ROUND_BOUND,
 };
-use crate::safety::{level_from_unsorted, Level, SafetyMap};
+use crate::safety::{level_from_low_counts, level_from_unsorted, Level, Readings, SafetyMap};
 use crate::safety_delta::ChurnEvent;
 use hypersafe_simkit::{
     Actor, Ctx, EventEngine, EventStats, Invariant, InvariantViolation, Net, RelCtx, Reliable,
     ReliableActor, ReliableConfig, RunOptions, RunReport, SyncEngine, SyncNode, SyncStats,
 };
-use hypersafe_topology::{FaultConfig, GeneralizedHypercube, Hypercube, NodeId, Topology};
+use hypersafe_topology::{FaultConfig, Faults, Hypercube, NodeId, Topology, MAX_DIM};
 
-/// Per-node state of the lock-step GS protocol on either topology:
-/// `GLOBAL_STATUS` in `Q_n`, its §4.2 form in a generalized hypercube
-/// ([`crate::run_gh_gs`]), and EGS ([`crate::run_egs`]), where an
-/// `N2` node advertises 0 and keeps its own level
+/// Per-node state of the lock-step GS protocol over a topology:
+/// `GLOBAL_STATUS` in `Q_n`, its §4.2 form in a generalized hypercube,
+/// and EGS, where an `N2` node advertises 0 and keeps its own level
 /// ([`SafetyMap::own_level`]). Each round a dimension reads the lowest
-/// level its peers sent (Definition 4), and a dimension with a silent
-/// peer (a faulty node or a faulty link) reads 0; the node then applies
-/// Definition 1.
+/// level its ports heard (Definition 4; one port per dimension in
+/// `Q_n`), and a silent port (a faulty node or a faulty link) reads 0;
+/// the node then applies Definition 1.
 #[derive(Clone, Debug)]
 pub struct GsNode<'a> {
+    /// The dimension of each port, by port index: the same at every
+    /// node, since a topology numbers its ports dimension-major.
+    dims: &'a [u8],
     n: u8,
     level: Level,
-    /// The generalized hypercube of a GH run, whose dimension `i` has
-    /// `m_i − 1` ports, one per clique peer. `None` in `Q_n`, where a
-    /// dimension is one port.
-    gh: Option<&'a GeneralizedHypercube>,
     /// Whether the node is in EGS's `N2` and so advertises 0.
-    pub(crate) n2: bool,
+    n2: bool,
 }
 
 impl<'a> GsNode<'a> {
-    /// Fresh state for a node of an `n`-dimensional network, `Q_n` or
-    /// the generalized hypercube `gh`: initially `n`-safe.
-    pub(crate) fn new(n: u8, gh: Option<&'a GeneralizedHypercube>) -> Self {
+    /// Fresh state for a node of an `n`-dimensional topology whose
+    /// ports cross `dims`, in `N2` or not: initially `n`-safe.
+    pub(crate) fn new(n: u8, dims: &'a [u8], n2: bool) -> Self {
         GsNode {
+            dims,
             n,
             level: n,
-            gh,
-            n2: false,
+            n2,
         }
     }
 
@@ -83,48 +84,44 @@ impl SyncNode for GsNode<'_> {
 
     fn receive(&mut self, inbox: &[(usize, Level)]) -> bool {
         let n = self.n;
-        let new = match self.gh {
-            // A dimension is one port: the silent ones read 0.
-            None => {
-                let silent = n as usize - inbox.len();
-                let heard = inbox.iter().map(|&(_, lv)| lv);
-                level_from_unsorted(n, heard.chain(std::iter::repeat_n(0, silent)))
-            }
-            // The inbox lists ports in order, and the topology numbers
-            // them dimension-major, so each clique's ports come next; a
-            // silent one reads 0.
-            Some(gh) => {
-                let (mut heard, mut port) = (inbox.iter().peekable(), 0);
-                let readings = (0..n).map(|i| {
-                    let mut min = n;
-                    for _ in 1..gh.radix(i) {
-                        let lv = heard.next_if(|&&(p, _)| p == port).map_or(0, |&(_, lv)| lv);
-                        min = min.min(lv);
-                        port += 1;
-                    }
-                    min
-                });
-                level_from_unsorted(n, readings)
-            }
-        };
+        // The inbox lists the heard ports in order; the rest are silent.
+        let mut readings = [n; MAX_DIM as usize];
+        let mut heard = inbox.iter().peekable();
+        for (k, &d) in self.dims.iter().enumerate() {
+            let lv = heard.next_if(|&&(p, _)| p == k).map_or(0, |&(_, lv)| lv);
+            readings[d as usize] = readings[d as usize].min(lv);
+        }
+        let new = level_from_low_counts(n, readings[..n as usize].iter().copied());
         let changed = new != self.level;
         self.level = new;
         changed
     }
 }
 
-/// Outcome of a distributed GS run.
+/// Outcome of a lock-step GS run.
 #[derive(Clone, Debug)]
-pub struct GsRun {
-    /// The converged safety levels.
-    pub map: SafetyMap,
+pub struct GsRun<T: Topology = Hypercube> {
+    /// The converged safety levels, with the `N2` nodes' own levels
+    /// when the faults include links.
+    pub map: SafetyMap<T>,
     /// Engine statistics (rounds, messages).
     pub stats: SyncStats,
+    /// The first violation of the run's own checks, if any.
+    pub check: Result<(), Violation>,
 }
 
-/// Runs synchronous GS with the paper's bound `D = n − 1` (the
-/// Corollary to Property 1 guarantees it suffices) plus one
-/// quiescence-detection round, so the active-round count is exact.
+/// Runs the lock-step GS protocol over `space` with `faults` until a
+/// round changes nothing: `GLOBAL_STATUS` (§2.2), its generalized
+/// hypercube form (§4.2), and EGS (§4.1) when the faults include links,
+/// where an `N2` node (one that detects an adjacent faulty link)
+/// advertises 0. The run checks every node's own level against
+/// [`SafetyMap::compute_in`]'s map: the corridor after every round
+/// ([`check_level_corridor`]), convergence at quiescence
+/// ([`check_levels_converged`]), and the round bound. The advertised
+/// levels settle within `n − 1` active rounds (the Corollary to
+/// Property 1, over `F ∪ N2`), but an `N2` own level reads the round
+/// before's and can still move in round `n`: so at most `n` active
+/// rounds, and a run still active in round `n + 1` is cut there.
 ///
 /// # Examples
 ///
@@ -135,34 +132,64 @@ pub struct GsRun {
 /// let cube = Hypercube::new(4);
 /// let faults = FaultSet::from_binary_strs(cube, &["0011", "0100"]);
 /// let cfg = FaultConfig::with_node_faults(cube, faults);
-/// let run = run_gs(&cfg);
+/// let run = run_gs(cube, &cfg);
 /// // The distributed protocol converges to the centralized fixed point.
+/// assert_eq!(run.check, Ok(()));
 /// assert_eq!(run.map.store(), SafetyMap::compute(&cfg).store());
 /// assert!(run.stats.messages > 0);
 /// ```
-pub fn run_gs(cfg: &FaultConfig) -> GsRun {
-    let n = cfg.cube().dim();
-    let net = Net::cube(cfg);
-    let mut eng = SyncEngine::new(&net, |_| GsNode::new(n, None));
-    eng.run_until_stable(n as u32);
-    GsRun {
-        map: engine_map(cfg.cube(), &eng, GsNode::level),
-        stats: eng.stats().clone(),
+pub fn run_gs<T: Readings + Send + Sync>(space: T, faults: &impl Faults<T>) -> GsRun<T> {
+    let (n, len) = (space.dim(), space.num_nodes());
+    let central = SafetyMap::compute_in(space, faults);
+    let goal = |a: NodeId| central.own_level(T::from_raw(a.raw()));
+    let net = Net::new(space, faults);
+    let links = !faults.link_faults().is_empty();
+    let ports = (0..space.degree()).map(|k| space.port_at(T::from_raw(0), k));
+    let dims: Vec<u8> = ports.map(|p| space.port_dim(p)).collect();
+    let mut eng = SyncEngine::new(&net, |a| {
+        let mut far = space.neighbours(T::from_raw(a.raw())).map(T::raw);
+        GsNode::new(n, &dims, links && far.any(|b| net.link_faulty(a.raw(), b)))
+    });
+    // Each node's own or advertised level; a faulty node reads 0.
+    let levels = |eng: &SyncEngine<'_, T, GsNode<'_>>, own: bool| {
+        let nodes = (0..len).map(|a| eng.node(NodeId::new(a)));
+        let read = |v: &GsNode| if own { v.level } else { v.broadcast() };
+        nodes.map(|v| v.map_or(0, read)).collect::<Vec<_>>()
+    };
+    let mut prev = levels(&eng, true);
+    let mut check = Ok(());
+    while eng.run_round() != 0 {
+        let rounds = eng.stats().active_rounds;
+        if rounds > n as u32 {
+            let detail = format!("still active after {rounds} rounds with n = {n}");
+            check = Err(Violation::new(GS_ROUND_BOUND, Vec::new(), detail));
+            break;
+        }
+        let now = levels(&eng, true);
+        let step = now.iter().zip(&prev).enumerate();
+        let step = step.map(|(a, (&lv, &p))| (NodeId::new(a as u64), lv, lv <= p));
+        check = check.and_then(|()| check_level_corridor(step, |_| n, goal, true));
+        prev = now;
     }
-}
-
-/// The map a lock-step GS engine over `space` holds: every node's level
-/// as `read` takes it off the node (a faulty node, which has none,
-/// reads 0), and the engine's active rounds so far. The one reader for
-/// [`run_gs`], [`crate::run_gh_gs`], its checked runner and
-/// [`crate::run_egs`], which adds the `N2` nodes' own levels.
-pub(crate) fn engine_map<'g, T: Topology>(
-    space: T,
-    eng: &SyncEngine<'_, T, GsNode<'g>>,
-    read: impl Fn(&GsNode<'g>) -> Level,
-) -> SafetyMap<T> {
-    let levels = (0..space.num_nodes()).map(|a| eng.node(NodeId::new(a)).map_or(0, &read));
-    SafetyMap::from_levels(space, levels.collect()).with_rounds(eng.stats().active_rounds)
+    // After the quiet round, `prev` holds the final levels.
+    let last = prev
+        .iter()
+        .enumerate()
+        .map(|(a, &lv)| (NodeId::new(a as u64), lv));
+    check = check.and_then(|()| check_levels_converged(last, goal));
+    // An N2 node advertises 0 and keeps its own level.
+    let n2 = (0..len).filter_map(|a| {
+        let v = eng.node(NodeId::new(a)).filter(|v| v.n2)?;
+        Some((T::from_raw(a), v.level))
+    });
+    let map = SafetyMap::from_levels(space, levels(&eng, false));
+    GsRun {
+        map: map
+            .with_rounds(eng.stats().active_rounds)
+            .with_n2(n2.collect()),
+        stats: eng.stats().clone(),
+        check,
+    }
 }
 
 /// Where an event-driven GS run starts. Theorem 1's operator is
@@ -690,7 +717,7 @@ mod tests {
     #[test]
     fn sync_gs_matches_centralized_fig1() {
         let cfg = cfg4(&["0011", "0100", "0110", "1001"]);
-        let run = run_gs(&cfg);
+        let run = run_gs(cfg.cube(), &cfg);
         let central = SafetyMap::compute(&cfg);
         assert_eq!(run.map.store(), central.store());
         assert_eq!(run.map.rounds(), 2, "Fig. 1 stabilizes after two rounds");
@@ -719,7 +746,7 @@ mod tests {
             }
             let cfg = FaultConfig::with_node_faults(cube, f);
             let central = SafetyMap::compute(&cfg);
-            let sync = run_gs(&cfg);
+            let sync = run_gs(cfg.cube(), &cfg);
             assert_eq!(sync.map.store(), central.store(), "sync mask {mask:#b}");
             let (run, _) = run_gs_async(&cfg, 1, RunOptions::default());
             assert_eq!(run.map.store(), central.store(), "async mask {mask:#b}");
@@ -819,7 +846,7 @@ mod tests {
     #[test]
     fn fault_free_costs_zero_active_rounds() {
         let cfg = cfg4(&[]);
-        let run = run_gs(&cfg);
+        let run = run_gs(cfg.cube(), &cfg);
         assert_eq!(run.stats.active_rounds, 0);
         assert_eq!(run.stats.rounds_run, 1, "single quiescence probe");
     }
@@ -827,7 +854,7 @@ mod tests {
     #[test]
     fn message_count_per_round_is_two_per_usable_link() {
         let cfg = cfg4(&["0011"]);
-        let run = run_gs(&cfg);
+        let run = run_gs(cfg.cube(), &cfg);
         // 15 healthy nodes; usable links = 32 − 4 (links of 0011).
         let usable = 28u64;
         assert_eq!(run.stats.messages % (2 * usable), 0);

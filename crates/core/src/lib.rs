@@ -5,12 +5,13 @@
 //!
 //! * [`safety`] — Definition 1 and the unique fixed point (Theorem 1),
 //!   held in one map type, [`SafetyMap`], over `Q_n` or a generalized
-//!   hypercube; the map carries its topology.
+//!   hypercube; the map carries its topology. [`SafetyMap::compute_in`]
+//!   computes it for either topology and fault kind.
 //! * [`gs`] — the distributed `GLOBAL_STATUS` protocol, synchronous (one
-//!   lock-step node for `Q_n`, generalized hypercubes and EGS) and
-//!   asynchronous (one actor, started from scratch or, for
-//!   [`run_delta_gs`], from the fixed point before one churn event),
-//!   executed message-by-message on `hypersafe-simkit`.
+//!   self-checking lock-step runner, [`run_gs`], for `Q_n`, generalized
+//!   hypercubes and EGS) and asynchronous (one actor, started from
+//!   scratch or, for [`run_delta_gs`], from the fixed point before one
+//!   churn event), executed message-by-message on `hypersafe-simkit`.
 //! * [`navigation`] + [`unicast`] — the optimal/suboptimal unicasting
 //!   algorithm with the `C1`/`C2`/`C3` source feasibility check, one
 //!   API over `Q_n` and generalized hypercubes: [`route`],
@@ -30,10 +31,10 @@
 //!   returns its result with the engine's
 //!   [`hypersafe_simkit::RunReport`].
 //! * [`egs`] — the §4.1 extension to faulty links (`N1`/`N2` views):
-//!   the `N2` classification and the distributed `run_egs`.
+//!   the `N2` classification and own levels.
 //! * [`gh_safety`] — the §4.2 extension to generalized hypercubes:
-//!   Definition 4's [`SafetyMap::compute_gh`] and the GH runs of the
-//!   lock-step GS node; routing over the GH's map is [`unicast`]'s.
+//!   Definition 4's readings and round kernel; routing over the GH's
+//!   map is [`unicast`]'s.
 //! * [`properties`] — the spec: Theorems 1–4 and Properties 1–2, each
 //!   written once as a predicate. The runners' checked mode (engine
 //!   invariants), the DST post-run checkers and the model checker
@@ -92,9 +93,7 @@ pub mod unicast_distributed;
 pub use broadcast::{broadcast, BroadcastResult};
 pub use broadcast_distributed::{run_broadcast, BcastMsg, BcastNode};
 pub use diagnosis::{detect, DetectionResult, DetectorParams, Heartbeat};
-pub use egs::run_egs;
 pub use exact::{tightness, ExactReach, TightnessSummary};
-pub use gh_safety::{run_gh_gs, run_gh_gs_checked};
 pub use gs::{run_gs, run_gs_async, run_gs_reliable, GsAsyncRun, GsCorridor, GsLossyRun, GsRun};
 pub use level_store::{LevelStore, NeighborLevels, PlaneView};
 pub use maintenance::{replay, MaintenanceReport, Strategy, Timeline, TimelineEvent};

@@ -129,7 +129,7 @@ pub fn replay(cube: Hypercube, timeline: &Timeline, strategy: Strategy) -> Maint
     };
 
     let refresh = |cfg: &FaultConfig, map: &mut SafetyMap, report: &mut MaintenanceReport| {
-        let run = run_gs(cfg);
+        let run = run_gs(cfg.cube(), cfg);
         report.gs_runs += 1;
         report.gs_messages += run.stats.messages;
         *map = run.map;

@@ -15,7 +15,7 @@
 //! its one name: the engine invariants ([`crate::GsCorridor`] for GS
 //! from either start, [`crate::ArqSingleDelivery`]), the model checker
 //! ([`crate::mc`]), the DST post-run checks ([`check_gs_convergence`],
-//! [`check_lossy_outcome`]) and [`crate::run_gh_gs_checked`]. Bad
+//! [`check_lossy_outcome`]) and the lock-step [`crate::run_gs`]. Bad
 //! input — a node outside the cube, a trail that leaves it — is
 //! reported as a [`Violation`], not a panic.
 
@@ -38,7 +38,7 @@ pub struct Violation {
 }
 
 impl Violation {
-    fn new(claim: &'static str, witness: Vec<NodeId>, detail: String) -> Self {
+    pub(crate) fn new(claim: &'static str, witness: Vec<NodeId>, detail: String) -> Self {
         Violation {
             claim,
             witness,
@@ -51,6 +51,9 @@ impl Violation {
 pub const GS_CORRIDOR: &str = "gs-corridor";
 /// Name of [`check_levels_converged`] in every checker.
 pub const GS_CONVERGENCE: &str = "gs-convergence";
+/// Name of the lock-step [`crate::run_gs`]'s round bound: at most `n`
+/// active rounds.
+pub const GS_ROUND_BOUND: &str = "gs-round-bound";
 /// Name of [`check_exactly_once`] in every checker.
 pub const ARQ_EXACTLY_ONCE: &str = "arq-exactly-once";
 /// Name of [`check_unicast_optimality`] in every checker.

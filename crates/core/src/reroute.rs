@@ -133,7 +133,7 @@ pub fn route_dynamic(
             // status. If the map believed this neighbor healthy, the
             // levels are stale → demand-driven GS re-stabilization.
             if map.level(next) != 0 {
-                let gs = run_gs(&cfg);
+                let gs = run_gs(cfg.cube(), &cfg);
                 run.restabilizations += 1;
                 run.gs_messages += gs.stats.messages;
                 map = gs.map;

@@ -46,24 +46,26 @@
 //! changes are many for the cube's size a round sweeps the planes
 //! instead. Either way a round changes exactly the nodes a full sweep
 //! would, so every round's levels and the round count are those of
-//! the full sweep. [`SafetyMap::compute_gh`], the generalized
-//! hypercube's map, runs the same frontier rounds, generic over the
-//! topology's ports.
+//! the full sweep. A generalized hypercube's map runs the same frontier
+//! rounds, generic over the topology's ports, and sweeps in place of
+//! the planes: [`SafetyMap::compute_in`] takes either topology, whose
+//! type picks the kernel ([`Readings`]).
 //!
 //! ## Faulty links
 //!
-//! [`SafetyMap::compute`] takes faulty links (§4.1, [`crate::egs`]): the
-//! levels are then the *advertised* ones, the fixed point over `F ∪ N2`,
-//! and the map keeps a sorted list of each `N2` node's *own* level
-//! ([`SafetyMap::own_level`]). The list is empty without faulty links,
-//! for a generalized hypercube and for a map built from levels.
+//! [`SafetyMap::compute_in`] takes faulty links (§4.1, [`crate::egs`]):
+//! the levels are then the *advertised* ones, the fixed point over
+//! `F ∪ N2`, and the map keeps a sorted list of each `N2` node's *own*
+//! level ([`SafetyMap::own_level`]). The list is empty without faulty
+//! links, for a generalized hypercube and for a map built from levels.
 
 use crate::egs;
 use crate::level_store::{
     gather_neighbor_word, sliced_add, sliced_gt_const, tail_mask, LevelStore, PlaneView,
 };
 use crate::safety_delta::with_clear_marks;
-use hypersafe_topology::{BitDims, FaultConfig, Hypercube, NodeId, Topology, MAX_DIM};
+use hypersafe_topology::{BitDims, FaultConfig, Faults, Hypercube, NodeId, Topology, MAX_DIM};
+use std::borrow::Cow;
 
 /// Safety level of one node: `0..=n`. `n` means *safe*; anything less
 /// is *unsafe*; `0` is the level of a faulty node.
@@ -381,12 +383,41 @@ pub trait Readings: Topology {
     /// The level each dimension of `a` reads from `levels`, by
     /// ascending dimension.
     fn readings(self, levels: &LevelStore, a: Self::Node) -> impl Iterator<Item = Level>;
+
+    /// [`SafetyMap::compute_in`]'s rounds over the faulty nodes
+    /// `faulty` (one bit per node, fitted): the topology's own kernel,
+    /// the faster one on it. No caller outside the crate can name
+    /// [`Kernel`], so none can call or implement this.
+    #[doc(hidden)]
+    fn fixed_point(self, faulty: &[u64], _: Kernel) -> SafetyMap<Self>;
 }
+
+pub(crate) mod sealed {
+    /// Seals [`super::Readings::fixed_point`].
+    pub struct Kernel;
+}
+pub(crate) use sealed::Kernel;
 
 impl Readings for Hypercube {
     #[inline(always)]
     fn readings(self, levels: &LevelStore, a: NodeId) -> impl Iterator<Item = Level> {
         self.neighbours(a).map(move |b| levels.get(b.raw()))
+    }
+
+    /// The planes-plus-frontier rounds (the module's *Frontier rounds*).
+    fn fixed_point(self, faulty: &[u64], _: Kernel) -> SafetyMap {
+        SafetyMap::cube_rounds(self, faulty, None)
+    }
+}
+
+/// A node set's fault words fitted to `len` nodes: a narrower set is
+/// padded with clear words (the nodes past it are healthy), and a wider
+/// one is borrowed (no round reads its members past the last node).
+fn fitted(words: &[u64], len: u64) -> Cow<'_, [u64]> {
+    let pad = (len.div_ceil(64) as usize).saturating_sub(words.len());
+    match pad {
+        0 => Cow::Borrowed(words),
+        _ => Cow::Owned([words, &vec![0; pad]].concat()),
     }
 }
 
@@ -589,7 +620,53 @@ impl<T: Topology> SafetyMap<T> {
     }
 }
 
+impl<T: Readings> SafetyMap<T> {
+    /// Computes the unique fixed point of Definition 1 (Definition 4
+    /// in a generalized hypercube) over `space` with the faulty nodes
+    /// and links of `faults` (a cube's [`FaultConfig`], or a bare node
+    /// set): Jacobi rounds from the paper's initial state (faulty = 0,
+    /// nonfaulty = `n`), the centralized shadow of `GLOBAL_STATUS`, on
+    /// the topology's own kernel ([`Readings`]). A node set narrower
+    /// than `space` leaves the nodes past it healthy, and members past
+    /// the last node are ignored. With faulty links this is EGS (§4.1):
+    /// the rounds run over `F ∪ N2`, and each `N2` node then evaluates
+    /// its own level once. [`crate::run_gs`] reaches the same map.
+    pub fn compute_in(space: T, faults: &impl Faults<T>) -> Self {
+        Self::compute_with(space, faults, |faulty| space.fixed_point(faulty, Kernel))
+    }
+
+    /// [`SafetyMap::compute_in`] with `rounds` as the kernel.
+    fn compute_with(space: T, faults: &impl Faults<T>, run: impl FnOnce(&[u64]) -> Self) -> Self {
+        let faulty = fitted(faults.node_faults().words(), space.num_nodes());
+        let Some((n2, effective)) = egs::split(space, faults, &faulty) else {
+            return run(&faulty);
+        };
+        let map = run(&effective);
+        let own = egs::own_levels(&map, &n2);
+        map.with_n2(own)
+    }
+
+    /// Sets the `N2` nodes' own levels, ascending by node.
+    pub(crate) fn with_n2(mut self, n2: Vec<(T::Node, Level)>) -> Self {
+        debug_assert!(n2.windows(2).all(|w| T::raw(w[0].0) < T::raw(w[1].0)));
+        self.n2 = n2;
+        self
+    }
+}
+
 impl SafetyMap {
+    /// `compute_in(cfg.cube(), cfg)`, the cube's shorthand.
+    /// Byte-identical to [`SafetyMap::compute_reference`] (same rounds,
+    /// same levels) by construction and by differential test.
+    ///
+    /// Each round evaluates only nodes that can change (the module's
+    /// *Frontier rounds*): round 1 reads the fault bitmap alone, and
+    /// each later round evaluates the nodes next to two or more of the
+    /// round before's changes, on the packed store, or sweeps every
+    /// 64-node word on bit-planes when those changes are many. With
+    /// sparse faults the work after round 1 is proportional to the
+    /// nodes near the faults, not to `2ⁿ`.
+    ///
     /// # Examples
     ///
     /// ```
@@ -604,26 +681,8 @@ impl SafetyMap {
     /// assert_eq!(map.level(NodeId::from_binary("0101").unwrap()), 2);
     /// assert_eq!(map.rounds(), 2); // stable after two rounds
     /// ```
-    /// Computes the unique fixed point for `cfg` by synchronous Jacobi
-    /// iteration from the paper's initial state (faulty = 0, nonfaulty
-    /// = `n`), exactly the centralized shadow of `GLOBAL_STATUS`.
-    /// Byte-identical to [`SafetyMap::compute_reference`] (same rounds,
-    /// same levels) by construction and by differential test.
-    ///
-    /// Each round evaluates only nodes that can change (the module's
-    /// *Frontier rounds*): round 1 reads the fault bitmap alone, and
-    /// each later round evaluates the nodes next to two or more of the
-    /// round before's changes, on the packed store, or sweeps every
-    /// 64-node word on bit-planes when those changes are many. With
-    /// sparse faults the work after round 1 is proportional to the
-    /// nodes near the faults, not to `2ⁿ`.
-    ///
-    /// With faulty links this is EGS (§4.1): the rounds run over
-    /// `F ∪ N2`, and each `N2` node then evaluates its own level once
-    /// (the module's *Faulty links*). The distributed protocol,
-    /// [`crate::run_egs`], reaches the same map.
     pub fn compute(cfg: &FaultConfig) -> Self {
-        Self::compute_inner(cfg, None)
+        Self::compute_in(cfg.cube(), cfg)
     }
 
     /// [`SafetyMap::compute`] that also snapshots the unpacked level
@@ -636,29 +695,15 @@ impl SafetyMap {
     /// faulty links the snapshots are of the advertised levels.
     pub fn compute_trace(cfg: &FaultConfig) -> (Self, Vec<Vec<Level>>) {
         let mut trace = Trace::default();
-        let map = Self::compute_inner(cfg, Some(&mut trace));
+        let map = Self::compute_with(cfg.cube(), cfg, |f| {
+            Self::cube_rounds(cfg.cube(), f, Some(&mut trace))
+        });
         (map, trace.levels)
-    }
-
-    fn compute_inner(cfg: &FaultConfig, trace: Option<&mut Trace>) -> Self {
-        let Some((n2, effective)) = egs::split(cfg) else {
-            return Self::fixed_point(cfg.cube(), cfg.node_faults().words(), trace);
-        };
-        let map = Self::fixed_point(cfg.cube(), effective.words(), trace);
-        let own = egs::own_levels(&map, &n2);
-        map.with_n2(own)
-    }
-
-    /// Sets the `N2` nodes' own levels, ascending by node.
-    pub(crate) fn with_n2(mut self, n2: Vec<(NodeId, Level)>) -> Self {
-        debug_assert!(n2.windows(2).all(|w| w[0].0 < w[1].0));
-        self.n2 = n2;
-        self
     }
 
     /// The Jacobi rounds of [`SafetyMap::compute`] over the faulty
     /// nodes `faulty`, one bit per node.
-    fn fixed_point(cube: Hypercube, faulty: &[u64], mut trace: Option<&mut Trace>) -> Self {
+    fn cube_rounds(cube: Hypercube, faulty: &[u64], mut trace: Option<&mut Trace>) -> Self {
         let len = cube.num_nodes();
         let start =
             || SafetyMap::from_store(cube, LevelStore::ceiling_except(cube.dim(), len, faulty));
@@ -921,10 +966,9 @@ impl SafetyMap {
             self.dim(),
             "map and config of different cubes"
         );
-        let split = egs::split(cfg);
-        let faulty = split
-            .as_ref()
-            .map_or(cfg.node_faults().words(), |(_, f)| f.words());
+        let fitted = fitted(cfg.node_faults().words(), self.levels.len());
+        let split = egs::split(self.space, cfg, &fitted);
+        let faulty = split.as_ref().map_or(&*fitted, |(_, f)| f);
         let cur = PlaneView::from_store(&self.levels);
         let mut next = PlaneView::zeroed(self.dim(), self.levels.len());
         let advertised = if jacobi_round_planes(self.dim(), &cur, faulty, &mut next) == 0 {
@@ -1208,7 +1252,8 @@ mod tests {
     /// frontier.
     fn assert_matches_reference(cfg: &FaultConfig, what: &str) -> (SafetyMap, Vec<bool>) {
         let mut trace = Trace::default();
-        let map = SafetyMap::compute_inner(cfg, Some(&mut trace));
+        let run = |f: &[u64]| SafetyMap::cube_rounds(cfg.cube(), f, Some(&mut trace));
+        let map = SafetyMap::compute_with(cfg.cube(), cfg, run);
         let (rmap, rtrace) = SafetyMap::compute_reference_trace(cfg);
         assert_eq!(trace.levels, rtrace, "{what}");
         assert_eq!(map, rmap, "{what}");

@@ -319,7 +319,7 @@ impl Worklist {
 /// // A lone fault demotes nobody in a healthy 5-cube: zero messages,
 /// // versus a full re-broadcast for the from-scratch protocol.
 /// assert_eq!(run.stats.delivered, 0);
-/// assert!(run.stats.delivered < run_gs(&cfg).stats.messages);
+/// assert!(run.stats.delivered < run_gs(cfg.cube(), &cfg).stats.messages);
 /// ```
 pub fn run_delta_gs(
     cfg: &FaultConfig,
@@ -590,7 +590,7 @@ mod tests {
         let a = NodeId::new(200);
         cfg.node_faults_mut().insert(a);
         let (delta, _) = run_delta_gs(&cfg, &prev, ChurnEvent::Fault(a), 1, RunOptions::default());
-        let full = crate::gs::run_gs(&cfg);
+        let full = crate::gs::run_gs(cfg.cube(), &cfg);
         assert_eq!(delta.map.store(), full.map.store());
         assert_eq!(delta.stats.delivered, 0, "nobody demoted → nobody speaks");
         assert!(full.stats.messages > 1000, "full GS floods the cube");

@@ -848,7 +848,7 @@ mod tests {
     fn routes_in_a_fault_free_gh_are_optimal() {
         let gh = GeneralizedHypercube::from_product(&[3, 4, 2]);
         let f = gh.fault_set();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         for s in gh.nodes() {
             for d in gh.nodes() {
                 let res = route(&f, &map, s, d);
@@ -862,7 +862,7 @@ mod tests {
     #[test]
     fn fig5_like_walk_010_to_101() {
         let (gh, f) = fig5_like();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let s = gh.parse("010").unwrap();
         let d = gh.parse("101").unwrap();
         assert_eq!(gh.distance(s, d), Some(3));
@@ -892,7 +892,7 @@ mod tests {
         // §4.2: "each unsafe but nonfaulty node has a safe neighbor" in
         // the Fig. 5 instance.
         let (gh, f) = fig5_like();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         for a in gh.nodes() {
             if f.contains(NodeId::new(a.raw())) || map.is_safe(a) {
                 continue;
@@ -912,7 +912,7 @@ mod tests {
         let mut f = gh.fault_set();
         f.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
         f.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let s = gh.node_from_digits(&[0, 0]);
         let d = gh.node_from_digits(&[1, 1]);
         let res = route(&f, &map, s, d);
@@ -923,7 +923,7 @@ mod tests {
     #[test]
     fn gh_already_there() {
         let (gh, f) = fig5_like();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let s = gh.parse("000").unwrap();
         let res = route(&f, &map, s, s);
         assert_eq!(res.decision, Decision::AlreadyThere);

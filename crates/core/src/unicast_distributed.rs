@@ -501,7 +501,6 @@ fn collect_lossy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gh_safety::run_gh_gs;
     use crate::gs::run_gs;
     use crate::unicast::route;
     use hypersafe_simkit::ChannelModel;
@@ -579,7 +578,7 @@ mod tests {
     fn gh_distributed_matches_centralized_on_fig5_instance() {
         let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
         let f = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let healthy: Vec<GhNode> = gh
             .nodes()
             .filter(|a| !f.contains(NodeId::new(a.raw())))
@@ -608,7 +607,7 @@ mod tests {
     fn gh_mixed_radix_fault_free_optimal() {
         let gh = GeneralizedHypercube::new(&[3, 4, 2]);
         let f = gh.fault_set();
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let s = GhNode(0);
         let d = GhNode(gh.num_nodes() - 1);
         let run = gh_run(&map, &f, s, d);
@@ -625,7 +624,7 @@ mod tests {
         let mut f = gh.fault_set();
         f.insert(NodeId::new(1));
         f.insert(NodeId::new(2));
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let run = gh_run(&map, &f, GhNode(0), GhNode(3));
         assert_eq!(run.decision, Decision::Failure);
         assert_eq!(run.trail, None);
@@ -794,11 +793,13 @@ mod tests {
             let f = FaultSet::from_nodes(cube, picks[..count].iter().map(|&a| NodeId::new(a % len)));
             let cfg = FaultConfig::with_node_faults(cube, f.clone());
             let gh = GeneralizedHypercube::new(&vec![2; n as usize]);
-            let gs = run_gs(&cfg);
-            let (gh_map, gh_stats) = run_gh_gs(&gh, &f);
+            let gs = run_gs(cube, &cfg);
+            let gh_run = run_gs(&gh, &f);
+            let gh_map = gh_run.map;
             proptest::prop_assert_eq!(gh_map.to_vec(), gs.map.to_vec());
             proptest::prop_assert_eq!(gh_map.rounds(), gs.map.rounds());
-            proptest::prop_assert_eq!(&gh_stats, &gs.stats);
+            proptest::prop_assert_eq!(&gh_run.stats, &gs.stats);
+            proptest::prop_assert_eq!((gh_run.check, gs.check), (Ok(()), Ok(())));
             for &(s, d) in &pairs {
                 let (s, d) = (s % len, d % len);
                 let opts = RunOptions::default;

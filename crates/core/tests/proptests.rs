@@ -2,8 +2,8 @@
 //! broadcasting, EGS dual views, GH routing, dynamic rerouting.
 
 use hypersafe_core::{
-    broadcast, route, route_dynamic, run_gs_reliable, run_unicast_lossy, Decision, DynamicOutcome,
-    FaultEvent, LossyOutcome, SafetyMap,
+    broadcast, route, route_dynamic, run_gs, run_gs_reliable, run_unicast_lossy, Decision,
+    DynamicOutcome, FaultEvent, LossyOutcome, SafetyMap,
 };
 use hypersafe_simkit::{ChannelModel, ReliableConfig, RunOptions};
 use hypersafe_topology::{
@@ -56,9 +56,10 @@ proptest! {
     }
 
     /// EGS invariants on random node+link fault mixes: N1 views agree
-    /// with plain GS over the effective fault set; N2 advertises 0;
-    /// routing never loses an accepted message except across faulty
-    /// links at the last hop.
+    /// with plain GS over the effective fault set; N2 advertises 0; the
+    /// lock-step run passes its checks and reaches the same map in both
+    /// views; routing never loses an accepted message except across
+    /// faulty links at the last hop.
     #[test]
     fn egs_views_consistent(
         cfg in faulty_cube(0.15),
@@ -71,8 +72,16 @@ proptest! {
             links.insert(a, a.neighbor(d % cube.dim()));
         }
         let cfg = FaultConfig::with_faults(cube, cfg.node_faults().clone(), links);
-        let map = SafetyMap::compute(&cfg);
+        let map = SafetyMap::compute_in(cube, &cfg);
+        let run = run_gs(cube, &cfg);
+        prop_assert_eq!(&run.check, &Ok(()));
+        prop_assert_eq!(run.map.store(), map.store());
         for a in cube.nodes() {
+            prop_assert_eq!(
+                (run.map.is_n2(a), run.map.own_level(a)),
+                (map.is_n2(a), map.own_level(a)),
+                "{}", a
+            );
             if map.is_n2(a) {
                 prop_assert!(!cfg.node_faulty(a));
                 prop_assert_eq!(map.level(a), 0);
@@ -107,7 +116,7 @@ proptest! {
         for v in fault_picks {
             f.insert(NodeId::new(v % gh.num_nodes()));
         }
-        let map = SafetyMap::compute_gh(&gh, &f);
+        let map = SafetyMap::compute_in(&gh, &f);
         let healthy: Vec<GhNode> = gh
             .nodes()
             .filter(|a| !f.contains(NodeId::new(a.raw())))

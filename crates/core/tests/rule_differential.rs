@@ -49,7 +49,7 @@ proptest! {
         let healthy: Vec<GhNode> =
             gh.nodes().filter(|a| !set.contains(NodeId::new(a.raw()))).collect();
         prop_assume!(!healthy.is_empty());
-        let map = SafetyMap::compute_gh(&gh, &set);
+        let map = SafetyMap::compute_in(&gh, &set);
         for &(s, d) in &pairs {
             let s = healthy[(s % healthy.len() as u64) as usize];
             let d = healthy[(d % healthy.len() as u64) as usize];

@@ -197,7 +197,7 @@ proptest! {
         let healthy: Vec<GhNode> =
             gh.nodes().filter(|a| !set.contains(NodeId::new(a.raw()))).collect();
         prop_assume!(!healthy.is_empty());
-        let map = SafetyMap::compute_gh(&gh, &set);
+        let map = SafetyMap::compute_in(&gh, &set);
         let s = healthy[(pair.0 % healthy.len() as u64) as usize];
         let d = healthy[(pair.1 % healthy.len() as u64) as usize];
         let plain = || RunOptions {

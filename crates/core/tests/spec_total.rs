@@ -23,10 +23,9 @@ use hypersafe_core::{
     check_levels_converged, check_lossy_outcome, check_never_fails_under_n_faults, check_property1,
     check_property2, check_theorem2, check_theorem2_at, check_theorem3, check_theorem4_soundness,
     check_unicast_optimality, intermediate_dim, intermediate_dim_tb, route, route_dynamic,
-    route_light, route_many_seq, run_broadcast, run_gh_gs, run_gs_async, run_gs_reliable,
-    run_unicast, run_unicast_lossy, source_decision, BroadcastResult, Condition, Decision,
-    DynamicOutcome, GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, SafetyService,
-    TieBreak,
+    route_light, route_many_seq, run_broadcast, run_gs, run_gs_async, run_gs_reliable, run_unicast,
+    run_unicast_lossy, source_decision, BroadcastResult, Condition, Decision, DynamicOutcome,
+    GsAsyncRun, Level, LossyOutcome, LossyRun, NavVector, SafetyMap, SafetyService, TieBreak,
 };
 use hypersafe_simkit::{EventStats, ReliableConfig, RunOptions, RunReport};
 use hypersafe_topology::{
@@ -257,9 +256,9 @@ proptest! {
             set.insert(NodeId::new(f % capacity));
         }
         let mut map = None;
-        total("SafetyMap::compute_gh", || map = Some(SafetyMap::compute_gh(&gh, &set)))?;
+        total("SafetyMap::compute_in", || map = Some(SafetyMap::compute_in(&gh, &set)))?;
         let map = map.unwrap();
-        total("run_gh_gs", || run_gh_gs(&gh, &set))?;
+        total("run_gs", || run_gs(&gh, &set))?;
         let (s, d) = (GhNode(endpoint(pair.0, nodes)), GhNode(endpoint(pair.1, nodes)));
         let outside = !(gh.contains(s) && gh.contains(d));
         let failure = |dec: &Decision| *dec == Decision::Failure;
@@ -335,4 +334,34 @@ fn safety_service_refuses_link_faults_at_construction() {
     let cfg = faulty_cube(3, &[], &[2]);
     let res = catch_unwind(|| SafetyService::new(cfg));
     assert!(res.is_err());
+}
+
+/// A node set swapped in through `node_faults_mut` skips the fitting
+/// that `FaultConfig::with_faults` does. `compute` and `compute_trace`
+/// fit it themselves: on Q8, a set sized for Q6 holding nodes 3 and 5
+/// (one word where the rounds read four) gives the map of the fitted
+/// set, with and without a faulty link past the set's capacity. So
+/// does `check_fixed_point`: a wrong level past the set's one word is
+/// found.
+#[test]
+fn compute_fits_a_node_set_of_another_width() {
+    for links in [&[][..], &[200]] {
+        let mut cfg = faulty_cube(8, &[], links);
+        let mut narrow = FaultSet::with_capacity(64);
+        narrow.insert(NodeId::new(3));
+        narrow.insert(NodeId::new(5));
+        *cfg.node_faults_mut() = narrow;
+        let want = SafetyMap::compute(&faulty_cube(8, &[3, 5], links));
+        let map = catch_unwind(|| SafetyMap::compute(&cfg));
+        assert_eq!(map.expect("compute panicked"), want, "links {links:?}");
+        let (map, _) =
+            catch_unwind(|| SafetyMap::compute_trace(&cfg)).expect("compute_trace panicked");
+        assert_eq!(map, want, "links {links:?}");
+        assert_eq!(map.check_fixed_point(&cfg), None, "links {links:?}");
+        let mut levels = map.to_vec();
+        levels[100] -= 1;
+        let bad = SafetyMap::from_levels(cfg.cube(), levels);
+        let first = bad.check_fixed_point(&cfg);
+        assert_eq!(first, Some(NodeId::new(100)), "links {links:?}");
+    }
 }

@@ -7,7 +7,7 @@
 //! cubeview --n 7 --random-faults 6 --seed 42 --route-random 3
 //! ```
 
-use hypersafe_core::{route_traced, run_egs, Condition, Decision, SafetyMap};
+use hypersafe_core::{route_traced, run_gs, Condition, Decision, SafetyMap};
 use hypersafe_experiments::table::Report;
 use hypersafe_simkit::Trace;
 use hypersafe_topology::{
@@ -111,8 +111,9 @@ fn main() {
     }
     let cfg = FaultConfig::with_faults(cube, faults, links);
 
-    // Safety state: EGS handles the link-free case identically to GS.
-    let (map, stats) = run_egs(&cfg);
+    // Safety state: the lock-step GS, EGS when there are faulty links.
+    let run = run_gs(cube, &cfg);
+    let (map, stats) = (run.map, run.stats);
     let mut rep = Report::new(
         "cubeview",
         format!(

@@ -41,7 +41,7 @@ pub fn rounds_at(p: &Fig2Params, m: usize) -> (f64, f64, u32) {
     let rounds: Vec<f64> = sweep.run(|_, rng| {
         let faults = uniform_faults(cube, m, rng);
         let cfg = FaultConfig::with_node_faults(cube, faults);
-        run_gs(&cfg).map.rounds() as f64
+        run_gs(cfg.cube(), &cfg).map.rounds() as f64
     });
     let max = rounds.iter().cloned().fold(0.0f64, f64::max) as u32;
     (mean(&rounds), ci95(&rounds), max)

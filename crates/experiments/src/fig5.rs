@@ -33,7 +33,7 @@ pub fn consistent(gh: &GeneralizedHypercube, f: &FaultSet) -> bool {
     if !is_faulty("011") || is_faulty("010") || is_faulty("101") {
         return false;
     }
-    let map = SafetyMap::compute_gh(gh, f);
+    let map = SafetyMap::compute_in(gh, f);
     if map.safe_nodes().len() != 4 {
         return false;
     }
@@ -89,7 +89,7 @@ pub fn run() -> Report {
             for a in faults.iter() {
                 f.insert(NodeId::new(a.raw()));
             }
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             let res = route(&f, &map, gh.parse("010").unwrap(), gh.parse("101").unwrap());
             res.path.is_some_and(|walk| {
                 walk.nodes()
@@ -106,7 +106,7 @@ pub fn run() -> Report {
     for a in &pinned {
         f.insert(NodeId::new(a.raw()));
     }
-    let map = SafetyMap::compute_gh(&gh, &f);
+    let map = SafetyMap::compute_in(&gh, &f);
     let mut rep = Report::new(
         "fig5",
         "Fig. 5 — GH(2,3,2) with four faulty nodes, safety levels (Definition 4)",

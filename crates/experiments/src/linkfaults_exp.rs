@@ -4,7 +4,7 @@
 //! do EGS unicasts fare.
 
 use crate::table::{f2, pct, Report};
-use hypersafe_core::{route, run_egs, Decision};
+use hypersafe_core::{route, run_gs, Decision};
 use hypersafe_topology::{FaultConfig, Hypercube, Topology};
 use hypersafe_workloads::{mean, random_pair, uniform_faults, uniform_link_faults, Sweep};
 
@@ -66,7 +66,7 @@ pub fn run(p: &LinkFaultParams) -> Report {
             let nodes = uniform_faults(cube, p.node_faults, rng);
             let links = uniform_link_faults(cube, l, rng);
             let cfg = FaultConfig::with_faults(cube, nodes, links);
-            let (map, _) = run_egs(&cfg);
+            let map = run_gs(cube, &cfg).map;
             let n2 = cube.nodes().filter(|&a| map.is_n2(a)).count() as f64;
             let healthy = cfg.healthy_count() as f64;
             let adv_safe = cfg

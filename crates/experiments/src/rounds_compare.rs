@@ -51,7 +51,7 @@ pub fn run(p: &RoundsParams) -> Report {
         let sweep = Sweep::new(p.trials, p.seed.wrapping_add(m as u64));
         let results: Vec<(u32, u32, u32)> = sweep.run(|_, rng| {
             let cfg = FaultConfig::with_node_faults(cube, uniform_faults(cube, m, rng));
-            let gs = run_gs(&cfg).map.rounds();
+            let gs = run_gs(cfg.cube(), &cfg).map.rounds();
             let lh = LeeHayesStatus::compute(&cfg).rounds();
             let wf = WuFernandezStatus::compute(&cfg).rounds();
             (gs, lh, wf)

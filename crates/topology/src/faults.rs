@@ -225,12 +225,6 @@ impl LinkFaultSet {
         })
     }
 
-    /// Whether node `a` has at least one adjacent faulty link — i.e.
-    /// whether `a` belongs to the paper's set `N2` (§4.1).
-    pub fn touches(&self, cube: Hypercube, a: NodeId) -> bool {
-        cube.neighbours(a).any(|b| self.contains(a, b))
-    }
-
     /// Iterator over the far endpoints of `a`'s adjacent faulty links.
     pub fn faulty_ends_of<'a>(
         &'a self,
@@ -454,9 +448,6 @@ mod tests {
         assert!(lf.insert(b, a));
         assert!(lf.contains(a, b));
         assert!(lf.contains(b, a));
-        assert!(lf.touches(q4(), a));
-        assert!(lf.touches(q4(), b));
-        assert!(!lf.touches(q4(), NodeId::new(0b0000)));
         assert_eq!(lf.faulty_ends_of(q4(), a).collect::<Vec<_>>(), vec![b]);
         assert!(lf.remove(a, b));
         assert!(lf.is_empty());

@@ -21,7 +21,7 @@
 /// [`Topology::port_of`], which answer for any node.
 pub trait Topology: Copy {
     /// A node address.
-    type Node: Copy + Eq;
+    type Node: Copy + Eq + std::fmt::Debug;
     /// A neighbour of a node, named relative to it: a dimension in
     /// `Q_n`, a `(dimension, digit)` pair in a generalized hypercube.
     type Port: Copy;

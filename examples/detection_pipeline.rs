@@ -41,7 +41,7 @@ fn main() {
     );
 
     // Stage 2 — GLOBAL_STATUS: levels converge by neighbor exchange.
-    let gs = run_gs(&cfg);
+    let gs = run_gs(cfg.cube(), &cfg);
     println!(
         "stage 2 · GS: {} active rounds, {} messages; safe nodes: {}",
         gs.map.rounds(),

@@ -26,7 +26,7 @@ fn main() {
     let sweep = Sweep::new(1, seed);
     let mut rng = sweep.trial_rng(0);
     let cfg = FaultConfig::with_node_faults(cube, uniform_faults(cube, 6, &mut rng));
-    let gs = run_gs(&cfg);
+    let gs = run_gs(cfg.cube(), &cfg);
     println!(
         "  GS converged in {} rounds, {} messages",
         gs.map.rounds(),

@@ -13,7 +13,7 @@ fn main() {
     // The Fig.-5 reconstruction pinned by `repro fig5`.
     let gh = GeneralizedHypercube::from_product(&[2, 3, 2]);
     let faults = gh.fault_set_from_strs(&["011", "100", "111", "121"]);
-    let map = SafetyMap::compute_gh(&gh, &faults);
+    let map = SafetyMap::compute_in(&gh, &faults);
 
     println!(
         "GH(2,3,2): {} nodes, degree {}",

@@ -17,7 +17,7 @@ fn gs_three_ways_on_random_6_cubes() {
             let m = (i % 16) as usize;
             let cfg = FaultConfig::with_node_faults(cube, uniform_faults(cube, m, rng));
             let central = SafetyMap::compute(&cfg);
-            let sync = run_gs(&cfg);
+            let sync = run_gs(cfg.cube(), &cfg);
             let (run, _) = run_gs_async(&cfg, 1 + (i as u64 % 5), RunOptions::default());
             let async_map = run.map;
             (central.store() != sync.map.store() || central.store() != async_map.store()) as u32

@@ -2,8 +2,7 @@
 //! distributed GS ≡ centralized, routing contracts, broadcast
 //! coverage, binary-radix reduction — across radix shapes.
 
-use hypersafe::safety::gh_safety::run_gh_gs;
-use hypersafe::safety::{broadcast, route, Decision, SafetyMap};
+use hypersafe::safety::{broadcast, route, run_gs, Decision, SafetyMap};
 use hypersafe::topology::{GeneralizedHypercube, GhNode, NodeId, Topology};
 use hypersafe::workloads::Sweep;
 use rand::Rng;
@@ -34,9 +33,9 @@ fn distributed_gs_matches_centralized_across_shapes() {
             .run_seq(|i, rng| {
                 let m = (i as usize) % (gh.num_nodes() as usize / 4).max(2);
                 let f = random_faults(gh, m, rng);
-                let central = SafetyMap::compute_gh(gh, &f);
-                let (dist, _) = run_gh_gs(gh, &f);
-                (central.store() != dist.store()) as u32
+                let central = SafetyMap::compute_in(gh, &f);
+                let run = run_gs(gh, &f);
+                (run.check.is_err() || central.store() != run.map.store()) as u32
             })
             .iter()
             .sum();
@@ -51,7 +50,7 @@ fn routing_contracts_on_random_gh_instances() {
     let violations: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (i % 6) as usize, rng);
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             let healthy: Vec<GhNode> = gh
                 .nodes()
                 .filter(|a| !f.contains(NodeId::new(a.raw())))
@@ -90,7 +89,7 @@ fn gh_safe_sources_broadcast_to_everything() {
     let failures: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (i % 5) as usize, rng);
-            let map = SafetyMap::compute_gh(&gh, &f);
+            let map = SafetyMap::compute_in(&gh, &f);
             let mut bad = 0u32;
             for a in gh.nodes() {
                 if f.contains(NodeId::new(a.raw())) || !map.is_safe(a) {
@@ -114,7 +113,7 @@ fn gh_rounds_never_exceed_dims_minus_one() {
     let worst: u32 = sweep
         .run(|i, rng| {
             let f = random_faults(&gh, (3 * i % 20) as usize, rng);
-            SafetyMap::compute_gh(&gh, &f).rounds()
+            SafetyMap::compute_in(&gh, &f).rounds()
         })
         .into_iter()
         .max()

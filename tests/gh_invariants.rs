@@ -1,11 +1,11 @@
 //! GH-topology coverage for the invariant suite on GH(3,3,3): the
-//! distributed `GLOBAL_STATUS` run through the round-checked runner
-//! (monotone descent, fixed-point corridor, round bound, exact
+//! distributed `GLOBAL_STATUS` run through the lock-step runner's own
+//! checks (monotone descent, fixed-point corridor, round bound, exact
 //! convergence), and Theorem-4 soundness of the GH source decision
 //! against the BFS connectivity oracle — exhaustively over every
 //! fault set of size ≤ 2 and every ordered (s, d) pair.
 
-use hypersafe::safety::{check_theorem4_soundness, run_gh_gs_checked, source_decision, SafetyMap};
+use hypersafe::safety::{check_theorem4_soundness, run_gs, source_decision, SafetyMap};
 use hypersafe::topology::{FaultSet, GeneralizedHypercube, NodeId, Topology};
 
 fn gh333() -> GeneralizedHypercube {
@@ -34,9 +34,10 @@ fn fault_sets_up_to_two(gh: &GeneralizedHypercube) -> Vec<FaultSet> {
 fn gh333_checked_runner_descends_monotonically_and_converges() {
     let gh = gh333();
     for (k, f) in fault_sets_up_to_two(&gh).iter().enumerate() {
-        let map = run_gh_gs_checked(&gh, f).unwrap_or_else(|v| panic!("fault set {k}: {v:?}"));
-        let central = SafetyMap::compute_gh(&gh, f);
-        assert_eq!(map.store(), central.store(), "fault set {k}");
+        let run = run_gs(&gh, f);
+        run.check.unwrap_or_else(|v| panic!("fault set {k}: {v:?}"));
+        let central = SafetyMap::compute_in(&gh, f);
+        assert_eq!(run.map.store(), central.store(), "fault set {k}");
     }
 }
 
@@ -46,7 +47,7 @@ fn gh333_theorem4_soundness_is_exhaustive_under_two_faults() {
     let mut failures = 0u64;
     let mut accepts = 0u64;
     for (k, f) in fault_sets_up_to_two(&gh).iter().enumerate() {
-        let map = SafetyMap::compute_gh(&gh, f);
+        let map = SafetyMap::compute_in(&gh, f);
         for s in gh.nodes() {
             if f.contains(NodeId::new(s.raw())) {
                 continue;
@@ -81,12 +82,12 @@ fn gh_surrounded_node_fails_soundly() {
     let mut f = gh.fault_set();
     f.insert(NodeId::new(gh.node_from_digits(&[1, 0]).raw()));
     f.insert(NodeId::new(gh.node_from_digits(&[0, 1]).raw()));
-    let map = SafetyMap::compute_gh(&gh, &f);
+    let map = SafetyMap::compute_in(&gh, &f);
     let s = gh.node_from_digits(&[0, 0]);
     let d = gh.node_from_digits(&[1, 1]);
     let decision = source_decision(&map, s, d);
     assert_eq!(decision, hypersafe::safety::Decision::Failure);
     assert_eq!(check_theorem4_soundness(&gh, &f, s, d, decision), Ok(()));
     // And the checked GS runner still converges on the isolated cube.
-    run_gh_gs_checked(&gh, &f).expect("GS must still converge");
+    run_gs(&gh, &f).check.expect("GS must still converge");
 }

@@ -17,7 +17,11 @@
 //! then whole routing-service runs (each run's request records, stats,
 //! violations and end time) under FIFO and adversarial same-tick
 //! orders, recorded before the loop stopped queueing the deadlines of
-//! requests that finish on their first attempt.
+//! requests that finish on their first attempt. The link-fault lines
+//! of the lock-step GS, and of every run that routes on its map, were
+//! re-recorded when the lock-step runner began to run EGS (§4.1) on
+//! faulty links, where it had read a faulty link as a silent port and
+//! advertised no `N2` node; every other line is the earlier recording.
 //!
 //! Regenerate (only when intentionally changing observable behavior):
 //!
@@ -28,7 +32,7 @@
 use hypersafe::experiments::congestion_exp::{run_burst, simulate_burst};
 use hypersafe::safety::unicast_distributed::{run_unicast, run_unicast_lossy, LossyOutcome};
 use hypersafe::safety::{
-    detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gh_gs, run_gs,
+    detect, route_light, route_many_tb, route_tb, run_broadcast, run_delta_gs, run_gs,
     run_gs_async, run_gs_reliable, BatchOutcome, ChurnEvent, Decision, DetectorParams, SafetyMap,
     SafetyService, TieBreak,
 };
@@ -172,21 +176,20 @@ fn record_cube_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
     let n = cfg.cube().dim();
 
     // Synchronous GS (SyncEngine).
-    let sync = run_gs(cfg);
+    let sync = run_gs(cfg.cube(), cfg);
+    assert_eq!(sync.check, Ok(()), "{tag}: the lock-step run's own checks");
     out.push(format!(
         "{tag} gs_sync levels={} rounds={} {}",
         fmt_levels(&sync.map.to_vec()),
         sync.map.rounds(),
         fmt_sync_stats(&sync.stats)
     ));
-    if cfg.link_faults().is_empty() {
-        let central = SafetyMap::compute(cfg);
-        assert_eq!(
-            sync.map.store(),
-            central.store(),
-            "{tag}: distributed GS must match the centralized fixed point"
-        );
-    }
+    let central = SafetyMap::compute(cfg);
+    assert_eq!(
+        sync.map.clone().with_rounds(central.rounds()),
+        central,
+        "{tag}: distributed GS must match the centralized fixed point, in both views"
+    );
 
     // Asynchronous event-driven GS (EventEngine).
     let (arun, _) = run_gs_async(cfg, 3, RunOptions::default());
@@ -277,13 +280,15 @@ fn record_gh_scenario(
     gh: &GeneralizedHypercube,
     faults: &hypersafe::topology::FaultSet,
 ) {
-    let (map, stats) = run_gh_gs(gh, faults);
+    let run = run_gs(gh, faults);
+    assert_eq!(run.check, Ok(()), "{tag}: the GH run's own checks");
+    let (map, stats) = (run.map, run.stats);
     out.push(format!(
         "{tag} gh_gs levels={} {}",
         fmt_levels(&map.to_vec()),
         fmt_sync_stats(&stats)
     ));
-    let central = SafetyMap::compute_gh(gh, faults);
+    let central = SafetyMap::compute_in(gh, faults);
     assert_eq!(
         map.store(),
         central.store(),
@@ -412,7 +417,7 @@ const WALK_POLICIES: [TieBreak; 3] = [
 /// nodes, which is the only way to reach the walk's link-cut exit.
 fn record_walk_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
     let n = cfg.cube().dim();
-    let map = run_gs(cfg).map;
+    let map = run_gs(cfg.cube(), cfg).map;
     let mut pairs = sample_pairs(cfg, 12, 0x3A1C ^ n as u64);
     let h = cfg.healthy_nodes().next().expect("a healthy node");
     pairs.push((h, h));
@@ -508,7 +513,7 @@ fn record_obs_scenario(out: &mut Vec<String>, tag: &str, cfg: &FaultConfig) {
             fmt_metrics(&m)
         ));
     }
-    let map = run_gs(cfg).map;
+    let map = run_gs(cfg.cube(), cfg).map;
     for (i, &(s, d)) in sample_pairs(cfg, 4, n as u64).iter().enumerate() {
         for (pct, loss) in LOSS_RATES {
             let channel = ChannelModel::new(0xF00D ^ ((i as u64) << 24) ^ pct)
@@ -617,8 +622,7 @@ fn collect_goldens() -> Vec<String> {
             let cfg = node_fault_cfg(n, m);
             record_cube_scenario(&mut out, &format!("n{n}/m{m}"), &cfg);
         }
-        // Mixed node + link faults (centralized comparison skipped
-        // inside — the fixed point there is distributed-only).
+        // Mixed node + link faults: the lock-step run is EGS.
         let cfg = add_link_faults(node_fault_cfg(n, n as usize / 2), n as usize);
         record_cube_scenario(&mut out, &format!("n{n}/links{n}"), &cfg);
     }
@@ -742,7 +746,7 @@ fn burst_delivers_exactly_what_route_delivers() {
     for (tag, cfg) in &cases {
         // The golden scenarios route on the lock-step GS map (link
         // faults included); the Q7 bursts are larger.
-        let map = run_gs(cfg).map;
+        let map = run_gs(cfg.cube(), cfg).map;
         let n = cfg.cube().dim() as u64;
         let pairs = if tag.starts_with("q7") {
             let mut rng = Sweep::new(1, n).trial_rng(0);

@@ -2,7 +2,7 @@
 //! through the public API exactly as a downstream user would.
 
 use hypersafe::experiments::{fig1, fig2, fig3, fig4, fig5, safesets};
-use hypersafe::safety::{route, run_egs, run_gh_gs, Condition, Decision, SafetyMap};
+use hypersafe::safety::{route, run_gs, Condition, Decision, SafetyMap};
 use hypersafe::topology::{
     connectivity, FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, LinkFaultSet, NodeId,
     Topology,
@@ -161,7 +161,9 @@ fn section41_egs_faulty_link_worked_example() {
 
     // The distributed EGS protocol reaches the same two-view fixed
     // point as the centralized construction.
-    let (dmap, stats) = run_egs(&cfg);
+    let run = run_gs(cube, &cfg);
+    assert_eq!(run.check, Ok(()));
+    let (dmap, stats) = (run.map, run.stats);
     for a in cube.nodes() {
         assert_eq!(dmap.level(a), map.level(a), "{a}");
         assert_eq!(dmap.own_level(a), map.own_level(a), "{a}");
@@ -182,7 +184,7 @@ fn section42_gh333_worked_example() {
     assert_eq!(gh.degree(), 6, "each node has (3-1)·3 neighbors");
 
     let faults = gh.fault_set_from_strs(&["011", "101", "110"]);
-    let map = SafetyMap::compute_gh(&gh, &faults);
+    let map = SafetyMap::compute_in(&gh, &faults);
 
     // The dented nodes, by Def. 4's digit counting: 000 sees two
     // faulty neighbors in *every* pair of dimensions (level 2), while
@@ -219,7 +221,9 @@ fn section42_gh333_worked_example() {
     assert_eq!(walk, ["222", "220", "200", "000"], "H = 3 hops, no detour");
 
     // Distributed GH-GS reaches the same fixed point.
-    let (dmap, stats) = run_gh_gs(&gh, &faults);
+    let run = run_gs(&gh, &faults);
+    assert_eq!(run.check, Ok(()));
+    let (dmap, stats) = (run.map, run.stats);
     for a in gh.nodes() {
         assert_eq!(dmap.level(a), map.level(a), "{}", gh.format(a));
     }

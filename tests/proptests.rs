@@ -39,7 +39,7 @@ proptest! {
         prop_assert_eq!(central.check_fixed_point(&cfg), None);
         let constructive = SafetyMap::compute_constructive(&cfg);
         prop_assert_eq!(central.store(), constructive.store());
-        let sync = run_gs(&cfg);
+        let sync = run_gs(cfg.cube(), &cfg);
         prop_assert_eq!(central.store(), sync.map.store());
         let (run, _) = run_gs_async(&cfg, 3, RunOptions::default());
         prop_assert_eq!(central.store(), run.map.store());
@@ -146,7 +146,7 @@ proptest! {
     fn gh_binary_reduction((cube, faults) in faulty_cube(0.25)) {
         let n = cube.dim();
         let gh = GeneralizedHypercube::new(&vec![2u16; n as usize]);
-        let ghmap = SafetyMap::compute_gh(&gh, &faults);
+        let ghmap = SafetyMap::compute_in(&gh, &faults);
         let cfg = FaultConfig::with_node_faults(cube, faults);
         let qmap = SafetyMap::compute(&cfg);
         prop_assert_eq!(ghmap.to_vec(), qmap.to_vec());
