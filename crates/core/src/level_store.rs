@@ -9,13 +9,21 @@
 //! - a **nibble array** (`Vec<u64>`, 16 four-bit fields per word)
 //!   holding level bits 0–3, plus
 //! - a **fifth-bit plane** (`Vec<u64>`, 64 one-bit fields per word)
-//!   holding level bit 4, allocated only when `n > 15`.
+//!   holding level bit 4, allocated only when `n > 15`, plus
+//! - a **below-ceiling plane** (`Vec<u64>`, 64 one-bit fields per
+//!   word): bit `i` is set iff level `i` is below `max_level`.
 //!
-//! That is 4 bits/node for n ≤ 15 and 4 + 1 = 5 bits/node above — at
-//! most **0.625 bytes/node**, comfortably under the 1 byte/node
-//! ceiling the scale experiment (E27) gates on, and small enough that
-//! an n=20 cube's entire map (1M nodes) is 640 KiB: resident in L2
-//! on most parts.
+//! That is 4 + 1 = 5 bits/node for n ≤ 15 and 4 + 1 + 1 = 6 bits/node
+//! above — at most **0.75 bytes/node**, under the 1 byte/node ceiling
+//! the scale experiment (E27) gates on, and small enough that an n=20
+//! cube's entire map (1M nodes) is 768 KiB: resident in L2 on most
+//! parts.
+//!
+//! The below-ceiling plane is redundant with the levels and kept exact
+//! by every constructor and mutator. It is what the §3 rule reads
+//! first: at sparse fault densities almost every level it probes is
+//! the ceiling `n`, and one bit test says so without decoding a nibble
+//! word and a fifth-bit word.
 //!
 //! The split layout is deliberate: 4-bit fields tile a 64-bit word
 //! evenly (16 per word) and one fifth-bit word covers exactly four
@@ -46,7 +54,7 @@ const NIB_PER_WORD: u64 = 16;
 /// Nodes per plane word (1-bit fields in a `u64`).
 const BITS_PER_WORD: u64 = 64;
 
-/// Packed array of safety levels, at most 0.625 bytes/node. See the
+/// Packed array of safety levels, at most 0.75 bytes/node. See the
 /// module docs for the layout. Equality is structural: two stores compare
 /// equal iff they have the same length, the same level ceiling, and
 /// byte-identical packed words — which (because trailing bits are
@@ -62,6 +70,9 @@ pub struct LevelStore {
     nibbles: Vec<u64>,
     /// Level bit 4, one bit per node; empty when `max_level ≤ 15`.
     high: Vec<u64>,
+    /// One bit per node, set iff its level is below `max_level`. Bits
+    /// past `len` are zero.
+    below: Vec<u64>,
 }
 
 impl LevelStore {
@@ -71,21 +82,34 @@ impl LevelStore {
     ///
     /// If `max_level > MAX_DIM` (levels no longer fit in 5 bits).
     pub fn zeroed(max_level: u8, len: u64) -> Self {
+        let mut s = Self::blank(max_level, len);
+        if max_level > 0 {
+            for (pw, b) in s.below.iter_mut().enumerate() {
+                *b = tail_mask(len - pw as u64 * BITS_PER_WORD);
+            }
+        }
+        s
+    }
+
+    /// Every word zero, the below-ceiling plane included: the start of
+    /// the constructors that then write every word of it.
+    fn blank(max_level: u8, len: u64) -> Self {
         assert!(
             max_level <= MAX_DIM,
             "levels above {MAX_DIM} don't fit the packed layout"
         );
-        let nib_words = len.div_ceil(NIB_PER_WORD) as usize;
+        let plane_words = len.div_ceil(BITS_PER_WORD) as usize;
         let high = if max_level > 15 {
-            vec![0u64; len.div_ceil(BITS_PER_WORD) as usize]
+            vec![0u64; plane_words]
         } else {
             Vec::new()
         };
         LevelStore {
             max_level,
             len,
-            nibbles: vec![0u64; nib_words],
+            nibbles: vec![0u64; len.div_ceil(NIB_PER_WORD) as usize],
             high,
+            below: vec![0u64; plane_words],
         }
     }
 
@@ -99,11 +123,14 @@ impl LevelStore {
     ///
     /// If `max_level > MAX_DIM`.
     pub fn ceiling_except(max_level: u8, len: u64, zero: &[u64]) -> Self {
-        let mut s = Self::zeroed(max_level, len);
+        let mut s = Self::blank(max_level, len);
         let fill = (max_level & 0xF) as u64;
         for pw in 0..len.div_ceil(BITS_PER_WORD) as usize {
-            let base = pw as u64 * BITS_PER_WORD;
-            let keep = !zero.get(pw).copied().unwrap_or(0) & tail_mask(len - base);
+            let valid = tail_mask(len - pw as u64 * BITS_PER_WORD);
+            let keep = !zero.get(pw).copied().unwrap_or(0) & valid;
+            if max_level > 0 {
+                s.below[pw] = !keep & valid;
+            }
             for (q, nib) in s.nibbles.iter_mut().skip(pw * 4).take(4).enumerate() {
                 // expand16 puts a 1 in each kept field; a level ≤ 15
                 // times it fills the field without carrying.
@@ -144,10 +171,19 @@ impl LevelStore {
         self.max_level
     }
 
-    /// Heap bytes held by the packed words — the store's marginal
-    /// memory cost (the fixed header is two machine words).
+    /// Heap bytes held by the packed words, the below-ceiling plane
+    /// included — the store's marginal memory cost (the fixed header
+    /// is eleven machine words).
     pub fn memory_bytes(&self) -> u64 {
-        8 * (self.nibbles.len() as u64 + self.high.len() as u64)
+        8 * (self.nibbles.len() + self.high.len() + self.below.len()) as u64
+    }
+
+    /// Whether the level at index `i` is below the ceiling: one bit
+    /// load from the below-ceiling plane.
+    #[inline]
+    pub fn below(&self, i: u64) -> bool {
+        debug_assert!(i < self.len);
+        (self.below[(i / BITS_PER_WORD) as usize] >> (i % BITS_PER_WORD)) & 1 == 1
     }
 
     /// The level at index `i`: one nibble load, plus one bit load
@@ -180,10 +216,13 @@ impl LevelStore {
         let shift = (i % NIB_PER_WORD) * 4;
         let w = &mut self.nibbles[(i / NIB_PER_WORD) as usize];
         *w = (*w & !(0xFu64 << shift)) | ((l as u64 & 0xF) << shift);
+        let (pw, bit) = ((i / BITS_PER_WORD) as usize, i % BITS_PER_WORD);
         if self.max_level > 15 {
-            let b = &mut self.high[(i / BITS_PER_WORD) as usize];
-            *b = (*b & !(1u64 << (i % BITS_PER_WORD))) | (((l as u64) >> 4) << (i % BITS_PER_WORD));
+            let b = &mut self.high[pw];
+            *b = (*b & !(1u64 << bit)) | (((l as u64) >> 4) << bit);
         }
+        let b = &mut self.below[pw];
+        *b = (*b & !(1u64 << bit)) | (u64::from(l < self.max_level) << bit);
     }
 
     /// Unpacks into a byte-per-level vector (test/bridge convenience;
@@ -193,7 +232,8 @@ impl LevelStore {
     }
 
     /// How many stored levels equal `l` — popcount over the packed
-    /// words, no per-node branching.
+    /// words (over the below-ceiling plane alone for the ceiling), no
+    /// per-node branching.
     pub fn count_eq(&self, l: Level) -> u64 {
         (0..self.len.div_ceil(BITS_PER_WORD) as usize)
             .map(|pw| self.eq_word(pw, l).count_ones() as u64)
@@ -252,7 +292,7 @@ impl LevelStore {
         for &w in &self.nibbles {
             acc ^= w;
         }
-        for &w in &self.high {
+        for &w in self.high.iter().chain(&self.below) {
             acc ^= w;
         }
         acc
@@ -263,6 +303,10 @@ impl LevelStore {
     /// [`count_eq`](Self::count_eq) and [`iter_eq`](Self::iter_eq) —
     /// one SWAR compare per four nibble words.
     fn eq_word(&self, pw: usize, l: Level) -> u64 {
+        let base = pw as u64 * BITS_PER_WORD;
+        if l == self.max_level {
+            return !self.below[pw] & tail_mask(self.len - base);
+        }
         let mut eq = 0u64;
         for q in 0..4 {
             let ni = pw * 4 + q;
@@ -280,7 +324,6 @@ impl LevelStore {
         }
         // Trailing (past-len) fields are zero, so they'd spuriously
         // match l == 0 — mask them off.
-        let base = pw as u64 * BITS_PER_WORD;
         if base + BITS_PER_WORD > self.len {
             eq &= tail_mask(self.len - base);
         }
@@ -506,9 +549,20 @@ impl PlaneView {
     }
 
     /// Transposes back into the packed nibble+high layout (inverse of
-    /// [`from_store`](Self::from_store)).
+    /// [`from_store`](Self::from_store)), and fills the below-ceiling
+    /// plane 64 nodes at a time: a level is below the ceiling iff one
+    /// of its bits differs from the ceiling's.
     pub fn to_store(&self) -> LevelStore {
-        let mut s = LevelStore::zeroed(self.max_level, self.len);
+        let mut s = LevelStore::blank(self.max_level, self.len);
+        for (b, plane) in self.planes.chunks_exact(self.words).enumerate() {
+            let ceiling_bit = 0u64.wrapping_sub(u64::from((self.max_level >> b) & 1));
+            for (below, &w) in s.below.iter_mut().zip(plane) {
+                *below |= w ^ ceiling_bit;
+            }
+        }
+        if let Some(last) = s.below.last_mut() {
+            *last &= self.valid_mask(self.words - 1);
+        }
         let nib_words = s.nibbles.len();
         for pw in 0..self.words {
             for q in 0..4 {
@@ -612,6 +666,35 @@ impl NeighborLevels {
 mod tests {
     use super::*;
 
+    /// The below-ceiling plane against a scalar `level < max_level`
+    /// scan, word by word, the bits past `len` included.
+    fn assert_plane_exact(s: &LevelStore, what: &str) {
+        let want: Vec<u64> = (0..s.len.div_ceil(64))
+            .map(|w| {
+                (w * 64..s.len.min(w * 64 + 64))
+                    .filter(|&i| s.get(i) < s.max_level)
+                    .fold(0, |acc, i| acc | 1 << (i % 64))
+            })
+            .collect();
+        assert_eq!(s.below, want, "{what}");
+    }
+
+    #[test]
+    fn constructors_keep_the_below_plane_exact() {
+        for (max, len) in [(0u8, 3u64), (1, 2), (4, 5), (15, 64), (16, 65), (30, 200)] {
+            assert_plane_exact(&LevelStore::zeroed(max, len), "zeroed");
+            let levels: Vec<Level> = (0..len)
+                .map(|i| ((i * 5 + 1) % (max as u64 + 1)) as Level)
+                .collect();
+            let s = LevelStore::from_levels(max, &levels);
+            assert_plane_exact(&s, "from_levels");
+            assert_plane_exact(&PlaneView::from_store(&s).to_store(), "to_store");
+            let ceiling = LevelStore::from_levels(max, &vec![max; len as usize]);
+            assert_plane_exact(&ceiling, "all at the ceiling");
+            assert_plane_exact(&PlaneView::from_store(&ceiling).to_store(), "to_store");
+        }
+    }
+
     #[test]
     fn compact_expand_roundtrip_every_bit() {
         for b in 0..4 {
@@ -633,6 +716,7 @@ mod tests {
             let mut s = LevelStore::zeroed(max, len);
             for i in 0..len {
                 s.set(i, ((i * 7 + 3) % (max as u64 + 1)) as Level);
+                assert_plane_exact(&s, "set");
             }
             for i in 0..len {
                 assert_eq!(
@@ -645,8 +729,11 @@ mod tests {
             for i in [0, 15, 16, 63, 64, 127, 128, len - 1] {
                 s.set(i, 0);
                 assert_eq!(s.get(i), 0);
+                assert!(s.below(i));
                 s.set(i, max);
                 assert_eq!(s.get(i), max);
+                assert!(!s.below(i));
+                assert_plane_exact(&s, "set at a word edge");
             }
         }
     }
@@ -662,14 +749,15 @@ mod tests {
                 "n={n}: {bytes_per_node} bytes/node exceeds the ceiling"
             );
         }
-        // The headline numbers from DESIGN.md §13.
+        // The headline numbers from DESIGN.md §13: nibbles and the
+        // below-ceiling plane, plus the fifth-bit plane above n = 15.
         assert_eq!(
             LevelStore::zeroed(14, 1 << 14).memory_bytes(),
-            8 * (1 << 10)
+            8 * ((1 << 10) + (1 << 8))
         );
         assert_eq!(
             LevelStore::zeroed(20, 1 << 20).memory_bytes(),
-            8 * ((1 << 16) + (1 << 14))
+            8 * ((1 << 16) + 2 * (1 << 14))
         );
     }
 
@@ -752,8 +840,10 @@ mod tests {
                     }
                 })
                 .collect();
+            let s = LevelStore::ceiling_except(max, len, &zero);
+            assert_plane_exact(&s, "ceiling_except");
             assert_eq!(
-                LevelStore::ceiling_except(max, len, &zero),
+                s,
                 LevelStore::from_levels(max, &want),
                 "max={max} len={len}"
             );

@@ -74,13 +74,9 @@ pub fn route_many_tb(
     }
     // A one-thread pool (RAYON_NUM_THREADS=1) gains nothing from the
     // fan-out — route straight into the result and skip even the
-    // prealloc fill, so the fallback is byte-for-byte the sequential
-    // loop.
+    // prealloc fill: the fallback is the sequential loop.
     if rayon::num_threads() <= 1 {
-        return pairs
-            .iter()
-            .map(|&(s, d)| route_light(cfg, map, s, d, tb))
-            .collect();
+        return route_each(cfg, map, pairs, tb);
     }
     // Workers write straight into one preallocated output — no
     // per-chunk result vectors, no concatenation copy. One contiguous
@@ -104,17 +100,33 @@ pub fn route_many_tb(
     out
 }
 
-/// The sequential loop [`route_many`] is benchmarked against (also the
-/// honest baseline for the ≥2× batched-throughput acceptance bar).
+/// [`route_many`] on the calling thread alone: the same outcomes, in
+/// the same order, at any `RAYON_NUM_THREADS`.
 pub fn route_many_seq(
     cfg: &FaultConfig,
     map: &SafetyMap,
     pairs: &[(NodeId, NodeId)],
 ) -> Vec<BatchOutcome> {
-    pairs
-        .iter()
-        .map(|&(s, d)| route_light(cfg, map, s, d, TieBreak::LowestDim))
-        .collect()
+    route_each(cfg, map, pairs, TieBreak::LowestDim)
+}
+
+/// The one sequential batch loop, behind [`route_many_seq`] and
+/// [`route_many_tb`]'s one-thread path. It calls the walk directly and
+/// is always inlined, so a constant `tb` folds into the walk. (A
+/// `map` + `collect` would move the loop into one iterator instance
+/// shared by both callers, with `tb` read at run time.)
+#[inline(always)]
+fn route_each(
+    cfg: &FaultConfig,
+    map: &SafetyMap,
+    pairs: &[(NodeId, NodeId)],
+    tb: TieBreak,
+) -> Vec<BatchOutcome> {
+    let mut out = Vec::with_capacity(pairs.len());
+    for &(s, d) in pairs {
+        out.push(walk(cfg, map, s, d, tb, &mut ()));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -158,8 +158,8 @@ pub(crate) fn level_from_low_counts(n: u8, levels: impl IntoIterator<Item = Leve
 /// with `T = &GeneralizedHypercube`, a generalized hypercube. The map
 /// carries its topology, so a map of one topology cannot be read as
 /// another's, and two maps are equal only over the same topology.
-/// Levels are held packed (0.5–0.625 bytes/node, [`LevelStore`]) — an
-/// n=20 cube's map is 640 KiB instead of 1 MiB, and the compute kernels
+/// Levels are held packed (0.625–0.75 bytes/node, [`LevelStore`]) — an
+/// n=20 cube's map is 768 KiB instead of 1 MiB, and the compute kernels
 /// below never materialize a byte per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyMap<T: Topology = Hypercube> {
@@ -540,6 +540,18 @@ impl<T: Topology> SafetyMap<T> {
         self.n2_level(a).unwrap_or(self.level(a))
     }
 
+    /// Whether `a`'s own level is below `n`: its bit in the store's
+    /// below-ceiling plane, unless `a` is an `N2` node, whose own level
+    /// differs from the 0 it advertises.
+    #[inline(always)]
+    pub(crate) fn own_below(&self, a: T::Node) -> bool {
+        if self.n2.is_empty() {
+            return self.levels.below(T::raw(a));
+        }
+        self.n2_level(a)
+            .map_or_else(|| self.levels.below(T::raw(a)), |l| l < self.dim())
+    }
+
     /// Whether `a` is a nonfaulty node with an adjacent faulty link.
     pub fn is_n2(&self, a: T::Node) -> bool {
         self.n2_level(a).is_some()
@@ -554,10 +566,11 @@ impl<T: Topology> SafetyMap<T> {
         Some(self.n2[i.ok()?].1)
     }
 
-    /// Whether `a` is *safe* (level `n`).
+    /// Whether `a` is *safe* (level `n`): one bit of the store's
+    /// below-ceiling plane.
     #[inline]
     pub fn is_safe(&self, a: T::Node) -> bool {
-        self.level(a) == self.dim()
+        !self.levels.below(T::raw(a))
     }
 
     /// Active rounds the producing computation used.

@@ -27,7 +27,9 @@
 //! can beat it, and a tie keeps the first one seen. At sparse fault
 //! densities that is usually the first candidate. The other tie-break
 //! policies read every candidate, because their winner among tied
-//! neighbors is not the first one seen.
+//! neighbors is not the first one seen. Every probe reads the store's
+//! below-ceiling bit first, and only a neighbor below `n` decodes its
+//! level; the source likewise takes `C1` from its own clear bit.
 //!
 //! The rule itself — the source decision and the hop choice — is
 //! written once, over a level view: what one node reads of its own
@@ -164,6 +166,11 @@ pub(crate) trait LevelView {
     fn own_level(&self, at: NodeOf<Self>) -> Level;
     /// The level of `at`'s neighbor across `p`.
     fn level_across(&self, at: NodeOf<Self>, p: PortOf<Self>) -> Level;
+    /// Whether `at`'s own level is below the ceiling `n`.
+    fn own_below(&self, at: NodeOf<Self>) -> bool;
+    /// Whether the level of `at`'s neighbor across `p` is below the
+    /// ceiling `n`.
+    fn below_across(&self, at: NodeOf<Self>, p: PortOf<Self>) -> bool;
 }
 
 /// A view's node address type.
@@ -188,6 +195,16 @@ impl<V: LevelView> LevelView for &V {
     fn level_across(&self, at: NodeOf<V>, p: PortOf<V>) -> Level {
         (**self).level_across(at, p)
     }
+
+    #[inline]
+    fn own_below(&self, at: NodeOf<V>) -> bool {
+        (**self).own_below(at)
+    }
+
+    #[inline]
+    fn below_across(&self, at: NodeOf<V>, p: PortOf<V>) -> bool {
+        (**self).below_across(at, p)
+    }
 }
 
 impl<T: Topology> LevelView for SafetyMap<T> {
@@ -206,6 +223,16 @@ impl<T: Topology> LevelView for SafetyMap<T> {
     #[inline]
     fn level_across(&self, at: T::Node, p: T::Port) -> Level {
         self.level(SafetyMap::space(self).across(at, p))
+    }
+
+    #[inline(always)]
+    fn own_below(&self, at: T::Node) -> bool {
+        SafetyMap::own_below(self, at)
+    }
+
+    #[inline]
+    fn below_across(&self, at: T::Node, p: T::Port) -> bool {
+        !self.is_safe(SafetyMap::space(self).across(at, p))
     }
 }
 
@@ -257,7 +284,8 @@ pub(crate) fn rule_at_source<V: LevelView>(
     if h == 0 {
         return SourceStep::AlreadyThere;
     }
-    let c1 = (v.own_level(s) as u16) >= h;
+    // No distance exceeds the ceiling, so a source at it meets C1.
+    let c1 = !v.own_below(s) || (v.own_level(s) as u16) >= h;
     let preferred_best = best_port(v, s, space.preferred(s, d), tb);
     let c2 = preferred_best.is_some_and(|(_, lv)| (lv as u16) + 1 >= h);
     if c1 || c2 {
@@ -287,11 +315,12 @@ pub(crate) fn rule_at_hop<V: LevelView>(
 /// The port among `ports` whose neighbor has the highest level,
 /// breaking ties per `tb`, with that level.
 ///
-/// Under [`TieBreak::LowestDim`] the scan stops at the first neighbor
-/// at the ceiling: a later one could only win with a strictly higher
-/// level, and none exists. `HighestDim` takes the last of the tied
-/// ports; `Hashed` counts them and, in a second pass, takes the one
-/// its hash names.
+/// Each probe tests the neighbor's below-ceiling bit and decodes the
+/// level only when it is set. Under [`TieBreak::LowestDim`] the scan
+/// stops at the first neighbor at the ceiling: a later one could only
+/// win with a strictly higher level, and none exists. `HighestDim`
+/// takes the last of the tied ports; `Hashed` counts them and, in a
+/// second pass, takes the one its hash names.
 #[inline(always)]
 fn best_port<V: LevelView>(
     v: &V,
@@ -303,7 +332,14 @@ fn best_port<V: LevelView>(
     // (first port at the best level, last port at it, tie count, level)
     let mut best: Option<(PortOf<V>, PortOf<V>, u64, Level)> = None;
     for p in ports.clone() {
-        let lv = v.level_across(at, p);
+        let lv = if v.below_across(at, p) {
+            v.level_across(at, p)
+        } else {
+            ceiling
+        };
+        if lv == ceiling && matches!(tb, TieBreak::LowestDim) {
+            return Some((p, ceiling));
+        }
         match &mut best {
             Some((_, _, _, b)) if *b > lv => {}
             Some((_, last, ties, b)) if *b == lv => {
@@ -311,9 +347,6 @@ fn best_port<V: LevelView>(
                 *ties += 1;
             }
             _ => best = Some((p, p, 1, lv)),
-        }
-        if lv == ceiling && matches!(tb, TieBreak::LowestDim) {
-            break;
         }
     }
     let (first, last, ties, lv) = best?;

@@ -1,10 +1,15 @@
 //! Property tests for the packed level store: the packed
 //! representation must be observationally identical to a plain
 //! `Vec<Level>` — element-for-element, plane-for-plane, and round by
-//! round through the bit-plane safety kernels.
+//! round through the bit-plane safety kernels. Its below-ceiling plane
+//! must equal a scalar `level < max_level` scan after every
+//! constructor, every write, every incremental update and every
+//! compute.
 
 use hypersafe_core::{Level, LevelStore, PlaneView, SafetyMap};
-use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
+use hypersafe_topology::{
+    FaultConfig, FaultSet, GeneralizedHypercube, Hypercube, NodeId, Topology,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -107,6 +112,26 @@ fn large_faulty_cube() -> impl Strategy<Value = FaultConfig> {
         .prop_map(|(n, seed)| clustered_faults(n, &mut ChaCha8Rng::seed_from_u64(seed)))
 }
 
+/// The below-ceiling plane against a scalar `level < max_level` scan.
+fn assert_plane_exact(s: &LevelStore, what: &str) -> Result<(), TestCaseError> {
+    for i in 0..s.len() {
+        prop_assert_eq!(
+            s.below(i),
+            s.get(i) < s.max_level(),
+            "{} at index {}",
+            what,
+            i
+        );
+    }
+    prop_assert_eq!(
+        s.count_eq(s.max_level()),
+        (0..s.len()).filter(|&i| s.get(i) == s.max_level()).count() as u64,
+        "{}: count at the ceiling",
+        what
+    );
+    Ok(())
+}
+
 /// The plane Jacobi kernel against the scalar reference after every
 /// round (shared by the two round-by-round tests).
 fn assert_same_rounds(cfg: &FaultConfig) -> Result<(), TestCaseError> {
@@ -172,6 +197,31 @@ proptest! {
         prop_assert_eq!(store.iter_eq(probe).collect::<Vec<u64>>(), expect);
     }
 
+    /// Every constructor and every write leaves the below-ceiling
+    /// plane equal to a scalar scan of the levels.
+    #[test]
+    fn below_plane_tracks_constructors_and_writes(
+        (max, mut levels) in levels_input(),
+        writes in proptest::collection::vec((0u16..512, 0u8..=30), 1..40),
+        zero in proptest::collection::vec(any::<u64>(), 0..5),
+    ) {
+        let len = levels.len() as u64;
+        assert_plane_exact(&LevelStore::zeroed(max, len), "zeroed")?;
+        assert_plane_exact(&LevelStore::ceiling_except(max, len, &zero), "ceiling_except")?;
+        let mut store = LevelStore::from_levels(max, &levels);
+        assert_plane_exact(&store, "from_levels")?;
+        for (i, l) in writes {
+            let i = i as usize % levels.len();
+            let l = l.min(max);
+            levels[i] = l;
+            store.set(i as u64, l);
+            assert_plane_exact(&store, "set")?;
+        }
+        let back = PlaneView::from_store(&store).to_store();
+        assert_plane_exact(&back, "to_store")?;
+        prop_assert_eq!(&back, &store);
+    }
+
     /// The bit-plane view round-trips through the packed store and
     /// reads back the same levels bit by bit.
     #[test]
@@ -203,6 +253,58 @@ proptest! {
         let jacobi = SafetyMap::compute(&cfg);
         let cons = SafetyMap::compute_constructive(&cfg);
         prop_assert_eq!(jacobi.store(), cons.store());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random node fault and recovery sequences on Q3–Q16, applied by
+    /// delta, keep the below-ceiling plane exact after every event, and
+    /// the store equal to a from-scratch compute's at the end.
+    #[test]
+    fn below_plane_tracks_churn(
+        n in 3u8..=16,
+        seed in any::<u64>(),
+        events in proptest::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let mut cfg = uniform_faults(n, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut map = SafetyMap::compute(&cfg);
+        assert_plane_exact(map.store(), "compute")?;
+        for r in events {
+            let a = NodeId::new(r % cfg.cube().num_nodes());
+            if cfg.node_faulty(a) {
+                cfg.node_faults_mut().remove(a);
+                map.apply_recover(&cfg, a);
+            } else {
+                cfg.node_faults_mut().insert(a);
+                map.apply_fault(&cfg, a);
+            }
+            assert_plane_exact(map.store(), "after an event")?;
+        }
+        let scratch = SafetyMap::compute(&cfg);
+        prop_assert_eq!(map.store(), scratch.store());
+    }
+
+    /// A GH's compute fills the plane as the cube's does: radices 2–8,
+    /// one to four dimensions, up to a third of the nodes faulty.
+    #[test]
+    fn below_plane_is_exact_after_a_gh_compute(
+        radices in proptest::collection::vec(2u16..=8, 1..=4),
+        seed in any::<u64>(),
+    ) {
+        let gh = GeneralizedHypercube::new(&radices);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut faults = gh.fault_set();
+        let total = (&gh).num_nodes();
+        for _ in 0..rng.gen_range(0..=total / 3) {
+            faults.insert(NodeId::new(rng.gen_range(0..total)));
+        }
+        let map = SafetyMap::compute_in(&gh, &faults);
+        assert_plane_exact(map.store(), "GH compute_in")?;
+        for a in gh.nodes() {
+            prop_assert_eq!(map.is_safe(a), map.level(a) == (&gh).dim());
+        }
     }
 }
 

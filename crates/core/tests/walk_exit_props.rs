@@ -1,19 +1,23 @@
-//! Differential tests for the §3 neighbour choice. The router stops
-//! scanning a node's candidate dimensions once, under
-//! `TieBreak::LowestDim`, the best level seen equals the store's
-//! ceiling `n`; the other tie-breaks always scan every candidate. The
-//! reference here scans every candidate for every policy, so an exit
-//! taken too early (below the ceiling) or for a policy whose winner
-//! among ties is not the first one seen changes some answer.
+//! Differential tests for the §3 neighbour choice. The router reads
+//! each candidate's below-ceiling bit first and stops scanning a
+//! node's candidate dimensions once, under `TieBreak::LowestDim`, the
+//! best level seen equals the store's ceiling `n`; the other
+//! tie-breaks always scan every candidate. The reference here decodes
+//! every candidate's level for every policy, so an exit taken too
+//! early (below the ceiling) or for a policy whose winner among ties
+//! is not the first one seen changes some answer.
 //!
 //! Level maps are arbitrary (not Definition 1 fixed points), built
 //! with `SafetyMap::from_levels` and biased so that several preferred
-//! neighbours of a node sit at `n` and `n − 1`. Nodes at level 0 are
-//! the faulty ones, which only judges delivery.
+//! neighbours of a node sit at `n` and `n − 1`, on Q1–Q17, so that
+//! maps at n ≥ 16 carry the fifth level bit. Nodes at level 0 are the
+//! faulty ones, which only judges delivery; a stale judge, whose
+//! faults differ from the map's level-0 nodes as a service snapshot's
+//! do, shows that the levels alone steer and the judge alone judges.
 
 use hypersafe_core::{
-    intermediate_dim_tb, route_light, route_tb, source_decision_tb, Condition, Decision, Level,
-    NavVector, SafetyMap, TieBreak,
+    intermediate_dim_tb, route_light, route_many, route_many_seq, route_tb, source_decision_tb,
+    BatchOutcome, Condition, Decision, Level, NavVector, SafetyMap, TieBreak,
 };
 use hypersafe_topology::{FaultConfig, FaultSet, Hypercube, NodeId, Topology};
 use proptest::prelude::*;
@@ -106,6 +110,22 @@ fn reference_walk(
     }
 }
 
+/// [`reference_walk`] as the batch routers report it.
+fn reference_outcome(
+    cfg: &FaultConfig,
+    map: &SafetyMap,
+    s: NodeId,
+    d: NodeId,
+    tb: TieBreak,
+) -> BatchOutcome {
+    let (decision, path, delivered) = reference_walk(cfg, map, s, d, tb);
+    BatchOutcome {
+        decision,
+        hops: path.len().saturating_sub(1) as u32,
+        delivered,
+    }
+}
+
 /// A level map on `Q_n` where about half the nodes sit at `n`, a
 /// quarter at `n − 1` and the rest anywhere in `0..=n`; level-0 nodes
 /// are the faults.
@@ -133,16 +153,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Source decisions, intermediate choices and whole walks agree
-    /// with the full scan under every tie-break policy.
+    /// with the full scan under every tie-break policy, and the batch
+    /// routers agree with it too, under a judge that matches the map
+    /// and under a stale one.
     #[test]
     fn neighbour_choice_matches_full_scan(
-        n in 1u8..=12,
+        n in 1u8..=17,
         seed in any::<u64>(),
         salt in any::<u64>(),
         probes in proptest::collection::vec((any::<u64>(), any::<u64>()), 32),
+        flips in proptest::collection::vec(any::<u64>(), 0..8),
     ) {
         let (cfg, map) = level_map(n, seed);
         let mask = (1u64 << n) - 1;
+        let pairs: Vec<(NodeId, NodeId)> = probes
+            .iter()
+            .map(|&(a, b)| (NodeId::new(a & mask), NodeId::new(b & mask)))
+            .collect();
+        // A judge out of step with the map: some faults recovered and
+        // some healthy nodes faulty, with the levels left as they were.
+        let mut stale = cfg.clone();
+        for &f in &flips {
+            let a = NodeId::new(f & mask);
+            if stale.node_faulty(a) {
+                stale.node_faults_mut().remove(a);
+            } else {
+                stale.node_faults_mut().insert(a);
+            }
+        }
+        for judge in [&cfg, &stale] {
+            let want: Vec<BatchOutcome> = pairs
+                .iter()
+                .map(|&(s, d)| reference_outcome(judge, &map, s, d, TieBreak::LowestDim))
+                .collect();
+            prop_assert_eq!(&route_many_seq(judge, &map, &pairs), &want);
+            prop_assert_eq!(&route_many(judge, &map, &pairs), &want);
+            for (&(s, d), w) in pairs.iter().zip(&want) {
+                let tb = TieBreak::Hashed { salt };
+                prop_assert_eq!(route_light(judge, &map, s, d, tb), reference_outcome(judge, &map, s, d, tb));
+                prop_assert_eq!(route_light(judge, &map, s, d, TieBreak::LowestDim), *w);
+            }
+        }
         for tb in [TieBreak::LowestDim, TieBreak::HighestDim, TieBreak::Hashed { salt }] {
             for &(a, b) in &probes {
                 let (s, d) = (NodeId::new(a & mask), NodeId::new(b & mask));
